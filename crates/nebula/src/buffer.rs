@@ -15,7 +15,7 @@
 
 use crate::record::{Record, RecordBuffer};
 use crate::schema::SchemaRef;
-use crate::value::{EventTime, OpaqueValue, Value};
+use crate::value::{DataType, EventTime, OpaqueValue, Value};
 use std::sync::Arc;
 
 /// One field of a [`TupleBuffer`], stored contiguously.
@@ -99,6 +99,207 @@ impl Column {
         self.len() == 0
     }
 
+    /// An empty column laid out for `dtype` with room for `cap` rows —
+    /// how a column whose type is known up front (a schema field, a
+    /// call's bind-time return type) starts. `Null` names no layout and
+    /// starts in the boxed fallback.
+    pub fn with_type(dtype: DataType, cap: usize) -> Column {
+        match dtype {
+            DataType::Bool => Column::Bool {
+                data: Vec::with_capacity(cap),
+                validity: None,
+            },
+            DataType::Int => Column::Int {
+                data: Vec::with_capacity(cap),
+                validity: None,
+            },
+            DataType::Float => Column::Float {
+                data: Vec::with_capacity(cap),
+                validity: None,
+            },
+            DataType::Timestamp => Column::Timestamp {
+                data: Vec::with_capacity(cap),
+                validity: None,
+            },
+            DataType::Point => Column::Point {
+                xs: Vec::with_capacity(cap),
+                ys: Vec::with_capacity(cap),
+                validity: None,
+            },
+            DataType::Text => {
+                let mut offsets = Vec::with_capacity(cap + 1);
+                offsets.push(0u32);
+                Column::Text {
+                    arena: Vec::new(),
+                    offsets,
+                    validity: None,
+                }
+            }
+            DataType::Opaque => Column::Opaque(Vec::with_capacity(cap)),
+            DataType::Null => Column::Values(Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Field `idx` of every record as one column laid out for `dtype`.
+    /// Fixed-width types are gathered straight into their typed vector;
+    /// text, opaque payloads and any field holding a value of another
+    /// runtime type go value by value through [`Column::push`], which
+    /// degrades on the contradiction.
+    fn from_field(dtype: DataType, records: &[Record], idx: usize) -> Column {
+        /// One typed vector plus validity, or `None` if some value is
+        /// neither null nor accepted by `get`.
+        fn gather<T: Copy>(
+            records: &[Record],
+            idx: usize,
+            zero: T,
+            get: impl Fn(&Value) -> Option<T>,
+        ) -> Option<(Vec<T>, Option<Vec<bool>>)> {
+            let mut null_rows = Vec::new();
+            let mut contradicted = false;
+            let data = records
+                .iter()
+                .enumerate()
+                .map(|(row, rec)| match rec.get(idx) {
+                    None | Some(Value::Null) => {
+                        null_rows.push(row);
+                        zero
+                    }
+                    Some(v) => get(v).unwrap_or_else(|| {
+                        contradicted = true;
+                        zero
+                    }),
+                })
+                .collect();
+            if contradicted {
+                return None;
+            }
+            let validity = (!null_rows.is_empty()).then(|| {
+                let mut mask = vec![true; records.len()];
+                for row in null_rows {
+                    mask[row] = false;
+                }
+                mask
+            });
+            Some((data, validity))
+        }
+        let gathered = match dtype {
+            DataType::Bool => gather(records, idx, false, Value::as_bool)
+                .map(|(data, validity)| Column::Bool { data, validity }),
+            DataType::Int => gather(records, idx, 0, |v| match v {
+                Value::Int(i) => Some(*i),
+                _ => None,
+            })
+            .map(|(data, validity)| Column::Int { data, validity }),
+            DataType::Float => gather(records, idx, 0.0, |v| match v {
+                Value::Float(f) => Some(*f),
+                _ => None,
+            })
+            .map(|(data, validity)| Column::Float { data, validity }),
+            DataType::Timestamp => gather(records, idx, 0, |v| match v {
+                Value::Timestamp(t) => Some(*t),
+                _ => None,
+            })
+            .map(|(data, validity)| Column::Timestamp { data, validity }),
+            DataType::Point => {
+                gather(records, idx, (0.0, 0.0), Value::as_point).map(|(data, validity)| {
+                    let (xs, ys) = data.into_iter().unzip();
+                    Column::Point { xs, ys, validity }
+                })
+            }
+            DataType::Text | DataType::Opaque | DataType::Null => None,
+        };
+        gathered.unwrap_or_else(|| {
+            let mut col = Column::with_type(dtype, records.len());
+            for rec in records {
+                col.push(rec.get(idx).unwrap_or(&Value::Null));
+            }
+            col
+        })
+    }
+
+    /// Appends one row without taking ownership of `v`: a value of the
+    /// column's own type lands in the typed storage, a null in the
+    /// validity mask, and a value whose runtime type contradicts the
+    /// layout degrades the whole column to [`Column::Values`] (lossless
+    /// fallback) before it is appended.
+    pub fn push(&mut self, v: &Value) {
+        match (&mut *self, v) {
+            (Column::Bool { data, validity }, Value::Bool(b)) => {
+                push_validity(validity, data.len(), true);
+                data.push(*b);
+            }
+            (Column::Int { data, validity }, Value::Int(i)) => {
+                push_validity(validity, data.len(), true);
+                data.push(*i);
+            }
+            (Column::Float { data, validity }, Value::Float(f)) => {
+                push_validity(validity, data.len(), true);
+                data.push(*f);
+            }
+            (Column::Timestamp { data, validity }, Value::Timestamp(t)) => {
+                push_validity(validity, data.len(), true);
+                data.push(*t);
+            }
+            (Column::Point { xs, ys, validity }, Value::Point { x, y }) => {
+                push_validity(validity, xs.len(), true);
+                xs.push(*x);
+                ys.push(*y);
+            }
+            (
+                Column::Text {
+                    arena,
+                    offsets,
+                    validity,
+                },
+                Value::Text(s),
+            ) => {
+                push_validity(validity, offsets.len().saturating_sub(1), true);
+                arena.extend_from_slice(s.as_bytes());
+                offsets.push(arena.len() as u32);
+            }
+            (Column::Opaque(data), Value::Opaque(o)) => data.push(Some(o.clone())),
+            (Column::Values(data), v) => data.push(v.clone()),
+            (_, Value::Null) => self.push_null(),
+            (_, v) => {
+                *self = Column::Values((0..self.len()).map(|i| self.value_at(i)).collect());
+                self.push(v);
+            }
+        }
+    }
+
+    /// Appends one null row.
+    fn push_null(&mut self) {
+        match self {
+            Column::Bool { data, validity } => {
+                push_validity(validity, data.len(), false);
+                data.push(false);
+            }
+            Column::Int { data, validity } | Column::Timestamp { data, validity } => {
+                push_validity(validity, data.len(), false);
+                data.push(0);
+            }
+            Column::Float { data, validity } => {
+                push_validity(validity, data.len(), false);
+                data.push(0.0);
+            }
+            Column::Point { xs, ys, validity } => {
+                push_validity(validity, xs.len(), false);
+                xs.push(0.0);
+                ys.push(0.0);
+            }
+            Column::Text {
+                arena,
+                offsets,
+                validity,
+            } => {
+                push_validity(validity, offsets.len().saturating_sub(1), false);
+                offsets.push(arena.len() as u32);
+            }
+            Column::Opaque(data) => data.push(None),
+            Column::Values(data) => data.push(Value::Null),
+        }
+    }
+
     /// Materializes row `idx` as a [`Value`]. Panics if out of range.
     pub fn value_at(&self, idx: usize) -> Value {
         fn valid(validity: &Option<Vec<bool>>, idx: usize) -> bool {
@@ -149,11 +350,7 @@ impl Column {
                 validity,
             } => {
                 if valid(validity, idx) {
-                    let s = std::str::from_utf8(
-                        &arena[offsets[idx] as usize..offsets[idx + 1] as usize],
-                    )
-                    .expect("text arena holds valid UTF-8");
-                    Value::Text(Arc::from(s))
+                    text_value(&arena[offsets[idx] as usize..offsets[idx + 1] as usize])
                 } else {
                     Value::Null
                 }
@@ -228,6 +425,68 @@ impl Column {
                 .map(|o| o.as_ref().map_or(1, |o| o.est_bytes()))
                 .sum(),
             Column::Values(v) => v.iter().map(Value::est_bytes).sum(),
+        }
+    }
+
+    /// Appends row `i`'s value to `rows[i]`, for every row — the
+    /// column-at-a-time half of [`TupleBuffer::to_record_buffer`].
+    fn append_to_rows(&self, rows: &mut [Record]) {
+        /// Spreads a typed sequence with its validity over the rows.
+        fn spread<T>(
+            rows: &mut [Record],
+            items: impl Iterator<Item = T>,
+            validity: &Option<Vec<bool>>,
+            make: impl Fn(T) -> Value,
+        ) {
+            match validity {
+                None => {
+                    for (row, x) in rows.iter_mut().zip(items) {
+                        row.push(make(x));
+                    }
+                }
+                Some(m) => {
+                    for ((row, x), &ok) in rows.iter_mut().zip(items).zip(m) {
+                        row.push(if ok { make(x) } else { Value::Null });
+                    }
+                }
+            }
+        }
+        match self {
+            Column::Bool { data, validity } => {
+                spread(rows, data.iter(), validity, |&b| Value::Bool(b))
+            }
+            Column::Int { data, validity } => {
+                spread(rows, data.iter(), validity, |&i| Value::Int(i))
+            }
+            Column::Float { data, validity } => {
+                spread(rows, data.iter(), validity, |&f| Value::Float(f))
+            }
+            Column::Timestamp { data, validity } => {
+                spread(rows, data.iter(), validity, |&t| Value::Timestamp(t))
+            }
+            Column::Point { xs, ys, validity } => {
+                spread(rows, xs.iter().zip(ys), validity, |(&x, &y)| Value::Point {
+                    x,
+                    y,
+                })
+            }
+            Column::Text {
+                arena,
+                offsets,
+                validity,
+            } => spread(rows, offsets.windows(2), validity, |w| {
+                text_value(&arena[w[0] as usize..w[1] as usize])
+            }),
+            Column::Opaque(data) => {
+                for (row, o) in rows.iter_mut().zip(data) {
+                    row.push(o.clone().map_or(Value::Null, Value::Opaque));
+                }
+            }
+            Column::Values(data) => {
+                for (row, v) in rows.iter_mut().zip(data) {
+                    row.push(v.clone());
+                }
+            }
         }
     }
 
@@ -374,12 +633,35 @@ impl Column {
         let n = self.len() + other.len();
         let mut b = ColumnBuilder::with_capacity(n);
         for i in 0..self.len() {
-            b.push(self.value_at(i));
+            b.push(&self.value_at(i));
         }
         for i in 0..other.len() {
-            b.push(other.value_at(i));
+            b.push(&other.value_at(i));
         }
         b.finish()
+    }
+}
+
+/// One row's slice of a text arena as a [`Value`]. The arena only ever
+/// receives `&str` bytes, sliced back at the offsets recorded with them,
+/// so the lossy conversion never replaces anything — it only spares the
+/// hot path a panic site.
+fn text_value(bytes: &[u8]) -> Value {
+    Value::Text(Arc::from(&*String::from_utf8_lossy(bytes)))
+}
+
+/// Records row number `rows` (0-based) as valid or null in a validity
+/// mask that only comes into being at the column's first null.
+#[inline]
+fn push_validity(validity: &mut Option<Vec<bool>>, rows: usize, valid: bool) {
+    match validity {
+        Some(m) => m.push(valid),
+        None if valid => {}
+        None => {
+            let mut m = vec![true; rows];
+            m.push(false);
+            *validity = Some(m);
+        }
     }
 }
 
@@ -391,10 +673,14 @@ fn filter_vec<T: Copy>(data: &[T], mask: &[bool]) -> Vec<T> {
         .collect()
 }
 
-/// Incrementally builds a [`Column`] from row values, inferring the
-/// densest representation: the first non-null value fixes the typed
-/// layout; a later value of a different runtime type degrades the whole
-/// column to [`Column::Values`] (lossless fallback).
+/// Incrementally builds a [`Column`] whose type is *not* known up front
+/// (an expression result without a bind-time type, a concatenation),
+/// inferring the densest representation: the first non-null value fixes
+/// the typed layout; a later value of a different runtime type degrades
+/// the whole column to [`Column::Values`] (lossless fallback). When the
+/// type is known — a schema field, a call's return type — seed the
+/// layout with [`Column::with_type`] and [`Column::push`] into it
+/// directly.
 pub struct ColumnBuilder {
     col: Option<Column>,
     /// Leading nulls seen before the type was decided.
@@ -412,199 +698,20 @@ impl ColumnBuilder {
         }
     }
 
-    fn start(&self, v: &Value) -> Column {
-        let nulls = self.leading_nulls;
-        let validity = if nulls > 0 {
-            Some(vec![false; nulls])
-        } else {
-            None
-        };
-        let cap = self.cap.max(nulls + 1);
-        match v {
-            Value::Bool(_) => Column::Bool {
-                data: {
-                    let mut d = Vec::with_capacity(cap);
-                    d.resize(nulls, false);
-                    d
-                },
-                validity,
-            },
-            Value::Int(_) => Column::Int {
-                data: {
-                    let mut d = Vec::with_capacity(cap);
-                    d.resize(nulls, 0);
-                    d
-                },
-                validity,
-            },
-            Value::Float(_) => Column::Float {
-                data: {
-                    let mut d = Vec::with_capacity(cap);
-                    d.resize(nulls, 0.0);
-                    d
-                },
-                validity,
-            },
-            Value::Timestamp(_) => Column::Timestamp {
-                data: {
-                    let mut d = Vec::with_capacity(cap);
-                    d.resize(nulls, 0);
-                    d
-                },
-                validity,
-            },
-            Value::Point { .. } => Column::Point {
-                xs: {
-                    let mut d = Vec::with_capacity(cap);
-                    d.resize(nulls, 0.0);
-                    d
-                },
-                ys: {
-                    let mut d = Vec::with_capacity(cap);
-                    d.resize(nulls, 0.0);
-                    d
-                },
-                validity,
-            },
-            Value::Text(_) => Column::Text {
-                arena: Vec::new(),
-                offsets: {
-                    let mut o = Vec::with_capacity(cap + 1);
-                    o.resize(nulls + 1, 0u32);
-                    o
-                },
-                validity,
-            },
-            Value::Opaque(_) => Column::Opaque({
-                let mut d = Vec::with_capacity(cap);
-                d.resize(nulls, None);
-                d
-            }),
-            Value::Null => unreachable!("start is called with a non-null value"),
-        }
-    }
-
-    /// Degrades the current typed column (plus pending nulls) to the
-    /// boxed fallback.
-    fn degrade(&mut self) -> &mut Vec<Value> {
-        let existing = self.col.take();
-        let mut vals: Vec<Value> = match existing {
-            Some(Column::Values(v)) => v,
-            Some(c) => (0..c.len()).map(|i| c.value_at(i)).collect(),
-            None => vec![Value::Null; self.leading_nulls],
-        };
-        vals.reserve(self.cap.saturating_sub(vals.len()));
-        self.leading_nulls = 0;
-        self.col = Some(Column::Values(vals));
-        match self.col {
-            Some(Column::Values(ref mut v)) => v,
-            _ => unreachable!(),
-        }
-    }
-
     /// Appends one value.
-    pub fn push(&mut self, v: Value) {
-        macro_rules! typed_push {
-            ($data:expr, $validity:expr, $x:expr, $zero:expr) => {{
-                $data.push($x);
-                if let Some(m) = $validity {
-                    m.push(true);
+    pub fn push(&mut self, v: &Value) {
+        match &mut self.col {
+            Some(col) => col.push(v),
+            None if v.is_null() => self.leading_nulls += 1,
+            None => {
+                let cap = self.cap.max(self.leading_nulls + 1);
+                let mut col = Column::with_type(v.data_type(), cap);
+                for _ in 0..self.leading_nulls {
+                    col.push_null();
                 }
-                let _ = $zero;
-            }};
-        }
-        macro_rules! typed_null {
-            ($data:expr, $validity:expr, $zero:expr) => {{
-                $data.push($zero);
-                match $validity {
-                    Some(m) => m.push(false),
-                    None => {
-                        let mut m = vec![true; $data.len() - 1];
-                        m.push(false);
-                        *$validity = Some(m);
-                    }
-                }
-            }};
-        }
-        if self.col.is_none() {
-            if v.is_null() {
-                self.leading_nulls += 1;
-                return;
+                col.push(v);
+                self.col = Some(col);
             }
-            self.col = Some(self.start(&v));
-        }
-        let col = self.col.as_mut().expect("column started");
-        match (col, v) {
-            (Column::Bool { data, validity }, Value::Bool(b)) => {
-                typed_push!(data, validity, b, false)
-            }
-            (Column::Bool { data, validity }, Value::Null) => typed_null!(data, validity, false),
-            (Column::Int { data, validity }, Value::Int(i)) => typed_push!(data, validity, i, 0),
-            (Column::Int { data, validity }, Value::Null) => typed_null!(data, validity, 0),
-            (Column::Float { data, validity }, Value::Float(f)) => {
-                typed_push!(data, validity, f, 0.0)
-            }
-            (Column::Float { data, validity }, Value::Null) => typed_null!(data, validity, 0.0),
-            (Column::Timestamp { data, validity }, Value::Timestamp(t)) => {
-                typed_push!(data, validity, t, 0)
-            }
-            (Column::Timestamp { data, validity }, Value::Null) => typed_null!(data, validity, 0),
-            (Column::Point { xs, ys, validity }, Value::Point { x, y }) => {
-                xs.push(x);
-                ys.push(y);
-                if let Some(m) = validity {
-                    m.push(true);
-                }
-            }
-            (Column::Point { xs, ys, validity }, Value::Null) => {
-                xs.push(0.0);
-                ys.push(0.0);
-                match validity {
-                    Some(m) => m.push(false),
-                    None => {
-                        let mut m = vec![true; xs.len() - 1];
-                        m.push(false);
-                        *validity = Some(m);
-                    }
-                }
-            }
-            (
-                Column::Text {
-                    arena,
-                    offsets,
-                    validity,
-                },
-                Value::Text(s),
-            ) => {
-                arena.extend_from_slice(s.as_bytes());
-                offsets.push(arena.len() as u32);
-                if let Some(m) = validity {
-                    m.push(true);
-                }
-            }
-            (
-                Column::Text {
-                    arena,
-                    offsets,
-                    validity,
-                },
-                Value::Null,
-            ) => {
-                offsets.push(arena.len() as u32);
-                match validity {
-                    Some(m) => m.push(false),
-                    None => {
-                        let mut m = vec![true; offsets.len() - 2];
-                        m.push(false);
-                        *validity = Some(m);
-                    }
-                }
-            }
-            (Column::Opaque(data), Value::Opaque(o)) => data.push(Some(o)),
-            (Column::Opaque(data), Value::Null) => data.push(None),
-            (Column::Values(data), v) => data.push(v),
-            // Runtime type mismatch against the inferred layout: degrade.
-            (_, v) => self.degrade().push(v),
         }
     }
 
@@ -658,20 +765,19 @@ impl TupleBuffer {
         }
     }
 
-    /// Transposes row records into columns. Records shorter than the
-    /// schema pad with nulls (mirroring the row path's out-of-range
-    /// column reads).
+    /// Transposes row records into columns laid out by the schema's
+    /// field types, reading each [`Value`] in place. Nulls go to the
+    /// validity masks; records shorter than the schema pad with nulls
+    /// (mirroring the row path's out-of-range column reads); a value
+    /// whose runtime type contradicts its field's declared type degrades
+    /// that one column to [`Column::Values`].
     pub fn from_records(schema: SchemaRef, records: &[Record], meta: BufferMeta) -> Self {
-        let width = schema.len();
-        let mut builders: Vec<ColumnBuilder> = (0..width)
-            .map(|_| ColumnBuilder::with_capacity(records.len()))
+        let columns = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(idx, f)| Column::from_field(f.dtype, records, idx))
             .collect();
-        for rec in records {
-            for (i, b) in builders.iter_mut().enumerate() {
-                b.push(rec.get(i).cloned().unwrap_or(Value::Null));
-            }
-        }
-        let columns: Vec<Column> = builders.into_iter().map(ColumnBuilder::finish).collect();
         TupleBuffer {
             schema,
             len: records.len(),
@@ -771,33 +877,53 @@ impl TupleBuffer {
         }
     }
 
+    /// `(min, max)` event time over all rows in one pass over the typed
+    /// `Timestamp`/`Int` slice (boxed columns coerce value by value);
+    /// `None` when no row carries an event time.
+    fn event_time_bounds(&self, ts_col: usize) -> Option<(EventTime, EventTime)> {
+        fn min_max(mut times: impl Iterator<Item = EventTime>) -> Option<(EventTime, EventTime)> {
+            let first = times.next()?;
+            Some(times.fold((first, first), |(lo, hi), t| (lo.min(t), hi.max(t))))
+        }
+        match self.columns.get(ts_col)? {
+            Column::Timestamp { data, validity } | Column::Int { data, validity } => match validity
+            {
+                None => min_max(data.iter().copied()),
+                Some(m) => min_max(data.iter().zip(m).filter(|&(_, &ok)| ok).map(|(&t, _)| t)),
+            },
+            other => min_max((0..other.len()).filter_map(|r| other.value_at(r).as_timestamp())),
+        }
+    }
+
     /// Maximum event time over all rows (watermark generation).
     pub fn max_event_time(&self, ts_col: usize) -> Option<EventTime> {
-        (0..self.len)
-            .filter_map(|r| self.event_time(r, ts_col))
-            .max()
+        self.event_time_bounds(ts_col).map(|(_, hi)| hi)
     }
 
     /// Minimum event time over all rows.
     pub fn min_event_time(&self, ts_col: usize) -> Option<EventTime> {
-        (0..self.len)
-            .filter_map(|r| self.event_time(r, ts_col))
-            .min()
+        self.event_time_bounds(ts_col).map(|(lo, _)| lo)
     }
 
     /// Recomputes `meta.min_ts`/`meta.max_ts` exactly from `ts_col`.
     pub fn recompute_time_bounds(&mut self, ts_col: usize) {
-        self.meta.min_ts = self.min_event_time(ts_col);
-        self.meta.max_ts = self.max_event_time(ts_col);
+        let bounds = self.event_time_bounds(ts_col);
+        self.meta.min_ts = bounds.map(|(lo, _)| lo);
+        self.meta.max_ts = bounds.map(|(_, hi)| hi);
     }
 
-    /// Converts back to the row representation.
+    /// Converts back to the row representation, column by column: each
+    /// column's layout is matched once and its typed slice spread over
+    /// the pre-sized records.
     pub fn to_record_buffer(&self) -> RecordBuffer {
-        let mut buf = RecordBuffer::with_capacity(self.schema.clone(), self.len);
-        for r in 0..self.len {
-            buf.push(self.row(r));
+        let width = self.columns.len();
+        let mut records: Vec<Record> = (0..self.len)
+            .map(|_| Record::new(Vec::with_capacity(width)))
+            .collect();
+        for col in &self.columns {
+            col.append_to_rows(&mut records);
         }
-        buf
+        RecordBuffer::new(self.schema.clone(), records)
     }
 
     /// Estimated payload bytes; equal to the row path's estimate.

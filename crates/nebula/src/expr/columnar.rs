@@ -81,7 +81,7 @@ impl BoundExpr {
                     },
                 }
             }
-            BoundExpr::Call { func, args } => {
+            BoundExpr::Call { func, args, .. } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
                     values.push(a.eval_row(buf, row)?);
@@ -98,65 +98,81 @@ impl BoundExpr {
 
     /// Evaluates over every row, producing one result [`Column`].
     pub fn eval_column(&self, buf: &TupleBuffer) -> Result<Column> {
+        Ok(self.eval_operand(buf)?.into_column(buf.len()))
+    }
+
+    /// Evaluates over every row without copying what already exists: a
+    /// column reference borrows the buffer's column and a literal stays
+    /// one scalar; only kernels and calls produce new columns.
+    fn eval_operand<'a>(&'a self, buf: &'a TupleBuffer) -> Result<Operand<'a>> {
         let n = buf.len();
         match self {
-            BoundExpr::Literal(v) => {
-                let mut b = ColumnBuilder::with_capacity(n);
-                for _ in 0..n {
-                    b.push(v.clone());
-                }
-                Ok(b.finish())
-            }
-            BoundExpr::Column(idx) => buf.column(*idx).cloned().ok_or_else(|| {
+            BoundExpr::Literal(v) => Ok(Operand::Scalar(v)),
+            BoundExpr::Column(idx) => buf.column(*idx).map(Operand::borrowed).ok_or_else(|| {
                 NebulaError::Eval(format!(
                     "record has {} fields, column #{idx} missing",
                     buf.columns().len()
                 ))
             }),
             BoundExpr::Binary { op, lhs, rhs } => match op {
-                BinOp::And | BinOp::Or => Ok(Column::Bool {
+                BinOp::And | BinOp::Or => Ok(Operand::owned(Column::Bool {
                     data: self.eval_mask(buf)?,
                     validity: None,
-                }),
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                    let lc = lhs.eval_column(buf)?;
-                    let rc = rhs.eval_column(buf)?;
-                    arith_kernel(*op, &lc, &rc).unwrap_or_else(|| per_row_binary(*op, &lc, &rc, n))
-                }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let lc = lhs.eval_column(buf)?;
-                    let rc = rhs.eval_column(buf)?;
-                    cmp_kernel(*op, &lc, &rc).unwrap_or_else(|| per_row_binary(*op, &lc, &rc, n))
+                })),
+                _ => {
+                    let l = lhs.eval_operand(buf)?;
+                    let r = rhs.eval_operand(buf)?;
+                    let kernel = if op.is_arith() {
+                        arith_kernel(*op, &l, &r, n)
+                    } else {
+                        cmp_kernel(*op, &l, &r, n)
+                    };
+                    match kernel {
+                        Some(c) => Ok(Operand::owned(c)),
+                        None => per_row_binary(*op, &l, &r, n).map(Operand::owned),
+                    }
                 }
             },
             BoundExpr::Unary { op, expr } => {
-                let c = expr.eval_column(buf)?;
+                let operand = expr.eval_operand(buf)?;
                 match op {
-                    UnOp::Not => Ok(Column::Bool {
-                        data: truth_mask(&c).iter().map(|&b| !b).collect(),
-                        validity: None,
-                    }),
-                    UnOp::Neg => neg_kernel(&c),
+                    UnOp::Not => {
+                        let mut data = truth_mask(operand, n);
+                        data.iter_mut().for_each(|b| *b = !*b);
+                        Ok(Operand::owned(Column::Bool {
+                            data,
+                            validity: None,
+                        }))
+                    }
+                    UnOp::Neg => neg_kernel(&operand, n).map(Operand::owned),
                 }
             }
-            BoundExpr::Call { func, args } => {
+            BoundExpr::Call { func, args, ret } => {
                 // Vector-evaluate the arguments, then invoke per row with
                 // a reused scratch vector: the argument subtrees get the
                 // batched kernels even though the call itself is scalar.
-                let mut cols = Vec::with_capacity(args.len());
+                // Literal arguments are written to the scratch once.
+                let mut operands = Vec::with_capacity(args.len());
                 for a in args {
-                    cols.push(a.eval_column(buf)?);
+                    operands.push(a.eval_operand(buf)?);
                 }
-                let mut out = ColumnBuilder::with_capacity(n);
-                let mut scratch: Vec<Value> = Vec::with_capacity(cols.len());
+                let mut scratch: Vec<Value> = operands
+                    .iter()
+                    .map(|o| match o {
+                        Operand::Scalar(v) => (*v).clone(),
+                        Operand::Col(_) => Value::Null,
+                    })
+                    .collect();
+                let mut out = Column::with_type(*ret, n);
                 for row in 0..n {
-                    scratch.clear();
-                    for c in &cols {
-                        scratch.push(c.value_at(row));
+                    for (slot, o) in scratch.iter_mut().zip(&operands) {
+                        if let Operand::Col(c) = o {
+                            *slot = c.value_at(row);
+                        }
                     }
-                    out.push(func.invoke(&scratch)?);
+                    out.push(&func.invoke(&scratch)?);
                 }
-                Ok(out.finish())
+                Ok(Operand::owned(out))
             }
         }
     }
@@ -165,59 +181,159 @@ impl BoundExpr {
     /// row `i` passes. Errors on short-circuited rows never surface,
     /// exactly as in the scalar evaluator.
     pub fn eval_mask(&self, buf: &TupleBuffer) -> Result<Vec<bool>> {
-        let n = buf.len();
         match self {
             BoundExpr::Binary {
-                op: BinOp::And,
+                op: op @ (BinOp::And | BinOp::Or),
                 lhs,
                 rhs,
             } => {
-                let lm = lhs.eval_mask(buf)?;
+                // The left truth value that decides a row on its own.
+                let decides = *op == BinOp::Or;
+                let mut mask = lhs.eval_mask(buf)?;
                 match rhs.eval_mask(buf) {
-                    Ok(rm) => Ok(lm.iter().zip(&rm).map(|(&a, &b)| a && b).collect()),
+                    Ok(rm) if decides => mask.iter_mut().zip(&rm).for_each(|(a, &b)| *a |= b),
+                    Ok(rm) => mask.iter_mut().zip(&rm).for_each(|(a, &b)| *a &= b),
                     Err(_) => {
                         // A row the reference would have short-circuited
                         // may be the one that errored: re-evaluate only
-                        // the rows whose left side was true.
-                        let mut out = vec![false; n];
-                        for (row, o) in out.iter_mut().enumerate() {
-                            if lm[row] {
-                                *o = rhs.eval_predicate_row(buf, row)?;
+                        // the rows the left side left undecided.
+                        for (row, m) in mask.iter_mut().enumerate() {
+                            if *m != decides {
+                                *m = rhs.eval_predicate_row(buf, row)?;
                             }
                         }
-                        Ok(out)
                     }
                 }
+                Ok(mask)
             }
-            BoundExpr::Binary {
-                op: BinOp::Or,
-                lhs,
-                rhs,
-            } => {
-                let lm = lhs.eval_mask(buf)?;
-                match rhs.eval_mask(buf) {
-                    Ok(rm) => Ok(lm.iter().zip(&rm).map(|(&a, &b)| a || b).collect()),
-                    Err(_) => {
-                        let mut out = lm.clone();
-                        for (row, o) in out.iter_mut().enumerate() {
-                            if !lm[row] {
-                                *o = rhs.eval_predicate_row(buf, row)?;
-                            }
-                        }
-                        Ok(out)
-                    }
-                }
-            }
-            _ => Ok(truth_mask(&self.eval_column(buf)?)),
+            _ => Ok(truth_mask(self.eval_operand(buf)?, buf.len())),
         }
     }
 }
 
-/// Predicate truth of a column: `Bool` rows pass when valid and true;
+/// One evaluated operand of a columnar kernel.
+enum Operand<'a> {
+    /// A column: borrowed from the input buffer and read in place, or
+    /// owned because some kernel or call produced it.
+    Col(Cow<'a, Column>),
+    /// A literal: the same value at every row.
+    Scalar(&'a Value),
+}
+
+impl<'a> Operand<'a> {
+    fn borrowed(c: &'a Column) -> Self {
+        Operand::Col(Cow::Borrowed(c))
+    }
+
+    fn owned(c: Column) -> Self {
+        Operand::Col(Cow::Owned(c))
+    }
+
+    /// An owned `n`-row column (clones a borrowed one, repeats a
+    /// literal).
+    fn into_column(self, n: usize) -> Column {
+        match self {
+            Operand::Col(c) => c.into_owned(),
+            Operand::Scalar(v) => {
+                let mut c = Column::with_type(v.data_type(), n);
+                for _ in 0..n {
+                    c.push(v);
+                }
+                c
+            }
+        }
+    }
+
+    /// The value at `row` (the scalar fallbacks' view).
+    fn value_at(&self, row: usize) -> Cow<'_, Value> {
+        match self {
+            Operand::Scalar(v) => Cow::Borrowed(*v),
+            Operand::Col(c) => Cow::Owned(c.value_at(row)),
+        }
+    }
+
+    /// The numeric view (`Int`, `Float`, `Timestamp` columns and
+    /// non-null literals of those types); `None` for anything else.
+    fn numeric(&self) -> Option<Numeric<'_>> {
+        let (nums, validity) = match self {
+            Operand::Scalar(Value::Int(i)) => (Nums::Int(Elems::Const(*i)), None),
+            Operand::Scalar(Value::Float(f)) => (Nums::Float(Elems::Const(*f)), None),
+            Operand::Scalar(Value::Timestamp(t)) => (Nums::Timestamp(Elems::Const(*t)), None),
+            Operand::Scalar(_) => return None,
+            Operand::Col(c) => match c.as_ref() {
+                Column::Int { data, validity } => {
+                    (Nums::Int(Elems::Slice(data)), validity.as_deref())
+                }
+                Column::Float { data, validity } => {
+                    (Nums::Float(Elems::Slice(data)), validity.as_deref())
+                }
+                Column::Timestamp { data, validity } => {
+                    (Nums::Timestamp(Elems::Slice(data)), validity.as_deref())
+                }
+                _ => return None,
+            },
+        };
+        Some(Numeric { nums, validity })
+    }
+}
+
+/// A run of elements: a typed slice, or one scalar at every index.
+#[derive(Clone, Copy)]
+enum Elems<'a, T> {
+    Slice(&'a [T]),
+    Const(T),
+}
+
+impl<T: Copy> Elems<'_, T> {
+    #[inline(always)]
+    fn at(self, i: usize) -> T {
+        match self {
+            Elems::Slice(s) => s[i],
+            Elems::Const(c) => c,
+        }
+    }
+}
+
+/// The elements of a numeric operand in their stored type; integers
+/// widen to `f64` at the read ([`Nums::at`], the `as` conversion of
+/// [`Value::as_float`]), never into a scratch vector.
+#[derive(Clone, Copy)]
+enum Nums<'a> {
+    Int(Elems<'a, i64>),
+    Float(Elems<'a, f64>),
+    Timestamp(Elems<'a, i64>),
+}
+
+impl Nums<'_> {
+    #[inline(always)]
+    fn at(self, i: usize) -> f64 {
+        match self {
+            Nums::Float(e) => e.at(i),
+            Nums::Int(e) | Nums::Timestamp(e) => e.at(i) as f64,
+        }
+    }
+}
+
+/// A borrowed numeric operand with its validity (`None` = no nulls).
+struct Numeric<'a> {
+    nums: Nums<'a>,
+    validity: Option<&'a [bool]>,
+}
+
+/// Predicate truth of an operand: `Bool` rows pass when valid and true;
 /// every non-bool value (incl. null) is false, matching
-/// `as_bool().unwrap_or(false)`.
-fn truth_mask(c: &Column) -> Vec<bool> {
-    match c {
+/// `as_bool().unwrap_or(false)`. A null-free boolean column a kernel
+/// produced becomes the mask as it is.
+fn truth_mask(operand: Operand<'_>, n: usize) -> Vec<bool> {
+    let col = match operand {
+        Operand::Scalar(v) => return vec![v.as_bool().unwrap_or(false); n],
+        Operand::Col(Cow::Owned(Column::Bool {
+            data,
+            validity: None,
+        })) => return data,
+        Operand::Col(c) => c,
+    };
+    match col.as_ref() {
         Column::Bool { data, validity } => match validity {
             None => data.clone(),
             Some(m) => data.iter().zip(m).map(|(&b, &v)| b && v).collect(),
@@ -227,110 +343,82 @@ fn truth_mask(c: &Column) -> Vec<bool> {
     }
 }
 
-/// A borrowed/widened f64 view of a numeric column with its validity.
-type NumericView<'a> = (Cow<'a, [f64]>, Option<&'a [bool]>);
-
-/// The numeric view of a column (`Int`, `Float`, `Timestamp`);
-/// `None` for anything else.
-fn numeric_view(c: &Column) -> Option<NumericView<'_>> {
-    match c {
-        Column::Float { data, validity } => Some((Cow::Borrowed(&data[..]), validity.as_deref())),
-        Column::Int { data, validity } | Column::Timestamp { data, validity } => Some((
-            Cow::Owned(data.iter().map(|&i| i as f64).collect()),
-            validity.as_deref(),
-        )),
-        _ => None,
+/// The validity of a binary kernel's result before the kernel adds its
+/// own nulls (`/0`, NaN ordering): null wherever either input is.
+fn joint_validity(l: Option<&[bool]>, r: Option<&[bool]>) -> Option<Vec<bool>> {
+    match (l, r) {
+        (None, None) => None,
+        (Some(m), None) | (None, Some(m)) => Some(m.to_vec()),
+        (Some(a), Some(b)) => Some(a.iter().zip(b).map(|(&x, &y)| x && y).collect()),
     }
 }
 
-fn valid_at(m: Option<&[bool]>, i: usize) -> bool {
-    m.is_none_or(|m| m[i])
+/// Computes `f` at every row valid in both inputs; `None` from `f`
+/// nulls the row.
+fn binary_rows<T: Copy>(
+    n: usize,
+    zero: T,
+    lv: Option<&[bool]>,
+    rv: Option<&[bool]>,
+    f: impl Fn(usize) -> Option<T>,
+) -> (Vec<T>, Option<Vec<bool>>) {
+    let mut validity = joint_validity(lv, rv);
+    let mut data = vec![zero; n];
+    for (i, slot) in data.iter_mut().enumerate() {
+        if validity.as_ref().is_none_or(|m| m[i]) {
+            match f(i) {
+                Some(v) => *slot = v,
+                None => mark_null(&mut validity, n, i),
+            }
+        }
+    }
+    (data, validity)
 }
 
 /// Vectorized arithmetic; `None` when operand types need the scalar
 /// fallback. `Int ⊕ Int` stays integer (wrapping, `/0`→null); any
 /// `Float`/`Timestamp` operand promotes the whole kernel to f64,
 /// exactly like the scalar evaluator does per row.
-fn arith_kernel(op: BinOp, lc: &Column, rc: &Column) -> Option<Result<Column>> {
-    if let (
-        Column::Int {
-            data: la,
-            validity: lv,
-        },
-        Column::Int {
-            data: ra,
-            validity: rv,
-        },
-    ) = (lc, rc)
-    {
-        let n = la.len();
-        let mut data = vec![0i64; n];
-        let mut validity: Option<Vec<bool>> = None;
-        for i in 0..n {
-            let ok = valid_at(lv.as_deref(), i) && valid_at(rv.as_deref(), i);
-            let v = if ok {
-                let (a, b) = (la[i], ra[i]);
-                match op {
-                    BinOp::Add => Some(a.wrapping_add(b)),
-                    BinOp::Sub => Some(a.wrapping_sub(b)),
-                    BinOp::Mul => Some(a.wrapping_mul(b)),
-                    BinOp::Div => (b != 0).then(|| a / b),
-                    BinOp::Mod => (b != 0).then(|| a % b),
-                    _ => unreachable!(),
-                }
-            } else {
-                None
-            };
-            match v {
-                Some(v) => data[i] = v,
-                None => mark_null(&mut validity, n, i),
-            }
-        }
-        return Some(Ok(Column::Int { data, validity }));
-    }
-    let (la, lv) = numeric_view(lc)?;
-    let (ra, rv) = numeric_view(rc)?;
-    let n = la.len();
-    let mut data = vec![0f64; n];
-    let mut validity: Option<Vec<bool>> = None;
-    for i in 0..n {
-        let ok = valid_at(lv, i) && valid_at(rv, i);
-        let v = if ok {
-            let (a, b) = (la[i], ra[i]);
+fn arith_kernel(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
+    let (l, r) = (l.numeric()?, r.numeric()?);
+    if let (Nums::Int(la), Nums::Int(ra)) = (l.nums, r.nums) {
+        let (data, validity) = binary_rows(n, 0i64, l.validity, r.validity, |i| {
+            let (a, b) = (la.at(i), ra.at(i));
             match op {
-                BinOp::Add => Some(a + b),
-                BinOp::Sub => Some(a - b),
-                BinOp::Mul => Some(a * b),
-                BinOp::Div => (b != 0.0).then(|| a / b),
-                BinOp::Mod => (b != 0.0).then(|| a % b),
+                BinOp::Add => Some(a.wrapping_add(b)),
+                BinOp::Sub => Some(a.wrapping_sub(b)),
+                BinOp::Mul => Some(a.wrapping_mul(b)),
+                BinOp::Div => (b != 0).then(|| a / b),
+                BinOp::Mod => (b != 0).then(|| a % b),
                 _ => unreachable!(),
             }
-        } else {
-            None
-        };
-        match v {
-            Some(v) => data[i] = v,
-            None => mark_null(&mut validity, n, i),
-        }
+        });
+        return Some(Column::Int { data, validity });
     }
-    Some(Ok(Column::Float { data, validity }))
+    let (data, validity) = binary_rows(n, 0f64, l.validity, r.validity, |i| {
+        let (a, b) = (l.nums.at(i), r.nums.at(i));
+        match op {
+            BinOp::Add => Some(a + b),
+            BinOp::Sub => Some(a - b),
+            BinOp::Mul => Some(a * b),
+            BinOp::Div => (b != 0.0).then(|| a / b),
+            BinOp::Mod => (b != 0.0).then(|| a % b),
+            _ => unreachable!(),
+        }
+    });
+    Some(Column::Float { data, validity })
 }
 
-/// Vectorized comparison over numeric columns; `None` when either side
-/// needs the scalar fallback (text, bool, points, mixed columns).
-fn cmp_kernel(op: BinOp, lc: &Column, rc: &Column) -> Option<Result<Column>> {
-    let (la, lv) = numeric_view(lc)?;
-    let (ra, rv) = numeric_view(rc)?;
-    let n = la.len();
-    let mut data = vec![false; n];
-    let mut validity: Option<Vec<bool>> = None;
-    for i in 0..n {
-        if !(valid_at(lv, i) && valid_at(rv, i)) {
-            mark_null(&mut validity, n, i);
-            continue;
-        }
-        let (a, b) = (la[i], ra[i]);
-        let v = match op {
+/// Vectorized comparison over numeric operands; `None` when either side
+/// needs the scalar fallback (text, bool, points, mixed columns, a null
+/// literal). Both sides compare as `f64` whatever their stored type —
+/// integers past 2⁵³ that round to the same float are *equal*, as in
+/// the scalar evaluator.
+fn cmp_kernel(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option<Column> {
+    let (l, r) = (l.numeric()?, r.numeric()?);
+    let (data, validity) = binary_rows(n, false, l.validity, r.validity, |i| {
+        let (a, b) = (l.nums.at(i), r.nums.at(i));
+        match op {
             // Numeric equality mirrors `Value::eq`: plain f64 compare,
             // so NaN != NaN is false, not null.
             BinOp::Eq => Some(a == b),
@@ -347,32 +435,32 @@ fn cmp_kernel(op: BinOp, lc: &Column, rc: &Column) -> Option<Result<Column>> {
                     _ => unreachable!(),
                 }
             }),
-        };
-        match v {
-            Some(v) => data[i] = v,
-            None => mark_null(&mut validity, n, i),
         }
-    }
-    Some(Ok(Column::Bool { data, validity }))
+    });
+    Some(Column::Bool { data, validity })
 }
 
-fn neg_kernel(c: &Column) -> Result<Column> {
-    match c {
-        Column::Int { data, validity } => Ok(Column::Int {
+fn neg_kernel(operand: &Operand<'_>, n: usize) -> Result<Column> {
+    let col = match operand {
+        Operand::Col(c) => Some(c.as_ref()),
+        Operand::Scalar(_) => None,
+    };
+    match col {
+        Some(Column::Int { data, validity }) => Ok(Column::Int {
             data: data.iter().map(|&i| i.wrapping_neg()).collect(),
             validity: validity.clone(),
         }),
-        Column::Float { data, validity } => Ok(Column::Float {
+        Some(Column::Float { data, validity }) => Ok(Column::Float {
             data: data.iter().map(|&f| -f).collect(),
             validity: validity.clone(),
         }),
-        other => {
-            let mut b = ColumnBuilder::with_capacity(other.len());
-            for i in 0..other.len() {
-                match other.value_at(i) {
-                    Value::Int(v) => b.push(Value::Int(v.wrapping_neg())),
-                    Value::Float(v) => b.push(Value::Float(-v)),
-                    Value::Null => b.push(Value::Null),
+        _ => {
+            let mut b = ColumnBuilder::with_capacity(n);
+            for i in 0..n {
+                match operand.value_at(i).as_ref() {
+                    Value::Int(v) => b.push(&Value::Int(v.wrapping_neg())),
+                    Value::Float(v) => b.push(&Value::Float(-v)),
+                    Value::Null => b.push(&Value::Null),
                     v => return Err(NebulaError::Eval(format!("cannot negate {v}"))),
                 }
             }
@@ -381,12 +469,11 @@ fn neg_kernel(c: &Column) -> Result<Column> {
     }
 }
 
-/// Scalar fallback: applies `eval_binary` row by row over two
-/// materialized operand columns.
-fn per_row_binary(op: BinOp, lc: &Column, rc: &Column, n: usize) -> Result<Column> {
+/// Scalar fallback: applies `eval_binary` row by row.
+fn per_row_binary(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Result<Column> {
     let mut b = ColumnBuilder::with_capacity(n);
     for i in 0..n {
-        b.push(eval_binary(op, &lc.value_at(i), &rc.value_at(i))?);
+        b.push(&eval_binary(op, &l.value_at(i), &r.value_at(i))?);
     }
     Ok(b.finish())
 }
@@ -473,6 +560,178 @@ mod tests {
             lit(2.5).mul(col("a")),
         ] {
             assert_matches_scalar(&e);
+        }
+        edge_operands_match_scalar(&edge_buffer());
+        edge_operands_match_scalar(&edge_buffer().filter(&[false; EDGE_ROWS]));
+    }
+
+    /// Equal values of equal runtime type, floats by bit pattern (so a
+    /// NaN result equals itself and `Int` never passes for `Float`).
+    fn same_value(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a.data_type() == b.data_type() && a == b,
+        }
+    }
+
+    /// Column, mask and `eval_row` results of `b` against the scalar
+    /// evaluator row by row. The scalar path fails per row and a kernel
+    /// per buffer, so one failing row must fail the whole column.
+    fn assert_bound_matches_scalar(b: &BoundExpr, tb: &TupleBuffer) {
+        let rows: Vec<Result<Value>> = (0..tb.len()).map(|i| b.eval(&tb.row(i))).collect();
+        match b.eval_column(tb) {
+            Ok(c) => {
+                assert_eq!(c.len(), tb.len(), "{b:?}");
+                for (i, want) in rows.iter().enumerate() {
+                    let want = want
+                        .as_ref()
+                        .unwrap_or_else(|e| panic!("{b:?} row {i}: {e}"));
+                    let got = c.value_at(i);
+                    assert!(same_value(&got, want), "{b:?} row {i}: {got} vs {want}");
+                    let got = b.eval_row(tb, i).unwrap();
+                    assert!(
+                        same_value(&got, want),
+                        "{b:?} eval_row {i}: {got} vs {want}"
+                    );
+                }
+            }
+            Err(_) => assert!(
+                rows.iter().any(|r| r.is_err()),
+                "{b:?} failed columnar only"
+            ),
+        }
+        match b.eval_mask(tb) {
+            Ok(mask) => {
+                assert_eq!(mask.len(), tb.len(), "{b:?}");
+                for (i, &m) in mask.iter().enumerate() {
+                    assert_eq!(m, b.eval_predicate(&tb.row(i)).unwrap(), "{b:?} mask {i}");
+                }
+            }
+            Err(_) => assert!(rows.iter().any(|r| r.is_err()), "{b:?} mask failed only"),
+        }
+    }
+
+    const EDGE_ROWS: usize = 13;
+    const TWO_53: i64 = 1 << 53;
+
+    /// `(i: Int, t: Timestamp, f: Float, j: Int)` over magnitudes at and
+    /// past 2⁵³ (where `as f64` stops being injective), the extremes,
+    /// NaN, infinities, signed zero and nulls, rotated against each
+    /// other so every pairing of neighbours-past-2⁵³ occurs.
+    fn edge_buffer() -> TupleBuffer {
+        let ints = [
+            Value::Int(TWO_53),
+            Value::Int(TWO_53 + 1),
+            Value::Int(TWO_53 + 2),
+            Value::Int(-TWO_53 - 1),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MAX - 1),
+            Value::Int(i64::MIN),
+            Value::Int(0),
+            Value::Int(7),
+            Value::Null,
+            Value::Int(-TWO_53),
+            Value::Int(TWO_53 - 1),
+            Value::Int(1),
+        ];
+        let floats = [
+            Value::Float(TWO_53 as f64),
+            Value::Float(f64::NAN),
+            Value::Float((TWO_53 + 2) as f64),
+            Value::Float(f64::INFINITY),
+            Value::Float(i64::MAX as f64),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(7.0),
+            Value::Float(1.5),
+            Value::Null,
+            Value::Float(-(TWO_53 as f64)),
+            Value::Float(f64::NAN),
+        ];
+        assert_eq!((ints.len(), floats.len()), (EDGE_ROWS, EDGE_ROWS));
+        let as_ts = |v: &Value| v.as_int().map_or(Value::Null, Value::Timestamp);
+        let recs: Vec<Record> = (0..EDGE_ROWS)
+            .map(|k| {
+                Record::new(vec![
+                    ints[k].clone(),
+                    as_ts(&ints[(k + 1) % EDGE_ROWS]),
+                    floats[k].clone(),
+                    ints[(k + 2) % EDGE_ROWS].clone(),
+                ])
+            })
+            .collect();
+        let schema = Schema::of(&[
+            ("i", DataType::Int),
+            ("t", DataType::Timestamp),
+            ("f", DataType::Float),
+            ("j", DataType::Int),
+        ]);
+        TupleBuffer::from_records(schema, &recs, BufferMeta::default())
+    }
+
+    /// Every operator over every ordered pair of: the four columns, and
+    /// literals `Int`/`Timestamp` past 2⁵³, a `Float` at 2⁵³, NaN, zero,
+    /// `Null`, and a `Bool` and a `Text` (which no numeric kernel takes:
+    /// the scalar fallback must give the scalar answer, or its error).
+    /// A literal so lands on the left, on the right and on both sides.
+    fn edge_operands_match_scalar(tb: &TupleBuffer) {
+        let operands: Vec<BoundExpr> = (0..4)
+            .map(BoundExpr::Column)
+            .chain(
+                [
+                    Value::Int(TWO_53 + 1),
+                    Value::Timestamp(TWO_53 + 2),
+                    Value::Float(TWO_53 as f64),
+                    Value::Float(f64::NAN),
+                    Value::Int(0),
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::text("7"),
+                ]
+                .map(BoundExpr::Literal),
+            )
+            .collect();
+        use BinOp::*;
+        for op in [Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Le, Gt, Ge] {
+            for lhs in &operands {
+                for rhs in &operands {
+                    let b = BoundExpr::Binary {
+                        op,
+                        lhs: Box::new(lhs.clone()),
+                        rhs: Box::new(rhs.clone()),
+                    };
+                    assert_bound_matches_scalar(&b, tb);
+                    // As a predicate operand too: `NOT (l op r)` and a
+                    // comparison of the result keep the null/NaN rows
+                    // honest one level up.
+                    let not = BoundExpr::Unary {
+                        op: UnOp::Not,
+                        expr: Box::new(b.clone()),
+                    };
+                    assert_bound_matches_scalar(&not, tb);
+                    let nested = BoundExpr::Binary {
+                        op: Ge,
+                        lhs: Box::new(b),
+                        rhs: Box::new(BoundExpr::Column(2)),
+                    };
+                    assert_bound_matches_scalar(&nested, tb);
+                }
+            }
+        }
+        // Negation: the float column and the literals. (The integer
+        // columns hold `i64::MIN`, which the scalar evaluator's plain
+        // `-i` overflows on; `col("a").neg()` above covers `Int`.)
+        for operand in operands
+            .iter()
+            .skip(2)
+            .filter(|o| !matches!(o, BoundExpr::Column(3)))
+        {
+            let neg = BoundExpr::Unary {
+                op: UnOp::Neg,
+                expr: Box::new(operand.clone()),
+            };
+            assert_bound_matches_scalar(&neg, tb);
         }
     }
 

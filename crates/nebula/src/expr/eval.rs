@@ -4,7 +4,7 @@ use super::registry::ScalarFunction;
 use super::{BinOp, UnOp};
 use crate::error::{NebulaError, Result};
 use crate::record::Record;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use std::sync::Arc;
 
 /// A bound expression: columns are positional, functions resolved.
@@ -36,6 +36,9 @@ pub enum BoundExpr {
         func: Arc<dyn ScalarFunction>,
         /// Bound arguments.
         args: Vec<BoundExpr>,
+        /// The result type the function declared at bind time (lays out
+        /// the columnar result).
+        ret: DataType,
     },
 }
 
@@ -48,7 +51,7 @@ impl std::fmt::Debug for BoundExpr {
                 write!(f, "({lhs:?} {op} {rhs:?})")
             }
             BoundExpr::Unary { op, expr } => write!(f, "({op:?} {expr:?})"),
-            BoundExpr::Call { func, args } => {
+            BoundExpr::Call { func, args, .. } => {
                 write!(f, "{}({args:?})", func.name())
             }
         }
@@ -101,7 +104,7 @@ impl BoundExpr {
                     },
                 }
             }
-            BoundExpr::Call { func, args } => {
+            BoundExpr::Call { func, args, .. } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
                     values.push(a.eval(rec)?);

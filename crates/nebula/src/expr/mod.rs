@@ -275,8 +275,15 @@ impl Expr {
                     bound.push(b);
                     types.push(t);
                 }
-                let out = func.return_type(&types)?;
-                Ok((BoundExpr::Call { func, args: bound }, out))
+                let ret = func.return_type(&types)?;
+                Ok((
+                    BoundExpr::Call {
+                        func,
+                        args: bound,
+                        ret,
+                    },
+                    ret,
+                ))
             }
         }
     }

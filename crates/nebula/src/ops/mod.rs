@@ -285,13 +285,10 @@ impl Operator for FilterOp {
 
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
         let mask = self.predicate.eval_mask(&buf)?;
-        if mask.iter().any(|&k| k) {
-            let kept = if mask.iter().all(|&k| k) {
-                buf
-            } else {
-                buf.filter(&mask)
-            };
-            out.push(StreamMessage::Columnar(kept));
+        match mask.iter().filter(|&&k| k).count() {
+            0 => {}
+            kept if kept == buf.len() => out.push(StreamMessage::Columnar(buf)),
+            _ => out.push(StreamMessage::Columnar(buf.filter(&mask))),
         }
         Ok(())
     }

@@ -509,9 +509,12 @@ pub const ENV_HEARTBEAT: u8 = 3;
 /// Fixed envelope overhead in bytes (kind + seq + crc).
 pub const ENVELOPE_OVERHEAD: usize = 1 + 8 + 4;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slicing-by-8 lookup tables, built at
+/// compile time. `CRC32_TABLES[0]` is the classic one-byte table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, which lets [`crc32_update`] fold eight input bytes per step.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -524,30 +527,55 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Folds `bytes` into a running (pre-inverted) CRC32 state, eight bytes
+/// per step with a bytewise tail.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// CRC32 checksum (IEEE polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    !crc32_update(!0, bytes)
 }
 
+/// CRC32 over the envelope head (`kind`, `seq`) followed by `payload`.
 fn crc32_parts(kind: u8, seq: u64, payload: &[u8]) -> u32 {
     let mut head = [0u8; 9];
     head[0] = kind;
     head[1..9].copy_from_slice(&seq.to_le_bytes());
-    let mut crc = !0u32;
-    for &b in head.iter().chain(payload) {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    !crc32_update(crc32_update(!0, &head), payload)
 }
 
 /// A decoded resilient-link envelope.
@@ -698,6 +726,32 @@ mod tests {
         // Standard IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_at_every_length_and_split() {
+        // The one-byte-per-step definition the sliced tables must equal.
+        let bytewise = |bytes: &[u8]| {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+            }
+            !crc
+        };
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "len {len}");
+        }
+        // Head-then-payload (9 + n bytes, so the payload starts
+        // unaligned to the 8-byte stride) equals one pass over both.
+        for len in 0..data.len() - 9 {
+            let seq = u64::from_le_bytes(data[1..9].try_into().unwrap());
+            assert_eq!(
+                crc32_parts(data[0], seq, &data[9..9 + len]),
+                bytewise(&data[..9 + len]),
+                "payload len {len}"
+            );
+        }
     }
 
     #[test]

@@ -133,6 +133,114 @@ fn arb_meta() -> impl Strategy<Value = BufferMeta> {
         })
 }
 
+/// What the fleet data never contains, laid over generated records so
+/// the schema-seeded transposition is pinned on it: runs of nulls, a
+/// whole null column, records shorter than the schema, and one value
+/// whose runtime type contradicts its field's declared type.
+#[derive(Debug, Clone)]
+struct Shape {
+    /// 0 as generated · 1 leading rows all-null · 2 trailing rows
+    /// all-null · 3 every value null · 4 column `col` entirely null.
+    nulls: u8,
+    /// How many rows the leading / trailing run covers.
+    run: usize,
+    /// The column `nulls == 4` and `short_width` refer to.
+    col: usize,
+    /// Every `short_every`-th record is cut to `col` fields (0 = none).
+    short_every: usize,
+    /// 0 none · 1 `Int` in the `Timestamp` column · 2 `Float` in the
+    /// `Int` column · 3 `Text` in the `Point` column, at row `at`.
+    contradiction: u8,
+    /// Row of the contradiction (modulo the record count).
+    at: usize,
+}
+
+impl Shape {
+    /// The shape that leaves the generated records as they are.
+    const PLAIN: Shape = Shape {
+        nulls: 0,
+        run: 0,
+        col: 0,
+        short_every: 0,
+        contradiction: 0,
+        at: 0,
+    };
+
+    /// The contradicted column and the value planted there.
+    fn contradicting(&self) -> Option<(usize, Value)> {
+        match self.contradiction {
+            1 => Some((0, Value::Int(1_700_000_000_000_000))),
+            2 => Some((2, Value::Float(2.5))),
+            3 => Some((5, Value::text("POINT(4.35 50.85)"))),
+            _ => None,
+        }
+    }
+
+    fn apply(&self, recs: &mut [Record]) {
+        let n = recs.len();
+        for (i, rec) in recs.iter_mut().enumerate() {
+            let all_null = match self.nulls {
+                1 => i < self.run,
+                2 => i + self.run >= n,
+                3 => true,
+                _ => false,
+            };
+            let mut values = std::mem::take(rec).into_values();
+            for (c, v) in values.iter_mut().enumerate() {
+                if all_null || (self.nulls == 4 && c == self.col) {
+                    *v = Value::Null;
+                }
+            }
+            if let Some((c, v)) = self.contradicting() {
+                if i == self.at % n {
+                    values[c] = v;
+                }
+            }
+            if self.short_every > 0 && i % self.short_every == 0 {
+                values.truncate(self.col);
+            }
+            *rec = Record::new(values);
+        }
+    }
+}
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    // Half of all cases stay plain, so the original property keeps its
+    // coverage of the generated (nulls 1 in 8, full-width) records.
+    (
+        proptest::bool::ANY,
+        (0u8..5, 0usize..70, 0usize..7),
+        (0usize..4, 0u8..4, 0usize..64),
+    )
+        .prop_map(
+            |(plain, (nulls, run, col), (short_every, contradiction, at))| {
+                if plain {
+                    Shape::PLAIN
+                } else {
+                    Shape {
+                        nulls,
+                        run,
+                        col,
+                        short_every,
+                        contradiction,
+                        at,
+                    }
+                }
+            },
+        )
+}
+
+/// Equal values *of equal runtime type*: `Value`'s own equality is
+/// numeric across `Int`/`Float`/`Timestamp`, which would let a
+/// transposition that re-types a contradicting value pass.
+fn same_typed(a: &Record, b: &Record) -> bool {
+    a == b
+        && a.values()
+            .iter()
+            .zip(b.values())
+            .all(|(x, y)| x.data_type() == y.data_type())
+}
+
 fn rows_of(tb: &TupleBuffer) -> Vec<Record> {
     (0..tb.len()).map(|i| tb.row(i)).collect()
 }
@@ -141,22 +249,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // Transpose then re-materialize is the identity, field by field,
-    // through all three read paths (row, value_at, to_record_buffer).
+    // through all three read paths (row, value_at, to_record_buffer) —
+    // on the generated records and on every `Shape` laid over them. A
+    // record shorter than the schema comes back padded with nulls; a
+    // value contradicting its field's type comes back with the type it
+    // went in with, and costs only its own column the typed layout.
     #[test]
-    fn round_trip_all_types(recs in arb_records(64)) {
+    fn round_trip_all_types(recs in arb_records(64), shape in arb_shape()) {
+        let mut recs = recs;
+        shape.apply(&mut recs);
+        let width = schema().len();
+        let padded: Vec<Record> = recs
+            .iter()
+            .map(|r| {
+                let mut v = r.values().to_vec();
+                v.resize(width, Value::Null);
+                Record::new(v)
+            })
+            .collect();
         let tb = TupleBuffer::from_records(schema(), &recs, BufferMeta::default());
         prop_assert_eq!(tb.len(), recs.len());
         prop_assert_eq!(tb.is_empty(), recs.is_empty());
-        for (i, rec) in recs.iter().enumerate() {
-            prop_assert_eq!(&tb.row(i), rec, "row {}", i);
-            for c in 0..schema().len() {
+        for (i, rec) in padded.iter().enumerate() {
+            prop_assert!(same_typed(&tb.row(i), rec), "row {}: {} vs {}", i, tb.row(i), rec);
+            for c in 0..width {
                 let got = tb.value_at(i, c);
                 prop_assert_eq!(got.as_ref(), rec.get(c), "value_at({}, {})", i, c);
             }
         }
         let rb = tb.to_record_buffer();
-        prop_assert_eq!(rb.records(), &recs[..]);
-        prop_assert_eq!(rb.schema().len(), schema().len());
+        prop_assert_eq!(rb.records().len(), padded.len());
+        for (got, want) in rb.records().iter().zip(&padded) {
+            prop_assert!(same_typed(got, want), "to_record_buffer: {} vs {}", got, want);
+        }
+        prop_assert_eq!(rb.schema().len(), width);
+        // Size accounting equals the row path's estimate exactly.
+        prop_assert_eq!(tb.est_bytes(), rb.est_bytes());
+        prop_assert_eq!(tb.est_bytes(), RecordBuffer::new(schema(), padded.clone()).est_bytes());
+        // Only a contradicted column gives up its typed layout; nulls
+        // (a run, a whole column, padding) never do.
+        let contradicted = shape.contradicting().and_then(|(c, v)| {
+            let planted = padded.get(shape.at % padded.len().max(1))?.get(c)?;
+            (planted.data_type() == v.data_type()).then_some(c)
+        });
+        for (c, col) in tb.columns().iter().enumerate() {
+            prop_assert_eq!(
+                matches!(col, Column::Values(_)),
+                contradicted == Some(c),
+                "column {} layout", c
+            );
+        }
     }
 
     // `split_at` then `concat` reconstructs the original buffer exactly:
@@ -253,9 +395,17 @@ proptest! {
     }
 
     // `recompute_time_bounds` agrees with a scalar scan over the rows'
-    // event times, treating null timestamps as absent.
+    // event times, treating null timestamps as absent — also when the
+    // `Timestamp` column arrives `Int`-valued (sources often deliver
+    // epoch µs as integers), wholly or from some row on.
     #[test]
-    fn time_bounds_match_rows(recs in arb_records(64)) {
+    fn time_bounds_match_rows(recs in arb_records(64), ints_from in 0usize..130) {
+        let mut recs = recs;
+        for rec in recs.iter_mut().skip(ints_from) {
+            if let Some(Value::Timestamp(t)) = rec.get(0).cloned() {
+                *rec.get_mut(0).unwrap() = Value::Int(t);
+            }
+        }
         let mut tb = TupleBuffer::from_records(schema(), &recs, BufferMeta::default());
         tb.recompute_time_bounds(0);
         let times: Vec<EventTime> = recs

@@ -13,7 +13,9 @@
 //! equality, its *raw* delivery order is pinned to the sync run's.
 
 use nebula::prelude::*;
-use std::sync::Arc;
+use nebulameos::{DemoContext, DemoZones, MeosPlugin, WeatherProvider};
+use sncb::{FleetConfig, FleetSimulator};
+use std::sync::{Arc, OnceLock};
 
 fn schema() -> SchemaRef {
     Schema::of(&[
@@ -58,6 +60,11 @@ const ALL_MODES: [Mode; 5] = [
 enum Feed {
     InOrder,
     Jittered(u64),
+    /// The simulated fleet stream (stream `fleet`, the twelve-field
+    /// fleet schema, the demo's zone and weather functions loaded) with
+    /// nulls sprinkled into `ts`, `pos` and `speed_kmh` — what the
+    /// simulator itself never emits.
+    FleetWithNulls,
 }
 
 fn source(feed: Feed) -> Box<dyn Source> {
@@ -65,6 +72,88 @@ fn source(feed: Feed) -> Box<dyn Source> {
     match feed {
         Feed::InOrder => Box::new(inner),
         Feed::Jittered(seed) => Box::new(JitterSource::new(inner, 8, seed)),
+        Feed::FleetWithNulls => Box::new(VecSource::new(
+            sncb::fleet_schema(),
+            fleet_fixture().records.clone(),
+        )),
+    }
+}
+
+/// The fleet stream and the context its queries bind against, built
+/// once.
+struct FleetFixture {
+    records: Vec<Record>,
+    zones: DemoZones,
+    weather: Arc<dyn WeatherProvider>,
+}
+
+fn fleet_fixture() -> &'static FleetFixture {
+    static FIXTURE: OnceLock<FleetFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let sim = FleetSimulator::new(FleetConfig::test_minutes(10));
+        let zones = sncb::demo_zones(&sim.network());
+        let weather = Arc::new(sim.weather().clone());
+        // Nulls at co-prime strides, so they land alone, in pairs and
+        // all three in one record, first at row 0 (a leading null).
+        let (ts, pos, speed) = (0, 2, 3);
+        let mut records = sim.into_records();
+        for (i, rec) in records.iter_mut().enumerate() {
+            for (col, stride) in [(ts, 11), (pos, 7), (speed, 5)] {
+                if i % stride == 0 {
+                    *rec.get_mut(col).unwrap() = Value::Null;
+                }
+            }
+        }
+        FleetFixture {
+            records,
+            zones,
+            weather,
+        }
+    })
+}
+
+/// Makes the demo's position functions answer null for a null position
+/// instead of failing the run, so records with a null `pos` flow through
+/// Q1/Q3/Q4 and every expression downstream sees the null.
+struct NullTolerantPositions;
+
+impl Plugin for NullTolerantPositions {
+    fn name(&self) -> &str {
+        "null-tolerant-positions"
+    }
+
+    fn register(&self, reg: &mut FunctionRegistry) -> Result<()> {
+        for name in ["in_maintenance", "risk_speed_limit", "weather_speed_factor"] {
+            let inner = reg.get(name).expect("demo context loaded first");
+            let types = [DataType::Point, DataType::Timestamp];
+            let arity = inner.min_args();
+            let ret = inner.return_type(&types[..arity])?;
+            reg.register_or_replace(ClosureFunction::new(name, arity, ret, move |args| {
+                if args[0].is_null() {
+                    Ok(Value::Null)
+                } else {
+                    inner.invoke(args)
+                }
+            }));
+        }
+        Ok(())
+    }
+}
+
+/// Adds `feed`'s stream to `env` under the name its queries read from,
+/// with whatever plugins they bind against.
+fn add_feed(env: &mut StreamEnvironment, feed: Feed, watermark: WatermarkStrategy) {
+    if feed == Feed::FleetWithNulls {
+        let fixture = fleet_fixture();
+        env.load_plugin(&MeosPlugin).unwrap();
+        env.load_plugin(
+            &DemoContext::new(fixture.zones.clone()).with_weather(fixture.weather.clone()),
+        )
+        .unwrap();
+        env.load_plugin(&NullTolerantPositions).unwrap();
+        env.add_source(nebulameos::FLEET_STREAM, source(feed), watermark);
+    } else {
+        env.add_source("s", source(feed), watermark);
     }
 }
 
@@ -101,7 +190,7 @@ fn execute_cfg(
         },
         ..EnvConfig::default()
     });
-    env.add_source("s", source(feed), watermark);
+    add_feed(&mut env, feed, watermark);
     let (mut sink, got) = CollectingSink::new();
     let metrics = match mode {
         Mode::Sync => env.run(query, &mut sink),
@@ -415,8 +504,11 @@ fn assert_batch_matrix(name: &str, query: &Query, feed: Feed, watermark: &Waterm
         32,
         ColumnarMode::Off,
     );
+    // `Value` equality is numeric across Int/Float/Timestamp; the sort
+    // key also carries each value's type tag and exact bits.
+    let bytes_of = |recs: &[Record]| recs.iter().map(record_sort_key).collect::<Vec<_>>();
     for batch in BATCH_SIZES {
-        for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Force, ColumnarMode::Auto] {
             for mode in ALL_MODES {
                 let (got, metrics) =
                     execute_cfg(query, mode, feed, watermark.clone(), batch, columnar);
@@ -424,6 +516,12 @@ fn assert_batch_matrix(name: &str, query: &Query, feed: Feed, watermark: &Waterm
                     got, reference,
                     "{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?} diverges from \
                      per-record sync reference"
+                );
+                assert_eq!(
+                    bytes_of(&got),
+                    bytes_of(&reference),
+                    "{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?} is not \
+                     byte-identical to the per-record sync reference"
                 );
                 assert_eq!(
                     metrics.records_in, ref_metrics.records_in,
@@ -469,6 +567,35 @@ fn batched_filter_map_matrix() {
         Feed::Jittered(7),
         &WatermarkStrategy::None,
     );
+}
+
+#[test]
+fn batched_fleet_nulls_matrix() {
+    // The schema-typed transposition on what the simulator never emits:
+    // null `ts` (no event time for that row), null `pos` (every zone
+    // and weather call answers null) and null `speed_kmh` (every
+    // comparison on it is null, so false as a predicate), through the
+    // three geofencing chains.
+    let watermark = WatermarkStrategy::BoundedOutOfOrder {
+        ts_field: "ts".into(),
+        slack: 5 * MICROS_PER_SEC,
+    };
+    for (name, q) in [
+        ("q1", nebulameos::q1_alert_filtering(120.0)),
+        ("q3", nebulameos::q3_dynamic_speed_limit()),
+        ("q4", nebulameos::q4_weather_speed_zones(120.0)),
+    ] {
+        let (reference, _) = execute_cfg(
+            &q,
+            Mode::Sync,
+            Feed::FleetWithNulls,
+            watermark.clone(),
+            32,
+            ColumnarMode::Off,
+        );
+        assert!(!reference.is_empty(), "{name}: no rows, nothing compared");
+        assert_batch_matrix(name, &q, Feed::FleetWithNulls, &watermark);
+    }
 }
 
 #[test]
