@@ -93,10 +93,10 @@ use crate::preagg::{split_window, SplitWindow, WindowMergeOp, WindowPartialOp};
 use crate::query::{compile_ops, LogicalOp, Query};
 use crate::record::{RecordBuffer, StreamMessage};
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
-use crate::runtime::{resolve_ts_col, ProgressTracker};
+use crate::runtime::{drive, resolve_ts_col, ProgressTracker};
 use crate::schema::SchemaRef;
 use crate::sink::{merge_partitions, Sink};
-use crate::source::{ReplaySource, Source, SourceBatch, WatermarkStrategy};
+use crate::source::{Polled, ReplaySource, Source, SourceDriver, Stamped, WatermarkStrategy};
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, NodeSnapshot, QueryReport,
     TelemetryConfig, TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
@@ -598,17 +598,20 @@ impl ClusterEnvironment {
                 node: h.node,
                 assign,
                 pump: PumpState {
-                    source,
-                    watermark: h.watermark,
-                    ts_col: ts_cols[p],
-                    schema: schema.clone(),
+                    // The pipeline's index is the punctuation origin
+                    // stamped on every buffer it emits.
+                    driver: SourceDriver::new(
+                        source,
+                        h.watermark,
+                        ts_cols[p],
+                        p as u64,
+                        self.config.buffer_size,
+                        self.config.watermark_every.max(1),
+                        self.config.idle_limit,
+                    ),
                     ops: group0,
-                    max_ts: EventTime::MIN,
-                    batches: 0,
-                    idle: 0,
                     stats: QueryMetrics::default(),
                     eos_sent: false,
-                    origin: p as u64,
                     progress: ProgressTracker::new(),
                     node_name: self.topo.node(h.node).name.clone(),
                     sent_records: 0,
@@ -784,16 +787,13 @@ impl ClusterEnvironment {
                             let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
                             pipe.pump.ops = group0;
                             pipe.sites = sites;
-                            pipe.pump.batches = pp.batches;
-                            pipe.pump.max_ts = pp.max_ts;
                             pipe.pump.stats = pp.stats;
-                            pipe.pump.idle = 0;
                             pipe.pump.eos_sent = false;
                             // Replay re-derives pump-local punctuation
                             // from scratch; a stale tracker would dedup
                             // the re-observed sequences.
                             pipe.pump.progress = ProgressTracker::new();
-                            if !pipe.pump.source.rewind(pp.batches as usize) {
+                            if !pipe.pump.driver.restore(pp.batches, pp.max_ts) {
                                 return Err(internal("chaos source lost its replay log"));
                             }
                         }
@@ -850,13 +850,10 @@ impl ClusterEnvironment {
                             let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
                             pipe.pump.ops = group0;
                             pipe.sites = sites;
-                            pipe.pump.batches = 0;
-                            pipe.pump.max_ts = EventTime::MIN;
                             pipe.pump.stats = QueryMetrics::default();
-                            pipe.pump.idle = 0;
                             pipe.pump.eos_sent = false;
                             pipe.pump.progress = ProgressTracker::new();
-                            if !pipe.pump.source.rewind(0) {
+                            if !pipe.pump.driver.restore(0, EventTime::MIN) {
                                 return Err(internal("chaos source lost its replay log"));
                             }
                         }
@@ -1513,25 +1510,6 @@ impl RxLink {
     }
 }
 
-/// Pushes one message through a sub-chain, returning the terminal
-/// messages in order (what crosses to the next site).
-fn drive(ops: &mut [Box<dyn Operator>], first: StreamMessage) -> Result<Vec<StreamMessage>> {
-    let mut cur = vec![first];
-    let mut next: Vec<StreamMessage> = Vec::new();
-    for op in ops.iter_mut() {
-        for msg in cur.drain(..) {
-            match msg {
-                StreamMessage::Data(b) => op.process(b, &mut next)?,
-                StreamMessage::Columnar(b) => op.process_columnar(b, &mut next)?,
-                StreamMessage::Watermark(w) => op.on_watermark(w, &mut next)?,
-                StreamMessage::Eos => op.on_eos(&mut next)?,
-            }
-        }
-        std::mem::swap(&mut cur, &mut next);
-    }
-    Ok(cur)
-}
-
 /// Encodes and forwards terminal messages downstream.
 fn forward(
     msgs: Vec<StreamMessage>,
@@ -2121,22 +2099,14 @@ fn run_cloud_chaos(
 
 /// One pipeline's source-side state, preserved across phases.
 struct PumpState {
-    source: Box<dyn Source>,
-    watermark: WatermarkStrategy,
-    ts_col: Option<usize>,
-    schema: SchemaRef,
+    /// The source stage: polling, stamping, batch and idle counting.
+    driver: SourceDriver,
     /// Stages placed on the source node, driven on the pump thread.
     ops: Vec<Box<dyn Operator>>,
-    max_ts: EventTime,
-    batches: u64,
-    idle: u64,
     stats: QueryMetrics,
     /// This pipeline's stream already ended (its Eos reached the
     /// cloud); later phases spawn nothing for it.
     eos_sent: bool,
-    /// This pipeline's index — the punctuation origin stamped on every
-    /// buffer it emits.
-    origin: u64,
     /// Pump-local progress over the source's per-buffer punctuation;
     /// its frontier is what crosses the wire as `Frame::Watermark`.
     progress: ProgressTracker,
@@ -2192,10 +2162,11 @@ impl PumpChaos {
     }
 }
 
-/// Polls the source, drives the source-node stages, generates
-/// watermarks, and pushes frames downstream — mirroring
-/// `StreamEnvironment::run`'s ingest loop. Stops at `batch_limit`
-/// without flushing (handoff follows); otherwise flushes end-of-stream.
+/// Takes stamped buffers from the pipeline's [`SourceDriver`], drives
+/// the source-node stages, and pushes data, frontier watermarks,
+/// telemetry snapshots and checkpoint barriers downstream as frames.
+/// Stops at `batch_limit` without flushing (handoff follows); otherwise
+/// flushes end-of-stream.
 fn pump(
     st: &mut PumpState,
     tx: &mut TxLink,
@@ -2207,16 +2178,17 @@ fn pump(
     let out_schema = st
         .ops
         .last()
-        .map_or_else(|| st.schema.clone(), |o| o.output_schema());
-    let watermark_every = cfg.watermark_every.max(1);
+        .map_or_else(|| st.driver.schema().clone(), |o| o.output_schema());
     // Columnar only pays off when a local stage consumes the buffer;
     // with no source-node stages the frame converts straight back to
-    // rows at the wire, so skip the round-trip.
-    let columnar = crate::runtime::chain_wants_columnar(cfg.columnar, &st.ops);
+    // rows at the wire, so skip the round-trip. Decided per phase: a
+    // re-plan may have moved stages onto or off this node.
+    st.driver.gate(cfg.columnar, &st.ops);
+    let origin = st.driver.origin();
     let started = Instant::now();
     let mut last_snap = Instant::now();
     loop {
-        if batch_limit.is_some_and(|limit| st.batches >= limit) {
+        if batch_limit.is_some_and(|limit| st.driver.batches() >= limit) {
             return Ok(PumpEnd::Limit);
         }
         if let Some(c) = chaos {
@@ -2224,23 +2196,14 @@ fn pump(
                 return Err(ClusterError::Aborted.into());
             }
         }
-        match st.source.poll(cfg.buffer_size)? {
-            SourceBatch::Data(recs) => {
-                st.idle = 0;
-                st.batches += 1;
+        match st.driver.poll()? {
+            Polled::Batch(Stamped {
+                msg,
+                sequence,
+                punctuation,
+            }) => {
                 st.stats.batches += 1;
-                st.stats.records_in += recs.len() as u64;
-                let (msg, punctuation) = crate::runtime::make_data_message(
-                    &st.schema,
-                    recs,
-                    columnar,
-                    st.ts_col,
-                    st.origin,
-                    st.batches,
-                    &st.watermark,
-                    watermark_every,
-                    &mut st.max_ts,
-                );
+                st.stats.records_in += msg.record_count() as u64;
                 st.stats.bytes_in += msg.data_bytes() as u64;
                 let msgs = drive(&mut st.ops, msg)?;
                 st.sent_records += records_of(&msgs);
@@ -2250,7 +2213,7 @@ fn pump(
                 // frontier over it. Every sequence feeds the tracker —
                 // unpunctuated buffers close gaps — but only punctuated
                 // ones emit.
-                st.progress.observe(st.origin, st.batches, punctuation);
+                st.progress.observe(origin, sequence, punctuation);
                 if punctuation.is_some() {
                     if let Some(w) = st.progress.frontier() {
                         st.stats.watermarks += 1;
@@ -2265,7 +2228,7 @@ fn pump(
                     // resilient link) as the data it describes.
                     st.snap_seq += 1;
                     let snap = NodeSnapshot {
-                        origin: st.origin,
+                        origin,
                         node: st.node_name.clone(),
                         seq: st.snap_seq,
                         at_us: started.elapsed().as_micros() as u64,
@@ -2280,18 +2243,18 @@ fn pump(
                 }
                 if let Some(c) = chaos {
                     c.check_doom()?;
-                    if st.batches.is_multiple_of(c.every) {
+                    if sequence.is_multiple_of(c.every) {
                         // Snapshot the pump's cut and send the barrier
-                        // after it: everything up to `batches` is ahead
-                        // of the marker on every downstream link.
-                        let epoch = st.batches / c.every;
+                        // after it: everything up to `sequence` is
+                        // ahead of the marker on every downstream link.
+                        let epoch = sequence / c.every;
                         c.store.put_pump(
                             epoch,
                             c.pipe,
                             PumpPart {
                                 ops: snapshot_chain(&st.ops),
-                                batches: st.batches,
-                                max_ts: st.max_ts,
+                                batches: sequence,
+                                max_ts: st.driver.max_ts(),
                                 stats: st.stats.clone(),
                             },
                         );
@@ -2299,18 +2262,14 @@ fn pump(
                     }
                 }
             }
-            SourceBatch::Idle => {
-                st.idle += 1;
-                if st.idle > cfg.idle_limit {
-                    break;
-                }
-                if chaos.is_some() && st.idle.is_multiple_of(1024) {
+            Polled::Idle(idle) => {
+                if chaos.is_some() && idle.is_multiple_of(1024) {
                     // Keep a quiet link observably alive.
                     tx.heartbeat()?;
                 }
                 std::thread::yield_now();
             }
-            SourceBatch::Exhausted => break,
+            Polled::End => break,
         }
     }
     let msgs = drive(&mut st.ops, StreamMessage::Eos)?;
@@ -2391,7 +2350,7 @@ fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
     let last_ops = p.sites.last().map(|(_, ops)| ops).unwrap_or(&p.pump.ops);
     last_ops
         .last()
-        .map_or_else(|| p.pump.schema.clone(), |o| o.output_schema())
+        .map_or_else(|| p.pump.driver.schema().clone(), |o| o.output_schema())
 }
 
 /// Spawns the sites and cloud for every pipeline, runs the pumps, and
@@ -2520,7 +2479,7 @@ fn run_phase(
             let mut in_schema = pump_state
                 .ops
                 .last()
-                .map_or_else(|| pump_state.schema.clone(), |o| o.output_schema());
+                .map_or_else(|| pump_state.driver.schema().clone(), |o| o.output_schema());
             let mut handles = Vec::with_capacity(n_sites);
             for (i, (site_node, ops)) in taken.into_iter().enumerate() {
                 let out_tx = if i + 1 < n_sites {
@@ -2616,7 +2575,7 @@ fn run_phase(
 
             let wire = io.wire.clone();
             let cfg = io.cfg;
-            let handoff_schema = pump_state.schema.clone();
+            let handoff_schema = pump_state.driver.schema().clone();
             let pump_doom = match chaos.and_then(|c| c.switch.as_ref()) {
                 Some(s) if !doomed_site_hosted && route_crosses(io, src_node, nodes, s.node)? => {
                     Some(Arc::clone(s))

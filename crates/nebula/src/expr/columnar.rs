@@ -388,8 +388,8 @@ fn arith_kernel(op: BinOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Option
                 BinOp::Add => Some(a.wrapping_add(b)),
                 BinOp::Sub => Some(a.wrapping_sub(b)),
                 BinOp::Mul => Some(a.wrapping_mul(b)),
-                BinOp::Div => (b != 0).then(|| a / b),
-                BinOp::Mod => (b != 0).then(|| a % b),
+                BinOp::Div => (b != 0).then(|| a.wrapping_div(b)),
+                BinOp::Mod => (b != 0).then(|| a.wrapping_rem(b)),
                 _ => unreachable!(),
             }
         });
@@ -672,6 +672,7 @@ mod tests {
 
     /// Every operator over every ordered pair of: the four columns, and
     /// literals `Int`/`Timestamp` past 2⁵³, a `Float` at 2⁵³, NaN, zero,
+    /// `-1` (the divisor `i64::MIN / b` and `i64::MIN % b` overflow on),
     /// `Null`, and a `Bool` and a `Text` (which no numeric kernel takes:
     /// the scalar fallback must give the scalar answer, or its error).
     /// A literal so lands on the left, on the right and on both sides.
@@ -685,6 +686,7 @@ mod tests {
                     Value::Float(TWO_53 as f64),
                     Value::Float(f64::NAN),
                     Value::Int(0),
+                    Value::Int(-1),
                     Value::Null,
                     Value::Bool(true),
                     Value::text("7"),
@@ -719,14 +721,9 @@ mod tests {
                 }
             }
         }
-        // Negation: the float column and the literals. (The integer
-        // columns hold `i64::MIN`, which the scalar evaluator's plain
-        // `-i` overflows on; `col("a").neg()` above covers `Int`.)
-        for operand in operands
-            .iter()
-            .skip(2)
-            .filter(|o| !matches!(o, BoundExpr::Column(3)))
-        {
+        // Negation of every operand: the integer columns hold
+        // `i64::MIN`, which wraps to itself in both evaluators.
+        for operand in &operands {
             let neg = BoundExpr::Unary {
                 op: UnOp::Neg,
                 expr: Box::new(operand.clone()),

@@ -97,7 +97,7 @@ impl BoundExpr {
                 match op {
                     UnOp::Not => Ok(Value::Bool(!v.as_bool().unwrap_or(false))),
                     UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
                         Value::Float(f) => Ok(Value::Float(-f)),
                         Value::Null => Ok(Value::Null),
                         other => Err(NebulaError::Eval(format!("cannot negate {other}"))),
@@ -136,14 +136,14 @@ pub(crate) fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                         if *b == 0 {
                             Value::Null
                         } else {
-                            Value::Int(a / b)
+                            Value::Int(a.wrapping_div(*b))
                         }
                     }
                     BinOp::Mod => {
                         if *b == 0 {
                             Value::Null
                         } else {
-                            Value::Int(a % b)
+                            Value::Int(a.wrapping_rem(*b))
                         }
                     }
                     _ => unreachable!(),

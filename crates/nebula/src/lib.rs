@@ -33,9 +33,13 @@
 //!   punctuation; [`runtime::ProgressTracker`] folds the stamps into a
 //!   gap-aware per-origin frontier (min across live origins, monotone)
 //!   that drives window close and late-record decisions identically in
-//!   every mode — including the work-stealing partitioned executor,
-//!   whose out-of-order task completions are re-serialized in frontier
-//!   order with no post-hoc sort ([`buffer`], [`runtime`]).
+//!   every mode ([`buffer`], [`runtime`]).
+//! - **One local executor, three configurations** — `run`,
+//!   `run_threaded` and `run_partitioned` share one source driver,
+//!   dispatch loop, task pool and emission ledger, and differ only in
+//!   whether the source has its own thread and how many workers execute
+//!   tasks; out-of-order task completions are re-serialized in dispatch
+//!   order with no post-hoc sort ([`runtime`]).
 //! - **Runtime telemetry** — per-operator metrics (records, buffers,
 //!   selectivity, service-time histograms, state size), periodic
 //!   sampling of throughput/queue depth/frontier lag into a bounded
@@ -145,8 +149,8 @@ pub mod prelude {
     pub use crate::runtime::{ColumnarMode, EnvConfig, ProgressTracker, StreamEnvironment};
     pub use crate::schema::{Field, Schema, SchemaRef};
     pub use crate::sink::{
-        merge_partitions, normalize_records, BufferSink, CallbackSink, Collected, CollectingSink,
-        CountingSink, CsvSink, NullSink, Sink, SinkCounters,
+        merge_partitions, normalize_records, CallbackSink, Collected, CollectingSink, CountingSink,
+        CsvSink, NullSink, Sink, SinkCounters,
     };
     pub use crate::source::{
         CsvSource, GapSource, GeneratorSource, JitterSource, ReplaySource, Source, SourceBatch,

@@ -2,19 +2,24 @@
 //! buffers through operator chains, tracks per-origin punctuated
 //! progress, and reports throughput metrics.
 //!
-//! Three execution modes:
-//! - [`StreamEnvironment::run`] — synchronous single-threaded loop
-//!   (deterministic; what the benchmarks measure),
-//! - [`StreamEnvironment::run_threaded`] — pipeline-parallel via a bounded
-//!   crossbeam channel between the source and the operator chain
-//!   (the shape of NebulaStream's worker threads),
-//! - [`StreamEnvironment::run_partitioned`] — data-parallel: buffers are
-//!   hash-partitioned by the plan's grouping key across
-//!   [`EnvConfig::parallelism`] partitions executed by a work-stealing
-//!   worker pool. Tasks complete out of order; an emission ledger
-//!   releases results in dispatch order once the progress frontier
-//!   passes them, so no end-of-run global sort is needed
-//!   (NebulaStream's task-based worker execution model).
+//! One executor, three configurations. Every local entry point runs the
+//! same loop — a `SourceDriver` yields stamped buffers, a dispatcher
+//! routes them to partitions as ledger-ordered tasks, folds their
+//! stamps into the progress frontier and hands released results to the
+//! sink — and differs only in which thread does what (NebulaStream's
+//! task-based worker execution model):
+//!
+//! | entry point | source thread? | pool workers | tasks execute on | sink runs on |
+//! |---|---|---|---|---|
+//! | [`StreamEnvironment::run`] | no | 0 | the caller, inline | the caller |
+//! | [`StreamEnvironment::run_threaded`] | yes, behind a bounded channel | 0 | the caller, inline | the caller |
+//! | [`StreamEnvironment::run_partitioned`] | no | one per partition ([`EnvConfig::parallelism`]) | work-stealing workers | the caller |
+//!
+//! With workers, buffers are hash-partitioned by the plan's grouping
+//! key and tasks complete out of order; the emission ledger releases
+//! results in dispatch order once every earlier step has completed, so
+//! the delivered stream is identical in every configuration and no
+//! end-of-run global sort is needed.
 //!
 //! Progress is *punctuated*: sources stamp every buffer with an
 //! origin/sequence/watermark header ([`crate::buffer::BufferMeta`]) and
@@ -29,11 +34,11 @@ use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
 use crate::expr::{BoundExpr, FunctionRegistry, Plugin};
 use crate::metrics::QueryMetrics;
-use crate::ops::{chain_late_drops, GroupKey};
+use crate::ops::{chain_late_drops, GroupKey, Operator};
 use crate::query::{compile, PartitionScheme, Query};
 use crate::record::{Record, RecordBuffer, StreamMessage};
-use crate::sink::{BufferSink, Sink};
-use crate::source::{Source, SourceBatch, WatermarkStrategy};
+use crate::sink::Sink;
+use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, QueryReport, TelemetryConfig,
     TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
@@ -466,441 +471,166 @@ impl StreamEnvironment {
         self.analyze_for(query, analysis::Target::Local)
     }
 
-    /// Pre-flight + compile for `query` against the registered
-    /// (still-owned) source's schema. Analyzing and compiling *before*
-    /// [`Self::take_source`] means a rejected plan leaves the source
-    /// registered, so the caller can fix the query and run again.
-    /// Returns the analyzer's warnings for the telemetry report.
-    fn prepare(
-        &self,
-        query: &Query,
-        target: analysis::Target,
-    ) -> Result<(Option<usize>, OperatorChain, Vec<Diagnostic>)> {
-        let warnings = self.analyze_for(query, target)?.into_accepted()?;
+    /// Pre-flight, routing and compile for `query` against the
+    /// registered (still-owned) source's schema. Doing all of it
+    /// *before* [`Self::take_source`] means a rejected plan leaves the
+    /// source registered, so the caller can fix the query and run again.
+    fn prepare(&self, query: &Query, mode: ExecMode) -> Result<Prepared> {
+        let warnings = self.analyze_for(query, mode.target())?.into_accepted()?;
         let src = self
             .sources
             .get(query.source())
             .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
         let schema = src.source.schema();
         let ts_col = resolve_ts_col(&src.watermark, &schema)?;
-        let plan = compile(query, schema, &self.registry)?;
-        Ok((ts_col, plan.operators, warnings))
+        // One partition needs no routing decision: it is `Single`, and
+        // the router never evaluates a group key. Key expressions that
+        // don't bind against the source schema (e.g. keys over
+        // map-created columns) also fall back to `Single`, which is
+        // always correct.
+        let route = if mode.workers <= 1 {
+            Route::Single
+        } else {
+            match query.partition_scheme() {
+                PartitionScheme::Key(exprs) => exprs
+                    .iter()
+                    .map(|e| e.bind(&schema, &self.registry).map(|(b, _)| b))
+                    .collect::<Result<Vec<BoundExpr>>>()
+                    .map_or(Route::Single, Route::Key),
+                PartitionScheme::RoundRobin => Route::RoundRobin,
+                PartitionScheme::Single => Route::Single,
+            }
+        };
+        // Single-routed plans get exactly one partition: more would
+        // only relay watermarks and inflate the merged metrics.
+        let partitions = match route {
+            Route::Single => 1,
+            _ => mode.workers,
+        };
+        let first = compile(query, schema.clone(), &self.registry)?;
+        let output_schema = first.output_schema;
+        let mut chains = vec![first.operators];
+        for _ in 1..partitions {
+            chains.push(compile(query, schema.clone(), &self.registry)?.operators);
+        }
+        Ok(Prepared {
+            ts_col,
+            route,
+            chains,
+            output_schema,
+            warnings,
+        })
     }
 
-    /// Runs a query to completion, synchronously, delivering results to
-    /// `sink`. Consumes the registered source (only on a valid plan; a
-    /// compile error leaves the source registered).
+    /// Runs a query to completion on the caller's thread, delivering
+    /// results to `sink` as each buffer is processed. Consumes the
+    /// registered source (only on a valid plan; a rejected plan leaves
+    /// the source registered).
     pub fn run(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        let (ts_col, ops, warnings) = self.prepare(query, analysis::Target::Local)?;
-        let columnar = chain_wants_columnar(self.config.columnar, &ops);
-        let tel_on = self.config.telemetry.enabled;
-        let (mut ops, tel) = instrument_chain(ops, tel_on, 0);
-        let chains = [tel];
-        let trace = TraceRing::new(self.config.telemetry.max_events);
-        if tel_on {
-            trace.push(
-                COORDINATOR_ORIGIN,
-                TraceKind::QueryDeployed,
-                format!("synchronous run, {} operator(s)", ops.len()),
-            );
-        }
-        let mut sampler = TelemetrySampler::new(&self.config.telemetry);
-        let RegisteredSource {
-            mut source,
-            watermark,
-        } = self.take_source(query.source())?;
-        let schema = source.schema();
-
-        let mut metrics = QueryMetrics::default();
-        let start = Instant::now();
-        let mut max_ts: EventTime = EventTime::MIN;
-        let mut idle: u64 = 0;
-        let mut tracker = ProgressTracker::new();
-        tracker.register(LOCAL_ORIGIN);
-
-        loop {
-            match source.poll(self.config.buffer_size)? {
-                SourceBatch::Data(recs) => {
-                    idle = 0;
-                    metrics.batches += 1;
-                    let (msg, punctuation) = make_data_message(
-                        &schema,
-                        recs,
-                        columnar,
-                        ts_col,
-                        LOCAL_ORIGIN,
-                        metrics.batches,
-                        &watermark,
-                        self.config.watermark_every,
-                        &mut max_ts,
-                    );
-                    metrics.records_in += msg.record_count() as u64;
-                    metrics.bytes_in += msg.data_bytes() as u64;
-                    let t0 = Instant::now();
-                    feed(&mut ops, msg, sink, &mut metrics)?;
-                    metrics.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                    // The buffer's punctuation stamp, not a global
-                    // clock, drives window progress: the tracker folds
-                    // it into the frontier delivered to the chain.
-                    tracker.observe(LOCAL_ORIGIN, metrics.batches, punctuation);
-                    if punctuation.is_some() {
-                        if let Some(w) = tracker.frontier() {
-                            metrics.watermarks += 1;
-                            feed(&mut ops, StreamMessage::Watermark(w), sink, &mut metrics)?;
-                        }
-                    }
-                    // Synchronous mode has no channels, so queue depth
-                    // and stalls are structurally zero.
-                    sampler.maybe_sample(
-                        &Gauges {
-                            records_in: metrics.records_in,
-                            records_out: metrics.records_out,
-                            queue_depth: 0,
-                            frontier: tracker.frontier(),
-                            frontier_lag_us: tracker.frontier_lag_us(),
-                            stalls: 0,
-                        },
-                        &chains,
-                        Some((&trace, COORDINATOR_ORIGIN)),
-                    );
-                }
-                SourceBatch::Idle => {
-                    idle += 1;
-                    if idle > self.config.idle_limit {
-                        break;
-                    }
-                }
-                SourceBatch::Exhausted => break,
-            }
-        }
-        tracker.finish(LOCAL_ORIGIN);
-        feed(&mut ops, StreamMessage::Eos, sink, &mut metrics)?;
-        sink.finish()?;
-        metrics.late_drops = chain_late_drops(&ops);
-        metrics.frontier_lag_max_us = tracker.frontier_lag_us();
-        metrics.wall = start.elapsed();
-        sampler.force_sample(
-            &Gauges {
-                records_in: metrics.records_in,
-                records_out: metrics.records_out,
-                queue_depth: 0,
-                frontier: tracker.frontier(),
-                frontier_lag_us: metrics.frontier_lag_max_us,
-                stalls: 0,
-            },
-            &chains,
-            Some((&trace, COORDINATOR_ORIGIN)),
-        );
-        self.report = tel_on.then(|| {
-            build_report(
-                "run",
-                &metrics,
-                &chains,
-                sampler,
-                &trace,
-                Vec::new(),
-                0,
-                warnings,
-            )
-        });
-        Ok(metrics)
+        let mode = ExecMode {
+            source_thread: false,
+            workers: 0,
+        };
+        self.execute(query, sink, mode)
     }
 
     /// Runs a query with the source on its own thread, connected to the
     /// operator chain by a bounded channel — pipeline parallelism.
     pub fn run_threaded(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        let (ts_col, ops, warnings) = self.prepare(query, analysis::Target::Local)?;
-        let columnar = chain_wants_columnar(self.config.columnar, &ops);
-        let tel_on = self.config.telemetry.enabled;
-        let (mut ops, tel) = instrument_chain(ops, tel_on, 0);
-        let chains = [tel];
-        let trace = TraceRing::new(self.config.telemetry.max_events);
-        if tel_on {
-            trace.push(
-                COORDINATOR_ORIGIN,
-                TraceKind::QueryDeployed,
-                format!("pipeline-parallel run, {} operator(s)", ops.len()),
-            );
-        }
-        let mut sampler = TelemetrySampler::new(&self.config.telemetry);
-        let RegisteredSource {
-            mut source,
-            watermark,
-        } = self.take_source(query.source())?;
-        let schema = source.schema();
-
-        let (tx, rx) = crossbeam::channel::bounded::<Task>(self.config.channel_capacity);
-        let buffer_size = self.config.buffer_size;
-        let watermark_every = self.config.watermark_every;
-        let idle_limit = self.config.idle_limit;
-        // Depth mirrors the channel occupancy (the vendored channel has
-        // no len()); stalls count producer blocks on a full channel.
-        // The producer increments depth *before* sending, so the
-        // consumer's decrement after a receive can never underflow.
-        let depth = AtomicU64::new(0);
-        let stalls = AtomicU64::new(0);
-
-        let mut metrics = QueryMetrics::default();
-        let start = Instant::now();
-        let mut tracker = ProgressTracker::new();
-        tracker.register(LOCAL_ORIGIN);
-
-        let result: Result<()> = std::thread::scope(|scope| {
-            let (depth, stalls) = (&depth, &stalls);
-            // The producer only *stamps* punctuation (riding on the
-            // task, like BufferMeta on a columnar buffer); the
-            // consumer's tracker turns stamps into watermark feeds, so
-            // progress decisions live with the executor, not the
-            // transport.
-            let producer = scope.spawn(move || -> Result<()> {
-                // Try the non-blocking path first so a full channel is
-                // observable: each fallback to the blocking send counts
-                // one backpressure stall for the sampler.
-                let send_task = |task: Task| -> Result<()> {
-                    depth.fetch_add(1, Ordering::Relaxed);
-                    let task = match tx.try_send(task) {
-                        Ok(()) => return Ok(()),
-                        Err(crossbeam::channel::TrySendError::Full(t)) => {
-                            stalls.fetch_add(1, Ordering::Relaxed);
-                            t
-                        }
-                        Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                            depth.fetch_sub(1, Ordering::Relaxed);
-                            return Err(NebulaError::Eval("consumer hung up".into()));
-                        }
-                    };
-                    tx.send(task).map_err(|_| {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        NebulaError::Eval("consumer hung up".into())
-                    })
-                };
-                let mut max_ts: EventTime = EventTime::MIN;
-                let mut batches: u64 = 0;
-                let mut idle: u64 = 0;
-                loop {
-                    match source.poll(buffer_size)? {
-                        SourceBatch::Data(recs) => {
-                            idle = 0;
-                            batches += 1;
-                            let (msg, punctuation) = make_data_message(
-                                &schema,
-                                recs,
-                                columnar,
-                                ts_col,
-                                LOCAL_ORIGIN,
-                                batches,
-                                &watermark,
-                                watermark_every,
-                                &mut max_ts,
-                            );
-                            send_task(Task {
-                                msg,
-                                sequence: batches,
-                                punctuation,
-                            })?;
-                        }
-                        SourceBatch::Idle => {
-                            idle += 1;
-                            if idle > idle_limit {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        SourceBatch::Exhausted => break,
-                    }
-                }
-                send_task(Task {
-                    msg: StreamMessage::Eos,
-                    sequence: 0,
-                    punctuation: None,
-                })?;
-                Ok(())
-            });
-
-            for Task {
-                msg,
-                sequence,
-                punctuation,
-            } in rx.iter()
-            {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let is_eos = matches!(msg, StreamMessage::Eos);
-                if matches!(msg, StreamMessage::Data(_) | StreamMessage::Columnar(_)) {
-                    metrics.batches += 1;
-                    metrics.records_in += msg.record_count() as u64;
-                    metrics.bytes_in += msg.data_bytes() as u64;
-                }
-                feed(&mut ops, msg, sink, &mut metrics)?;
-                if is_eos {
-                    tracker.finish(LOCAL_ORIGIN);
-                    break;
-                }
-                tracker.observe(LOCAL_ORIGIN, sequence, punctuation);
-                if punctuation.is_some() {
-                    if let Some(w) = tracker.frontier() {
-                        metrics.watermarks += 1;
-                        feed(&mut ops, StreamMessage::Watermark(w), sink, &mut metrics)?;
-                    }
-                }
-                sampler.maybe_sample(
-                    &Gauges {
-                        records_in: metrics.records_in,
-                        records_out: metrics.records_out,
-                        queue_depth: depth.load(Ordering::Relaxed),
-                        frontier: tracker.frontier(),
-                        frontier_lag_us: tracker.frontier_lag_us(),
-                        stalls: stalls.load(Ordering::Relaxed),
-                    },
-                    &chains,
-                    Some((&trace, COORDINATOR_ORIGIN)),
-                );
-            }
-            producer
-                .join()
-                .map_err(|_| NebulaError::Eval("producer panicked".into()))??;
-            Ok(())
-        });
-        result?;
-        sink.finish()?;
-        metrics.late_drops = chain_late_drops(&ops);
-        metrics.frontier_lag_max_us = tracker.frontier_lag_us();
-        metrics.wall = start.elapsed();
-        sampler.force_sample(
-            &Gauges {
-                records_in: metrics.records_in,
-                records_out: metrics.records_out,
-                queue_depth: 0,
-                frontier: tracker.frontier(),
-                frontier_lag_us: metrics.frontier_lag_max_us,
-                stalls: stalls.load(Ordering::Relaxed),
-            },
-            &chains,
-            Some((&trace, COORDINATOR_ORIGIN)),
-        );
-        self.report = tel_on.then(|| {
-            build_report(
-                "run_threaded",
-                &metrics,
-                &chains,
-                sampler,
-                &trace,
-                Vec::new(),
-                0,
-                warnings,
-            )
-        });
-        Ok(metrics)
+        let mode = ExecMode {
+            source_thread: true,
+            workers: 0,
+        };
+        self.execute(query, sink, mode)
     }
 
     /// Runs a query data-parallel across [`EnvConfig::parallelism`]
     /// partitions executed by a work-stealing worker pool —
     /// NebulaStream's task-based worker execution model.
     ///
-    /// The caller thread polls the source and routes each buffer to a
-    /// partition queue according to the plan's
-    /// [`Query::partition_scheme`]: hash of the grouping key (keyed
-    /// windows / CEP), whole-buffer round-robin (stateless plans), or
-    /// everything to partition 0 (keyless stateful plans, plugin
-    /// operators, or keys that don't bind against the source schema).
-    /// Any idle worker may claim any partition with queued tasks, so
-    /// tasks complete out of order and a skewed hot key no longer
-    /// serializes the pool behind one slow worker.
-    ///
-    /// Progress is punctuated: the router stamps each buffer's
-    /// origin/sequence/watermark, a [`ProgressTracker`] folds the
-    /// stamps into the frontier, and frontier punctuations are queued
-    /// to every partition so each chain's event-time clock advances
-    /// exactly as in a single-worker run. An emission ledger releases
-    /// each dispatch step's outputs to `sink` once all of its owning
-    /// partitions have executed it and every earlier step has been
-    /// released — results stream out in deterministic dispatch order
-    /// *without* the old end-of-run global sort. Per-partition metrics
-    /// — including latency histograms and the frontier-lag high-water
-    /// mark — merge into the returned report.
+    /// The caller thread routes each buffer to a partition queue
+    /// according to the plan's [`Query::partition_scheme`]: hash of the
+    /// grouping key (keyed windows / CEP), whole-buffer round-robin
+    /// (stateless plans), or everything to partition 0 (keyless stateful
+    /// plans, plugin operators, or keys that don't bind against the
+    /// source schema). Any idle worker may claim any partition with
+    /// queued tasks, so tasks complete out of order and a skewed hot key
+    /// does not serialize the pool behind one slow worker; the emission
+    /// ledger releases results to `sink` in dispatch order, so the
+    /// delivered stream is identical to [`Self::run`]'s. Per-partition
+    /// metrics — including latency histograms and the frontier-lag
+    /// high-water mark — merge into the returned report.
     pub fn run_partitioned(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
-        let warnings = self
-            .analyze_for(
-                query,
-                analysis::Target::Partitioned {
-                    parallelism: self.config.parallelism.max(1),
-                },
-            )?
-            .into_accepted()?;
-        let (schema, ts_col) = {
-            let src = self
-                .sources
-                .get(query.source())
-                .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
-            let schema = src.source.schema();
-            let ts_col = resolve_ts_col(&src.watermark, &schema)?;
-            (schema, ts_col)
+        let mode = ExecMode {
+            source_thread: false,
+            workers: self.config.parallelism.max(1),
         };
-        // Key expressions that don't bind against the source schema
-        // (e.g. keys over map-created columns) fall back to
-        // single-worker routing, which is always correct.
-        let route = match query.partition_scheme() {
-            PartitionScheme::Key(exprs) => exprs
-                .iter()
-                .map(|e| e.bind(&schema, &self.registry).map(|(b, _)| b))
-                .collect::<Result<Vec<BoundExpr>>>()
-                .map_or(Route::Single, Route::Key),
-            PartitionScheme::RoundRobin => Route::RoundRobin,
-            PartitionScheme::Single => Route::Single,
-        };
-        // Single-routed plans get exactly one worker: extra partitions
-        // would only relay watermarks and inflate the merged metrics.
-        let parallelism = match route {
-            Route::Single => 1,
-            _ => self.config.parallelism.max(1),
-        };
-        // Compile one chain per worker before taking the source, so a
-        // plan error leaves the source registered.
-        let mut chains = Vec::with_capacity(parallelism);
-        let mut output_schema = None;
-        for _ in 0..parallelism {
-            let plan = compile(query, schema.clone(), &self.registry)?;
-            output_schema = Some(plan.output_schema.clone());
-            chains.push(plan.operators);
-        }
-        let output_schema = output_schema.expect("parallelism >= 1");
-        let columnar = chains
-            .first()
-            .is_some_and(|c| chain_wants_columnar(self.config.columnar, c));
-        let RegisteredSource {
-            mut source,
-            watermark,
-        } = self.take_source(query.source())?;
+        self.execute(query, sink, mode)
+    }
 
-        let buffer_size = self.config.buffer_size;
-        let watermark_every = self.config.watermark_every;
-        let idle_limit = self.config.idle_limit;
-        let channel_capacity = self.config.channel_capacity.max(1);
-
-        let start = Instant::now();
-        let n = parallelism;
-
+    /// The one local executor. A [`SourceDriver`] turns polled batches
+    /// into stamped buffers; the dispatch loop below routes each to its
+    /// owning partitions as ledger-ordered tasks, folds the stamp into
+    /// the [`ProgressTracker`], broadcasts frontier advances to every
+    /// partition so each chain's clock moves exactly as in a
+    /// one-partition run, hands whatever the [`EmissionLedger`] has
+    /// released to `sink`, and samples telemetry. `mode` only decides
+    /// which thread does what: tasks execute inline on the caller or on
+    /// pool workers, and the driver polls on the caller or on a producer
+    /// thread behind a bounded channel. The sink always runs on the
+    /// caller, and with no workers the ledger is drained before the
+    /// next batch is taken, so results stream out as buffers arrive.
+    fn execute(
+        &mut self,
+        query: &Query,
+        sink: &mut dyn Sink,
+        mode: ExecMode,
+    ) -> Result<QueryMetrics> {
+        let Prepared {
+            ts_col,
+            route,
+            chains,
+            output_schema,
+            warnings,
+        } = self.prepare(query, mode)?;
+        let n = chains.len();
+        let threads = if mode.workers == 0 { 0 } else { n };
         let tel_on = self.config.telemetry.enabled;
         let trace = TraceRing::new(self.config.telemetry.max_events);
         if tel_on {
             trace.push(
                 COORDINATOR_ORIGIN,
                 TraceKind::QueryDeployed,
-                format!("partitioned run, {n} partition(s)"),
+                format!(
+                    "{}: {n} partition(s), {threads} worker thread(s)",
+                    mode.name()
+                ),
             );
         }
         let mut sampler = TelemetrySampler::new(&self.config.telemetry);
+        let RegisteredSource { source, watermark } = self.take_source(query.source())?;
+        let mut driver = SourceDriver::new(
+            source,
+            watermark,
+            ts_col,
+            LOCAL_ORIGIN,
+            self.config.buffer_size,
+            self.config.watermark_every,
+            self.config.idle_limit,
+        );
+        driver.gate(self.config.columnar, &chains[0]);
+        let channel_capacity = self.config.channel_capacity;
 
-        // One slot per partition: a task queue plus the partition's
-        // chain, separately locked so any worker can claim whichever
-        // partition has work. Each partition's chain gets its own
-        // instrumentation registry; the per-operator reports merge at
-        // the end exactly like the partition QueryMetrics.
-        let mut part_tels: Vec<ChainTelemetry> = Vec::with_capacity(n);
-        let slots: Vec<PartitionSlot> = chains
+        let start = Instant::now();
+        // One slot per partition; each chain gets its own
+        // instrumentation registry, and the per-operator reports merge
+        // at the end exactly like the partition QueryMetrics.
+        let mut tels: Vec<ChainTelemetry> = Vec::with_capacity(n);
+        let slots = chains
             .into_iter()
             .map(|ops| {
                 let (ops, tel) = instrument_chain(ops, tel_on, 0);
-                part_tels.push(tel);
+                tels.push(tel);
                 PartitionSlot {
                     queue: Mutex::new(VecDeque::new()),
                     depth: AtomicUsize::new(0),
@@ -915,268 +645,163 @@ impl StreamEnvironment {
             Route::Key(exprs) => exprs.len(),
             _ => 0,
         };
-        let ledger = Mutex::new(EmissionLedger::new(output_schema, key_count));
-        let finished = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let stalls = AtomicU64::new(0);
-        let first_err: Mutex<Option<NebulaError>> = Mutex::new(None);
+        let pool = Pool {
+            slots,
+            ledger: Mutex::new(EmissionLedger::new(output_schema, key_count)),
+            threads,
+            capacity: channel_capacity.max(1),
+            finished: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            stalls: AtomicU64::new(0),
+            first_err: Mutex::new(None),
+        };
+        // Mirrors the source channel's occupancy (the vendored channel
+        // has no len()). The producer increments *before* sending, so
+        // the decrement after a receive can never underflow.
+        let channel_depth = AtomicU64::new(0);
         let mut tracker = ProgressTracker::new();
         tracker.register(LOCAL_ORIGIN);
+        let mut released: Vec<StreamMessage> = Vec::new();
 
-        let result: Result<()> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for wid in 0..n {
-                let (slots, ledger) = (&slots, &ledger);
-                let (finished, abort, first_err) = (&finished, &abort, &first_err);
-                handles.push(scope.spawn(move || {
-                    partition_worker(wid, slots, ledger, finished, abort, first_err)
-                }));
+        std::thread::scope(|scope| {
+            let (pool, channel_depth) = (&pool, &channel_depth);
+            let mut handles = Vec::with_capacity(threads + 1);
+            for wid in 0..threads {
+                handles.push(scope.spawn(move || partition_worker(wid, pool)));
             }
-
-            // Queues a task to one partition, bounded: wait while the
-            // target queue is at capacity — workers drain concurrently,
-            // stealing the partition if its last executor is busy. Each
-            // wait episode counts one backpressure stall.
-            let push_task = |p: usize, step: u64, msg: StreamMessage| {
-                let mut stalled = false;
-                while slots[p].depth.load(Ordering::Acquire) >= channel_capacity {
-                    if !stalled {
-                        stalled = true;
-                        stalls.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if abort.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-                slots[p].queue.lock().push_back(PartTask { step, msg });
-                slots[p].depth.fetch_add(1, Ordering::AcqRel);
+            let mut next: Box<dyn FnMut() -> Result<Option<Stamped>> + '_> = if mode.source_thread {
+                let (tx, rx) = crossbeam::channel::bounded(channel_capacity);
+                handles
+                    .push(scope.spawn(move || produce(driver, &tx, channel_depth, &pool.stalls)));
+                Box::new(move || {
+                    let item = rx
+                        .recv()
+                        .map_err(|_| NebulaError::Eval("source thread hung up".into()))?;
+                    channel_depth.fetch_sub(1, Ordering::Relaxed);
+                    item
+                })
+            } else {
+                Box::new(move || driver.next_batch())
             };
 
-            let tracker = &mut tracker;
-            let sampler = &mut sampler;
-            let route_result: Result<()> = (|| {
-                let mut max_ts: EventTime = EventTime::MIN;
-                let mut batches: u64 = 0;
-                let mut idle: u64 = 0;
+            let dispatched: Result<()> = (|| {
                 let mut rr: usize = 0;
                 let mut routed_records: u64 = 0;
                 let mut released_records: u64 = 0;
-                loop {
-                    if abort.load(Ordering::Acquire) {
+                while !pool.abort.load(Ordering::Acquire) {
+                    let Some(Stamped {
+                        msg,
+                        sequence,
+                        punctuation,
+                    }) = next()?
+                    else {
+                        pool.broadcast(None)?;
                         break;
-                    }
-                    match source.poll(buffer_size)? {
-                        SourceBatch::Data(recs) => {
-                            idle = 0;
-                            batches += 1;
-                            let (msg, punctuation) = make_data_message(
-                                &schema,
-                                recs,
-                                columnar,
-                                ts_col,
-                                LOCAL_ORIGIN,
-                                batches,
-                                &watermark,
-                                watermark_every,
-                                &mut max_ts,
-                            );
-                            routed_records += msg.record_count() as u64;
-                            // Shard the buffer to its owning partitions.
-                            // Whole-buffer transfer wherever possible:
-                            // the router stays O(1) per buffer, and a
-                            // single-owner step preserves source order
-                            // through the ledger untouched.
-                            let shards: Vec<(usize, StreamMessage)> = match msg {
-                                StreamMessage::Columnar(tb) => match &route {
-                                    Route::Single => vec![(0, StreamMessage::Columnar(tb))],
-                                    Route::RoundRobin => {
-                                        let w = rr % n;
-                                        rr += 1;
-                                        vec![(w, StreamMessage::Columnar(tb))]
-                                    }
-                                    Route::Key(exprs) => {
-                                        let assign = columnar_partition_of(exprs, &tb, n);
-                                        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-                                        for (row, &w) in assign.iter().enumerate() {
-                                            rows[w].push(row);
-                                        }
-                                        rows.iter()
-                                            .enumerate()
-                                            .filter(|(_, rows)| !rows.is_empty())
-                                            .map(|(w, rows)| {
-                                                let shard = if rows.len() == tb.len() {
-                                                    tb.clone()
-                                                } else {
-                                                    tb.gather(rows)
-                                                };
-                                                (w, StreamMessage::Columnar(shard))
-                                            })
-                                            .collect()
-                                    }
-                                },
-                                StreamMessage::Data(buf) => match &route {
-                                    Route::Single => vec![(0, StreamMessage::Data(buf))],
-                                    Route::RoundRobin => {
-                                        let w = rr % n;
-                                        rr += 1;
-                                        vec![(w, StreamMessage::Data(buf))]
-                                    }
-                                    Route::Key(exprs) => {
-                                        let mut shard_recs: Vec<Vec<Record>> = vec![Vec::new(); n];
-                                        for rec in buf.into_records() {
-                                            let w = match GroupKey::evaluate(exprs, &rec) {
-                                                Ok((key, _)) => {
-                                                    (fnv1a(key.bytes()) % n as u64) as usize
-                                                }
-                                                // A record whose key fails to
-                                                // evaluate has no group; route it
-                                                // to partition 0. If it survives
-                                                // the plan's filters the stateful
-                                                // operator raises the same error
-                                                // `run` would; if it is filtered
-                                                // out, placement never mattered.
-                                                Err(_) => 0,
-                                            };
-                                            shard_recs[w].push(rec);
-                                        }
-                                        shard_recs
-                                            .into_iter()
-                                            .enumerate()
-                                            .filter(|(_, recs)| !recs.is_empty())
-                                            .map(|(w, recs)| {
-                                                (
-                                                    w,
-                                                    StreamMessage::Data(RecordBuffer::new(
-                                                        schema.clone(),
-                                                        recs,
-                                                    )),
-                                                )
-                                            })
-                                            .collect()
-                                    }
-                                },
-                                _ => unreachable!("make_data_message returns data"),
-                            };
-                            if !shards.is_empty() {
-                                let step = ledger.lock().open(shards.len(), None);
-                                for (w, m) in shards {
-                                    push_task(w, step, m);
-                                }
-                            }
-                            // Punctuation rides the buffer stamp; the
-                            // tracker turns it into a frontier step
-                            // owned by every partition, so each chain's
-                            // clock advances exactly as in `run`.
-                            tracker.observe(LOCAL_ORIGIN, batches, punctuation);
-                            if punctuation.is_some() {
-                                if let Some(w) = tracker.frontier() {
-                                    let step = ledger.lock().open(n, Some(w));
-                                    for p in 0..n {
-                                        push_task(p, step, StreamMessage::Watermark(w));
-                                    }
-                                }
-                            }
-                            // Stream out whatever the frontier has
-                            // already released.
-                            let released = { ledger.lock().take_released() };
-                            for b in released {
-                                released_records += b.len() as u64;
-                                sink.consume(&b)?;
-                            }
-                            // The router samples: records routed in,
-                            // records released out, total queued tasks
-                            // across the pool — the registries are
-                            // atomic, so reading them races nothing.
-                            let queue_depth: u64 = slots
-                                .iter()
-                                .map(|s| s.depth.load(Ordering::Acquire) as u64)
-                                .sum();
-                            sampler.maybe_sample(
-                                &Gauges {
-                                    records_in: routed_records,
-                                    records_out: released_records,
-                                    queue_depth,
-                                    frontier: tracker.frontier(),
-                                    frontier_lag_us: tracker.frontier_lag_us(),
-                                    stalls: stalls.load(Ordering::Relaxed),
-                                },
-                                &part_tels,
-                                Some((&trace, COORDINATOR_ORIGIN)),
-                            );
+                    };
+                    routed_records += msg.record_count() as u64;
+                    let shards = route.shard(msg, n, &mut rr);
+                    if !shards.is_empty() {
+                        let step = pool.ledger.lock().open(shards.len(), None);
+                        for (p, msg) in shards {
+                            pool.submit(p, Task { step, msg })?;
                         }
-                        SourceBatch::Idle => {
-                            idle += 1;
-                            if idle > idle_limit {
-                                break;
-                            }
-                            std::thread::yield_now();
+                    }
+                    // Punctuation rides the buffer stamp, not a global
+                    // clock: the tracker folds it into the frontier,
+                    // and every advance becomes a step owned by all
+                    // partitions.
+                    tracker.observe(LOCAL_ORIGIN, sequence, punctuation);
+                    if punctuation.is_some() {
+                        if let Some(w) = tracker.frontier() {
+                            pool.broadcast(Some(w))?;
                         }
-                        SourceBatch::Exhausted => break,
                     }
-                }
-                if !abort.load(Ordering::Acquire) {
-                    let step = ledger.lock().open(n, None);
-                    for p in 0..n {
-                        push_task(p, step, StreamMessage::Eos);
+                    pool.ledger.lock().take_released(&mut released);
+                    for msg in released.drain(..) {
+                        released_records += msg.record_count() as u64;
+                        deliver(sink, &msg)?;
                     }
+                    // Records routed in, records released out, tasks
+                    // and buffers queued anywhere — the registries are
+                    // atomic, so reading them races nothing.
+                    sampler.maybe_sample(
+                        &Gauges {
+                            records_in: routed_records,
+                            records_out: released_records,
+                            queue_depth: channel_depth.load(Ordering::Relaxed) + pool.queue_depth(),
+                            frontier: tracker.frontier(),
+                            frontier_lag_us: tracker.frontier_lag_us(),
+                            stalls: pool.stalls.load(Ordering::Relaxed),
+                        },
+                        &tels,
+                        Some((&trace, COORDINATOR_ORIGIN)),
+                    );
                 }
-                tracker.finish(LOCAL_ORIGIN);
                 Ok(())
             })();
 
-            if route_result.is_err() {
-                // Unblock the pool: workers exit on the abort flag.
-                abort.store(true, Ordering::Release);
+            // One abort protocol for every mode: hang up on the source
+            // thread (a producer blocked on a full channel wakes with a
+            // send error) and raise the flag the workers watch, *then*
+            // join.
+            drop(next);
+            if dispatched.is_err() {
+                pool.abort.store(true, Ordering::Release);
             }
             let mut panicked = false;
             for handle in handles {
-                if handle.join().is_err() {
-                    panicked = true;
-                }
+                panicked |= handle.join().is_err();
             }
-            // A worker's own error is the useful one; a routing error
+            // A worker's own error is the useful one; a dispatch error
             // matters only if no worker failed first.
-            match first_err.lock().take() {
+            match pool.first_err.lock().take() {
                 Some(e) => Err(e),
-                None if panicked => Err(NebulaError::Eval("partition worker panicked".into())),
-                None => route_result,
+                None if panicked => Err(NebulaError::Eval("executor thread panicked".into())),
+                None => dispatched,
             }
-        });
-        result?;
+        })?;
+        tracker.finish(LOCAL_ORIGIN);
 
-        // Every step completed: drain the ledger's remainder in
-        // dispatch order — no post-hoc global sort.
+        // Every step completed: the ledger's remainder (end-of-stream
+        // flushes, and whatever workers finished after the last batch)
+        // is released in dispatch order.
+        let Pool {
+            slots,
+            ledger,
+            stalls,
+            ..
+        } = pool;
         let mut ledger = ledger.into_inner();
-        for b in ledger.take_released() {
-            sink.consume(&b)?;
+        ledger.take_released(&mut released);
+        for msg in &released {
+            deliver(sink, msg)?;
         }
         debug_assert!(ledger.steps.is_empty(), "all steps released");
         sink.finish()?;
 
-        let mut merged = QueryMetrics::default();
+        let mut metrics = QueryMetrics::default();
         for slot in slots {
-            merged.merge(&slot.exec.into_inner().metrics);
+            metrics.merge(&slot.exec.into_inner().metrics);
         }
-        merged.frontier_lag_max_us = merged.frontier_lag_max_us.max(ledger.lag_max_us);
-        merged.wall = start.elapsed();
+        metrics.frontier_lag_max_us = tracker.frontier_lag_us().max(ledger.lag_max_us);
+        metrics.wall = start.elapsed();
         sampler.force_sample(
             &Gauges {
-                records_in: merged.records_in,
-                records_out: merged.records_out,
+                records_in: metrics.records_in,
+                records_out: metrics.records_out,
                 queue_depth: 0,
                 frontier: tracker.frontier(),
-                frontier_lag_us: merged.frontier_lag_max_us,
-                stalls: stalls.load(Ordering::Relaxed),
+                frontier_lag_us: metrics.frontier_lag_max_us,
+                stalls: stalls.into_inner(),
             },
-            &part_tels,
+            &tels,
             Some((&trace, COORDINATOR_ORIGIN)),
         );
         self.report = tel_on.then(|| {
             build_report(
-                "run_partitioned",
-                &merged,
-                &part_tels,
+                mode.name(),
+                &metrics,
+                &tels,
                 sampler,
                 &trace,
                 Vec::new(),
@@ -1184,99 +809,304 @@ impl StreamEnvironment {
                 warnings,
             )
         });
-        Ok(merged)
+        Ok(metrics)
     }
 }
 
-/// The bound routing decision for one partitioned run.
+/// Which thread does what in [`StreamEnvironment::execute`] — the whole
+/// difference between the three local entry points.
+#[derive(Clone, Copy)]
+struct ExecMode {
+    /// The [`SourceDriver`] polls on a scoped producer thread behind a
+    /// bounded channel instead of on the caller.
+    source_thread: bool,
+    /// Requested pool workers; 0 executes every task inline on the
+    /// caller, as one partition.
+    workers: usize,
+}
+
+impl ExecMode {
+    /// The [`QueryReport`] mode string of the entry point this is.
+    fn name(self) -> &'static str {
+        match (self.workers, self.source_thread) {
+            (0, false) => "run",
+            (0, true) => "run_threaded",
+            _ => "run_partitioned",
+        }
+    }
+
+    /// The execution target the pre-flight analyzer checks against.
+    fn target(self) -> analysis::Target {
+        match self.workers {
+            0 => analysis::Target::Local,
+            parallelism => analysis::Target::Partitioned { parallelism },
+        }
+    }
+}
+
+/// What [`StreamEnvironment::prepare`] hands the executor: one compiled
+/// chain per partition plus how buffers reach them.
+struct Prepared {
+    ts_col: Option<usize>,
+    route: Route,
+    chains: Vec<OperatorChain>,
+    output_schema: crate::schema::SchemaRef,
+    /// The analyzer's warnings, for the telemetry report.
+    warnings: Vec<Diagnostic>,
+}
+
+/// The source stage on its own thread: forwards everything the driver
+/// yields — batches, then end-of-stream or the poll error — through the
+/// bounded channel, and stops when the dispatcher hangs up. The
+/// non-blocking send goes first so a full channel is observable: each
+/// fallback to the blocking send counts one backpressure stall.
+fn produce(
+    mut driver: SourceDriver,
+    tx: &crossbeam::channel::Sender<Result<Option<Stamped>>>,
+    depth: &AtomicU64,
+    stalls: &AtomicU64,
+) {
+    loop {
+        let item = driver.next_batch();
+        let last = !matches!(item, Ok(Some(_)));
+        depth.fetch_add(1, Ordering::Relaxed);
+        let sent = match tx.try_send(item) {
+            Ok(()) => true,
+            Err(crossbeam::channel::TrySendError::Full(item)) => {
+                stalls.fetch_add(1, Ordering::Relaxed);
+                tx.send(item).is_ok()
+            }
+            Err(crossbeam::channel::TrySendError::Disconnected(_)) => false,
+        };
+        if last || !sent {
+            return;
+        }
+    }
+}
+
+/// Hands one released terminal message to the sink in the layout the
+/// chain emitted.
+fn deliver(sink: &mut dyn Sink, msg: &StreamMessage) -> Result<()> {
+    match msg {
+        StreamMessage::Data(b) => sink.consume(b),
+        StreamMessage::Columnar(b) => sink.consume_columnar(b),
+        StreamMessage::Watermark(_) | StreamMessage::Eos => Ok(()),
+    }
+}
+
+/// The bound routing decision for one run.
 enum Route {
     /// Hash-partition by these key expressions over source records.
     Key(Vec<BoundExpr>),
     /// Distribute buffers evenly (stateless plans).
     RoundRobin,
-    /// Everything to worker 0 (stateful keyless / opaque plans).
+    /// Everything to partition 0 (one partition; stateful keyless /
+    /// opaque plans).
     Single,
 }
 
-/// One punctuated transport unit between a source loop and an
-/// executor: the payload plus the origin-relative sequence and
-/// punctuation stamps that row messages cannot carry inline (columnar
-/// buffers also carry them in their [`crate::buffer::BufferMeta`]).
-struct Task {
-    msg: StreamMessage,
-    sequence: u64,
-    punctuation: Option<EventTime>,
+impl Route {
+    /// Shards one data buffer to its owning partitions. Whole-buffer
+    /// transfer wherever possible: the router stays O(1) per buffer,
+    /// and a single-owner step preserves source order through the
+    /// ledger untouched.
+    fn shard(&self, msg: StreamMessage, n: usize, rr: &mut usize) -> Vec<(usize, StreamMessage)> {
+        let exprs = match self {
+            Route::Single => return vec![(0, msg)],
+            Route::RoundRobin => {
+                let p = *rr % n;
+                *rr += 1;
+                return vec![(p, msg)];
+            }
+            Route::Key(exprs) => exprs,
+        };
+        match msg {
+            StreamMessage::Columnar(tb) => {
+                let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
+                for (row, &p) in columnar_partition_of(exprs, &tb, n).iter().enumerate() {
+                    rows[p].push(row);
+                }
+                rows.iter()
+                    .enumerate()
+                    .filter(|(_, rows)| !rows.is_empty())
+                    .map(|(p, rows)| {
+                        let shard = if rows.len() == tb.len() {
+                            tb.clone()
+                        } else {
+                            tb.gather(rows)
+                        };
+                        (p, StreamMessage::Columnar(shard))
+                    })
+                    .collect()
+            }
+            StreamMessage::Data(buf) => {
+                let schema = buf.schema().clone();
+                let mut shards: Vec<Vec<Record>> = vec![Vec::new(); n];
+                for rec in buf.into_records() {
+                    let p = match GroupKey::evaluate(exprs, &rec) {
+                        Ok((key, _)) => (fnv1a(key.bytes()) % n as u64) as usize,
+                        // A record whose key fails to evaluate has no
+                        // group; route it to partition 0. If it
+                        // survives the plan's filters the stateful
+                        // operator raises the same error a
+                        // one-partition run would; if it is filtered
+                        // out, placement never mattered.
+                        Err(_) => 0,
+                    };
+                    shards[p].push(rec);
+                }
+                shards
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, recs)| !recs.is_empty())
+                    .map(|(p, recs)| {
+                        let shard = RecordBuffer::new(schema.clone(), recs);
+                        (p, StreamMessage::Data(shard))
+                    })
+                    .collect()
+            }
+            // The driver yields data only: punctuation and
+            // end-of-stream are broadcast, never routed.
+            StreamMessage::Watermark(_) | StreamMessage::Eos => Vec::new(),
+        }
+    }
 }
 
-/// A unit of work queued to one partition of the work-stealing pool:
-/// the payload plus the emission-ledger step that orders its output.
-struct PartTask {
+/// A unit of work for one partition: the payload plus the
+/// emission-ledger step that orders its output.
+struct Task {
     step: u64,
     msg: StreamMessage,
 }
 
-/// A partition's operator chain and metrics, owned by whichever worker
+/// A partition's operator chain and metrics, owned by whichever thread
 /// currently executes the partition.
 struct PartitionExec {
     ops: OperatorChain,
     metrics: QueryMetrics,
 }
 
-/// One partition of the work-stealing pool. The queue and the chain
-/// are separately locked: the router pushes to the queue while a
-/// worker executes the chain, but a partition's tasks always run under
-/// the `exec` lock — in queue order, one executor at a time — which
-/// keeps per-key state and watermark application sequential even
-/// though *which* worker runs the partition changes from task to task.
+/// One partition. The queue and the chain are separately locked: the
+/// dispatcher pushes to the queue while a worker executes the chain,
+/// but a partition's tasks always run under the `exec` lock — in queue
+/// order, one executor at a time — which keeps per-key state and
+/// watermark application sequential even though *which* worker runs the
+/// partition changes from task to task.
 struct PartitionSlot {
-    queue: Mutex<VecDeque<PartTask>>,
-    /// Queue-depth mirror readable without the lock (router
+    queue: Mutex<VecDeque<Task>>,
+    /// Queue-depth mirror readable without the lock (dispatcher
     /// backpressure and fast skip during work stealing).
     depth: AtomicUsize,
     exec: Mutex<PartitionExec>,
 }
 
+/// The task pool: every partition's slot, the ledger ordering their
+/// outputs, and the state its threads share. With `threads == 0` there
+/// are no workers and [`Pool::submit`] executes on the caller.
+struct Pool {
+    slots: Vec<PartitionSlot>,
+    ledger: Mutex<EmissionLedger>,
+    threads: usize,
+    /// Per-partition queue bound.
+    capacity: usize,
+    /// Partitions whose end-of-stream has executed.
+    finished: AtomicUsize,
+    /// Raised by whoever fails first; everyone else stops.
+    abort: AtomicBool,
+    /// Backpressure episodes: the dispatcher waiting on a full
+    /// partition queue, the source thread on a full channel.
+    stalls: AtomicU64,
+    first_err: Mutex<Option<NebulaError>>,
+}
+
+impl Pool {
+    /// Executes a task inline when there are no workers; otherwise
+    /// queues it to its partition, bounded: waits while the queue is at
+    /// capacity — workers drain concurrently, stealing the partition if
+    /// its last executor is busy. Each wait episode counts one stall.
+    fn submit(&self, p: usize, task: Task) -> Result<()> {
+        let slot = &self.slots[p];
+        if self.threads == 0 {
+            return run_partition_task(&mut slot.exec.lock(), task, &self.ledger).map(drop);
+        }
+        let mut stalled = false;
+        while slot.depth.load(Ordering::Acquire) >= self.capacity {
+            if !stalled {
+                stalled = true;
+                self.stalls.fetch_add(1, Ordering::Relaxed);
+            }
+            if self.abort.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            std::thread::yield_now();
+        }
+        slot.queue.lock().push_back(task);
+        slot.depth.fetch_add(1, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// Opens one step owned by every partition and submits it to each:
+    /// a frontier advance, or — `None` — end of stream.
+    fn broadcast(&self, frontier: Option<EventTime>) -> Result<()> {
+        let step = self.ledger.lock().open(self.slots.len(), frontier);
+        for p in 0..self.slots.len() {
+            let msg = frontier.map_or(StreamMessage::Eos, StreamMessage::Watermark);
+            self.submit(p, Task { step, msg })?;
+        }
+        Ok(())
+    }
+
+    /// Tasks queued across all partitions.
+    fn queue_depth(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|s| s.depth.load(Ordering::Acquire) as u64)
+            .sum()
+    }
+}
+
 /// Orders out-of-order task completions back into a deterministic
-/// emission stream — the replacement for the old end-of-run global
-/// sort.
+/// emission stream.
 ///
-/// The router assigns every dispatched unit of work a global *step*
-/// index: a data buffer is one step even when sharded across several
-/// partitions, and a broadcast punctuation is one step owned by all of
-/// them. A step's outputs are released to the sink only when every
-/// owner has completed it *and* all earlier steps have been released,
-/// so the sink observes results in dispatch order no matter how the
-/// pool interleaved execution. Multi-owner steps (sharded keyed
-/// buffers; punctuations closing windows on several partitions) merge
-/// their outputs in window emission order — each owner's rows arrive
-/// already emission-sorted over a disjoint key subset, so re-sorting
-/// the union with the same comparator reconstructs exactly the
-/// sequence a single-partition run emits for that step. Single-owner
-/// steps pass through untouched, preserving source order for
-/// stateless plans. Either way the released stream is identical
-/// across parallelism degrees — and identical to `run`'s.
+/// The dispatcher assigns every unit of work a global *step* index: a
+/// data buffer is one step even when sharded across several partitions,
+/// and a broadcast punctuation is one step owned by all of them. A
+/// step's outputs — the chain's terminal messages, held by value — are
+/// released to the sink only when every owner has completed it *and*
+/// all earlier steps have been released, so the sink observes results
+/// in dispatch order no matter how the pool interleaved execution.
+/// Multi-owner steps (sharded keyed buffers; punctuations closing
+/// windows on several partitions) merge their outputs as rows in window
+/// emission order — each owner's rows arrive already emission-sorted
+/// over a disjoint key subset, so re-sorting the union with the same
+/// comparator reconstructs exactly the sequence a one-partition run
+/// emits for that step. Single-owner steps pass through untouched in
+/// the layout the chain emitted, preserving source order for stateless
+/// plans. Either way the released stream is identical across
+/// parallelism degrees.
 struct EmissionLedger {
     schema: crate::schema::SchemaRef,
     /// Leading key-column count of keyed-window output rows — the
     /// emission comparator reads the window-start timestamp right
     /// after them (0 for unkeyed plans).
     key_count: usize,
-    next_step: u64,
+    /// Index of the front of `steps`: the next step to release.
     next_release: u64,
-    steps: BTreeMap<u64, LedgerStep>,
-    released: Vec<RecordBuffer>,
+    /// Open steps, in dispatch order.
+    steps: VecDeque<LedgerStep>,
+    released: Vec<StreamMessage>,
     /// Punctuation value of the newest fully-released punctuation step.
     released_wm: Option<EventTime>,
     /// Max observed distance (µs) between a newly dispatched
-    /// punctuation and the newest released one — how far execution
-    /// trails dispatch under skew.
+    /// punctuation and the newest released one while earlier steps were
+    /// still executing — how far execution trails dispatch under skew.
     lag_max_us: u64,
 }
 
 struct LedgerStep {
     owners_remaining: usize,
     multi_owner: bool,
-    outputs: Vec<RecordBuffer>,
+    outputs: Vec<StreamMessage>,
     punctuation: Option<EventTime>,
 }
 
@@ -1285,9 +1115,8 @@ impl EmissionLedger {
         EmissionLedger {
             schema,
             key_count,
-            next_step: 0,
             next_release: 0,
-            steps: BTreeMap::new(),
+            steps: VecDeque::new(),
             released: Vec::new(),
             released_wm: None,
             lag_max_us: 0,
@@ -1297,66 +1126,63 @@ impl EmissionLedger {
     /// Opens the next step with `owners` pending completions.
     fn open(&mut self, owners: usize, punctuation: Option<EventTime>) -> u64 {
         debug_assert!(owners > 0, "a step needs at least one owner");
-        let step = self.next_step;
-        self.next_step += 1;
-        if let (Some(w), Some(r)) = (punctuation, self.released_wm) {
-            let lag = w.saturating_sub(r);
-            if lag > 0 {
-                self.lag_max_us = self.lag_max_us.max(lag as u64);
-            }
+        // Execution trails dispatch only while earlier steps are still
+        // open; with none, the new punctuation is simply the next one.
+        if let (Some(w), Some(r), Some(_)) = (punctuation, self.released_wm, self.steps.front()) {
+            self.lag_max_us = self.lag_max_us.max(w.saturating_sub(r).max(0) as u64);
         }
-        self.steps.insert(
-            step,
-            LedgerStep {
-                owners_remaining: owners,
-                multi_owner: owners > 1,
-                outputs: Vec::new(),
-                punctuation,
-            },
-        );
-        step
+        self.steps.push_back(LedgerStep {
+            owners_remaining: owners,
+            multi_owner: owners > 1,
+            outputs: Vec::new(),
+            punctuation,
+        });
+        self.next_release + self.steps.len() as u64 - 1
     }
 
-    /// Banks one owner's completion with its outputs, then releases
-    /// every fully-completed step at the front of the dispatch order.
-    fn complete(&mut self, step: u64, outputs: Vec<RecordBuffer>) {
-        if let Some(s) = self.steps.get_mut(&step) {
-            s.outputs.extend(outputs);
+    /// Banks one owner's completion with the terminal messages its
+    /// chain emitted, then releases every fully-completed step at the
+    /// front of the dispatch order.
+    fn complete(&mut self, step: u64, outputs: Vec<StreamMessage>) {
+        let open = step.checked_sub(self.next_release);
+        if let Some(s) = open.and_then(|i| self.steps.get_mut(i as usize)) {
+            s.outputs
+                .extend(outputs.into_iter().filter(|m| m.record_count() > 0));
             s.owners_remaining = s.owners_remaining.saturating_sub(1);
         }
-        while self
-            .steps
-            .get(&self.next_release)
-            .is_some_and(|s| s.owners_remaining == 0)
-        {
-            let s = self.steps.remove(&self.next_release).expect("checked");
+        while let Some(s) = self.steps.pop_front_if(|s| s.owners_remaining == 0) {
             self.next_release += 1;
             if let Some(w) = s.punctuation {
                 self.released_wm = Some(self.released_wm.map_or(w, |r| r.max(w)));
             }
-            if s.multi_owner {
-                let mut recs: Vec<Record> = Vec::new();
-                for b in &s.outputs {
-                    recs.extend_from_slice(b.records());
+            if !s.multi_owner {
+                self.released.extend(s.outputs);
+                continue;
+            }
+            let mut recs: Vec<Record> = Vec::new();
+            for msg in s.outputs {
+                match msg {
+                    StreamMessage::Data(b) => recs.extend(b.into_records()),
+                    StreamMessage::Columnar(b) => {
+                        recs.extend(b.to_record_buffer().into_records());
+                    }
+                    StreamMessage::Watermark(_) | StreamMessage::Eos => {}
                 }
-                if !recs.is_empty() {
-                    // Re-establish the window emission order over the
-                    // union of the owners' outputs: bounded, per-step —
-                    // not the old whole-run sort.
-                    crate::ops::sort_emission(&mut recs, self.key_count);
-                    self.released
-                        .push(RecordBuffer::new(self.schema.clone(), recs));
-                }
-            } else {
-                self.released
-                    .extend(s.outputs.into_iter().filter(|b| !b.is_empty()));
+            }
+            if !recs.is_empty() {
+                // Re-establish the window emission order over the
+                // union of the owners' outputs: bounded, per-step.
+                crate::ops::sort_emission(&mut recs, self.key_count);
+                let merged = RecordBuffer::new(self.schema.clone(), recs);
+                self.released.push(StreamMessage::Data(merged));
             }
         }
     }
 
-    /// Takes everything released so far, in dispatch order.
-    fn take_released(&mut self) -> Vec<RecordBuffer> {
-        std::mem::take(&mut self.released)
+    /// Moves everything released so far, in dispatch order, to the end
+    /// of `out`.
+    fn take_released(&mut self, out: &mut Vec<StreamMessage>) {
+        out.append(&mut self.released);
     }
 }
 
@@ -1364,24 +1190,16 @@ impl EmissionLedger {
 /// tasks and no current executor, then drains its queue. Partitions
 /// are scanned starting at the worker's own index, so each worker
 /// prefers "its" partition and steals only when otherwise idle.
-fn partition_worker(
-    wid: usize,
-    slots: &[PartitionSlot],
-    ledger: &Mutex<EmissionLedger>,
-    finished: &AtomicUsize,
-    abort: &AtomicBool,
-    first_err: &Mutex<Option<NebulaError>>,
-) {
-    let n = slots.len();
+fn partition_worker(wid: usize, pool: &Pool) {
+    let n = pool.slots.len();
     let mut spins: u32 = 0;
     loop {
-        if abort.load(Ordering::Acquire) || finished.load(Ordering::Acquire) == n {
+        if pool.abort.load(Ordering::Acquire) || pool.finished.load(Ordering::Acquire) == n {
             return;
         }
         let mut progressed = false;
         for k in 0..n {
-            let p = (wid + k) % n;
-            let slot = &slots[p];
+            let slot = &pool.slots[(wid + k) % n];
             if slot.depth.load(Ordering::Acquire) == 0 {
                 continue;
             }
@@ -1395,24 +1213,19 @@ fn partition_worker(
                 let Some(task) = task else { break };
                 slot.depth.fetch_sub(1, Ordering::AcqRel);
                 progressed = true;
-                match run_partition_task(&mut exec, task, ledger) {
+                match run_partition_task(&mut exec, task, &pool.ledger) {
                     Ok(was_eos) => {
                         if was_eos {
-                            finished.fetch_add(1, Ordering::AcqRel);
+                            pool.finished.fetch_add(1, Ordering::AcqRel);
                         }
                     }
                     Err(e) => {
-                        {
-                            let mut first = first_err.lock();
-                            if first.is_none() {
-                                *first = Some(e);
-                            }
-                        }
-                        abort.store(true, Ordering::Release);
+                        pool.first_err.lock().get_or_insert(e);
+                        pool.abort.store(true, Ordering::Release);
                         return;
                     }
                 }
-                if abort.load(Ordering::Acquire) {
+                if pool.abort.load(Ordering::Acquire) {
                     return;
                 }
             }
@@ -1421,7 +1234,7 @@ fn partition_worker(
             spins = 0;
         } else {
             // Idle: yield briefly, then back off to a short sleep so an
-            // empty pool doesn't burn the core the router needs.
+            // empty pool doesn't burn the core the dispatcher needs.
             spins += 1;
             if spins < 64 {
                 std::thread::yield_now();
@@ -1432,15 +1245,16 @@ fn partition_worker(
     }
 }
 
-/// Executes one task against a partition's chain, banking the outputs
-/// in the emission ledger. Returns `true` when the task was this
-/// partition's end-of-stream.
+/// Executes one task against a partition's chain, accounting it in the
+/// partition's metrics and banking the chain's terminal messages in the
+/// emission ledger. Returns `true` when the task was this partition's
+/// end-of-stream.
 fn run_partition_task(
     exec: &mut PartitionExec,
-    task: PartTask,
+    task: Task,
     ledger: &Mutex<EmissionLedger>,
 ) -> Result<bool> {
-    let PartTask { step, msg } = task;
+    let Task { step, msg } = task;
     let is_eos = matches!(msg, StreamMessage::Eos);
     let is_data = matches!(msg, StreamMessage::Data(_) | StreamMessage::Columnar(_));
     match &msg {
@@ -1452,21 +1266,23 @@ fn run_partition_task(
         StreamMessage::Watermark(_) => exec.metrics.watermarks += 1,
         StreamMessage::Eos => {}
     }
-    let mut local = BufferSink::new();
     let t0 = Instant::now();
-    feed(&mut exec.ops, msg, &mut local, &mut exec.metrics)?;
-    // Like `run`, the latency histogram samples only data buffers —
-    // watermark and Eos feeds would skew the profile and make it
-    // incomparable with single-threaded runs.
+    let outputs = drive(&mut exec.ops, msg)?;
+    // The latency histogram samples only data buffers — watermark and
+    // Eos feeds would skew the per-buffer profile.
     if is_data {
         exec.metrics
             .latency
             .record(t0.elapsed().as_secs_f64() * 1e6);
     }
+    for out in &outputs {
+        exec.metrics.records_out += out.record_count() as u64;
+        exec.metrics.bytes_out += out.data_bytes() as u64;
+    }
     if is_eos {
         exec.metrics.late_drops = chain_late_drops(&exec.ops);
     }
-    ledger.lock().complete(step, local.into_buffers());
+    ledger.lock().complete(step, outputs);
     Ok(is_eos)
 }
 
@@ -1481,108 +1297,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The source-side gate for building [`TupleBuffer`]s. Columnar flow
-/// ends at the first row-only operator (CEP, threshold windows,
-/// plugins — their buffers materialize back to rows), so under
-/// [`ColumnarMode::Auto`] the transpose is worth paying only if some
-/// operator *before* that point runs a vectorized kernel.
-pub(crate) fn chain_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
-    match mode {
-        ColumnarMode::Off => false,
-        ColumnarMode::Force => ops.first().is_some_and(|op| op.supports_columnar()),
-        ColumnarMode::Auto => {
-            for op in ops {
-                if !op.supports_columnar() {
-                    return false;
-                }
-                if op.columnar_benefit() {
-                    return true;
-                }
-                if !op.propagates_columnar() {
-                    // Columnar flow ends here (e.g. a window emits row
-                    // aggregates) and nothing so far wanted vectors.
-                    return false;
-                }
-            }
-            false
-        }
-    }
-}
-
-/// Converts one polled source batch into the runtime's data message —
-/// columnar when the batched path is on — updating the origin's
-/// event-time clock and stamping the buffer's punctuation header.
-///
-/// Returns the message plus the punctuation generated for this batch:
-/// every `watermark_every`-th sequence under
-/// [`WatermarkStrategy::BoundedOutOfOrder`] promises `max_ts - slack`.
-/// Columnar buffers carry origin/sequence/punctuation inline in their
-/// [`crate::buffer::BufferMeta`] (the NebulaStream TupleBuffer
-/// header); for row buffers the stamps ride the surrounding transport.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn make_data_message(
-    schema: &crate::schema::SchemaRef,
-    recs: Vec<Record>,
-    columnar: bool,
-    ts_col: Option<usize>,
-    origin: u64,
-    sequence: u64,
-    watermark: &WatermarkStrategy,
-    watermark_every: u64,
-    max_ts: &mut EventTime,
-) -> (StreamMessage, Option<EventTime>) {
-    let track_ts = matches!(watermark, WatermarkStrategy::BoundedOutOfOrder { .. });
-    let msg = if columnar {
-        let mut tb = TupleBuffer::from_records(
-            schema.clone(),
-            &recs,
-            crate::buffer::BufferMeta {
-                origin,
-                sequence,
-                ..crate::buffer::BufferMeta::default()
-            },
-        );
-        if let Some(col) = ts_col {
-            tb.recompute_time_bounds(col);
-            if track_ts {
-                if let Some(t) = tb.meta().max_ts {
-                    *max_ts = (*max_ts).max(t);
-                }
-            }
-        }
-        StreamMessage::Columnar(tb)
-    } else {
-        let buf = RecordBuffer::new(schema.clone(), recs);
-        if track_ts {
-            if let Some(col) = ts_col {
-                if let Some(t) = buf.max_event_time(col) {
-                    *max_ts = (*max_ts).max(t);
-                }
-            }
-        }
-        StreamMessage::Data(buf)
-    };
-    let punctuation = match watermark {
-        WatermarkStrategy::BoundedOutOfOrder { slack, .. }
-            if sequence.is_multiple_of(watermark_every) && *max_ts != EventTime::MIN =>
-        {
-            Some(*max_ts - *slack)
-        }
-        _ => None,
-    };
-    let msg = match msg {
-        StreamMessage::Columnar(mut tb) => {
-            tb.meta_mut().watermark = punctuation;
-            StreamMessage::Columnar(tb)
-        }
-        other => other,
-    };
-    (msg, punctuation)
-}
-
 /// Assigns each row of a columnar buffer to a partition by hashing its
 /// evaluated grouping key. Key evaluation is vectorized when possible;
-/// rows whose key fails to evaluate route to worker 0, exactly like
+/// rows whose key fails to evaluate route to partition 0, exactly like
 /// the per-record router.
 fn columnar_partition_of(exprs: &[BoundExpr], tb: &TupleBuffer, n: usize) -> Vec<usize> {
     let mut cols = Vec::with_capacity(exprs.len());
@@ -1604,7 +1321,7 @@ fn columnar_partition_of(exprs: &[BoundExpr], tb: &TupleBuffer, n: usize) -> Vec
             true
         } else {
             // Some row errored during vector evaluation; redo this row
-            // scalar so only the failing rows fall back to worker 0.
+            // scalar so only the failing rows fall back to partition 0.
             exprs.iter().all(|e| match e.eval_row(tb, row) {
                 Ok(v) => {
                     crate::ops::encode_value(&v, &mut bytes);
@@ -1639,14 +1356,14 @@ pub(crate) fn resolve_ts_col(
     }
 }
 
-/// Pushes one message through the whole chain, delivering terminal data
-/// buffers to the sink.
-fn feed(
+/// The one chain walker, local and cluster: pushes one message through
+/// a chain and returns the terminal messages in order — what the
+/// emission ledger banks for the sink, or what crosses the wire to the
+/// next site.
+pub(crate) fn drive(
     ops: &mut [Box<dyn Operator>],
     first: StreamMessage,
-    sink: &mut dyn Sink,
-    metrics: &mut QueryMetrics,
-) -> Result<()> {
+) -> Result<Vec<StreamMessage>> {
     let mut cur = vec![first];
     let mut next: Vec<StreamMessage> = Vec::new();
     for op in ops.iter_mut() {
@@ -1660,25 +1377,8 @@ fn feed(
         }
         std::mem::swap(&mut cur, &mut next);
     }
-    for msg in cur.drain(..) {
-        match msg {
-            StreamMessage::Data(b) => {
-                metrics.records_out += b.len() as u64;
-                metrics.bytes_out += b.est_bytes() as u64;
-                sink.consume(&b)?;
-            }
-            StreamMessage::Columnar(b) => {
-                metrics.records_out += b.len() as u64;
-                metrics.bytes_out += b.est_bytes() as u64;
-                sink.consume_columnar(&b)?;
-            }
-            StreamMessage::Watermark(_) | StreamMessage::Eos => {}
-        }
-    }
-    Ok(())
+    Ok(cur)
 }
-
-use crate::ops::Operator;
 
 #[cfg(test)]
 mod tests {

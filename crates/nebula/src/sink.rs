@@ -125,39 +125,6 @@ impl Sink for CountingSink {
     }
 }
 
-/// Collects result buffers wholesale — the per-worker sink behind
-/// partitioned execution. Each worker feeds its operator chain into its
-/// own `BufferSink`; after the workers join, the runtime merges the
-/// collected partitions with [`merge_partitions`].
-#[derive(Default)]
-pub struct BufferSink {
-    buffers: Vec<RecordBuffer>,
-}
-
-impl BufferSink {
-    /// An empty collector.
-    pub fn new() -> Self {
-        BufferSink::default()
-    }
-
-    /// The buffers collected so far, in arrival order.
-    pub fn buffers(&self) -> &[RecordBuffer] {
-        &self.buffers
-    }
-
-    /// Consumes into the buffer vector.
-    pub fn into_buffers(self) -> Vec<RecordBuffer> {
-        self.buffers
-    }
-}
-
-impl Sink for BufferSink {
-    fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
-        self.buffers.push(buf.clone());
-        Ok(())
-    }
-}
-
 /// Sorts records into the canonical order (by their byte encoding — see
 /// `ops::record_sort_key`). Executions that only differ in interleaving
 /// (threaded, partitioned at any parallelism) produce identical record
@@ -313,17 +280,6 @@ mod tests {
         });
         sink.consume(&buf(&[1, 2, 3, 4])).unwrap();
         assert_eq!(seen.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn buffer_sink_collects_whole_buffers() {
-        let mut sink = BufferSink::new();
-        sink.consume(&buf(&[1, 2])).unwrap();
-        sink.consume(&buf(&[3])).unwrap();
-        assert_eq!(sink.buffers().len(), 2);
-        let buffers = sink.into_buffers();
-        assert_eq!(buffers[0].len(), 2);
-        assert_eq!(buffers[1].len(), 1);
     }
 
     #[test]

@@ -1,10 +1,15 @@
-//! Stream sources: batch-polling producers plus fault-injection wrappers
-//! (out-of-order jitter, connectivity gaps) for testing edge conditions.
+//! Stream sources: batch-polling producers, fault-injection wrappers
+//! (out-of-order jitter, connectivity gaps) for testing edge conditions,
+//! and the `SourceDriver` — the source stage every executor, local
+//! and cluster, polls through.
 
+use crate::buffer::{BufferMeta, TupleBuffer};
 use crate::error::{NebulaError, Result};
-use crate::record::Record;
+use crate::ops::Operator;
+use crate::record::{Record, RecordBuffer, StreamMessage};
+use crate::runtime::ColumnarMode;
 use crate::schema::SchemaRef;
-use crate::value::{DataType, DurationUs, Value};
+use crate::value::{DataType, DurationUs, EventTime, Value};
 use std::collections::VecDeque;
 use std::io::BufRead;
 use std::path::Path;
@@ -418,6 +423,225 @@ impl Source for ReplaySource {
                 self.inner_exhausted = true;
                 Ok(SourceBatch::Exhausted)
             }
+        }
+    }
+}
+
+/// One polled source batch as the [`SourceDriver`] yields it: the data
+/// message plus the origin-relative sequence and punctuation stamps
+/// that row messages cannot carry inline (columnar buffers also carry
+/// them in their [`BufferMeta`]).
+pub(crate) struct Stamped {
+    pub(crate) msg: StreamMessage,
+    pub(crate) sequence: u64,
+    pub(crate) punctuation: Option<EventTime>,
+}
+
+/// The outcome of one [`SourceDriver::poll`].
+pub(crate) enum Polled {
+    Batch(Stamped),
+    /// Nothing available right now; carries the count of consecutive
+    /// idle polls so far.
+    Idle(u64),
+    /// The source is exhausted, or stayed idle past the idle limit.
+    End,
+}
+
+/// The source stage of every executor, local and cluster: the only
+/// caller of [`Source::poll`]. Owns what turns a polled batch into
+/// stamped work — the batch sequence, the origin's event-time clock,
+/// idle counting, and the [`ColumnarMode`] gate decision.
+pub(crate) struct SourceDriver {
+    source: Box<dyn Source>,
+    watermark: WatermarkStrategy,
+    schema: SchemaRef,
+    ts_col: Option<usize>,
+    origin: u64,
+    buffer_size: usize,
+    watermark_every: u64,
+    idle_limit: u64,
+    columnar: bool,
+    /// Batches yielded so far — the sequence of the latest one.
+    batches: u64,
+    max_ts: EventTime,
+    idle: u64,
+}
+
+impl SourceDriver {
+    pub(crate) fn new(
+        source: Box<dyn Source>,
+        watermark: WatermarkStrategy,
+        ts_col: Option<usize>,
+        origin: u64,
+        buffer_size: usize,
+        watermark_every: u64,
+        idle_limit: u64,
+    ) -> Self {
+        SourceDriver {
+            schema: source.schema(),
+            source,
+            watermark,
+            ts_col,
+            origin,
+            buffer_size,
+            watermark_every,
+            idle_limit,
+            columnar: false,
+            batches: 0,
+            max_ts: EventTime::MIN,
+            idle: 0,
+        }
+    }
+
+    /// Decides whether to transpose polled batches into
+    /// [`TupleBuffer`]s for `ops`, the chain that consumes them.
+    pub(crate) fn gate(&mut self, mode: ColumnarMode, ops: &[Box<dyn Operator>]) {
+        self.columnar = chain_wants_columnar(mode, ops);
+    }
+
+    pub(crate) fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    pub(crate) fn origin(&self) -> u64 {
+        self.origin
+    }
+
+    /// Batches yielded so far.
+    pub(crate) fn batches(&self) -> u64 {
+        self.batches
+    }
+
+    /// The origin's event-time clock (checkpointed with `batches`).
+    pub(crate) fn max_ts(&self) -> EventTime {
+        self.max_ts
+    }
+
+    /// Resets the driver to a checkpointed cut and rewinds the source
+    /// to it. False when the source cannot replay.
+    pub(crate) fn restore(&mut self, batches: u64, max_ts: EventTime) -> bool {
+        self.batches = batches;
+        self.max_ts = max_ts;
+        self.idle = 0;
+        self.source.rewind(batches as usize)
+    }
+
+    /// Polls the source once.
+    pub(crate) fn poll(&mut self) -> Result<Polled> {
+        Ok(match self.source.poll(self.buffer_size)? {
+            SourceBatch::Data(recs) => {
+                self.idle = 0;
+                self.batches += 1;
+                Polled::Batch(self.stamp(recs))
+            }
+            SourceBatch::Idle => {
+                self.idle += 1;
+                if self.idle > self.idle_limit {
+                    // Prevents hangs on sources that never end.
+                    Polled::End
+                } else {
+                    Polled::Idle(self.idle)
+                }
+            }
+            SourceBatch::Exhausted => Polled::End,
+        })
+    }
+
+    /// Polls until a batch arrives (`None` at end of stream).
+    pub(crate) fn next_batch(&mut self) -> Result<Option<Stamped>> {
+        loop {
+            match self.poll()? {
+                Polled::Batch(b) => return Ok(Some(b)),
+                Polled::Idle(_) => std::thread::yield_now(),
+                Polled::End => return Ok(None),
+            }
+        }
+    }
+
+    /// Converts one polled batch into the runtime's data message —
+    /// columnar when the gate is open — updating the origin's
+    /// event-time clock and stamping the buffer's punctuation: every
+    /// `watermark_every`-th sequence under
+    /// [`WatermarkStrategy::BoundedOutOfOrder`] promises
+    /// `max_ts - slack`. Columnar buffers carry
+    /// origin/sequence/punctuation inline in their
+    /// [`BufferMeta`] (the NebulaStream TupleBuffer
+    /// header); for row buffers the stamps ride the [`Stamped`].
+    fn stamp(&mut self, recs: Vec<Record>) -> Stamped {
+        let sequence = self.batches;
+        let track_ts = matches!(self.watermark, WatermarkStrategy::BoundedOutOfOrder { .. });
+        let mut msg = if self.columnar {
+            let mut tb = TupleBuffer::from_records(
+                self.schema.clone(),
+                &recs,
+                BufferMeta {
+                    origin: self.origin,
+                    sequence,
+                    ..BufferMeta::default()
+                },
+            );
+            if let Some(col) = self.ts_col {
+                tb.recompute_time_bounds(col);
+                if track_ts {
+                    if let Some(t) = tb.meta().max_ts {
+                        self.max_ts = self.max_ts.max(t);
+                    }
+                }
+            }
+            StreamMessage::Columnar(tb)
+        } else {
+            let buf = RecordBuffer::new(self.schema.clone(), recs);
+            if track_ts {
+                if let Some(t) = self.ts_col.and_then(|col| buf.max_event_time(col)) {
+                    self.max_ts = self.max_ts.max(t);
+                }
+            }
+            StreamMessage::Data(buf)
+        };
+        let punctuation = match &self.watermark {
+            WatermarkStrategy::BoundedOutOfOrder { slack, .. }
+                if sequence.is_multiple_of(self.watermark_every)
+                    && self.max_ts != EventTime::MIN =>
+            {
+                Some(self.max_ts - *slack)
+            }
+            _ => None,
+        };
+        if let StreamMessage::Columnar(tb) = &mut msg {
+            tb.meta_mut().watermark = punctuation;
+        }
+        Stamped {
+            msg,
+            sequence,
+            punctuation,
+        }
+    }
+}
+
+/// The source-side gate for building [`TupleBuffer`]s. Columnar flow
+/// ends at the first row-only operator (CEP, threshold windows,
+/// plugins — their buffers materialize back to rows), so under
+/// [`ColumnarMode::Auto`] the transpose is worth paying only if some
+/// operator *before* that point runs a vectorized kernel.
+fn chain_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
+    match mode {
+        ColumnarMode::Off => false,
+        ColumnarMode::Force => ops.first().is_some_and(|op| op.supports_columnar()),
+        ColumnarMode::Auto => {
+            for op in ops {
+                if !op.supports_columnar() {
+                    return false;
+                }
+                if op.columnar_benefit() {
+                    return true;
+                }
+                if !op.propagates_columnar() {
+                    // Columnar flow ends here (e.g. a window emits row
+                    // aggregates) and nothing so far wanted vectors.
+                    return false;
+                }
+            }
+            false
         }
     }
 }

@@ -480,6 +480,82 @@ fn partitioned_output_is_deterministic_across_parallelism() {
     }
 }
 
+/// Keeps raw delivery order and counts which `Sink` entry point each
+/// buffer arrived through.
+#[derive(Default)]
+struct LayoutSink {
+    rows: Vec<Record>,
+    row_calls: usize,
+    columnar_calls: usize,
+}
+
+impl Sink for LayoutSink {
+    fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
+        self.row_calls += 1;
+        self.rows.extend_from_slice(buf.records());
+        Ok(())
+    }
+
+    fn consume_columnar(&mut self, buf: &TupleBuffer) -> Result<()> {
+        self.columnar_calls += 1;
+        self.rows.extend(buf.to_record_buffer().into_records());
+        Ok(())
+    }
+}
+
+#[test]
+fn partitioned_ledger_delivers_the_layout_the_chain_emitted() {
+    // The emission ledger holds each step's terminal messages by value:
+    // a single-owner step reaches the sink exactly as the chain emitted
+    // it (columnar stays columnar), and only a multi-owner step, whose
+    // owners' rows must be merged, is materialized to rows.
+    let deliver = |q: &Query, parallelism: Option<usize>| {
+        let mut env = StreamEnvironment::with_config(EnvConfig {
+            buffer_size: 32,
+            watermark_every: 2,
+            parallelism: parallelism.unwrap_or(1),
+            ..EnvConfig::default()
+        });
+        env.add_source("s", source(Feed::InOrder), generous_watermark());
+        let mut sink = LayoutSink::default();
+        match parallelism {
+            None => env.run(q, &mut sink),
+            Some(_) => env.run_partitioned(q, &mut sink),
+        }
+        .unwrap();
+        sink
+    };
+    let bytes_of = |sink: &LayoutSink| sink.rows.iter().map(record_sort_key).collect::<Vec<_>>();
+
+    // Q1-shaped: a vectorizable filter into a map, so `Auto` transposes.
+    let stateless = Query::from("s")
+        .filter(col("speed").ge(lit(40.0)))
+        .map_extend(vec![("kmh", col("speed").mul(lit(3.6)))]);
+    let sync = deliver(&stateless, None);
+    assert!(sync.columnar_calls > 0, "the chain emits columnar buffers");
+    assert_eq!(sync.row_calls, 0);
+    let par = deliver(&stateless, Some(2));
+    assert_eq!(
+        (par.row_calls, par.columnar_calls),
+        (0, sync.columnar_calls),
+        "round-robin steps have one owner: buffers pass through as emitted"
+    );
+    assert_eq!(bytes_of(&par), bytes_of(&sync), "stateless raw order");
+
+    let keyed = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        },
+        vec![WindowAgg::new("n", AggSpec::Count)],
+    );
+    let sync = deliver(&keyed, None);
+    let par = deliver(&keyed, Some(2));
+    assert!(par.row_calls > 0, "windows closed on both partitions");
+    assert_eq!(par.columnar_calls, 0, "multi-owner steps merge as rows");
+    assert_eq!(bytes_of(&par), bytes_of(&sync), "keyed-window raw order");
+}
+
 // ---------------------------------------------------------------------------
 // Batched (columnar) vs per-record differential matrix
 // ---------------------------------------------------------------------------
