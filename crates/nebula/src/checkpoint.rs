@@ -8,7 +8,7 @@
 //! passes: the pump its operator snapshots, replay cursor and counters;
 //! each site its operator-chain snapshot; and the cloud — once the
 //! barrier has *aligned* across all live pipelines — the shared-tail
-//! operators, collected results, and watermark state.
+//! operators, the uncommitted results, and watermark state.
 //!
 //! An epoch is **complete** when the cloud part is present and every
 //! pipeline that was still live at the cloud's cut has contributed its
@@ -17,14 +17,21 @@
 //! without state capture makes its chain `None`, forcing the epoch-0
 //! full-replay fallback). Completed epochs prune everything older;
 //! recovery consumes the newest usable epoch.
+//!
+//! A usable epoch is also the **commit point** of result delivery:
+//! restore never goes back past it, so no recovery can replay a row
+//! produced before its cut. `CheckpointStore::put_cloud` tells the
+//! cloud, which hands those rows to the sink; the store drops them from
+//! the part (restoring that very epoch must not deliver them again) and
+//! keeps the committed epoch until a newer one commits.
 
 use crate::metrics::{Histogram, QueryMetrics};
 use crate::ops::Operator;
-use crate::record::RecordBuffer;
+use crate::record::StreamMessage;
 use crate::runtime::ProgressTracker;
 use crate::value::EventTime;
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
 
 /// A pump's contribution to an epoch: the source-node operator chain
 /// (if snapshottable), the replay cursor, and the ingest counters that
@@ -53,8 +60,9 @@ pub(crate) struct SitePart {
 pub(crate) struct CloudPart {
     /// Snapshot of the shared-tail chain; `None` if not snapshottable.
     pub ops: Option<Vec<Box<dyn Operator>>>,
-    /// Results collected so far.
-    pub buffers: Vec<RecordBuffer>,
+    /// Rows emitted before the cut that no commit has handed to the
+    /// sink — what a restore to this epoch still owes it.
+    pub uncommitted: Vec<StreamMessage>,
     /// Per-pipeline progress (frontiers, finished flags, combined
     /// clock) at the cut.
     pub progress: ProgressTracker,
@@ -111,6 +119,8 @@ struct StoreInner {
     finals: Vec<Option<PipeFinal>>,
     taken: u64,
     last_sealed: Option<u64>,
+    /// The newest epoch whose rows went to the sink.
+    committed: Option<u64>,
 }
 
 /// Thread-shared checkpoint storage for one chaos run.
@@ -127,23 +137,24 @@ impl CheckpointStore {
                 finals: vec![None; n_pipes],
                 taken: 0,
                 last_sealed: None,
+                committed: None,
             }),
         }
     }
 
     /// Declares how many site chains each pipeline runs this phase.
     pub fn set_expected_sites(&self, sites: Vec<usize>) {
-        self.inner.lock().unwrap().expected_sites = sites;
+        self.inner.lock().expected_sites = sites;
     }
 
     pub fn put_pump(&self, epoch: u64, pipe: usize, part: PumpPart) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs.entry(epoch).or_default().pumps.insert(pipe, part);
         g.seal(epoch);
     }
 
     pub fn put_site(&self, epoch: u64, pipe: usize, site: usize, part: SitePart) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs
             .entry(epoch)
             .or_default()
@@ -152,17 +163,35 @@ impl CheckpointStore {
         g.seal(epoch);
     }
 
-    pub fn put_cloud(&self, epoch: u64, part: CloudPart) {
-        let mut g = self.inner.lock().unwrap();
-        g.epochs.entry(epoch).or_default().cloud = Some(part);
+    /// Deposits the cloud's part; `true` means the epoch is usable —
+    /// committed: the caller hands `part.uncommitted` to the sink and
+    /// the store keeps none of it.
+    pub fn put_cloud(&self, epoch: u64, part: CloudPart) -> bool {
+        let mut g = self.inner.lock();
+        let g = &mut *g;
+        let st = g.epochs.entry(epoch).or_default();
+        st.cloud = Some(part);
+        let usable = st.is_usable(&g.expected_sites);
+        if usable {
+            if let Some(cloud) = &mut st.cloud {
+                cloud.uncommitted.clear();
+            }
+            g.committed = Some(epoch);
+        }
         g.seal(epoch);
+        usable
+    }
+
+    /// The newest epoch whose rows were handed to the sink, if any.
+    pub fn committed(&self) -> Option<u64> {
+        self.inner.lock().committed
     }
 
     /// Records a pipeline's final ingest stats and pump-stage late
     /// drops (deposited by the pump at its end-of-stream; overwritten
     /// if the pipeline re-runs after recovery).
     pub fn record_pump_final(&self, pipe: usize, stats: QueryMetrics, pump_late: u64) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         let fin = g.finals[pipe].get_or_insert_with(PipeFinal::default);
         fin.stats = stats;
         fin.pump_late = pump_late;
@@ -171,19 +200,19 @@ impl CheckpointStore {
     /// Adds one site chain's final late-drop count for `pipe`
     /// (deposited as each site drains its end-of-stream).
     pub fn add_site_final_late(&self, pipe: usize, late: u64) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.finals[pipe]
             .get_or_insert_with(PipeFinal::default)
             .site_late += late;
     }
 
     pub fn final_for(&self, pipe: usize) -> Option<PipeFinal> {
-        self.inner.lock().unwrap().finals[pipe].clone()
+        self.inner.lock().finals[pipe].clone()
     }
 
     /// Completed checkpoints over the run (sealed epochs).
     pub fn checkpoints_taken(&self) -> u64 {
-        self.inner.lock().unwrap().taken
+        self.inner.lock().taken
     }
 
     /// Consumes the newest usable epoch for restore. Clears all stored
@@ -191,7 +220,7 @@ impl CheckpointStore {
     /// and voids the finals of every pipeline not done at the cut, so a
     /// re-run pipeline cannot double-report stale totals.
     pub fn take_for_restore(&self) -> Option<(u64, EpochState)> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         let epoch = g
             .epochs
             .iter()
@@ -213,7 +242,7 @@ impl CheckpointStore {
     /// Clears every stored epoch and final (epoch-0 fallback: the whole
     /// run restarts from scratch).
     pub fn reset(&self) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         g.epochs.clear();
         g.last_sealed = None;
         for f in &mut g.finals {
@@ -225,18 +254,18 @@ impl CheckpointStore {
 impl StoreInner {
     /// Checks whether `epoch` just became complete; if so, counts it
     /// and prunes every older epoch (recovery only ever wants the
-    /// newest complete one). A redundant part deposited into an
-    /// already-sealed epoch must not double-count.
+    /// newest usable one) except the committed one, whose rows the sink
+    /// already has. A redundant part deposited into an already-sealed
+    /// epoch must not double-count.
     fn seal(&mut self, epoch: u64) {
         let complete = self
             .epochs
             .get(&epoch)
             .is_some_and(|st| st.is_complete(&self.expected_sites));
         if complete && self.last_sealed.is_none_or(|last| epoch > last) {
-            let stale: Vec<u64> = self.epochs.range(..epoch).map(|(e, _)| *e).collect();
-            for e in stale {
-                self.epochs.remove(&e);
-            }
+            let committed = self.committed;
+            self.epochs
+                .retain(|e, _| *e >= epoch || Some(*e) == committed);
             self.taken += 1;
             self.last_sealed = Some(epoch);
         }
@@ -265,10 +294,95 @@ mod tests {
         }
         CloudPart {
             ops: Some(Vec::new()),
-            buffers: Vec::new(),
+            uncommitted: Vec::new(),
             progress,
             latency: Histogram::new(),
         }
+    }
+
+    /// A cloud part whose chain had emitted `rows` uncommitted rows.
+    fn cloud_part_owing(done: &[bool], rows: &[i64]) -> CloudPart {
+        use crate::record::{Record, RecordBuffer};
+        use crate::schema::Schema;
+        use crate::value::{DataType, Value};
+        let schema = Schema::of(&[("v", DataType::Int)]);
+        CloudPart {
+            uncommitted: rows
+                .iter()
+                .map(|v| {
+                    let rec = Record::new(vec![Value::Int(*v)]);
+                    StreamMessage::Data(RecordBuffer::new(schema.clone(), vec![rec]))
+                })
+                .collect(),
+            ..cloud_part(done)
+        }
+    }
+
+    #[test]
+    fn usable_epoch_commits_and_keeps_no_rows() {
+        let store = CheckpointStore::new(1);
+        store.set_expected_sites(vec![0]);
+        assert_eq!(store.committed(), None);
+        store.put_pump(1, 0, pump_part(true));
+        assert!(
+            store.put_cloud(1, cloud_part_owing(&[false], &[1, 2])),
+            "all parts in and snapshotted: the cloud may commit"
+        );
+        assert_eq!(store.committed(), Some(1));
+        // Restoring the committed epoch itself must not re-deliver.
+        let (epoch, st) = store.take_for_restore().expect("usable");
+        assert_eq!(epoch, 1);
+        assert!(st.cloud.expect("cloud part").uncommitted.is_empty());
+    }
+
+    #[test]
+    fn unusable_epoch_commits_nothing_and_keeps_the_uncommitted_suffix() {
+        // Unsnapshottable pump: every epoch completes, none is usable,
+        // so nothing is ever committed and each part carries exactly
+        // the rows still owed at its cut.
+        let store = CheckpointStore::new(1);
+        store.set_expected_sites(vec![0]);
+        store.put_pump(1, 0, pump_part(false));
+        assert!(!store.put_cloud(1, cloud_part_owing(&[false], &[1])));
+        assert_eq!(store.committed(), None);
+        assert_eq!(store.checkpoints_taken(), 1, "sealed all the same");
+        assert!(store.take_for_restore().is_none(), "epoch-0 fallback");
+
+        // A cloud part that lands before its epoch is complete is not a
+        // commit either; once the late part arrives the epoch restores
+        // with the rows the sink has not seen.
+        let store = CheckpointStore::new(1);
+        store.set_expected_sites(vec![0]);
+        assert!(!store.put_cloud(2, cloud_part_owing(&[false], &[7, 8, 9])));
+        store.put_pump(2, 0, pump_part(true));
+        assert_eq!(store.committed(), None);
+        let (_, st) = store.take_for_restore().expect("usable once complete");
+        assert_eq!(st.cloud.expect("cloud part").uncommitted.len(), 3);
+    }
+
+    #[test]
+    fn committed_epoch_outlives_a_newer_unrestorable_one() {
+        // Epoch 1 commits; epoch 2 completes but cannot be restored. The
+        // sink holds epoch 1's rows, so restore must still find it —
+        // pruning it would force an epoch-0 replay of delivered rows.
+        let store = CheckpointStore::new(1);
+        store.set_expected_sites(vec![0]);
+        store.put_pump(1, 0, pump_part(true));
+        assert!(store.put_cloud(1, cloud_part(&[false])));
+        store.put_pump(2, 0, pump_part(false));
+        assert!(!store.put_cloud(2, cloud_part_owing(&[false], &[5])));
+        assert_eq!(store.checkpoints_taken(), 2);
+        let (epoch, _) = store.take_for_restore().expect("committed epoch kept");
+        assert_eq!(epoch, 1);
+        // A newer commit releases it.
+        let store = CheckpointStore::new(1);
+        store.set_expected_sites(vec![0]);
+        for epoch in 1..=2 {
+            store.put_pump(epoch, 0, pump_part(true));
+            assert!(store.put_cloud(epoch, cloud_part(&[false])));
+        }
+        assert_eq!(store.committed(), Some(2));
+        assert_eq!(store.inner.lock().epochs.len(), 1);
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //! - the **cloud site** fans in all pipelines, advancing its event-time
 //!   clock to the *minimum* watermark across live inputs (the standard
 //!   distributed watermark rule), runs the shared tail of the plan, and
-//!   collects results. Delivery is order-normalized like
-//!   `run_partitioned`, so results are deterministic and comparable to
-//!   the single-process executors with `==`.
+//!   hands results to the sink as it produces them, under one rule: *a
+//!   row goes to the sink as soon as no recovery can replay it* — on
+//!   emission, or at each committed checkpoint in a chaos run. One
+//!   pipeline delivers exactly `run`'s sequence; several interleave in
+//!   arrival order (each keeping its own), so compare those normalized.
 //!
 //! ## Edge pre-aggregation
 //!
@@ -74,13 +76,16 @@
 //!   flow into an internal `CheckpointStore` as the barrier passes
 //!   each site,
 //!   and the cloud seals the epoch once the barrier has aligned across
-//!   all live pipelines;
+//!   all live pipelines — a *usable* epoch (every chain snapshotted)
+//!   is the commit point: restore never goes back past it, so the rows
+//!   produced before its cut go to the sink;
 //! - after a crash, the topology re-plans around the dead node
 //!   ([`Topology::fail_node`]), operator state restores from the newest
 //!   sealed checkpoint (or everything recompiles for an epoch-0 full
 //!   replay when some operator cannot snapshot), sources rewind via
 //!   [`crate::source::ReplaySource`], and the run resumes — re-emitting
-//!   exactly the records the crash swallowed.
+//!   exactly the records the crash swallowed, none of which the sink
+//!   has seen.
 
 use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
@@ -93,9 +98,9 @@ use crate::preagg::{split_window, SplitWindow, WindowMergeOp, WindowPartialOp};
 use crate::query::{compile_ops, LogicalOp, Query};
 use crate::record::{RecordBuffer, StreamMessage};
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
-use crate::runtime::{drive, resolve_ts_col, ProgressTracker};
+use crate::runtime::{deliver, drive, resolve_ts_col, ProgressTracker};
 use crate::schema::SchemaRef;
-use crate::sink::{merge_partitions, Sink};
+use crate::sink::Sink;
 use crate::source::{Polled, ReplaySource, Source, SourceDriver, Stamped, WatermarkStrategy};
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, NodeSnapshot, QueryReport,
@@ -114,6 +119,24 @@ use std::time::{Duration, Instant};
 /// be `expect()` panics on cluster hot paths.
 fn internal(msg: &str) -> NebulaError {
     ClusterError::Internal(msg.into()).into()
+}
+
+/// A peer closed its end of a channel.
+fn hung_up(who: &str) -> NebulaError {
+    NebulaError::Eval(format!("cluster: {who} hung up"))
+}
+
+/// A joined thread's result, a panic folded into an error.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, Result<T>>, who: &str) -> Result<T> {
+    let panicked = |_| Err(NebulaError::Eval(format!("cluster: {who} thread panicked")));
+    handle.join().unwrap_or_else(panicked)
+}
+
+/// True for what a thread reports because *another* thread failed
+/// first: a hang-up, or a chaos run's `Aborted`.
+fn is_knock_on(e: &NebulaError) -> bool {
+    matches!(e, NebulaError::Cluster(ClusterError::Aborted))
+        || matches!(e, NebulaError::Eval(m) if m.starts_with("cluster: ") && m.ends_with(" hung up"))
 }
 
 /// Cluster runtime tuning knobs (the distributed analogue of
@@ -386,11 +409,12 @@ impl ClusterEnvironment {
     }
 
     /// Runs `query` distributed over the topology under `strategy`,
-    /// delivering order-normalized results to `sink`. Consumes the
-    /// hosted sources (only on a valid plan; a compile error leaves them
-    /// registered). The correctness contract matches the single-process
-    /// executors: identical order-normalized results and
-    /// `records_in`/`records_out` counters.
+    /// streaming results to `sink` as the cloud site produces them.
+    /// Consumes the hosted sources (only on a valid plan; a compile
+    /// error leaves them registered). The correctness contract matches
+    /// the single-process executors: identical `records_in`/`records_out`
+    /// and results — in `run`'s own order with one hosted source,
+    /// order-normalized with several.
     pub fn run_placed(
         &mut self,
         query: &Query,
@@ -420,7 +444,8 @@ impl ClusterEnvironment {
     /// corrupts and delays frames, and the plan's crash target (if any)
     /// dies abruptly mid-batch. The resilient wire protocol and
     /// checkpointed crash recovery keep the delivered results identical
-    /// to an undisturbed run; the extra work shows up in
+    /// to an undisturbed run, each row handed to `sink` exactly once (at
+    /// the first restorable checkpoint past it); the extra work shows up in
     /// [`ClusterMetrics::retransmits`], [`ClusterMetrics::corrupt_dropped`],
     /// [`ClusterMetrics::duplicates_suppressed`],
     /// [`ClusterMetrics::checkpoints_taken`] and
@@ -532,7 +557,6 @@ impl ClusterEnvironment {
         let CompiledChains {
             pipe_chains,
             cloud_ops,
-            pipe_out_schema,
         } = compile_chains(
             &self.registry,
             query,
@@ -620,10 +644,6 @@ impl ClusterEnvironment {
                 sites,
             });
         }
-        let output_schema = cloud_ops
-            .last()
-            .map_or_else(|| pipe_out_schema.clone(), |o| o.output_schema());
-
         let accounts = Arc::new(TrafficAccounts {
             links: (0..self.topo.links().len())
                 .map(|_| LinkAccount::default())
@@ -632,7 +652,6 @@ impl ClusterEnvironment {
         });
         let mut cloud_state = CloudState {
             ops: cloud_ops,
-            buffers: Vec::new(),
             progress: ProgressTracker::with_origins(n_pipes as u64),
             latency: Histogram::new(),
             tel: CloudTel::new(
@@ -645,6 +664,7 @@ impl ClusterEnvironment {
             preaggregated: split.is_some(),
             ..ClusterMetrics::default()
         };
+        let mut out = Outbox::new(sink, chaos_plan.is_some());
 
         // The cloud's input schema is fixed by the plan; compute it once
         // (after a recovery skips finished pipelines, pipeline 0 may no
@@ -672,6 +692,7 @@ impl ClusterEnvironment {
             &io,
             &mut pipelines,
             cloud_state,
+            &mut out,
             batch_limit,
             &cloud_in_schema,
             chaos_run.as_ref(),
@@ -805,11 +826,13 @@ impl ClusterEnvironment {
                         // docs/observability.md). The cloud sampler and
                         // snapshot retention restart fresh: the sampled
                         // series is best-effort under crashes.
+                        // The dead phase's held rows are void; the cut
+                        // owes the sink what it had not committed.
+                        out.held = cloud_part.uncommitted;
                         cloud_state = CloudState {
                             ops: cloud_part.ops.ok_or_else(|| {
                                 internal("usable epoch has an unsnapshotted cloud")
                             })?,
-                            buffers: cloud_part.buffers,
                             progress: cloud_part.progress,
                             latency: cloud_part.latency,
                             tel: CloudTel::new(
@@ -823,6 +846,12 @@ impl ClusterEnvironment {
                     // operator cannot snapshot). Recompile everything and
                     // replay the whole stream from the start.
                     None => {
+                        // No usable epoch, no commit: the sink has seen
+                        // nothing, so a full replay stays exactly-once.
+                        if c.store.committed().is_some() {
+                            return Err(internal("committed rows but no usable epoch"));
+                        }
+                        out.held.clear();
                         c.store.reset();
                         let fresh = compile_chains(
                             &self.registry,
@@ -859,7 +888,6 @@ impl ClusterEnvironment {
                         }
                         cloud_state = CloudState {
                             ops: fresh_cloud,
-                            buffers: Vec::new(),
                             progress: ProgressTracker::with_origins(n_pipes as u64),
                             latency: Histogram::new(),
                             tel: CloudTel::new(
@@ -889,6 +917,7 @@ impl ClusterEnvironment {
                     &io,
                     &mut pipelines,
                     cloud_state,
+                    &mut out,
                     None,
                     &cloud_in_schema,
                     Some(&resumed),
@@ -981,6 +1010,7 @@ impl ClusterEnvironment {
                 &io,
                 &mut pipelines,
                 cloud_state,
+                &mut out,
                 None,
                 &cloud_in_schema,
                 None,
@@ -990,8 +1020,9 @@ impl ClusterEnvironment {
             cluster.sites += spawned;
         }
 
-        // Deliver order-normalized, like `run_partitioned`.
-        let merged = merge_partitions(output_schema, vec![cloud_state.buffers]);
+        // The run is over: no recovery can replay what is still held.
+        out.commit()?;
+        out.sink.finish()?;
         let mut metrics = QueryMetrics::default();
         match &chaos_run {
             // Chaos runs: a pipeline finished before a crash no longer
@@ -1018,18 +1049,14 @@ impl ClusterEnvironment {
             }
         }
         metrics.late_drops += chain_late_drops(&cloud_state.ops);
-        metrics.records_out = merged.len() as u64;
-        metrics.bytes_out = merged.est_bytes() as u64;
+        metrics.records_out = out.records_out;
+        metrics.bytes_out = out.bytes_out;
         metrics.latency.merge(&cloud_state.latency);
         // How far the fastest pipeline's clock ran ahead of the cloud's
         // combined frontier — the fan-in skew the report promises.
         metrics.frontier_lag_max_us = metrics
             .frontier_lag_max_us
             .max(cloud_state.progress.frontier_lag_us());
-        if !merged.is_empty() {
-            sink.consume(&merged)?;
-        }
-        sink.finish()?;
         metrics.wall = start.elapsed();
 
         cluster.links = accounts
@@ -1118,7 +1145,6 @@ enum SharedTail {
 struct CompiledChains {
     pipe_chains: Vec<Vec<Box<dyn Operator>>>,
     cloud_ops: Vec<Box<dyn Operator>>,
-    pipe_out_schema: SchemaRef,
 }
 
 /// Compiles per-pipeline chains (one operator instance set each) and
@@ -1188,7 +1214,7 @@ fn compile_chains(
             let tail = compile_ops(
                 &ops[pipe_op_end..],
                 query.ts_field(),
-                pipe_out_schema.clone(),
+                pipe_out_schema,
                 registry,
             )?;
             cloud_ops.extend(tail.operators);
@@ -1198,7 +1224,6 @@ fn compile_chains(
     Ok(CompiledChains {
         pipe_chains,
         cloud_ops,
-        pipe_out_schema,
     })
 }
 
@@ -1365,7 +1390,7 @@ impl WireTx {
                 .max_queue
                 .fetch_max(depth, Ordering::Relaxed);
         }
-        let hung = || NebulaError::Eval("cluster: downstream site hung up".into());
+        let hung = || hung_up("downstream site");
         match &self.target {
             TxTarget::Direct(tx) => tx.send(bytes).map_err(|_| hung()),
             TxTarget::Inbox(tx, p) => tx.send((*p, bytes)).map_err(|_| hung()),
@@ -1448,7 +1473,7 @@ impl RxLink {
     /// polls the abort flag while idle, so a dying phase never hangs a
     /// site on a quiet channel.
     fn recv(&mut self, depth: &AtomicU64) -> Result<Vec<u8>> {
-        let hung = || NebulaError::Eval("cluster: upstream site hung up".into());
+        let hung = || hung_up("upstream site");
         match self {
             RxLink::Plain(rx) => {
                 let bytes = rx.recv().map_err(|_| hung())?;
@@ -1683,7 +1708,6 @@ fn run_site(
 /// Cloud-site state preserved across re-planning phases.
 struct CloudState {
     ops: Vec<Box<dyn Operator>>,
-    buffers: Vec<RecordBuffer>,
     /// Per-pipeline progress (origin = pipeline index): each input's
     /// frontier, which inputs have ended, and the min-combined global
     /// frontier fed into the cloud chain. Centralizing the min/monotone
@@ -1787,22 +1811,58 @@ fn records_of(msgs: &[StreamMessage]) -> u64 {
     msgs.iter().map(|m| m.record_count() as u64).sum()
 }
 
-/// Collects data messages into `buffers`, returning the record count.
-fn collect_data(buffers: &mut Vec<RecordBuffer>, msgs: Vec<StreamMessage>) -> u64 {
-    let mut collected = 0;
-    for msg in msgs {
-        if let StreamMessage::Data(b) = msg {
-            if !b.is_empty() {
-                collected += b.len() as u64;
-                buffers.push(b);
-            }
+/// Where results leave the engine, under the one delivery rule of every
+/// cluster entry point: **a row goes to the sink as soon as no recovery
+/// can replay it.** Non-empty terminal messages enter `held` in emission
+/// order and layout; [`Outbox::commit`] hands them over. Only a chaos
+/// run replays, so it commits when the cloud seals a usable epoch and at
+/// the end of the run; every other run commits on emission. Owned by
+/// the coordinator, so its counts survive a crashed cloud thread.
+struct Outbox<'a> {
+    sink: &'a mut dyn Sink,
+    /// Chaos runs: a crash may replay emitted rows until a commit.
+    hold: bool,
+    /// Emitted, not yet committed.
+    held: Vec<StreamMessage>,
+    records_out: u64,
+    bytes_out: u64,
+}
+
+impl<'a> Outbox<'a> {
+    fn new(sink: &'a mut dyn Sink, hold: bool) -> Self {
+        Outbox {
+            sink,
+            hold,
+            held: Vec::new(),
+            records_out: 0,
+            bytes_out: 0,
         }
     }
-    collected
+
+    /// Takes one chain step's output; returns the records it carried.
+    fn emit(&mut self, msgs: Vec<StreamMessage>) -> Result<u64> {
+        let emitted = records_of(&msgs);
+        self.held
+            .extend(msgs.into_iter().filter(|m| m.record_count() > 0));
+        if !self.hold {
+            self.commit()?;
+        }
+        Ok(emitted)
+    }
+
+    /// Hands every held row to the sink: nothing can replay them now.
+    fn commit(&mut self) -> Result<()> {
+        for msg in self.held.drain(..) {
+            self.records_out += msg.record_count() as u64;
+            self.bytes_out += msg.data_bytes() as u64;
+            deliver(self.sink, &msg)?;
+        }
+        Ok(())
+    }
 }
 
 /// The cloud site: fans in every pipeline, min-combines watermarks,
-/// drives the shared tail, and collects results. Returns `true` when
+/// drives the shared tail, and emits results to `out`. Returns `true` when
 /// the run finished (`false`: handoff, resume in the next phase).
 ///
 /// Thread entry point: arguments are moved out of the spawning closure
@@ -1814,6 +1874,7 @@ fn run_cloud(
     rx: Receiver<(usize, Vec<u8>)>,
     depths: Vec<Arc<AtomicU64>>,
     wire: WireRegistry,
+    out: &mut Outbox<'_>,
 ) -> Result<(CloudState, bool)> {
     // Handoff seen per input pipeline this phase (failure injection
     // pauses every live pipeline, each at its own batch limit).
@@ -1827,9 +1888,7 @@ fn run_cloud(
     loop {
         let queue_depth: u64 = depths.iter().map(|d| d.load(Ordering::Relaxed)).sum();
         st.tel.maybe_sample(&st.progress, queue_depth);
-        let (p, bytes) = rx
-            .recv()
-            .map_err(|_| NebulaError::Eval("cluster: all pipelines hung up".into()))?;
+        let (p, bytes) = rx.recv().map_err(|_| hung_up("all pipelines"))?;
         depths[p].fetch_sub(1, Ordering::Relaxed);
         match decode_frame(&bytes, &in_schema, &wire)? {
             Frame::Data(recs) => {
@@ -1838,7 +1897,7 @@ fn run_cloud(
                 let t0 = Instant::now();
                 let msgs = drive(&mut st.ops, StreamMessage::Data(buf))?;
                 st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                st.tel.records_out += collect_data(&mut st.buffers, msgs);
+                st.tel.records_out += out.emit(msgs)?;
             }
             Frame::Watermark(w) => {
                 // The tracker owns the fan-in rules: min across live
@@ -1846,7 +1905,7 @@ fn run_cloud(
                 // reported.
                 if let Some(c) = st.progress.advance_origin(p as u64, w) {
                     let msgs = drive(&mut st.ops, StreamMessage::Watermark(c))?;
-                    st.tel.records_out += collect_data(&mut st.buffers, msgs);
+                    st.tel.records_out += out.emit(msgs)?;
                 }
             }
             Frame::Eos => {
@@ -1854,12 +1913,12 @@ fn run_cloud(
                 let advanced = st.progress.finish(p as u64);
                 if st.progress.all_done() {
                     let msgs = drive(&mut st.ops, StreamMessage::Eos)?;
-                    st.tel.records_out += collect_data(&mut st.buffers, msgs);
+                    st.tel.records_out += out.emit(msgs)?;
                     return Ok((st, true));
                 }
                 if let Some(c) = advanced {
                     let msgs = drive(&mut st.ops, StreamMessage::Watermark(c))?;
-                    st.tel.records_out += collect_data(&mut st.buffers, msgs);
+                    st.tel.records_out += out.emit(msgs)?;
                 }
                 if handed.iter().any(|h| *h) && paused(&handed, &st) {
                     return Ok((st, false));
@@ -1884,8 +1943,9 @@ fn run_cloud(
 /// arrives from one pipeline, that pipeline's further frames are held
 /// back until every live pipeline has presented the same barrier; the
 /// epoch seals at the aligned cut).
-struct CloudChaosState {
+struct CloudChaosState<'o, 's> {
     st: CloudState,
+    out: &'o mut Outbox<'s>,
     in_schema: SchemaRef,
     wire: WireRegistry,
     /// Frames held back per pipeline during alignment.
@@ -1898,7 +1958,7 @@ struct CloudChaosState {
     finished: bool,
 }
 
-impl CloudChaosState {
+impl CloudChaosState<'_, '_> {
     /// Routes one in-order payload: held back if its pipeline is past
     /// the aligning barrier, applied otherwise.
     fn ingest(&mut self, p: usize, payload: Vec<u8>) -> Result<()> {
@@ -1918,7 +1978,7 @@ impl CloudChaosState {
                 let t0 = Instant::now();
                 let msgs = drive(&mut self.st.ops, StreamMessage::Data(buf))?;
                 self.st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                self.st.tel.records_out += collect_data(&mut self.st.buffers, msgs);
+                self.st.tel.records_out += self.out.emit(msgs)?;
             }
             Frame::Watermark(w) => {
                 let advanced = self.st.progress.advance_origin(p as u64, w);
@@ -1934,7 +1994,7 @@ impl CloudChaosState {
                 let advanced = self.st.progress.finish(p as u64);
                 if self.st.progress.all_done() {
                     let msgs = drive(&mut self.st.ops, StreamMessage::Eos)?;
-                    self.st.tel.records_out += collect_data(&mut self.st.buffers, msgs);
+                    self.st.tel.records_out += self.out.emit(msgs)?;
                     self.finished = true;
                     return Ok(());
                 }
@@ -1953,7 +2013,7 @@ impl CloudChaosState {
     fn emit_frontier(&mut self, advanced: Option<EventTime>) -> Result<()> {
         if let Some(c) = advanced {
             let msgs = drive(&mut self.st.ops, StreamMessage::Watermark(c))?;
-            self.st.tel.records_out += collect_data(&mut self.st.buffers, msgs);
+            self.st.tel.records_out += self.out.emit(msgs)?;
         }
         Ok(())
     }
@@ -1969,15 +2029,19 @@ impl CloudChaosState {
         if !aligned {
             return Ok(false);
         }
-        self.store.put_cloud(
+        let usable = self.store.put_cloud(
             epoch,
             CloudPart {
                 ops: snapshot_chain(&self.st.ops),
-                buffers: self.st.buffers.clone(),
+                uncommitted: self.out.held.clone(),
                 progress: self.st.progress.clone(),
                 latency: self.st.latency.clone(),
             },
         );
+        if usable {
+            // Restore never goes back past this cut.
+            self.out.commit()?;
+        }
         self.st.tel.checkpoint_sealed(epoch);
         self.aligning = None;
         self.seen.iter_mut().for_each(|s| *s = false);
@@ -2025,10 +2089,12 @@ fn run_cloud_chaos(
     mut rel: Vec<ReliableRx>,
     store: Arc<CheckpointStore>,
     abort: Arc<AtomicBool>,
+    out: &mut Outbox<'_>,
 ) -> Result<(CloudState, bool)> {
     let n = st.progress.len();
     let mut cc = CloudChaosState {
         st,
+        out,
         in_schema,
         wire,
         held: (0..n).map(|_| VecDeque::new()).collect(),
@@ -2090,7 +2156,7 @@ fn run_cloud_chaos(
                 return Err(if abort.load(Ordering::Relaxed) {
                     ClusterError::Aborted.into()
                 } else {
-                    NebulaError::Eval("cluster: all pipelines hung up".into())
+                    hung_up("all pipelines")
                 });
             }
         }
@@ -2364,6 +2430,7 @@ fn run_phase(
     io: &PhaseIo<'_>,
     pipelines: &mut [PipelinePlan],
     cloud_state: CloudState,
+    out: &mut Outbox<'_>,
     batch_limit: Option<u64>,
     cloud_in_schema: &SchemaRef,
     chaos: Option<&ChaosRun>,
@@ -2645,6 +2712,7 @@ fn run_phase(
                         rel,
                         store,
                         Arc::clone(&abort),
+                        out,
                     );
                     if r.is_err() {
                         abort.store(true, Ordering::Relaxed);
@@ -2652,63 +2720,41 @@ fn run_phase(
                     r
                 })
             }
-            None => scope.spawn(move || run_cloud(cloud_state, schema, inbox_rx, depths, wire)),
+            None => {
+                scope.spawn(move || run_cloud(cloud_state, schema, inbox_rx, depths, wire, out))
+            }
         };
         drop(inbox_tx);
 
-        let mut pump_err: Option<NebulaError> = None;
-        for handle in pump_handles {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    pump_err.get_or_insert(e);
-                }
-                Err(_) => {
-                    pump_err.get_or_insert_with(|| {
-                        NebulaError::Eval("cluster: pump thread panicked".into())
-                    });
-                }
+        // Join everything, keeping the first root cause in sites →
+        // cloud → pumps order: when one thread fails (the sink at the
+        // cloud, an operator anywhere) its neighbours fail with a
+        // knock-on error, which only stands in until the cause is joined.
+        let mut err: Option<NebulaError> = None;
+        let mut note = |e: NebulaError| {
+            if err
+                .as_ref()
+                .is_none_or(|held| is_knock_on(held) && !is_knock_on(&e))
+            {
+                err = Some(e);
             }
-        }
-
-        // Join sites and the cloud; prefer their errors over pump
-        // errors (a dead site makes the pump fail with "hung up" — the
-        // site's own error is the informative one).
-        let mut site_err: Option<NebulaError> = None;
+        };
         let mut all_ops: Vec<SiteOps> = Vec::with_capacity(n_pipes);
         for handles in site_handles {
             let mut pipe_ops = Vec::with_capacity(handles.len());
             for handle in handles {
-                match handle.join() {
-                    Ok(Ok(ops)) => pipe_ops.push(ops),
-                    Ok(Err(e)) => {
-                        site_err.get_or_insert(e);
-                        pipe_ops.push(Vec::new());
-                    }
-                    Err(_) => {
-                        site_err.get_or_insert_with(|| {
-                            NebulaError::Eval("cluster: site thread panicked".into())
-                        });
-                        pipe_ops.push(Vec::new());
-                    }
-                }
+                pipe_ops.push(joined(handle, "site").unwrap_or_else(|e| {
+                    note(e);
+                    Vec::new()
+                }));
             }
             all_ops.push(pipe_ops);
         }
-        let cloud = match cloud_handle.join() {
-            Ok(Ok(result)) => Some(result),
-            Ok(Err(e)) => {
-                site_err.get_or_insert(e);
-                None
-            }
-            Err(_) => {
-                site_err.get_or_insert_with(|| {
-                    NebulaError::Eval("cluster: cloud thread panicked".into())
-                });
-                None
-            }
-        };
-        if let Some(e) = site_err.or(pump_err) {
+        let cloud = joined(cloud_handle, "cloud").map_err(&mut note).ok();
+        for handle in pump_handles {
+            let _ = joined(handle, "pump").map_err(&mut note);
+        }
+        if let Some(e) = err {
             return Err(e);
         }
         let (state, finished) =
@@ -2728,4 +2774,153 @@ fn run_phase(
         pipe.sites = nodes.into_iter().zip(ops).collect();
     }
     Ok((state, finished, sites_spawned))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::buffer::TupleBuffer;
+    use crate::ops::OperatorFactory;
+    use crate::record::Record;
+    use crate::schema::Schema;
+    use crate::source::VecSource;
+    use crate::value::{DataType, Value};
+
+    fn schema() -> SchemaRef {
+        Schema::of(&[("v", DataType::Int)])
+    }
+
+    fn rows(vals: std::ops::Range<i64>) -> RecordBuffer {
+        RecordBuffer::new(
+            schema(),
+            vals.map(|v| Record::new(vec![Value::Int(v)])).collect(),
+        )
+    }
+
+    fn columnar(vals: std::ops::Range<i64>) -> TupleBuffer {
+        TupleBuffer::from_record_buffer(&rows(vals), None, 0, 0)
+    }
+
+    /// Logs every delivery as (layout, rows).
+    #[derive(Default)]
+    struct LayoutSink {
+        calls: Vec<(&'static str, usize)>,
+        bytes: usize,
+    }
+
+    impl Sink for LayoutSink {
+        fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
+            self.calls.push(("rows", buf.len()));
+            self.bytes += buf.est_bytes();
+            Ok(())
+        }
+
+        fn consume_columnar(&mut self, buf: &TupleBuffer) -> Result<()> {
+            self.calls.push(("columnar", buf.len()));
+            self.bytes += buf.est_bytes();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn outbox_delivers_both_layouts_in_emission_order_on_commit() {
+        let step = || {
+            vec![
+                StreamMessage::Data(rows(0..2)),
+                StreamMessage::Watermark(7),
+                StreamMessage::Columnar(columnar(2..5)),
+                StreamMessage::Data(rows(0..0)),
+            ]
+        };
+        // A run that cannot replay commits on every emission.
+        let mut sink = LayoutSink::default();
+        let mut out = Outbox::new(&mut sink, false);
+        assert_eq!(out.emit(step()).unwrap(), 5);
+        assert!(out.held.is_empty());
+        assert_eq!((out.records_out, out.bytes_out), (5, 40));
+        assert_eq!(sink.calls, [("rows", 2), ("columnar", 3)]);
+
+        // A chaos run holds rows until a commit, then hands them over
+        // once: empty buffers and control messages never reach the sink.
+        let mut sink = LayoutSink::default();
+        let mut out = Outbox::new(&mut sink, true);
+        assert_eq!(out.emit(step()).unwrap(), 5);
+        assert_eq!(out.emit(step()).unwrap(), 5);
+        assert_eq!((out.held.len(), out.records_out), (4, 0));
+        out.commit().unwrap();
+        out.commit().unwrap();
+        assert_eq!((out.held.len(), out.records_out), (0, 10));
+        assert_eq!(
+            sink.calls,
+            [("rows", 2), ("columnar", 3), ("rows", 2), ("columnar", 3)]
+        );
+    }
+
+    /// A cloud-tail operator that re-emits its input in the columnar
+    /// layout (rows reach the cloud; the tail may still emit buffers).
+    struct ToColumnar(SchemaRef);
+
+    impl Operator for ToColumnar {
+        fn name(&self) -> &str {
+            "to_columnar"
+        }
+
+        fn output_schema(&self) -> SchemaRef {
+            self.0.clone()
+        }
+
+        fn process(&mut self, buf: RecordBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
+            let buf = TupleBuffer::from_record_buffer(&buf, None, 0, 0);
+            out.push(StreamMessage::Columnar(buf));
+            Ok(())
+        }
+    }
+
+    struct ToColumnarFactory;
+
+    impl OperatorFactory for ToColumnarFactory {
+        fn name(&self) -> &str {
+            "to_columnar"
+        }
+
+        fn create(&self, input: SchemaRef, _: &FunctionRegistry) -> Result<Box<dyn Operator>> {
+            Ok(Box::new(ToColumnar(input)))
+        }
+    }
+
+    #[test]
+    fn terminal_columnar_buffers_reach_the_sink_and_the_counters() {
+        // `collect_data` used to keep only `StreamMessage::Data`: a
+        // buffer emitted by the cloud tail vanished without a count.
+        let (topo, sensors) = Topology::train_fleet(1);
+        let mut env = ClusterEnvironment::with_config(
+            topo,
+            ClusterConfig {
+                buffer_size: 16,
+                ..ClusterConfig::default()
+            },
+        );
+        env.add_source(
+            "s",
+            sensors[0],
+            Box::new(VecSource::new(schema(), rows(0..100).into_records())),
+            WatermarkStrategy::None,
+        );
+        let q = Query::from("s").apply(Arc::new(ToColumnarFactory));
+        let mut sink = LayoutSink::default();
+        let report = env
+            .run_placed(&q, PlacementStrategy::CloudOnly, &mut sink)
+            .expect("placed run");
+        assert!(!sink.calls.is_empty());
+        assert!(
+            sink.calls.iter().all(|(layout, _)| *layout == "columnar"),
+            "delivered in the layout emitted: {:?}",
+            sink.calls
+        );
+        assert_eq!(sink.calls.iter().map(|(_, n)| n).sum::<usize>(), 100);
+        assert_eq!(report.metrics.records_out, 100);
+        assert_eq!(report.metrics.bytes_out, sink.bytes as u64);
+        let last = report.telemetry.samples.last().expect("forced sample");
+        assert_eq!(last.records_out, 100, "the cloud gauge counts both");
+    }
 }

@@ -149,8 +149,8 @@ pub mod prelude {
     pub use crate::runtime::{ColumnarMode, EnvConfig, ProgressTracker, StreamEnvironment};
     pub use crate::schema::{Field, Schema, SchemaRef};
     pub use crate::sink::{
-        merge_partitions, normalize_records, CallbackSink, Collected, CollectingSink, CountingSink,
-        CsvSink, NullSink, Sink, SinkCounters,
+        normalize_records, CallbackSink, Collected, CollectingSink, CountingSink, CsvSink,
+        NullSink, Sink, SinkCounters,
     };
     pub use crate::source::{
         CsvSource, GapSource, GeneratorSource, JitterSource, ReplaySource, Source, SourceBatch,

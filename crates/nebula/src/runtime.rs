@@ -886,7 +886,7 @@ fn produce(
 
 /// Hands one released terminal message to the sink in the layout the
 /// chain emitted.
-fn deliver(sink: &mut dyn Sink, msg: &StreamMessage) -> Result<()> {
+pub(crate) fn deliver(sink: &mut dyn Sink, msg: &StreamMessage) -> Result<()> {
     match msg {
         StreamMessage::Data(b) => sink.consume(b),
         StreamMessage::Columnar(b) => sink.consume_columnar(b),

@@ -133,23 +133,6 @@ pub fn normalize_records(records: &mut [Record]) {
     records.sort_by_cached_key(crate::ops::record_sort_key);
 }
 
-/// The order-normalized merge of per-worker partition outputs: flattens
-/// every worker's buffers (worker order, then arrival order), then sorts
-/// the records canonically so the merged result is deterministic and
-/// independent of the parallelism degree.
-pub fn merge_partitions(
-    schema: crate::schema::SchemaRef,
-    parts: Vec<Vec<RecordBuffer>>,
-) -> RecordBuffer {
-    let mut records: Vec<Record> = parts
-        .into_iter()
-        .flatten()
-        .flat_map(RecordBuffer::into_records)
-        .collect();
-    normalize_records(&mut records);
-    RecordBuffer::new(schema, records)
-}
-
 /// Discards everything (pure pipeline-cost benchmarks).
 #[derive(Default)]
 pub struct NullSink;
@@ -280,23 +263,6 @@ mod tests {
         });
         sink.consume(&buf(&[1, 2, 3, 4])).unwrap();
         assert_eq!(seen.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn merge_partitions_is_order_normalized() {
-        let schema = Schema::of(&[("v", DataType::Int)]);
-        // Two partitions holding interleaved halves of 0..6.
-        let a = vec![buf(&[4, 1]), buf(&[5])];
-        let b = vec![buf(&[0, 3, 2])];
-        let ab = merge_partitions(schema.clone(), vec![a.clone(), b.clone()]);
-        let ba = merge_partitions(schema, vec![b, a]);
-        assert_eq!(ab.records(), ba.records(), "merge ignores worker order");
-        let got: Vec<i64> = ab
-            .records()
-            .iter()
-            .map(|r| r.get(0).unwrap().as_int().unwrap())
-            .collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! replay are only correct if all of that is observationally invisible.
 
 use nebula::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,7 +25,12 @@ fn schema() -> SchemaRef {
 
 /// The same deterministic 600-record stream as `cluster_equivalence`.
 fn records() -> Vec<Record> {
-    (0..600)
+    records_n(600)
+}
+
+/// The first `n` records of that stream's pattern.
+fn records_n(n: i64) -> Vec<Record> {
+    (0..n)
         .map(|i| {
             Record::new(vec![
                 Value::Timestamp(i * MICROS_PER_SEC),
@@ -391,6 +397,219 @@ fn plugin_chain_crash_recovers_from_scratch() {
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
     assert_eq!(report.cluster.replans, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Commit-on-checkpoint: results stream out of a chaos run, exactly once
+// ---------------------------------------------------------------------------
+
+/// A `VecSource` that publishes how many times it has been polled — a
+/// logical clock the sink reads instead of the wall clock. Crash
+/// recovery replays from the engine's own log, so a poll is counted
+/// once however often its batch is re-run.
+struct ClockedSource {
+    inner: VecSource,
+    polls: Arc<AtomicU64>,
+}
+
+impl Source for ClockedSource {
+    fn schema(&self) -> SchemaRef {
+        self.inner.schema()
+    }
+
+    fn poll(&mut self, max: usize) -> Result<SourceBatch> {
+        self.polls.fetch_add(1, Ordering::SeqCst);
+        self.inner.poll(max)
+    }
+}
+
+/// Logs every delivery: the source's poll count at the call, and the
+/// rows.
+struct CallLogSink {
+    polls: Arc<AtomicU64>,
+    calls: Vec<(u64, Vec<Record>)>,
+}
+
+impl Sink for CallLogSink {
+    fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
+        self.calls
+            .push((self.polls.load(Ordering::SeqCst), buf.records().to_vec()));
+        Ok(())
+    }
+}
+
+const LONG_BATCHES: u64 = 400;
+/// The edge box dies at the 300th frame it sees.
+const CRASH_AFTER_FRAMES: u64 = 300;
+/// A batch puts at most three frames on a link (data, every second one
+/// a watermark, every fourth a barrier; telemetry is off), so the
+/// source has been polled at least this often when the box dies: a
+/// delivery that reads a smaller poll count happened before the crash.
+const POLLS_BEFORE_CRASH: u64 = CRASH_AFTER_FRAMES / 3;
+
+/// `LONG_BATCHES` batches of 32.
+fn long_records() -> Vec<Record> {
+    records_n(32 * LONG_BATCHES as i64)
+}
+
+/// Runs `query` edge-first over the long stream while lossy links
+/// mangle frames and the edge box dies mid-run; returns the delivery
+/// log and `run`'s order-normalized output of the same query.
+fn crash_run_logged(
+    query: &Query,
+    watermark: WatermarkStrategy,
+    seed: u64,
+) -> (Vec<(u64, Vec<Record>)>, Vec<Record>) {
+    let mut sync_env = StreamEnvironment::with_config(EnvConfig {
+        buffer_size: 32,
+        watermark_every: 2,
+        ..EnvConfig::default()
+    });
+    sync_env.add_source(
+        "s",
+        Box::new(VecSource::new(schema(), long_records())),
+        watermark.clone(),
+    );
+    let (mut sink, reference) = CollectingSink::new();
+    sync_env.run(query, &mut sink).expect("sync run");
+    let mut reference = reference.records();
+    normalize_records(&mut reference);
+
+    let (topo, sensors) = Topology::train_fleet(3);
+    let edge = topo
+        .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
+        .expect("edge exists");
+    let mut env = ClusterEnvironment::with_config(
+        topo,
+        ClusterConfig {
+            buffer_size: 32,
+            watermark_every: 2,
+            telemetry: TelemetryConfig {
+                enabled: false,
+                ..TelemetryConfig::default()
+            },
+            ..ClusterConfig::default()
+        },
+    );
+    let polls = Arc::new(AtomicU64::new(0));
+    env.add_source(
+        "s",
+        sensors[0],
+        Box::new(ClockedSource {
+            inner: VecSource::new(schema(), long_records()),
+            polls: Arc::clone(&polls),
+        }),
+        watermark,
+    );
+    let mut sink = CallLogSink {
+        polls,
+        calls: Vec::new(),
+    };
+    let plan = lossy_plan(seed).crash_node(edge, CRASH_AFTER_FRAMES);
+    let report = env
+        .run_placed_chaos(query, PlacementStrategy::EdgeFirst, &plan, &mut sink)
+        .unwrap_or_else(|e| panic!("seed {seed}: chaos run failed: {e}"));
+    assert_eq!(report.cluster.replans, 1, "seed {seed}: the box must die");
+    assert_eq!(
+        report.metrics.records_out as usize,
+        reference.len(),
+        "seed {seed}: records_out"
+    );
+    (sink.calls, reference)
+}
+
+/// The rows of every logged delivery, order-normalized.
+fn delivered(calls: &[(u64, Vec<Record>)]) -> Vec<Record> {
+    let mut rows: Vec<Record> = calls.iter().flat_map(|(_, r)| r.iter().cloned()).collect();
+    normalize_records(&mut rows);
+    rows
+}
+
+/// A snapshottable plan commits at every sealed epoch: the sink is fed
+/// before the crash, and the restore — to the very epoch whose rows the
+/// sink already holds, the newest usable one — neither re-delivers those
+/// rows nor loses the ones the dead cloud had produced past the cut.
+#[test]
+fn snapshottable_plans_stream_before_the_crash_exactly_once() {
+    let cases = [
+        (
+            "q1/filter",
+            Query::from("s").filter(col("speed").ge(lit(40.0))),
+            WatermarkStrategy::None,
+        ),
+        (
+            "q4/splittable",
+            splittable_window_query(),
+            generous_watermark(),
+        ),
+    ];
+    for (name, q, watermark) in cases {
+        for seed in chaos_seeds() {
+            let (calls, reference) = crash_run_logged(&q, watermark.clone(), seed);
+            let first_at = calls.first().expect("delivers").0;
+            assert!(
+                first_at < POLLS_BEFORE_CRASH,
+                "{name}/seed {seed}: first delivery at poll {first_at}, the crash cannot \
+                 come before poll {POLLS_BEFORE_CRASH}: nothing streamed ahead of it"
+            );
+            assert!(
+                calls.last().expect("delivers").0 > POLLS_BEFORE_CRASH,
+                "{name}/seed {seed}: and the run went on past the crash"
+            );
+            // Every row of either query is distinct, so equality with
+            // the reference rules out a row delivered twice.
+            assert_eq!(
+                delivered(&calls),
+                reference,
+                "{name}/seed {seed}: not exactly-once across the crash"
+            );
+        }
+    }
+}
+
+/// A plan with an operator that cannot snapshot never seals a usable
+/// epoch, so the same rule holds everything back: the sink sees nothing
+/// until the from-scratch replay has drained the source, then each row
+/// once.
+#[test]
+fn unsnapshottable_plan_delivers_only_after_the_replay() {
+    struct Passthrough;
+    impl OperatorFactory for Passthrough {
+        fn name(&self) -> &str {
+            "passthrough"
+        }
+        fn create(
+            &self,
+            input: SchemaRef,
+            _registry: &FunctionRegistry,
+        ) -> Result<Box<dyn Operator>> {
+            Ok(Box::new(FlatMapOp::new(
+                "passthrough",
+                input,
+                |rec, out| {
+                    out.push(rec.clone());
+                    Ok(())
+                },
+            )))
+        }
+    }
+
+    let q = Query::from("s")
+        .filter(col("speed").ge(lit(40.0)))
+        .apply(Arc::new(Passthrough));
+    for seed in chaos_seeds() {
+        let (calls, reference) = crash_run_logged(&q, WatermarkStrategy::None, seed);
+        let first_at = calls.first().expect("delivers").0;
+        assert!(
+            first_at >= LONG_BATCHES,
+            "seed {seed}: delivered at poll {first_at}, before the source was drained"
+        );
+        assert_eq!(
+            delivered(&calls),
+            reference,
+            "seed {seed}: the full replay must stay exactly-once"
+        );
+    }
 }
 
 /// Multi-source chaos: three trains each pumping their own slice while

@@ -2,9 +2,11 @@
 //! supports is run through `ClusterEnvironment::run_placed` on the
 //! `train_fleet` topology — under both placement strategies, over
 //! in-order and jittered feeds, and with a node failure re-planned
-//! mid-run — and must produce order-normalized results and
-//! `records_in`/`records_out` counters identical to the single-threaded
-//! `StreamEnvironment::run` reference. The distributed runtime is only
+//! mid-run — and must produce results and `records_in`/`records_out`
+//! counters identical to the single-threaded `StreamEnvironment::run`
+//! reference: row for row in `run`'s own delivery order when one
+//! pipeline feeds the cloud, order-normalized (with each pipeline's
+//! rows still in that pipeline's order) when several interleave there. The distributed runtime is only
 //! correct if crossing node boundaries (wire encoding, bounded link
 //! channels, cross-boundary watermarks, edge pre-aggregation, state
 //! migration) is observationally invisible.
@@ -14,6 +16,7 @@
 //! moves a fraction of the uplink bytes of cloud-only placement.
 
 use nebula::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn schema() -> SchemaRef {
@@ -27,7 +30,12 @@ fn schema() -> SchemaRef {
 
 /// The same deterministic 600-record stream as `engine_equivalence`.
 fn records() -> Vec<Record> {
-    (0..600)
+    records_n(600)
+}
+
+/// The first `n` records of that stream's pattern.
+fn records_n(n: i64) -> Vec<Record> {
+    (0..n)
         .map(|i| {
             Record::new(vec![
                 Value::Timestamp(i * MICROS_PER_SEC),
@@ -60,7 +68,15 @@ fn generous_watermark() -> WatermarkStrategy {
     }
 }
 
-/// The synchronous single-process reference.
+/// Canonical order, for comparisons across executions that may differ
+/// in interleaving (several pipelines, different batch sizes).
+fn normalized(mut recs: Vec<Record>) -> Vec<Record> {
+    normalize_records(&mut recs);
+    recs
+}
+
+/// The synchronous single-process reference, in `run`'s raw delivery
+/// order: a one-pipeline placed run must reproduce it row for row.
 fn sync_reference(
     query: &Query,
     feed: Feed,
@@ -74,9 +90,7 @@ fn sync_reference(
     env.add_source("s", source(feed), watermark);
     let (mut sink, got) = CollectingSink::new();
     let metrics = env.run(query, &mut sink).expect("sync run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    (recs, metrics)
+    (got.records(), metrics)
 }
 
 fn fleet_env(feed: Feed, watermark: WatermarkStrategy) -> (ClusterEnvironment, NodeId) {
@@ -107,9 +121,7 @@ fn cluster_run(
         Some(f) => env.run_placed_with_failure(query, strategy, f, &mut sink),
     }
     .unwrap_or_else(|e| panic!("{strategy:?}/{feed:?} cluster run failed: {e}"));
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    (recs, report)
+    (got.records(), report)
 }
 
 /// Both strategies, one feed, must agree with the sync reference.
@@ -165,10 +177,9 @@ fn assert_failure_equivalent(name: &str, query: &Query, watermark: &WatermarkStr
                 &mut sink,
             )
             .unwrap_or_else(|e| panic!("{name}: failure run (after {after_batches}): {e}"));
-        let mut recs = got.records();
-        normalize_records(&mut recs);
         assert_eq!(
-            recs, reference,
+            got.records(),
+            reference,
             "{name}: results diverge after failing the edge at batch {after_batches}"
         );
         assert_eq!(report.metrics.records_in, ref_metrics.records_in, "{name}");
@@ -185,6 +196,14 @@ fn assert_failure_equivalent(name: &str, query: &Query, watermark: &WatermarkStr
             );
         }
     }
+}
+
+/// The rows whose `train_col` holds `train`, in the order given.
+fn rows_of_train(recs: &[Record], train_col: usize, train: i64) -> Vec<Record> {
+    recs.iter()
+        .filter(|r| r.get(train_col).and_then(Value::as_int) == Some(train))
+        .cloned()
+        .collect()
 }
 
 fn splittable_window_query() -> Query {
@@ -639,9 +658,21 @@ fn multi_source_fleet_merges_at_cloud() {
     let report = env
         .run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
         .expect("multi-source run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    assert_eq!(recs, reference, "fan-in merge matches the union reference");
+    assert_eq!(
+        normalized(got.records()),
+        normalized(reference.clone()),
+        "fan-in merge matches the union reference"
+    );
+    // Pipelines interleave at the cloud in arrival order, but each
+    // train lives on one pipeline and its windows still come out in
+    // that pipeline's order.
+    for train in 0..5 {
+        assert_eq!(
+            rows_of_train(&got.records(), 0, train),
+            rows_of_train(&reference, 0, train),
+            "train {train}: per-pipeline delivery order"
+        );
+    }
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
     assert!(report.cluster.preaggregated);
@@ -690,10 +721,9 @@ fn early_finished_source_does_not_stall_or_regress_the_fleet_clock() {
     let report = env
         .run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
         .expect("early-finish run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
     assert_eq!(
-        recs, reference,
+        normalized(got.records()),
+        normalized(reference),
         "early finish diverges from union reference"
     );
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
@@ -1092,6 +1122,156 @@ fn late_drops_reported_identically_across_runtimes() {
 }
 
 // ---------------------------------------------------------------------------
+// Streaming delivery: results leave the cloud as they are produced
+// ---------------------------------------------------------------------------
+
+/// A `VecSource` that publishes how many times it has been polled — a
+/// logical clock a sink can read without looking at the wall clock.
+struct ClockedSource {
+    inner: VecSource,
+    polls: Arc<AtomicU64>,
+}
+
+impl Source for ClockedSource {
+    fn schema(&self) -> SchemaRef {
+        self.inner.schema()
+    }
+
+    fn poll(&mut self, max: usize) -> Result<SourceBatch> {
+        self.polls.fetch_add(1, Ordering::SeqCst);
+        self.inner.poll(max)
+    }
+}
+
+/// Notes the source's poll count at the first delivery.
+struct FirstDeliverySink {
+    polls: Arc<AtomicU64>,
+    first_at: Option<u64>,
+}
+
+impl Sink for FirstDeliverySink {
+    fn consume(&mut self, _buf: &RecordBuffer) -> Result<()> {
+        self.first_at
+            .get_or_insert_with(|| self.polls.load(Ordering::SeqCst));
+        Ok(())
+    }
+}
+
+#[test]
+fn first_delivery_happens_while_the_source_still_has_batches() {
+    // 200 batches of 32. `run` hands the sink its first buffer right
+    // after the poll that produced it (poll `k`); a placed run may have
+    // polled further ahead by then, but only by what fits between the
+    // pump and the sink: one frame in hand per thread plus the bounded
+    // channels (one into the edge site at most, one cloud inbox).
+    let total_polls = 200;
+    let clocked = || {
+        let polls = Arc::new(AtomicU64::new(0));
+        let source = Box::new(ClockedSource {
+            inner: VecSource::new(schema(), records_n(32 * total_polls as i64)),
+            polls: Arc::clone(&polls),
+        });
+        let sink = FirstDeliverySink {
+            polls,
+            first_at: None,
+        };
+        (source, sink)
+    };
+    let cases = [
+        (
+            "q1-shaped",
+            Query::from("s").filter(col("speed").ge(lit(40.0))),
+            WatermarkStrategy::None,
+        ),
+        (
+            "keyed window",
+            splittable_window_query(),
+            generous_watermark(),
+        ),
+    ];
+    for (name, q, watermark) in cases {
+        let mut env = StreamEnvironment::with_config(EnvConfig {
+            buffer_size: 32,
+            watermark_every: 2,
+            ..EnvConfig::default()
+        });
+        let (source, mut sink) = clocked();
+        env.add_source("s", source, watermark.clone());
+        env.run(&q, &mut sink).expect("sync run");
+        let k = sink.first_at.expect("the reference delivers");
+
+        for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
+            let (topo, sensors) = Topology::train_fleet(3);
+            let config = ClusterConfig {
+                buffer_size: 32,
+                watermark_every: 2,
+                ..ClusterConfig::default()
+            };
+            let in_flight = 2 * config.channel_capacity as u64 + 3;
+            let mut env = ClusterEnvironment::with_config(topo, config);
+            let (source, mut sink) = clocked();
+            env.add_source("s", sensors[0], source, watermark.clone());
+            env.run_placed(&q, strategy, &mut sink)
+                .unwrap_or_else(|e| panic!("{name}/{strategy:?}: {e}"));
+            let first_at = sink.first_at.expect("the placed run delivers");
+            assert!(
+                first_at <= k + in_flight + 1,
+                "{name}/{strategy:?}: first delivery at poll {first_at}, `run` delivers at \
+                 poll {k} and only {in_flight} frames fit in flight"
+            );
+            assert!(
+                first_at < total_polls / 2,
+                "{name}/{strategy:?}: first delivery only at poll {first_at} of {total_polls}"
+            );
+        }
+    }
+}
+
+#[test]
+fn multi_source_stateless_rows_keep_their_pipeline_order() {
+    // Three stateless pipelines interleave at the cloud in arrival
+    // order — compare normalized — but the cloud never reorders what
+    // one pipeline sent: each train slice arrives in source order.
+    let q = Query::from("s").filter(col("speed").ge(lit(40.0)));
+    let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, WatermarkStrategy::None);
+
+    let (topo, sensors) = Topology::train_fleet(3);
+    let mut env = ClusterEnvironment::with_config(
+        topo,
+        ClusterConfig {
+            buffer_size: 32,
+            ..ClusterConfig::default()
+        },
+    );
+    // Trains 0 and 3 on pipeline 0, 1 and 4 on pipeline 1, 2 on pipeline 2.
+    for (t, sensor) in sensors.iter().enumerate() {
+        let slice: Vec<Record> = records()
+            .into_iter()
+            .filter(|r| r.get(1).unwrap().as_int().unwrap() as usize % sensors.len() == t)
+            .collect();
+        env.add_source(
+            "s",
+            *sensor,
+            Box::new(VecSource::new(schema(), slice)),
+            WatermarkStrategy::None,
+        );
+    }
+    let (mut sink, got) = CollectingSink::new();
+    let report = env
+        .run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
+        .expect("multi-source stateless run");
+    assert_eq!(report.metrics.records_out, ref_metrics.records_out);
+    assert_eq!(normalized(got.records()), normalized(reference.clone()));
+    for train in 0..5 {
+        assert_eq!(
+            rows_of_train(&got.records(), 1, train),
+            rows_of_train(&reference, 1, train),
+            "train {train}: per-pipeline delivery order"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Batched (columnar) wire-path coverage
 // ---------------------------------------------------------------------------
 
@@ -1126,9 +1306,9 @@ fn cluster_run_cfg(
     .unwrap_or_else(|e| {
         panic!("{strategy:?}/{feed:?}/batch={buffer_size}/{columnar:?} cluster run failed: {e}")
     });
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    (recs, report)
+    // Batch size shapes the jittered feed and the watermark cadence,
+    // so runs at different sizes compare in canonical order.
+    (normalized(got.records()), report)
 }
 
 /// Batched cluster execution vs the per-record sync reference, across
@@ -1140,6 +1320,7 @@ fn assert_batched_cluster_equivalent(
     watermark: &WatermarkStrategy,
 ) {
     let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
+    let reference = normalized(reference);
     for batch in [7, 64] {
         for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
             for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
@@ -1194,6 +1375,7 @@ fn batched_failure_replanning_equivalence() {
     // and the re-planned cloud chain continues from it losslessly.
     let q = splittable_window_query();
     let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, generous_watermark());
+    let reference = normalized(reference);
     for after_batches in [0, 3, 11] {
         let (topo, sensors) = Topology::train_fleet(3);
         let failed = {

@@ -5,11 +5,12 @@
 //! 1. **No `unwrap()`/`expect()` on runtime hot paths.** The cluster
 //!    runtime's whole design is that injected faults surface as typed
 //!    errors, not panics; a stray `unwrap()` on a node thread undoes
-//!    that. Non-test code in `cluster.rs`, `reliable.rs` and
-//!    `runtime.rs` — and in `buffer.rs` and `expr/columnar.rs`, which
-//!    every columnar batch of every runtime passes through — must stay
-//!    panic-free except for the entries in `xtask/lint-allow.txt`
-//!    (invariants a local match already proves).
+//!    that. Non-test code in `cluster.rs`, `checkpoint.rs`,
+//!    `reliable.rs` and `runtime.rs` — and in `buffer.rs` and
+//!    `expr/columnar.rs`, which every columnar batch of every runtime
+//!    passes through — must stay panic-free except for the entries in
+//!    `xtask/lint-allow.txt` (invariants a local match already
+//!    proves).
 //! 2. **Stable telemetry operator ids.** Per-operator metrics merge
 //!    across partitions, pipelines and runs by `op{index}:{name}`;
 //!    every `impl Operator` must return a string-literal `name()` so
@@ -23,6 +24,7 @@ use std::process::ExitCode;
 /// Hot-path files that must stay free of panicking shortcuts.
 const NO_PANIC_FILES: &[&str] = &[
     "crates/nebula/src/buffer.rs",
+    "crates/nebula/src/checkpoint.rs",
     "crates/nebula/src/cluster.rs",
     "crates/nebula/src/expr/columnar.rs",
     "crates/nebula/src/reliable.rs",
