@@ -3,9 +3,8 @@
 //! A [`FaultPlan`] describes, with a seed, what goes wrong during a
 //! placed run: per-link frame drops, duplication, reordering, bit
 //! corruption, added latency, periodic link flaps, and one *abrupt*
-//! node crash (the node dies mid-batch without the cooperative
-//! `Handoff` drain of [`crate::cluster::FailureInjection`]). Every
-//! link derives its own [`XorShift`] stream from `(plan.seed, link
+//! node crash (the node dies mid-batch, with no drain and no goodbye) —
+//! the one way a placed run fails a node. Every link derives its own [`XorShift`] stream from `(plan.seed, link
 //! id)`, so a given plan injects exactly the same faults on every run —
 //! which is what lets the differential chaos suite assert byte-exact
 //! output equality under fire.
@@ -23,12 +22,16 @@ use std::time::Duration;
 
 /// An abrupt, unannounced node death: after the doomed node has handled
 /// `after_frames` frames it is killed mid-batch — its thread drops all
-/// state and every channel without sending `Eos` or `Handoff`.
+/// state and every channel without sending `Eos`. Frames, not source
+/// batches: a site counts every frame it receives (data, watermarks,
+/// barriers, telemetry), a pass-through node every batch its pump
+/// routes across it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashFault {
-    /// The node to kill. Must not be the cloud root or host a source.
+    /// The node to kill. Must not be the cloud root or host a source,
+    /// and must lie on some pipeline's frame route.
     pub node: NodeId,
-    /// Frames the node handles before dying (0 = immediately).
+    /// Frames the node handles before dying (0 = at its first frame).
     pub after_frames: u64,
 }
 
@@ -123,7 +126,8 @@ impl FaultPlan {
         self
     }
 
-    /// Abruptly kills `node` after it has handled `after_frames` frames.
+    /// Abruptly kills `node` after it has handled `after_frames` frames
+    /// (see [`CrashFault`] for what counts as one).
     pub fn crash_node(mut self, node: NodeId, after_frames: u64) -> Self {
         self.crash = Some(CrashFault { node, after_frames });
         self

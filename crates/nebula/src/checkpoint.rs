@@ -114,7 +114,7 @@ pub(crate) struct PipeFinal {
 struct StoreInner {
     epochs: BTreeMap<u64, EpochState>,
     /// Site-chain count per pipeline for the current phase (regrouping
-    /// after a migration changes it).
+    /// after a crash re-plan changes it).
     expected_sites: Vec<usize>,
     finals: Vec<Option<PipeFinal>>,
     taken: u64,

@@ -46,26 +46,15 @@
 //! reduction versus [`PlacementStrategy::CloudOnly`] is the
 //! demonstration's headline number.
 //!
-//! ## Failure re-planning
-//!
-//! [`ClusterEnvironment::run_placed_with_failure`] kills a topology node
-//! mid-run: after the configured number of source batches the pump
-//! pauses, a [`Frame::Handoff`] marker flushes the pipeline (draining
-//! every in-flight frame ahead of it), each site returns its operator
-//! state, the topology re-attaches the failed node's children
-//! ([`Topology::fail_node`]), stages migrate to the failed node's former
-//! parent, and the pipeline is rebuilt with the preserved state and
-//! resumed. Because state moves losslessly at a quiesced point, results
-//! are identical to an undisturbed run.
-//!
-//! ## Chaos hardening
+//! ## Failure and recovery
 //!
 //! [`ClusterEnvironment::run_placed_chaos`] runs the same placed plan
 //! under a seeded [`FaultPlan`]: every inter-site channel drops,
 //! duplicates, reorders, corrupts and delays frames deterministically,
-//! and one non-source node may be killed *abruptly* — mid-batch, with
-//! no cooperative handoff. Three mechanisms keep the output
-//! byte-identical to an undisturbed [`crate::runtime::StreamEnvironment::run`]:
+//! and one non-source node on a pipeline's route may be killed
+//! *abruptly*, mid-batch — the one way a run fails a node. Three
+//! mechanisms keep the output byte-identical to an undisturbed
+//! [`crate::runtime::StreamEnvironment::run`]:
 //!
 //! - every link speaks the resilient wire protocol of the internal
 //!   `reliable` module (CRC32 envelopes, per-link sequence numbers,
@@ -188,15 +177,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A mid-run node failure to inject (single-source runs only).
-#[derive(Debug, Clone, Copy)]
-pub struct FailureInjection {
-    /// The node to fail. Must not host the source or be the cloud root.
-    pub node: NodeId,
-    /// Source batches to process before the failure triggers.
-    pub after_batches: u64,
-}
-
 /// Measured traffic over one topology link (same indexing as
 /// [`Topology::links`]).
 #[derive(Debug, Clone, Default)]
@@ -228,7 +208,7 @@ pub struct ClusterMetrics {
     pub uplink_records: u64,
     /// Frames that crossed into a cloud node.
     pub uplink_frames: u64,
-    /// Stages migrated by mid-run failure re-planning.
+    /// Stages migrated off a crashed node by recovery re-planning.
     pub migrated_stages: usize,
     /// Re-planning rounds triggered by failures.
     pub replans: u32,
@@ -421,22 +401,7 @@ impl ClusterEnvironment {
         strategy: PlacementStrategy,
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
-        self.run_inner(query, strategy, None, None, sink)
-    }
-
-    /// Like [`Self::run_placed`], but fails `failure.node` after
-    /// `failure.after_batches` source batches and re-plans mid-run.
-    /// Works with any number of hosted sources: every pump pauses at
-    /// its own batch limit and the cloud waits for a handoff (or
-    /// end-of-stream) from each pipeline before the migration phase.
-    pub fn run_placed_with_failure(
-        &mut self,
-        query: &Query,
-        strategy: PlacementStrategy,
-        failure: FailureInjection,
-        sink: &mut dyn Sink,
-    ) -> Result<ClusterReport> {
-        self.run_inner(query, strategy, Some(failure), None, sink)
+        self.run_inner(query, strategy, None, sink)
     }
 
     /// Like [`Self::run_placed`], but under a seeded [`FaultPlan`]:
@@ -450,8 +415,10 @@ impl ClusterEnvironment {
     /// [`ClusterMetrics::duplicates_suppressed`],
     /// [`ClusterMetrics::checkpoints_taken`] and
     /// [`ClusterMetrics::recovery_ms`]. Fault plans are validated up
-    /// front: naming the cloud root or a source host as the crash
-    /// target fails fast with [`ClusterError::IneligibleFault`].
+    /// front: naming the cloud root, a source host, or a node on no
+    /// pipeline's frame route (it would never see a frame, so it could
+    /// never crash) as the crash target fails fast with
+    /// [`ClusterError::IneligibleFault`], leaving the sources hosted.
     pub fn run_placed_chaos(
         &mut self,
         query: &Query,
@@ -459,14 +426,13 @@ impl ClusterEnvironment {
         plan: &FaultPlan,
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
-        self.run_inner(query, strategy, None, Some(plan), sink)
+        self.run_inner(query, strategy, Some(plan), sink)
     }
 
     fn run_inner(
         &mut self,
         query: &Query,
         strategy: PlacementStrategy,
-        failure: Option<FailureInjection>,
         chaos_plan: Option<&FaultPlan>,
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
@@ -549,6 +515,23 @@ impl ClusterEnvironment {
                 for stage in &mut pl.stages[pipe_op_end + 1..] {
                     *stage = cloud_node;
                 }
+            }
+        }
+        // A crash target no frame ever crosses could never trip: reject
+        // it rather than "survive" a failure that never happened.
+        if let Some(crash) = chaos_plan.and_then(|plan| plan.crash) {
+            let mut on_route = false;
+            for (h, pl) in hosted_ref.iter().zip(&placements) {
+                on_route |= route_crosses(&self.topo, cloud_node, h.node, &pl.stages, crash.node)?;
+            }
+            if !on_route {
+                return Err(ClusterError::IneligibleFault {
+                    detail: format!(
+                        "'{}' lies on no pipeline's frame route",
+                        self.topo.node(crash.node).name
+                    ),
+                }
+                .into());
             }
         }
 
@@ -679,8 +662,7 @@ impl ClusterEnvironment {
             c.store.set_expected_sites(phase1_sites.clone());
         }
 
-        // Phase 1: run until the failure trigger (or to completion).
-        let batch_limit = failure.as_ref().map(|f| f.after_batches);
+        // Phase 1: run to completion, or until the plan's crash trips.
         let io = PhaseIo {
             topo: &self.topo,
             cfg: &self.config,
@@ -688,39 +670,28 @@ impl ClusterEnvironment {
             accounts: &accounts,
             cloud_node,
         };
-        let finished = match run_phase(
+        match run_phase(
             &io,
             &mut pipelines,
             cloud_state,
             &mut out,
-            batch_limit,
             &cloud_in_schema,
             chaos_run.as_ref(),
         ) {
-            Ok((st, fin, spawned)) => {
+            Ok((st, spawned)) => {
                 cloud_state = st;
                 cluster.sites += spawned;
-                fin
             }
             Err(e) => {
                 // An error with the crash switch tripped IS the injected
                 // abrupt node death: detect, re-plan, restore, resume.
-                let crashed = chaos_run
-                    .as_ref()
-                    .and_then(|c| c.switch.as_ref())
-                    .is_some_and(|s| s.tripped());
-                if !crashed {
+                let Some((c, failed)) = chaos_run.as_ref().and_then(|c| {
+                    let switch = c.switch.as_ref().filter(|s| s.tripped())?;
+                    Some((c, switch.node))
+                }) else {
                     return Err(e);
-                }
-                let c = chaos_run
-                    .as_ref()
-                    .ok_or_else(|| internal("crash without a chaos run"))?;
-                let switch = c
-                    .switch
-                    .as_ref()
-                    .ok_or_else(|| internal("crash without a crash switch"))?;
+                };
                 let recovery_t0 = Instant::now();
-                let failed = switch.node;
                 if tel_on {
                     trace.push(
                         COORDINATOR_ORIGIN,
@@ -742,22 +713,14 @@ impl ClusterEnvironment {
                     })?;
                 self.topo.fail_node(failed);
                 cluster.replans += 1;
-                for (p, pipe) in pipelines.iter_mut().enumerate() {
-                    let mut migrated = 0;
-                    for node in &mut pipe.assign {
-                        if *node == failed {
-                            *node = parent;
-                            migrated += 1;
-                        }
+                for (pipe, pl) in pipelines.iter_mut().zip(&mut placements) {
+                    for node in pipe.assign.iter_mut().filter(|n| **n == failed) {
+                        *node = parent;
                     }
+                    let (new_pl, migrated) =
+                        crate::topology::replace_after_failure(&self.topo, pl, failed, parent);
+                    *pl = new_pl;
                     cluster.migrated_stages += migrated;
-                    let (new_pl, _) = crate::topology::replace_after_failure(
-                        &self.topo,
-                        &placements[p],
-                        failed,
-                        parent,
-                    );
-                    placements[p] = new_pl;
                 }
                 if tel_on {
                     trace.push(
@@ -913,111 +876,17 @@ impl ClusterEnvironment {
                     accounts: &accounts,
                     cloud_node,
                 };
-                let (st, fin, spawned) = run_phase(
+                let (st, spawned) = run_phase(
                     &io,
                     &mut pipelines,
                     cloud_state,
                     &mut out,
-                    None,
                     &cloud_in_schema,
                     Some(&resumed),
                 )?;
                 cloud_state = st;
                 cluster.sites += spawned;
-                if !fin {
-                    return Err(internal("chaos resume paused unexpectedly"));
-                }
-                true
             }
-        };
-
-        if !finished {
-            // Migration: fail the node, move its stages to its former
-            // parent, rebuild the pipeline from the preserved state.
-            let failure = failure.ok_or_else(|| internal("handoff without a failure injection"))?;
-            let failed = failure.node;
-            if pipelines.iter().any(|p| p.node == failed) {
-                return Err(NebulaError::Plan(format!(
-                    "cannot fail node '{}': it hosts a source",
-                    self.topo.node(failed).name
-                )));
-            }
-            let parent = self
-                .topo
-                .links()
-                .iter()
-                .find(|l| l.from == failed)
-                .map(|l| l.to)
-                .ok_or_else(|| {
-                    NebulaError::Plan(format!(
-                        "cannot fail node '{}': it has no parent to migrate to",
-                        self.topo.node(failed).name
-                    ))
-                })?;
-            self.topo.fail_node(failed);
-            cluster.replans += 1;
-            if tel_on {
-                trace.push(
-                    COORDINATOR_ORIGIN,
-                    TraceKind::NodeDown,
-                    format!("node '{}' failed by injection", self.topo.node(failed).name),
-                );
-            }
-            for (p, pipe) in pipelines.iter_mut().enumerate() {
-                let mut migrated = 0;
-                for node in &mut pipe.assign {
-                    if *node == failed {
-                        *node = parent;
-                        migrated += 1;
-                    }
-                }
-                cluster.migrated_stages += migrated;
-                let mut flat = std::mem::take(&mut pipe.pump.ops);
-                for (_, ops) in pipe.sites.drain(..) {
-                    flat.extend(ops);
-                }
-                let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                pipe.pump.ops = group0;
-                pipe.sites = sites;
-                let (new_pl, _) = crate::topology::replace_after_failure(
-                    &self.topo,
-                    &placements[p],
-                    failed,
-                    parent,
-                );
-                placements[p] = new_pl;
-            }
-            if tel_on {
-                trace.push(
-                    COORDINATOR_ORIGIN,
-                    TraceKind::Replan,
-                    format!(
-                        "{} stage(s) migrated to '{}'",
-                        cluster.migrated_stages,
-                        self.topo.node(parent).name
-                    ),
-                );
-            }
-            // Phase 2: resume to completion on the re-planned pipeline.
-            let io = PhaseIo {
-                topo: &self.topo,
-                cfg: &self.config,
-                wire: &self.wire,
-                accounts: &accounts,
-                cloud_node,
-            };
-            let (st, finished, spawned) = run_phase(
-                &io,
-                &mut pipelines,
-                cloud_state,
-                &mut out,
-                None,
-                &cloud_in_schema,
-                None,
-            )?;
-            debug_assert!(finished, "no batch limit, phase must finish");
-            cloud_state = st;
-            cluster.sites += spawned;
         }
 
         // The run is over: no recovery can replay what is still held.
@@ -1317,10 +1186,6 @@ fn regroup(
     (group0, sites)
 }
 
-/// One inter-site channel hop: sender, receiver (consumed by its site)
-/// and the shared in-flight frame counter.
-type Hop = (Sender<Vec<u8>>, Option<Receiver<Vec<u8>>>, Arc<AtomicU64>);
-
 /// Per-link traffic counters shared across site threads.
 #[derive(Default)]
 struct LinkAccount {
@@ -1508,31 +1373,42 @@ impl RxLink {
         }
     }
 
-    /// Chaos mode: after end-of-stream, keep absorbing (and re-acking)
-    /// stray retransmissions and duplicates until the upstream sender
-    /// hangs up, so its flush never emits into a dropped channel. The
-    /// reliable layer already delivered every genuine payload in order,
-    /// so anything arriving now classifies as bookkeeping. No-op on
-    /// plain links (they cannot duplicate).
+    /// Chaos mode: [`linger`] after end-of-stream. No-op on plain links
+    /// (they cannot duplicate).
     fn linger(&mut self, depth: &AtomicU64) {
         if let RxLink::Reliable { rx, rel, abort } = self {
-            loop {
-                match rx.recv_timeout(Duration::from_millis(2)) {
-                    Ok(raw) => {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        let _ = rel.on_bytes(&raw);
-                        while rel.next_buffered().is_some() {}
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if abort.load(Ordering::Relaxed) {
-                            return;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
+            linger(rx, abort, |raw| {
+                depth.fetch_sub(1, Ordering::Relaxed);
+                let _ = rel.on_bytes(&raw);
+                while rel.next_buffered().is_some() {}
+            });
         }
     }
+}
+
+/// A reliable receiver's end-of-stream: keep absorbing (and re-acking)
+/// stray retransmissions and duplicates until every upstream sender
+/// hangs up or the phase aborts, so no sender's flush emits into a
+/// dropped channel. The reliable layer already delivered every genuine
+/// payload in order, so anything arriving now is bookkeeping.
+fn linger<T>(rx: &Receiver<T>, abort: &AtomicBool, mut absorb: impl FnMut(T)) {
+    loop {
+        match rx.recv_timeout(Duration::from_millis(2)) {
+            Ok(msg) => absorb(msg),
+            Err(RecvTimeoutError::Timeout) if !abort.load(Ordering::Relaxed) => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Passes a thread's result through, first raising the chaos phase's
+/// abort flag if it failed, so neighbours blocked on quiet channels
+/// wind down instead of hanging.
+fn flag_abort<T>(abort: Option<&AtomicBool>, r: Result<T>) -> Result<T> {
+    if let (Err(_), Some(a)) = (&r, abort) {
+        a.store(true, Ordering::Relaxed);
+    }
+    r
 }
 
 /// Encodes and forwards terminal messages downstream.
@@ -1591,7 +1467,7 @@ struct SiteTel {
 }
 
 /// One edge site: decode, drive the sub-chain, re-encode downstream.
-/// Returns the operator state on end-of-stream or handoff.
+/// Returns the operator state on end-of-stream.
 ///
 /// Thread entry point: every argument is moved out of the spawning
 /// closure and owned until the site shuts down.
@@ -1618,7 +1494,7 @@ fn run_site(
             if let Some(switch) = &c.doom {
                 if switch.observe() {
                     // Abrupt death: all operator state and every channel
-                    // drop mid-batch, with no Eos and no Handoff.
+                    // drop mid-batch, with no Eos.
                     return Err(ClusterError::NodeDown {
                         node: c.doom_name.clone(),
                     }
@@ -1695,10 +1571,6 @@ fn run_site(
                     c.store.add_site_final_late(c.pipe, chain_late_drops(&ops));
                 }
                 rx.linger(&depth);
-                return Ok(ops);
-            }
-            Frame::Handoff => {
-                tx.send(encode_frame(&Frame::Handoff, &out_schema, &wire)?, 0)?;
                 return Ok(ops);
             }
         }
@@ -1861,89 +1733,13 @@ impl<'a> Outbox<'a> {
     }
 }
 
-/// The cloud site: fans in every pipeline, min-combines watermarks,
-/// drives the shared tail, and emits results to `out`. Returns `true` when
-/// the run finished (`false`: handoff, resume in the next phase).
-///
-/// Thread entry point: arguments are moved out of the spawning closure
-/// and owned until the phase ends.
-#[allow(clippy::needless_pass_by_value)]
-fn run_cloud(
-    mut st: CloudState,
-    in_schema: SchemaRef,
-    rx: Receiver<(usize, Vec<u8>)>,
-    depths: Vec<Arc<AtomicU64>>,
-    wire: WireRegistry,
-    out: &mut Outbox<'_>,
-) -> Result<(CloudState, bool)> {
-    // Handoff seen per input pipeline this phase (failure injection
-    // pauses every live pipeline, each at its own batch limit).
-    let mut handed = vec![false; st.progress.len()];
-    let paused = |handed: &[bool], st: &CloudState| -> bool {
-        handed
-            .iter()
-            .enumerate()
-            .all(|(q, h)| *h || st.progress.is_done(q as u64))
-    };
-    loop {
-        let queue_depth: u64 = depths.iter().map(|d| d.load(Ordering::Relaxed)).sum();
-        st.tel.maybe_sample(&st.progress, queue_depth);
-        let (p, bytes) = rx.recv().map_err(|_| hung_up("all pipelines"))?;
-        depths[p].fetch_sub(1, Ordering::Relaxed);
-        match decode_frame(&bytes, &in_schema, &wire)? {
-            Frame::Data(recs) => {
-                st.tel.records_in += recs.len() as u64;
-                let buf = RecordBuffer::new(in_schema.clone(), recs);
-                let t0 = Instant::now();
-                let msgs = drive(&mut st.ops, StreamMessage::Data(buf))?;
-                st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                st.tel.records_out += out.emit(msgs)?;
-            }
-            Frame::Watermark(w) => {
-                // The tracker owns the fan-in rules: min across live
-                // origins, monotone, silent until every live origin has
-                // reported.
-                if let Some(c) = st.progress.advance_origin(p as u64, w) {
-                    let msgs = drive(&mut st.ops, StreamMessage::Watermark(c))?;
-                    st.tel.records_out += out.emit(msgs)?;
-                }
-            }
-            Frame::Eos => {
-                // Removing a finished input can only raise the minimum.
-                let advanced = st.progress.finish(p as u64);
-                if st.progress.all_done() {
-                    let msgs = drive(&mut st.ops, StreamMessage::Eos)?;
-                    st.tel.records_out += out.emit(msgs)?;
-                    return Ok((st, true));
-                }
-                if let Some(c) = advanced {
-                    let msgs = drive(&mut st.ops, StreamMessage::Watermark(c))?;
-                    st.tel.records_out += out.emit(msgs)?;
-                }
-                if handed.iter().any(|h| *h) && paused(&handed, &st) {
-                    return Ok((st, false));
-                }
-            }
-            Frame::Barrier(_) => {
-                return Err(internal("checkpoint barrier outside a chaos run"));
-            }
-            Frame::Telemetry(snap) => st.tel.keep(snap),
-            Frame::Handoff => {
-                handed[p] = true;
-                if paused(&handed, &st) {
-                    return Ok((st, false));
-                }
-            }
-        }
-    }
-}
-
-/// The chaos cloud's working state: the legacy [`CloudState`] plus
-/// barrier-alignment bookkeeping (Chandy–Lamport style: once a barrier
-/// arrives from one pipeline, that pipeline's further frames are held
-/// back until every live pipeline has presented the same barrier; the
-/// epoch seals at the aligned cut).
-struct CloudChaosState<'o, 's> {
+/// The cloud's fan-in: the [`CloudState`] plus barrier-alignment
+/// bookkeeping (Chandy–Lamport style: once a barrier arrives from one
+/// pipeline, that pipeline's further frames are held back until every
+/// live pipeline has presented the same barrier; the epoch seals at the
+/// aligned cut). Only chaos runs send barriers, so in a fault-free run
+/// alignment never engages and every frame applies as it arrives.
+struct FanIn<'o, 's> {
     st: CloudState,
     out: &'o mut Outbox<'s>,
     in_schema: SchemaRef,
@@ -1954,11 +1750,12 @@ struct CloudChaosState<'o, 's> {
     aligning: Option<u64>,
     /// Pipelines that have presented the aligning barrier.
     seen: Vec<bool>,
-    store: Arc<CheckpointStore>,
+    /// Chaos runs: where sealed epochs go.
+    store: Option<Arc<CheckpointStore>>,
     finished: bool,
 }
 
-impl CloudChaosState<'_, '_> {
+impl FanIn<'_, '_> {
     /// Routes one in-order payload: held back if its pipeline is past
     /// the aligning barrier, applied otherwise.
     fn ingest(&mut self, p: usize, payload: Vec<u8>) -> Result<()> {
@@ -1970,6 +1767,7 @@ impl CloudChaosState<'_, '_> {
         }
     }
 
+    /// Applies one decoded frame from pipeline `p` to the cloud.
     fn apply(&mut self, p: usize, bytes: &[u8]) -> Result<()> {
         match decode_frame(bytes, &self.in_schema, &self.wire)? {
             Frame::Data(recs) => {
@@ -1981,6 +1779,9 @@ impl CloudChaosState<'_, '_> {
                 self.st.tel.records_out += self.out.emit(msgs)?;
             }
             Frame::Watermark(w) => {
+                // The tracker owns the fan-in rules: min across live
+                // origins, monotone, silent until every live origin has
+                // reported.
                 let advanced = self.st.progress.advance_origin(p as u64, w);
                 self.emit_frontier(advanced)?;
             }
@@ -1991,6 +1792,7 @@ impl CloudChaosState<'_, '_> {
                 self.seen[p] = true;
             }
             Frame::Eos => {
+                // Removing a finished input can only raise the minimum.
                 let advanced = self.st.progress.finish(p as u64);
                 if self.st.progress.all_done() {
                     let msgs = drive(&mut self.st.ops, StreamMessage::Eos)?;
@@ -2001,9 +1803,6 @@ impl CloudChaosState<'_, '_> {
                 self.emit_frontier(advanced)?;
             }
             Frame::Telemetry(snap) => self.st.tel.keep(snap),
-            Frame::Handoff => {
-                return Err(internal("handoff frame in a chaos run"));
-            }
         }
         Ok(())
     }
@@ -2029,7 +1828,10 @@ impl CloudChaosState<'_, '_> {
         if !aligned {
             return Ok(false);
         }
-        let usable = self.store.put_cloud(
+        let Some(store) = &self.store else {
+            return Err(internal("checkpoint barrier outside a chaos run"));
+        };
+        let usable = store.put_cloud(
             epoch,
             CloudPart {
                 ops: snapshot_chain(&self.st.ops),
@@ -2076,23 +1878,34 @@ impl CloudChaosState<'_, '_> {
     }
 }
 
-/// The chaos-mode cloud site: resilient per-pipeline links, barrier
-/// alignment with held-back frames, epoch sealing, and abort-aware
-/// timeouts (a silently dead upstream cannot hang the fan-in).
-#[allow(clippy::too_many_arguments, clippy::needless_pass_by_value)]
-fn run_cloud_chaos(
+/// Chaos runs: the cloud's resilient end of every pipeline's uplink,
+/// the checkpoint store, and the phase's abort flag.
+struct CloudChaos {
+    rel: Vec<ReliableRx>,
+    store: Arc<CheckpointStore>,
+    abort: Arc<AtomicBool>,
+}
+
+/// The cloud site: fans in every pipeline, min-combines watermarks,
+/// drives the shared tail, and emits results to `out`. A chaos run adds
+/// resilient per-pipeline links, barrier alignment with epoch sealing,
+/// and abort-aware receives (a silently dead upstream cannot hang the
+/// fan-in); a fault-free run reads its plain links directly.
+///
+/// Thread entry point: arguments are moved out of the spawning closure
+/// and owned until the phase ends.
+#[allow(clippy::needless_pass_by_value)]
+fn run_cloud(
     st: CloudState,
     in_schema: SchemaRef,
     rx: Receiver<(usize, Vec<u8>)>,
     depths: Vec<Arc<AtomicU64>>,
     wire: WireRegistry,
-    mut rel: Vec<ReliableRx>,
-    store: Arc<CheckpointStore>,
-    abort: Arc<AtomicBool>,
+    mut chaos: Option<CloudChaos>,
     out: &mut Outbox<'_>,
-) -> Result<(CloudState, bool)> {
+) -> Result<CloudState> {
     let n = st.progress.len();
-    let mut cc = CloudChaosState {
+    let mut fan = FanIn {
         st,
         out,
         in_schema,
@@ -2100,60 +1913,63 @@ fn run_cloud_chaos(
         held: (0..n).map(|_| VecDeque::new()).collect(),
         aligning: None,
         seen: vec![false; n],
-        store,
+        store: chaos.as_ref().map(|c| Arc::clone(&c.store)),
         finished: false,
     };
     loop {
-        cc.drain()?;
+        fan.drain()?;
         let queue_depth: u64 = depths.iter().map(|d| d.load(Ordering::Relaxed)).sum();
-        cc.st.tel.maybe_sample(&cc.st.progress, queue_depth);
-        if cc.finished {
-            // Linger: keep absorbing (and re-acking) stray
-            // retransmissions and duplicates until every uplink sender
-            // hangs up, so no sender's flush emits into a dropped inbox.
-            loop {
-                match rx.recv_timeout(Duration::from_millis(2)) {
-                    Ok((p, raw)) => {
-                        depths[p].fetch_sub(1, Ordering::Relaxed);
-                        let _ = rel[p].on_bytes(&raw);
-                        while rel[p].next_buffered().is_some() {}
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+        fan.st.tel.maybe_sample(&fan.st.progress, queue_depth);
+        if fan.finished {
+            if let Some(CloudChaos { rel, abort, .. }) = &mut chaos {
+                linger(&rx, abort, |(p, raw)| {
+                    depths[p].fetch_sub(1, Ordering::Relaxed);
+                    let _ = rel[p].on_bytes(&raw);
+                    while rel[p].next_buffered().is_some() {}
+                });
             }
-            return Ok((cc.st, true));
+            return Ok(fan.st);
         }
-        match rx.recv_timeout(Duration::from_millis(5)) {
+        // A chaos run wakes up to watch the abort flag and heartbeats; a
+        // fault-free one blocks on its plain links until a frame comes.
+        let got = match &chaos {
+            Some(_) => rx.recv_timeout(Duration::from_millis(5)),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match got {
             Ok((p, raw)) => {
                 depths[p].fetch_sub(1, Ordering::Relaxed);
-                if let RxEvent::Payload(payload) = rel[p].on_bytes(&raw) {
-                    cc.ingest(p, payload)?;
+                let Some(c) = &mut chaos else {
+                    fan.ingest(p, raw)?;
+                    continue;
+                };
+                if let RxEvent::Payload(payload) = c.rel[p].on_bytes(&raw) {
+                    fan.ingest(p, payload)?;
                 }
-                while let Some(payload) = rel[p].next_buffered() {
-                    cc.ingest(p, payload)?;
+                while let Some(payload) = c.rel[p].next_buffered() {
+                    fan.ingest(p, payload)?;
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
-                if abort.load(Ordering::Relaxed) {
+                let Some(c) = &chaos else { continue };
+                if c.abort.load(Ordering::Relaxed) {
                     return Err(ClusterError::Aborted.into());
                 }
                 // Silent-death backstop: in-process links normally fail
                 // by disconnecting, but a peer wedged with its channel
                 // open (e.g. a link flapped down indefinitely) only
                 // shows up as missing heartbeats.
-                for (p, r) in rel.iter().enumerate() {
-                    if !cc.st.progress.is_done(p as u64) {
+                for (p, r) in c.rel.iter().enumerate() {
+                    if !fan.st.progress.is_done(p as u64) {
                         r.check_liveness(&format!("pipe{p}/uplink"), Duration::from_secs(10))?;
                     }
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                return Err(if abort.load(Ordering::Relaxed) {
+                let aborted = chaos
+                    .as_ref()
+                    .is_some_and(|c| c.abort.load(Ordering::Relaxed));
+                return Err(if aborted {
                     ClusterError::Aborted.into()
                 } else {
                     hung_up("all pipelines")
@@ -2187,15 +2003,10 @@ struct PumpState {
 
 struct PipelinePlan {
     node: NodeId,
-    /// Node per compiled pipeline operator (migration bookkeeping).
+    /// Node per compiled pipeline operator (crash re-plan bookkeeping).
     assign: Vec<NodeId>,
     pump: PumpState,
     sites: Vec<(NodeId, Vec<Box<dyn Operator>>)>,
-}
-
-enum PumpEnd {
-    Exhausted,
-    Limit,
 }
 
 /// Chaos-mode context for one pump thread.
@@ -2230,17 +2041,15 @@ impl PumpChaos {
 
 /// Takes stamped buffers from the pipeline's [`SourceDriver`], drives
 /// the source-node stages, and pushes data, frontier watermarks,
-/// telemetry snapshots and checkpoint barriers downstream as frames.
-/// Stops at `batch_limit` without flushing (handoff follows); otherwise
-/// flushes end-of-stream.
+/// telemetry snapshots and checkpoint barriers downstream as frames,
+/// then flushes end-of-stream.
 fn pump(
     st: &mut PumpState,
     tx: &mut TxLink,
     wire: &WireRegistry,
     cfg: &ClusterConfig,
-    batch_limit: Option<u64>,
     chaos: Option<&PumpChaos>,
-) -> Result<PumpEnd> {
+) -> Result<()> {
     let out_schema = st
         .ops
         .last()
@@ -2254,9 +2063,6 @@ fn pump(
     let started = Instant::now();
     let mut last_snap = Instant::now();
     loop {
-        if batch_limit.is_some_and(|limit| st.driver.batches() >= limit) {
-            return Ok(PumpEnd::Limit);
-        }
         if let Some(c) = chaos {
             if c.abort.load(Ordering::Relaxed) {
                 return Err(ClusterError::Aborted.into());
@@ -2347,21 +2153,26 @@ fn pump(
             .record_pump_final(c.pipe, st.stats.clone(), chain_late_drops(&st.ops));
     }
     st.eos_sent = true;
-    Ok(PumpEnd::Exhausted)
+    Ok(())
 }
 
-/// Shared phase context.
 /// Whether `node` lies on the frame route `src → sites… → cloud` of a
 /// pipeline — as any hop endpoint, including pass-through relays that
 /// host no operators.
-fn route_crosses(io: &PhaseIo<'_>, src: NodeId, sites: &[NodeId], node: NodeId) -> Result<bool> {
+fn route_crosses(
+    topo: &Topology,
+    cloud: NodeId,
+    src: NodeId,
+    sites: &[NodeId],
+    node: NodeId,
+) -> Result<bool> {
     let mut stops = Vec::with_capacity(sites.len() + 2);
     stops.push(src);
     stops.extend_from_slice(sites);
-    stops.push(io.cloud_node);
+    stops.push(cloud);
     for leg in stops.windows(2) {
-        let crosses = io.topo.path_up(leg[0], leg[1])?.into_iter().any(|idx| {
-            let l = &io.topo.links()[idx];
+        let crosses = topo.path_up(leg[0], leg[1])?.into_iter().any(|idx| {
+            let l = &topo.links()[idx];
             l.from == node || l.to == node
         });
         if crosses {
@@ -2371,6 +2182,7 @@ fn route_crosses(io: &PhaseIo<'_>, src: NodeId, sites: &[NodeId], node: NodeId) 
     Ok(false)
 }
 
+/// Shared phase context.
 struct PhaseIo<'a> {
     topo: &'a Topology,
     cfg: &'a ClusterConfig,
@@ -2421,20 +2233,18 @@ fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
 
 /// Spawns the sites and cloud for every pipeline, runs the pumps, and
 /// joins everything, restoring operator state into `pipelines`. Returns
-/// the cloud state, whether the run finished (vs paused for handoff),
-/// and how many site threads were spawned. Pipelines whose stream
-/// already ended (`eos_sent`) spawn nothing. In chaos mode every hop
-/// gets a fault injector, a resilient link, and a reverse ack channel,
-/// and the cloud runs the barrier-aligning variant.
+/// the cloud state and how many site threads were spawned. Pipelines
+/// whose stream already ended (`eos_sent`) spawn nothing. In chaos mode
+/// every hop gets a fault injector, a resilient link, and a reverse ack
+/// channel, which the cloud's end joins with the checkpoint store.
 fn run_phase(
     io: &PhaseIo<'_>,
     pipelines: &mut [PipelinePlan],
     cloud_state: CloudState,
     out: &mut Outbox<'_>,
-    batch_limit: Option<u64>,
     cloud_in_schema: &SchemaRef,
     chaos: Option<&ChaosRun>,
-) -> Result<(CloudState, bool, usize)> {
+) -> Result<(CloudState, usize)> {
     let cap = io.cfg.channel_capacity.max(1);
     let n_pipes = pipelines.len();
     let mut sites_spawned = 0usize;
@@ -2454,7 +2264,7 @@ fn run_phase(
         .is_some_and(|s| site_nodes.iter().any(|ns| ns.contains(&s.node)));
 
     type SiteOps = Vec<Vec<Box<dyn Operator>>>;
-    let scoped: Result<(CloudState, bool, Vec<SiteOps>)> = std::thread::scope(|scope| {
+    let scoped: Result<(CloudState, Vec<SiteOps>)> = std::thread::scope(|scope| {
         let (inbox_tx, inbox_rx) = bounded::<(usize, Vec<u8>)>(cap * n_pipes);
         let mut inbox_depths = Vec::with_capacity(n_pipes);
         let mut site_handles = Vec::with_capacity(n_pipes);
@@ -2485,12 +2295,12 @@ fn run_phase(
             // One channel per hop into a site; hop i feeds site i. In
             // chaos mode each hop level (0..=n_sites; level n_sites is
             // the hop into the cloud) also gets a reverse ack channel.
-            let mut hops: Vec<Hop> = (0..n_sites)
+            let (hop_rxs, hops): (Vec<_>, Vec<_>) = (0..n_sites)
                 .map(|_| {
                     let (tx, rx) = bounded::<Vec<u8>>(cap);
-                    (tx, Some(rx), Arc::new(AtomicU64::new(0)))
+                    (rx, (tx, Arc::new(AtomicU64::new(0))))
                 })
-                .collect();
+                .unzip();
             let mut ack_txs: Vec<Option<Sender<AckMsg>>> = Vec::new();
             let mut ack_rxs: Vec<Option<Receiver<AckMsg>>> = Vec::new();
             if chaos.is_some() {
@@ -2500,47 +2310,35 @@ fn run_phase(
                     ack_rxs.push(Some(r));
                 }
             }
-            let mut mk_tx = |level: usize, wire_tx: WireTx| -> Result<TxLink> {
-                match chaos {
-                    Some(c) => {
-                        let ack_rx = ack_rxs[level]
-                            .take()
-                            .ok_or_else(|| internal("ack channel consumed twice"))?;
-                        Ok(TxLink::reliable(
-                            wire_tx,
-                            ReliableTx::new(
-                                format!("pipe{p}/hop{level}"),
-                                ack_rx,
-                                LinkChaos::new(&c.plan, c.link_id(p, level)),
-                                Arc::clone(&c.stats),
-                            ),
-                        ))
-                    }
-                    None => Ok(TxLink::plain(wire_tx)),
-                }
-            };
-
-            let pump_tx = if n_sites == 0 {
-                mk_tx(
-                    0,
-                    io.wire_tx(
-                        src_node,
+            // The sender of hop `level`, leaving `from`: into site
+            // `level`, or into the cloud inbox past the last site.
+            let mut mk_tx = |level: usize, from: NodeId| -> Result<TxLink> {
+                let (to, target, depth) = match hops.get(level) {
+                    Some((tx, depth)) => (nodes[level], TxTarget::Direct(tx.clone()), depth),
+                    None => (
                         io.cloud_node,
                         TxTarget::Inbox(inbox_tx.clone(), p),
-                        Arc::clone(&inbox_depth),
-                    )?,
-                )?
-            } else {
-                mk_tx(
-                    0,
-                    io.wire_tx(
-                        src_node,
-                        nodes[0],
-                        TxTarget::Direct(hops[0].0.clone()),
-                        Arc::clone(&hops[0].2),
-                    )?,
-                )?
+                        &inbox_depth,
+                    ),
+                };
+                let wire_tx = io.wire_tx(from, to, target, Arc::clone(depth))?;
+                let Some(c) = chaos else {
+                    return Ok(TxLink::plain(wire_tx));
+                };
+                let ack_rx = ack_rxs[level]
+                    .take()
+                    .ok_or_else(|| internal("ack channel consumed twice"))?;
+                Ok(TxLink::reliable(
+                    wire_tx,
+                    ReliableTx::new(
+                        format!("pipe{p}/hop{level}"),
+                        ack_rx,
+                        LinkChaos::new(&c.plan, c.link_id(p, level)),
+                        Arc::clone(&c.stats),
+                    ),
+                ))
             };
+            let mut pump_tx = mk_tx(0, src_node)?;
 
             // Spawn sites with forward-threaded schemas.
             let mut in_schema = pump_state
@@ -2548,32 +2346,8 @@ fn run_phase(
                 .last()
                 .map_or_else(|| pump_state.driver.schema().clone(), |o| o.output_schema());
             let mut handles = Vec::with_capacity(n_sites);
-            for (i, (site_node, ops)) in taken.into_iter().enumerate() {
-                let out_tx = if i + 1 < n_sites {
-                    mk_tx(
-                        i + 1,
-                        io.wire_tx(
-                            site_node,
-                            nodes[i + 1],
-                            TxTarget::Direct(hops[i + 1].0.clone()),
-                            Arc::clone(&hops[i + 1].2),
-                        )?,
-                    )?
-                } else {
-                    mk_tx(
-                        i + 1,
-                        io.wire_tx(
-                            site_node,
-                            io.cloud_node,
-                            TxTarget::Inbox(inbox_tx.clone(), p),
-                            Arc::clone(&inbox_depth),
-                        )?,
-                    )?
-                };
-                let rx = hops[i]
-                    .1
-                    .take()
-                    .ok_or_else(|| internal("hop receiver consumed twice"))?;
+            for (i, ((site_node, ops), rx)) in taken.into_iter().zip(hop_rxs).enumerate() {
+                let out_tx = mk_tx(i + 1, site_node)?;
                 let rx_link = match chaos {
                     Some(c) => RxLink::Reliable {
                         rx,
@@ -2604,7 +2378,7 @@ fn run_phase(
                     every: io.cfg.telemetry.sample_every,
                 });
                 let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
-                let depth_in = Arc::clone(&hops[i].2);
+                let depth_in = Arc::clone(&hops[i].1);
                 let out_schema = ops
                     .last()
                     .map_or_else(|| in_schema.clone(), |o| o.output_schema());
@@ -2614,12 +2388,7 @@ fn run_phase(
                     let r = run_site(
                         ops, schema, rx_link, depth_in, out_tx, wire, site_chaos, site_tel,
                     );
-                    if r.is_err() {
-                        if let Some(a) = &abort_flag {
-                            a.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    r
+                    flag_abort(abort_flag.as_deref(), r)
                 }));
                 sites_spawned += 1;
                 if let Some(c) = chaos {
@@ -2628,23 +2397,20 @@ fn run_phase(
                 in_schema = out_schema;
             }
             site_handles.push(handles);
-            cloud_acks.push(match chaos {
-                Some(_) => Some(
-                    ack_txs[n_sites]
-                        .take()
-                        .ok_or_else(|| internal("cloud ack sender consumed twice"))?,
-                ),
-                None => None,
-            });
+            // Chaos mode: the last level's ack sender belongs to the
+            // cloud's end of this pipeline's uplink.
+            cloud_acks.push(ack_txs.pop().flatten());
             // The hop senders were cloned into the WireTx values; drop
             // the originals so channels disconnect when sites finish.
             drop(hops);
 
             let wire = io.wire.clone();
             let cfg = io.cfg;
-            let handoff_schema = pump_state.driver.schema().clone();
             let pump_doom = match chaos.and_then(|c| c.switch.as_ref()) {
-                Some(s) if !doomed_site_hosted && route_crosses(io, src_node, nodes, s.node)? => {
+                Some(s)
+                    if !doomed_site_hosted
+                        && route_crosses(io.topo, io.cloud_node, src_node, nodes, s.node)? =>
+                {
                     Some(Arc::clone(s))
                 }
                 _ => None,
@@ -2658,72 +2424,39 @@ fn run_phase(
                 doom_name: c.doomed_name.clone(),
             });
             let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
-            pump_handles.push(scope.spawn(move || -> Result<()> {
-                let mut tx = pump_tx;
-                let r = (|| -> Result<()> {
-                    match pump(
-                        pump_state,
-                        &mut tx,
-                        &wire,
-                        cfg,
-                        batch_limit,
-                        pump_chaos.as_ref(),
-                    )? {
-                        PumpEnd::Limit => {
-                            // Quiesce: the marker drains behind all data
-                            // frames still in the pipeline.
-                            tx.send(encode_frame(&Frame::Handoff, &handoff_schema, &wire)?, 0)?;
-                        }
-                        PumpEnd::Exhausted => {}
-                    }
-                    Ok(())
-                })();
-                if r.is_err() {
-                    if let Some(a) = &abort_flag {
-                        a.store(true, Ordering::Relaxed);
-                    }
-                }
-                r
+            pump_handles.push(scope.spawn(move || {
+                let r = pump(pump_state, &mut pump_tx, &wire, cfg, pump_chaos.as_ref());
+                flag_abort(abort_flag.as_deref(), r)
             }));
         }
 
         let wire = io.wire.clone();
         let schema = cloud_in_schema.clone();
-        let depths = inbox_depths;
-        let cloud_handle = match chaos {
-            Some(c) => {
-                let rel: Vec<ReliableRx> = cloud_acks
-                    .into_iter()
-                    .map(|opt| {
-                        // Skipped pipelines get a dead-end ack channel.
-                        let tx = opt.unwrap_or_else(|| bounded::<AckMsg>(1).0);
-                        ReliableRx::new(tx, Arc::clone(&c.stats))
-                    })
-                    .collect();
-                let store = Arc::clone(&c.store);
-                let abort = Arc::clone(&c.abort);
-                scope.spawn(move || {
-                    let r = run_cloud_chaos(
-                        cloud_state,
-                        schema,
-                        inbox_rx,
-                        depths,
-                        wire,
-                        rel,
-                        store,
-                        Arc::clone(&abort),
-                        out,
-                    );
-                    if r.is_err() {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    r
+        let cloud_chaos = chaos.map(|c| CloudChaos {
+            rel: cloud_acks
+                .into_iter()
+                .map(|opt| {
+                    // Skipped pipelines get a dead-end ack channel.
+                    let tx = opt.unwrap_or_else(|| bounded::<AckMsg>(1).0);
+                    ReliableRx::new(tx, Arc::clone(&c.stats))
                 })
-            }
-            None => {
-                scope.spawn(move || run_cloud(cloud_state, schema, inbox_rx, depths, wire, out))
-            }
-        };
+                .collect(),
+            store: Arc::clone(&c.store),
+            abort: Arc::clone(&c.abort),
+        });
+        let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
+        let cloud_handle = scope.spawn(move || {
+            let r = run_cloud(
+                cloud_state,
+                schema,
+                inbox_rx,
+                inbox_depths,
+                wire,
+                cloud_chaos,
+                out,
+            );
+            flag_abort(abort_flag.as_deref(), r)
+        });
         drop(inbox_tx);
 
         // Join everything, keeping the first root cause in sites →
@@ -2757,12 +2490,11 @@ fn run_phase(
         if let Some(e) = err {
             return Err(e);
         }
-        let (state, finished) =
-            cloud.ok_or_else(|| internal("cloud thread vanished without an error"))?;
-        Ok((state, finished, all_ops))
+        let state = cloud.ok_or_else(|| internal("cloud thread vanished without an error"))?;
+        Ok((state, all_ops))
     });
 
-    let (state, finished, all_ops) = scoped?;
+    let (state, all_ops) = scoped?;
     for (i, (pipe, (nodes, ops))) in pipelines
         .iter_mut()
         .zip(site_nodes.into_iter().zip(all_ops))
@@ -2773,7 +2505,7 @@ fn run_phase(
         }
         pipe.sites = nodes.into_iter().zip(ops).collect();
     }
-    Ok((state, finished, sites_spawned))
+    Ok((state, sites_spawned))
 }
 
 #[cfg(test)]

@@ -25,9 +25,8 @@
 //! - **A distributed cluster runtime** — placed plans actually execute
 //!   across topology nodes: per-node site threads joined by bounded
 //!   channels carrying a byte-accounted wire format, cross-boundary
-//!   watermark propagation, edge pre-aggregation of splittable window
-//!   aggregates, and pause-and-migrate failure re-planning ([`cluster`],
-//!   [`wire`], [`preagg`]).
+//!   watermark propagation, and edge pre-aggregation of splittable
+//!   window aggregates ([`cluster`], [`wire`], [`preagg`]).
 //! - **Per-origin punctuated progress tracking** — every buffer is
 //!   stamped with its origin, sequence number and watermark
 //!   punctuation; [`runtime::ProgressTracker`] folds the stamps into a
@@ -59,8 +58,9 @@
 //!   every cluster link (drops, duplicates, reordering, corruption,
 //!   flaps, abrupt crashes), a resilient wire protocol (CRC32 envelopes,
 //!   sequence numbers, ack/retransmit, heartbeats), and barrier-based
-//!   checkpointing with source replay for exactly-once crash recovery
-//!   ([`chaos`], [`checkpoint`], [`cluster`]).
+//!   checkpointing with source replay for exactly-once crash recovery —
+//!   the one way a placed run survives a failed node: re-plan around
+//!   it, restore, replay ([`chaos`], [`checkpoint`], [`cluster`]).
 //!
 //! [NebulaStream]: https://nebula.stream
 //!
@@ -131,8 +131,7 @@ pub mod prelude {
     pub use crate::buffer::{BufferMeta, Column, ColumnBuilder, TupleBuffer};
     pub use crate::chaos::{CrashFault, FaultPlan, LinkFlap};
     pub use crate::cluster::{
-        ClusterConfig, ClusterEnvironment, ClusterMetrics, ClusterReport, FailureInjection,
-        LinkMetrics,
+        ClusterConfig, ClusterEnvironment, ClusterMetrics, ClusterReport, LinkMetrics,
     };
     pub use crate::error::{ClusterError, NebulaError, Result};
     pub use crate::expr::{

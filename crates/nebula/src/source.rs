@@ -507,12 +507,7 @@ impl SourceDriver {
         self.origin
     }
 
-    /// Batches yielded so far.
-    pub(crate) fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// The origin's event-time clock (checkpointed with `batches`).
+    /// The origin's event-time clock (checkpointed with the batch count).
     pub(crate) fn max_ts(&self) -> EventTime {
         self.max_ts
     }

@@ -3,9 +3,9 @@
 //!
 //! NebulaStream workers exchange serialized TupleBuffers plus control
 //! messages over the network; this module is the analogue for the
-//! [`crate::cluster`] runtime. A [`Frame`] is either a batch of records,
-//! a watermark advance, end-of-stream, or the pause-and-migrate
-//! [`Frame::Handoff`] marker used during failure re-planning.
+//! [`crate::cluster`] runtime. A [`Frame`] is either a batch of records
+//! or a control message: a watermark advance, end-of-stream, a
+//! checkpoint barrier (crash recovery), or a telemetry snapshot.
 //!
 //! ## Encoding
 //!
@@ -57,9 +57,6 @@ pub enum Frame {
     Watermark(EventTime),
     /// Control: the upstream site has flushed its state and finished.
     Eos,
-    /// Control: pause for migration — the upstream pipeline is about to
-    /// be re-planned; sites forward the marker and return their state.
-    Handoff,
     /// Control: checkpoint barrier — everything before this marker
     /// belongs to checkpoint epoch `.0`. Sites snapshot their operator
     /// state when the barrier passes; the cloud aligns barriers across
@@ -74,7 +71,8 @@ pub enum Frame {
 const FRAME_DATA: u8 = 0;
 const FRAME_WATERMARK: u8 = 1;
 const FRAME_EOS: u8 = 2;
-const FRAME_HANDOFF: u8 = 3;
+// Tag 3 is retired (the old pause-and-migrate marker): it decodes as an
+// unknown frame type, and later tags keep their numbers.
 const FRAME_BARRIER: u8 = 4;
 const FRAME_TELEMETRY: u8 = 5;
 
@@ -150,7 +148,6 @@ pub fn encode_frame(frame: &Frame, schema: &Schema, registry: &WireRegistry) -> 
             body.extend_from_slice(&wm.to_le_bytes());
         }
         Frame::Eos => body.push(FRAME_EOS),
-        Frame::Handoff => body.push(FRAME_HANDOFF),
         Frame::Barrier(epoch) => {
             body.push(FRAME_BARRIER);
             body.extend_from_slice(&epoch.to_le_bytes());
@@ -384,7 +381,6 @@ pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> R
         }
         FRAME_WATERMARK => Frame::Watermark(c.i64()?),
         FRAME_EOS => Frame::Eos,
-        FRAME_HANDOFF => Frame::Handoff,
         FRAME_BARRIER => Frame::Barrier(c.u64()?),
         FRAME_TELEMETRY => {
             let origin = c.u64()?;
@@ -676,21 +672,19 @@ mod tests {
     fn control_round_trips() {
         let reg = WireRegistry::new();
         let s = schema();
-        for frame in [
-            Frame::Watermark(-5),
-            Frame::Eos,
-            Frame::Handoff,
-            Frame::Barrier(7),
-        ] {
+        for frame in [Frame::Watermark(-5), Frame::Eos, Frame::Barrier(7)] {
             let bytes = encode_frame(&frame, &s, &reg).unwrap();
             let back = decode_frame(&bytes, &s, &reg).unwrap();
             match (&frame, &back) {
                 (Frame::Watermark(a), Frame::Watermark(b)) => assert_eq!(a, b),
-                (Frame::Eos, Frame::Eos) | (Frame::Handoff, Frame::Handoff) => {}
+                (Frame::Eos, Frame::Eos) => {}
                 (Frame::Barrier(a), Frame::Barrier(b)) => assert_eq!(a, b),
                 other => panic!("{other:?}"),
             }
         }
+        // The retired tag 3 is an unknown frame type, not a frame.
+        let err = decode_frame(&[1, 0, 0, 0, 3], &s, &reg).unwrap_err();
+        assert!(matches!(err, NebulaError::Wire(_)), "{err}");
     }
 
     #[test]

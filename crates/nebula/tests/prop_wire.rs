@@ -105,15 +105,27 @@ proptest! {
     fn control_frames_round_trip(wm in i64::MIN..i64::MAX) {
         let reg = WireRegistry::new();
         let s = schema();
-        for frame in [Frame::Watermark(wm), Frame::Eos, Frame::Handoff] {
+        for frame in [Frame::Watermark(wm), Frame::Eos] {
             let bytes = encode_frame(&frame, &s, &reg).expect("encode");
             let back = decode_frame(&bytes, &s, &reg).expect("decode");
             match (&frame, &back) {
                 (Frame::Watermark(a), Frame::Watermark(b)) => prop_assert_eq!(a, b),
-                (Frame::Eos, Frame::Eos) | (Frame::Handoff, Frame::Handoff) => {}
+                (Frame::Eos, Frame::Eos) => {}
                 other => prop_assert!(false, "{:?}", other),
             }
         }
+    }
+
+    #[test]
+    fn retired_frame_tag_is_a_wire_error(body in proptest::collection::vec(0u8..255, 0..24)) {
+        // Type byte 3 (the retired pause-and-migrate marker) decodes to
+        // `NebulaError::Wire` whatever follows it: never a panic, never
+        // a frame.
+        let mut bytes = ((body.len() + 1) as u32).to_le_bytes().to_vec();
+        bytes.push(3);
+        bytes.extend_from_slice(&body);
+        let got = decode_frame(&bytes, &schema(), &WireRegistry::new());
+        prop_assert!(matches!(got, Err(NebulaError::Wire(_))), "decoded {:?}", got);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! each train's edge box pre-aggregates its windows and only the merged
 //! partials cross the cellular uplink. The run reports measured
 //! per-link traffic and the uplink reduction versus shipping everything
-//! to the cloud — then a second run kills an edge box mid-stream and
-//! re-plans, with results provably unchanged.
+//! to the cloud — then a failover drill crashes an edge box mid-stream
+//! and recovers (re-plan, restore the last checkpoint, replay), with
+//! results provably unchanged, and a chaos drill does it again over
+//! lossy links.
 //!
 //! ```text
 //! cargo run --release --example distributed_fleet
@@ -136,8 +138,9 @@ fn main() -> nebula::Result<()> {
         cloud.cluster.uplink_bytes as f64 / edge.cluster.uplink_bytes.max(1) as f64
     );
 
-    // Failure drill: one train's stream, its edge box dies mid-run.
-    println!("\nfailure drill: killing train-0's edge box after 10 batches...");
+    // Failover drill: one train's stream, its edge box crashes mid-run
+    // on otherwise clean links.
+    println!("\nfailover drill: crashing train-0's edge box after 10 frames...");
     let (topo, sensors) = Topology::train_fleet(1);
     let edge_box = topo
         .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
@@ -169,15 +172,8 @@ fn main() -> nebula::Result<()> {
         },
     );
     let (mut sink, failed_results) = CollectingSink::new();
-    let report = env.run_placed_with_failure(
-        &query,
-        PlacementStrategy::EdgeFirst,
-        FailureInjection {
-            node: edge_box,
-            after_batches: 10,
-        },
-        &mut sink,
-    )?;
+    let crash = FaultPlan::seeded(0).crash_node(edge_box, 10);
+    let report = env.run_placed_chaos(&query, PlacementStrategy::EdgeFirst, &crash, &mut sink)?;
     println!(
         "  re-planned {} round(s), migrated {} stage(s); {} windows delivered",
         report.cluster.replans, report.cluster.migrated_stages, report.metrics.records_out
@@ -203,15 +199,14 @@ fn main() -> nebula::Result<()> {
     let mut b = reference.records();
     normalize_records(&mut a);
     normalize_records(&mut b);
-    assert_eq!(a, b, "failure re-planning must not change results");
-    println!("  results identical to an undisturbed run — state migrated losslessly");
+    assert_eq!(a, b, "crash recovery must not change results");
+    println!("  results identical to an undisturbed run — recovered exactly once");
 
-    // Chaos drill: the hostile version of the same failover. Seeded
-    // faults mangle every link — drops, duplicates, reordering, bit
-    // corruption — and the edge box dies abruptly mid-batch, with no
-    // cooperative handoff. CRC envelopes, ack/retransmit, barrier
-    // checkpoints and source replay must make all of it invisible.
-    println!("\nchaos drill: lossy links + abrupt edge kill after 4 batches (seed 41)...");
+    // Chaos drill: the same failover while seeded faults mangle every
+    // link — drops, duplicates, reordering, bit corruption. CRC
+    // envelopes, ack/retransmit, barrier checkpoints and source replay
+    // must make all of it invisible.
+    println!("\nchaos drill: lossy links + edge crash after 4 frames (seed 41)...");
     let (mut env, _) = fleet_env(&records);
     let edge_box = env
         .topology()

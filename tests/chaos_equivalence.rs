@@ -655,58 +655,6 @@ fn multi_source_chaos_crash_equivalence() {
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
     assert_eq!(report.cluster.replans, 1);
-}
-
-/// Regression for the lifted single-source restriction: plain failure
-/// injection (pause-and-migrate, no chaos) now works with several
-/// hosted sources.
-#[test]
-fn multi_source_failure_injection_equivalence() {
-    let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, generous_watermark());
-
-    let (topo, sensors) = Topology::train_fleet(3);
-    let failed = topo
-        .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
-        .expect("edge exists");
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records()
-            .into_iter()
-            .filter(|r| (r.get(1).unwrap().as_int().unwrap() as usize) % sensors.len() == t)
-            .collect();
-        env.add_source(
-            "s",
-            *sensor,
-            Box::new(VecSource::new(schema(), slice)),
-            generous_watermark(),
-        );
-    }
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed_with_failure(
-            &q,
-            PlacementStrategy::EdgeFirst,
-            FailureInjection {
-                node: failed,
-                after_batches: 3,
-            },
-            &mut sink,
-        )
-        .expect("multi-source failure run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    assert_eq!(recs, reference, "multi-source failure run diverges");
-    assert_eq!(report.metrics.records_in, ref_metrics.records_in);
-    assert_eq!(report.metrics.records_out, ref_metrics.records_out);
-    assert_eq!(report.cluster.replans, 1);
     for pl in &report.placements {
         assert!(!pl.stages.contains(&failed), "stage still on failed node");
     }
@@ -719,6 +667,15 @@ fn ineligible_fault_plans_are_rejected_up_front() {
     let q = Query::from("s").filter(col("speed").ge(lit(0.0)));
     let (mut env, sensor) = fleet_env(WatermarkStrategy::None);
     let cloud = env.topology().cloud().expect("cloud exists");
+    // The source streams from train 0; train 2's edge box carries none
+    // of its frames, so crashing it could never trip.
+    let off_route = env
+        .topology()
+        .nodes()
+        .iter()
+        .find(|n| n.name == "train-2-edge")
+        .map(|n| n.id)
+        .expect("train 2 has an edge box");
 
     for (plan, needle) in [
         (FaultPlan::seeded(1).crash_node(cloud, 5), "cloud"),
@@ -727,11 +684,22 @@ fn ineligible_fault_plans_are_rejected_up_front() {
             FaultPlan::seeded(1).crash_node(NodeId(9999), 5),
             "does not exist",
         ),
+        (
+            FaultPlan::seeded(1).crash_node(off_route, 5),
+            "'train-2-edge' lies on no pipeline's frame route",
+        ),
     ] {
         let (mut sink, _) = CollectingSink::new();
         let err = env
             .run_placed_chaos(&q, PlacementStrategy::EdgeFirst, &plan, &mut sink)
             .expect_err("ineligible plan must be rejected");
+        assert!(
+            matches!(
+                err,
+                NebulaError::Cluster(ClusterError::IneligibleFault { .. })
+            ),
+            "{err:?}"
+        );
         let msg = err.to_string();
         assert!(
             msg.contains(needle),

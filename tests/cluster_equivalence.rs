@@ -1,15 +1,15 @@
 //! Differential cluster-equivalence suite: every query shape the engine
 //! supports is run through `ClusterEnvironment::run_placed` on the
 //! `train_fleet` topology — under both placement strategies, over
-//! in-order and jittered feeds, and with a node failure re-planned
-//! mid-run — and must produce results and `records_in`/`records_out`
+//! in-order and jittered feeds, and with the edge box crashing mid-run
+//! — and must produce results and `records_in`/`records_out`
 //! counters identical to the single-threaded `StreamEnvironment::run`
 //! reference: row for row in `run`'s own delivery order when one
 //! pipeline feeds the cloud, order-normalized (with each pipeline's
 //! rows still in that pipeline's order) when several interleave there. The distributed runtime is only
 //! correct if crossing node boundaries (wire encoding, bounded link
-//! channels, cross-boundary watermarks, edge pre-aggregation, state
-//! migration) is observationally invisible.
+//! channels, cross-boundary watermarks, edge pre-aggregation, crash
+//! recovery) is observationally invisible.
 //!
 //! Beyond equivalence, the suite asserts the paper's headline number
 //! from measured traffic: an edge-placed pre-aggregating windowed query
@@ -112,15 +112,12 @@ fn cluster_run(
     strategy: PlacementStrategy,
     feed: Feed,
     watermark: WatermarkStrategy,
-    failure: Option<FailureInjection>,
 ) -> (Vec<Record>, ClusterReport) {
     let (mut env, _) = fleet_env(feed, watermark);
     let (mut sink, got) = CollectingSink::new();
-    let report = match failure {
-        None => env.run_placed(query, strategy, &mut sink),
-        Some(f) => env.run_placed_with_failure(query, strategy, f, &mut sink),
-    }
-    .unwrap_or_else(|e| panic!("{strategy:?}/{feed:?} cluster run failed: {e}"));
+    let report = env
+        .run_placed(query, strategy, &mut sink)
+        .unwrap_or_else(|e| panic!("{strategy:?}/{feed:?} cluster run failed: {e}"));
     (got.records(), report)
 }
 
@@ -128,7 +125,7 @@ fn cluster_run(
 fn assert_cluster_equivalent(name: &str, query: &Query, feed: Feed, watermark: &WatermarkStrategy) {
     let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
     for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let (got, report) = cluster_run(query, strategy, feed, watermark.clone(), None);
+        let (got, report) = cluster_run(query, strategy, feed, watermark.clone());
         assert_eq!(
             got, reference,
             "{name}: {strategy:?}/{feed:?} diverges from sync reference"
@@ -158,43 +155,91 @@ fn edge_node(env: &ClusterEnvironment, sensor: NodeId) -> NodeId {
         .expect("edge exists")
 }
 
-/// Mid-run failure of the edge box must be invisible in the results:
-/// state migrates losslessly to the cloud at a quiesced handoff point.
+/// An edge-first placed run whose only fault is train 0's edge box
+/// crashing after it has handled `after_frames` frames (clean links,
+/// `run_placed_chaos`). Returns the raw delivery, the report and the
+/// crashed node.
+fn crash_run(
+    query: &Query,
+    watermark: WatermarkStrategy,
+    columnar: ColumnarMode,
+    after_frames: u64,
+) -> (Vec<Record>, ClusterReport, NodeId) {
+    let (mut env, sensor) = fleet_env(Feed::InOrder, watermark);
+    env.config_mut().columnar = columnar;
+    let edge = edge_node(&env, sensor);
+    let plan = FaultPlan::seeded(0).crash_node(edge, after_frames);
+    let (mut sink, got) = CollectingSink::new();
+    let report = env
+        .run_placed_chaos(query, PlacementStrategy::EdgeFirst, &plan, &mut sink)
+        .unwrap_or_else(|e| panic!("crash after {after_frames} frames: {e}"));
+    (got.records(), report, edge)
+}
+
+/// Whether the cloud sealed a checkpoint before the crash, so recovery
+/// restored it; otherwise it took the epoch-0 full replay.
+fn sealed_before_crash(report: &ClusterReport) -> bool {
+    let events = &report.telemetry.events;
+    let crash = events
+        .iter()
+        .position(|e| e.kind == TraceKind::NodeDown)
+        .expect("the crash is in the trace");
+    events[..crash]
+        .iter()
+        .any(|e| e.kind == TraceKind::CheckpointSealed)
+}
+
+/// Crash frame counts for the failure suites. With `buffer_size` 32,
+/// `watermark_every` 2 and `checkpoint_every` 4, an edge site handles
+/// one to three frames per source batch (its data, every 2nd batch a
+/// watermark, every 4th a barrier); an edge the plan only routes through
+/// (stateless queries run on the sensor) counts one per batch at the
+/// pump. Either way 0 and 3 kill it before the first barrier — recovery
+/// is the **epoch-0 full replay** — and 11 only after batch 4's barrier
+/// has sealed epoch 1 — recovery **restores that sealed epoch**.
+/// `assert_crash_recovered` checks which one happened.
+const CRASH_AFTER_FRAMES: [u64; 3] = [0, 3, 11];
+
+/// A crash run must be invisible in the results: `run`'s rows in `run`'s
+/// raw order (one pipeline), the same counters, one re-planning round,
+/// and no stage left on the dead node.
+fn assert_crash_recovered(
+    name: &str,
+    (got, report, crashed): (Vec<Record>, ClusterReport, NodeId),
+    (reference, ref_metrics): &(Vec<Record>, QueryMetrics),
+    after_frames: u64,
+) {
+    assert_eq!(
+        &got, reference,
+        "{name}: results diverge from `run` after the edge crashed at frame {after_frames}"
+    );
+    assert_eq!(report.metrics.records_in, ref_metrics.records_in, "{name}");
+    assert_eq!(
+        report.metrics.records_out, ref_metrics.records_out,
+        "{name}"
+    );
+    assert_eq!(report.cluster.replans, 1, "{name}: one re-planning round");
+    // The re-planned placement no longer references the crashed node.
+    for pl in &report.placements {
+        assert!(
+            !pl.stages.contains(&crashed),
+            "{name}: stage still on the crashed node"
+        );
+    }
+    assert_eq!(
+        sealed_before_crash(&report),
+        after_frames == 11,
+        "{name}: crash at frame {after_frames} took the wrong recovery path"
+    );
+}
+
+/// A mid-run crash of the edge box must be invisible in the results,
+/// on both recovery paths.
 fn assert_failure_equivalent(name: &str, query: &Query, watermark: &WatermarkStrategy) {
-    let (reference, ref_metrics) = sync_reference(query, Feed::InOrder, watermark.clone());
-    for after_batches in [0, 3, 11] {
-        let (mut env, sensor) = fleet_env(Feed::InOrder, watermark.clone());
-        let failed = edge_node(&env, sensor);
-        let (mut sink, got) = CollectingSink::new();
-        let report = env
-            .run_placed_with_failure(
-                query,
-                PlacementStrategy::EdgeFirst,
-                FailureInjection {
-                    node: failed,
-                    after_batches,
-                },
-                &mut sink,
-            )
-            .unwrap_or_else(|e| panic!("{name}: failure run (after {after_batches}): {e}"));
-        assert_eq!(
-            got.records(),
-            reference,
-            "{name}: results diverge after failing the edge at batch {after_batches}"
-        );
-        assert_eq!(report.metrics.records_in, ref_metrics.records_in, "{name}");
-        assert_eq!(
-            report.metrics.records_out, ref_metrics.records_out,
-            "{name}"
-        );
-        assert_eq!(report.cluster.replans, 1, "{name}: one re-planning round");
-        // The re-planned placement no longer references the failed node.
-        for pl in &report.placements {
-            assert!(
-                !pl.stages.contains(&failed),
-                "{name}: stage still on failed node"
-            );
-        }
+    let reference = sync_reference(query, Feed::InOrder, watermark.clone());
+    for after_frames in CRASH_AFTER_FRAMES {
+        let run = crash_run(query, watermark.clone(), ColumnarMode::Auto, after_frames);
+        assert_crash_recovered(name, run, &reference, after_frames);
     }
 }
 
@@ -264,7 +309,6 @@ fn tumbling_window_cluster_equivalence() {
         PlacementStrategy::EdgeFirst,
         Feed::InOrder,
         generous_watermark(),
-        None,
     );
     assert!(report.cluster.preaggregated, "avg splits via (sum, count)");
     assert_cluster_equivalent_both_feeds("tumbling", &q, &generous_watermark());
@@ -327,7 +371,6 @@ fn unsplittable_custom_window_cluster_equivalence() {
         PlacementStrategy::EdgeFirst,
         Feed::InOrder,
         generous_watermark(),
-        None,
     );
     assert!(!report.cluster.preaggregated, "split must not engage");
     assert_cluster_equivalent("unsplittable", &q, Feed::InOrder, &generous_watermark());
@@ -342,7 +385,6 @@ fn splittable_window_cluster_equivalence() {
         PlacementStrategy::EdgeFirst,
         Feed::InOrder,
         generous_watermark(),
-        None,
     );
     assert!(report.cluster.preaggregated, "split must engage");
     assert_cluster_equivalent_both_feeds("splittable", &q, &generous_watermark());
@@ -525,15 +567,9 @@ fn failure_replanning_mid_run_equivalence() {
 fn edge_preaggregation_cuts_measured_uplink_bytes() {
     let q = splittable_window_query();
     let wm = generous_watermark();
-    let (edge_recs, edge) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        wm.clone(),
-        None,
-    );
-    let (cloud_recs, cloud) =
-        cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm, None);
+    let (edge_recs, edge) =
+        cluster_run(&q, PlacementStrategy::EdgeFirst, Feed::InOrder, wm.clone());
+    let (cloud_recs, cloud) = cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm);
     assert_eq!(edge_recs, cloud_recs, "strategies agree on results");
     assert!(edge.cluster.preaggregated);
     assert!(!cloud.cluster.preaggregated);
@@ -556,30 +592,29 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
     let sim = |m: &ClusterMetrics| -> f64 { m.links.iter().map(|l| l.simulated_transfer_ms).sum() };
     assert!(sim(&edge.cluster) < sim(&cloud.cluster));
 
-    // Uplink classification happens at send time: after a mid-run edge
-    // failure re-attaches the sensors to the cloud, the pre-failure
-    // onboard-bus traffic must not be re-labelled as uplink traffic —
-    // a failure run can never report more uplink bytes than shipping
-    // the whole raw stream cloud-only.
-    let (mut env, sensor) = fleet_env(Feed::InOrder, generous_watermark());
-    let failed = edge_node(&env, sensor);
-    let (mut sink, _) = CollectingSink::new();
-    let failure_report = env
-        .run_placed_with_failure(
-            &q,
-            PlacementStrategy::EdgeFirst,
-            FailureInjection {
-                node: failed,
-                after_batches: 3,
-            },
-            &mut sink,
-        )
-        .expect("failure run");
+    // Uplink classification happens at send time. The edge crashes at
+    // frame 11, after sealing epoch 1 (see `CRASH_AFTER_FRAMES`):
+    // recovery re-attaches the sensors straight to the cloud and replays
+    // batches 5..=19 — 472 of the 600 records — over that link, which is
+    // now an uplink. With C the cloud-only uplink above (every raw
+    // record), correct accounting reports about 472/600 C = 0.79 C, plus
+    // ~1% of envelope bytes and the few partial rows shipped before the
+    // crash. Re-labelling the old onboard-bus link as uplink after the
+    // re-attachment would add its pre-crash raw traffic: batches 1..=8
+    // at least (the edge died at batch 8's data frame), 256/600 C =
+    // 0.43 C, for 1.2 C or more. So `< C` holds with ~20% to spare and a
+    // mislabelling breaks it — as would an epoch-0 replay of all 600
+    // records, hence the sealed-epoch check.
+    let (_, crashed, _) = crash_run(&q, generous_watermark(), ColumnarMode::Auto, 11);
     assert!(
-        failure_report.cluster.uplink_bytes < cloud.cluster.uplink_bytes,
-        "failure-run uplink {} must stay below cloud-only {} (bus bytes \
+        sealed_before_crash(&crashed),
+        "the crash must restore epoch 1, not replay from scratch"
+    );
+    assert!(
+        crashed.cluster.uplink_bytes < cloud.cluster.uplink_bytes,
+        "crash-run uplink {} must stay below cloud-only {} (bus bytes \
          must not be re-labelled as uplink after re-attachment)",
-        failure_report.cluster.uplink_bytes,
+        crashed.cluster.uplink_bytes,
         cloud.cluster.uplink_bytes
     );
 }
@@ -964,15 +999,9 @@ fn avg_query_preaggregates_and_cuts_uplink() {
         ],
     );
     let wm = generous_watermark();
-    let (edge_recs, edge) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        wm.clone(),
-        None,
-    );
-    let (cloud_recs, cloud) =
-        cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm, None);
+    let (edge_recs, edge) =
+        cluster_run(&q, PlacementStrategy::EdgeFirst, Feed::InOrder, wm.clone());
+    let (cloud_recs, cloud) = cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm);
     assert_eq!(edge_recs, cloud_recs, "strategies agree on avg results");
     assert!(edge.cluster.preaggregated, "avg splits at the edge");
     assert!(!cloud.cluster.preaggregated);
@@ -1285,7 +1314,6 @@ fn cluster_run_cfg(
     watermark: WatermarkStrategy,
     buffer_size: usize,
     columnar: ColumnarMode,
-    failure: Option<FailureInjection>,
 ) -> (Vec<Record>, ClusterReport) {
     let (topo, sensors) = Topology::train_fleet(3);
     let mut env = ClusterEnvironment::with_config(
@@ -1299,13 +1327,11 @@ fn cluster_run_cfg(
     );
     env.add_source("s", sensors[0], source(feed), watermark);
     let (mut sink, got) = CollectingSink::new();
-    let report = match failure {
-        None => env.run_placed(query, strategy, &mut sink),
-        Some(f) => env.run_placed_with_failure(query, strategy, f, &mut sink),
-    }
-    .unwrap_or_else(|e| {
-        panic!("{strategy:?}/{feed:?}/batch={buffer_size}/{columnar:?} cluster run failed: {e}")
-    });
+    let report = env
+        .run_placed(query, strategy, &mut sink)
+        .unwrap_or_else(|e| {
+            panic!("{strategy:?}/{feed:?}/batch={buffer_size}/{columnar:?} cluster run failed: {e}")
+        });
     // Batch size shapes the jittered feed and the watermark cadence,
     // so runs at different sizes compare in canonical order.
     (normalized(got.records()), report)
@@ -1324,15 +1350,8 @@ fn assert_batched_cluster_equivalent(
     for batch in [7, 64] {
         for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
             for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-                let (got, report) = cluster_run_cfg(
-                    query,
-                    strategy,
-                    feed,
-                    watermark.clone(),
-                    batch,
-                    columnar,
-                    None,
-                );
+                let (got, report) =
+                    cluster_run_cfg(query, strategy, feed, watermark.clone(), batch, columnar);
                 assert_eq!(
                     got, reference,
                     "{name}: {strategy:?}/{feed:?}/batch={batch}/{columnar:?} diverges"
@@ -1370,40 +1389,16 @@ fn batched_splittable_window_cluster_equivalence() {
 
 #[test]
 fn batched_failure_replanning_equivalence() {
-    // Mid-run edge failure under forced-columnar execution: migration
-    // snapshots window state after buffers were absorbed columnar-side,
-    // and the re-planned cloud chain continues from it losslessly.
+    // An edge crash under forced-columnar execution at `run`'s batch
+    // size: checkpoints snapshot window state after buffers were
+    // absorbed columnar-side, and recovery (a sealed-epoch restore for
+    // 11 frames, the epoch-0 replay for 0 and 3) continues from it in
+    // `run`'s raw order.
     let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, generous_watermark());
-    let reference = normalized(reference);
-    for after_batches in [0, 3, 11] {
-        let (topo, sensors) = Topology::train_fleet(3);
-        let failed = {
-            let probe = ClusterEnvironment::new(topo.clone());
-            probe
-                .topology()
-                .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
-                .expect("edge exists")
-        };
-        let (got, report) = cluster_run_cfg(
-            &q,
-            PlacementStrategy::EdgeFirst,
-            Feed::InOrder,
-            generous_watermark(),
-            32,
-            ColumnarMode::Force,
-            Some(FailureInjection {
-                node: failed,
-                after_batches,
-            }),
-        );
-        assert_eq!(
-            got, reference,
-            "columnar failure run diverges (failed at batch {after_batches})"
-        );
-        assert_eq!(report.metrics.records_in, ref_metrics.records_in);
-        assert_eq!(report.metrics.records_out, ref_metrics.records_out);
-        assert_eq!(report.cluster.replans, 1);
+    let reference = sync_reference(&q, Feed::InOrder, generous_watermark());
+    for after_frames in CRASH_AFTER_FRAMES {
+        let run = crash_run(&q, generous_watermark(), ColumnarMode::Force, after_frames);
+        assert_crash_recovered("columnar", run, &reference, after_frames);
     }
 }
 
@@ -1431,7 +1426,6 @@ fn batched_wire_bytes_match_row_wire_bytes() {
             WatermarkStrategy::None,
             32,
             ColumnarMode::Off,
-            None,
         );
         let (col_recs, col) = cluster_run_cfg(
             &q,
@@ -1440,7 +1434,6 @@ fn batched_wire_bytes_match_row_wire_bytes() {
             WatermarkStrategy::None,
             32,
             ColumnarMode::Force,
-            None,
         );
         assert_eq!(col_recs, row_recs, "{strategy:?}: results");
         assert_eq!(
