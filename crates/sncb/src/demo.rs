@@ -1,15 +1,18 @@
 //! Demo wiring: connects the simulated SNCB deployment to the
 //! NebulaMEOS query context — zone inventory extraction, the weather
-//! provider implementation, and a one-call environment builder used by
-//! the examples, integration tests and benchmarks.
+//! provider implementation, and one-call local and cluster environment
+//! builders used by the examples, integration tests and benchmarks.
 
 use crate::network::{RailNetwork, ZoneKind};
 use crate::stream::{fleet_schema, FleetConfig, FleetSimulator};
 use crate::weather::WeatherField;
 use meos::geo::Point;
 use meos::time::TimestampTz;
-use nebula::prelude::{Record, StreamEnvironment, VecSource, WatermarkStrategy, MICROS_PER_SEC};
-use nebulameos::{DemoContext, DemoZones, MeosPlugin, WeatherProvider};
+use nebula::prelude::{
+    ClusterEnvironment, Record, StreamEnvironment, Topology, VecSource, WatermarkStrategy,
+    MICROS_PER_SEC,
+};
+use nebulameos::{register_meos_codecs, DemoContext, DemoZones, MeosPlugin, WeatherProvider};
 use std::sync::Arc;
 
 impl WeatherProvider for WeatherField {
@@ -82,6 +85,33 @@ pub fn demo_environment_with(
         .expect("demo context");
     env.add_source(
         "fleet",
+        Box::new(VecSource::new(fleet_schema(), records)),
+        WatermarkStrategy::BoundedOutOfOrder {
+            ts_field: "ts".into(),
+            slack: 5 * MICROS_PER_SEC,
+        },
+    );
+    env
+}
+
+/// The cluster counterpart of [`demo_environment_with`]: a one-train
+/// sensors→edge→cloud [`Topology::train_fleet`] with the MEOS plugin,
+/// the zone/weather context and the MEOS wire codecs loaded, and the
+/// `fleet` source hosted on the train's sensor node.
+pub fn demo_cluster_with(
+    net: &RailNetwork,
+    weather: WeatherField,
+    records: Vec<Record>,
+) -> ClusterEnvironment {
+    let (topo, sensors) = Topology::train_fleet(1);
+    let mut env = ClusterEnvironment::new(topo);
+    env.load_plugin(&MeosPlugin).expect("meos plugin");
+    env.load_plugin(&DemoContext::new(demo_zones(net)).with_weather(Arc::new(weather)))
+        .expect("demo context");
+    register_meos_codecs(env.wire_registry_mut());
+    env.add_source(
+        "fleet",
+        sensors[0],
         Box::new(VecSource::new(fleet_schema(), records)),
         WatermarkStrategy::BoundedOutOfOrder {
             ts_field: "ts".into(),

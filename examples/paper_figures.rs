@@ -1,4 +1,4 @@
-//! Regenerates the paper's figures as data artifacts:
+//! Regenerates the paper's figures as data artifacts in `figures/`:
 //!
 //! - **Figure 1** (architecture): the sensor→edge→cloud topology with
 //!   the edge-first operator placement, printed and saved as JSON.
@@ -9,24 +9,30 @@
 //!   render directly.
 //!
 //! ```text
-//! cargo run --release -p nebulameos-bench --bin figures
+//! cargo run --release --example paper_figures
 //! ```
 
 use nebula::prelude::*;
 use nebulameos::viz;
-use nebulameos_bench::{demo_queries, Workload, PAPER_RESULTS};
 use serde_json::{json, Map};
+use sncb::{FleetConfig, FleetSimulator};
 
 fn main() {
     let out = std::path::Path::new("figures");
     std::fs::create_dir_all(out).expect("create figures/");
+    let queries = nebulameos::all_demo_queries();
 
     // ------------------------------------------------------------------
     // Figure 1: architecture / topology with placement.
     // ------------------------------------------------------------------
     let (topo, sensors) = Topology::train_fleet(6);
-    let query = demo_queries().remove(0);
-    let placement = place(&query, &topo, sensors[0], PlacementStrategy::EdgeFirst).unwrap();
+    let placement = place(
+        &queries[0].1,
+        &topo,
+        sensors[0],
+        PlacementStrategy::EdgeFirst,
+    )
+    .unwrap();
     println!("Figure 1 — topology (6 trains):");
     for node in topo.nodes() {
         println!("  {:?} {}", node.kind, node.name);
@@ -57,13 +63,16 @@ fn main() {
     // ------------------------------------------------------------------
     // Figure 2: the fleet dataset on the map.
     // ------------------------------------------------------------------
-    eprintln!("generating workload for figures...");
-    let workload = Workload::generate(60, 1_000);
+    eprintln!("simulating one demo hour for figures...");
+    let sim = FleetSimulator::new(FleetConfig::demo_hour());
+    let net = sim.network();
+    let weather = sim.weather().clone();
+    let records = sim.into_records();
     let schema = sncb::fleet_schema();
 
     let mut features: Vec<serde_json::Value> = Vec::new();
     // Routes as linestrings.
-    for route in &workload.net.routes {
+    for route in &net.routes {
         let mut props = Map::new();
         props.insert("route".into(), json!(route.name));
         props.insert("kind".into(), json!("route"));
@@ -74,21 +83,21 @@ fn main() {
         features.push(viz::feature(&viz::line_geometry(&route.track), &props));
     }
     // Zones as polygons.
-    for zone in &workload.net.zones {
+    for zone in &net.zones {
         let mut props = Map::new();
         props.insert("zone".into(), json!(zone.name));
         props.insert("kind".into(), json!(format!("{:?}", zone.kind)));
         features.push(viz::feature(&viz::zone_geometry(&zone.geometry), &props));
     }
     // Train positions sampled every 30 s.
-    let sampled: Vec<Record> = workload.records.iter().step_by(30 * 6).cloned().collect();
+    let sampled: Vec<Record> = records.iter().step_by(30 * 6).cloned().collect();
     features.extend(viz::records_to_features(&sampled, &schema, "pos"));
     let fig2 = viz::feature_collection(&features);
     viz::write_json(out.join("fig2_fleet.geojson"), &fig2).unwrap();
     println!(
         "Figure 2 — fleet map: {} routes, {} zones, {} position samples",
-        workload.net.routes.len(),
-        workload.net.zones.len(),
+        net.routes.len(),
+        net.zones.len(),
         sampled.len()
     );
 
@@ -109,32 +118,30 @@ fn main() {
         "brake_monitoring",
     ];
 
-    for (i, query) in demo_queries().into_iter().enumerate() {
-        let mut env = workload.environment();
+    for (i, (name, query)) in queries.into_iter().enumerate() {
+        let mut env = sncb::demo::demo_environment_with(&net, weather.clone(), records.clone());
         let (mut sink, got) = CollectingSink::new();
         let metrics = env.run(&query, &mut sink).expect("query runs");
         let out_schema = compile(&query, schema.clone(), env.registry())
             .map(|p| p.output_schema)
             .unwrap_or_else(|_| schema.clone());
-        let records = got.records();
+        let alerts = got.records();
         // Cap the artifact size; figures are illustrative.
-        let cap: Vec<Record> = records.iter().take(2_000).cloned().collect();
+        let cap: Vec<Record> = alerts.iter().take(2_000).cloned().collect();
         let features = viz::records_to_features(&cap, &out_schema, pos_fields[i]);
         let n = features.len();
         let doc = json!({
-            "query": PAPER_RESULTS[i].name,
+            "query": name,
             "records_in": metrics.records_in,
-            "alerts": records.len(),
+            "alerts": alerts.len(),
             "geojson": viz::feature_collection(&features),
         });
         let path = out.join(format!("fig3{}_{}.json", letters[i], slugs[i]));
         viz::write_json(&path, &doc).unwrap();
         println!(
-            "Figure 3{} — {}: {} alerts ({} plotted) -> {}",
+            "Figure 3{} — {name}: {} alerts ({n} plotted) -> {}",
             letters[i],
-            PAPER_RESULTS[i].name,
-            records.len(),
-            n,
+            alerts.len(),
             path.display()
         );
     }

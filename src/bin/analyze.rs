@@ -7,11 +7,13 @@
 //! on the demo suite staying clean.
 //!
 //! ```text
-//! cargo run --release -p nebulameos-bench --bin analyze [-- --json]
+//! cargo run --release --bin analyze [-- --json]
 //! ```
 
-use nebula::prelude::{AnalysisReport, PlacementStrategy, Query, Target};
-use nebulameos_bench::Workload;
+use nebula::prelude::{
+    AnalysisReport, ClusterEnvironment, PlacementStrategy, StreamEnvironment, Target,
+};
+use sncb::{FleetConfig, FleetSimulator};
 
 struct Analyzed {
     query: &'static str,
@@ -19,9 +21,7 @@ struct Analyzed {
     report: AnalysisReport,
 }
 
-fn analyze_all(workload: &Workload) -> Vec<Analyzed> {
-    let env = workload.environment();
-    let cluster = workload.cluster_environment();
+fn analyze_all(env: &StreamEnvironment, cluster: &ClusterEnvironment) -> Vec<Analyzed> {
     let mut out = Vec::new();
     for (name, query) in nebulameos::all_demo_queries() {
         let targets: [(&'static str, AnalysisReport); 3] = [
@@ -94,10 +94,15 @@ fn print_json(results: &[Analyzed]) {
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    // Analysis never executes the plan; a minimal workload is only
+    // Analysis never executes the plan; one simulated minute is only
     // needed for the source schemas and loaded plugins.
-    let workload = Workload::generate(1, 1_000);
-    let results = analyze_all(&workload);
+    let sim = FleetSimulator::new(FleetConfig::test_minutes(1));
+    let net = sim.network();
+    let weather = sim.weather().clone();
+    let records = sim.into_records();
+    let env = sncb::demo::demo_environment_with(&net, weather.clone(), records.clone());
+    let cluster = sncb::demo::demo_cluster_with(&net, weather, records);
+    let results = analyze_all(&env, &cluster);
 
     if json {
         print_json(&results);
@@ -110,14 +115,4 @@ fn main() {
         eprintln!("{errors} error diagnostic(s) across the demo suite");
         std::process::exit(1);
     }
-}
-
-/// A smoke query that should be rejected — used to check the exit-code
-/// path manually: `cargo run --bin analyze -- --self-test`.
-#[allow(dead_code)]
-fn self_test(workload: &Workload) -> bool {
-    use nebula::prelude::{col, lit};
-    let env = workload.environment();
-    let bad = Query::from("fleet").filter(col("no_such_column").gt(lit(1.0)));
-    env.analyze(&bad).expect("source registered").has_errors()
 }

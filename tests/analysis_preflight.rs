@@ -6,18 +6,25 @@
 //! entry point before any operator is instantiated.
 
 use nebula::prelude::*;
-use nebulameos_bench::Workload;
+use sncb::{FleetConfig, FleetSimulator};
 
-/// Analysis needs only schemas and registries, not data volume.
-fn workload() -> Workload {
-    Workload::generate(1, 1_000)
+/// Analysis needs only schemas and registries, not data volume: one
+/// simulated minute.
+fn environment() -> StreamEnvironment {
+    sncb::demo_environment(FleetConfig::test_minutes(1)).0
+}
+
+/// The same minute hosted on a one-train cluster.
+fn cluster_environment() -> ClusterEnvironment {
+    let sim = FleetSimulator::new(FleetConfig::test_minutes(1));
+    let (net, weather) = (sim.network(), sim.weather().clone());
+    sncb::demo::demo_cluster_with(&net, weather, sim.into_records())
 }
 
 #[test]
 fn demo_queries_are_error_free_under_every_target() {
-    let w = workload();
-    let env = w.environment();
-    let cluster = w.cluster_environment();
+    let env = environment();
+    let cluster = cluster_environment();
     for (name, query) in nebulameos::all_demo_queries() {
         let reports = [
             ("local", env.analyze(&query).expect("source registered")),
@@ -62,10 +69,9 @@ fn demo_queries_are_error_free_under_every_target() {
 
 #[test]
 fn rejected_plan_is_refused_by_every_entry_point() {
-    let w = workload();
     let bad = Query::from("fleet").filter(col("no_such_column").gt(lit(0)));
 
-    let mut env = w.environment();
+    let mut env = environment();
     let report = env.analyze(&bad).expect("source registered");
     assert!(report.has_errors(), "unknown column is an error");
     assert!(
@@ -99,7 +105,7 @@ fn rejected_plan_is_refused_by_every_entry_point() {
         "a rejected plan never reaches the sink"
     );
 
-    let mut cluster = w.cluster_environment();
+    let mut cluster = cluster_environment();
     let (mut csink, _) = CollectingSink::new();
     match cluster.run_placed(&bad, PlacementStrategy::EdgeFirst, &mut csink) {
         Err(NebulaError::Analysis(e)) => assert!(!e.diagnostics.is_empty()),
@@ -109,7 +115,6 @@ fn rejected_plan_is_refused_by_every_entry_point() {
 
 #[test]
 fn warning_severity_is_configurable_per_environment() {
-    let w = workload();
     let keyless = Query::from("fleet").window(
         vec![],
         WindowSpec::Tumbling {
@@ -119,7 +124,7 @@ fn warning_severity_is_configurable_per_environment() {
     );
 
     // Default: W010 is a warning, plan accepted.
-    let env = w.environment();
+    let env = environment();
     let report = env
         .analyze_for(&keyless, Target::Partitioned { parallelism: 4 })
         .expect("source registered");
@@ -130,7 +135,7 @@ fn warning_severity_is_configurable_per_environment() {
         .any(|d| d.code == Code::PartitionFallback));
 
     // Promoted to deny: the same plan is rejected.
-    let mut strict = w.environment();
+    let mut strict = environment();
     strict.config_mut().analysis =
         AnalysisOptions::new().set(Code::PartitionFallback, LintLevel::Deny);
     let report = strict
@@ -139,7 +144,7 @@ fn warning_severity_is_configurable_per_environment() {
     assert!(report.has_errors(), "denied W010 rejects the plan");
 
     // Allowed: the diagnostic disappears entirely.
-    let mut lax = w.environment();
+    let mut lax = environment();
     lax.config_mut().analysis =
         AnalysisOptions::new().set(Code::PartitionFallback, LintLevel::Allow);
     let report = lax
@@ -155,8 +160,7 @@ fn meos_capabilities_type_opaque_plans_for_the_wire() {
     // MeosPlugin's capability registry tags the column as
     // `meos.tgeompoint` and the cluster has a codec for that tag, so
     // the placed analysis stays completely clean — no W012.
-    let w = workload();
-    let cluster = w.cluster_environment();
+    let cluster = cluster_environment();
     let q = Query::from("fleet").map_extend(vec![(
         "traj",
         call("tpoint_simplify", vec![col("pos"), lit(5.0)]),

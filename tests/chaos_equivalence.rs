@@ -716,6 +716,61 @@ fn ineligible_fault_plans_are_rejected_up_front() {
     assert_eq!(got.len(), 600);
 }
 
+/// The resilience tax on the wire. A fault-free plan still runs the
+/// whole resilient protocol, so its reverse channel (acks plus heartbeat
+/// envelopes) must stay under 5 % of what it protects: the payload
+/// uplink under `CloudOnly`, which ships every record over it, and all
+/// forward link bytes under `EdgeFirst`, whose pre-aggregated uplink is
+/// deliberately tiny. Over ten demo minutes (3 600 records) of the keyed
+/// fleet window: 900 B / 362 364 B = 0.25 % and 1 377 B / 367 522 B =
+/// 0.37 %.
+#[test]
+fn ack_and_heartbeat_bytes_stay_under_five_percent_of_the_wire() {
+    let sim = sncb::FleetSimulator::new(sncb::FleetConfig::test_minutes(10));
+    let net = sim.network();
+    let weather = sim.weather().clone();
+    let records = sim.into_records();
+    let q = Query::from("fleet").window(
+        vec![("train", col("train_id"))],
+        WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        },
+        vec![
+            WindowAgg::new("n", AggSpec::Count),
+            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed_kmh"))),
+            WindowAgg::new("max_passengers", AggSpec::Max(col("passengers"))),
+        ],
+    );
+    let wire_bytes = |strategy: PlacementStrategy| {
+        let mut env = sncb::demo::demo_cluster_with(&net, weather.clone(), records.clone());
+        let cfg = env.config_mut();
+        cfg.buffer_size = 64;
+        cfg.watermark_every = 2;
+        cfg.checkpoint_every = 4;
+        let (mut sink, _) = CountingSink::new();
+        let c = env
+            .run_placed_chaos(&q, strategy, &FaultPlan::seeded(11), &mut sink)
+            .expect("fault-free resilient run")
+            .cluster;
+        let reverse = c.ack_bytes + c.heartbeats * ENVELOPE_OVERHEAD as u64;
+        let forward: u64 = c.links.iter().map(|l| l.bytes).sum();
+        (reverse, c.uplink_bytes, forward)
+    };
+
+    let (reverse, uplink, _) = wire_bytes(PlacementStrategy::CloudOnly);
+    assert!(reverse > 0, "a resilient run acknowledges its frames");
+    assert!(
+        reverse * 20 < uplink,
+        "CloudOnly: {reverse} B reverse vs {uplink} B uplink is not under 5 %"
+    );
+    let (reverse, _, forward) = wire_bytes(PlacementStrategy::EdgeFirst);
+    assert!(reverse > 0, "a resilient run acknowledges its frames");
+    assert!(
+        reverse * 20 < forward,
+        "EdgeFirst: {reverse} B reverse vs {forward} B forward is not under 5 %"
+    );
+}
+
 /// Chaos metrics stay zero on the clean path (no plan, no envelopes):
 /// the resilient protocol is strictly opt-in, so legacy byte accounting
 /// is untouched.

@@ -20,7 +20,23 @@
 //!   identical per-record work (see docs/execution.md).
 
 use nebula::prelude::*;
-use nebulameos_bench::{keyed_window_query, Workload};
+use sncb::{FleetConfig, FleetSimulator};
+
+/// A per-train tumbling-window speed/load profile, hash-partitioned by
+/// `train_id` under `run_partitioned`.
+fn keyed_window_query() -> Query {
+    Query::from("fleet").window(
+        vec![("train", col("train_id"))],
+        WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        },
+        vec![
+            WindowAgg::new("n", AggSpec::Count),
+            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed_kmh"))),
+            WindowAgg::new("max_passengers", AggSpec::Max(col("passengers"))),
+        ],
+    )
+}
 
 #[test]
 fn partitioned_sustains_single_threaded_rate() {
@@ -38,14 +54,22 @@ fn partitioned_sustains_single_threaded_rate() {
         return;
     }
 
-    let w = Workload::standard();
+    // One demo hour at 250 ms ticks (~86k events).
+    let sim = FleetSimulator::new(FleetConfig {
+        tick: meos::time::TimeDelta::from_millis(250),
+        ..FleetConfig::demo_hour()
+    });
+    let net = sim.network();
+    let weather = sim.weather().clone();
+    let records = sim.into_records();
     let q = keyed_window_query();
     let rate = |parallelism: usize| -> f64 {
         // Best of 3 runs: the floor guards against structural regressions,
         // not scheduler noise.
         (0..3)
             .map(|_| {
-                let mut env = w.environment();
+                let mut env =
+                    sncb::demo::demo_environment_with(&net, weather.clone(), records.clone());
                 let (mut sink, _) = CountingSink::new();
                 let m = if parallelism == 0 {
                     env.run(&q, &mut sink).expect("single run")
