@@ -560,13 +560,12 @@ impl WindowOp {
             unreachable!("threshold path");
         };
         let min_count = *min_count;
-        let pred = self
+        let (key, key_values) = GroupKey::evaluate(&self.key_exprs, rec)?;
+        let holds = self
             .threshold_pred
             .as_ref()
             .expect("threshold predicate bound")
-            .clone();
-        let (key, key_values) = GroupKey::evaluate(&self.key_exprs, rec)?;
-        let holds = pred.eval_predicate(rec)?;
+            .eval_predicate(rec)?;
         if holds {
             let st = match self.threshold_state.entry(key) {
                 std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
