@@ -490,80 +490,6 @@ impl Column {
         }
     }
 
-    /// Keeps only rows with `mask[i] == true`.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        let keep_validity = |validity: &Option<Vec<bool>>| -> Option<Vec<bool>> {
-            validity.as_ref().map(|m| {
-                m.iter()
-                    .zip(mask)
-                    .filter(|&(_, &k)| k)
-                    .map(|(&v, _)| v)
-                    .collect()
-            })
-        };
-        let keep = |n: usize| mask.iter().take(n).filter(|&&k| k).count();
-        match self {
-            Column::Bool { data, validity } => Column::Bool {
-                data: filter_vec(data, mask),
-                validity: keep_validity(validity),
-            },
-            Column::Int { data, validity } => Column::Int {
-                data: filter_vec(data, mask),
-                validity: keep_validity(validity),
-            },
-            Column::Float { data, validity } => Column::Float {
-                data: filter_vec(data, mask),
-                validity: keep_validity(validity),
-            },
-            Column::Timestamp { data, validity } => Column::Timestamp {
-                data: filter_vec(data, mask),
-                validity: keep_validity(validity),
-            },
-            Column::Point { xs, ys, validity } => Column::Point {
-                xs: filter_vec(xs, mask),
-                ys: filter_vec(ys, mask),
-                validity: keep_validity(validity),
-            },
-            Column::Text {
-                arena,
-                offsets,
-                validity,
-            } => {
-                let n = offsets.len().saturating_sub(1);
-                let mut new_arena = Vec::with_capacity(arena.len());
-                let mut new_offsets = Vec::with_capacity(keep(n) + 1);
-                new_offsets.push(0u32);
-                for i in 0..n {
-                    if mask[i] {
-                        new_arena.extend_from_slice(
-                            &arena[offsets[i] as usize..offsets[i + 1] as usize],
-                        );
-                        new_offsets.push(new_arena.len() as u32);
-                    }
-                }
-                Column::Text {
-                    arena: new_arena,
-                    offsets: new_offsets,
-                    validity: keep_validity(validity),
-                }
-            }
-            Column::Opaque(v) => Column::Opaque(
-                v.iter()
-                    .zip(mask)
-                    .filter(|&(_, &k)| k)
-                    .map(|(o, _)| o.clone())
-                    .collect(),
-            ),
-            Column::Values(v) => Column::Values(
-                v.iter()
-                    .zip(mask)
-                    .filter(|&(_, &k)| k)
-                    .map(|(val, _)| val.clone())
-                    .collect(),
-            ),
-        }
-    }
-
     /// Rows at `indices`, in order (partition gather).
     pub fn gather(&self, indices: &[usize]) -> Column {
         let gv = |validity: &Option<Vec<bool>>| -> Option<Vec<bool>> {
@@ -663,14 +589,6 @@ fn push_validity(validity: &mut Option<Vec<bool>>, rows: usize, valid: bool) {
             *validity = Some(m);
         }
     }
-}
-
-fn filter_vec<T: Copy>(data: &[T], mask: &[bool]) -> Vec<T> {
-    data.iter()
-        .zip(mask)
-        .filter(|&(_, &k)| k)
-        .map(|(&v, _)| v)
-        .collect()
 }
 
 /// Incrementally builds a [`Column`] whose type is *not* known up front
@@ -932,17 +850,13 @@ impl TupleBuffer {
     }
 
     /// Keeps rows with `mask[i] == true`, preserving metadata (time
-    /// bounds stay as conservative bounds).
+    /// bounds stay as conservative bounds). The kept row indices are
+    /// found once and every column gathers them, instead of each column
+    /// walking the whole mask.
     pub fn filter(&self, mask: &[bool]) -> TupleBuffer {
         debug_assert_eq!(mask.len(), self.len);
-        let columns: Vec<Column> = self.columns.iter().map(|c| c.filter(mask)).collect();
-        let len = mask.iter().filter(|&&k| k).count();
-        TupleBuffer {
-            schema: self.schema.clone(),
-            len,
-            columns,
-            meta: self.meta,
-        }
+        let kept: Vec<usize> = (0..self.len).filter(|&i| mask[i]).collect();
+        self.gather(&kept)
     }
 
     /// Rows at `indices`, in order.

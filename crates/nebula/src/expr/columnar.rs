@@ -190,13 +190,21 @@ impl BoundExpr {
                 // The left truth value that decides a row on its own.
                 let decides = *op == BinOp::Or;
                 let mut mask = lhs.eval_mask(buf)?;
-                match rhs.eval_mask(buf) {
-                    Ok(rm) if decides => mask.iter_mut().zip(&rm).for_each(|(a, &b)| *a |= b),
-                    Ok(rm) => mask.iter_mut().zip(&rm).for_each(|(a, &b)| *a &= b),
-                    Err(_) => {
-                        // A row the reference would have short-circuited
-                        // may be the one that errored: re-evaluate only
-                        // the rows the left side left undecided.
+                // A right side that is per-row work anyway (a call) runs
+                // only on the rows the left side left undecided, as in
+                // the scalar evaluator; a vectorized one runs whole.
+                let rm = if rhs.vectorizes() {
+                    rhs.eval_mask(buf).ok()
+                } else {
+                    None
+                };
+                match rm {
+                    Some(rm) if decides => mask.iter_mut().zip(&rm).for_each(|(a, &b)| *a |= b),
+                    Some(rm) => mask.iter_mut().zip(&rm).for_each(|(a, &b)| *a &= b),
+                    None => {
+                        // Also the fallback when the vectorized right
+                        // side errored: the failing row may be one the
+                        // reference would have short-circuited.
                         for (row, m) in mask.iter_mut().enumerate() {
                             if *m != decides {
                                 *m = rhs.eval_predicate_row(buf, row)?;

@@ -7,7 +7,8 @@
 //! first event. Partial-match count per key is capped to bound memory on
 //! edge devices.
 
-use super::{GroupKey, Operator};
+use super::{event_times, GroupKey, Operator};
+use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
 use crate::expr::{BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
@@ -74,9 +75,19 @@ impl Pattern {
     }
 }
 
+#[derive(Clone, Copy)]
 struct Partial {
     next_step: usize,
     first_ts: EventTime,
+}
+
+/// The skip-till-next-match automaton's bounds: both evaluation paths
+/// advance a key's partials through [`Automaton::advance`].
+#[derive(Clone, Copy)]
+struct Automaton {
+    steps: usize,
+    within: DurationUs,
+    max_partials: usize,
 }
 
 /// The CEP operator. Output schema: the input columns of the *final*
@@ -85,9 +96,8 @@ struct Partial {
 pub struct CepOp {
     pattern_name: String,
     steps: Vec<BoundExpr>,
-    within: DurationUs,
+    automaton: Automaton,
     key_expr: Option<BoundExpr>,
-    max_partials: usize,
     ts_col: usize,
     output: SchemaRef,
     state: HashMap<GroupKey, Vec<Partial>>,
@@ -136,10 +146,13 @@ impl CepOp {
         ]);
         Ok(CepOp {
             pattern_name: pattern.name.clone(),
+            automaton: Automaton {
+                steps: steps.len(),
+                within: pattern.within,
+                max_partials: pattern.max_partials,
+            },
             steps,
-            within: pattern.within,
             key_expr,
-            max_partials: pattern.max_partials,
             ts_col,
             output,
             state: HashMap::new(),
@@ -152,14 +165,64 @@ impl CepOp {
         self.matches
     }
 
-    fn key_of(&self, rec: &Record) -> Result<GroupKey> {
-        match &self.key_expr {
-            Some(e) => {
-                let (k, _) = GroupKey::evaluate(std::slice::from_ref(e), rec)?;
-                Ok(k)
-            }
-            None => Ok(GroupKey::evaluate(&[], rec)?.0),
+    /// The output row of one match: the completing record's values,
+    /// then `pattern`, `match_start` and `match_end`.
+    fn emit(&mut self, values: &[Value], first_ts: EventTime, ts: EventTime) -> Record {
+        self.matches += 1;
+        let mut row = Vec::with_capacity(values.len() + 3);
+        row.extend_from_slice(values);
+        row.push(Value::text(self.pattern_name.clone()));
+        row.push(Value::Timestamp(first_ts));
+        row.push(Value::Timestamp(ts));
+        Record::new(row)
+    }
+
+    fn push_matches(&self, emitted: Vec<Record>, out: &mut Vec<StreamMessage>) {
+        if !emitted.is_empty() {
+            out.push(StreamMessage::Data(RecordBuffer::new(
+                self.output.clone(),
+                emitted,
+            )));
         }
+    }
+}
+
+impl Automaton {
+    /// Advances one key's partials by one record at `ts`; `sat(step)`
+    /// says whether the record satisfies step `step`. Returns the
+    /// first-event time of every match the record completes.
+    fn advance(
+        self,
+        partials: &mut Vec<Partial>,
+        ts: EventTime,
+        sat: impl Fn(usize) -> bool,
+    ) -> Vec<EventTime> {
+        // Expire partials that can no longer complete.
+        partials.retain(|p| ts - p.first_ts <= self.within);
+        let mut completed = Vec::new();
+        // Advance existing partials (each at most one step).
+        for p in partials.iter_mut() {
+            if sat(p.next_step) {
+                p.next_step += 1;
+                if p.next_step == self.steps {
+                    completed.push(p.first_ts);
+                }
+            }
+        }
+        partials.retain(|p| p.next_step < self.steps);
+        // Open a new partial (or complete immediately for unary
+        // patterns).
+        if sat(0) {
+            if self.steps == 1 {
+                completed.push(ts);
+            } else if partials.len() < self.max_partials {
+                partials.push(Partial {
+                    next_step: 1,
+                    first_ts: ts,
+                });
+            }
+        }
+        completed
     }
 }
 
@@ -179,64 +242,73 @@ impl Operator for CepOp {
                 .get(self.ts_col)
                 .and_then(Value::as_timestamp)
                 .ok_or_else(|| NebulaError::Eval("cep: record missing event time".into()))?;
-            let key = self.key_of(rec)?;
+            let (key, _) = GroupKey::evaluate(self.key_expr.as_slice(), rec)?;
             // Evaluate step predicates once per record.
             let mut sat = Vec::with_capacity(self.steps.len());
             for s in &self.steps {
                 sat.push(s.eval_predicate(rec)?);
             }
-
             let partials = self.state.entry(key).or_default();
-            // Expire partials that can no longer complete.
-            partials.retain(|p| ts - p.first_ts <= self.within);
-
-            let mut completed: Vec<EventTime> = Vec::new();
-            // Advance existing partials (each at most one step).
-            for p in partials.iter_mut() {
-                if sat[p.next_step] {
-                    p.next_step += 1;
-                    if p.next_step == self.steps.len() {
-                        completed.push(p.first_ts);
-                    }
-                }
-            }
-            partials.retain(|p| p.next_step < self.steps.len());
-
-            // Open a new partial (or complete immediately for unary
-            // patterns).
-            if sat[0] {
-                if self.steps.len() == 1 {
-                    completed.push(ts);
-                } else if partials.len() < self.max_partials {
-                    partials.push(Partial {
-                        next_step: 1,
-                        first_ts: ts,
-                    });
-                }
-            }
-
-            for first_ts in completed {
-                self.matches += 1;
-                let mut values = rec.values().to_vec();
-                values.push(Value::text(self.pattern_name.clone()));
-                values.push(Value::Timestamp(first_ts));
-                values.push(Value::Timestamp(ts));
-                emitted.push(Record::new(values));
+            for first_ts in self.automaton.advance(partials, ts, |step| sat[step]) {
+                let m = self.emit(rec.values(), first_ts, ts);
+                emitted.push(m);
             }
         }
-        if !emitted.is_empty() {
-            out.push(StreamMessage::Data(RecordBuffer::new(
-                self.output.clone(),
-                emitted,
-            )));
+        self.push_matches(emitted, out);
+        Ok(())
+    }
+
+    fn supports_columnar(&self) -> bool {
+        true
+    }
+
+    /// Step predicates run as masks and the key as per-buffer ids.
+    fn columnar_benefit(&self) -> bool {
+        true
+    }
+
+    /// Matches leave as rows.
+    fn propagates_columnar(&self) -> bool {
+        false
+    }
+
+    /// The batch kernel: event times come from the typed column, the
+    /// key once per buffer as dense ids, each step predicate once as a
+    /// mask; partials then advance row by row in arrival order, and a
+    /// row materializes only when it completes a match.
+    fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
+        let ts = event_times(&buf, self.ts_col, "cep")?;
+        let keys = GroupKey::evaluate_buffer(self.key_expr.as_slice(), &buf, None)?;
+        let sat = self
+            .steps
+            .iter()
+            .map(|s| s.eval_mask(&buf))
+            .collect::<Result<Vec<_>>>()?;
+        // Each distinct key's partials leave the map once per buffer.
+        let mut groups: Vec<Vec<Partial>> = keys
+            .keys
+            .iter()
+            .map(|(key, _)| self.state.remove(key).unwrap_or_default())
+            .collect();
+        let mut emitted: Vec<Record> = Vec::new();
+        for (row, (&id, &t)) in keys.ids.iter().zip(ts.iter()).enumerate() {
+            let partials = &mut groups[id as usize];
+            for first_ts in self.automaton.advance(partials, t, |step| sat[step][row]) {
+                let m = self.emit(buf.row(row).values(), first_ts, t);
+                emitted.push(m);
+            }
         }
+        for ((key, _), partials) in keys.keys.into_iter().zip(groups) {
+            self.state.insert(key, partials);
+        }
+        self.push_matches(emitted, out);
         Ok(())
     }
 
     fn on_watermark(&mut self, wm: EventTime, out: &mut Vec<StreamMessage>) -> Result<()> {
         // Garbage-collect partials that can no longer complete.
         for partials in self.state.values_mut() {
-            partials.retain(|p| wm - p.first_ts <= self.within);
+            partials.retain(|p| wm - p.first_ts <= self.automaton.within);
         }
         self.state.retain(|_, v| !v.is_empty());
         out.push(StreamMessage::Watermark(wm));
@@ -253,31 +325,14 @@ impl Operator for CepOp {
     }
 
     fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        let state = self
-            .state
-            .iter()
-            .map(|(k, partials)| {
-                (
-                    k.clone(),
-                    partials
-                        .iter()
-                        .map(|p| Partial {
-                            next_step: p.next_step,
-                            first_ts: p.first_ts,
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
         Some(Box::new(CepOp {
             pattern_name: self.pattern_name.clone(),
             steps: self.steps.clone(),
-            within: self.within,
+            automaton: self.automaton,
             key_expr: self.key_expr.clone(),
-            max_partials: self.max_partials,
             ts_col: self.ts_col,
             output: self.output.clone(),
-            state,
+            state: self.state.clone(),
             matches: self.matches,
         }))
     }

@@ -13,12 +13,14 @@ pub use cep::{CepOp, Pattern, PatternStep};
 pub use window_op::WindowOp;
 pub(crate) use window_op::{sort_emission, SliceStore};
 
-use crate::buffer::TupleBuffer;
+use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{EventTime, Value};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// A physical streaming operator.
 pub trait Operator: Send {
@@ -31,9 +33,12 @@ pub trait Operator: Send {
     /// Processes one data buffer, pushing zero or more messages.
     fn process(&mut self, buf: RecordBuffer, out: &mut Vec<StreamMessage>) -> Result<()>;
 
-    /// True iff the operator has a native columnar kernel. The runtimes
-    /// only build [`TupleBuffer`]s at the source when the chain's first
-    /// operator opts in; everything else rides the default conversion.
+    /// True iff the operator has a native columnar kernel. The source
+    /// builds [`TupleBuffer`]s only for a chain whose columnar-capable
+    /// prefix starts at its first operator: `Force` needs just that
+    /// head to opt in, `Auto` also needs some operator of the prefix to
+    /// report [`Operator::columnar_benefit`]. An operator that does not
+    /// opt in receives buffers through the default conversion.
     fn supports_columnar(&self) -> bool {
         false
     }
@@ -58,8 +63,8 @@ pub trait Operator: Send {
     }
 
     /// Whether columnar buffers keep flowing out of this operator. Windows
-    /// accept buffers but emit row aggregates, so the `Auto` gate stops
-    /// scanning for downstream benefit past them.
+    /// and CEP accept buffers but emit row aggregates / row matches, so
+    /// the `Auto` gate stops scanning for downstream benefit past them.
     fn propagates_columnar(&self) -> bool {
         true
     }
@@ -142,24 +147,6 @@ impl GroupKey {
         Ok((GroupKey(bytes.into_boxed_slice()), values))
     }
 
-    /// Evaluates `exprs` on row `row` of a columnar buffer and encodes
-    /// the results — same key bytes as [`GroupKey::evaluate`] on the
-    /// materialized record, without building the record.
-    pub fn evaluate_row(
-        exprs: &[BoundExpr],
-        buf: &TupleBuffer,
-        row: usize,
-    ) -> Result<(GroupKey, Vec<Value>)> {
-        let mut values = Vec::with_capacity(exprs.len());
-        let mut bytes = Vec::with_capacity(exprs.len() * 9);
-        for e in exprs {
-            let v = e.eval_row(buf, row)?;
-            encode_value(&v, &mut bytes);
-            values.push(v);
-        }
-        Ok((GroupKey(bytes.into_boxed_slice()), values))
-    }
-
     /// Builds a key directly from already-evaluated values — how the
     /// cloud-side window merge regroups partial rows whose key columns
     /// arrive materialized instead of as expressions.
@@ -174,6 +161,134 @@ impl GroupKey {
     /// The canonical byte encoding — the hash input for partitioning.
     pub fn bytes(&self) -> &[u8] {
         &self.0
+    }
+
+    /// Evaluates `exprs` once over a whole buffer into a dense
+    /// per-buffer key id per row (see [`BufferKeys`]), building one
+    /// `GroupKey` per *distinct* key instead of one per row. Callers
+    /// read the ids of rows with `live[row]` only (every row when `live`
+    /// is `None`); a key expression that errors on another row stays
+    /// silent, exactly as on the row path, which never evaluates it
+    /// there.
+    pub(crate) fn evaluate_buffer(
+        exprs: &[BoundExpr],
+        buf: &TupleBuffer,
+        live: Option<&[bool]>,
+    ) -> Result<BufferKeys> {
+        let mut keys = BufferKeys {
+            ids: Vec::with_capacity(buf.len()),
+            keys: Vec::new(),
+        };
+        if exprs.is_empty() {
+            keys.ids.resize(buf.len(), 0);
+            if !buf.is_empty() {
+                keys.push(Vec::new());
+            }
+            return Ok(keys);
+        }
+        // Fast path: one null-free `Int` column (a train id) keys by its
+        // `i64` slice, with no value materialized per row.
+        if let [BoundExpr::Column(idx)] = exprs {
+            if let Some(Column::Int {
+                data,
+                validity: None,
+            }) = buf.column(*idx)
+            {
+                let mut index: HashMap<i64, u32> = HashMap::new();
+                for &k in data {
+                    let id = *index
+                        .entry(k)
+                        .or_insert_with(|| keys.push(vec![Value::Int(k)]));
+                    keys.ids.push(id);
+                }
+                return Ok(keys);
+            }
+        }
+        // General path: each expression evaluates once as a column; if
+        // that fails on some row, key the selected rows one at a time so
+        // only their errors surface.
+        let columns: Option<Vec<Column>> = exprs.iter().map(|e| e.eval_column(buf).ok()).collect();
+        let mut index: HashMap<Box<[u8]>, u32> = HashMap::new();
+        let mut bytes = Vec::with_capacity(exprs.len() * 9);
+        for row in 0..buf.len() {
+            if live.is_some_and(|m| !m[row]) {
+                keys.ids.push(BufferKeys::UNKEYED);
+                continue;
+            }
+            let values = match &columns {
+                Some(cols) => cols.iter().map(|c| c.value_at(row)).collect(),
+                None => exprs
+                    .iter()
+                    .map(|e| e.eval_row(buf, row))
+                    .collect::<Result<Vec<_>>>()?,
+            };
+            bytes.clear();
+            for v in &values {
+                encode_value(v, &mut bytes);
+            }
+            let id = match index.get(bytes.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = keys.push(values);
+                    index.insert(bytes.as_slice().into(), id);
+                    id
+                }
+            };
+            keys.ids.push(id);
+        }
+        Ok(keys)
+    }
+}
+
+/// The group keys of one [`TupleBuffer`]: `ids[row]` indexes `keys`,
+/// which holds each distinct key of the buffer once — canonical bytes
+/// plus evaluated values — in first-appearance order. Stateful columnar
+/// kernels resolve their per-key state once per distinct key per buffer
+/// and then work on integer ids.
+pub(crate) struct BufferKeys {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) keys: Vec<(GroupKey, Vec<Value>)>,
+}
+
+impl BufferKeys {
+    /// The id the general path gives a row outside the `live`
+    /// selection (the fast paths key every row).
+    const UNKEYED: u32 = u32::MAX;
+
+    /// Appends a new distinct key; returns its id.
+    fn push(&mut self, values: Vec<Value>) -> u32 {
+        self.keys.push((GroupKey::from_values(&values), values));
+        (self.keys.len() - 1) as u32
+    }
+}
+
+/// Every row's event time as one slice: borrowed from a null-free
+/// `Timestamp`/`Int` column, otherwise gathered with the row path's
+/// coercions. A row without an event time fails with the operator's
+/// row-path error, `"<what>: record missing event time"`.
+pub(crate) fn event_times<'a>(
+    buf: &'a TupleBuffer,
+    ts_col: usize,
+    what: &str,
+) -> Result<Cow<'a, [EventTime]>> {
+    match buf.column(ts_col) {
+        Some(
+            Column::Timestamp {
+                data,
+                validity: None,
+            }
+            | Column::Int {
+                data,
+                validity: None,
+            },
+        ) => Ok(Cow::Borrowed(data)),
+        _ => (0..buf.len())
+            .map(|row| {
+                buf.event_time(row, ts_col)
+                    .ok_or_else(|| NebulaError::Eval(format!("{what}: record missing event time")))
+            })
+            .collect::<Result<Vec<_>>>()
+            .map(Cow::Owned),
     }
 }
 

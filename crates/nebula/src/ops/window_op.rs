@@ -9,15 +9,22 @@
 //! slices it covers, which is sound because merging is part of the core
 //! [`Aggregator`] contract. The same `SliceStore` drives the cluster
 //! runtime's edge/cloud pre-aggregation split (see [`crate::preagg`]).
+//!
+//! Both window kinds have a batch kernel over [`TupleBuffer`]s: keys
+//! evaluate once per buffer into dense per-buffer ids
+//! ([`GroupKey::evaluate_buffer`]), and accumulators fold whole groups
+//! of rows through [`Aggregator::update_rows`]. Groups keep arrival
+//! order, so every accumulator sees exactly the fold sequence of the
+//! per-record path.
 
-use super::{record_sort_key, GroupKey, Operator};
+use super::{event_times, record_sort_key, GroupKey, Operator};
 use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
 use crate::expr::{BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, Value};
-use crate::window::{Aggregator, SliceLayout, WindowAgg, WindowSpec};
+use crate::window::{AggTemplate, Aggregator, SliceLayout, WindowAgg, WindowSpec};
 use std::collections::{BTreeMap, HashMap};
 
 /// One slice's accumulators.
@@ -35,31 +42,62 @@ struct KeySlices {
     slices: BTreeMap<EventTime, SliceState>,
 }
 
-/// Creates one accumulator set per slice (split out of `SliceStore` so
-/// slice creation can borrow the factory while the slice map is
-/// mutably borrowed).
+impl KeySlices {
+    fn new(key_values: &[Value]) -> Self {
+        KeySlices {
+            key_values: key_values.to_vec(),
+            slices: BTreeMap::new(),
+        }
+    }
+
+    /// The slice's accumulators, created on first touch and marked
+    /// dirty.
+    fn slice(&mut self, slice: EventTime, factory: &AggFactory) -> Result<&mut SliceState> {
+        let st = match self.slices.entry(slice) {
+            std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
+            std::collections::btree_map::Entry::Vacant(v) => v.insert(SliceState {
+                aggs: factory.make()?,
+                dirty: false,
+            }),
+        };
+        st.dirty = true;
+        Ok(st)
+    }
+}
+
+/// Creates one accumulator set per slice or threshold window (split out
+/// of `SliceStore` so slice creation can borrow the factory while the
+/// slice map is mutably borrowed). The aggregates are bound once, here.
+#[derive(Clone)]
 struct AggFactory {
-    ts_field: String,
-    specs: Vec<WindowAgg>,
+    templates: Vec<AggTemplate>,
     input: SchemaRef,
     registry: FunctionRegistry,
 }
 
 impl AggFactory {
-    fn make(&self) -> Result<Vec<Box<dyn Aggregator>>> {
-        self.specs
-            .iter()
-            .map(|a| a.spec.create(&self.input, &self.registry, &self.ts_field))
-            .collect()
+    fn new(
+        specs: Vec<WindowAgg>,
+        input: SchemaRef,
+        registry: FunctionRegistry,
+        ts_field: &str,
+    ) -> Result<Self> {
+        let templates = specs
+            .into_iter()
+            .map(|a| a.spec.template(&input, &registry, ts_field))
+            .collect::<Result<_>>()?;
+        Ok(AggFactory {
+            templates,
+            input,
+            registry,
+        })
     }
 
-    fn clone_parts(&self) -> AggFactory {
-        AggFactory {
-            ts_field: self.ts_field.clone(),
-            specs: self.specs.clone(),
-            input: self.input.clone(),
-            registry: self.registry.clone(),
-        }
+    fn make(&self) -> Result<Vec<Box<dyn Aggregator>>> {
+        self.templates
+            .iter()
+            .map(|t| t.make(&self.input, &self.registry))
+            .collect()
     }
 
     /// Deep-copies a set of live accumulators: fresh aggregators from
@@ -108,18 +146,13 @@ impl SliceStore {
         specs: Vec<WindowAgg>,
         input: SchemaRef,
         registry: FunctionRegistry,
-    ) -> Self {
-        SliceStore {
+    ) -> Result<Self> {
+        Ok(SliceStore {
             layout,
             key_count,
-            factory: AggFactory {
-                ts_field: ts_field.to_string(),
-                specs,
-                input,
-                registry,
-            },
+            factory: AggFactory::new(specs, input, registry, ts_field)?,
             keys: HashMap::new(),
-        }
+        })
     }
 
     /// Estimated bytes of live slice state: key entries plus per-slice
@@ -127,67 +160,25 @@ impl SliceStore {
     /// telemetry gauge, not an allocator audit — O(keys + slices).
     pub(crate) fn est_state_bytes(&self) -> usize {
         let per_agg = 48;
-        let per_slice = 48 + self.factory.specs.len() * per_agg;
+        let per_slice = 48 + self.factory.templates.len() * per_agg;
         self.keys
             .values()
             .map(|ks| 64 + ks.key_values.len() * 24 + ks.slices.len() * per_slice)
             .sum()
     }
 
-    /// The key's slice state, created on first touch.
+    /// The key's slice state, created on first touch and marked dirty.
     fn slice_entry(
         &mut self,
         key: GroupKey,
         key_values: &[Value],
         slice: EventTime,
     ) -> Result<&mut SliceState> {
-        let factory = &self.factory;
-        let ks = self.keys.entry(key).or_insert_with(|| KeySlices {
-            key_values: key_values.to_vec(),
-            slices: BTreeMap::new(),
-        });
-        Ok(match ks.slices.entry(slice) {
-            std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::btree_map::Entry::Vacant(v) => v.insert(SliceState {
-                aggs: factory.make()?,
-                dirty: false,
-            }),
-        })
-    }
-
-    /// Folds one record into its key's slice.
-    pub(crate) fn update(
-        &mut self,
-        key: GroupKey,
-        key_values: &[Value],
-        slice: EventTime,
-        rec: &Record,
-    ) -> Result<()> {
-        let st = self.slice_entry(key, key_values, slice)?;
-        st.dirty = true;
-        for agg in &mut st.aggs {
-            agg.update(rec)?;
-        }
-        Ok(())
-    }
-
-    /// Folds row `row` of a columnar buffer into its key's slice — the
-    /// batched twin of [`SliceStore::update`], feeding the accumulators
-    /// through [`Aggregator::update_row`] so no `Record` materializes.
-    pub(crate) fn update_row(
-        &mut self,
-        key: GroupKey,
-        key_values: &[Value],
-        slice: EventTime,
-        buf: &TupleBuffer,
-        row: usize,
-    ) -> Result<()> {
-        let st = self.slice_entry(key, key_values, slice)?;
-        st.dirty = true;
-        for agg in &mut st.aggs {
-            agg.update_row(buf, row)?;
-        }
-        Ok(())
+        let ks = self
+            .keys
+            .entry(key)
+            .or_insert_with(|| KeySlices::new(key_values));
+        ks.slice(slice, &self.factory)
     }
 
     /// Triages one record by event time — THE late-record policy, shared
@@ -209,35 +200,82 @@ impl SliceStore {
             Some(close) if close <= last_watermark => Ok(true),
             Some(_) => {
                 let (key, key_values) = GroupKey::evaluate(key_exprs, rec)?;
-                self.update(key, &key_values, self.layout.slice_of(ts), rec)?;
+                let st = self.slice_entry(key, &key_values, self.layout.slice_of(ts))?;
+                for agg in &mut st.aggs {
+                    agg.update(rec)?;
+                }
                 Ok(false)
             }
         }
     }
 
-    /// Columnar twin of [`SliceStore::absorb`]: same triage decision
-    /// tree (coverage gap → ignore; every window closed → late; else
-    /// fold), evaluating the group key and the aggregates directly over
-    /// the buffer's columns. Key evaluation only happens for live rows,
-    /// so a key expression that errors on a late record stays silent —
-    /// exactly as on the row path.
-    pub(crate) fn absorb_row(
+    /// The batch kernel of [`SliceStore::absorb`] over a whole buffer
+    /// (`ts` holds every row's event time); returns the count of late
+    /// rows. Triage is one comparison per row against the watermark,
+    /// which is fixed within a buffer. Keys evaluate only for live rows,
+    /// so a key expression that errors on a late row stays silent, as
+    /// on the row path. Live rows then group *stably* by (key id,
+    /// slice) and each group folds through [`Aggregator::update_rows`]:
+    /// every accumulator sees its rows in arrival order, so float sums
+    /// and `first`/`last` ties come out bit-identical to the row path.
+    pub(crate) fn absorb_buffer(
         &mut self,
         key_exprs: &[BoundExpr],
         buf: &TupleBuffer,
-        row: usize,
-        ts: EventTime,
+        ts: &[EventTime],
         last_watermark: EventTime,
-    ) -> Result<bool> {
-        match self.layout.latest_close(ts) {
-            None => Ok(false),
-            Some(close) if close <= last_watermark => Ok(true),
-            Some(_) => {
-                let (key, key_values) = GroupKey::evaluate_row(key_exprs, buf, row)?;
-                self.update_row(key, &key_values, self.layout.slice_of(ts), buf, row)?;
-                Ok(false)
+    ) -> Result<u64> {
+        let mut late = 0;
+        let mut live = vec![false; ts.len()];
+        let mut slices = vec![0; ts.len()];
+        for (row, &t) in ts.iter().enumerate() {
+            match self.layout.latest_close(t) {
+                None => {}
+                Some(close) if close <= last_watermark => late += 1,
+                Some(_) => {
+                    live[row] = true;
+                    slices[row] = self.layout.slice_of(t);
+                }
             }
         }
+        let keys = GroupKey::evaluate_buffer(key_exprs, buf, Some(&live))?;
+        // Live rows by key id (a stable counting sort), then by slice
+        // within each key (stably again): the rows of one (key, slice)
+        // group keep their arrival order.
+        let live_rows = || (0..ts.len()).filter(|&r| live[r]);
+        let mut starts = vec![0usize; keys.keys.len() + 1];
+        for row in live_rows() {
+            starts[keys.ids[row] as usize + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        let mut rows = vec![0u32; starts[keys.keys.len()]];
+        let mut fill = starts.clone();
+        for row in live_rows() {
+            let slot = &mut fill[keys.ids[row] as usize];
+            rows[*slot] = row as u32;
+            *slot += 1;
+        }
+        for (id, bounds) in starts.windows(2).enumerate() {
+            let key_rows = &mut rows[bounds[0]..bounds[1]];
+            if key_rows.is_empty() {
+                continue;
+            }
+            key_rows.sort_by_key(|&r| slices[r as usize]);
+            let (key, key_values) = &keys.keys[id];
+            let ks = self
+                .keys
+                .entry(key.clone())
+                .or_insert_with(|| KeySlices::new(key_values));
+            for group in key_rows.chunk_by(|&a, &b| slices[a as usize] == slices[b as usize]) {
+                let st = ks.slice(slices[group[0] as usize], &self.factory)?;
+                for agg in &mut st.aggs {
+                    agg.update_rows(buf, group)?;
+                }
+            }
+        }
+        Ok(late)
     }
 
     /// Folds one flattened partial row into its key's slice — the
@@ -251,13 +289,11 @@ impl SliceStore {
         partials: &[&[Value]],
     ) -> Result<()> {
         let st = self.slice_entry(key, key_values, slice)?;
-        st.dirty = true;
         for (agg, partial) in st.aggs.iter_mut().zip(partials) {
             agg.merge_partial(partial)?;
         }
         Ok(())
     }
-
     /// Materializes every window whose end lies in `(after, upto]`
     /// (`upto = None`: every window not yet emitted — end-of-stream) by
     /// merging its covering slices, then retires slices no open window
@@ -360,7 +396,7 @@ impl SliceStore {
         Ok(SliceStore {
             layout: self.layout,
             key_count: self.key_count,
-            factory: self.factory.clone_parts(),
+            factory: self.factory.clone(),
             keys,
         })
     }
@@ -409,8 +445,8 @@ impl SliceStore {
     }
 }
 
-/// Per-(key, window) accumulator state (threshold windows only — time
-/// windows live in the `SliceStore`).
+/// One key's open threshold window (time windows live in the
+/// `SliceStore`).
 struct ThresholdState {
     key_values: Vec<Value>,
     start: EventTime,
@@ -418,6 +454,60 @@ struct ThresholdState {
     end: EventTime,
     count: u64,
     aggs: Vec<Box<dyn Aggregator>>,
+}
+
+impl ThresholdState {
+    /// Opens a window at its first record's event time `ts`.
+    fn open(key_values: Vec<Value>, ts: EventTime, factory: &AggFactory) -> Result<Self> {
+        Ok(ThresholdState {
+            key_values,
+            start: ts,
+            end: ts,
+            count: 0,
+            aggs: factory.make()?,
+        })
+    }
+
+    /// Counts one more record at `ts` into the window.
+    fn extend(&mut self, ts: EventTime) {
+        self.end = self.end.max(ts);
+        self.count += 1;
+    }
+
+    /// Folds the queued `rows` of `buf` into the accumulators and
+    /// empties the queue.
+    fn fold(&mut self, buf: &TupleBuffer, rows: &mut Vec<u32>) -> Result<()> {
+        for agg in &mut self.aggs {
+            agg.update_rows(buf, rows)?;
+        }
+        rows.clear();
+        Ok(())
+    }
+
+    /// The window's output row: key columns, start, end, aggregates.
+    fn into_record(mut self) -> Result<Record> {
+        let mut values = Vec::with_capacity(self.key_values.len() + 2 + self.aggs.len());
+        values.append(&mut self.key_values);
+        values.push(Value::Timestamp(self.start));
+        values.push(Value::Timestamp(self.end));
+        for agg in &mut self.aggs {
+            values.push(agg.finish()?);
+        }
+        Ok(Record::new(values))
+    }
+}
+
+/// What a window operator keeps between buffers.
+enum WindowState {
+    /// Tumbling/sliding windows: per-(key, slice) accumulators.
+    Time(SliceStore),
+    /// Threshold windows: the open window of each key.
+    Threshold {
+        predicate: BoundExpr,
+        min_count: usize,
+        factory: AggFactory,
+        open: HashMap<GroupKey, ThresholdState>,
+    },
 }
 
 /// Keyed windowed aggregation over event time.
@@ -434,20 +524,10 @@ struct ThresholdState {
 /// by (window start, key values).
 pub struct WindowOp {
     ts_col: usize,
-    /// Event-time column name (threshold aggregator creation).
-    ts_field: String,
     key_exprs: Vec<BoundExpr>,
     key_count: usize,
-    spec: WindowSpec,
-    threshold_pred: Option<BoundExpr>,
-    agg_specs: Vec<WindowAgg>,
-    input: SchemaRef,
     output: SchemaRef,
-    registry: FunctionRegistry,
-    /// Time-window slice state (`None` for threshold windows).
-    slices: Option<SliceStore>,
-    /// Threshold-window state keyed by group.
-    threshold_state: HashMap<GroupKey, ThresholdState>,
+    state: WindowState,
     last_watermark: EventTime,
     late_drops: u64,
 }
@@ -483,41 +563,47 @@ impl WindowOp {
                 agg.spec.output_type(&input, registry)?,
             ));
         }
-        let threshold_pred = match &spec {
-            WindowSpec::Threshold { predicate, .. } => {
-                let (b, t) = predicate.bind(&input, registry)?;
+        let state = match (SliceLayout::of(&spec), spec) {
+            (Some(layout), _) => WindowState::Time(SliceStore::new(
+                layout,
+                ts_field,
+                keys.len(),
+                aggs,
+                input,
+                registry.clone(),
+            )?),
+            (
+                None,
+                WindowSpec::Threshold {
+                    predicate,
+                    min_count,
+                },
+            ) => {
+                let (predicate, t) = predicate.bind(&input, registry)?;
                 if t != DataType::Bool {
                     return Err(NebulaError::Type(format!(
                         "threshold predicate must be BOOL, got {t}"
                     )));
                 }
-                Some(b)
+                WindowState::Threshold {
+                    predicate,
+                    min_count,
+                    factory: AggFactory::new(aggs, input, registry.clone(), ts_field)?,
+                    open: HashMap::new(),
+                }
             }
-            _ => None,
+            (None, spec) => {
+                return Err(NebulaError::Plan(format!(
+                    "window: {spec:?} has no slice layout"
+                )))
+            }
         };
-        let slices = SliceLayout::of(&spec).map(|layout| {
-            SliceStore::new(
-                layout,
-                ts_field,
-                keys.len(),
-                aggs.clone(),
-                input.clone(),
-                registry.clone(),
-            )
-        });
         Ok(WindowOp {
             ts_col,
-            ts_field: ts_field.to_string(),
             key_count: keys.len(),
             key_exprs,
-            spec,
-            threshold_pred,
-            agg_specs: aggs,
-            input,
             output: Schema::new(fields),
-            registry: registry.clone(),
-            slices,
-            threshold_state: HashMap::new(),
+            state,
             last_watermark: EventTime::MIN,
             late_drops: 0,
         })
@@ -531,70 +617,13 @@ impl WindowOp {
         self.late_drops
     }
 
-    fn emit_threshold(&self, mut st: ThresholdState) -> Result<Record> {
-        let mut values = Vec::with_capacity(st.key_values.len() + 2 + st.aggs.len());
-        values.append(&mut st.key_values);
-        values.push(Value::Timestamp(st.start));
-        values.push(Value::Timestamp(st.end));
-        for agg in &mut st.aggs {
-            values.push(agg.finish()?);
+    fn push_rows(&self, records: Vec<Record>, out: &mut Vec<StreamMessage>) {
+        if !records.is_empty() {
+            out.push(StreamMessage::Data(RecordBuffer::new(
+                self.output.clone(),
+                records,
+            )));
         }
-        Ok(Record::new(values))
-    }
-
-    fn process_time_window(&mut self, rec: &Record, ts: EventTime) -> Result<()> {
-        let store = self.slices.as_mut().expect("time window has slices");
-        if store.absorb(&self.key_exprs, rec, ts, self.last_watermark)? {
-            self.late_drops += 1;
-        }
-        Ok(())
-    }
-
-    fn process_threshold(
-        &mut self,
-        rec: &Record,
-        ts: EventTime,
-        out: &mut Vec<Record>,
-    ) -> Result<()> {
-        let WindowSpec::Threshold { min_count, .. } = &self.spec else {
-            unreachable!("threshold path");
-        };
-        let min_count = *min_count;
-        let (key, key_values) = GroupKey::evaluate(&self.key_exprs, rec)?;
-        let holds = self
-            .threshold_pred
-            .as_ref()
-            .expect("threshold predicate bound")
-            .eval_predicate(rec)?;
-        if holds {
-            let st = match self.threshold_state.entry(key) {
-                std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let aggs = self
-                        .agg_specs
-                        .iter()
-                        .map(|a| a.spec.create(&self.input, &self.registry, &self.ts_field))
-                        .collect::<Result<Vec<_>>>()?;
-                    v.insert(ThresholdState {
-                        key_values,
-                        start: ts,
-                        end: ts,
-                        count: 0,
-                        aggs,
-                    })
-                }
-            };
-            st.end = st.end.max(ts);
-            st.count += 1;
-            for agg in &mut st.aggs {
-                agg.update(rec)?;
-            }
-        } else if let Some(st) = self.threshold_state.remove(&key) {
-            if st.count as usize >= min_count {
-                out.push(self.emit_threshold(st)?);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -608,67 +637,130 @@ impl Operator for WindowOp {
     }
 
     fn process(&mut self, buf: RecordBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
-        let is_threshold = self.threshold_pred.is_some();
         let mut emitted: Vec<Record> = Vec::new();
         for rec in buf.records() {
             let ts = rec
                 .get(self.ts_col)
                 .and_then(Value::as_timestamp)
                 .ok_or_else(|| NebulaError::Eval("window: record missing event time".into()))?;
-            if is_threshold {
-                self.process_threshold(rec, ts, &mut emitted)?;
-            } else {
-                self.process_time_window(rec, ts)?;
+            match &mut self.state {
+                WindowState::Time(store) => {
+                    if store.absorb(&self.key_exprs, rec, ts, self.last_watermark)? {
+                        self.late_drops += 1;
+                    }
+                }
+                WindowState::Threshold {
+                    predicate,
+                    min_count,
+                    factory,
+                    open,
+                } => {
+                    let (key, key_values) = GroupKey::evaluate(&self.key_exprs, rec)?;
+                    if predicate.eval_predicate(rec)? {
+                        let st = match open.entry(key) {
+                            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
+                            std::collections::hash_map::Entry::Vacant(v) => {
+                                v.insert(ThresholdState::open(key_values, ts, factory)?)
+                            }
+                        };
+                        st.extend(ts);
+                        for agg in &mut st.aggs {
+                            agg.update(rec)?;
+                        }
+                    } else if let Some(st) = open.remove(&key) {
+                        if st.count as usize >= *min_count {
+                            emitted.push(st.into_record()?);
+                        }
+                    }
+                }
             }
         }
-        if !emitted.is_empty() {
-            out.push(StreamMessage::Data(RecordBuffer::new(
-                self.output.clone(),
-                emitted,
-            )));
-        }
+        self.push_rows(emitted, out);
         Ok(())
     }
 
-    /// Time-window mode folds buffers without materializing rows;
-    /// threshold windows are inherently sequential per record and keep
-    /// the row path.
     fn supports_columnar(&self) -> bool {
-        self.slices.is_some()
+        true
     }
 
+    /// Keys fold as per-buffer ids and aggregates as typed loops; a
+    /// threshold predicate runs as one mask per buffer.
+    fn columnar_benefit(&self) -> bool {
+        true
+    }
+
+    /// Finished windows leave as rows.
     fn propagates_columnar(&self) -> bool {
         false
     }
 
+    /// The batch kernels. Time windows: see `SliceStore::absorb_buffer`.
+    /// Threshold windows: the predicate runs once as a mask and the key
+    /// once as per-buffer ids; each key's open window then advances row
+    /// by row in arrival order, queueing the rows it absorbs and folding
+    /// them in one [`Aggregator::update_rows`] call when it closes or the
+    /// buffer ends.
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
-        if self.slices.is_none() {
-            return self.process(buf.to_record_buffer(), out);
-        }
-        let last_watermark = self.last_watermark;
-        let store = self.slices.as_mut().expect("time window has slices");
-        for row in 0..buf.len() {
-            let ts = buf
-                .event_time(row, self.ts_col)
-                .ok_or_else(|| NebulaError::Eval("window: record missing event time".into()))?;
-            if store.absorb_row(&self.key_exprs, &buf, row, ts, last_watermark)? {
-                self.late_drops += 1;
+        let ts = event_times(&buf, self.ts_col, "window")?;
+        let mut emitted: Vec<Record> = Vec::new();
+        match &mut self.state {
+            WindowState::Time(store) => {
+                self.late_drops +=
+                    store.absorb_buffer(&self.key_exprs, &buf, &ts, self.last_watermark)?;
+            }
+            WindowState::Threshold {
+                predicate,
+                min_count,
+                factory,
+                open,
+            } => {
+                let keys = GroupKey::evaluate_buffer(&self.key_exprs, &buf, None)?;
+                let holds = predicate.eval_mask(&buf)?;
+                // Each distinct key's open window leaves the map once per
+                // buffer, with its queue of rows still to fold.
+                let mut windows: Vec<(Option<ThresholdState>, Vec<u32>)> = keys
+                    .keys
+                    .iter()
+                    .map(|(key, _)| (open.remove(key), Vec::new()))
+                    .collect();
+                for (row, (&id, &t)) in keys.ids.iter().zip(ts.iter()).enumerate() {
+                    let (window, rows) = &mut windows[id as usize];
+                    if holds[row] {
+                        let st = match window {
+                            Some(st) => st,
+                            None => window.insert(ThresholdState::open(
+                                keys.keys[id as usize].1.clone(),
+                                t,
+                                factory,
+                            )?),
+                        };
+                        st.extend(t);
+                        rows.push(row as u32);
+                    } else if let Some(mut st) = window.take() {
+                        st.fold(&buf, rows)?;
+                        if st.count as usize >= *min_count {
+                            emitted.push(st.into_record()?);
+                        }
+                    }
+                }
+                for ((key, _), (window, mut rows)) in keys.keys.into_iter().zip(windows) {
+                    if let Some(mut st) = window {
+                        st.fold(&buf, &mut rows)?;
+                        open.insert(key, st);
+                    }
+                }
             }
         }
+        self.push_rows(emitted, out);
         Ok(())
     }
 
     fn on_watermark(&mut self, wm: EventTime, out: &mut Vec<StreamMessage>) -> Result<()> {
         let prev = self.last_watermark;
         self.last_watermark = self.last_watermark.max(wm);
-        if let Some(store) = self.slices.as_mut() {
+        if let WindowState::Time(store) = &mut self.state {
             let records = store.close_windows(prev, Some(self.last_watermark))?;
-            if !records.is_empty() {
-                out.push(StreamMessage::Data(RecordBuffer::new(
-                    self.output.clone(),
-                    records,
-                )));
-            }
+            self.push_rows(records, out);
         }
         out.push(StreamMessage::Watermark(wm));
         Ok(())
@@ -676,30 +768,24 @@ impl Operator for WindowOp {
 
     fn on_eos(&mut self, out: &mut Vec<StreamMessage>) -> Result<()> {
         // Flush everything still open.
-        let mut records = Vec::new();
-        if let Some(store) = self.slices.as_mut() {
-            records = store.close_windows(self.last_watermark, None)?;
-        }
-        let min_count = match &self.spec {
-            WindowSpec::Threshold { min_count, .. } => *min_count,
-            _ => 0,
-        };
-        let th_keys: Vec<_> = self.threshold_state.keys().cloned().collect();
-        for key in th_keys {
-            let st = self.threshold_state.remove(&key).expect("listed");
-            if st.count as usize >= min_count {
-                records.push(self.emit_threshold(st)?);
+        let records = match &mut self.state {
+            WindowState::Time(store) => store.close_windows(self.last_watermark, None)?,
+            WindowState::Threshold {
+                min_count, open, ..
+            } => {
+                let mut records = Vec::new();
+                for (_, st) in open.drain() {
+                    if st.count as usize >= *min_count {
+                        records.push(st.into_record()?);
+                    }
+                }
+                // The same deterministic (start, key) order as slice
+                // output, whatever the hash map's iteration order.
+                sort_emission(&mut records, self.key_count);
+                records
             }
-        }
-        // Slice output arrives pre-sorted from close_windows; appended
-        // threshold rows need the same deterministic (start, key) order.
-        sort_emission(&mut records, self.key_count);
-        if !records.is_empty() {
-            out.push(StreamMessage::Data(RecordBuffer::new(
-                self.output.clone(),
-                records,
-            )));
-        }
+        };
+        self.push_rows(records, out);
         out.push(StreamMessage::Eos);
         Ok(())
     }
@@ -709,14 +795,15 @@ impl Operator for WindowOp {
     }
 
     fn state_bytes(&self) -> usize {
-        let slices = self.slices.as_ref().map_or(0, SliceStore::est_state_bytes);
-        let per_agg = 48;
-        let threshold = self
-            .threshold_state
-            .values()
-            .map(|st| 64 + st.key_values.len() * 24 + st.aggs.len() * per_agg)
-            .sum::<usize>();
-        slices + threshold
+        match &self.state {
+            WindowState::Time(store) => store.est_state_bytes(),
+            WindowState::Threshold { open, .. } => {
+                let per_agg = 48;
+                open.values()
+                    .map(|st| 64 + st.key_values.len() * 24 + st.aggs.len() * per_agg)
+                    .sum()
+            }
+        }
     }
 
     fn snapshot(&self) -> Option<Box<dyn Operator>> {
@@ -729,42 +816,41 @@ impl WindowOp {
     /// threshold state is duplicated through the aggregator merge
     /// contract.
     fn try_snapshot(&self) -> Result<WindowOp> {
-        let factory = AggFactory {
-            ts_field: self.ts_field.clone(),
-            specs: self.agg_specs.clone(),
-            input: self.input.clone(),
-            registry: self.registry.clone(),
+        let state = match &self.state {
+            WindowState::Time(store) => WindowState::Time(store.snapshot()?),
+            WindowState::Threshold {
+                predicate,
+                min_count,
+                factory,
+                open,
+            } => {
+                let mut copy = HashMap::with_capacity(open.len());
+                for (key, st) in open {
+                    copy.insert(
+                        key.clone(),
+                        ThresholdState {
+                            key_values: st.key_values.clone(),
+                            start: st.start,
+                            end: st.end,
+                            count: st.count,
+                            aggs: factory.copy_aggs(&st.aggs)?,
+                        },
+                    );
+                }
+                WindowState::Threshold {
+                    predicate: predicate.clone(),
+                    min_count: *min_count,
+                    factory: factory.clone(),
+                    open: copy,
+                }
+            }
         };
-        let slices = match &self.slices {
-            Some(store) => Some(store.snapshot()?),
-            None => None,
-        };
-        let mut threshold_state = HashMap::with_capacity(self.threshold_state.len());
-        for (key, st) in &self.threshold_state {
-            threshold_state.insert(
-                key.clone(),
-                ThresholdState {
-                    key_values: st.key_values.clone(),
-                    start: st.start,
-                    end: st.end,
-                    count: st.count,
-                    aggs: factory.copy_aggs(&st.aggs)?,
-                },
-            );
-        }
         Ok(WindowOp {
             ts_col: self.ts_col,
-            ts_field: self.ts_field.clone(),
             key_exprs: self.key_exprs.clone(),
             key_count: self.key_count,
-            spec: self.spec.clone(),
-            threshold_pred: self.threshold_pred.clone(),
-            agg_specs: self.agg_specs.clone(),
-            input: self.input.clone(),
             output: self.output.clone(),
-            registry: self.registry.clone(),
-            slices,
-            threshold_state,
+            state,
             last_watermark: self.last_watermark,
             late_drops: self.late_drops,
         })

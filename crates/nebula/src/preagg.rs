@@ -149,7 +149,7 @@ impl SplitPlan {
                 partial_fields.push(Field::new(name, t));
             }
         }
-        let store = SliceStore::new(layout, ts_field, keys.len(), aggs, input, registry.clone());
+        let store = SliceStore::new(layout, ts_field, keys.len(), aggs, input, registry.clone())?;
         Ok(SplitPlan {
             ts_col,
             key_count: keys.len(),

@@ -614,10 +614,11 @@ impl SourceDriver {
 }
 
 /// The source-side gate for building [`TupleBuffer`]s. Columnar flow
-/// ends at the first row-only operator (CEP, threshold windows,
-/// plugins — their buffers materialize back to rows), so under
+/// ends at the first row-only operator (plugin operators — their
+/// buffers materialize back to rows) and after the first operator that
+/// emits rows (windows and CEP consume buffers but emit rows), so under
 /// [`ColumnarMode::Auto`] the transpose is worth paying only if some
-/// operator *before* that point runs a vectorized kernel.
+/// operator up to that point runs a vectorized kernel.
 fn chain_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
     match mode {
         ColumnarMode::Off => false,

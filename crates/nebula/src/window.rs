@@ -12,6 +12,7 @@
 //! opens while the predicate holds and closes (emitting, if it saw at
 //! least `min_count` records) when it stops holding.
 
+use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{col, BoundExpr, Expr, FunctionRegistry};
 use crate::record::Record;
@@ -178,8 +179,19 @@ pub trait Aggregator: Send {
     /// [`Aggregator::update`]; implementations (the built-ins do)
     /// override to evaluate their expressions directly over the
     /// columns without the materialization.
-    fn update_row(&mut self, buf: &crate::buffer::TupleBuffer, row: usize) -> Result<()> {
+    fn update_row(&mut self, buf: &TupleBuffer, row: usize) -> Result<()> {
         self.update(&buf.row(row))
+    }
+    /// Folds rows `rows` of a columnar buffer in, in the listed order —
+    /// how the window kernels feed one (key, slice) group at a time. The
+    /// default loops over [`Aggregator::update_row`], so a plugin
+    /// aggregator works unchanged; the built-ins override it with typed
+    /// loops over the operand column.
+    fn update_rows(&mut self, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
+        for &row in rows {
+            self.update_row(buf, row as usize)?;
+        }
+        Ok(())
     }
     /// Snapshots the accumulated state as partial values. The arity is
     /// fixed per aggregate (see [`AggSpec::partial_types`]); an empty
@@ -343,23 +355,59 @@ impl AggSpec {
         registry: &FunctionRegistry,
         ts_field: &str,
     ) -> Result<Box<dyn Aggregator>> {
+        self.template(input, registry, ts_field)?
+            .make(input, registry)
+    }
+
+    /// Binds the aggregate against `input` once; see [`AggTemplate`].
+    pub(crate) fn template(
+        &self,
+        input: &Schema,
+        registry: &FunctionRegistry,
+        ts_field: &str,
+    ) -> Result<AggTemplate> {
         let bind = |e: &Expr| e.bind(input, registry).map(|(b, _)| b);
         let ts = || bind(&col(ts_field));
-        Ok(match self {
-            AggSpec::Count => Box::new(BuiltinAgg::count()),
-            AggSpec::Sum(e) => Box::new(BuiltinAgg::new(bind(e)?, AggKind::Sum)),
-            AggSpec::Min(e) => Box::new(BuiltinAgg::new(bind(e)?, AggKind::Min)),
-            AggSpec::Max(e) => Box::new(BuiltinAgg::new(bind(e)?, AggKind::Max)),
-            AggSpec::Avg(e) => Box::new(BuiltinAgg::new(bind(e)?, AggKind::Avg)),
-            AggSpec::First(e) => Box::new(BuiltinAgg::timed(bind(e)?, ts()?, AggKind::First)),
-            AggSpec::Last(e) => Box::new(BuiltinAgg::timed(bind(e)?, ts()?, AggKind::Last)),
-            AggSpec::Custom(f) => f.create(input, registry)?,
-        })
+        Ok(AggTemplate::Builtin(match self {
+            AggSpec::Count => BuiltinAgg::count(),
+            AggSpec::Sum(e) => BuiltinAgg::new(bind(e)?, AggKind::Sum),
+            AggSpec::Min(e) => BuiltinAgg::new(bind(e)?, AggKind::Min),
+            AggSpec::Max(e) => BuiltinAgg::new(bind(e)?, AggKind::Max),
+            AggSpec::Avg(e) => BuiltinAgg::new(bind(e)?, AggKind::Avg),
+            AggSpec::First(e) => BuiltinAgg::timed(bind(e)?, ts()?, AggKind::First),
+            AggSpec::Last(e) => BuiltinAgg::timed(bind(e)?, ts()?, AggKind::Last),
+            AggSpec::Custom(f) => return Ok(AggTemplate::Custom(f.clone())),
+        }))
+    }
+}
+
+/// An aggregate bound against its input schema once. Windows create a
+/// fresh accumulator per slice, threshold window and materialized
+/// window; a built-in's is a copy of the bound, empty template instead
+/// of a second bind, a plugin's comes from its factory.
+#[derive(Clone)]
+pub(crate) enum AggTemplate {
+    Builtin(BuiltinAgg),
+    Custom(Arc<dyn AggregatorFactory>),
+}
+
+impl AggTemplate {
+    /// A fresh, empty accumulator (`input`/`registry`: what the
+    /// template was bound against).
+    pub(crate) fn make(
+        &self,
+        input: &Schema,
+        registry: &FunctionRegistry,
+    ) -> Result<Box<dyn Aggregator>> {
+        match self {
+            AggTemplate::Builtin(agg) => Ok(Box::new(agg.clone())),
+            AggTemplate::Custom(f) => f.create(input, registry),
+        }
     }
 }
 
 #[derive(Clone, Copy, PartialEq)]
-enum AggKind {
+pub(crate) enum AggKind {
     Count,
     Sum,
     Min,
@@ -369,7 +417,8 @@ enum AggKind {
     Last,
 }
 
-struct BuiltinAgg {
+#[derive(Clone)]
+pub(crate) struct BuiltinAgg {
     expr: Option<BoundExpr>,
     /// Event-time expression (`first`/`last` only).
     ts: Option<BoundExpr>,
@@ -431,28 +480,44 @@ impl BuiltinAgg {
     /// fan-in arrival order — inherently race-ordered, exactly as they
     /// would be if the raw records themselves were interleaved at the
     /// cloud.
+    fn takes_sample(&self, has_best: bool, ts: EventTime, best_ts: EventTime) -> bool {
+        !has_best
+            || if self.kind == AggKind::First {
+                ts < best_ts
+            } else {
+                ts >= best_ts
+            }
+    }
+
     fn absorb_sample(&mut self, ts: EventTime, v: Value) {
-        let take = match &self.best {
-            None => true,
-            Some(_) => match self.kind {
-                AggKind::First => ts < self.best_ts,
-                AggKind::Last => ts >= self.best_ts,
-                _ => unreachable!("absorb_sample is first/last only"),
-            },
-        };
-        if take {
+        if self.takes_sample(self.best.is_some(), ts, self.best_ts) {
             self.best = Some(v);
             self.best_ts = ts;
+        }
+    }
+
+    /// The ordering a `min`/`max` candidate must have against the
+    /// incumbent to replace it.
+    fn wanted(&self) -> std::cmp::Ordering {
+        if self.kind == AggKind::Min {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Greater
         }
     }
 }
 
 impl BuiltinAgg {
     /// The shared fold body behind [`Aggregator::update`] and
-    /// [`Aggregator::update_row`]: absorbs one already-evaluated value,
-    /// pulling the event time lazily (first/last only) through
-    /// `eval_ts` so both evaluation paths stay byte-identical.
-    fn fold(&mut self, v: Value, eval_ts: impl FnOnce(&BoundExpr) -> Result<Value>) -> Result<()> {
+    /// [`Aggregator::update_row`]: evaluates the operand, and lazily the
+    /// event time (first/last only), through `eval`, so both evaluation
+    /// paths stay byte-identical. `count` has no operand.
+    fn fold(&mut self, eval: impl Fn(&BoundExpr) -> Result<Value>) -> Result<()> {
+        let Some(expr) = &self.expr else {
+            self.count += 1;
+            return Ok(());
+        };
+        let v = eval(expr)?;
         if v.is_null() {
             return Ok(());
         }
@@ -466,18 +531,9 @@ impl BuiltinAgg {
                     .as_float()
                     .ok_or_else(|| NebulaError::Eval(format!("aggregate over non-numeric {v}")))?;
             }
-            AggKind::Min => {
+            AggKind::Min | AggKind::Max => {
                 let replace = match &self.best {
-                    Some(b) => v.partial_cmp_num(b) == Some(std::cmp::Ordering::Less),
-                    None => true,
-                };
-                if replace {
-                    self.best = Some(v);
-                }
-            }
-            AggKind::Max => {
-                let replace = match &self.best {
-                    Some(b) => v.partial_cmp_num(b) == Some(std::cmp::Ordering::Greater),
+                    Some(b) => v.partial_cmp_num(b) == Some(self.wanted()),
                     None => true,
                 };
                 if replace {
@@ -485,40 +541,150 @@ impl BuiltinAgg {
                 }
             }
             AggKind::First | AggKind::Last => {
-                let ts = eval_ts(self.ts.as_ref().expect("first/last track event time"))?
-                    .as_timestamp()
-                    .ok_or_else(|| {
-                        NebulaError::Eval("first/last: record missing event time".into())
-                    })?;
+                let ts = match &self.ts {
+                    Some(ts) => eval(ts)?.as_timestamp(),
+                    None => None,
+                }
+                .ok_or_else(missing_event_time)?;
                 self.absorb_sample(ts, v);
             }
-            AggKind::Count => unreachable!(),
+            // Counted above, as it has no operand.
+            AggKind::Count => {}
         }
         Ok(())
+    }
+
+    /// The typed fold of `rows` of the operand column `col`: the row
+    /// path's fold, value for value and in the same order, without a
+    /// boxed `Value` per row. Returns `false` when this aggregate has no
+    /// typed loop for the column's layout, leaving the rows unfolded.
+    fn fold_column(&mut self, col: &Column, buf: &TupleBuffer, rows: &[u32]) -> Result<bool> {
+        let rows = rows.iter().map(|&r| r as usize);
+        match self.kind {
+            AggKind::Sum | AggKind::Avg => {
+                let Some((nums, validity)) = Nums::of(col) else {
+                    return Ok(false);
+                };
+                for r in rows.filter(|&r| validity.is_none_or(|m| m[r])) {
+                    self.count += 1;
+                    self.sum += nums.at(r);
+                    if let Nums::Float(_) = nums {
+                        self.int_only = false;
+                    }
+                }
+            }
+            AggKind::Min | AggKind::Max => {
+                let Some((nums, validity)) = Nums::of(col) else {
+                    return Ok(false);
+                };
+                // The incumbent as the row path compares it: `None` while
+                // empty, `Some(None)` when it is not numeric (no number
+                // ever replaces it).
+                let mut best = self.best.as_ref().map(Value::as_float);
+                let mut best_row = None;
+                for r in rows.filter(|&r| validity.is_none_or(|m| m[r])) {
+                    self.count += 1;
+                    let x = nums.at(r);
+                    let replace = match best {
+                        None => true,
+                        Some(b) => b.and_then(|b| x.partial_cmp(&b)) == Some(self.wanted()),
+                    };
+                    if replace {
+                        best = Some(Some(x));
+                        best_row = Some(r);
+                    }
+                }
+                if let Some(r) = best_row {
+                    self.best = Some(col.value_at(r));
+                }
+            }
+            AggKind::First | AggKind::Last => {
+                let Some(BoundExpr::Column(ts_col)) = self.ts else {
+                    return Ok(false);
+                };
+                let (mut has_best, mut best_ts, mut best_row) =
+                    (self.best.is_some(), self.best_ts, None);
+                for r in rows.filter(|&r| !col.is_null(r)) {
+                    self.count += 1;
+                    let ts = buf.event_time(r, ts_col).ok_or_else(missing_event_time)?;
+                    if self.takes_sample(has_best, ts, best_ts) {
+                        (has_best, best_ts, best_row) = (true, ts, Some(r));
+                    }
+                }
+                if let Some(r) = best_row {
+                    self.best = Some(col.value_at(r));
+                    self.best_ts = best_ts;
+                }
+            }
+            AggKind::Count => self.count += rows.len() as u64,
+        }
+        Ok(true)
+    }
+}
+
+fn missing_event_time() -> NebulaError {
+    NebulaError::Eval("first/last: record missing event time".into())
+}
+
+/// A numeric operand column as the typed folds read it: `f64` elements,
+/// or `i64` ones (`Int`, `Timestamp`) widened at the read exactly like
+/// [`Value::as_float`].
+#[derive(Clone, Copy)]
+enum Nums<'a> {
+    Float(&'a [f64]),
+    Int(&'a [i64]),
+}
+
+impl<'a> Nums<'a> {
+    /// The column's numbers and validity; `None` for other layouts.
+    fn of(col: &'a Column) -> Option<(Nums<'a>, Option<&'a [bool]>)> {
+        match col {
+            Column::Float { data, validity } => Some((Nums::Float(data), validity.as_deref())),
+            Column::Int { data, validity } | Column::Timestamp { data, validity } => {
+                Some((Nums::Int(data), validity.as_deref()))
+            }
+            _ => None,
+        }
+    }
+
+    fn at(self, r: usize) -> f64 {
+        match self {
+            Nums::Float(d) => d[r],
+            Nums::Int(d) => d[r] as f64,
+        }
     }
 }
 
 impl Aggregator for BuiltinAgg {
     fn update(&mut self, rec: &Record) -> Result<()> {
-        if self.kind == AggKind::Count {
-            self.count += 1;
-            return Ok(());
-        }
-        let v = self.expr.as_ref().expect("non-count has expr").eval(rec)?;
-        self.fold(v, |ts| ts.eval(rec))
+        self.fold(|e| e.eval(rec))
     }
 
-    fn update_row(&mut self, buf: &crate::buffer::TupleBuffer, row: usize) -> Result<()> {
-        if self.kind == AggKind::Count {
-            self.count += 1;
-            return Ok(());
+    fn update_row(&mut self, buf: &TupleBuffer, row: usize) -> Result<()> {
+        self.fold(|e| e.eval_row(buf, row))
+    }
+
+    /// A column-reference operand folds through a typed loop over the
+    /// buffer's column; any other operand evaluates row by row, so only
+    /// the listed rows ever evaluate — as on the row path.
+    fn update_rows(&mut self, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
+        let col = match &self.expr {
+            None => {
+                self.count += rows.len() as u64;
+                return Ok(());
+            }
+            Some(BoundExpr::Column(idx)) => buf.column(*idx),
+            Some(_) => None,
+        };
+        if let Some(col) = col {
+            if self.fold_column(col, buf, rows)? {
+                return Ok(());
+            }
         }
-        let v = self
-            .expr
-            .as_ref()
-            .expect("non-count has expr")
-            .eval_row(buf, row)?;
-        self.fold(v, |ts| ts.eval_row(buf, row))
+        for &row in rows {
+            self.update_row(buf, row as usize)?;
+        }
+        Ok(())
     }
 
     fn partial(&self) -> Result<Vec<Value>> {
@@ -577,14 +743,7 @@ impl Aggregator for BuiltinAgg {
                 if !p0.is_null() {
                     self.count += 1;
                     let replace = match &self.best {
-                        Some(b) => {
-                            let want = if self.kind == AggKind::Min {
-                                std::cmp::Ordering::Less
-                            } else {
-                                std::cmp::Ordering::Greater
-                            };
-                            p0.partial_cmp_num(b) == Some(want)
-                        }
+                        Some(b) => p0.partial_cmp_num(b) == Some(self.wanted()),
                         None => true,
                     };
                     if replace {
@@ -622,13 +781,8 @@ impl Aggregator for BuiltinAgg {
             AggKind::Min | AggKind::Max => {
                 if let Some(v) = &b.best {
                     self.count += b.count;
-                    let want = if self.kind == AggKind::Min {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Greater
-                    };
                     let replace = match &self.best {
-                        Some(mine) => v.partial_cmp_num(mine) == Some(want),
+                        Some(mine) => v.partial_cmp_num(mine) == Some(self.wanted()),
                         None => true,
                     };
                     if replace {

@@ -180,6 +180,21 @@ fn execute_cfg(
     buffer_size: usize,
     columnar: ColumnarMode,
 ) -> (Vec<Record>, QueryMetrics) {
+    try_execute_cfg(query, mode, feed, watermark, buffer_size, columnar).unwrap_or_else(|e| {
+        panic!("{mode:?}/{feed:?}/batch={buffer_size}/{columnar:?} failed: {e}")
+    })
+}
+
+/// [`execute_cfg`] that hands a failed run's error back instead of
+/// panicking.
+fn try_execute_cfg(
+    query: &Query,
+    mode: Mode,
+    feed: Feed,
+    watermark: WatermarkStrategy,
+    buffer_size: usize,
+    columnar: ColumnarMode,
+) -> Result<(Vec<Record>, QueryMetrics)> {
     let mut env = StreamEnvironment::with_config(EnvConfig {
         buffer_size,
         columnar,
@@ -191,16 +206,44 @@ fn execute_cfg(
         ..EnvConfig::default()
     });
     add_feed(&mut env, feed, watermark);
+    env.load_plugin(&ShortCircuitProbe)?;
     let (mut sink, got) = CollectingSink::new();
     let metrics = match mode {
         Mode::Sync => env.run(query, &mut sink),
         Mode::Threaded => env.run_threaded(query, &mut sink),
         Mode::Partitioned(_) => env.run_partitioned(query, &mut sink),
-    }
-    .unwrap_or_else(|e| panic!("{mode:?}/{feed:?}/batch={buffer_size}/{columnar:?} failed: {e}"));
+    }?;
     let mut recs = got.records();
     normalize_records(&mut recs);
-    (recs, metrics)
+    Ok((recs, metrics))
+}
+
+/// Registers `fast_or_fail(speed)`: true for a speed above 60, an
+/// evaluation error for any other row. Behind `speed > 60 AND ...` it
+/// only ever sees rows the left side lets through, so it errors exactly
+/// where the reference short-circuits.
+struct ShortCircuitProbe;
+
+impl Plugin for ShortCircuitProbe {
+    fn name(&self) -> &str {
+        "short-circuit-probe"
+    }
+
+    fn register(&self, reg: &mut FunctionRegistry) -> Result<()> {
+        reg.register_or_replace(ClosureFunction::new(
+            "fast_or_fail",
+            1,
+            DataType::Bool,
+            |args| match args[0].as_float() {
+                Some(speed) if speed > 60.0 => Ok(Value::Bool(true)),
+                _ => Err(NebulaError::Eval(format!(
+                    "fast_or_fail evaluated on {}",
+                    args[0]
+                ))),
+            },
+        ));
+        Ok(())
+    }
 }
 
 /// Asserts that every execution mode agrees with the synchronous
@@ -571,6 +614,28 @@ const BATCH_SIZES: [usize; 4] = [1, 7, 64, 1024];
 /// Valid whenever no record is late under `watermark`: watermark *cadence*
 /// varies with batch size (one clock update per polled batch), but with
 /// nothing dropped the final flush makes results batch-size independent.
+/// Asserts `got` equals the per-record `reference` row for row, both as
+/// values (opaque payloads compare by content; NaN matches NaN) and as
+/// canonical bytes (each value's type tag and exact bits).
+fn assert_same_rows(got: &[Record], reference: &[Record], cell: &str) {
+    let same = |a: &Value, b: &Value| {
+        a == b || a.as_float().is_some_and(f64::is_nan) && b.as_float().is_some_and(f64::is_nan)
+    };
+    let bytes_of = |recs: &[Record]| recs.iter().map(record_sort_key).collect::<Vec<_>>();
+    assert_eq!(
+        bytes_of(got),
+        bytes_of(reference),
+        "{cell} is not byte-identical to the per-record sync reference"
+    );
+    let values_match = got.iter().zip(reference).all(|(g, r)| {
+        g.len() == r.len() && g.values().iter().zip(r.values()).all(|(a, b)| same(a, b))
+    });
+    assert!(
+        values_match,
+        "{cell} diverges from the per-record sync reference"
+    );
+}
+
 fn assert_batch_matrix(name: &str, query: &Query, feed: Feed, watermark: &WatermarkStrategy) {
     let (reference, ref_metrics) = execute_cfg(
         query,
@@ -580,24 +645,15 @@ fn assert_batch_matrix(name: &str, query: &Query, feed: Feed, watermark: &Waterm
         32,
         ColumnarMode::Off,
     );
-    // `Value` equality is numeric across Int/Float/Timestamp; the sort
-    // key also carries each value's type tag and exact bits.
-    let bytes_of = |recs: &[Record]| recs.iter().map(record_sort_key).collect::<Vec<_>>();
     for batch in BATCH_SIZES {
         for columnar in [ColumnarMode::Off, ColumnarMode::Force, ColumnarMode::Auto] {
             for mode in ALL_MODES {
                 let (got, metrics) =
                     execute_cfg(query, mode, feed, watermark.clone(), batch, columnar);
-                assert_eq!(
-                    got, reference,
-                    "{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?} diverges from \
-                     per-record sync reference"
-                );
-                assert_eq!(
-                    bytes_of(&got),
-                    bytes_of(&reference),
-                    "{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?} is not \
-                     byte-identical to the per-record sync reference"
+                assert_same_rows(
+                    &got,
+                    &reference,
+                    &format!("{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?}"),
                 );
                 assert_eq!(
                     metrics.records_in, ref_metrics.records_in,
@@ -607,9 +663,65 @@ fn assert_batch_matrix(name: &str, query: &Query, feed: Feed, watermark: &Waterm
                     metrics.records_out, ref_metrics.records_out,
                     "{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?} records_out"
                 );
+                assert_eq!(
+                    metrics.late_drops, ref_metrics.late_drops,
+                    "{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?} late_drops"
+                );
             }
         }
     }
+}
+
+/// [`assert_batch_matrix`] for order-sensitive operators (CEP,
+/// threshold windows, float sums, `first`/`last` ties) under a jittered
+/// feed. The jitter buffer drains per poll, so arrival order — and with
+/// it every order-sensitive result — changes with the batch size: each
+/// batch size gets its own per-record sync reference, which every
+/// columnar mode in every execution mode must match byte for byte.
+fn assert_batch_matrix_per_batch(
+    name: &str,
+    query: &Query,
+    feed: Feed,
+    watermark: &WatermarkStrategy,
+) {
+    for batch in BATCH_SIZES {
+        let (reference, ref_metrics) = execute_cfg(
+            query,
+            Mode::Sync,
+            feed,
+            watermark.clone(),
+            batch,
+            ColumnarMode::Off,
+        );
+        for columnar in [ColumnarMode::Off, ColumnarMode::Force, ColumnarMode::Auto] {
+            for mode in ALL_MODES {
+                let cell = format!("{name}: {mode:?}/{feed:?}/batch={batch}/{columnar:?}");
+                let (got, metrics) =
+                    execute_cfg(query, mode, feed, watermark.clone(), batch, columnar);
+                assert_same_rows(&got, &reference, &cell);
+                assert_eq!(metrics.records_in, ref_metrics.records_in, "{cell} in");
+                assert_eq!(metrics.records_out, ref_metrics.records_out, "{cell} out");
+                assert_eq!(metrics.late_drops, ref_metrics.late_drops, "{cell} late");
+            }
+        }
+    }
+}
+
+/// One stateful cell, in order (one reference across batch sizes) and
+/// jittered (a reference per batch size). Asserts the in-order
+/// reference is not empty, so the cell compares something.
+fn assert_stateful_matrix(name: &str, query: &Query, watermark: &WatermarkStrategy) {
+    let (reference, _) = execute_cfg(
+        query,
+        Mode::Sync,
+        Feed::InOrder,
+        watermark.clone(),
+        32,
+        ColumnarMode::Off,
+    );
+    assert!(!reference.is_empty(), "{name}: no rows, nothing compared");
+    assert_batch_matrix(name, query, Feed::InOrder, watermark);
+    assert_batch_matrix_per_batch(name, query, Feed::Jittered(7), watermark);
 }
 
 #[test]
@@ -743,8 +855,6 @@ fn batched_keyless_window_matrix() {
 
 #[test]
 fn batched_threshold_window_matrix() {
-    // Threshold windows take the row fallback inside process_columnar;
-    // the matrix proves the fallback is exact, not merely similar.
     let q = Query::from("s").window(
         vec![("train", col("train"))],
         WindowSpec::Threshold {
@@ -761,8 +871,6 @@ fn batched_threshold_window_matrix() {
 
 #[test]
 fn batched_cep_matrix() {
-    // CEP heads reject buffers entirely (`supports_columnar` = false), so
-    // Force must degrade to the per-record path instead of erroring.
     let pattern = Pattern::new(
         "speed-drop",
         vec![
@@ -824,17 +932,225 @@ fn batched_composite_matrix() {
 }
 
 #[test]
+fn stateful_cep_matrix() {
+    // Q5-shaped: two steps, at most one partial per train, and a
+    // `within` short enough that most partials expire.
+    let stressed = col("speed").gt(lit(60.0)).or(col("load").lt(lit(30)));
+    let q5 = |within_s: i64| {
+        Pattern::new(
+            "battery-shaped",
+            vec![
+                PatternStep::new("stressed", stressed.clone()),
+                PatternStep::new("critical", col("speed").lt(lit(10.0))),
+            ],
+            within_s * MICROS_PER_SEC,
+        )
+        .keyed_by(col("train"))
+    };
+    let q = Query::from("s").cep(q5(20).with_max_partials(1));
+    assert_stateful_matrix("cep/q5-shaped", &q, &WatermarkStrategy::None);
+    // Uncapped: overlapping partials complete on one record.
+    let q = Query::from("s").cep(q5(60));
+    assert_stateful_matrix("cep/q5-uncapped", &q, &generous_watermark());
+    // Keyless: one automaton over the whole stream.
+    let mut keyless = q5(20);
+    keyless.key = None;
+    let q = Query::from("s").cep(keyless);
+    assert_stateful_matrix("cep/keyless", &q, &WatermarkStrategy::None);
+    // Q8-shaped: five alternating steps, one partial, expiring.
+    let low = || col("speed").lt(lit(10.0)).or(col("load").gt(lit(190)));
+    let recovered = || col("speed").gt(lit(60.0));
+    let q8 = Pattern::new(
+        "brakes-shaped",
+        vec![
+            PatternStep::new("e1", low()),
+            PatternStep::new("r1", recovered()),
+            PatternStep::new("e2", low()),
+            PatternStep::new("r2", recovered()),
+            PatternStep::new("e3", low()),
+        ],
+        70 * MICROS_PER_SEC,
+    )
+    .keyed_by(col("train"))
+    .with_max_partials(1);
+    let q = Query::from("s").cep(q8);
+    assert_stateful_matrix("cep/q8-shaped", &q, &generous_watermark());
+}
+
+#[test]
+fn stateful_threshold_matrix() {
+    // Q6-shaped: at end of stream trains 3 and 4 hold an open window of
+    // two records (flushed, `min_count` 2) and trains 0-2 one of one
+    // (dropped).
+    let q = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Threshold {
+            predicate: col("load").ge(lit(100)),
+            min_count: 2,
+        },
+        vec![
+            WindowAgg::new("peak", AggSpec::Max(col("load"))),
+            WindowAgg::new("avg", AggSpec::Avg(col("load"))),
+            WindowAgg::new("ticks", AggSpec::Count),
+            WindowAgg::new("at", AggSpec::Last(col("speed"))),
+        ],
+    );
+    assert_stateful_matrix("threshold/q6-shaped", &q, &WatermarkStrategy::None);
+    // Q7-shaped: `And(And(Lt, Not(Call)), Not(Call))` — the calls run
+    // only on rows the comparison lets through.
+    let flag = |cond: Expr| call("if", vec![cond, lit(true), lit(false)]);
+    let q = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Threshold {
+            predicate: col("speed")
+                .lt(lit(40.0))
+                .and(flag(col("load").gt(lit(150))).not())
+                .and(flag(col("train").eq(lit(3))).not()),
+            min_count: 2,
+        },
+        vec![
+            WindowAgg::new("stop_speed", AggSpec::First(col("speed"))),
+            WindowAgg::new("ticks", AggSpec::Count),
+        ],
+    );
+    assert_stateful_matrix("threshold/q7-shaped", &q, &generous_watermark());
+}
+
+#[test]
+fn stateful_time_window_matrix() {
+    // `sliding_profile`-shaped: 64 s sliding by 4 s, 16 windows per
+    // record, float averages.
+    let q = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Sliding {
+            size: 64 * MICROS_PER_SEC,
+            slide: 4 * MICROS_PER_SEC,
+        },
+        vec![
+            WindowAgg::new("n", AggSpec::Count),
+            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
+            WindowAgg::new("max_load", AggSpec::Max(col("load"))),
+        ],
+    );
+    assert_stateful_matrix("sliding/profile-shaped", &q, &generous_watermark());
+    // Event time on `load` ((13 i) mod 200): every (train, load) pair
+    // occurs three times, so `first`/`last` meet equal timestamps; an
+    // integer `sum`; `min`/`max` over a column with NaN rows.
+    let q = Query::from("s")
+        .map_extend(vec![(
+            "nan_speed",
+            call(
+                "if",
+                vec![col("load").gt(lit(150)), lit(f64::NAN), col("speed")],
+            ),
+        )])
+        .window(
+            vec![("train", col("train"))],
+            WindowSpec::Tumbling { size: 50 },
+            vec![
+                WindowAgg::new("sum_load", AggSpec::Sum(col("load"))),
+                WindowAgg::new("min_nan", AggSpec::Min(col("nan_speed"))),
+                WindowAgg::new("max_nan", AggSpec::Max(col("nan_speed"))),
+                WindowAgg::new("first", AggSpec::First(col("speed"))),
+                WindowAgg::new("last", AggSpec::Last(col("ts"))),
+            ],
+        )
+        .with_ts_field("load");
+    assert_stateful_matrix("tumbling/ties-nan-int", &q, &WatermarkStrategy::None);
+}
+
+#[test]
+fn stateful_errors_match_across_paths() {
+    // Null `ts` rows: CEP, threshold and time windows fail with the same
+    // typed error on the per-record and the columnar path, in every mode.
+    let watermark = WatermarkStrategy::None;
+    for (name, q) in [
+        ("q6", nebulameos::q6_heavy_load(300, 3)),
+        ("q8", nebulameos::q8_brake_monitoring(30)),
+        (
+            "window",
+            Query::from(nebulameos::FLEET_STREAM).window(
+                vec![("train", col("train_id"))],
+                WindowSpec::Tumbling {
+                    size: 60 * MICROS_PER_SEC,
+                },
+                vec![WindowAgg::new("n", AggSpec::Count)],
+            ),
+        ),
+    ] {
+        let reference = try_execute_cfg(
+            &q,
+            Mode::Sync,
+            Feed::FleetWithNulls,
+            watermark.clone(),
+            32,
+            ColumnarMode::Off,
+        )
+        .err()
+        .unwrap_or_else(|| panic!("{name}: a null event time must fail the run"));
+        for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
+            for mode in ALL_MODES {
+                let got = try_execute_cfg(
+                    &q,
+                    mode,
+                    Feed::FleetWithNulls,
+                    watermark.clone(),
+                    32,
+                    columnar,
+                )
+                .err()
+                .unwrap_or_else(|| panic!("{name}: {mode:?}/{columnar:?} ran clean"));
+                assert_eq!(
+                    std::mem::discriminant(&got),
+                    std::mem::discriminant(&reference),
+                    "{name}: {mode:?}/{columnar:?} raised {got}, the reference {reference}"
+                );
+            }
+        }
+    }
+    // A right operand that errors only on rows its left side
+    // short-circuits surfaces on neither path.
+    let guarded = col("speed")
+        .gt(lit(60.0))
+        .and(call("fast_or_fail", vec![col("speed")]));
+    let cep = Query::from("s").cep(
+        Pattern::new(
+            "guarded",
+            vec![
+                PatternStep::new("fast", guarded.clone()),
+                PatternStep::new("slow", col("speed").lt(lit(10.0))),
+            ],
+            120 * MICROS_PER_SEC,
+        )
+        .keyed_by(col("train")),
+    );
+    let threshold = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Threshold {
+            predicate: guarded,
+            min_count: 1,
+        },
+        vec![WindowAgg::new("n", AggSpec::Count)],
+    );
+    for (name, q) in [("guarded cep", cep), ("guarded threshold", threshold)] {
+        assert_batch_matrix(name, &q, Feed::InOrder, &WatermarkStrategy::None);
+    }
+}
+
+#[test]
 fn columnar_matches_row_under_late_drops() {
-    // Tight slack + jitter makes some records genuinely late. At a FIXED
-    // batch size the watermark clock advances identically on both paths,
-    // so the columnar absorb must drop exactly the same records as the
-    // per-record reference — including the late-drop triage inside the
-    // window operator's batched absorb loop.
+    // Tight slack + jitter makes some records genuinely late: polls of
+    // four from a jitter window of eight carry records across batch
+    // boundaries, behind watermarks that already passed them. At a
+    // FIXED batch size the watermark clock advances identically on both
+    // paths, so the columnar absorb must drop exactly the same records
+    // as the per-record reference — the late-drop triage of the batch
+    // kernel included.
     let tight = WatermarkStrategy::BoundedOutOfOrder {
         ts_field: "ts".into(),
         slack: 4 * MICROS_PER_SEC,
     };
-    let q = Query::from("s")
+    let tumbling = Query::from("s")
         .filter(col("load").ge(lit(10)))
         .map_extend(vec![("kmh", col("speed").mul(lit(3.6)))])
         .window(
@@ -847,18 +1163,39 @@ fn columnar_matches_row_under_late_drops() {
                 WindowAgg::new("avg_kmh", AggSpec::Avg(col("kmh"))),
             ],
         );
-    for seed in [7, 99] {
-        let feed = Feed::Jittered(seed);
-        for mode in ALL_MODES {
-            let (row, row_m) = execute_cfg(&q, mode, feed, tight.clone(), 32, ColumnarMode::Off);
-            let (col, col_m) = execute_cfg(&q, mode, feed, tight.clone(), 32, ColumnarMode::Force);
-            assert_eq!(col, row, "late-drop: {mode:?}/seed={seed} results");
-            assert_eq!(col_m.records_in, row_m.records_in, "late-drop: {mode:?} in");
-            assert_eq!(
-                col_m.records_out, row_m.records_out,
-                "late-drop: {mode:?} out"
-            );
+    // Sliding: a record is late only once every window holding it has
+    // closed.
+    let sliding = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Sliding {
+            size: 8 * MICROS_PER_SEC,
+            slide: 2 * MICROS_PER_SEC,
+        },
+        vec![
+            WindowAgg::new("n", AggSpec::Count),
+            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
+        ],
+    );
+    for (name, q) in [("tumbling", &tumbling), ("sliding", &sliding)] {
+        let mut dropped = 0;
+        for seed in [7, 99] {
+            let feed = Feed::Jittered(seed);
+            for mode in ALL_MODES {
+                let cell = format!("late-drop {name}: {mode:?}/seed={seed}");
+                let (row, row_m) = execute_cfg(q, mode, feed, tight.clone(), 4, ColumnarMode::Off);
+                let (col, col_m) =
+                    execute_cfg(q, mode, feed, tight.clone(), 4, ColumnarMode::Force);
+                assert_same_rows(&col, &row, &cell);
+                assert_eq!(col_m.records_in, row_m.records_in, "{cell} in");
+                assert_eq!(col_m.records_out, row_m.records_out, "{cell} out");
+                assert_eq!(col_m.late_drops, row_m.late_drops, "{cell} late_drops");
+                dropped += row_m.late_drops;
+            }
         }
+        assert!(
+            dropped > 0,
+            "late-drop {name}: the tight watermark drops records"
+        );
     }
 }
 
