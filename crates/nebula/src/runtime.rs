@@ -88,7 +88,7 @@ pub enum ColumnarMode {
     /// prefix actually runs a vectorized kernel (see
     /// [`crate::ops::Operator::columnar_benefit`]) — chains that would
     /// only pay the transpose (e.g. an opaque-geometry predicate
-    /// straight into a window) keep the row path.
+    /// straight into a plugin operator) keep the row path.
     #[default]
     Auto,
     /// Never transpose: every mode runs the per-record reference path.

@@ -608,12 +608,6 @@ fn partitioned_ledger_delivers_the_layout_the_chain_emitted() {
 /// default, and one larger than the whole 600-record stream.
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 1024];
 
-/// Runs `query` through every batch size x columnar mode x execution mode
-/// and asserts each cell agrees with one per-record sync reference.
-///
-/// Valid whenever no record is late under `watermark`: watermark *cadence*
-/// varies with batch size (one clock update per polled batch), but with
-/// nothing dropped the final flush makes results batch-size independent.
 /// Asserts `got` equals the per-record `reference` row for row, both as
 /// values (opaque payloads compare by content; NaN matches NaN) and as
 /// canonical bytes (each value's type tag and exact bits).
@@ -636,6 +630,12 @@ fn assert_same_rows(got: &[Record], reference: &[Record], cell: &str) {
     );
 }
 
+/// Runs `query` through every batch size x columnar mode x execution mode
+/// and asserts each cell agrees with one per-record sync reference.
+///
+/// Valid whenever no record is late under `watermark`: watermark *cadence*
+/// varies with batch size (one clock update per polled batch), but with
+/// nothing dropped the final flush makes results batch-size independent.
 fn assert_batch_matrix(name: &str, query: &Query, feed: Feed, watermark: &WatermarkStrategy) {
     let (reference, ref_metrics) = execute_cfg(
         query,
