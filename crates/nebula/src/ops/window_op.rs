@@ -563,22 +563,21 @@ impl WindowOp {
                 agg.spec.output_type(&input, registry)?,
             ));
         }
-        let state = match (SliceLayout::of(&spec), spec) {
-            (Some(layout), _) => WindowState::Time(SliceStore::new(
-                layout,
-                ts_field,
-                keys.len(),
-                aggs,
-                input,
-                registry.clone(),
-            )?),
-            (
-                None,
-                WindowSpec::Threshold {
-                    predicate,
-                    min_count,
-                },
-            ) => {
+        let state = match spec {
+            WindowSpec::Tumbling { size: size @ slide } | WindowSpec::Sliding { size, slide } => {
+                WindowState::Time(SliceStore::new(
+                    SliceLayout::new(size, slide),
+                    ts_field,
+                    keys.len(),
+                    aggs,
+                    input,
+                    registry.clone(),
+                )?)
+            }
+            WindowSpec::Threshold {
+                predicate,
+                min_count,
+            } => {
                 let (predicate, t) = predicate.bind(&input, registry)?;
                 if t != DataType::Bool {
                     return Err(NebulaError::Type(format!(
@@ -591,11 +590,6 @@ impl WindowOp {
                     factory: AggFactory::new(aggs, input, registry.clone(), ts_field)?,
                     open: HashMap::new(),
                 }
-            }
-            (None, spec) => {
-                return Err(NebulaError::Plan(format!(
-                    "window: {spec:?} has no slice layout"
-                )))
             }
         };
         Ok(WindowOp {
@@ -699,7 +693,9 @@ impl Operator for WindowOp {
     /// once as per-buffer ids; each key's open window then advances row
     /// by row in arrival order, queueing the rows it absorbs and folding
     /// them in one [`Aggregator::update_rows`] call when it closes or the
-    /// buffer ends.
+    /// buffer ends. Each check runs over the whole buffer before the
+    /// next, so when two checks fail on different rows the error may be
+    /// another variant than the row path's.
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
         let ts = event_times(&buf, self.ts_col, "window")?;
         let mut emitted: Vec<Record> = Vec::new();

@@ -114,17 +114,19 @@ impl SliceLayout {
     /// The layout of a time-based spec (`None` for threshold windows).
     pub fn of(spec: &WindowSpec) -> Option<SliceLayout> {
         match *spec {
-            WindowSpec::Tumbling { size } => Some(SliceLayout {
-                size,
-                slide: size,
-                width: size,
-            }),
-            WindowSpec::Sliding { size, slide } => Some(SliceLayout {
-                size,
-                slide,
-                width: gcd(size, slide),
-            }),
+            WindowSpec::Tumbling { size } => Some(SliceLayout::new(size, size)),
+            WindowSpec::Sliding { size, slide } => Some(SliceLayout::new(size, slide)),
             WindowSpec::Threshold { .. } => None,
+        }
+    }
+
+    /// The layout of `size`-long windows advancing by `slide` (a
+    /// tumbling window slides by its size).
+    pub fn new(size: DurationUs, slide: DurationUs) -> SliceLayout {
+        SliceLayout {
+            size,
+            slide,
+            width: gcd(size, slide),
         }
     }
 

@@ -1063,6 +1063,9 @@ fn stateful_time_window_matrix() {
 fn stateful_errors_match_across_paths() {
     // Null `ts` rows: CEP, threshold and time windows fail with the same
     // typed error on the per-record and the columnar path, in every mode.
+    // Only one check fails here: when two checks fail on different rows
+    // of one buffer, the kernels (one check over the whole buffer at a
+    // time) may raise the other check's variant.
     let watermark = WatermarkStrategy::None;
     for (name, q) in [
         ("q6", nebulameos::q6_heavy_load(300, 3)),
