@@ -143,7 +143,13 @@ impl Operator for KNearestOp {
                 .filter(|(id, (_, seen))| **id != key && ts - seen <= self.staleness_us)
                 .map(|(id, (p, _))| (*id, *p, Metric::Haversine.distance(&pos, p)))
                 .collect();
-            neighbours.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("finite"));
+            // NaN distances (a NaN position) rank last, whatever their
+            // sign bit, so they never displace a measurable neighbour.
+            neighbours.sort_by(|a, b| {
+                a.2.is_nan()
+                    .cmp(&b.2.is_nan())
+                    .then_with(|| a.2.total_cmp(&b.2))
+            });
             for (rank, (id, npos, dist)) in neighbours.into_iter().take(self.k).enumerate() {
                 emitted.push(Record::new(vec![
                     Value::Timestamp(ts),
@@ -302,6 +308,43 @@ mod tests {
             .filter(|r| r.get(1) == Some(&Value::Int(0)))
             .count();
         assert_eq!(train0, 0, "stale neighbour not reported");
+    }
+
+    #[test]
+    fn nan_positions_rank_last() {
+        // A NaN neighbour sorts after every measurable one (x86's
+        // default NaN is negative, so `total_cmp` alone would rank it
+        // first), and a NaN query position ranks without panicking.
+        let mut o = op(3, 0);
+        let mut out = Vec::new();
+        let nan = -f64::NAN;
+        o.process(
+            RecordBuffer::new(
+                schema(),
+                vec![
+                    rec(0, 1, nan),
+                    rec(0, 2, 4.35),
+                    rec(0, 3, 4.31),
+                    rec(1, 0, 4.30),
+                    rec(2, 4, f64::NAN),
+                ],
+            ),
+            &mut out,
+        )
+        .unwrap();
+        let recs = data_records(&out);
+        let neighbours = |train: i64| -> Vec<Value> {
+            recs.iter()
+                .filter(|r| r.get(1) == Some(&Value::Int(train)))
+                .map(|r| r.get(3).unwrap().clone())
+                .collect()
+        };
+        assert_eq!(
+            neighbours(0),
+            [3, 2, 1].map(Value::Int),
+            "NaN neighbour last"
+        );
+        assert_eq!(neighbours(4).len(), 3, "a NaN query position still ranks");
     }
 
     #[test]

@@ -204,10 +204,14 @@ impl Plugin for DemoContext {
             DataType::Text,
             move |args| {
                 let p = as_point(&args[0])?;
+                // NaN distances (a NaN position) are skipped, as the
+                // `f64::min` fold of `nearest_workshop_m` skips them, so
+                // the name and the distance always agree.
                 let best = shops2
                     .iter()
                     .map(|(n, g)| (n, g.distance_to_point(&p, Metric::Haversine)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
+                    .filter(|(_, d)| !d.is_nan())
+                    .min_by(|a, b| a.1.total_cmp(&b.1));
                 Ok(match best {
                     Some((n, _)) => Value::text(n.clone()),
                     None => Value::text(""),
@@ -588,6 +592,29 @@ mod tests {
                 .unwrap(),
             Value::Float(1.0)
         );
+    }
+
+    #[test]
+    fn nearest_workshop_skips_nan_distances() {
+        // Point workshops measure a raw haversine distance, which is NaN
+        // for a NaN position: no workshop is nearest, and the name and
+        // the distance say so together instead of panicking.
+        let mut z = zones();
+        z.workshops = vec![
+            ("p0".into(), Geometry::Point(Point::new(4.60, 51.00))),
+            ("p1".into(), Geometry::Point(Point::new(4.20, 50.70))),
+        ];
+        let mut reg = meos_registry();
+        reg.load_plugin(&DemoContext::new(z)).unwrap();
+        let call = |f: &str, p: Value| reg.get(f).unwrap().invoke(&[p]).unwrap();
+        let nan = Value::Point {
+            x: f64::NAN,
+            y: 50.85,
+        };
+        assert_eq!(call("nearest_workshop_name", nan.clone()), Value::text(""));
+        assert_eq!(call("nearest_workshop_m", nan), Value::Float(f64::INFINITY));
+        let near_p1 = Value::Point { x: 4.21, y: 50.7 };
+        assert_eq!(call("nearest_workshop_name", near_p1), Value::text("p1"));
     }
 
     #[test]

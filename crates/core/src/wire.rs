@@ -451,7 +451,7 @@ mod tests {
         let schema = Schema::of(&[("o", DataType::Opaque)]);
         let bytes = encode_frame(&Frame::Data(vec![Record::new(vec![v])]), &schema, &reg).unwrap();
         match decode_frame(&bytes, &schema, &reg).unwrap() {
-            Frame::Data(mut recs) => recs.remove(0).into_values().remove(0),
+            Frame::Columnar(tb) => tb.value_at(0, 0).unwrap(),
             other => panic!("{other:?}"),
         }
     }
@@ -562,8 +562,8 @@ mod tests {
         assert_eq!(back.seq, 7);
         assert_eq!(back.payload, frame, "envelope must not alter codec bytes");
         match decode_frame(&back.payload, &schema, &reg).unwrap() {
-            Frame::Data(recs) => {
-                assert_eq!(recs[0].get(0), Some(&tpoint_value(seq_point())));
+            Frame::Columnar(tb) => {
+                assert_eq!(tb.value_at(0, 0), Some(tpoint_value(seq_point())));
             }
             other => panic!("{other:?}"),
         }

@@ -14,7 +14,7 @@
 //! suites pin the batched kernels against.
 
 use crate::record::{Record, RecordBuffer};
-use crate::schema::SchemaRef;
+use crate::schema::{Schema, SchemaRef};
 use crate::value::{DataType, EventTime, OpaqueValue, Value};
 use std::sync::Arc;
 
@@ -643,6 +643,17 @@ impl ColumnBuilder {
     }
 }
 
+/// The columns of [`TupleBuffer::from_records`], one per schema field —
+/// for callers that hold the schema by reference (the wire encoder).
+pub(crate) fn columns_from_records(schema: &Schema, records: &[Record]) -> Vec<Column> {
+    schema
+        .fields()
+        .iter()
+        .enumerate()
+        .map(|(idx, f)| Column::from_field(f.dtype, records, idx))
+        .collect()
+}
+
 /// Per-buffer metadata, mirroring NebulaStream's TupleBuffer header.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferMeta {
@@ -690,12 +701,7 @@ impl TupleBuffer {
     /// whose runtime type contradicts its field's declared type degrades
     /// that one column to [`Column::Values`].
     pub fn from_records(schema: SchemaRef, records: &[Record], meta: BufferMeta) -> Self {
-        let columns = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(idx, f)| Column::from_field(f.dtype, records, idx))
-            .collect();
+        let columns = columns_from_records(&schema, records);
         TupleBuffer {
             schema,
             len: records.len(),

@@ -77,6 +77,7 @@
 //!   has seen.
 
 use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
+use crate::buffer::TupleBuffer;
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
 use crate::checkpoint::{CheckpointStore, CloudPart, PumpPart, SitePart};
 use crate::error::{ClusterError, NebulaError, Result};
@@ -85,12 +86,14 @@ use crate::metrics::{Histogram, QueryMetrics};
 use crate::ops::{chain_late_drops, Operator};
 use crate::preagg::{split_window, SplitWindow, WindowMergeOp, WindowPartialOp};
 use crate::query::{compile_ops, LogicalOp, Query};
-use crate::record::{RecordBuffer, StreamMessage};
+use crate::record::StreamMessage;
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
-use crate::runtime::{deliver, drive, resolve_ts_col, ProgressTracker};
+use crate::runtime::{deliver, drive, resolve_ts_col, ColumnarMode, ProgressTracker};
 use crate::schema::SchemaRef;
 use crate::sink::Sink;
-use crate::source::{Polled, ReplaySource, Source, SourceDriver, Stamped, WatermarkStrategy};
+use crate::source::{
+    chain_wants_columnar, Polled, ReplaySource, Source, SourceDriver, Stamped, WatermarkStrategy,
+};
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, NodeSnapshot, QueryReport,
     TelemetryConfig, TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
@@ -143,10 +146,12 @@ pub struct ClusterConfig {
     /// Split splittable windows into edge partials + cloud merge under
     /// [`PlacementStrategy::EdgeFirst`].
     pub preaggregate: bool,
-    /// Source-side columnar batching policy for each site's local
-    /// stage chain (see [`crate::runtime::ColumnarMode`]). Buffers
-    /// materialize back to rows at the wire boundary, so frame format
-    /// and byte accounting are identical either way.
+    /// Columnar batching policy (see [`crate::runtime::ColumnarMode`])
+    /// for every chain of the plan: the source node's stages, and each
+    /// site and cloud tail that receives frames. Data frames are
+    /// column-major whatever the mode, and a batch encodes to the same
+    /// bytes from rows or columns, so frame format and byte accounting
+    /// are identical under every mode.
     pub columnar: crate::runtime::ColumnarMode,
     /// Chaos runs: emit a checkpoint barrier every N source batches
     /// per pipeline (crash recovery restores from the newest epoch the
@@ -1411,6 +1416,24 @@ fn flag_abort<T>(abort: Option<&AtomicBool>, r: Result<T>) -> Result<T> {
     r
 }
 
+/// The receiving end of the [`ColumnarMode`] gate: a tail takes decoded
+/// buffers columnar when its head opts in, exactly as the source gate
+/// decides for the chain it feeds, or when there is no tail and the
+/// buffer passes straight on (any mode but `Off`). Decided once per
+/// phase, like the pump's: a re-plan may move stages.
+fn tail_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
+    chain_wants_columnar(mode, ops) || (ops.is_empty() && mode != ColumnarMode::Off)
+}
+
+/// The data message a receiving tail drives for a decoded buffer.
+fn received(columnar: bool, tb: TupleBuffer) -> StreamMessage {
+    if columnar {
+        StreamMessage::Columnar(tb)
+    } else {
+        StreamMessage::Data(tb.to_record_buffer())
+    }
+}
+
 /// Encodes and forwards terminal messages downstream.
 fn forward(
     msgs: Vec<StreamMessage>,
@@ -1420,6 +1443,8 @@ fn forward(
 ) -> Result<()> {
     for msg in msgs {
         match msg {
+            // Rows and buffers encode to the same column-major bytes, so
+            // byte accounting does not depend on the layout.
             StreamMessage::Data(b) => {
                 let records = b.len() as u64;
                 if records > 0 {
@@ -1427,13 +1452,10 @@ fn forward(
                     tx.send(encode_frame(&frame, out_schema, wire)?, records)?;
                 }
             }
-            // Columnar batches materialize to rows at the wire boundary:
-            // the frame format (and its byte accounting) is unchanged, so
-            // analytic network-cost estimates keep reconciling.
             StreamMessage::Columnar(b) => {
                 let records = b.len() as u64;
                 if records > 0 {
-                    let frame = Frame::Data(b.to_record_buffer().into_records());
+                    let frame = Frame::Columnar(b);
                     tx.send(encode_frame(&frame, out_schema, wire)?, records)?;
                 }
             }
@@ -1466,7 +1488,8 @@ struct SiteTel {
     every: Duration,
 }
 
-/// One edge site: decode, drive the sub-chain, re-encode downstream.
+/// One edge site: decode, drive the sub-chain (columnar when
+/// [`tail_wants_columnar`] says so under `mode`), re-encode downstream.
 /// Returns the operator state on end-of-stream.
 ///
 /// Thread entry point: every argument is moved out of the spawning
@@ -1479,12 +1502,14 @@ fn run_site(
     depth: Arc<AtomicU64>,
     mut tx: TxLink,
     wire: WireRegistry,
+    mode: ColumnarMode,
     chaos: Option<SiteChaos>,
     tel: Option<SiteTel>,
 ) -> Result<Vec<Box<dyn Operator>>> {
     let out_schema = ops
         .last()
         .map_or_else(|| in_schema.clone(), |o| o.output_schema());
+    let columnar = tail_wants_columnar(mode, &ops);
     let started = Instant::now();
     let mut last_snap = Instant::now();
     let (mut records_in, mut records_out, mut snap_seq) = (0u64, 0u64, 0u64);
@@ -1503,10 +1528,10 @@ fn run_site(
             }
         }
         match decode_frame(&bytes, &in_schema, &wire)? {
-            Frame::Data(recs) => {
-                records_in += recs.len() as u64;
-                let buf = RecordBuffer::new(in_schema.clone(), recs);
-                let msgs = drive(&mut ops, StreamMessage::Data(buf))?;
+            Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
+            Frame::Columnar(tb) => {
+                records_in += tb.len() as u64;
+                let msgs = drive(&mut ops, received(columnar, tb))?;
                 records_out += records_of(&msgs);
                 forward(msgs, &out_schema, &wire, &mut tx)?;
                 if let Some(t) = &tel {
@@ -1744,6 +1769,8 @@ struct FanIn<'o, 's> {
     out: &'o mut Outbox<'s>,
     in_schema: SchemaRef,
     wire: WireRegistry,
+    /// The tail's [`tail_wants_columnar`] gate, decided for the phase.
+    columnar: bool,
     /// Frames held back per pipeline during alignment.
     held: Vec<VecDeque<Vec<u8>>>,
     /// The epoch currently aligning, if any.
@@ -1770,11 +1797,11 @@ impl FanIn<'_, '_> {
     /// Applies one decoded frame from pipeline `p` to the cloud.
     fn apply(&mut self, p: usize, bytes: &[u8]) -> Result<()> {
         match decode_frame(bytes, &self.in_schema, &self.wire)? {
-            Frame::Data(recs) => {
-                self.st.tel.records_in += recs.len() as u64;
-                let buf = RecordBuffer::new(self.in_schema.clone(), recs);
+            Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
+            Frame::Columnar(tb) => {
+                self.st.tel.records_in += tb.len() as u64;
                 let t0 = Instant::now();
-                let msgs = drive(&mut self.st.ops, StreamMessage::Data(buf))?;
+                let msgs = drive(&mut self.st.ops, received(self.columnar, tb))?;
                 self.st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
                 self.st.tel.records_out += self.out.emit(msgs)?;
             }
@@ -1894,22 +1921,25 @@ struct CloudChaos {
 ///
 /// Thread entry point: arguments are moved out of the spawning closure
 /// and owned until the phase ends.
-#[allow(clippy::needless_pass_by_value)]
+#[allow(clippy::too_many_arguments, clippy::needless_pass_by_value)]
 fn run_cloud(
     st: CloudState,
     in_schema: SchemaRef,
     rx: Receiver<(usize, Vec<u8>)>,
     depths: Vec<Arc<AtomicU64>>,
     wire: WireRegistry,
+    mode: ColumnarMode,
     mut chaos: Option<CloudChaos>,
     out: &mut Outbox<'_>,
 ) -> Result<CloudState> {
     let n = st.progress.len();
+    let columnar = tail_wants_columnar(mode, &st.ops);
     let mut fan = FanIn {
         st,
         out,
         in_schema,
         wire,
+        columnar,
         held: (0..n).map(|_| VecDeque::new()).collect(),
         aligning: None,
         seen: vec![false; n],
@@ -2055,8 +2085,8 @@ fn pump(
         .last()
         .map_or_else(|| st.driver.schema().clone(), |o| o.output_schema());
     // Columnar only pays off when a local stage consumes the buffer;
-    // with no source-node stages the frame converts straight back to
-    // rows at the wire, so skip the round-trip. Decided per phase: a
+    // with no source-node stages the rows go straight to the encoder,
+    // which lays them out column by column itself. Decided per phase: a
     // re-plan may have moved stages onto or off this node.
     st.driver.gate(cfg.columnar, &st.ops);
     let origin = st.driver.origin();
@@ -2384,9 +2414,10 @@ fn run_phase(
                     .map_or_else(|| in_schema.clone(), |o| o.output_schema());
                 let wire = io.wire.clone();
                 let schema = in_schema.clone();
+                let mode = io.cfg.columnar;
                 handles.push(scope.spawn(move || {
                     let r = run_site(
-                        ops, schema, rx_link, depth_in, out_tx, wire, site_chaos, site_tel,
+                        ops, schema, rx_link, depth_in, out_tx, wire, mode, site_chaos, site_tel,
                     );
                     flag_abort(abort_flag.as_deref(), r)
                 }));
@@ -2452,6 +2483,7 @@ fn run_phase(
                 inbox_rx,
                 inbox_depths,
                 wire,
+                io.cfg.columnar,
                 cloud_chaos,
                 out,
             );
@@ -2511,9 +2543,8 @@ fn run_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::TupleBuffer;
     use crate::ops::OperatorFactory;
-    use crate::record::Record;
+    use crate::record::{Record, RecordBuffer};
     use crate::schema::Schema;
     use crate::source::VecSource;
     use crate::value::{DataType, Value};
@@ -2654,5 +2685,46 @@ mod tests {
         assert_eq!(report.metrics.bytes_out, sink.bytes as u64);
         let last = report.telemetry.samples.last().expect("forced sample");
         assert_eq!(last.records_out, 100, "the cloud gauge counts both");
+    }
+
+    #[test]
+    fn receiving_tails_apply_the_columnar_gate() {
+        // Frames always decode to buffers; a tail drives them columnar
+        // exactly when the source gate would open for it (a vectorizing
+        // filter at the cloud under `CloudOnly`), and an empty tail (the
+        // filter ran upstream under `EdgeFirst`) passes them on — except
+        // under `Off`, which keeps every chain on rows.
+        use crate::expr::{col, lit};
+        use std::collections::BTreeSet;
+        let layouts = |strategy: PlacementStrategy, columnar: ColumnarMode| {
+            let (topo, sensors) = Topology::train_fleet(1);
+            let mut env = ClusterEnvironment::with_config(
+                topo,
+                ClusterConfig {
+                    buffer_size: 16,
+                    columnar,
+                    ..ClusterConfig::default()
+                },
+            );
+            env.add_source(
+                "s",
+                sensors[0],
+                Box::new(VecSource::new(schema(), rows(0..100).into_records())),
+                WatermarkStrategy::None,
+            );
+            let q = Query::from("s").filter(col("v").ge(lit(50)));
+            let mut sink = LayoutSink::default();
+            env.run_placed(&q, strategy, &mut sink).expect("placed run");
+            assert_eq!(sink.calls.iter().map(|(_, n)| n).sum::<usize>(), 50);
+            sink.calls.iter().map(|(layout, _)| *layout).collect::<BTreeSet<_>>()
+        };
+        for strategy in [PlacementStrategy::CloudOnly, PlacementStrategy::EdgeFirst] {
+            let off = layouts(strategy, ColumnarMode::Off);
+            assert_eq!(off, BTreeSet::from(["rows"]), "{strategy:?}/Off");
+            for mode in [ColumnarMode::Auto, ColumnarMode::Force] {
+                let got = layouts(strategy, mode);
+                assert_eq!(got, BTreeSet::from(["columnar"]), "{strategy:?}/{mode:?}");
+            }
+        }
     }
 }

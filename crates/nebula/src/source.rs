@@ -171,7 +171,11 @@ impl CsvSource {
                 Value::Null
             } else {
                 match f.dtype {
-                    DataType::Bool => Value::Bool(matches!(raw, "true" | "t" | "1")),
+                    DataType::Bool => match raw {
+                        "true" | "t" | "1" => Value::Bool(true),
+                        "false" | "f" | "0" => Value::Bool(false),
+                        _ => return Err(bad()),
+                    },
                     DataType::Int => Value::Int(raw.parse().map_err(|_| bad())?),
                     DataType::Float => Value::Float(raw.parse().map_err(|_| bad())?),
                     DataType::Timestamp => Value::Timestamp(raw.parse().map_err(|_| bad())?),
@@ -619,7 +623,7 @@ impl SourceDriver {
 /// emits rows (windows and CEP consume buffers but emit rows), so under
 /// [`ColumnarMode::Auto`] the transpose is worth paying only if some
 /// operator up to that point runs a vectorized kernel.
-fn chain_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
+pub(crate) fn chain_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
     match mode {
         ColumnarMode::Off => false,
         ColumnarMode::Force => ops.first().is_some_and(|op| op.supports_columnar()),
@@ -756,6 +760,33 @@ mod tests {
         std::fs::write(&path, "1000,notafloat\n").unwrap();
         let mut s = CsvSource::open(schema(), &path, false).unwrap();
         assert!(s.poll(10).is_err());
+        std::fs::remove_file(&path).ok();
+
+        // BOOL accepts exactly true|t|1 and false|f|0; any other token is
+        // an error naming its line and column, like every other type.
+        let bools = Schema::of(&[("ts", DataType::Timestamp), ("ok", DataType::Bool)]);
+        let path = dir.join("nebula_csv_bad_bool_test.csv");
+        std::fs::write(&path, "1,true\n2,t\n3,1\n4,false\n5,f\n6,0\n").unwrap();
+        let mut s = CsvSource::open(bools.clone(), &path, false).unwrap();
+        match s.poll(10).unwrap() {
+            SourceBatch::Data(d) => {
+                let got: Vec<Value> = d.iter().map(|r| r.get(1).unwrap().clone()).collect();
+                let want = [true, true, true, false, false, false].map(Value::Bool);
+                assert_eq!(got, want);
+            }
+            other => panic!("{other:?}"),
+        }
+        for token in ["yes", "TRUE", "2"] {
+            std::fs::write(&path, format!("1,true\n2,{token}\n")).unwrap();
+            let mut s = CsvSource::open(bools.clone(), &path, false).unwrap();
+            match s.poll(10) {
+                Err(NebulaError::Io(msg)) => {
+                    assert!(msg.contains("line 2"), "{token}: {msg}");
+                    assert!(msg.contains("'ok'"), "{token}: {msg}");
+                }
+                other => panic!("{token}: {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

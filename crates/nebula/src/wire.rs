@@ -1,24 +1,44 @@
-//! The cluster wire format: length-prefixed frames carrying record
+//! The cluster wire format: length-prefixed frames carrying columnar
 //! batches and control messages across node boundaries.
 //!
 //! NebulaStream workers exchange serialized TupleBuffers plus control
 //! messages over the network; this module is the analogue for the
-//! [`crate::cluster`] runtime. A [`Frame`] is either a batch of records
-//! or a control message: a watermark advance, end-of-stream, a
-//! checkpoint barrier (crash recovery), or a telemetry snapshot.
+//! [`crate::cluster`] runtime. A [`Frame`] is either a batch of rows —
+//! on the wire always the column-major image of a [`TupleBuffer`] — or
+//! a control message: a watermark advance, end-of-stream, a checkpoint
+//! barrier (crash recovery), or a telemetry snapshot.
 //!
 //! ## Encoding
 //!
 //! Frames are length-prefixed: a little-endian `u32` body length, one
-//! frame-type byte, then the body. Record batches are *schema-typed*:
-//! both channel endpoints know the channel's schema (fixed when the
-//! placed plan is deployed), so values are encoded without per-value
-//! type tags — a `u8` field count, a null bitmap, then the non-null
-//! values in field order using their schema type's layout. This keeps
-//! measured wire bytes close to [`crate::record::Record::est_bytes`]
-//! (the analytic estimator behind `topology::network_cost`): numeric
-//! payloads match exactly, and the per-record overhead is the field
-//! count plus the bitmap.
+//! frame-type byte, then the body. Data frames are *schema-typed*: both
+//! channel endpoints know the channel's schema (fixed when the placed
+//! plan is deployed), so no value carries a type tag. A data body is a
+//! `u32` row count `n`, then one block per schema field, in field order:
+//!
+//! - a validity flag byte: `0` when no row is null, `1` followed by an
+//!   `n`-bit bitmap (least significant bit first, `1` = valid, padding
+//!   bits zero) when some row is;
+//! - the payload, by the field's type:
+//!   - `BOOL`: `n` bytes, `0` or `1`;
+//!   - `INT` and `TIMESTAMP`: `n` little-endian `i64`;
+//!   - `FLOAT`: `n` little-endian IEEE-754 bit patterns;
+//!   - `POINT`: the `n` x coordinates, then the `n` y coordinates;
+//!   - `TEXT`: `n` little-endian `u32` end offsets into a UTF-8 arena
+//!     (row 0 starts at 0), then the arena;
+//!   - `OPAQUE`: per non-null row, a `u16` tag length, the tag, a `u32`
+//!     payload length and the payload (see below);
+//!   - `NULL`: nothing; every row must be null.
+//!
+//! A null row keeps its fixed-width slot, zeroed, and an empty text
+//! slice, so each batch has exactly one encoding and [`decode_frame`]
+//! builds every fixed-width column with one bounds-checked copy. Measured
+//! bytes stay close to [`crate::record::Record::est_bytes`] (the
+//! analytic estimator behind `topology::network_cost`): non-null
+//! payloads match it exactly, and the overhead is per frame — the 9-byte
+//! header and one flag byte per field — plus, in a column with nulls,
+//! its bitmap and the difference between a null's full slot on the wire
+//! and the 1 byte the estimator counts for it.
 //!
 //! Two value/schema flexibilities mirror the engine's accessor rules
 //! ([`Value::as_int`] / [`Value::as_timestamp`] accept either variant):
@@ -37,10 +57,13 @@
 //! ## Robustness
 //!
 //! Decoding never panics on malformed input: every read is
-//! bounds-checked, declared lengths are validated against the remaining
-//! buffer, and trailing garbage is rejected — corrupted frames surface
-//! as [`NebulaError::Wire`] errors (see the `prop_wire` property suite).
+//! bounds-checked, a row count is checked against the bytes left before
+//! any column is allocated, validity flags and bitmaps, `BOOL` bytes,
+//! null slots, text offsets and UTF-8 are validated, and trailing bytes
+//! are rejected — corrupted frames surface as [`NebulaError::Wire`]
+//! errors (see the `prop_wire` property suite).
 
+use crate::buffer::{columns_from_records, BufferMeta, Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::record::Record;
 use crate::schema::Schema;
@@ -51,8 +74,14 @@ use std::sync::Arc;
 /// A unit of transmission between cluster sites.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// A batch of records (the channel schema gives their layout).
+    /// A batch of rows, as an encode input only: it encodes to exactly
+    /// the bytes of its [`TupleBuffer::from_records`] transposition, and
+    /// decodes as [`Frame::Columnar`]. It goes once `fleetbench` builds
+    /// its frames columnar.
     Data(Vec<Record>),
+    /// A columnar batch (the channel schema gives its layout); every
+    /// data frame decodes to one.
+    Columnar(TupleBuffer),
     /// Control: no record with event time `< wm` will arrive anymore.
     Watermark(EventTime),
     /// Control: the upstream site has flushed its state and finished.
@@ -134,145 +163,305 @@ fn corrupt(msg: impl Into<String>) -> NebulaError {
 
 /// Encodes a frame for a channel whose records follow `schema`.
 pub fn encode_frame(frame: &Frame, schema: &Schema, registry: &WireRegistry) -> Result<Vec<u8>> {
-    let mut body = Vec::with_capacity(64);
+    // The body is written after a placeholder for its length, which is
+    // patched in at the end.
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&[0; 4]);
     match frame {
         Frame::Data(records) => {
-            body.push(FRAME_DATA);
-            body.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for rec in records {
-                encode_record(rec, schema, registry, &mut body)?;
+            if let Some(rec) = records.iter().find(|r| r.len() != schema.len()) {
+                return Err(NebulaError::Wire(format!(
+                    "record has {} fields, channel schema {}",
+                    rec.len(),
+                    schema.len()
+                )));
             }
+            let columns = columns_from_records(schema, records);
+            encode_batch(records.len(), &columns, schema, registry, &mut out)?;
         }
+        Frame::Columnar(tb) => encode_batch(tb.len(), tb.columns(), schema, registry, &mut out)?,
         Frame::Watermark(wm) => {
-            body.push(FRAME_WATERMARK);
-            body.extend_from_slice(&wm.to_le_bytes());
+            out.push(FRAME_WATERMARK);
+            out.extend_from_slice(&wm.to_le_bytes());
         }
-        Frame::Eos => body.push(FRAME_EOS),
+        Frame::Eos => out.push(FRAME_EOS),
         Frame::Barrier(epoch) => {
-            body.push(FRAME_BARRIER);
-            body.extend_from_slice(&epoch.to_le_bytes());
+            out.push(FRAME_BARRIER);
+            out.extend_from_slice(&epoch.to_le_bytes());
         }
         Frame::Telemetry(snap) => {
-            body.push(FRAME_TELEMETRY);
-            body.extend_from_slice(&snap.origin.to_le_bytes());
-            body.extend_from_slice(&snap.seq.to_le_bytes());
-            body.extend_from_slice(&snap.at_us.to_le_bytes());
-            body.extend_from_slice(&snap.records_in.to_le_bytes());
-            body.extend_from_slice(&snap.records_out.to_le_bytes());
-            body.extend_from_slice(&snap.queue_depth.to_le_bytes());
-            body.extend_from_slice(&snap.frontier_lag_us.to_le_bytes());
+            out.push(FRAME_TELEMETRY);
+            out.extend_from_slice(&snap.origin.to_le_bytes());
+            out.extend_from_slice(&snap.seq.to_le_bytes());
+            out.extend_from_slice(&snap.at_us.to_le_bytes());
+            out.extend_from_slice(&snap.records_in.to_le_bytes());
+            out.extend_from_slice(&snap.records_out.to_le_bytes());
+            out.extend_from_slice(&snap.queue_depth.to_le_bytes());
+            out.extend_from_slice(&snap.frontier_lag_us.to_le_bytes());
             match snap.frontier {
                 Some(f) => {
-                    body.push(1);
-                    body.extend_from_slice(&f.to_le_bytes());
+                    out.push(1);
+                    out.extend_from_slice(&f.to_le_bytes());
                 }
-                None => body.push(0),
+                None => out.push(0),
             }
-            body.extend_from_slice(&(snap.node.len() as u32).to_le_bytes());
-            body.extend_from_slice(snap.node.as_bytes());
+            out.extend_from_slice(&(snap.node.len() as u32).to_le_bytes());
+            out.extend_from_slice(snap.node.as_bytes());
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 4);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    let body = u32::try_from(out.len() - 4)
+        .map_err(|_| NebulaError::Wire(format!("frame body of {} bytes", out.len() - 4)))?;
+    out[..4].copy_from_slice(&body.to_le_bytes());
     Ok(out)
 }
 
-fn encode_record(
-    rec: &Record,
+/// Appends a data body: the frame type, the row count, then each
+/// field's column block.
+fn encode_batch(
+    n: usize,
+    columns: &[Column],
     schema: &Schema,
     registry: &WireRegistry,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let n = schema.len();
-    if n > u8::MAX as usize {
+    if columns.len() != schema.len() {
         return Err(NebulaError::Wire(format!(
-            "schema too wide for the wire format: {n} fields (max 255)"
+            "batch has {} columns, channel schema {}",
+            columns.len(),
+            schema.len()
         )));
     }
-    if rec.len() != n {
-        return Err(NebulaError::Wire(format!(
-            "record has {} fields, channel schema {n}",
-            rec.len()
-        )));
+    if n > 0 && schema.is_empty() {
+        return Err(NebulaError::Wire(
+            "rows of a schema without fields have no wire form".into(),
+        ));
     }
-    out.push(n as u8);
-    let bitmap_at = out.len();
-    out.resize(bitmap_at + n.div_ceil(8), 0);
-    for (i, v) in rec.values().iter().enumerate() {
-        if !v.is_null() {
-            out[bitmap_at + i / 8] |= 1 << (i % 8);
+    let rows = u32::try_from(n).map_err(|_| NebulaError::Wire(format!("{n} rows in one frame")))?;
+    let fixed: usize = schema
+        .fields()
+        .iter()
+        .map(|f| 1 + n * min_row_bits(f.dtype) as usize / 8)
+        .sum();
+    out.reserve(1 + 4 + fixed);
+    out.push(FRAME_DATA);
+    out.extend_from_slice(&rows.to_le_bytes());
+    for (field, col) in schema.fields().iter().zip(columns) {
+        if col.len() != n {
+            return Err(NebulaError::Wire(format!(
+                "column '{}' has {} rows, batch {n}",
+                field.name,
+                col.len()
+            )));
         }
-    }
-    for (field, v) in schema.fields().iter().zip(rec.values()) {
-        if v.is_null() {
-            continue;
-        }
-        encode_value(v, field.dtype, registry, out)
+        encode_column(field.dtype, col, registry, out)
             .map_err(|e| NebulaError::Wire(format!("column '{}': {e}", field.name)))?;
     }
     Ok(())
 }
 
-fn encode_value(
-    v: &Value,
+/// The fewest bits one row of a `dtype` column takes on the wire: its
+/// fixed-width slot, or the validity bit of a type whose null rows
+/// carry no payload.
+fn min_row_bits(dtype: DataType) -> u64 {
+    match dtype {
+        DataType::Bool => 8,
+        DataType::Int | DataType::Timestamp | DataType::Float => 64,
+        DataType::Point => 128,
+        DataType::Text => 32,
+        DataType::Opaque | DataType::Null => 1,
+    }
+}
+
+/// Appends one field's block. A column laid out as its field type (an
+/// `Int` or `Timestamp` column under either integer type) encodes
+/// straight from its typed storage; any other layout, such as the boxed
+/// fallback, is first re-laid value by value.
+fn encode_column(
     dtype: DataType,
+    col: &Column,
     registry: &WireRegistry,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let mismatch = || {
-        NebulaError::Wire(format!(
-            "{dtype} column cannot carry value '{v}' ({})",
-            v.data_type()
-        ))
-    };
-    match dtype {
-        DataType::Bool => out.push(v.as_bool().ok_or_else(mismatch)? as u8),
-        DataType::Int | DataType::Timestamp => {
-            // Mirrors `as_int`/`as_timestamp`: either integer-family
-            // variant travels; decode normalizes to the schema type.
-            let i = match v {
-                Value::Int(i) | Value::Timestamp(i) => *i,
-                _ => return Err(mismatch()),
-            };
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        DataType::Float => match v {
-            Value::Float(f) => out.extend_from_slice(&f.to_bits().to_le_bytes()),
-            _ => return Err(mismatch()),
-        },
-        DataType::Text => match v {
-            Value::Text(s) => {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            _ => return Err(mismatch()),
-        },
-        DataType::Point => match v {
-            Value::Point { x, y } => {
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-                out.extend_from_slice(&y.to_bits().to_le_bytes());
-            }
-            _ => return Err(mismatch()),
-        },
-        DataType::Opaque => match v {
-            Value::Opaque(o) => {
-                let codec = registry.get(o.type_tag())?;
-                let tag = codec.tag().as_bytes();
-                out.extend_from_slice(&(tag.len() as u16).to_le_bytes());
-                out.extend_from_slice(tag);
-                let len_at = out.len();
-                out.extend_from_slice(&[0; 4]);
-                codec.encode(o.as_ref(), out)?;
-                let payload_len = (out.len() - len_at - 4) as u32;
-                out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
-            }
-            _ => return Err(mismatch()),
-        },
-        // A NULL-typed column only ever carries nulls, which the bitmap
-        // already encodes; a non-null value here is a contract breach.
-        DataType::Null => return Err(mismatch()),
+    if let Some(done) = encode_typed(dtype, col, registry, out) {
+        return done;
     }
+    let mut typed = Column::with_type(dtype, col.len());
+    for row in 0..col.len() {
+        typed.push(&wire_value(dtype, col.value_at(row))?);
+    }
+    encode_typed(dtype, &typed, registry, out).unwrap_or_else(|| {
+        Err(NebulaError::Wire(format!(
+            "{dtype} column has no wire layout"
+        )))
+    })
+}
+
+/// `v` as the variant a `dtype` column stores, or a mismatch error.
+fn wire_value(dtype: DataType, v: Value) -> Result<Value> {
+    Ok(match (dtype, v) {
+        (_, Value::Null) => Value::Null,
+        (DataType::Int, Value::Int(i) | Value::Timestamp(i)) => Value::Int(i),
+        (DataType::Timestamp, Value::Int(i) | Value::Timestamp(i)) => Value::Timestamp(i),
+        (DataType::Bool, v @ Value::Bool(_))
+        | (DataType::Float, v @ Value::Float(_))
+        | (DataType::Text, v @ Value::Text(_))
+        | (DataType::Point, v @ Value::Point { .. })
+        | (DataType::Opaque, v @ Value::Opaque(_)) => v,
+        (dtype, v) => return Err(mismatch(dtype, &v)),
+    })
+}
+
+fn mismatch(dtype: DataType, v: &Value) -> NebulaError {
+    NebulaError::Wire(format!(
+        "{dtype} column cannot carry value '{v}' ({})",
+        v.data_type()
+    ))
+}
+
+/// Encodes a column whose layout is `dtype`'s own; `None` for any other
+/// layout.
+fn encode_typed(
+    dtype: DataType,
+    col: &Column,
+    registry: &WireRegistry,
+    out: &mut Vec<u8>,
+) -> Option<Result<()>> {
+    match (dtype, col) {
+        (DataType::Bool, Column::Bool { data, validity }) => {
+            put_validity(validity.as_deref(), out);
+            put_fixed(data, validity.as_deref(), out, |&b| [b as u8]);
+        }
+        (
+            DataType::Int | DataType::Timestamp,
+            Column::Int { data, validity } | Column::Timestamp { data, validity },
+        ) => {
+            put_validity(validity.as_deref(), out);
+            put_fixed(data, validity.as_deref(), out, |i| i.to_le_bytes());
+        }
+        (DataType::Float, Column::Float { data, validity }) => {
+            put_validity(validity.as_deref(), out);
+            put_fixed(data, validity.as_deref(), out, |f| {
+                f.to_bits().to_le_bytes()
+            });
+        }
+        (DataType::Point, Column::Point { xs, ys, validity }) => {
+            put_validity(validity.as_deref(), out);
+            put_fixed(xs, validity.as_deref(), out, |x| x.to_bits().to_le_bytes());
+            put_fixed(ys, validity.as_deref(), out, |y| y.to_bits().to_le_bytes());
+        }
+        (
+            DataType::Text,
+            Column::Text {
+                arena,
+                offsets,
+                validity,
+            },
+        ) => {
+            put_validity(validity.as_deref(), out);
+            return Some(put_text(arena, offsets, validity.as_deref(), out));
+        }
+        (DataType::Opaque, Column::Opaque(values)) => {
+            let validity: Vec<bool> = values.iter().map(Option::is_some).collect();
+            put_validity(Some(&validity), out);
+            for o in values.iter().flatten() {
+                if let Err(e) = put_opaque(o.as_ref(), registry, out) {
+                    return Some(Err(e));
+                }
+            }
+        }
+        (DataType::Null, col) => {
+            if let Some(row) = (0..col.len()).find(|&row| !col.is_null(row)) {
+                return Some(Err(mismatch(dtype, &col.value_at(row))));
+            }
+            put_validity(Some(&vec![false; col.len()]), out);
+        }
+        _ => return None,
+    }
+    Some(Ok(()))
+}
+
+/// The validity flag, plus the bitmap when some row is null.
+fn put_validity(validity: Option<&[bool]>, out: &mut Vec<u8>) {
+    match validity {
+        Some(mask) if mask.iter().any(|&ok| !ok) => {
+            out.push(1);
+            out.extend(mask.chunks(8).map(|bits| {
+                bits.iter()
+                    .enumerate()
+                    .fold(0u8, |byte, (k, &ok)| byte | (u8::from(ok) << k))
+            }));
+        }
+        _ => out.push(0),
+    }
+}
+
+/// Appends `W` bytes per row, zeroing the slots of null rows.
+fn put_fixed<T, const W: usize>(
+    data: &[T],
+    validity: Option<&[bool]>,
+    out: &mut Vec<u8>,
+    bytes: impl Fn(&T) -> [u8; W],
+) {
+    let start = out.len();
+    out.resize(start + data.len() * W, 0);
+    let slots = out[start..].chunks_exact_mut(W);
+    match validity {
+        None => slots
+            .zip(data)
+            .for_each(|(slot, v)| slot.copy_from_slice(&bytes(v))),
+        Some(mask) => {
+            for ((slot, v), &ok) in slots.zip(data).zip(mask) {
+                if ok {
+                    slot.copy_from_slice(&bytes(v));
+                }
+            }
+        }
+    }
+}
+
+/// A text column's end offsets, then its arena (null rows empty).
+fn put_text(
+    arena: &[u8],
+    offsets: &[u32],
+    validity: Option<&[bool]>,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let rows = offsets.len().saturating_sub(1);
+    let slice = |row: usize| -> Result<&[u8]> {
+        if validity.is_some_and(|m| !m.get(row).copied().unwrap_or(true)) {
+            return Ok(&[]);
+        }
+        offsets
+            .get(row..row + 2)
+            .and_then(|w| arena.get(w[0] as usize..w[1] as usize))
+            .ok_or_else(|| NebulaError::Wire(format!("text row {row} outside its arena")))
+    };
+    let mut end = 0usize;
+    for row in 0..rows {
+        end += slice(row)?.len();
+        let end = u32::try_from(end)
+            .map_err(|_| NebulaError::Wire(format!("text arena over {} bytes", u32::MAX)))?;
+        out.extend_from_slice(&end.to_le_bytes());
+    }
+    out.reserve(end);
+    for row in 0..rows {
+        out.extend_from_slice(slice(row)?);
+    }
+    Ok(())
+}
+
+/// One opaque payload: tag, then length-prefixed codec bytes.
+fn put_opaque(o: &dyn OpaqueValue, registry: &WireRegistry, out: &mut Vec<u8>) -> Result<()> {
+    let codec = registry.get(o.type_tag())?;
+    let tag = codec.tag().as_bytes();
+    out.extend_from_slice(&(tag.len() as u16).to_le_bytes());
+    out.extend_from_slice(tag);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    codec.encode(o, out)?;
+    let payload_len = u32::try_from(out.len() - len_at - 4)
+        .map_err(|_| NebulaError::Wire("opaque payload over 4 GiB".into()))?;
+    out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
     Ok(())
 }
 
@@ -303,38 +492,31 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut bytes = [0; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
+    }
+
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.array().map(i64::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        )))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// A length field that must fit in the remaining buffer (rejects
@@ -351,8 +533,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes a frame produced by [`encode_frame`] for the same schema.
-/// Corrupted input returns [`NebulaError::Wire`]; it never panics.
+/// Decodes a frame produced by [`encode_frame`] for the same schema; a
+/// data frame always decodes as [`Frame::Columnar`]. Corrupted input
+/// returns [`NebulaError::Wire`]; it never panics.
 pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> Result<Frame> {
     let mut c = Cursor::new(bytes);
     let len = c.u32()? as usize;
@@ -363,22 +546,7 @@ pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> R
         )));
     }
     let frame = match c.u8()? {
-        FRAME_DATA => {
-            let count = c.u32()? as usize;
-            // Every record needs at least its field count byte + bitmap.
-            let min_per_record = 1 + schema.len().div_ceil(8);
-            if count.saturating_mul(min_per_record) > c.remaining() {
-                return Err(corrupt(format!(
-                    "record count {count} impossible in {} bytes",
-                    c.remaining()
-                )));
-            }
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push(decode_record(&mut c, schema, registry)?);
-            }
-            Frame::Data(records)
-        }
+        FRAME_DATA => Frame::Columnar(decode_batch(&mut c, schema, registry)?),
         FRAME_WATERMARK => Frame::Watermark(c.i64()?),
         FRAME_EOS => Frame::Eos,
         FRAME_BARRIER => Frame::Barrier(c.u64()?),
@@ -422,59 +590,205 @@ pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> R
     Ok(frame)
 }
 
-fn decode_record(c: &mut Cursor<'_>, schema: &Schema, registry: &WireRegistry) -> Result<Record> {
-    let n = c.u8()? as usize;
-    if n != schema.len() {
+/// Decodes a data body into a [`TupleBuffer`] over `schema`.
+fn decode_batch(
+    c: &mut Cursor<'_>,
+    schema: &Schema,
+    registry: &WireRegistry,
+) -> Result<TupleBuffer> {
+    let n = c.u32()? as usize;
+    // Every row occupies at least `min_bits` of what is left; refuse a
+    // count that cannot fit before allocating anything for it.
+    let min_bits: u64 = schema.fields().iter().map(|f| min_row_bits(f.dtype)).sum();
+    if n > 0 && (min_bits == 0 || n as u64 * min_bits > c.remaining() as u64 * 8) {
         return Err(corrupt(format!(
-            "record declares {n} fields, channel schema has {}",
-            schema.len()
+            "row count {n} impossible in {} bytes",
+            c.remaining()
         )));
     }
-    let bitmap = c.take(n.div_ceil(8))?.to_vec();
-    let mut values = Vec::with_capacity(n);
-    for (i, field) in schema.fields().iter().enumerate() {
-        if bitmap[i / 8] & (1 << (i % 8)) == 0 {
-            values.push(Value::Null);
-            continue;
+    let columns = schema
+        .fields()
+        .iter()
+        .map(|f| {
+            decode_column(c, f.dtype, n, registry)
+                .map_err(|e| corrupt(format!("column '{}': {e}", f.name)))
+        })
+        .collect::<Result<Vec<Column>>>()?;
+    Ok(TupleBuffer::new(
+        Arc::new(schema.clone()),
+        columns,
+        BufferMeta::default(),
+    ))
+}
+
+/// Decodes one field's block of `n` rows.
+fn decode_column(
+    c: &mut Cursor<'_>,
+    dtype: DataType,
+    n: usize,
+    registry: &WireRegistry,
+) -> Result<Column> {
+    let validity = take_validity(c, n)?;
+    let valid = |row: usize| validity.as_ref().is_none_or(|m| m[row]);
+    Ok(match dtype {
+        DataType::Bool => {
+            let bytes = take_slots(c, n, 1, validity.as_deref())?;
+            if let Some(b) = bytes.iter().find(|&&b| b > 1) {
+                return Err(corrupt(format!("invalid bool byte {b}")));
+            }
+            Column::Bool {
+                data: bytes.iter().map(|&b| b == 1).collect(),
+                validity,
+            }
         }
-        let v = match field.dtype {
-            DataType::Bool => match c.u8()? {
-                0 => Value::Bool(false),
-                1 => Value::Bool(true),
-                b => return Err(corrupt(format!("invalid bool byte {b}"))),
-            },
-            DataType::Int => Value::Int(c.i64()?),
-            DataType::Timestamp => Value::Timestamp(c.i64()?),
-            DataType::Float => Value::Float(c.f64()?),
-            DataType::Text => {
-                let len = c.checked_len()?;
-                let s = std::str::from_utf8(c.take(len)?)
-                    .map_err(|_| corrupt("text payload is not valid UTF-8"))?;
-                Value::text(s)
+        DataType::Int => Column::Int {
+            data: le_values(
+                take_slots(c, n, 8, validity.as_deref())?,
+                i64::from_le_bytes,
+            ),
+            validity,
+        },
+        DataType::Timestamp => Column::Timestamp {
+            data: le_values(
+                take_slots(c, n, 8, validity.as_deref())?,
+                i64::from_le_bytes,
+            ),
+            validity,
+        },
+        DataType::Float => Column::Float {
+            data: le_values(
+                take_slots(c, n, 8, validity.as_deref())?,
+                f64::from_le_bytes,
+            ),
+            validity,
+        },
+        DataType::Point => {
+            let xs = le_values(
+                take_slots(c, n, 8, validity.as_deref())?,
+                f64::from_le_bytes,
+            );
+            let ys = le_values(
+                take_slots(c, n, 8, validity.as_deref())?,
+                f64::from_le_bytes,
+            );
+            Column::Point { xs, ys, validity }
+        }
+        DataType::Text => {
+            // Row 0 starts at 0; the frame carries every row's end.
+            let mut offsets = Vec::with_capacity(n + 1);
+            offsets.push(0);
+            offsets.extend(le_values(c.take(n.saturating_mul(4))?, u32::from_le_bytes));
+            for (row, w) in offsets.windows(2).enumerate() {
+                if w[1] < w[0] {
+                    return Err(corrupt(format!("text offsets decrease at row {row}")));
+                }
+                if w[1] != w[0] && !valid(row) {
+                    return Err(corrupt(format!("null row {row} carries text")));
+                }
             }
-            DataType::Point => Value::Point {
-                x: c.f64()?,
-                y: c.f64()?,
-            },
-            DataType::Opaque => {
-                let tag_len = c.u16()? as usize;
-                let tag = std::str::from_utf8(c.take(tag_len)?)
-                    .map_err(|_| corrupt("opaque tag is not valid UTF-8"))?
-                    .to_string();
-                let payload_len = c.checked_len()?;
-                let payload = c.take(payload_len)?;
-                Value::Opaque(registry.get(&tag)?.decode(payload)?)
-            }
-            DataType::Null => {
+            let len = offsets.last().map_or(0, |&end| end as usize);
+            if len > c.remaining() {
                 return Err(corrupt(format!(
-                    "NULL-typed column '{}' marked non-null",
-                    field.name
-                )))
+                    "text offset {len} out of range: {} bytes left",
+                    c.remaining()
+                )));
             }
-        };
-        values.push(v);
+            let arena = std::str::from_utf8(c.take(len)?)
+                .map_err(|_| corrupt("text arena is not valid UTF-8"))?;
+            if let Some(end) = offsets
+                .iter()
+                .find(|&&e| !arena.is_char_boundary(e as usize))
+            {
+                return Err(corrupt(format!("text offset {end} splits a character")));
+            }
+            Column::Text {
+                arena: arena.as_bytes().to_vec(),
+                offsets,
+                validity,
+            }
+        }
+        DataType::Opaque => {
+            let mut values = Vec::new();
+            for row in 0..n {
+                values.push(if valid(row) {
+                    let tag_len = c.u16()? as usize;
+                    let tag = std::str::from_utf8(c.take(tag_len)?)
+                        .map_err(|_| corrupt("opaque tag is not valid UTF-8"))?;
+                    let payload_len = c.checked_len()?;
+                    let payload = c.take(payload_len)?;
+                    Some(registry.get(tag)?.decode(payload)?)
+                } else {
+                    None
+                });
+            }
+            Column::Opaque(values)
+        }
+        DataType::Null => {
+            if (0..n).any(valid) {
+                return Err(corrupt("NULL-typed column marks a row non-null"));
+            }
+            Column::Values(vec![Value::Null; n])
+        }
+    })
+}
+
+/// Reads a validity flag and, when set, the bitmap behind it. A bitmap
+/// must mark some row null and leave its padding bits clear, so each
+/// batch has one encoding.
+fn take_validity(c: &mut Cursor<'_>, n: usize) -> Result<Option<Vec<bool>>> {
+    match c.u8()? {
+        0 => Ok(None),
+        1 => {
+            let bitmap = c.take(n.div_ceil(8))?;
+            let padding = bitmap.last().map_or(0, |&b| b >> (n % 8));
+            if !n.is_multiple_of(8) && padding != 0 {
+                return Err(corrupt("validity bitmap sets padding bits"));
+            }
+            let mask: Vec<bool> = bitmap
+                .iter()
+                .flat_map(|&b| (0..8).map(move |k| b >> k & 1 == 1))
+                .take(n)
+                .collect();
+            if mask.iter().all(|&ok| ok) {
+                return Err(corrupt("validity bitmap marks no row null"));
+            }
+            Ok(Some(mask))
+        }
+        flag => Err(corrupt(format!("invalid validity flag {flag}"))),
     }
-    Ok(Record::new(values))
+}
+
+/// The next `n` slots of `width` bytes; a null row's slot must be zero.
+fn take_slots<'a>(
+    c: &mut Cursor<'a>,
+    n: usize,
+    width: usize,
+    validity: Option<&[bool]>,
+) -> Result<&'a [u8]> {
+    let bytes = c.take(n.saturating_mul(width))?;
+    if let Some(mask) = validity {
+        let dirty = bytes
+            .chunks_exact(width)
+            .zip(mask)
+            .position(|(slot, &ok)| !ok && slot.iter().any(|&b| b != 0));
+        if let Some(row) = dirty {
+            return Err(corrupt(format!("null row {row} carries a value")));
+        }
+    }
+    Ok(bytes)
+}
+
+/// Little-endian values of `W` bytes each — the one copy a fixed-width
+/// column takes from the frame.
+fn le_values<T, const W: usize>(bytes: &[u8], from: fn([u8; W]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(W)
+        .map(|chunk| {
+            let mut le = [0; W];
+            le.copy_from_slice(chunk);
+            from(le)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -604,10 +918,11 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope> {
             bytes.len()
         )));
     }
-    let kind = bytes[0];
-    let seq = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
-    let declared = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes"));
-    let payload = &bytes[ENVELOPE_OVERHEAD..];
+    let mut c = Cursor::new(bytes);
+    let kind = c.u8()?;
+    let seq = c.u64()?;
+    let declared = c.u32()?;
+    let payload = c.take(c.remaining())?;
     let actual = crc32_parts(kind, seq, payload);
     if declared != actual {
         return Err(corrupt(format!(
@@ -651,6 +966,14 @@ mod tests {
         ])
     }
 
+    /// The rows of a decoded data frame.
+    fn rows(frame: Frame) -> Vec<Record> {
+        match frame {
+            Frame::Columnar(tb) => tb.to_record_buffer().into_records(),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn data_round_trip() {
         let reg = WireRegistry::new();
@@ -658,14 +981,28 @@ mod tests {
         let nulls = Record::new(vec![Value::Null; 6]);
         let frame = Frame::Data(vec![rec(), nulls.clone()]);
         let bytes = encode_frame(&frame, &s, &reg).unwrap();
-        match decode_frame(&bytes, &s, &reg).unwrap() {
-            Frame::Data(recs) => {
-                assert_eq!(recs.len(), 2);
-                assert_eq!(recs[0], rec());
-                assert_eq!(recs[1], nulls);
-            }
-            other => panic!("{other:?}"),
-        }
+        let recs = rows(decode_frame(&bytes, &s, &reg).unwrap());
+        assert_eq!(recs, [rec(), nulls]);
+    }
+
+    #[test]
+    fn row_batches_encode_as_their_transposition() {
+        // One layout on the wire: rows encode to exactly the bytes of
+        // their `from_records` buffer, and a decoded buffer re-encodes
+        // to the bytes it came from.
+        let reg = WireRegistry::new();
+        let s = schema();
+        let mut recs: Vec<Record> = (0..20).map(|_| rec()).collect();
+        recs[3] = Record::new(vec![Value::Null; 6]);
+        let mut holed = rec().into_values();
+        holed[3] = Value::Null;
+        recs[7] = Record::new(holed);
+        let rows = encode_frame(&Frame::Data(recs.clone()), &s, &reg).unwrap();
+        let tb = TupleBuffer::from_records(s.clone(), &recs, BufferMeta::default());
+        let cols = encode_frame(&Frame::Columnar(tb), &s, &reg).unwrap();
+        assert_eq!(rows, cols);
+        let back = decode_frame(&rows, &s, &reg).unwrap();
+        assert_eq!(encode_frame(&back, &s, &reg).unwrap(), rows);
     }
 
     #[test]
@@ -782,15 +1119,17 @@ mod tests {
 
     #[test]
     fn wire_bytes_track_est_bytes() {
-        // The schema-typed encoding keeps measured bytes within the
-        // field-count + bitmap overhead of the analytic estimator.
+        // Without nulls, measured bytes are the analytic estimate plus a
+        // per-frame overhead that does not grow with the row count.
         let reg = WireRegistry::new();
         let s = schema();
-        let r = rec();
-        let est = r.est_bytes();
-        let bytes = encode_frame(&Frame::Data(vec![r]), &s, &reg).unwrap();
-        let overhead = 4 + 1 + 4 + 1 + 1; // frame len+type+count, nfields, bitmap
-        assert_eq!(bytes.len(), est + overhead);
+        for n in [1, 10, 100] {
+            let recs: Vec<Record> = (0..n).map(|_| rec()).collect();
+            let est: usize = recs.iter().map(Record::est_bytes).sum();
+            let bytes = encode_frame(&Frame::Data(recs), &s, &reg).unwrap();
+            let overhead = 4 + 1 + 4 + s.len(); // frame len+type+count, validity flags
+            assert_eq!(bytes.len(), est + overhead);
+        }
     }
 
     #[test]
@@ -802,13 +1141,9 @@ mod tests {
             Value::Timestamp(99), // timestamp in an int column
         ])]);
         let bytes = encode_frame(&frame, &s, &reg).unwrap();
-        match decode_frame(&bytes, &s, &reg).unwrap() {
-            Frame::Data(recs) => {
-                assert_eq!(recs[0].get(0), Some(&Value::Timestamp(42)));
-                assert_eq!(recs[0].get(1), Some(&Value::Int(99)));
-            }
-            other => panic!("{other:?}"),
-        }
+        let recs = rows(decode_frame(&bytes, &s, &reg).unwrap());
+        assert_eq!(recs[0].get(0), Some(&Value::Timestamp(42)));
+        assert_eq!(recs[0].get(1), Some(&Value::Int(99)));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests for the cluster wire codec: encode/decode
-//! round-trips over arbitrary value trees, records and control frames,
-//! byte accounting against the analytic estimator, and the no-panic
-//! guarantee on corrupted frames.
+//! round-trips over arbitrary records, every column type with null runs,
+//! and control frames; byte accounting against the analytic estimator;
+//! and the no-panic guarantee on corrupted frames, with each malformed
+//! column case rejected as `NebulaError::Wire`.
 
 use nebula::prelude::*;
 use proptest::prelude::*;
@@ -79,6 +80,135 @@ fn values_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// The rows of a decoded data frame (data frames decode columnar).
+fn decoded_rows(frame: Frame) -> Vec<Record> {
+    match frame {
+        Frame::Columnar(tb) => tb.to_record_buffer().into_records(),
+        other => panic!("decoded {other:?}"),
+    }
+}
+
+/// Wire bytes one value takes in a column of `dtype`: its estimate when
+/// non-null; its full slot (an empty text slice) when null.
+fn wire_value_bytes(dtype: DataType, v: &Value) -> usize {
+    if !v.is_null() {
+        return v.est_bytes();
+    }
+    match dtype {
+        DataType::Bool => 1,
+        DataType::Int | DataType::Timestamp | DataType::Float => 8,
+        DataType::Point => 16,
+        DataType::Text => 4,
+        DataType::Opaque | DataType::Null => 0,
+    }
+}
+
+/// A toy plugin payload, so opaque columns round-trip in these tests.
+#[derive(Debug, PartialEq)]
+struct Blob(Vec<u8>);
+
+impl OpaqueValue for Blob {
+    fn type_tag(&self) -> &'static str {
+        "test.blob"
+    }
+    fn est_bytes(&self) -> usize {
+        self.0.len()
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn opaque_eq(&self, other: &dyn OpaqueValue) -> bool {
+        other
+            .as_any()
+            .downcast_ref::<Blob>()
+            .is_some_and(|b| b.0 == self.0)
+    }
+}
+
+struct BlobCodec;
+
+impl OpaqueWireCodec for BlobCodec {
+    fn tag(&self) -> &'static str {
+        "test.blob"
+    }
+    fn encode(&self, value: &dyn OpaqueValue, out: &mut Vec<u8>) -> Result<()> {
+        let blob = value
+            .as_any()
+            .downcast_ref::<Blob>()
+            .ok_or_else(|| NebulaError::Wire("not a blob".into()))?;
+        out.extend_from_slice(&blob.0);
+        Ok(())
+    }
+    fn decode(&self, bytes: &[u8]) -> Result<Arc<dyn OpaqueValue>> {
+        if bytes.first() == Some(&0xFF) {
+            return Err(NebulaError::Wire("poisoned blob".into()));
+        }
+        Ok(Arc::new(Blob(bytes.to_vec())))
+    }
+}
+
+fn blob_registry() -> WireRegistry {
+    let mut reg = WireRegistry::new();
+    reg.register(Arc::new(BlobCodec));
+    reg
+}
+
+/// One column of every wire type, `NULL` included.
+fn all_types_schema() -> SchemaRef {
+    Schema::of(&[
+        ("b", DataType::Bool),
+        ("i", DataType::Int),
+        ("t", DataType::Timestamp),
+        ("f", DataType::Float),
+        ("p", DataType::Point),
+        ("s", DataType::Text),
+        ("o", DataType::Opaque),
+        ("z", DataType::Null),
+    ])
+}
+
+/// Rows over [`all_types_schema`] where each column is null on the rows
+/// its run mask marks: runs of nulls and of values of arbitrary length.
+fn null_run_strategy() -> impl Strategy<Value = Vec<Record>> {
+    (
+        1usize..40,
+        proptest::collection::vec((1usize..9, 0u8..2), 7),
+        i64::MIN..i64::MAX,
+    )
+        .prop_map(|(n, runs, seed)| {
+            // Column c is null on the rows of its alternating runs that
+            // start null when the run's flag says so.
+            let null_at = |c: usize, row: usize| {
+                let (len, starts_null) = runs[c];
+                (row / len).is_multiple_of(2) == (starts_null == 1)
+            };
+            (0..n)
+                .map(|row| {
+                    let k = seed.wrapping_add(row as i64 * 7919);
+                    let typed = [
+                        Value::Bool(k % 2 == 0),
+                        Value::Int(k),
+                        Value::Timestamp(k.wrapping_mul(3)),
+                        Value::Float(k as f64 / 7.0),
+                        Value::Point {
+                            x: k as f64,
+                            y: -(row as f64),
+                        },
+                        Value::text("ü".repeat(row % 4)),
+                        Value::Opaque(Arc::new(Blob(vec![row as u8; row % 3]))),
+                    ];
+                    let mut values: Vec<Value> = typed
+                        .into_iter()
+                        .enumerate()
+                        .map(|(c, v)| if null_at(c, row) { Value::Null } else { v })
+                        .collect();
+                    values.push(Value::Null);
+                    Record::new(values)
+                })
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -87,18 +217,28 @@ proptest! {
         let reg = WireRegistry::new();
         let s = schema();
         let bytes = encode_frame(&Frame::Data(records.clone()), &s, &reg).expect("encode");
-        match decode_frame(&bytes, &s, &reg).expect("decode") {
-            Frame::Data(got) => {
-                prop_assert_eq!(got.len(), records.len());
-                for (a, b) in records.iter().zip(&got) {
-                    prop_assert_eq!(a.len(), b.len());
-                    for (va, vb) in a.values().iter().zip(b.values()) {
-                        prop_assert!(values_eq(va, vb), "{} != {}", va, vb);
-                    }
-                }
+        let got = decoded_rows(decode_frame(&bytes, &s, &reg).expect("decode"));
+        prop_assert_eq!(got.len(), records.len());
+        for (a, b) in records.iter().zip(&got) {
+            prop_assert_eq!(a.len(), b.len());
+            for (va, vb) in a.values().iter().zip(b.values()) {
+                prop_assert!(values_eq(va, vb), "{} != {}", va, vb);
             }
-            other => prop_assert!(false, "decoded {:?}", other),
         }
+    }
+
+    #[test]
+    fn every_column_type_round_trips_with_null_runs(records in null_run_strategy()) {
+        // Rows and their buffer encode to the same bytes, decode back to
+        // the same rows, and the decoded buffer re-encodes identically.
+        let reg = blob_registry();
+        let s = all_types_schema();
+        let bytes = encode_frame(&Frame::Data(records.clone()), &s, &reg).expect("encode");
+        let tb = TupleBuffer::from_records(s.clone(), &records, BufferMeta::default());
+        prop_assert_eq!(&encode_frame(&Frame::Columnar(tb), &s, &reg).expect("encode"), &bytes);
+        let back = decode_frame(&bytes, &s, &reg).expect("decode");
+        prop_assert_eq!(&encode_frame(&back, &s, &reg).expect("re-encode"), &bytes);
+        prop_assert_eq!(decoded_rows(back), records);
     }
 
     #[test]
@@ -130,22 +270,25 @@ proptest! {
 
     #[test]
     fn wire_bytes_stay_near_the_estimator(records in batch_strategy()) {
-        // The reconciliation contract behind `network_cost`: encoded
-        // bytes exceed `est_bytes` only by framing (9 per frame) plus
-        // field-count + bitmap (3 per record here), and fall below it
-        // only where nulls pay 1 byte in the estimate but 0 on the wire.
+        // The reconciliation contract behind `network_cost`: non-null
+        // values cost exactly their `est_bytes`; a null costs its full
+        // slot instead of the estimate's 1 byte; the rest is per frame
+        // (9 bytes of header, one validity flag per field) plus one
+        // bitmap per column that has a null.
         let reg = WireRegistry::new();
         let s = schema();
-        let est: usize = records.iter().map(Record::est_bytes).sum();
-        let nulls: usize = records
-            .iter()
-            .flat_map(|r| r.values())
-            .filter(|v| v.is_null())
-            .count();
-        let text_estimate_floor = est.saturating_sub(nulls);
-        let bytes = encode_frame(&Frame::Data(records.clone()), &s, &reg).expect("encode");
-        let overhead = 9 + records.len() * (1 + s.len().div_ceil(8));
-        prop_assert_eq!(bytes.len(), text_estimate_floor + overhead);
+        let n = records.len();
+        let mut expected = 9;
+        for (c, field) in s.fields().iter().enumerate() {
+            let column: Vec<&Value> = records.iter().map(|r| &r.values()[c]).collect();
+            expected += 1;
+            if column.iter().any(|v| v.is_null()) {
+                expected += n.div_ceil(8);
+            }
+            expected += column.iter().map(|v| wire_value_bytes(field.dtype, v)).sum::<usize>();
+        }
+        let bytes = encode_frame(&Frame::Data(records), &s, &reg).expect("encode");
+        prop_assert_eq!(bytes.len(), expected);
     }
 
     #[test]
@@ -253,57 +396,153 @@ proptest! {
 fn opaque_round_trip_through_registered_codec() {
     // The plugin seam end-to-end with a toy codec: an opaque payload
     // survives the frame, and a corrupted payload errors.
-    #[derive(Debug, PartialEq)]
-    struct Blob(Vec<u8>);
-    impl OpaqueValue for Blob {
-        fn type_tag(&self) -> &'static str {
-            "test.blob"
-        }
-        fn est_bytes(&self) -> usize {
-            self.0.len()
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn opaque_eq(&self, other: &dyn OpaqueValue) -> bool {
-            other
-                .as_any()
-                .downcast_ref::<Blob>()
-                .is_some_and(|b| b.0 == self.0)
-        }
-    }
-    struct BlobCodec;
-    impl OpaqueWireCodec for BlobCodec {
-        fn tag(&self) -> &'static str {
-            "test.blob"
-        }
-        fn encode(&self, value: &dyn OpaqueValue, out: &mut Vec<u8>) -> Result<()> {
-            let blob = value
-                .as_any()
-                .downcast_ref::<Blob>()
-                .ok_or_else(|| NebulaError::Wire("not a blob".into()))?;
-            out.extend_from_slice(&blob.0);
-            Ok(())
-        }
-        fn decode(&self, bytes: &[u8]) -> Result<Arc<dyn OpaqueValue>> {
-            if bytes.first() == Some(&0xFF) {
-                return Err(NebulaError::Wire("poisoned blob".into()));
-            }
-            Ok(Arc::new(Blob(bytes.to_vec())))
-        }
-    }
-
-    let mut reg = WireRegistry::new();
-    reg.register(Arc::new(BlobCodec));
+    let reg = blob_registry();
     let s = Schema::of(&[("o", DataType::Opaque)]);
     let v = Value::Opaque(Arc::new(Blob(vec![1, 2, 3, 4])));
     let bytes = encode_frame(&Frame::Data(vec![Record::new(vec![v.clone()])]), &s, &reg).unwrap();
-    match decode_frame(&bytes, &s, &reg).unwrap() {
-        Frame::Data(recs) => assert_eq!(recs[0].get(0), Some(&v)),
-        other => panic!("{other:?}"),
-    }
+    let recs = decoded_rows(decode_frame(&bytes, &s, &reg).unwrap());
+    assert_eq!(recs[0].get(0), Some(&v));
     // A codec-level decode error propagates as a wire error.
     let poisoned = Value::Opaque(Arc::new(Blob(vec![0xFF, 9])));
     let bytes = encode_frame(&Frame::Data(vec![Record::new(vec![poisoned])]), &s, &reg).unwrap();
     assert!(decode_frame(&bytes, &s, &reg).is_err());
+}
+
+/// A data frame over a one-field schema with the given body after the
+/// row count.
+fn data_frame(rows: u32, columns: &[u8]) -> Vec<u8> {
+    let mut body = vec![0u8];
+    body.extend_from_slice(&rows.to_le_bytes());
+    body.extend_from_slice(columns);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// Decodes `bytes` over a one-field schema of `dtype`, expecting a
+/// `NebulaError::Wire` whose message mentions `needle`.
+fn assert_wire_error(case: &str, dtype: DataType, bytes: &[u8], needle: &str) {
+    let s = Schema::of(&[("c", dtype)]);
+    match decode_frame(bytes, &s, &WireRegistry::new()) {
+        Err(NebulaError::Wire(msg)) => {
+            assert!(msg.contains(needle), "{case}: '{msg}' lacks '{needle}'")
+        }
+        other => panic!("{case}: decoded {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_columns_are_wire_errors() {
+    let le = |v: u32| v.to_le_bytes();
+    let cat = |parts: &[&[u8]]| parts.concat();
+    // The well-formed shapes the cases below break.
+    let s = Schema::of(&[("c", DataType::Text)]);
+    let good = data_frame(2, &cat(&[&[0], &le(1), &le(3), b"a\xC3\xBC"]));
+    let recs = decoded_rows(decode_frame(&good, &s, &WireRegistry::new()).unwrap());
+    assert_eq!(recs[1].get(0), Some(&Value::text("ü")));
+
+    // A row count the remaining bytes cannot hold is refused up front.
+    assert_wire_error(
+        "row count",
+        DataType::Int,
+        &data_frame(u32::MAX, &[0]),
+        "impossible",
+    );
+    assert_wire_error(
+        "row count",
+        DataType::Opaque,
+        &data_frame(1 << 20, &[1, 0]),
+        "impossible",
+    );
+    // Truncated columns.
+    assert_wire_error(
+        "truncated",
+        DataType::Int,
+        &data_frame(2, &cat(&[&[0], &[7; 15]])),
+        "truncated",
+    );
+    assert_wire_error(
+        "truncated",
+        DataType::Float,
+        &data_frame(1, &[0]),
+        "impossible",
+    );
+    assert_wire_error(
+        "truncated",
+        DataType::Text,
+        &data_frame(1, &cat(&[&[0], &le(4), b"ab"])),
+        "out of range",
+    );
+    // Validity: an unknown flag, set padding bits, a bitmap with no null.
+    assert_wire_error(
+        "flag",
+        DataType::Int,
+        &data_frame(1, &cat(&[&[2], &[0; 8]])),
+        "validity flag",
+    );
+    assert_wire_error(
+        "padding",
+        DataType::Bool,
+        &data_frame(2, &[1, 0b0000_0101, 1, 0]),
+        "padding",
+    );
+    assert_wire_error(
+        "no null",
+        DataType::Bool,
+        &data_frame(2, &[1, 0b11, 1, 0]),
+        "no row null",
+    );
+    // A null row's slot must be zero; a NULL column must be all null.
+    assert_wire_error(
+        "null slot",
+        DataType::Int,
+        &data_frame(1, &cat(&[&[1, 0], &[9; 8]])),
+        "null row 0",
+    );
+    assert_wire_error(
+        "null type",
+        DataType::Null,
+        &data_frame(1, &[0]),
+        "non-null",
+    );
+    // Bool bytes are 0 or 1.
+    assert_wire_error("bool", DataType::Bool, &data_frame(1, &[0, 2]), "bool byte");
+    // Text offsets: decreasing, past the arena, inside a character,
+    // text on a null row, invalid UTF-8.
+    assert_wire_error(
+        "monotone",
+        DataType::Text,
+        &data_frame(2, &cat(&[&[0], &le(2), &le(1), b"ab"])),
+        "decrease",
+    );
+    assert_wire_error(
+        "range",
+        DataType::Text,
+        &data_frame(1, &cat(&[&[0], &le(9), b"ab"])),
+        "out of range",
+    );
+    assert_wire_error(
+        "boundary",
+        DataType::Text,
+        &data_frame(2, &cat(&[&[0], &le(2), &le(3), b"a\xC3\xBC"])),
+        "splits",
+    );
+    assert_wire_error(
+        "null text",
+        DataType::Text,
+        &data_frame(2, &cat(&[&[1, 0b10], &le(1), &le(1), b"a"])),
+        "null row 0",
+    );
+    assert_wire_error(
+        "utf8",
+        DataType::Text,
+        &data_frame(1, &cat(&[&[0], &le(2), b"\xC3\x28"])),
+        "UTF-8",
+    );
+    // Trailing bytes after the last column.
+    let mut trailing = good[4..].to_vec();
+    trailing.push(0);
+    let mut framed = (trailing.len() as u32).to_le_bytes().to_vec();
+    framed.extend_from_slice(&trailing);
+    assert_wire_error("trailing", DataType::Text, &framed, "trailing");
 }

@@ -909,7 +909,7 @@ fn plan_error_keeps_sources_hosted() {
 /// The analytic estimator (`measure_stage_bytes` + `network_cost`) must
 /// reconcile with the bytes actually measured on the wire. Stated
 /// tolerance: measured bytes may exceed the estimate by at most 15%
-/// (frame headers, per-record field count + null bitmap, control
+/// (frame headers, per-field validity flags and bitmaps, control
 /// frames) and never undercut it by more than 5%.
 #[test]
 fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
@@ -1304,9 +1304,53 @@ fn multi_source_stateless_rows_keep_their_pipeline_order() {
 // Batched (columnar) wire-path coverage
 // ---------------------------------------------------------------------------
 
-/// [`cluster_run`] with explicit batch size and columnar mode: buffers
-/// flow through node-local chains and materialize to rows at the wire
-/// boundary, so the frame stream a peer sees must be unchanged.
+/// A plugin function with no columnar kernel — the shape of the paper's
+/// zone predicates (`in_noise_zone(pos)`), which a columnar filter or
+/// map evaluates row by row inside its batch.
+struct HeavyLoad;
+
+impl Plugin for HeavyLoad {
+    fn name(&self) -> &str {
+        "heavy-load"
+    }
+
+    fn register(&self, reg: &mut FunctionRegistry) -> Result<()> {
+        reg.register(ClosureFunction::new(
+            "heavy_load",
+            1,
+            DataType::Bool,
+            |args| {
+                Ok(match args[0].as_int() {
+                    Some(load) => Value::Bool(load >= 120),
+                    None => Value::Null,
+                })
+            },
+        ))
+    }
+}
+
+/// The sync reference with [`HeavyLoad`] loaded, at `run`'s batch size.
+fn sync_reference_with_calls(
+    query: &Query,
+    feed: Feed,
+    watermark: WatermarkStrategy,
+) -> (Vec<Record>, QueryMetrics) {
+    let mut env = StreamEnvironment::with_config(EnvConfig {
+        buffer_size: 32,
+        watermark_every: 2,
+        ..EnvConfig::default()
+    });
+    env.load_plugin(&HeavyLoad).expect("plugin");
+    env.add_source("s", source(feed), watermark);
+    let (mut sink, got) = CollectingSink::new();
+    let metrics = env.run(query, &mut sink).expect("sync run");
+    (got.records(), metrics)
+}
+
+/// [`cluster_run`] with explicit batch size and columnar mode (and
+/// [`HeavyLoad`] loaded): data frames are column-major whatever the
+/// mode, and each receiving tail takes them columnar or as rows by the
+/// same gate as the source, so results must not depend on either.
 fn cluster_run_cfg(
     query: &Query,
     strategy: PlacementStrategy,
@@ -1325,6 +1369,7 @@ fn cluster_run_cfg(
             ..ClusterConfig::default()
         },
     );
+    env.load_plugin(&HeavyLoad).expect("plugin");
     env.add_source("s", sensors[0], source(feed), watermark);
     let (mut sink, got) = CollectingSink::new();
     let report = env
@@ -1338,17 +1383,18 @@ fn cluster_run_cfg(
 }
 
 /// Batched cluster execution vs the per-record sync reference, across
-/// batch sizes, columnar modes, placement strategies and jittered feeds.
+/// batch sizes, every columnar mode (`Auto` is the default and what the
+/// benchmark runs), placement strategies and jittered feeds.
 fn assert_batched_cluster_equivalent(
     name: &str,
     query: &Query,
     feed: Feed,
     watermark: &WatermarkStrategy,
 ) {
-    let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
+    let (reference, ref_metrics) = sync_reference_with_calls(query, feed, watermark.clone());
     let reference = normalized(reference);
-    for batch in [7, 64] {
-        for columnar in [ColumnarMode::Off, ColumnarMode::Force] {
+    for batch in [1, 7, 64, 1024] {
+        for columnar in [ColumnarMode::Off, ColumnarMode::Force, ColumnarMode::Auto] {
             for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
                 let (got, report) =
                     cluster_run_cfg(query, strategy, feed, watermark.clone(), batch, columnar);
@@ -1364,6 +1410,10 @@ fn assert_batched_cluster_equivalent(
                     report.metrics.records_out, ref_metrics.records_out,
                     "{name}: {strategy:?}/batch={batch}/{columnar:?} records_out"
                 );
+                assert_eq!(
+                    report.metrics.late_drops, ref_metrics.late_drops,
+                    "{name}: {strategy:?}/batch={batch}/{columnar:?} late_drops"
+                );
             }
         }
     }
@@ -1376,6 +1426,42 @@ fn batched_stateless_cluster_equivalence() {
         .map_extend(vec![("over", col("speed").sub(lit(40.0)))]);
     assert_batched_cluster_equivalent("stateless", &q, Feed::InOrder, &WatermarkStrategy::None);
     assert_batched_cluster_equivalent("stateless", &q, Feed::Jittered(7), &WatermarkStrategy::None);
+}
+
+#[test]
+fn batched_cloud_tail_cluster_equivalence() {
+    // Under `CloudOnly` the whole chain is the cloud tail fed by decoded
+    // frames. Q1's shape: computed flags and a plugin call, a filter on
+    // them, then a text-valued `if`.
+    let q1 = Query::from("s")
+        .map_extend(vec![
+            ("fast", col("speed").gt(lit(60.0))),
+            ("heavy", call("heavy_load", vec![col("load")])),
+        ])
+        .filter(col("fast").or(col("heavy")))
+        .map_extend(vec![(
+            "alert",
+            call("if", vec![col("heavy"), lit("load"), lit("speed")]),
+        )]);
+    for feed in [Feed::InOrder, Feed::Jittered(7)] {
+        assert_batched_cluster_equivalent("q1-shaped", &q1, feed, &WatermarkStrategy::None);
+    }
+    // Q2's shape: a plugin-call filter ahead of a tumbling window.
+    let q2 = Query::from("s")
+        .filter(call("heavy_load", vec![col("load")]))
+        .window(
+            vec![("train", col("train"))],
+            WindowSpec::Tumbling {
+                size: 60 * MICROS_PER_SEC,
+            },
+            vec![
+                WindowAgg::new("n", AggSpec::Count),
+                WindowAgg::new("peak", AggSpec::Max(col("speed"))),
+            ],
+        );
+    for feed in [Feed::InOrder, Feed::Jittered(99)] {
+        assert_batched_cluster_equivalent("q2-shaped", &q2, feed, &generous_watermark());
+    }
 }
 
 #[test]
@@ -1404,10 +1490,10 @@ fn batched_failure_replanning_equivalence() {
 
 #[test]
 fn batched_wire_bytes_match_row_wire_bytes() {
-    // Columnar execution is node-local: buffers materialize to row
-    // frames at the wire boundary, so per-link traffic must be
-    // byte-identical to the per-record path, keeping the analytic
-    // `network_cost` reconciliation valid for batched runs too.
+    // Rows and buffers encode to the same column-major bytes, so
+    // per-link traffic must be byte-identical to the per-record path,
+    // keeping the analytic `network_cost` reconciliation valid for
+    // batched runs too.
     let q = Query::from("s").filter(col("speed").ge(lit(40.0))).window(
         vec![("train", col("train"))],
         WindowSpec::Tumbling {
