@@ -2716,7 +2716,10 @@ mod tests {
             let mut sink = LayoutSink::default();
             env.run_placed(&q, strategy, &mut sink).expect("placed run");
             assert_eq!(sink.calls.iter().map(|(_, n)| n).sum::<usize>(), 50);
-            sink.calls.iter().map(|(layout, _)| *layout).collect::<BTreeSet<_>>()
+            sink.calls
+                .iter()
+                .map(|(layout, _)| *layout)
+                .collect::<BTreeSet<_>>()
         };
         for strategy in [PlacementStrategy::CloudOnly, PlacementStrategy::EdgeFirst] {
             let off = layouts(strategy, ColumnarMode::Off);

@@ -275,57 +275,14 @@ fn min_row_bits(dtype: DataType) -> u64 {
 /// Appends one field's block. A column laid out as its field type (an
 /// `Int` or `Timestamp` column under either integer type) encodes
 /// straight from its typed storage; any other layout, such as the boxed
-/// fallback, is first re-laid value by value.
+/// fallback, is first re-laid value by value into `dtype`'s own layout,
+/// so that arm recurses at most once.
 fn encode_column(
     dtype: DataType,
     col: &Column,
     registry: &WireRegistry,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if let Some(done) = encode_typed(dtype, col, registry, out) {
-        return done;
-    }
-    let mut typed = Column::with_type(dtype, col.len());
-    for row in 0..col.len() {
-        typed.push(&wire_value(dtype, col.value_at(row))?);
-    }
-    encode_typed(dtype, &typed, registry, out).unwrap_or_else(|| {
-        Err(NebulaError::Wire(format!(
-            "{dtype} column has no wire layout"
-        )))
-    })
-}
-
-/// `v` as the variant a `dtype` column stores, or a mismatch error.
-fn wire_value(dtype: DataType, v: Value) -> Result<Value> {
-    Ok(match (dtype, v) {
-        (_, Value::Null) => Value::Null,
-        (DataType::Int, Value::Int(i) | Value::Timestamp(i)) => Value::Int(i),
-        (DataType::Timestamp, Value::Int(i) | Value::Timestamp(i)) => Value::Timestamp(i),
-        (DataType::Bool, v @ Value::Bool(_))
-        | (DataType::Float, v @ Value::Float(_))
-        | (DataType::Text, v @ Value::Text(_))
-        | (DataType::Point, v @ Value::Point { .. })
-        | (DataType::Opaque, v @ Value::Opaque(_)) => v,
-        (dtype, v) => return Err(mismatch(dtype, &v)),
-    })
-}
-
-fn mismatch(dtype: DataType, v: &Value) -> NebulaError {
-    NebulaError::Wire(format!(
-        "{dtype} column cannot carry value '{v}' ({})",
-        v.data_type()
-    ))
-}
-
-/// Encodes a column whose layout is `dtype`'s own; `None` for any other
-/// layout.
-fn encode_typed(
-    dtype: DataType,
-    col: &Column,
-    registry: &WireRegistry,
-    out: &mut Vec<u8>,
-) -> Option<Result<()>> {
     match (dtype, col) {
         (DataType::Bool, Column::Bool { data, validity }) => {
             put_validity(validity.as_deref(), out);
@@ -358,26 +315,52 @@ fn encode_typed(
             },
         ) => {
             put_validity(validity.as_deref(), out);
-            return Some(put_text(arena, offsets, validity.as_deref(), out));
+            put_text(arena, offsets, validity.as_deref(), out)?;
         }
         (DataType::Opaque, Column::Opaque(values)) => {
             let validity: Vec<bool> = values.iter().map(Option::is_some).collect();
             put_validity(Some(&validity), out);
             for o in values.iter().flatten() {
-                if let Err(e) = put_opaque(o.as_ref(), registry, out) {
-                    return Some(Err(e));
-                }
+                put_opaque(o.as_ref(), registry, out)?;
             }
         }
         (DataType::Null, col) => {
             if let Some(row) = (0..col.len()).find(|&row| !col.is_null(row)) {
-                return Some(Err(mismatch(dtype, &col.value_at(row))));
+                return Err(mismatch(dtype, &col.value_at(row)));
             }
             put_validity(Some(&vec![false; col.len()]), out);
         }
-        _ => return None,
+        (dtype, col) => {
+            let mut typed = Column::with_type(dtype, col.len());
+            for row in 0..col.len() {
+                typed.push(&wire_value(dtype, col.value_at(row))?);
+            }
+            return encode_column(dtype, &typed, registry, out);
+        }
     }
-    Some(Ok(()))
+    Ok(())
+}
+
+/// `v` as the variant a `dtype` column stores, or a mismatch error.
+fn wire_value(dtype: DataType, v: Value) -> Result<Value> {
+    Ok(match (dtype, v) {
+        (_, Value::Null) => Value::Null,
+        (DataType::Int, Value::Int(i) | Value::Timestamp(i)) => Value::Int(i),
+        (DataType::Timestamp, Value::Int(i) | Value::Timestamp(i)) => Value::Timestamp(i),
+        (DataType::Bool, v @ Value::Bool(_))
+        | (DataType::Float, v @ Value::Float(_))
+        | (DataType::Text, v @ Value::Text(_))
+        | (DataType::Point, v @ Value::Point { .. })
+        | (DataType::Opaque, v @ Value::Opaque(_)) => v,
+        (dtype, v) => return Err(mismatch(dtype, &v)),
+    })
+}
+
+fn mismatch(dtype: DataType, v: &Value) -> NebulaError {
+    NebulaError::Wire(format!(
+        "{dtype} column cannot carry value '{v}' ({})",
+        v.data_type()
+    ))
 }
 
 /// The validity flag, plus the bitmap when some row is null.

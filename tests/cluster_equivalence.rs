@@ -77,6 +77,7 @@ fn normalized(mut recs: Vec<Record>) -> Vec<Record> {
 
 /// The synchronous single-process reference, in `run`'s raw delivery
 /// order: a one-pipeline placed run must reproduce it row for row.
+/// [`HeavyLoad`] is loaded, as in [`cluster_run_cfg`].
 fn sync_reference(
     query: &Query,
     feed: Feed,
@@ -87,6 +88,7 @@ fn sync_reference(
         watermark_every: 2,
         ..EnvConfig::default()
     });
+    env.load_plugin(&HeavyLoad).expect("plugin");
     env.add_source("s", source(feed), watermark);
     let (mut sink, got) = CollectingSink::new();
     let metrics = env.run(query, &mut sink).expect("sync run");
@@ -1329,24 +1331,6 @@ impl Plugin for HeavyLoad {
     }
 }
 
-/// The sync reference with [`HeavyLoad`] loaded, at `run`'s batch size.
-fn sync_reference_with_calls(
-    query: &Query,
-    feed: Feed,
-    watermark: WatermarkStrategy,
-) -> (Vec<Record>, QueryMetrics) {
-    let mut env = StreamEnvironment::with_config(EnvConfig {
-        buffer_size: 32,
-        watermark_every: 2,
-        ..EnvConfig::default()
-    });
-    env.load_plugin(&HeavyLoad).expect("plugin");
-    env.add_source("s", source(feed), watermark);
-    let (mut sink, got) = CollectingSink::new();
-    let metrics = env.run(query, &mut sink).expect("sync run");
-    (got.records(), metrics)
-}
-
 /// [`cluster_run`] with explicit batch size and columnar mode (and
 /// [`HeavyLoad`] loaded): data frames are column-major whatever the
 /// mode, and each receiving tail takes them columnar or as rows by the
@@ -1391,7 +1375,7 @@ fn assert_batched_cluster_equivalent(
     feed: Feed,
     watermark: &WatermarkStrategy,
 ) {
-    let (reference, ref_metrics) = sync_reference_with_calls(query, feed, watermark.clone());
+    let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
     let reference = normalized(reference);
     for batch in [1, 7, 64, 1024] {
         for columnar in [ColumnarMode::Off, ColumnarMode::Force, ColumnarMode::Auto] {
