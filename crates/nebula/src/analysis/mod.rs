@@ -63,8 +63,6 @@ pub enum Target {
     Placed {
         /// Edge-first placement (operators pushed toward sources).
         edge_first: bool,
-        /// Whether the cluster pre-aggregates splittable windows.
-        preaggregate: bool,
         /// Number of source pipelines fanning into the cloud.
         pipelines: usize,
     },
@@ -151,13 +149,11 @@ impl AnalysisContext {
         }
     }
 
-    /// A context for placed cluster execution (single pipeline,
-    /// pre-aggregation on).
+    /// A context for placed cluster execution (single pipeline).
     pub fn placed(edge_first: bool) -> Self {
         AnalysisContext {
             target: Target::Placed {
                 edge_first,
-                preaggregate: true,
                 pipelines: 1,
             },
             ..AnalysisContext::local()

@@ -34,12 +34,8 @@ pub(super) fn run(
             check_partitioning(query, facts, registry, *parallelism, diags);
         }
         Target::Partitioned { .. } => {}
-        Target::Placed {
-            edge_first,
-            preaggregate,
-            ..
-        } => {
-            if *edge_first && *preaggregate {
+        Target::Placed { edge_first, .. } => {
+            if *edge_first {
                 check_edge_split(query, diags);
             }
             check_wire_codecs(facts, ctx, diags);

@@ -36,15 +36,16 @@
 //!
 //! Under [`PlacementStrategy::EdgeFirst`], a query whose first stateful
 //! operator is a splittable time window (see [`crate::preagg`]) is
-//! split: each edge runs a [`WindowPartialOp`] aggregating records into
-//! shared `gcd(size, slide)`-wide slices and ships **one partial row
-//! per slice** — not one per overlapping window — and a
-//! [`WindowMergeOp`] folds the per-edge slice partials at the cloud and
-//! materializes finished windows. Only aggregated rows cross the
-//! uplink, and sliding windows stop re-shipping the content their
-//! overlaps share — the measured [`ClusterMetrics::uplink_bytes`]
-//! reduction versus [`PlacementStrategy::CloudOnly`] is the
-//! demonstration's headline number.
+//! split: each edge runs the window as [`WindowOp::edge_partial`],
+//! aggregating records into shared `gcd(size, slide)`-wide slices and
+//! shipping **one partial row per slice** — not one per overlapping
+//! window — and the cloud runs it as [`WindowOp::cloud_merge`], folding
+//! the per-edge slice partials and materializing finished windows.
+//! Only aggregated rows cross the uplink, and sliding windows stop
+//! re-shipping the content their overlaps share — the measured
+//! [`ClusterMetrics::uplink_bytes`] reduction versus
+//! [`PlacementStrategy::CloudOnly`] is the demonstration's headline
+//! number.
 //!
 //! ## Failure and recovery
 //!
@@ -83,8 +84,8 @@ use crate::checkpoint::{CheckpointStore, CloudPart, PumpPart, SitePart};
 use crate::error::{ClusterError, NebulaError, Result};
 use crate::expr::{FunctionRegistry, Plugin};
 use crate::metrics::{Histogram, QueryMetrics};
-use crate::ops::{chain_late_drops, Operator};
-use crate::preagg::{split_window, SplitWindow, WindowMergeOp, WindowPartialOp};
+use crate::ops::{chain_late_drops, Operator, WindowOp};
+use crate::preagg::{split_window, SplitWindow};
 use crate::query::{compile_ops, LogicalOp, Query};
 use crate::record::StreamMessage;
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
@@ -143,9 +144,6 @@ pub struct ClusterConfig {
     pub idle_limit: u64,
     /// Capacity (frames) of each inter-site channel.
     pub channel_capacity: usize,
-    /// Split splittable windows into edge partials + cloud merge under
-    /// [`PlacementStrategy::EdgeFirst`].
-    pub preaggregate: bool,
     /// Columnar batching policy (see [`crate::runtime::ColumnarMode`])
     /// for every chain of the plan: the source node's stages, and each
     /// site and cloud tail that receives frames. Data frames are
@@ -173,7 +171,6 @@ impl Default for ClusterConfig {
             watermark_every: 4,
             idle_limit: 100_000,
             channel_capacity: 8,
-            preaggregate: true,
             columnar: crate::runtime::ColumnarMode::Auto,
             checkpoint_every: 4,
             telemetry: TelemetryConfig::default(),
@@ -358,7 +355,6 @@ impl ClusterEnvironment {
         let ctx = AnalysisContext {
             target: analysis::Target::Placed {
                 edge_first: strategy == PlacementStrategy::EdgeFirst,
-                preaggregate: self.config.preaggregate,
                 pipelines: hosted.len(),
             },
             watermarks: hosted.iter().map(|h| h.watermark.clone()).collect(),
@@ -488,9 +484,9 @@ impl ClusterEnvironment {
         }
 
         // Decide the plan split: per-pipeline prefix vs the shared cloud
-        // tail, with optional window pre-aggregation.
+        // tail, pre-aggregating a splittable window at the edge.
         let ops = query.ops();
-        let split = if self.config.preaggregate && strategy == PlacementStrategy::EdgeFirst {
+        let split = if strategy == PlacementStrategy::EdgeFirst {
             split_window(query)
         } else {
             None
@@ -723,7 +719,7 @@ impl ClusterEnvironment {
                         *node = parent;
                     }
                     let (new_pl, migrated) =
-                        crate::topology::replace_after_failure(&self.topo, pl, failed, parent);
+                        crate::topology::replace_after_failure(pl, failed, parent);
                     *pl = new_pl;
                     cluster.migrated_stages += migrated;
                 }
@@ -1011,7 +1007,8 @@ enum SharedTail {
     None,
     /// The plan tail from the first stateful operator (multi-pipeline).
     Plain,
-    /// A [`WindowMergeOp`] plus the post-window tail (pre-aggregation).
+    /// The window's cloud merge plus the post-window tail
+    /// (pre-aggregation).
     Merge,
 }
 
@@ -1023,8 +1020,8 @@ struct CompiledChains {
 
 /// Compiles per-pipeline chains (one operator instance set each) and
 /// the shared cloud tail. A split window compiles as the stateless
-/// prefix plus an edge [`WindowPartialOp`] shipping one partial row per
-/// slice, merged by a [`WindowMergeOp`] at the cloud. Free-standing so
+/// prefix plus the window's edge partial, shipping one partial row per
+/// slice, and the window's cloud merge. Free-standing so
 /// the chaos epoch-0 recovery can recompile without re-borrowing the
 /// environment.
 fn compile_chains(
@@ -1052,7 +1049,7 @@ fn compile_chains(
         pre_window_schema = plan.output_schema.clone();
         pipe_out_schema = plan.output_schema;
         if let Some(sw) = split {
-            let partial = WindowPartialOp::new(
+            let partial = WindowOp::edge_partial(
                 query.ts_field(),
                 &sw.keys,
                 &sw.spec,
@@ -1071,7 +1068,7 @@ fn compile_chains(
             let sw = split
                 .as_ref()
                 .ok_or_else(|| internal("merge tail without a split window"))?;
-            let merge = WindowMergeOp::new(
+            let merge = WindowOp::cloud_merge(
                 query.ts_field(),
                 &sw.keys,
                 &sw.spec,

@@ -142,7 +142,7 @@ pub mod prelude {
         record_sort_key, CepOp, FilterOp, FlatMapOp, GroupKey, MapOp, Operator, OperatorFactory,
         Pattern, PatternStep, WindowOp,
     };
-    pub use crate::preagg::{split_window, SplitWindow, WindowMergeOp, WindowPartialOp};
+    pub use crate::preagg::{split_window, SplitWindow};
     pub use crate::query::{compile, LogicalOp, PartitionScheme, Query};
     pub use crate::record::{Record, RecordBuffer, StreamMessage};
     pub use crate::runtime::{ColumnarMode, EnvConfig, ProgressTracker, StreamEnvironment};

@@ -10,8 +10,8 @@ mod cep;
 mod window_op;
 
 pub use cep::{CepOp, Pattern, PatternStep};
+pub(crate) use window_op::sort_emission;
 pub use window_op::WindowOp;
-pub(crate) use window_op::{sort_emission, SliceStore};
 
 use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};

@@ -7,8 +7,14 @@
 //! record regardless of how many windows overlap. A closed window
 //! materializes at watermark time by merging the accumulators of the
 //! slices it covers, which is sound because merging is part of the core
-//! [`Aggregator`] contract. The same `SliceStore` drives the cluster
-//! runtime's edge/cloud pre-aggregation split (see [`crate::preagg`]).
+//! [`Aggregator`] contract.
+//!
+//! The cluster runtime splits a splittable time window across nodes
+//! (see [`crate::preagg::split_window`]) by running the same operator in
+//! one of two more roles over the same slice state: the edge partial
+//! ships one partial row per slice ([`WindowOp::edge_partial`]), and the
+//! cloud merge folds those rows back into slices and materializes
+//! finished windows ([`WindowOp::cloud_merge`]).
 //!
 //! Both window kinds have a batch kernel over [`TupleBuffer`]s: keys
 //! evaluate once per buffer into dense per-buffer ids
@@ -126,11 +132,8 @@ pub(crate) fn sort_emission(records: &mut [Record], key_count: usize) {
 }
 
 /// Shared slice state machine: per-(key, slice) accumulators plus the
-/// window bookkeeping all three slicing operators need — [`WindowOp`]
-/// (records in, finished windows out), the edge partial operator
-/// (records in, per-slice partial rows out) and the cloud merge operator
-/// (partial rows in, finished windows out).
-pub(crate) struct SliceStore {
+/// window bookkeeping all three [`Role`]s of a time window need.
+struct SliceStore {
     layout: SliceLayout,
     /// Leading key-column count of emitted rows (for emission sorting).
     key_count: usize,
@@ -139,7 +142,7 @@ pub(crate) struct SliceStore {
 }
 
 impl SliceStore {
-    pub(crate) fn new(
+    fn new(
         layout: SliceLayout,
         ts_field: &str,
         key_count: usize,
@@ -158,7 +161,7 @@ impl SliceStore {
     /// Estimated bytes of live slice state: key entries plus per-slice
     /// accumulator sets, costed at nominal per-container constants. A
     /// telemetry gauge, not an allocator audit — O(keys + slices).
-    pub(crate) fn est_state_bytes(&self) -> usize {
+    fn est_state_bytes(&self) -> usize {
         let per_agg = 48;
         let per_slice = 48 + self.factory.templates.len() * per_agg;
         self.keys
@@ -182,13 +185,12 @@ impl SliceStore {
     }
 
     /// Triages one record by event time — THE late-record policy, shared
-    /// by the single-process window and the edge partial operator so the
-    /// two paths cannot diverge. A record in a `slide > size` coverage
-    /// gap belongs to no window and is ignored; a record whose every
-    /// window has closed is **late** (returns `true`, counted once by the
-    /// caller); otherwise it folds into its slice, where still-open
-    /// windows will pick it up.
-    pub(crate) fn absorb(
+    /// by the whole window and the edge partial so the two roles cannot
+    /// diverge. A record in a `slide > size` coverage gap belongs to no
+    /// window and is ignored; a record whose every window has closed is
+    /// **late** (returns `true`, counted once by the caller); otherwise
+    /// it folds into its slice, where still-open windows will pick it up.
+    fn absorb(
         &mut self,
         key_exprs: &[BoundExpr],
         rec: &Record,
@@ -218,7 +220,7 @@ impl SliceStore {
     /// slice) and each group folds through [`Aggregator::update_rows`]:
     /// every accumulator sees its rows in arrival order, so float sums
     /// and `first`/`last` ties come out bit-identical to the row path.
-    pub(crate) fn absorb_buffer(
+    fn absorb_buffer(
         &mut self,
         key_exprs: &[BoundExpr],
         buf: &TupleBuffer,
@@ -278,33 +280,47 @@ impl SliceStore {
         Ok(late)
     }
 
-    /// Folds one flattened partial row into its key's slice — the
-    /// cloud-side merge of per-edge slice partials. `partials` holds one
-    /// snapshot slice per aggregate, in spec order.
-    pub(crate) fn merge_partials(
+    /// Folds one partial row into its key's slice — the cloud merge of
+    /// per-edge slice partials. The row holds the key columns, the slice
+    /// bounds, then each aggregate's partial columns (`arities`, in spec
+    /// order). A row whose slice's last window closed at
+    /// `last_watermark` is late: it folds nothing and returns `true`.
+    fn merge_partials(
         &mut self,
-        key: GroupKey,
-        key_values: &[Value],
-        slice: EventTime,
-        partials: &[&[Value]],
-    ) -> Result<()> {
-        let st = self.slice_entry(key, key_values, slice)?;
-        for (agg, partial) in st.aggs.iter_mut().zip(partials) {
-            agg.merge_partial(partial)?;
+        row: &[Value],
+        arities: &[usize],
+        last_watermark: EventTime,
+    ) -> Result<bool> {
+        let k = self.key_count;
+        let expected = k + 2 + arities.iter().sum::<usize>();
+        if row.len() != expected {
+            return Err(NebulaError::Eval(format!(
+                "window merge: partial row has {} columns, schema {expected}",
+                row.len()
+            )));
         }
-        Ok(())
+        let slice = row[k].as_timestamp().ok_or_else(|| {
+            NebulaError::Eval("window merge: partial row missing slice start".into())
+        })?;
+        if self.layout.last_close(slice) <= last_watermark {
+            return Ok(true);
+        }
+        let st = self.slice_entry(GroupKey::from_values(&row[..k]), &row[..k], slice)?;
+        let mut off = k + 2;
+        for (agg, &arity) in st.aggs.iter_mut().zip(arities) {
+            agg.merge_partial(&row[off..off + arity])?;
+            off += arity;
+        }
+        Ok(false)
     }
+
     /// Materializes every window whose end lies in `(after, upto]`
     /// (`upto = None`: every window not yet emitted — end-of-stream) by
     /// merging its covering slices, then retires slices no open window
     /// can ever read again (`last_close <= upto`). Rows come out sorted
     /// by (window start, canonical record encoding), so emission order
     /// is deterministic however the hash maps iterate.
-    pub(crate) fn close_windows(
-        &mut self,
-        after: EventTime,
-        upto: Option<EventTime>,
-    ) -> Result<Vec<Record>> {
+    fn close_windows(&mut self, after: EventTime, upto: Option<EventTime>) -> Result<Vec<Record>> {
         let mut records = Vec::new();
         let (size, slide, width) = (self.layout.size, self.layout.slide, self.layout.width);
         let factory = &self.factory;
@@ -372,7 +388,7 @@ impl SliceStore {
     /// A deep copy of the whole store — every key's every slice's
     /// accumulators — for checkpointing. Fails only if an aggregator
     /// cannot merge (which would equally fail window materialization).
-    pub(crate) fn snapshot(&self) -> Result<SliceStore> {
+    fn snapshot(&self) -> Result<SliceStore> {
         let mut keys = HashMap::with_capacity(self.keys.len());
         for (key, ks) in &self.keys {
             let mut slices = BTreeMap::new();
@@ -403,7 +419,7 @@ impl SliceStore {
 
     /// Drops slices whose last covering window has closed: no record or
     /// partial for them can ever be anything but late.
-    pub(crate) fn retire(&mut self, wm: EventTime) {
+    fn retire(&mut self, wm: EventTime) {
         let layout = self.layout;
         self.keys.retain(|_, ks| {
             ks.slices.retain(|&slice, _| layout.last_close(slice) > wm);
@@ -418,7 +434,7 @@ impl SliceStore {
     /// keeps receiving records ships *delta* partials which the cloud
     /// merge folds together. Rows are (keys, slice_start, slice_end,
     /// partial columns), sorted deterministically.
-    pub(crate) fn flush_dirty(&mut self, wm: Option<EventTime>) -> Result<Vec<Record>> {
+    fn flush_dirty(&mut self, wm: Option<EventTime>) -> Result<Vec<Record>> {
         let mut records = Vec::new();
         let layout = self.layout;
         let factory = &self.factory;
@@ -497,10 +513,30 @@ impl ThresholdState {
     }
 }
 
+/// Which share of a time window an operator runs. Run whole, one
+/// operator absorbs records and emits finished windows; the cluster
+/// splits that work into an edge partial feeding a cloud merge.
+#[derive(Clone, Copy, PartialEq)]
+enum Role {
+    /// Records in, finished windows out.
+    Whole,
+    /// The edge half: records in, one partial row per slice out (see
+    /// `SliceStore::flush_dirty`).
+    Partial,
+    /// The cloud half: partial rows in, finished windows out.
+    Merge,
+}
+
 /// What a window operator keeps between buffers.
 enum WindowState {
-    /// Tumbling/sliding windows: per-(key, slice) accumulators.
-    Time(SliceStore),
+    /// Tumbling/sliding windows: per-(key, slice) accumulators, the
+    /// operator's role, and each aggregate's partial column count (split
+    /// roles only; the merge reads partial rows by it).
+    Time {
+        store: SliceStore,
+        role: Role,
+        arities: Vec<usize>,
+    },
     /// Threshold windows: the open window of each key.
     Threshold {
         predicate: BoundExpr,
@@ -522,6 +558,10 @@ enum WindowState {
 /// Output schema: key columns, `window_start`, `window_end`, then one
 /// column per aggregate. Watermark emission is deterministic: rows sort
 /// by (window start, key values).
+///
+/// A splittable time window also runs as either half of the cluster's
+/// edge/cloud split: [`WindowOp::edge_partial`] and
+/// [`WindowOp::cloud_merge`].
 pub struct WindowOp {
     ts_col: usize,
     key_exprs: Vec<BoundExpr>,
@@ -544,6 +584,60 @@ impl WindowOp {
         input: SchemaRef,
         registry: &FunctionRegistry,
     ) -> Result<Self> {
+        Self::build(ts_field, keys, spec, aggs, input, registry, Role::Whole)
+    }
+
+    /// The edge half of a split time window: aggregates records into
+    /// shared slices and ships one partial row per slice once the first
+    /// window covering the slice closes. Output schema: key columns,
+    /// `slice_start`, `slice_end`, then each aggregate's partial columns
+    /// (`{agg}_p{j}` when an aggregate has several). A slice that keeps
+    /// receiving (out-of-order but non-late) records after its first
+    /// flush ships *delta* partials; the cloud merge folds them together.
+    pub fn edge_partial(
+        ts_field: &str,
+        keys: &[(String, Expr)],
+        spec: &WindowSpec,
+        aggs: Vec<WindowAgg>,
+        input: SchemaRef,
+        registry: &FunctionRegistry,
+    ) -> Result<Self> {
+        let spec = spec.clone();
+        Self::build(ts_field, keys, spec, aggs, input, registry, Role::Partial)
+    }
+
+    /// The cloud half of a split time window. `input` is the schema
+    /// entering the *window* (the edge prefix's output), against which
+    /// the aggregates bind; the operator consumes
+    /// [`WindowOp::edge_partial`]'s rows and emits what
+    /// [`WindowOp::new`] emits. Windows materialize when the
+    /// cluster-wide watermark passes their end. Every edge flushes a
+    /// slice's partial *before* forwarding the watermark that closes a
+    /// window over it, and the cluster advances the merged watermark to
+    /// the minimum across inputs, so on FIFO channels no partial arrives
+    /// late; one that does is dropped and counted in
+    /// [`WindowOp::late_drops`].
+    pub fn cloud_merge(
+        ts_field: &str,
+        keys: &[(String, Expr)],
+        spec: &WindowSpec,
+        aggs: Vec<WindowAgg>,
+        input: SchemaRef,
+        registry: &FunctionRegistry,
+    ) -> Result<Self> {
+        let spec = spec.clone();
+        Self::build(ts_field, keys, spec, aggs, input, registry, Role::Merge)
+    }
+
+    fn build(
+        ts_field: &str,
+        keys: &[(String, Expr)],
+        spec: WindowSpec,
+        aggs: Vec<WindowAgg>,
+        input: SchemaRef,
+        registry: &FunctionRegistry,
+        role: Role,
+    ) -> Result<Self> {
         spec.validate()?;
         let ts_col = input
             .index_of(ts_field)
@@ -555,24 +649,56 @@ impl WindowOp {
             key_exprs.push(b);
             fields.push(Field::new(name.clone(), t));
         }
-        fields.push(Field::new("window_start", DataType::Timestamp));
-        fields.push(Field::new("window_end", DataType::Timestamp));
+        let bound = if role == Role::Partial {
+            "slice"
+        } else {
+            "window"
+        };
+        fields.push(Field::new(format!("{bound}_start"), DataType::Timestamp));
+        fields.push(Field::new(format!("{bound}_end"), DataType::Timestamp));
+        let mut arities = Vec::new();
         for agg in &aggs {
-            fields.push(Field::new(
-                agg.name.clone(),
-                agg.spec.output_type(&input, registry)?,
-            ));
+            let output = Field::new(agg.name.clone(), agg.spec.output_type(&input, registry)?);
+            if role == Role::Whole {
+                fields.push(output);
+                continue;
+            }
+            let partial = agg.spec.partial_types(&input, registry)?.ok_or_else(|| {
+                NebulaError::Plan(format!(
+                    "aggregate '{}' is not splittable across node boundaries",
+                    agg.name
+                ))
+            })?;
+            arities.push(partial.len());
+            match (role, partial.len()) {
+                (Role::Partial, 1) => fields.push(Field::new(agg.name.clone(), partial[0])),
+                (Role::Partial, _) => {
+                    for (j, t) in partial.into_iter().enumerate() {
+                        fields.push(Field::new(format!("{}_p{j}", agg.name), t));
+                    }
+                }
+                _ => fields.push(output),
+            }
         }
         let state = match spec {
             WindowSpec::Tumbling { size: size @ slide } | WindowSpec::Sliding { size, slide } => {
-                WindowState::Time(SliceStore::new(
-                    SliceLayout::new(size, slide),
-                    ts_field,
-                    keys.len(),
-                    aggs,
-                    input,
-                    registry.clone(),
-                )?)
+                WindowState::Time {
+                    store: SliceStore::new(
+                        SliceLayout::new(size, slide),
+                        ts_field,
+                        keys.len(),
+                        aggs,
+                        input,
+                        registry.clone(),
+                    )?,
+                    role,
+                    arities,
+                }
+            }
+            WindowSpec::Threshold { .. } if role != Role::Whole => {
+                return Err(NebulaError::Plan(
+                    "threshold windows cannot pre-aggregate".into(),
+                ))
             }
             WindowSpec::Threshold {
                 predicate,
@@ -606,9 +732,17 @@ impl WindowOp {
     /// Records dropped because *every* window that could have held them
     /// had already been closed by a watermark (each record counts at
     /// most once; a record late for some windows but live for others is
-    /// absorbed, not counted).
+    /// absorbed, not counted). The cloud merge counts the partial rows
+    /// it drops the same way.
     pub fn late_drops(&self) -> u64 {
         self.late_drops
+    }
+
+    fn role(&self) -> Role {
+        match &self.state {
+            WindowState::Time { role, .. } => *role,
+            WindowState::Threshold { .. } => Role::Whole,
+        }
     }
 
     fn push_rows(&self, records: Vec<Record>, out: &mut Vec<StreamMessage>) {
@@ -631,6 +765,19 @@ impl Operator for WindowOp {
     }
 
     fn process(&mut self, buf: RecordBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
+        if let WindowState::Time {
+            store,
+            role: Role::Merge,
+            arities,
+        } = &mut self.state
+        {
+            for rec in buf.records() {
+                if store.merge_partials(rec.values(), arities, self.last_watermark)? {
+                    self.late_drops += 1;
+                }
+            }
+            return Ok(());
+        }
         let mut emitted: Vec<Record> = Vec::new();
         for rec in buf.records() {
             let ts = rec
@@ -638,7 +785,7 @@ impl Operator for WindowOp {
                 .and_then(Value::as_timestamp)
                 .ok_or_else(|| NebulaError::Eval("window: record missing event time".into()))?;
             match &mut self.state {
-                WindowState::Time(store) => {
+                WindowState::Time { store, .. } => {
                     if store.absorb(&self.key_exprs, rec, ts, self.last_watermark)? {
                         self.late_drops += 1;
                     }
@@ -678,9 +825,10 @@ impl Operator for WindowOp {
     }
 
     /// Keys fold as per-buffer ids and aggregates as typed loops; a
-    /// threshold predicate runs as one mask per buffer.
+    /// threshold predicate runs as one mask per buffer. The cloud merge
+    /// reads its few partial rows as rows.
     fn columnar_benefit(&self) -> bool {
-        true
+        self.role() != Role::Merge
     }
 
     /// Finished windows leave as rows.
@@ -695,12 +843,16 @@ impl Operator for WindowOp {
     /// them in one [`Aggregator::update_rows`] call when it closes or the
     /// buffer ends. Each check runs over the whole buffer before the
     /// next, so when two checks fail on different rows the error may be
-    /// another variant than the row path's.
+    /// another variant than the row path's. The cloud merge walks the
+    /// buffer's rows through the row path.
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
+        if self.role() == Role::Merge {
+            return self.process(buf.to_record_buffer(), out);
+        }
         let ts = event_times(&buf, self.ts_col, "window")?;
         let mut emitted: Vec<Record> = Vec::new();
         match &mut self.state {
-            WindowState::Time(store) => {
+            WindowState::Time { store, .. } => {
                 self.late_drops +=
                     store.absorb_buffer(&self.key_exprs, &buf, &ts, self.last_watermark)?;
             }
@@ -754,8 +906,18 @@ impl Operator for WindowOp {
     fn on_watermark(&mut self, wm: EventTime, out: &mut Vec<StreamMessage>) -> Result<()> {
         let prev = self.last_watermark;
         self.last_watermark = self.last_watermark.max(wm);
-        if let WindowState::Time(store) = &mut self.state {
-            let records = store.close_windows(prev, Some(self.last_watermark))?;
+        if let WindowState::Time { store, role, .. } = &mut self.state {
+            let records = if *role == Role::Partial {
+                // Ship every dirty slice some window needs before this
+                // watermark reaches the cloud (FIFO channels deliver the
+                // data first), then retire slices no open window can
+                // ever read again.
+                let records = store.flush_dirty(Some(self.last_watermark))?;
+                store.retire(self.last_watermark);
+                records
+            } else {
+                store.close_windows(prev, Some(self.last_watermark))?
+            };
             self.push_rows(records, out);
         }
         out.push(StreamMessage::Watermark(wm));
@@ -765,7 +927,12 @@ impl Operator for WindowOp {
     fn on_eos(&mut self, out: &mut Vec<StreamMessage>) -> Result<()> {
         // Flush everything still open.
         let records = match &mut self.state {
-            WindowState::Time(store) => store.close_windows(self.last_watermark, None)?,
+            WindowState::Time {
+                store,
+                role: Role::Partial,
+                ..
+            } => store.flush_dirty(None)?,
+            WindowState::Time { store, .. } => store.close_windows(self.last_watermark, None)?,
             WindowState::Threshold {
                 min_count, open, ..
             } => {
@@ -792,7 +959,7 @@ impl Operator for WindowOp {
 
     fn state_bytes(&self) -> usize {
         match &self.state {
-            WindowState::Time(store) => store.est_state_bytes(),
+            WindowState::Time { store, .. } => store.est_state_bytes(),
             WindowState::Threshold { open, .. } => {
                 let per_agg = 48;
                 open.values()
@@ -813,7 +980,15 @@ impl WindowOp {
     /// contract.
     fn try_snapshot(&self) -> Result<WindowOp> {
         let state = match &self.state {
-            WindowState::Time(store) => WindowState::Time(store.snapshot()?),
+            WindowState::Time {
+                store,
+                role,
+                arities,
+            } => WindowState::Time {
+                store: store.snapshot()?,
+                role: *role,
+                arities: arities.clone(),
+            },
             WindowState::Threshold {
                 predicate,
                 min_count,
@@ -1202,6 +1377,313 @@ mod tests {
             op.output_schema().to_string(),
             "(train: INT, window_start: TIMESTAMP, window_end: TIMESTAMP, \
              n: INT, avg_speed: FLOAT)"
+        );
+    }
+
+    fn split_schema() -> SchemaRef {
+        Schema::of(&[
+            ("ts", DataType::Timestamp),
+            ("train", DataType::Int),
+            ("speed", DataType::Float),
+            ("load", DataType::Int),
+        ])
+    }
+
+    fn split_rec(ts_s: i64, train: i64, speed: f64, load: i64) -> Record {
+        Record::new(vec![
+            Value::Timestamp(ts_s * MICROS_PER_SEC),
+            Value::Int(train),
+            Value::Float(speed),
+            Value::Int(load),
+        ])
+    }
+
+    fn split_aggs() -> Vec<WindowAgg> {
+        vec![
+            WindowAgg::new("n", AggSpec::Count),
+            WindowAgg::new("sum_load", AggSpec::Sum(col("load"))),
+            WindowAgg::new("min_speed", AggSpec::Min(col("speed"))),
+            WindowAgg::new("max_speed", AggSpec::Max(col("speed"))),
+            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
+            WindowAgg::new("last_speed", AggSpec::Last(col("speed"))),
+        ]
+    }
+
+    fn split_keys() -> Vec<(String, Expr)> {
+        vec![("train".to_string(), col("train"))]
+    }
+
+    /// Drives records through one edge partial and the cloud merge,
+    /// with a watermark after every batch and Eos at the end.
+    fn split_run(
+        spec: &WindowSpec,
+        batches: Vec<Vec<Record>>,
+        watermarks: Vec<EventTime>,
+    ) -> Vec<Record> {
+        let reg = FunctionRegistry::with_builtins();
+        let mut edge = WindowOp::edge_partial(
+            "ts",
+            &split_keys(),
+            spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        let mut cloud = WindowOp::cloud_merge(
+            "ts",
+            &split_keys(),
+            spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        let mut cloud_in = Vec::new();
+        for (batch, wm) in batches.into_iter().zip(watermarks) {
+            edge.process(RecordBuffer::new(split_schema(), batch), &mut cloud_in)
+                .unwrap();
+            edge.on_watermark(wm, &mut cloud_in).unwrap();
+        }
+        edge.on_eos(&mut cloud_in).unwrap();
+        let mut out = Vec::new();
+        for msg in cloud_in {
+            match msg {
+                StreamMessage::Data(b) => cloud.process(b, &mut out).unwrap(),
+                StreamMessage::Columnar(b) => cloud.process_columnar(b, &mut out).unwrap(),
+                StreamMessage::Watermark(w) => cloud.on_watermark(w, &mut out).unwrap(),
+                StreamMessage::Eos => cloud.on_eos(&mut out).unwrap(),
+            }
+        }
+        assert_eq!(cloud.late_drops(), 0);
+        data_records(&out)
+    }
+
+    /// The single-process reference over the same feed.
+    fn local_run(
+        spec: WindowSpec,
+        records: Vec<Record>,
+        watermarks: Vec<EventTime>,
+    ) -> Vec<Record> {
+        let reg = FunctionRegistry::with_builtins();
+        let mut op = WindowOp::new(
+            "ts",
+            &split_keys(),
+            spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        op.process(RecordBuffer::new(split_schema(), records), &mut out)
+            .unwrap();
+        for wm in watermarks {
+            op.on_watermark(wm, &mut out).unwrap();
+        }
+        op.on_eos(&mut out).unwrap();
+        data_records(&out)
+    }
+
+    #[test]
+    fn split_equals_local_for_tumbling_and_sliding() {
+        for spec in [
+            WindowSpec::Tumbling {
+                size: 60 * MICROS_PER_SEC,
+            },
+            WindowSpec::Sliding {
+                size: 60 * MICROS_PER_SEC,
+                slide: 15 * MICROS_PER_SEC,
+            },
+            WindowSpec::Sliding {
+                size: 60 * MICROS_PER_SEC,
+                slide: 25 * MICROS_PER_SEC,
+            },
+        ] {
+            let records: Vec<Record> = (0..240)
+                .map(|i| split_rec(i, i % 3, ((i * 7) % 80) as f64, (i * 13) % 200))
+                .collect();
+            let split = split_run(
+                &spec,
+                records.chunks(60).map(<[Record]>::to_vec).collect(),
+                vec![
+                    20 * MICROS_PER_SEC,
+                    80 * MICROS_PER_SEC,
+                    140 * MICROS_PER_SEC,
+                    200 * MICROS_PER_SEC,
+                ],
+            );
+            let local = local_run(
+                spec,
+                records,
+                vec![
+                    20 * MICROS_PER_SEC,
+                    80 * MICROS_PER_SEC,
+                    140 * MICROS_PER_SEC,
+                    200 * MICROS_PER_SEC,
+                ],
+            );
+            assert_eq!(split, local, "split pipeline ≡ local window");
+        }
+    }
+
+    #[test]
+    fn sliding_edge_ships_one_partial_per_slice() {
+        // 240 s of data, sliding 60/15: 16 slices per key must cross the
+        // boundary, not 16 windows × 4 covering rows.
+        let reg = FunctionRegistry::with_builtins();
+        let spec = WindowSpec::Sliding {
+            size: 60 * MICROS_PER_SEC,
+            slide: 15 * MICROS_PER_SEC,
+        };
+        let mut edge = WindowOp::edge_partial(
+            "ts",
+            &split_keys(),
+            &spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        let records: Vec<Record> = (0..240).map(|i| split_rec(i, 0, 1.0, 1)).collect();
+        edge.process(RecordBuffer::new(split_schema(), records), &mut out)
+            .unwrap();
+        edge.on_eos(&mut out).unwrap();
+        let partials = data_records(&out);
+        assert_eq!(partials.len(), 240 / 15, "one partial row per slice");
+        // Slice bounds are width apart, and each carries its own count.
+        for (i, p) in partials.iter().enumerate() {
+            let start = p.get(1).unwrap().as_timestamp().unwrap();
+            let end = p.get(2).unwrap().as_timestamp().unwrap();
+            assert_eq!(start, i as i64 * 15 * MICROS_PER_SEC);
+            assert_eq!(end - start, 15 * MICROS_PER_SEC);
+            assert_eq!(p.get(3), Some(&Value::Int(15)), "15 records per slice");
+        }
+    }
+
+    #[test]
+    fn delta_partials_merge_for_out_of_order_records() {
+        // A slice flushed once must ship a *delta* when a late-but-live
+        // record lands in it afterwards, and the cloud must fold both.
+        let spec = WindowSpec::Sliding {
+            size: 40 * MICROS_PER_SEC,
+            slide: 10 * MICROS_PER_SEC,
+        };
+        let batches = vec![
+            (0..30).map(|i| split_rec(i, 0, 1.0, 1)).collect::<Vec<_>>(),
+            // ts=5 is late for [?..) windows closed by wm=40 but live
+            // for [ -20..20 )-style later windows? No: for size 40 the
+            // record at 5 is live while any window containing it is
+            // open; wm=40 closes [ -30..10 ) ... [0, 40). Window
+            // [ -10..30 ) etc. — keep it simple: ts=25 after wm=40 is
+            // late for [0,40) but live for [10,50), [20,60).
+            vec![split_rec(25, 0, 9.0, 5)],
+            (40..70)
+                .map(|i| split_rec(i, 0, 1.0, 1))
+                .collect::<Vec<_>>(),
+        ];
+        let wms = vec![
+            40 * MICROS_PER_SEC,
+            40 * MICROS_PER_SEC,
+            100 * MICROS_PER_SEC,
+        ];
+        let split = split_run(&spec, batches.clone(), wms.clone());
+        let local = {
+            let reg = FunctionRegistry::with_builtins();
+            let mut op = WindowOp::new(
+                "ts",
+                &split_keys(),
+                spec,
+                split_aggs(),
+                split_schema(),
+                &reg,
+            )
+            .unwrap();
+            let mut out = Vec::new();
+            for (batch, wm) in batches.into_iter().zip(wms) {
+                op.process(RecordBuffer::new(split_schema(), batch), &mut out)
+                    .unwrap();
+                op.on_watermark(wm, &mut out).unwrap();
+            }
+            op.on_eos(&mut out).unwrap();
+            assert_eq!(op.late_drops(), 0, "ts=25 is live for open windows");
+            data_records(&out)
+        };
+        assert_eq!(split, local);
+        // The delta record's load must be visible in the open windows.
+        let w10 = split
+            .iter()
+            .find(|r| r.get(1) == Some(&Value::Timestamp(10 * MICROS_PER_SEC)))
+            .expect("[10,50) emitted");
+        let sum = w10.get(4).unwrap().as_int().unwrap();
+        assert!(sum > 30, "delta load folded in: {sum}");
+    }
+
+    #[test]
+    fn late_partial_dropped_and_counted() {
+        let reg = FunctionRegistry::with_builtins();
+        let spec = WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        };
+        let mut edge = WindowOp::edge_partial(
+            "ts",
+            &split_keys(),
+            &spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        let mut cloud = WindowOp::cloud_merge(
+            "ts",
+            &split_keys(),
+            &spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        // Produce one partial row, then deliver it after the cloud's
+        // watermark has already passed the slice's last window.
+        let mut edge_out = Vec::new();
+        edge.process(
+            RecordBuffer::new(split_schema(), vec![split_rec(1, 0, 1.0, 1)]),
+            &mut edge_out,
+        )
+        .unwrap();
+        edge.on_eos(&mut edge_out).unwrap();
+        let mut out = Vec::new();
+        cloud.on_watermark(120 * MICROS_PER_SEC, &mut out).unwrap();
+        for msg in edge_out {
+            if let StreamMessage::Data(b) = msg {
+                cloud.process(b, &mut out).unwrap();
+            }
+        }
+        cloud.on_eos(&mut out).unwrap();
+        assert!(data_records(&out).is_empty());
+        assert_eq!(cloud.late_drops(), 1);
+    }
+
+    #[test]
+    fn partial_schema_flattens_aggregate_snapshots() {
+        let reg = FunctionRegistry::with_builtins();
+        let op = WindowOp::edge_partial(
+            "ts",
+            &split_keys(),
+            &WindowSpec::Tumbling {
+                size: 60 * MICROS_PER_SEC,
+            },
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        assert_eq!(
+            op.output_schema().to_string(),
+            "(train: INT, slice_start: TIMESTAMP, slice_end: TIMESTAMP, n: INT, \
+             sum_load: INT, min_speed: FLOAT, max_speed: FLOAT, avg_speed_p0: FLOAT, \
+             avg_speed_p1: INT, last_speed_p0: TIMESTAMP, last_speed_p1: FLOAT)"
         );
     }
 }

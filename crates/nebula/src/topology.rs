@@ -11,8 +11,10 @@
 
 use crate::error::{NebulaError, Result};
 use crate::expr::FunctionRegistry;
+use crate::ops::Operator;
 use crate::query::{compile, LogicalOp, Query};
 use crate::record::{RecordBuffer, StreamMessage};
+use crate::runtime::drive;
 use crate::source::{Source, SourceBatch};
 use std::collections::HashMap;
 
@@ -238,22 +240,11 @@ pub fn place(
             let edge = topo
                 .first_ancestor_of_kind(source_node, NodeKind::Edge)
                 .unwrap_or(cloud);
-            // Once a stage moves up a tier, later stages never move back
-            // down (data flows toward the cloud).
+            // Stateless stays where the data is, stateful goes to the
+            // edge; once there, later stages never move back down (data
+            // flows toward the cloud).
             let mut current = source_node;
             for op in query.ops() {
-                let want = match op {
-                    LogicalOp::Filter(_) | LogicalOp::Map { .. } => current,
-                    LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_) => edge,
-                };
-                // Never place below the current stage's node.
-                current = if topo.path_up(current, want).is_ok() {
-                    current // want is an ancestor check failed direction
-                } else {
-                    want
-                };
-                // Simpler monotone rule: stateless stays, stateful goes to
-                // the edge (or stays at the edge if already there).
                 if !matches!(op, LogicalOp::Filter(_) | LogicalOp::Map { .. }) {
                     current = edge;
                 }
@@ -290,48 +281,46 @@ pub fn measure_stage_bytes(
     let mut bytes = vec![0u64; n + 1];
     let mut records = vec![0u64; n + 1];
 
-    let push = |ops: &mut [Box<dyn crate::ops::Operator>],
-                first: StreamMessage,
-                bytes: &mut [u64],
-                records: &mut [u64]|
-     -> Result<()> {
-        let mut cur = vec![first];
-        let mut next: Vec<StreamMessage> = Vec::new();
-        for (i, op) in ops.iter_mut().enumerate() {
-            for msg in cur.drain(..) {
-                match msg {
-                    StreamMessage::Data(b) => op.process(b, &mut next)?,
-                    StreamMessage::Columnar(b) => op.process_columnar(b, &mut next)?,
-                    StreamMessage::Watermark(w) => op.on_watermark(w, &mut next)?,
-                    StreamMessage::Eos => op.on_eos(&mut next)?,
-                }
-            }
-            for m in &next {
-                bytes[i + 1] += m.data_bytes() as u64;
-                records[i + 1] += m.record_count() as u64;
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        Ok(())
-    };
-
     loop {
         match source.poll(buffer_size)? {
             SourceBatch::Data(recs) => {
                 let buf = RecordBuffer::new(schema.clone(), recs);
                 bytes[0] += buf.est_bytes() as u64;
                 records[0] += buf.len() as u64;
-                push(&mut ops, StreamMessage::Data(buf), &mut bytes, &mut records)?;
+                drive_stages(&mut ops, StreamMessage::Data(buf), &mut bytes, &mut records)?;
             }
             SourceBatch::Idle => {}
             SourceBatch::Exhausted => break,
         }
     }
-    push(&mut ops, StreamMessage::Eos, &mut bytes, &mut records)?;
+    drive_stages(&mut ops, StreamMessage::Eos, &mut bytes, &mut records)?;
     Ok(StageBytes {
         stage_bytes: bytes,
         stage_records: records,
     })
+}
+
+/// Drives one message through `ops` stage by stage, adding what leaves
+/// operator `i` to `bytes[i + 1]` and `records[i + 1]`.
+fn drive_stages(
+    ops: &mut [Box<dyn Operator>],
+    first: StreamMessage,
+    bytes: &mut [u64],
+    records: &mut [u64],
+) -> Result<()> {
+    let mut cur = vec![first];
+    for i in 0..ops.len() {
+        let mut next = Vec::new();
+        for msg in cur {
+            next.extend(drive(&mut ops[i..=i], msg)?);
+        }
+        for m in &next {
+            bytes[i + 1] += m.data_bytes() as u64;
+            records[i + 1] += m.record_count() as u64;
+        }
+        cur = next;
+    }
+    Ok(())
 }
 
 /// Network cost of running a placement: bytes crossing each link and the
@@ -392,7 +381,6 @@ pub fn network_cost(
 /// placement and the number of migrated stages (the metric incremental
 /// placement minimizes).
 pub fn replace_after_failure(
-    topo: &Topology,
     placement: &Placement,
     failed: NodeId,
     fallback: NodeId,
@@ -410,7 +398,6 @@ pub fn replace_after_failure(
             }
         })
         .collect();
-    let _ = topo;
     (Placement { stages }, migrated)
 }
 
@@ -418,6 +405,7 @@ pub fn replace_after_failure(
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use crate::ops::{Pattern, PatternStep};
     use crate::record::Record;
     use crate::schema::Schema;
     use crate::source::VecSource;
@@ -488,6 +476,28 @@ mod tests {
     }
 
     #[test]
+    fn edge_first_keeps_stateless_in_place_and_moves_stateful_to_the_edge() {
+        let (topo, sensors) = Topology::train_fleet(1);
+        let edge = topo
+            .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
+            .unwrap();
+        let cloud = topo.cloud().unwrap();
+        let q = demo_query()
+            .filter(col("n").gt(lit(0i64)))
+            .cep(Pattern::new(
+                "busy",
+                vec![PatternStep::new("a", col("n").gt(lit(1i64)))],
+                60 * MICROS_PER_SEC,
+            ));
+        let pl = place(&q, &topo, sensors[0], PlacementStrategy::EdgeFirst).unwrap();
+        // source, filter, window, filter, CEP, sink
+        assert_eq!(
+            pl.stages,
+            vec![sensors[0], sensors[0], edge, edge, edge, cloud]
+        );
+    }
+
+    #[test]
     fn stage_bytes_decrease_after_selective_filter() {
         let reg = FunctionRegistry::with_builtins();
         let src = Box::new(VecSource::new(schema(), records(1000)));
@@ -533,7 +543,7 @@ mod tests {
             .unwrap();
         let cloud = topo.cloud().unwrap();
         assert!(topo.fail_node(edge));
-        let (new_pl, migrated) = replace_after_failure(&topo, &pl, edge, cloud);
+        let (new_pl, migrated) = replace_after_failure(&pl, edge, cloud);
         assert!(migrated >= 1);
         assert!(!new_pl.stages.contains(&edge));
         // Sensor now reaches the cloud directly.

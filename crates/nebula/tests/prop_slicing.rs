@@ -4,10 +4,10 @@
 //! window per record — across random window geometries (including
 //! coprime size/slide and `slide > size` coverage gaps), random jitter,
 //! key cardinalities, watermark schedules and negative event times
-//! (`div_euclid` slice assignment). The split pipeline (edge
-//! `WindowPartialOp` → cloud `WindowMergeOp`) must match too, for every
-//! splittable aggregate including the decomposed `avg` and the
-//! order-dependent `first`/`last`.
+//! (`div_euclid` slice assignment). The split pipeline (the window's
+//! edge partial → its cloud merge) must match too, from row and from
+//! columnar edge input, for every splittable aggregate including the
+//! decomposed `avg` and the order-dependent `first`/`last`.
 
 use nebula::prelude::*;
 use proptest::prelude::*;
@@ -105,8 +105,22 @@ fn messages(sc: &Scenario) -> Vec<StreamMessage> {
     out
 }
 
-fn drive(op: &mut dyn Operator, feed: Vec<StreamMessage>) -> Vec<Record> {
-    let mut got = Vec::new();
+/// The same feed with every data batch transposed to a `TupleBuffer`.
+fn columnar(feed: Vec<StreamMessage>) -> Vec<StreamMessage> {
+    feed.into_iter()
+        .map(|msg| match msg {
+            StreamMessage::Data(b) => StreamMessage::Columnar(TupleBuffer::from_records(
+                b.schema().clone(),
+                b.records(),
+                BufferMeta::default(),
+            )),
+            other => other,
+        })
+        .collect()
+}
+
+/// Pushes `feed` through `op`, returning everything it emitted.
+fn run_op(op: &mut dyn Operator, feed: Vec<StreamMessage>) -> Vec<StreamMessage> {
     let mut out = Vec::new();
     for msg in feed {
         match msg {
@@ -116,12 +130,21 @@ fn drive(op: &mut dyn Operator, feed: Vec<StreamMessage>) -> Vec<Record> {
             StreamMessage::Eos => op.on_eos(&mut out).unwrap(),
         }
     }
-    for msg in out {
+    out
+}
+
+fn data_rows(msgs: &[StreamMessage]) -> Vec<Record> {
+    let mut got = Vec::new();
+    for msg in msgs {
         if let StreamMessage::Data(b) = msg {
             got.extend(b.records().iter().cloned());
         }
     }
     got
+}
+
+fn drive(op: &mut dyn Operator, feed: Vec<StreamMessage>) -> Vec<Record> {
+    data_rows(&run_op(op, feed))
 }
 
 /// The naive reference: one eager accumulator set per (key, window),
@@ -274,39 +297,26 @@ proptest! {
             .expect("window op");
         let expect = drive(&mut local, messages(&sc));
 
-        let mut edge = WindowPartialOp::new(
-            "ts", &keys(), &sc.spec, all_aggs(), schema(), &reg,
-        ).expect("partial op");
-        let mut cloud = WindowMergeOp::new(
-            "ts", &keys(), &sc.spec, all_aggs(), schema(), &reg,
-        ).expect("merge op");
-        let mut crossing = Vec::new();
-        for msg in messages(&sc) {
-            match msg {
-                StreamMessage::Data(b) => edge.process(b, &mut crossing).unwrap(),
-                StreamMessage::Columnar(b) => edge.process_columnar(b, &mut crossing).unwrap(),
-                StreamMessage::Watermark(w) => edge.on_watermark(w, &mut crossing).unwrap(),
-                StreamMessage::Eos => edge.on_eos(&mut crossing).unwrap(),
-            }
+        // The edge absorbs the feed as rows and, separately, as columnar
+        // buffers: both layouts ship the same partial rows and end in the
+        // same windows.
+        let mut runs = Vec::new();
+        for feed in [messages(&sc), columnar(messages(&sc))] {
+            let mut edge = WindowOp::edge_partial(
+                "ts", &keys(), &sc.spec, all_aggs(), schema(), &reg,
+            ).expect("edge partial");
+            let mut cloud = WindowOp::cloud_merge(
+                "ts", &keys(), &sc.spec, all_aggs(), schema(), &reg,
+            ).expect("cloud merge");
+            let crossing = run_op(&mut edge, feed);
+            let partials = data_rows(&crossing);
+            let got = drive(&mut cloud, crossing);
+            prop_assert_eq!(normalized(got.clone()), normalized(expect.clone()));
+            prop_assert_eq!(cloud.late_drops(), 0);
+            prop_assert_eq!(edge.late_drops(), local.late_drops());
+            runs.push((partials, got));
         }
-        let mut out = Vec::new();
-        for msg in crossing {
-            match msg {
-                StreamMessage::Data(b) => cloud.process(b, &mut out).unwrap(),
-                StreamMessage::Columnar(b) => cloud.process_columnar(b, &mut out).unwrap(),
-                StreamMessage::Watermark(w) => cloud.on_watermark(w, &mut out).unwrap(),
-                StreamMessage::Eos => cloud.on_eos(&mut out).unwrap(),
-            }
-        }
-        let mut got = Vec::new();
-        for msg in out {
-            if let StreamMessage::Data(b) = msg {
-                got.extend(b.records().iter().cloned());
-            }
-        }
-        prop_assert_eq!(normalized(got), normalized(expect));
-        prop_assert_eq!(cloud.late_partials(), 0);
-        prop_assert_eq!(edge.late_drops(), local.late_drops());
+        prop_assert_eq!(&runs[0], &runs[1]);
     }
 
     // Sharding records across two edges and merging both partial
@@ -319,14 +329,14 @@ proptest! {
         let expect = drive(&mut local, messages(&sc));
 
         let mut edges = [
-            WindowPartialOp::new("ts", &keys(), &sc.spec, all_aggs(), schema(), &reg)
+            WindowOp::edge_partial("ts", &keys(), &sc.spec, all_aggs(), schema(), &reg)
                 .expect("edge 0"),
-            WindowPartialOp::new("ts", &keys(), &sc.spec, all_aggs(), schema(), &reg)
+            WindowOp::edge_partial("ts", &keys(), &sc.spec, all_aggs(), schema(), &reg)
                 .expect("edge 1"),
         ];
-        let mut cloud = WindowMergeOp::new(
+        let mut cloud = WindowOp::cloud_merge(
             "ts", &keys(), &sc.spec, all_aggs(), schema(), &reg,
-        ).expect("merge op");
+        ).expect("cloud merge");
         // Key-shard the feed and broadcast watermarks. Like the cluster
         // fan-in's min-combined watermark, the cloud only advances once
         // BOTH edges have flushed and forwarded a given watermark — so
@@ -386,6 +396,6 @@ proptest! {
             }
         }
         prop_assert_eq!(normalized(got), normalized(expect));
-        prop_assert_eq!(cloud.late_partials(), 0);
+        prop_assert_eq!(cloud.late_drops(), 0);
     }
 }

@@ -78,7 +78,7 @@ fn main() -> nebula::Result<()> {
     let cloud = topo.cloud().expect("cloud exists");
     println!("\nfailing {} ...", topo.node(edge_node).name);
     topo.fail_node(edge_node);
-    let (replaced, migrated) = replace_after_failure(&topo, &edge_pl, edge_node, cloud);
+    let (replaced, migrated) = replace_after_failure(&edge_pl, edge_node, cloud);
     println!(
         "  incremental re-placement migrated {migrated} stage(s); new stages: {:?}",
         replaced

@@ -939,9 +939,6 @@ fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
             ClusterConfig {
                 buffer_size: 32,
                 watermark_every: 2,
-                // Pre-aggregation changes the executed placement; turn it
-                // off so measured traffic matches the analytic stage plan.
-                preaggregate: false,
                 ..ClusterConfig::default()
             },
         );
@@ -955,6 +952,11 @@ fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
         let report = env
             .run_placed(&q, strategy, &mut sink)
             .expect("cluster run");
+        assert_eq!(
+            report.cluster.preaggregated,
+            strategy == PlacementStrategy::EdgeFirst,
+            "{strategy:?}: the split engages exactly under EdgeFirst"
+        );
 
         for (i, link) in report.cluster.links.iter().enumerate() {
             let estimate = analytic.bytes_per_link[i];
@@ -1557,7 +1559,6 @@ fn batched_wire_bytes_reconcile_with_analytic_network_cost() {
                 buffer_size: 32,
                 watermark_every: 2,
                 columnar: ColumnarMode::Force,
-                preaggregate: false,
                 ..ClusterConfig::default()
             },
         );
@@ -1571,6 +1572,11 @@ fn batched_wire_bytes_reconcile_with_analytic_network_cost() {
         let report = env
             .run_placed(&q, strategy, &mut sink)
             .expect("columnar cluster run");
+        assert_eq!(
+            report.cluster.preaggregated,
+            strategy == PlacementStrategy::EdgeFirst,
+            "{strategy:?}: the split engages exactly under EdgeFirst"
+        );
 
         for (i, link) in report.cluster.links.iter().enumerate() {
             let estimate = analytic.bytes_per_link[i];

@@ -1,7 +1,8 @@
 //! Failure surface of mid-run delivery in the cluster runtime,
-//! table-driven like `local_failures`: `Sink::consume` erring at its
-//! third call, `Sink::finish` erring, and an operator erring mid-stream
-//! must each come back as the typed error it raised — under `EdgeFirst`
+//! table-driven like `local_failures`: `Source::poll` erring at its
+//! first or 300th call, `Sink::consume` erring at its third call,
+//! `Sink::finish` erring, and an operator erring mid-stream must each
+//! come back as the typed error it raised — under `EdgeFirst`
 //! and `CloudOnly`, on a stateless and a keyed-window plan, through
 //! `run_placed` and through `run_placed_chaos` with an empty fault plan
 //! (resilient links, barriers and commit-on-checkpoint, no injected
@@ -47,6 +48,8 @@ enum Plan {
 
 #[derive(Clone, Copy, Debug)]
 enum Failure {
+    /// `Source::poll` errs on its k-th call.
+    SourcePoll(usize),
     /// An operator's expression errs on the row carrying `POISON`.
     Operator,
     /// `Sink::consume` errs on its k-th call.
@@ -57,6 +60,7 @@ enum Failure {
 impl Failure {
     fn error(self) -> NebulaError {
         match self {
+            Failure::SourcePoll(k) => NebulaError::Io(format!("source failed at poll {k}")),
             Failure::Operator => NebulaError::Eval(format!("trip: refused {POISON}")),
             Failure::SinkConsume(k) => NebulaError::Io(format!("sink refused call {k}")),
             Failure::SinkFinish => NebulaError::Io("sink failed to finish".into()),
@@ -82,6 +86,27 @@ fn records() -> Vec<Record> {
             ])
         })
         .collect()
+}
+
+/// A `VecSource` whose k-th poll errs (never, for `None`).
+struct FailingSource {
+    inner: VecSource,
+    polls: usize,
+    fail_at: Option<usize>,
+}
+
+impl Source for FailingSource {
+    fn schema(&self) -> SchemaRef {
+        self.inner.schema()
+    }
+
+    fn poll(&mut self, max: usize) -> Result<SourceBatch> {
+        self.polls += 1;
+        if Some(self.polls) == self.fail_at {
+            return Err(Failure::SourcePoll(self.polls).error());
+        }
+        self.inner.poll(max)
+    }
 }
 
 #[derive(Default)]
@@ -110,7 +135,8 @@ impl Sink for FailingSink {
 
 /// One train, small buffers and two-frame channels: over a thousand
 /// batches, every hop at its backpressure cap when the failure strikes.
-fn env() -> ClusterEnvironment {
+/// The source's `source_fails_at`-th poll errs.
+fn env(source_fails_at: Option<usize>) -> ClusterEnvironment {
     let (topo, sensors) = Topology::train_fleet(1);
     let mut env = ClusterEnvironment::with_config(
         topo,
@@ -135,7 +161,11 @@ fn env() -> ClusterEnvironment {
     env.add_source(
         "s",
         sensors[0],
-        Box::new(VecSource::new(schema(), records())),
+        Box::new(FailingSource {
+            inner: VecSource::new(schema(), records()),
+            polls: 0,
+            fail_at: source_fails_at,
+        }),
         WatermarkStrategy::BoundedOutOfOrder {
             ts_field: "ts".into(),
             slack: 5 * MICROS_PER_SEC,
@@ -178,9 +208,10 @@ fn run_in(
     entry: Entry,
     strategy: PlacementStrategy,
     q: &Query,
+    source_fails_at: Option<usize>,
     sink: &mut dyn Sink,
 ) -> Result<ClusterReport> {
-    let mut env = env();
+    let mut env = env(source_fails_at);
     match entry {
         Entry::Placed => env.run_placed(q, strategy, sink),
         Entry::ChaosNoFaults => env.run_placed_chaos(q, strategy, &FaultPlan::seeded(1), sink),
@@ -204,6 +235,8 @@ fn within_deadline<T: Send + 'static>(cell: &str, f: impl FnOnce() -> T + Send +
 #[test]
 fn every_failure_returns_its_typed_error_in_every_cell() {
     let failures = [
+        Failure::SourcePoll(1),
+        Failure::SourcePoll(300),
         Failure::Operator,
         Failure::SinkConsume(3),
         Failure::SinkFinish,
@@ -223,7 +256,12 @@ fn every_failure_returns_its_typed_error_in_every_cell() {
                             ..FailingSink::default()
                         };
                         let q = query(plan, matches!(failure, Failure::Operator));
-                        run_in(entry, strategy, &q, &mut sink).map(|report| report.metrics)
+                        let source_fails_at = match failure {
+                            Failure::SourcePoll(k) => Some(k),
+                            _ => None,
+                        };
+                        run_in(entry, strategy, &q, source_fails_at, &mut sink)
+                            .map(|report| report.metrics)
                     });
                     assert_eq!(result.err(), Some(failure.error()), "{cell}");
                 }
@@ -243,7 +281,7 @@ fn healthy_run_of_the_same_table_succeeds() {
                 let cell = format!("{entry:?} x {strategy:?} x {plan:?}");
                 let (calls, m) = within_deadline(&cell, move || {
                     let mut sink = FailingSink::default();
-                    let report = run_in(entry, strategy, &query(plan, false), &mut sink);
+                    let report = run_in(entry, strategy, &query(plan, false), None, &mut sink);
                     (sink.calls, report.map(|report| report.metrics))
                 });
                 let m = m.unwrap_or_else(|e| panic!("{cell}: {e}"));

@@ -64,7 +64,7 @@ fn failure_replacement_keeps_query_placeable() {
     assert!(pl.stages.contains(&edge), "window stage on the edge");
 
     assert!(topo.fail_node(edge));
-    let (new_pl, migrated) = replace_after_failure(&topo, &pl, edge, cloud);
+    let (new_pl, migrated) = replace_after_failure(&pl, edge, cloud);
     assert!(migrated >= 1);
     // Every remaining stage can still route to the cloud.
     for stage in &new_pl.stages {
