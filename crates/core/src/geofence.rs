@@ -160,6 +160,7 @@ impl OperatorFactory for GeofenceEventsFactory {
 
 /// Emits a record per fence transition: `event` is `"enter"` or
 /// `"leave"`, `fence` names the fence.
+#[derive(Clone)]
 struct GeofenceEventsOp {
     set: Arc<GeofenceSet>,
     key_col: usize,
@@ -215,11 +216,16 @@ impl Operator for GeofenceEventsOp {
         }
         Ok(())
     }
+
+    fn snapshot(&self) -> nebula::Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::assert_snapshot_resumes;
     use nebula::prelude::*;
 
     fn fences() -> Arc<GeofenceSet> {
@@ -337,6 +343,43 @@ mod tests {
                 ("west".to_string(), "leave".to_string()),
                 ("east".to_string(), "enter".to_string()),
             ]
+        );
+    }
+
+    #[test]
+    fn events_snapshot_resumes_identically() {
+        let factory = GeofenceEventsFactory {
+            set: fences(),
+            key_field: "train_id".into(),
+            pos_field: "pos".into(),
+        };
+        let mut op = factory
+            .create(schema(), &FunctionRegistry::with_builtins())
+            .unwrap();
+        // Train 7 inside west, train 8 outside at the snapshot.
+        let mut out = Vec::new();
+        op.process(
+            RecordBuffer::new(
+                schema(),
+                vec![rec(1, 7, 4.301, 50.85), rec(1, 8, 4.20, 50.85)],
+            ),
+            &mut out,
+        )
+        .unwrap();
+        let rest = [
+            rec(2, 7, 4.302, 50.85), // still inside: no event
+            rec(2, 8, 4.401, 50.85), // enter east
+            rec(3, 7, 4.35, 50.85),  // leave west
+        ];
+        let rows = assert_snapshot_resumes(op.as_mut(), &schema(), &rest);
+        let events: Vec<&str> = rows
+            .iter()
+            .map(|r| r.get(4).unwrap().as_text().unwrap())
+            .collect();
+        assert_eq!(
+            events,
+            ["enter", "leave"],
+            "the copy remembers train 7 is inside"
         );
     }
 

@@ -90,6 +90,7 @@ impl OperatorFactory for KNearestFactory {
     }
 }
 
+#[derive(Clone)]
 struct KNearestOp {
     key_col: usize,
     pos_col: usize,
@@ -173,12 +174,17 @@ impl Operator for KNearestOp {
         }
         Ok(())
     }
+
+    fn snapshot(&self) -> nebula::Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::functions::meos_registry;
+    use crate::testing::assert_snapshot_resumes;
     use nebula::prelude::*;
 
     fn schema() -> SchemaRef {
@@ -246,6 +252,27 @@ mod tests {
         let d2 = train0[1].get(5).unwrap().as_float().unwrap();
         assert!(d1 < d2);
         assert!((d1 - 700.0).abs() < 50.0, "0.01° lon at 50.85°N ≈ 703 m");
+    }
+
+    #[test]
+    fn snapshot_resumes_identically() {
+        let mut o = op(2, 10);
+        // Latest positions and emit cadences of three trains at the
+        // snapshot.
+        let mut out = Vec::new();
+        o.process(
+            RecordBuffer::new(
+                schema(),
+                vec![rec(0, 1, 4.31), rec(0, 2, 4.35), rec(1, 0, 4.30)],
+            ),
+            &mut out,
+        )
+        .unwrap();
+        // Train 0 at t=5 is throttled by its t=1 report; at t=12 it
+        // reports against the positions remembered from before.
+        let rest = [rec(5, 0, 4.30), rec(12, 0, 4.30), rec(12, 1, 4.32)];
+        let rows = assert_snapshot_resumes(o.as_mut(), &schema(), &rest);
+        assert_eq!(rows.len(), 4, "two reports of two neighbours each");
     }
 
     #[test]

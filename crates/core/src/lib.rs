@@ -80,3 +80,36 @@ pub use values::{
     tfloat_value, tpoint_value, GeometryValue, STBoxValue, TFloatValue, TPointValue,
 };
 pub use wire::{meos_wire_registry, register_meos_codecs};
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use nebula::prelude::{Operator, Record, RecordBuffer, SchemaRef, StreamMessage};
+
+    /// Snapshots `op`, then feeds `rest` and end-of-stream to the
+    /// original and to the copy: both must emit the same rows. Returns
+    /// them (non-empty, so the comparison means something).
+    pub(crate) fn assert_snapshot_resumes(
+        op: &mut dyn Operator,
+        input: &SchemaRef,
+        rest: &[Record],
+    ) -> Vec<Record> {
+        let mut copy = op.snapshot().expect("operator snapshots");
+        let feed = |op: &mut dyn Operator| {
+            let mut out = Vec::new();
+            op.process(RecordBuffer::new(input.clone(), rest.to_vec()), &mut out)
+                .expect("process");
+            op.on_eos(&mut out).expect("eos");
+            out.iter()
+                .filter_map(|m| match m {
+                    StreamMessage::Data(b) => Some(b.records().to_vec()),
+                    _ => None,
+                })
+                .flatten()
+                .collect::<Vec<_>>()
+        };
+        let original = feed(op);
+        assert_eq!(feed(copy.as_mut()), original, "the copy diverged");
+        assert!(!original.is_empty(), "the rest of the stream emits rows");
+        original
+    }
+}

@@ -58,15 +58,15 @@ impl OperatorFactory for TrajectoryBuilderFactory {
         input: SchemaRef,
         _registry: &FunctionRegistry,
     ) -> nebula::Result<Box<dyn Operator>> {
-        let resolve = |f: &str| {
-            input.index_of(f).ok_or_else(|| {
-                NebulaError::Plan(format!("trajectory_builder: unknown field '{f}'"))
-            })
+        let resolve = |f: &str| match (input.index_of(f), input.field(f)) {
+            (Some(idx), Some(field)) => Ok((idx, field.dtype)),
+            _ => Err(NebulaError::Plan(format!(
+                "trajectory_builder: unknown field '{f}'"
+            ))),
         };
-        let key_col = resolve(&self.key_field)?;
-        let pos_col = resolve(&self.pos_field)?;
-        let ts_col = resolve(&self.ts_field)?;
-        let key_type = input.field_at(key_col).expect("resolved").dtype;
+        let (key_col, key_type) = resolve(&self.key_field)?;
+        let (pos_col, _) = resolve(&self.pos_field)?;
+        let (ts_col, _) = resolve(&self.ts_field)?;
         let output = Schema::new(vec![
             Field::new(self.key_field.clone(), key_type),
             Field::new("ts", DataType::Timestamp),
@@ -86,6 +86,7 @@ impl OperatorFactory for TrajectoryBuilderFactory {
     }
 }
 
+#[derive(Clone)]
 struct TrajectoryBuilderOp {
     key_col: usize,
     pos_col: usize,
@@ -159,10 +160,9 @@ impl Operator for TrajectoryBuilderOp {
 
     fn on_eos(&mut self, out: &mut Vec<StreamMessage>) -> nebula::Result<()> {
         let mut emitted = Vec::new();
-        let mut keys: Vec<i64> = self.builders.keys().copied().collect();
-        keys.sort_unstable();
-        for k in keys {
-            let (key, mut builder) = self.builders.remove(&k).expect("listed");
+        let mut open: Vec<_> = self.builders.drain().collect();
+        open.sort_unstable_by_key(|(k, _)| *k);
+        for (_, (key, mut builder)) in open {
             if let Some(done) = builder.flush() {
                 emitted.push(self.emit(&key, done));
             }
@@ -175,6 +175,10 @@ impl Operator for TrajectoryBuilderOp {
         }
         out.push(StreamMessage::Eos);
         Ok(())
+    }
+
+    fn snapshot(&self) -> nebula::Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
     }
 }
 
@@ -246,6 +250,7 @@ impl OperatorFactory for ImputationFactory {
 /// Buffers records per key until the watermark passes them, then emits
 /// them in event-time order with gap-filling synthetic records (marked
 /// `imputed = true`; non-interpolatable fields copy the predecessor).
+#[derive(Clone)]
 struct ImputationOp {
     key_col: usize,
     pos_col: usize,
@@ -298,7 +303,9 @@ impl ImputationOp {
         let mut keys: Vec<i64> = self.pending.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            let buf = self.pending.get_mut(&key).expect("listed");
+            let Some(buf) = self.pending.get_mut(&key) else {
+                continue;
+            };
             buf.sort_by_key(|r| {
                 r.get(self.ts_col)
                     .and_then(Value::as_timestamp)
@@ -367,12 +374,17 @@ impl Operator for ImputationOp {
         out.push(StreamMessage::Eos);
         Ok(())
     }
+
+    fn snapshot(&self) -> nebula::Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::functions::meos_registry;
+    use crate::testing::assert_snapshot_resumes;
     use crate::values::as_tpoint;
     use nebula::prelude::*;
 
@@ -558,6 +570,63 @@ mod tests {
         let rest = data_records(&out);
         // t=20 plus 18 synthetic records (t=2..=19).
         assert_eq!(rest.len(), 19);
+    }
+
+    #[test]
+    fn trajectory_builder_snapshot_resumes_identically() {
+        let reg = meos_registry();
+        let mut op = TrajectoryBuilderFactory {
+            max_gap_us: 10 * MICROS_PER_SEC,
+            max_instants: 3,
+            ..TrajectoryBuilderFactory::standard()
+        }
+        .create(schema(), &reg)
+        .unwrap();
+        // Open sequences on both keys at the snapshot.
+        let mut out = Vec::new();
+        op.process(
+            RecordBuffer::new(
+                schema(),
+                vec![rec(0, 1, 4.30), rec(0, 2, 5.30), rec(5, 1, 4.31)],
+            ),
+            &mut out,
+        )
+        .unwrap();
+        let rest = [
+            rec(6, 1, 4.32),
+            rec(7, 2, 5.31),
+            rec(60, 1, 4.40),
+            rec(61, 2, 5.40),
+        ];
+        let rows = assert_snapshot_resumes(op.as_mut(), &schema(), &rest);
+        let fixes: i64 = rows
+            .iter()
+            .map(|r| r.get(4).unwrap().as_int().unwrap())
+            .sum();
+        assert_eq!(fixes, 7, "every fix, before and after the snapshot");
+    }
+
+    #[test]
+    fn imputation_snapshot_resumes_identically() {
+        let reg = meos_registry();
+        let mut op = ImputationFactory {
+            tick_us: MICROS_PER_SEC,
+            max_fill_us: 10 * MICROS_PER_SEC,
+            ..ImputationFactory::standard()
+        }
+        .create(schema(), &reg)
+        .unwrap();
+        // One fix emitted (the interpolation anchor), one still pending.
+        let mut out = Vec::new();
+        op.process(
+            RecordBuffer::new(schema(), vec![rec(1, 1, 4.30), rec(8, 1, 4.37)]),
+            &mut out,
+        )
+        .unwrap();
+        op.on_watermark(2 * MICROS_PER_SEC, &mut out).unwrap();
+        let rows = assert_snapshot_resumes(op.as_mut(), &schema(), &[rec(4, 1, 4.33)]);
+        // t=2 and t=3 fill the gap to the late fix, t=5..=7 the next one.
+        assert_eq!(rows.len(), 7);
     }
 
     #[test]

@@ -1,29 +1,34 @@
 //! Checkpoint storage for the chaos-hardened cluster runtime.
 //!
-//! During a chaos run the pump of every pipeline emits a
-//! [`crate::wire::Frame::Barrier`] after each `checkpoint_every` source
-//! batches. The barrier flows through the pipeline like any other frame
-//! (so it cuts the stream at a well-defined point on every link), and
-//! each participant deposits its part of the epoch here as the barrier
-//! passes: the pump its operator snapshots, replay cursor and counters;
-//! each site its operator-chain snapshot; and the cloud — once the
-//! barrier has *aligned* across all live pipelines — the shared-tail
-//! operators, the uncommitted results, and watermark state.
+//! A chaos run's store is created holding **epoch 0**, the run's start:
+//! the coordinator's snapshots of the freshly compiled chains, every
+//! source at batch 0 and nothing owed to the sink. It is sealed from
+//! the outset, so a crash always has an epoch to restore, but it is not
+//! counted in `checkpoints_taken` — only epochs the run itself took
+//! are.
+//!
+//! After that, the pump of every pipeline emits a
+//! [`crate::wire::Frame::Barrier`] every few source batches. The barrier
+//! flows through the pipeline like any other frame (so it cuts the
+//! stream at a well-defined point on every link), and each participant
+//! deposits its part of the epoch here as the barrier passes: the pump
+//! its operator snapshots, replay cursor and counters; each site its
+//! operator-chain snapshot; and the cloud — once the barrier has
+//! *aligned* across all live pipelines — the shared-tail operators, the
+//! uncommitted results, and watermark state.
 //!
 //! An epoch is **complete** when the cloud part is present and every
 //! pipeline that was still live at the cloud's cut has contributed its
-//! pump and site parts. It is **usable** for restore when, additionally,
-//! every contributed operator chain actually snapshotted (an operator
-//! without state capture makes its chain `None`, forcing the epoch-0
-//! full-replay fallback). Completed epochs prune everything older;
-//! recovery consumes the newest usable epoch.
+//! pump and site parts. Every operator snapshots, so a complete epoch
+//! is restorable: completing seals it and prunes everything older, and
+//! recovery consumes the newest sealed epoch.
 //!
-//! A usable epoch is also the **commit point** of result delivery:
-//! restore never goes back past it, so no recovery can replay a row
-//! produced before its cut. `CheckpointStore::put_cloud` tells the
-//! cloud, which hands those rows to the sink; the store drops them from
-//! the part (restoring that very epoch must not deliver them again) and
-//! keeps the committed epoch until a newer one commits.
+//! An epoch completed by its cloud part is also the **commit point** of
+//! result delivery: restore never goes back past it, so no recovery can
+//! replay a row produced before its cut. `CheckpointStore::put_cloud`
+//! tells the cloud, which hands those rows to the sink; the store drops
+//! them from the part (restoring that very epoch must not deliver them
+//! again).
 
 use crate::metrics::{Histogram, QueryMetrics};
 use crate::ops::Operator;
@@ -33,13 +38,12 @@ use crate::value::EventTime;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 
-/// A pump's contribution to an epoch: the source-node operator chain
-/// (if snapshottable), the replay cursor, and the ingest counters that
-/// drive watermark cadence.
+/// A pump's contribution to an epoch: the source-node operator chain,
+/// the replay cursor, and the ingest counters that drive watermark
+/// cadence.
 pub(crate) struct PumpPart {
-    /// Snapshot of the source-node stages; `None` if any stage cannot
-    /// capture state.
-    pub ops: Option<Vec<Box<dyn Operator>>>,
+    /// Snapshot of the source-node stages.
+    pub ops: Vec<Box<dyn Operator>>,
     /// Data batches emitted when the barrier was sent (the
     /// [`crate::source::ReplaySource`] rewind target).
     pub batches: u64,
@@ -51,15 +55,14 @@ pub(crate) struct PumpPart {
 
 /// One site's operator-chain snapshot for an epoch.
 pub(crate) struct SitePart {
-    /// `None` if any operator in the chain cannot capture state.
-    pub ops: Option<Vec<Box<dyn Operator>>>,
+    pub ops: Vec<Box<dyn Operator>>,
 }
 
 /// The cloud's contribution: shared-tail operators plus everything
 /// [`crate::cluster`] keeps in its cloud state.
 pub(crate) struct CloudPart {
-    /// Snapshot of the shared-tail chain; `None` if not snapshottable.
-    pub ops: Option<Vec<Box<dyn Operator>>>,
+    /// Snapshot of the shared-tail chain.
+    pub ops: Vec<Box<dyn Operator>>,
     /// Rows emitted before the cut that no commit has handed to the
     /// sink — what a restore to this epoch still owes it.
     pub uncommitted: Vec<StreamMessage>,
@@ -91,14 +94,6 @@ impl EpochState {
                     && (0..*n_sites).all(|s| self.sites.contains_key(&(p, s))))
         })
     }
-
-    /// Usable: complete and every contributed chain snapshotted.
-    fn is_usable(&self, expected_sites: &[usize]) -> bool {
-        self.is_complete(expected_sites)
-            && self.cloud.as_ref().is_some_and(|c| c.ops.is_some())
-            && self.pumps.values().all(|p| p.ops.is_some())
-            && self.sites.values().all(|s| s.ops.is_some())
-    }
 }
 
 /// Per-pipeline totals deposited when a pipe finishes, so a pipeline
@@ -118,9 +113,7 @@ struct StoreInner {
     expected_sites: Vec<usize>,
     finals: Vec<Option<PipeFinal>>,
     taken: u64,
-    last_sealed: Option<u64>,
-    /// The newest epoch whose rows went to the sink.
-    committed: Option<u64>,
+    last_sealed: u64,
 }
 
 /// Thread-shared checkpoint storage for one chaos run.
@@ -129,15 +122,17 @@ pub(crate) struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    pub fn new(n_pipes: usize) -> Self {
+    /// A store holding `start` as the sealed epoch 0, with
+    /// `expected_sites` site chains per pipeline.
+    pub fn new(start: EpochState, expected_sites: Vec<usize>) -> Self {
+        let n_pipes = expected_sites.len();
         CheckpointStore {
             inner: Mutex::new(StoreInner {
-                epochs: BTreeMap::new(),
-                expected_sites: vec![0; n_pipes],
+                epochs: BTreeMap::from([(0, start)]),
+                expected_sites,
                 finals: vec![None; n_pipes],
                 taken: 0,
-                last_sealed: None,
-                committed: None,
+                last_sealed: 0,
             }),
         }
     }
@@ -163,7 +158,7 @@ impl CheckpointStore {
         g.seal(epoch);
     }
 
-    /// Deposits the cloud's part; `true` means the epoch is usable —
+    /// Deposits the cloud's part; `true` means the epoch is complete —
     /// committed: the caller hands `part.uncommitted` to the sink and
     /// the store keeps none of it.
     pub fn put_cloud(&self, epoch: u64, part: CloudPart) -> bool {
@@ -171,20 +166,14 @@ impl CheckpointStore {
         let g = &mut *g;
         let st = g.epochs.entry(epoch).or_default();
         st.cloud = Some(part);
-        let usable = st.is_usable(&g.expected_sites);
-        if usable {
+        let complete = st.is_complete(&g.expected_sites);
+        if complete {
             if let Some(cloud) = &mut st.cloud {
                 cloud.uncommitted.clear();
             }
-            g.committed = Some(epoch);
         }
         g.seal(epoch);
-        usable
-    }
-
-    /// The newest epoch whose rows were handed to the sink, if any.
-    pub fn committed(&self) -> Option<u64> {
-        self.inner.lock().committed
+        complete
     }
 
     /// Records a pipeline's final ingest stats and pump-stage late
@@ -210,22 +199,23 @@ impl CheckpointStore {
         self.inner.lock().finals[pipe].clone()
     }
 
-    /// Completed checkpoints over the run (sealed epochs).
+    /// Checkpoints the run took (sealed epochs past the start).
     pub fn checkpoints_taken(&self) -> u64 {
         self.inner.lock().taken
     }
 
-    /// Consumes the newest usable epoch for restore. Clears all stored
-    /// epochs either way (phase 2 re-deposits under its own grouping)
-    /// and voids the finals of every pipeline not done at the cut, so a
-    /// re-run pipeline cannot double-report stale totals.
+    /// Consumes the newest complete epoch for restore — `None` only if
+    /// the store never held one. Clears all stored epochs (phase 2
+    /// re-deposits under its own grouping) and voids the finals of every
+    /// pipeline not done at the cut, so a re-run pipeline cannot
+    /// double-report stale totals.
     pub fn take_for_restore(&self) -> Option<(u64, EpochState)> {
         let mut g = self.inner.lock();
         let epoch = g
             .epochs
             .iter()
             .rev()
-            .find(|(_, st)| st.is_usable(&g.expected_sites))
+            .find(|(_, st)| st.is_complete(&g.expected_sites))
             .map(|(e, _)| *e)?;
         let st = g.epochs.remove(&epoch)?;
         g.epochs.clear();
@@ -238,36 +228,22 @@ impl CheckpointStore {
         }
         Some((epoch, st))
     }
-
-    /// Clears every stored epoch and final (epoch-0 fallback: the whole
-    /// run restarts from scratch).
-    pub fn reset(&self) {
-        let mut g = self.inner.lock();
-        g.epochs.clear();
-        g.last_sealed = None;
-        for f in &mut g.finals {
-            *f = None;
-        }
-    }
 }
 
 impl StoreInner {
     /// Checks whether `epoch` just became complete; if so, counts it
     /// and prunes every older epoch (recovery only ever wants the
-    /// newest usable one) except the committed one, whose rows the sink
-    /// already has. A redundant part deposited into an already-sealed
-    /// epoch must not double-count.
+    /// newest complete one). A redundant part deposited into an
+    /// already-sealed epoch must not double-count.
     fn seal(&mut self, epoch: u64) {
         let complete = self
             .epochs
             .get(&epoch)
             .is_some_and(|st| st.is_complete(&self.expected_sites));
-        if complete && self.last_sealed.is_none_or(|last| epoch > last) {
-            let committed = self.committed;
-            self.epochs
-                .retain(|e, _| *e >= epoch || Some(*e) == committed);
+        if complete && epoch > self.last_sealed {
+            self.epochs.retain(|e, _| *e >= epoch);
             self.taken += 1;
-            self.last_sealed = Some(epoch);
+            self.last_sealed = epoch;
         }
     }
 }
@@ -276,9 +252,9 @@ impl StoreInner {
 mod tests {
     use super::*;
 
-    fn pump_part(snapshottable: bool) -> PumpPart {
+    fn pump_part() -> PumpPart {
         PumpPart {
-            ops: snapshottable.then(Vec::new),
+            ops: Vec::new(),
             batches: 4,
             max_ts: 0,
             stats: QueryMetrics::default(),
@@ -293,7 +269,7 @@ mod tests {
             }
         }
         CloudPart {
-            ops: Some(Vec::new()),
+            ops: Vec::new(),
             uncommitted: Vec::new(),
             progress,
             latency: Histogram::new(),
@@ -318,17 +294,52 @@ mod tests {
         }
     }
 
+    /// A store whose epoch 0 holds no parts, so restore can only find
+    /// the epochs a test deposits.
+    fn store(expected_sites: Vec<usize>) -> CheckpointStore {
+        CheckpointStore::new(EpochState::default(), expected_sites)
+    }
+
+    #[test]
+    fn start_epoch_restores_without_counting() {
+        // The run's start, as the coordinator deposits it: every part
+        // present, nothing owed. A crash before the first barrier
+        // restores it; it never counts as a checkpoint taken.
+        let start = EpochState {
+            pumps: HashMap::from([(0, pump_part())]),
+            sites: HashMap::from([((0, 0), SitePart { ops: Vec::new() })]),
+            cloud: Some(cloud_part(&[false])),
+        };
+        let store = CheckpointStore::new(start, vec![1]);
+        assert_eq!(store.checkpoints_taken(), 0);
+        let (epoch, st) = store.take_for_restore().expect("the start is sealed");
+        assert_eq!(epoch, 0);
+        assert!(st.cloud.expect("cloud part").uncommitted.is_empty());
+
+        // The first sealed barrier counts and supersedes the start.
+        let start = EpochState {
+            pumps: HashMap::from([(0, pump_part())]),
+            cloud: Some(cloud_part(&[false])),
+            ..EpochState::default()
+        };
+        let store = CheckpointStore::new(start, vec![0]);
+        store.put_pump(1, 0, pump_part());
+        assert!(store.put_cloud(1, cloud_part(&[false])));
+        assert_eq!(store.checkpoints_taken(), 1);
+        assert_eq!(store.inner.lock().epochs.len(), 1, "epoch 0 pruned");
+        let (epoch, _) = store.take_for_restore().expect("sealed");
+        assert_eq!(epoch, 1);
+    }
+
     #[test]
     fn usable_epoch_commits_and_keeps_no_rows() {
-        let store = CheckpointStore::new(1);
-        store.set_expected_sites(vec![0]);
-        assert_eq!(store.committed(), None);
-        store.put_pump(1, 0, pump_part(true));
+        let store = store(vec![0]);
+        store.put_pump(1, 0, pump_part());
         assert!(
             store.put_cloud(1, cloud_part_owing(&[false], &[1, 2])),
-            "all parts in and snapshotted: the cloud may commit"
+            "all parts in: the cloud may commit"
         );
-        assert_eq!(store.committed(), Some(1));
+        assert_eq!(store.checkpoints_taken(), 1);
         // Restoring the committed epoch itself must not re-deliver.
         let (epoch, st) = store.take_for_restore().expect("usable");
         assert_eq!(epoch, 1);
@@ -337,67 +348,51 @@ mod tests {
 
     #[test]
     fn unusable_epoch_commits_nothing_and_keeps_the_uncommitted_suffix() {
-        // Unsnapshottable pump: every epoch completes, none is usable,
-        // so nothing is ever committed and each part carries exactly
-        // the rows still owed at its cut.
-        let store = CheckpointStore::new(1);
-        store.set_expected_sites(vec![0]);
-        store.put_pump(1, 0, pump_part(false));
-        assert!(!store.put_cloud(1, cloud_part_owing(&[false], &[1])));
-        assert_eq!(store.committed(), None);
-        assert_eq!(store.checkpoints_taken(), 1, "sealed all the same");
-        assert!(store.take_for_restore().is_none(), "epoch-0 fallback");
-
         // A cloud part that lands before its epoch is complete is not a
-        // commit either; once the late part arrives the epoch restores
-        // with the rows the sink has not seen.
-        let store = CheckpointStore::new(1);
-        store.set_expected_sites(vec![0]);
+        // commit; once the late part arrives the epoch restores with
+        // the rows the sink has not seen.
+        let store = store(vec![0]);
         assert!(!store.put_cloud(2, cloud_part_owing(&[false], &[7, 8, 9])));
-        store.put_pump(2, 0, pump_part(true));
-        assert_eq!(store.committed(), None);
+        assert_eq!(store.checkpoints_taken(), 0);
+        store.put_pump(2, 0, pump_part());
+        assert_eq!(store.checkpoints_taken(), 1);
         let (_, st) = store.take_for_restore().expect("usable once complete");
         assert_eq!(st.cloud.expect("cloud part").uncommitted.len(), 3);
     }
 
     #[test]
     fn committed_epoch_outlives_a_newer_unrestorable_one() {
-        // Epoch 1 commits; epoch 2 completes but cannot be restored. The
-        // sink holds epoch 1's rows, so restore must still find it —
-        // pruning it would force an epoch-0 replay of delivered rows.
-        let store = CheckpointStore::new(1);
-        store.set_expected_sites(vec![0]);
-        store.put_pump(1, 0, pump_part(true));
+        // Epoch 1 commits; epoch 2 has only its pump part, so it cannot
+        // be restored yet. Restore must still find epoch 1.
+        let store = store(vec![0]);
+        store.put_pump(1, 0, pump_part());
         assert!(store.put_cloud(1, cloud_part(&[false])));
-        store.put_pump(2, 0, pump_part(false));
-        assert!(!store.put_cloud(2, cloud_part_owing(&[false], &[5])));
-        assert_eq!(store.checkpoints_taken(), 2);
+        store.put_pump(2, 0, pump_part());
+        assert_eq!(store.checkpoints_taken(), 1);
         let (epoch, _) = store.take_for_restore().expect("committed epoch kept");
         assert_eq!(epoch, 1);
         // A newer commit releases it.
-        let store = CheckpointStore::new(1);
-        store.set_expected_sites(vec![0]);
+        let store = self::store(vec![0]);
         for epoch in 1..=2 {
-            store.put_pump(epoch, 0, pump_part(true));
+            store.put_pump(epoch, 0, pump_part());
             assert!(store.put_cloud(epoch, cloud_part(&[false])));
         }
-        assert_eq!(store.committed(), Some(2));
+        assert_eq!(store.checkpoints_taken(), 2);
         assert_eq!(store.inner.lock().epochs.len(), 1);
     }
 
     #[test]
     fn epoch_completes_only_with_all_parts() {
-        let store = CheckpointStore::new(2);
-        store.set_expected_sites(vec![1, 1]);
-        store.put_pump(1, 0, pump_part(true));
-        store.put_site(1, 0, 0, SitePart { ops: Some(vec![]) });
+        let store = store(vec![1, 1]);
+        store.put_pump(1, 0, pump_part());
+        store.put_site(1, 0, 0, SitePart { ops: vec![] });
         store.put_cloud(1, cloud_part(&[false, false]));
         assert!(store.take_for_restore().is_none(), "pipe 1 parts missing");
-        store.put_pump(1, 0, pump_part(true));
-        store.put_site(1, 0, 0, SitePart { ops: Some(vec![]) });
+        store.put_pump(1, 0, pump_part());
+        store.put_site(1, 0, 0, SitePart { ops: vec![] });
         store.put_cloud(1, cloud_part(&[false, false]));
-        store.put_pump(1, 1, pump_part(true));
-        store.put_site(1, 1, 0, SitePart { ops: Some(vec![]) });
+        store.put_pump(1, 1, pump_part());
+        store.put_site(1, 1, 0, SitePart { ops: vec![] });
         let (epoch, _) = store.take_for_restore().expect("complete now");
         assert_eq!(epoch, 1);
         assert!(store.checkpoints_taken() >= 1);
@@ -405,10 +400,9 @@ mod tests {
 
     #[test]
     fn done_pipes_need_no_parts() {
-        let store = CheckpointStore::new(2);
-        store.set_expected_sites(vec![1, 1]);
-        store.put_pump(3, 0, pump_part(true));
-        store.put_site(3, 0, 0, SitePart { ops: Some(vec![]) });
+        let store = store(vec![1, 1]);
+        store.put_pump(3, 0, pump_part());
+        store.put_site(3, 0, 0, SitePart { ops: vec![] });
         // Pipe 1 already finished at the cloud's cut.
         store.put_cloud(3, cloud_part(&[false, true]));
         let (epoch, st) = store.take_for_restore().expect("pipe 1 exempt");
@@ -417,31 +411,18 @@ mod tests {
     }
 
     #[test]
-    fn unsnapshottable_chain_blocks_restore() {
-        let store = CheckpointStore::new(1);
-        store.set_expected_sites(vec![0]);
-        store.put_pump(1, 0, pump_part(false));
-        store.put_cloud(1, cloud_part(&[false]));
-        assert!(
-            store.take_for_restore().is_none(),
-            "complete but not usable: epoch-0 fallback required"
-        );
-    }
-
-    #[test]
     fn restore_takes_newest_and_voids_live_finals() {
-        let store = CheckpointStore::new(2);
-        store.set_expected_sites(vec![0, 0]);
+        let store = store(vec![0, 0]);
         store.record_pump_final(0, QueryMetrics::default(), 0);
         store.record_pump_final(1, QueryMetrics::default(), 2);
         store.add_site_final_late(1, 3);
         for epoch in 1..=3 {
-            store.put_pump(epoch, 0, pump_part(true));
-            store.put_pump(epoch, 1, pump_part(true));
+            store.put_pump(epoch, 0, pump_part());
+            store.put_pump(epoch, 1, pump_part());
             store.put_cloud(epoch, cloud_part(&[false, true]));
         }
         let (epoch, _) = store.take_for_restore().expect("usable");
-        assert_eq!(epoch, 3, "newest usable epoch wins");
+        assert_eq!(epoch, 3, "newest sealed epoch wins");
         assert!(
             store.final_for(0).is_none(),
             "live pipe re-runs: its stale final is void"

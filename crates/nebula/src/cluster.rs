@@ -61,26 +61,25 @@
 //!   `reliable` module (CRC32 envelopes, per-link sequence numbers,
 //!   cumulative acks, NACK/timeout retransmission, heartbeats), so the
 //!   operator pipeline sees a perfect in-order exactly-once stream;
-//! - pumps emit [`Frame::Barrier`] markers every
-//!   [`ClusterConfig::checkpoint_every`] batches; operator snapshots
-//!   flow into an internal `CheckpointStore` as the barrier passes
-//!   each site,
-//!   and the cloud seals the epoch once the barrier has aligned across
-//!   all live pipelines — a *usable* epoch (every chain snapshotted)
-//!   is the commit point: restore never goes back past it, so the rows
-//!   produced before its cut go to the sink;
+//! - every operator snapshots ([`Operator::snapshot`]): before any
+//!   thread spawns, the coordinator stores the freshly compiled chains
+//!   as epoch 0, the run's start; then pumps emit [`Frame::Barrier`]
+//!   markers every four source batches, operator snapshots flow into an
+//!   internal `CheckpointStore` as the barrier passes each site, and the
+//!   cloud seals the epoch once the barrier has aligned across all live
+//!   pipelines — the commit point: restore never goes back past it, so
+//!   the rows produced before its cut go to the sink;
 //! - after a crash, the topology re-plans around the dead node
 //!   ([`Topology::fail_node`]), operator state restores from the newest
-//!   sealed checkpoint (or everything recompiles for an epoch-0 full
-//!   replay when some operator cannot snapshot), sources rewind via
-//!   [`crate::source::ReplaySource`], and the run resumes — re-emitting
-//!   exactly the records the crash swallowed, none of which the sink
-//!   has seen.
+//!   sealed epoch (epoch 0 when the crash beat the first barrier),
+//!   sources rewind via [`crate::source::ReplaySource`], and the run
+//!   resumes — re-emitting exactly the records the crash swallowed,
+//!   none of which the sink has seen.
 
 use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
 use crate::buffer::TupleBuffer;
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
-use crate::checkpoint::{CheckpointStore, CloudPart, PumpPart, SitePart};
+use crate::checkpoint::{CheckpointStore, CloudPart, EpochState, PumpPart, SitePart};
 use crate::error::{ClusterError, NebulaError, Result};
 use crate::expr::{FunctionRegistry, Plugin};
 use crate::metrics::{Histogram, QueryMetrics};
@@ -132,6 +131,11 @@ fn is_knock_on(e: &NebulaError) -> bool {
         || matches!(e, NebulaError::Eval(m) if m.starts_with("cluster: ") && m.ends_with(" hung up"))
 }
 
+/// Chaos runs: each pump emits a checkpoint barrier every this many
+/// source batches (crash recovery restores the newest epoch the cloud
+/// sealed).
+const CHECKPOINT_EVERY: u64 = 4;
+
 /// Cluster runtime tuning knobs (the distributed analogue of
 /// [`crate::runtime::EnvConfig`]).
 #[derive(Debug, Clone)]
@@ -140,8 +144,6 @@ pub struct ClusterConfig {
     pub buffer_size: usize,
     /// Emit a watermark every N source batches (per pipeline).
     pub watermark_every: u64,
-    /// Consecutive idle polls before a pump gives up.
-    pub idle_limit: u64,
     /// Capacity (frames) of each inter-site channel.
     pub channel_capacity: usize,
     /// Columnar batching policy (see [`crate::runtime::ColumnarMode`])
@@ -151,10 +153,6 @@ pub struct ClusterConfig {
     /// bytes from rows or columns, so frame format and byte accounting
     /// are identical under every mode.
     pub columnar: crate::runtime::ColumnarMode,
-    /// Chaos runs: emit a checkpoint barrier every N source batches
-    /// per pipeline (crash recovery restores from the newest epoch the
-    /// cloud sealed).
-    pub checkpoint_every: u64,
     /// Runtime telemetry knobs: per-operator instrumentation, the
     /// cloud-side sampling cadence, per-node snapshot shipping over the
     /// wire, and trace-event retention.
@@ -169,10 +167,8 @@ impl Default for ClusterConfig {
         ClusterConfig {
             buffer_size: 1024,
             watermark_every: 4,
-            idle_limit: 100_000,
             channel_capacity: 8,
             columnar: crate::runtime::ColumnarMode::Auto,
-            checkpoint_every: 4,
             telemetry: TelemetryConfig::default(),
             analysis: AnalysisOptions::new(),
         }
@@ -411,7 +407,7 @@ impl ClusterEnvironment {
     /// dies abruptly mid-batch. The resilient wire protocol and
     /// checkpointed crash recovery keep the delivered results identical
     /// to an undisturbed run, each row handed to `sink` exactly once (at
-    /// the first restorable checkpoint past it); the extra work shows up in
+    /// the first sealed checkpoint past it); the extra work shows up in
     /// [`ClusterMetrics::retransmits`], [`ClusterMetrics::corrupt_dropped`],
     /// [`ClusterMetrics::duplicates_suppressed`],
     /// [`ClusterMetrics::checkpoints_taken`] and
@@ -536,8 +532,8 @@ impl ClusterEnvironment {
             }
         }
 
-        // Compile per-pipeline chains and the shared cloud tail (the
-        // chaos epoch-0 recovery fallback recompiles the same way).
+        // Compile per-pipeline chains and the shared cloud tail, once:
+        // crash recovery restores snapshots of these instances.
         let CompiledChains {
             pipe_chains,
             cloud_ops,
@@ -559,7 +555,7 @@ impl ClusterEnvironment {
         // handles, which stay with the pipe's `ChainTelemetry`).
         let tel_on = self.config.telemetry.enabled;
         let cloud_base = pipe_chains.first().map_or(0, Vec::len);
-        let (mut cloud_ops, mut cloud_tel) = instrument_chain(cloud_ops, tel_on, cloud_base);
+        let (mut cloud_ops, cloud_tel) = instrument_chain(cloud_ops, tel_on, cloud_base);
         let mut pipe_tels: Vec<ChainTelemetry> = Vec::with_capacity(n_pipes);
         let trace = Arc::new(TraceRing::new(self.config.telemetry.max_events));
         if tel_on {
@@ -615,7 +611,6 @@ impl ClusterEnvironment {
                         p as u64,
                         self.config.buffer_size,
                         self.config.watermark_every.max(1),
-                        self.config.idle_limit,
                     ),
                     ops: group0,
                     stats: QueryMetrics::default(),
@@ -654,14 +649,19 @@ impl ClusterEnvironment {
         // (after a recovery skips finished pipelines, pipeline 0 may no
         // longer be available to ask).
         let cloud_in_schema = pipeline_out_schema(&pipelines[0]);
-        let chaos_run =
-            chaos_plan.map(|plan| ChaosRun::new(plan, n_pipes, &self.topo, &self.config));
         // Site counts per pipe, captured while the pipelines still own
         // their sites (a crashed phase loses them with its threads).
         let phase1_sites: Vec<usize> = pipelines.iter().map(|p| p.sites.len()).collect();
-        if let Some(c) = &chaos_run {
-            c.store.set_expected_sites(phase1_sites.clone());
-        }
+        // A chaos run's store starts out holding the run's start as
+        // epoch 0, so a crash always has a sealed epoch to restore.
+        let chaos_run = match chaos_plan {
+            Some(plan) => {
+                let start = start_epoch(&pipelines, &cloud_state)?;
+                let store = CheckpointStore::new(start, phase1_sites.clone());
+                Some(ChaosRun::new(plan, store, &self.topo))
+            }
+            None => None,
+        };
 
         // Phase 1: run to completion, or until the plan's crash trips.
         let io = PhaseIo {
@@ -734,134 +734,73 @@ impl ClusterEnvironment {
                         ),
                     );
                 }
-                match c.store.take_for_restore() {
-                    // Restore the newest sealed epoch: pump counters and
-                    // operator state per live pipeline, cloud tail state,
-                    // and a source rewind to the checkpointed batch.
-                    Some((_epoch, mut snap)) => {
-                        let cloud_part = snap
-                            .cloud
-                            .take()
-                            .ok_or_else(|| internal("usable epoch lacks its cloud part"))?;
-                        for (p, pipe) in pipelines.iter_mut().enumerate() {
-                            if cloud_part.progress.is_done(p as u64) {
-                                // This pipeline finished before the cut:
-                                // nothing to re-run (its totals live on
-                                // in the store's finals).
-                                pipe.pump.eos_sent = true;
-                                pipe.pump.ops = Vec::new();
-                                pipe.sites = Vec::new();
-                                continue;
-                            }
-                            let pp = snap
-                                .pumps
-                                .remove(&p)
-                                .ok_or_else(|| internal("usable epoch lacks a pump part"))?;
-                            let mut flat = pp.ops.ok_or_else(|| {
-                                internal("usable epoch has an unsnapshotted pump")
-                            })?;
-                            for s in 0..phase1_sites[p] {
-                                let part = snap
-                                    .sites
-                                    .remove(&(p, s))
-                                    .ok_or_else(|| internal("usable epoch lacks a site part"))?;
-                                flat.extend(part.ops.ok_or_else(|| {
-                                    internal("usable epoch has an unsnapshotted site")
-                                })?);
-                            }
-                            let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                            pipe.pump.ops = group0;
-                            pipe.sites = sites;
-                            pipe.pump.stats = pp.stats;
-                            pipe.pump.eos_sent = false;
-                            // Replay re-derives pump-local punctuation
-                            // from scratch; a stale tracker would dedup
-                            // the re-observed sequences.
-                            pipe.pump.progress = ProgressTracker::new();
-                            if !pipe.pump.driver.restore(pp.batches, pp.max_ts) {
-                                return Err(internal("chaos source lost its replay log"));
-                            }
-                        }
-                        // Restored operators are snapshots of the
-                        // instrumented chain: they keep reporting into
-                        // the original registries, so per-operator
-                        // counters survive the crash (including the
-                        // pre-crash work the replay re-runs — see
-                        // docs/observability.md). The cloud sampler and
-                        // snapshot retention restart fresh: the sampled
-                        // series is best-effort under crashes.
-                        // The dead phase's held rows are void; the cut
-                        // owes the sink what it had not committed.
-                        out.held = cloud_part.uncommitted;
-                        cloud_state = CloudState {
-                            ops: cloud_part.ops.ok_or_else(|| {
-                                internal("usable epoch has an unsnapshotted cloud")
-                            })?,
-                            progress: cloud_part.progress,
-                            latency: cloud_part.latency,
-                            tel: CloudTel::new(
-                                &self.config.telemetry,
-                                all_chains(&pipe_tels, &cloud_tel),
-                                Arc::clone(&trace),
-                            ),
-                        };
+                // Restore the newest sealed epoch (the run's start at
+                // the latest): pump counters and operator state per live
+                // pipeline, cloud tail state, and a source rewind to the
+                // checkpointed batch.
+                let (_epoch, mut snap) = c
+                    .store
+                    .take_for_restore()
+                    .ok_or_else(|| internal("no sealed epoch to restore"))?;
+                let cloud_part = snap
+                    .cloud
+                    .take()
+                    .ok_or_else(|| internal("sealed epoch lacks its cloud part"))?;
+                for (p, pipe) in pipelines.iter_mut().enumerate() {
+                    if cloud_part.progress.is_done(p as u64) {
+                        // This pipeline finished before the cut: nothing
+                        // to re-run (its totals live on in the store's
+                        // finals).
+                        pipe.pump.eos_sent = true;
+                        pipe.pump.ops = Vec::new();
+                        pipe.sites = Vec::new();
+                        continue;
                     }
-                    // Epoch-0 fallback: no usable checkpoint (some
-                    // operator cannot snapshot). Recompile everything and
-                    // replay the whole stream from the start.
-                    None => {
-                        // No usable epoch, no commit: the sink has seen
-                        // nothing, so a full replay stays exactly-once.
-                        if c.store.committed().is_some() {
-                            return Err(internal("committed rows but no usable epoch"));
-                        }
-                        out.held.clear();
-                        c.store.reset();
-                        let fresh = compile_chains(
-                            &self.registry,
-                            query,
-                            &schema,
-                            n_pipes,
-                            &split,
-                            pipe_op_end,
-                            shared,
-                        )?;
-                        // Fresh operators need fresh instrumentation:
-                        // replacing the registries discards the dead
-                        // phase's counters, which the full replay
-                        // re-derives from batch zero.
-                        let (mut fresh_cloud, fresh_cloud_tel) =
-                            instrument_chain(fresh.cloud_ops, tel_on, cloud_base);
-                        cloud_tel = fresh_cloud_tel;
-                        for (p, (pipe, chain)) in
-                            pipelines.iter_mut().zip(fresh.pipe_chains).enumerate()
-                        {
-                            let (mut flat, tel) = instrument_chain(chain, tel_on, 0);
-                            pipe_tels[p] = tel;
-                            let tail = flat.split_off(pipe.assign.len().min(flat.len()));
-                            fresh_cloud.extend(tail);
-                            let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                            pipe.pump.ops = group0;
-                            pipe.sites = sites;
-                            pipe.pump.stats = QueryMetrics::default();
-                            pipe.pump.eos_sent = false;
-                            pipe.pump.progress = ProgressTracker::new();
-                            if !pipe.pump.driver.restore(0, EventTime::MIN) {
-                                return Err(internal("chaos source lost its replay log"));
-                            }
-                        }
-                        cloud_state = CloudState {
-                            ops: fresh_cloud,
-                            progress: ProgressTracker::with_origins(n_pipes as u64),
-                            latency: Histogram::new(),
-                            tel: CloudTel::new(
-                                &self.config.telemetry,
-                                all_chains(&pipe_tels, &cloud_tel),
-                                Arc::clone(&trace),
-                            ),
-                        };
+                    let pp = snap
+                        .pumps
+                        .remove(&p)
+                        .ok_or_else(|| internal("sealed epoch lacks a pump part"))?;
+                    let mut flat = pp.ops;
+                    for s in 0..phase1_sites[p] {
+                        let part = snap
+                            .sites
+                            .remove(&(p, s))
+                            .ok_or_else(|| internal("sealed epoch lacks a site part"))?;
+                        flat.extend(part.ops);
+                    }
+                    let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
+                    pipe.pump.ops = group0;
+                    pipe.sites = sites;
+                    pipe.pump.stats = pp.stats;
+                    pipe.pump.eos_sent = false;
+                    // Replay re-derives pump-local punctuation from
+                    // scratch; a stale tracker would dedup the
+                    // re-observed sequences.
+                    pipe.pump.progress = ProgressTracker::new();
+                    if !pipe.pump.driver.restore(pp.batches, pp.max_ts) {
+                        return Err(internal("chaos source lost its replay log"));
                     }
                 }
+                // Restored operators are snapshots of the instrumented
+                // chain: they keep reporting into the original
+                // registries, so per-operator counters survive the crash
+                // (including the pre-crash work the replay re-runs — see
+                // docs/observability.md). The cloud sampler and snapshot
+                // retention restart fresh: the sampled series is
+                // best-effort under crashes. The dead phase's held rows
+                // are void; the cut owes the sink what it had not
+                // committed.
+                out.held = cloud_part.uncommitted;
+                cloud_state = CloudState {
+                    ops: cloud_part.ops,
+                    progress: cloud_part.progress,
+                    latency: cloud_part.latency,
+                    tel: CloudTel::new(
+                        &self.config.telemetry,
+                        all_chains(&pipe_tels, &cloud_tel),
+                        Arc::clone(&trace),
+                    ),
+                };
                 cluster.recovery_ms = recovery_t0.elapsed().as_secs_f64() * 1e3;
 
                 // Phase 2: chaos continues on the surviving links, but
@@ -1021,9 +960,7 @@ struct CompiledChains {
 /// Compiles per-pipeline chains (one operator instance set each) and
 /// the shared cloud tail. A split window compiles as the stateless
 /// prefix plus the window's edge partial, shipping one partial row per
-/// slice, and the window's cloud merge. Free-standing so
-/// the chaos epoch-0 recovery can recompile without re-borrowing the
-/// environment.
+/// slice, and the window's cloud merge.
 fn compile_chains(
     registry: &FunctionRegistry,
     query: &Query,
@@ -1111,12 +1048,11 @@ struct ChaosRun {
     /// the phase is dying and wind down instead of hanging.
     abort: Arc<AtomicBool>,
     phase: u64,
-    checkpoint_every: u64,
     doomed_name: String,
 }
 
 impl ChaosRun {
-    fn new(plan: &FaultPlan, n_pipes: usize, topo: &Topology, cfg: &ClusterConfig) -> ChaosRun {
+    fn new(plan: &FaultPlan, store: CheckpointStore, topo: &Topology) -> ChaosRun {
         let switch = plan.crash.map(|c| Arc::new(CrashSwitch::new(c)));
         let doomed_name = plan
             .crash
@@ -1125,11 +1061,10 @@ impl ChaosRun {
         ChaosRun {
             plan: plan.clone(),
             stats: Arc::new(ChaosStats::default()),
-            store: Arc::new(CheckpointStore::new(n_pipes)),
+            store: Arc::new(store),
             switch,
             abort: Arc::new(AtomicBool::new(false)),
             phase: 1,
-            checkpoint_every: cfg.checkpoint_every.max(1),
             doomed_name,
         }
     }
@@ -1144,7 +1079,6 @@ impl ChaosRun {
             switch: None,
             abort: Arc::new(AtomicBool::new(false)),
             phase: self.phase + 1,
-            checkpoint_every: self.checkpoint_every,
             doomed_name: String::new(),
         }
     }
@@ -1156,10 +1090,36 @@ impl ChaosRun {
     }
 }
 
-/// Snapshots a whole operator chain; `None` if any operator cannot
-/// capture its state (forcing the epoch-0 full-replay fallback).
-fn snapshot_chain(ops: &[Box<dyn Operator>]) -> Option<Vec<Box<dyn Operator>>> {
+/// Snapshots a whole operator chain.
+fn snapshot_chain(ops: &[Box<dyn Operator>]) -> Result<Vec<Box<dyn Operator>>> {
     ops.iter().map(|o| o.snapshot()).collect()
+}
+
+/// The run's start as checkpoint epoch 0: snapshots of the freshly
+/// compiled pump, site and cloud chains, every source at batch 0 with
+/// no event time seen, fresh trackers and no rows owed to the sink.
+fn start_epoch(pipelines: &[PipelinePlan], cloud: &CloudState) -> Result<EpochState> {
+    let mut epoch = EpochState::default();
+    for (p, pipe) in pipelines.iter().enumerate() {
+        let pump = PumpPart {
+            ops: snapshot_chain(&pipe.pump.ops)?,
+            batches: 0,
+            max_ts: EventTime::MIN,
+            stats: QueryMetrics::default(),
+        };
+        epoch.pumps.insert(p, pump);
+        for (s, (_, ops)) in pipe.sites.iter().enumerate() {
+            let ops = snapshot_chain(ops)?;
+            epoch.sites.insert((p, s), SitePart { ops });
+        }
+    }
+    epoch.cloud = Some(CloudPart {
+        ops: snapshot_chain(&cloud.ops)?,
+        uncommitted: Vec::new(),
+        progress: cloud.progress.clone(),
+        latency: cloud.latency.clone(),
+    });
+    Ok(epoch)
 }
 
 /// Splits a pipeline's operators into the pump group (stages on the
@@ -1572,7 +1532,7 @@ fn run_site(
                     c.pipe,
                     c.site_idx,
                     SitePart {
-                        ops: snapshot_chain(&ops),
+                        ops: snapshot_chain(&ops)?,
                     },
                 );
                 tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, &wire)?, 0)?;
@@ -1709,7 +1669,7 @@ fn records_of(msgs: &[StreamMessage]) -> u64 {
 /// cluster entry point: **a row goes to the sink as soon as no recovery
 /// can replay it.** Non-empty terminal messages enter `held` in emission
 /// order and layout; [`Outbox::commit`] hands them over. Only a chaos
-/// run replays, so it commits when the cloud seals a usable epoch and at
+/// run replays, so it commits when the cloud seals an epoch and at
 /// the end of the run; every other run commits on emission. Owned by
 /// the coordinator, so its counts survive a crashed cloud thread.
 struct Outbox<'a> {
@@ -1855,16 +1815,16 @@ impl FanIn<'_, '_> {
         let Some(store) = &self.store else {
             return Err(internal("checkpoint barrier outside a chaos run"));
         };
-        let usable = store.put_cloud(
+        let complete = store.put_cloud(
             epoch,
             CloudPart {
-                ops: snapshot_chain(&self.st.ops),
+                ops: snapshot_chain(&self.st.ops)?,
                 uncommitted: self.out.held.clone(),
                 progress: self.st.progress.clone(),
                 latency: self.st.latency.clone(),
             },
         );
-        if usable {
+        if complete {
             // Restore never goes back past this cut.
             self.out.commit()?;
         }
@@ -2040,8 +2000,6 @@ struct PipelinePlan {
 struct PumpChaos {
     store: Arc<CheckpointStore>,
     pipe: usize,
-    /// Emit a checkpoint barrier every this many data batches.
-    every: u64,
     abort: Arc<AtomicBool>,
     /// Set when the doomed node is a pass-through hop on this pump's
     /// route (it hosts no site thread anywhere): the pump observes the
@@ -2142,16 +2100,16 @@ fn pump(
                 }
                 if let Some(c) = chaos {
                     c.check_doom()?;
-                    if sequence.is_multiple_of(c.every) {
+                    if sequence.is_multiple_of(CHECKPOINT_EVERY) {
                         // Snapshot the pump's cut and send the barrier
                         // after it: everything up to `sequence` is
                         // ahead of the marker on every downstream link.
-                        let epoch = sequence / c.every;
+                        let epoch = sequence / CHECKPOINT_EVERY;
                         c.store.put_pump(
                             epoch,
                             c.pipe,
                             PumpPart {
-                                ops: snapshot_chain(&st.ops),
+                                ops: snapshot_chain(&st.ops)?,
                                 batches: sequence,
                                 max_ts: st.driver.max_ts(),
                                 stats: st.stats.clone(),
@@ -2446,7 +2404,6 @@ fn run_phase(
             let pump_chaos = chaos.map(|c| PumpChaos {
                 store: Arc::clone(&c.store),
                 pipe: p,
-                every: c.checkpoint_every,
                 abort: Arc::clone(&c.abort),
                 doom: pump_doom,
                 doom_name: c.doomed_name.clone(),
@@ -2633,6 +2590,10 @@ mod tests {
             let buf = TupleBuffer::from_record_buffer(&buf, None, 0, 0);
             out.push(StreamMessage::Columnar(buf));
             Ok(())
+        }
+
+        fn snapshot(&self) -> Result<Box<dyn Operator>> {
+            Ok(Box::new(ToColumnar(self.0.clone())))
         }
     }
 

@@ -93,6 +93,7 @@ struct Automaton {
 /// The CEP operator. Output schema: the input columns of the *final*
 /// matching record, plus `pattern` (TEXT), `match_start` and `match_end`
 /// (TIMESTAMP).
+#[derive(Clone)]
 pub struct CepOp {
     pattern_name: String,
     steps: Vec<BoundExpr>,
@@ -324,17 +325,8 @@ impl Operator for CepOp {
             .sum()
     }
 
-    fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        Some(Box::new(CepOp {
-            pattern_name: self.pattern_name.clone(),
-            steps: self.steps.clone(),
-            automaton: self.automaton,
-            key_expr: self.key_expr.clone(),
-            ts_col: self.ts_col,
-            output: self.output.clone(),
-            state: self.state.clone(),
-            matches: self.matches,
-        }))
+    fn snapshot(&self) -> Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
     }
 }
 

@@ -21,6 +21,7 @@ use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{EventTime, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A physical streaming operator.
 pub trait Operator: Send {
@@ -101,15 +102,14 @@ pub trait Operator: Send {
         0
     }
 
-    /// A deep copy of this operator including all mutable state, used by
-    /// the cluster runtime's checkpoint barriers. `None` (the default)
-    /// means the operator cannot be snapshotted — e.g. it owns an
-    /// arbitrary closure — in which case crash recovery falls back to a
-    /// full replay from the start of the stream instead of resuming from
-    /// the last checkpoint.
-    fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        None
-    }
+    /// A deep copy of this operator including all mutable state. The
+    /// cluster runtime copies every operator at the start of a chaos run
+    /// (epoch 0) and at each checkpoint barrier, and a crash restores
+    /// the newest sealed epoch's copies — the one recovery path, so
+    /// every operator must provide it. Stateless operators copy their
+    /// configuration; an error (a window aggregator that cannot merge)
+    /// fails the run that asked for the copy.
+    fn snapshot(&self) -> Result<Box<dyn Operator>>;
 }
 
 /// Sums the late-record drops of a compiled operator chain — how every
@@ -346,6 +346,7 @@ pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
 }
 
 /// Selection: keeps records satisfying a predicate.
+#[derive(Clone)]
 pub struct FilterOp {
     predicate: BoundExpr,
     schema: SchemaRef,
@@ -408,17 +409,15 @@ impl Operator for FilterOp {
         Ok(())
     }
 
-    fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        // Stateless: a field-by-field copy is a complete snapshot.
-        Some(Box::new(FilterOp {
-            predicate: self.predicate.clone(),
-            schema: self.schema.clone(),
-        }))
+    fn snapshot(&self) -> Result<Box<dyn Operator>> {
+        // Stateless: a copy of the configuration is a complete snapshot.
+        Ok(Box::new(self.clone()))
     }
 }
 
 /// Projection: computes named expressions, optionally keeping the input
 /// columns (`extend` mode, NebulaStream's `map` that adds attributes).
+#[derive(Clone)]
 pub struct MapOp {
     projections: Vec<BoundExpr>,
     extend: bool,
@@ -521,22 +520,20 @@ impl Operator for MapOp {
         Ok(())
     }
 
-    fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        Some(Box::new(MapOp {
-            projections: self.projections.clone(),
-            extend: self.extend,
-            schema: self.schema.clone(),
-        }))
+    fn snapshot(&self) -> Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
     }
 }
 
 /// Stateless record-to-records expansion driven by a closure; the generic
-/// escape hatch custom operators build on.
+/// escape hatch custom operators build on. The closure is shared, not
+/// called mutably, so a snapshot is a second handle on it.
+#[derive(Clone)]
 pub struct FlatMapOp {
     name: String,
     schema: SchemaRef,
     #[allow(clippy::type_complexity)]
-    f: Box<dyn FnMut(&Record, &mut Vec<Record>) -> Result<()> + Send>,
+    f: Arc<dyn Fn(&Record, &mut Vec<Record>) -> Result<()> + Send + Sync>,
 }
 
 impl FlatMapOp {
@@ -544,12 +541,12 @@ impl FlatMapOp {
     pub fn new(
         name: impl Into<String>,
         schema: SchemaRef,
-        f: impl FnMut(&Record, &mut Vec<Record>) -> Result<()> + Send + 'static,
+        f: impl Fn(&Record, &mut Vec<Record>) -> Result<()> + Send + Sync + 'static,
     ) -> Self {
         FlatMapOp {
             name: name.into(),
             schema,
-            f: Box::new(f),
+            f: Arc::new(f),
         }
     }
 }
@@ -575,6 +572,10 @@ impl Operator for FlatMapOp {
             )));
         }
         Ok(())
+    }
+
+    fn snapshot(&self) -> Result<Box<dyn Operator>> {
+        Ok(Box::new(self.clone()))
     }
 }
 

@@ -969,16 +969,10 @@ impl Operator for WindowOp {
         }
     }
 
-    fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        self.try_snapshot().ok().map(|op| Box::new(op) as _)
-    }
-}
-
-impl WindowOp {
-    /// Deep copy for checkpointing: configuration is cloned, slice and
-    /// threshold state is duplicated through the aggregator merge
-    /// contract.
-    fn try_snapshot(&self) -> Result<WindowOp> {
+    /// Configuration is cloned, slice and threshold state is duplicated
+    /// through the aggregator merge contract (so an aggregator that
+    /// cannot merge fails here, as it would at materialization).
+    fn snapshot(&self) -> Result<Box<dyn Operator>> {
         let state = match &self.state {
             WindowState::Time {
                 store,
@@ -1016,7 +1010,7 @@ impl WindowOp {
                 }
             }
         };
-        Ok(WindowOp {
+        Ok(Box::new(WindowOp {
             ts_col: self.ts_col,
             key_exprs: self.key_exprs.clone(),
             key_count: self.key_count,
@@ -1024,7 +1018,7 @@ impl WindowOp {
             state,
             last_watermark: self.last_watermark,
             late_drops: self.late_drops,
-        })
+        }))
     }
 }
 

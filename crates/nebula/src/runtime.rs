@@ -57,9 +57,6 @@ pub struct EnvConfig {
     pub buffer_size: usize,
     /// Emit a watermark every N source batches.
     pub watermark_every: u64,
-    /// Consecutive idle polls before the run gives up (prevents hangs on
-    /// sources that never end).
-    pub idle_limit: u64,
     /// Channel capacity (buffers) for threaded execution.
     pub channel_capacity: usize,
     /// Worker count for partitioned execution
@@ -103,7 +100,6 @@ impl Default for EnvConfig {
         EnvConfig {
             buffer_size: 1024,
             watermark_every: 4,
-            idle_limit: 100_000,
             channel_capacity: 8,
             parallelism: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
             columnar: ColumnarMode::Auto,
@@ -616,7 +612,6 @@ impl StreamEnvironment {
             LOCAL_ORIGIN,
             self.config.buffer_size,
             self.config.watermark_every,
-            self.config.idle_limit,
         );
         driver.gate(self.config.columnar, &chains[0]);
         let channel_capacity = self.config.channel_capacity;

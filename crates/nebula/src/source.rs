@@ -447,9 +447,14 @@ pub(crate) enum Polled {
     /// Nothing available right now; carries the count of consecutive
     /// idle polls so far.
     Idle(u64),
-    /// The source is exhausted, or stayed idle past the idle limit.
+    /// The source is exhausted.
     End,
 }
+
+/// Consecutive idle polls after which [`SourceDriver::poll`] gives up on
+/// a source that never becomes ready, failing the run instead of
+/// hanging it.
+const IDLE_LIMIT: u64 = 100_000;
 
 /// The source stage of every executor, local and cluster: the only
 /// caller of [`Source::poll`]. Owns what turns a polled batch into
@@ -463,7 +468,6 @@ pub(crate) struct SourceDriver {
     origin: u64,
     buffer_size: usize,
     watermark_every: u64,
-    idle_limit: u64,
     columnar: bool,
     /// Batches yielded so far — the sequence of the latest one.
     batches: u64,
@@ -479,7 +483,6 @@ impl SourceDriver {
         origin: u64,
         buffer_size: usize,
         watermark_every: u64,
-        idle_limit: u64,
     ) -> Self {
         SourceDriver {
             schema: source.schema(),
@@ -489,7 +492,6 @@ impl SourceDriver {
             origin,
             buffer_size,
             watermark_every,
-            idle_limit,
             columnar: false,
             batches: 0,
             max_ts: EventTime::MIN,
@@ -525,7 +527,9 @@ impl SourceDriver {
         self.source.rewind(batches as usize)
     }
 
-    /// Polls the source once.
+    /// Polls the source once. A source idle for more than
+    /// [`IDLE_LIMIT`] consecutive polls fails with an `Io` error naming
+    /// its origin: a stream cut short must not look like one that ended.
     pub(crate) fn poll(&mut self) -> Result<Polled> {
         Ok(match self.source.poll(self.buffer_size)? {
             SourceBatch::Data(recs) => {
@@ -535,12 +539,13 @@ impl SourceDriver {
             }
             SourceBatch::Idle => {
                 self.idle += 1;
-                if self.idle > self.idle_limit {
-                    // Prevents hangs on sources that never end.
-                    Polled::End
-                } else {
-                    Polled::Idle(self.idle)
+                if self.idle > IDLE_LIMIT {
+                    return Err(NebulaError::Io(format!(
+                        "source of origin {} stayed idle for more than {IDLE_LIMIT} polls",
+                        self.origin
+                    )));
                 }
+                Polled::Idle(self.idle)
             }
             SourceBatch::Exhausted => Polled::End,
         })

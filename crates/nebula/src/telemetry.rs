@@ -201,10 +201,9 @@ impl Operator for InstrumentedOp {
         self.inner.state_bytes()
     }
 
-    fn snapshot(&self) -> Option<Box<dyn Operator>> {
-        let inner = self.inner.snapshot()?;
-        Some(Box::new(InstrumentedOp {
-            inner,
+    fn snapshot(&self) -> Result<Box<dyn Operator>> {
+        Ok(Box::new(InstrumentedOp {
+            inner: self.inner.snapshot()?,
             stats: Arc::clone(&self.stats),
         }))
     }

@@ -135,8 +135,8 @@ fn assert_chaos_equivalent(name: &str, query: &Query, watermark: &WatermarkStrat
             let mut plan = lossy_plan(seed);
             if strategy == PlacementStrategy::EdgeFirst {
                 // Kill the edge box mid-stream; recovery replays from
-                // the last checkpoint (or from scratch) and must be
-                // invisible in the output.
+                // the last sealed checkpoint (the run's start at the
+                // latest) and must be invisible in the output.
                 let (env, sensor) = fleet_env(watermark.clone());
                 plan = plan.crash_node(edge_node(&env, sensor), 12);
             }
@@ -286,7 +286,7 @@ fn q8_cep_chaos_equivalence() {
 }
 
 // ---------------------------------------------------------------------------
-// Headline invariants, fallback paths, and plan validation
+// Headline invariants, plugin operators, and plan validation
 // ---------------------------------------------------------------------------
 
 /// The issue's acceptance run: lossy links plus an abrupt mid-run kill
@@ -346,11 +346,11 @@ fn flapping_lagging_links_chaos_equivalence() {
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
 }
 
-/// A chain containing an unsnapshotable plugin operator cannot seal a
-/// usable checkpoint: the crash must fall back to a full from-scratch
-/// replay and still match.
+/// A chain containing a plugin operator (a closure-driven `FlatMapOp`)
+/// snapshots like any other: the crash restores the newest sealed
+/// epoch through the one recovery path and still matches.
 #[test]
-fn plugin_chain_crash_recovers_from_scratch() {
+fn plugin_chain_crash_restores_the_newest_sealed_epoch() {
     struct DuplicateHighSpeed;
     impl OperatorFactory for DuplicateHighSpeed {
         fn name(&self) -> &str {
@@ -393,7 +393,7 @@ fn plugin_chain_crash_recovers_from_scratch() {
         WatermarkStrategy::None,
         &plan,
     );
-    assert_eq!(got, reference, "from-scratch replay diverges");
+    assert_eq!(got, reference, "plugin chain restore diverges");
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
     assert_eq!(report.cluster.replans, 1);
@@ -525,10 +525,31 @@ fn delivered(calls: &[(u64, Vec<Record>)]) -> Vec<Record> {
     rows
 }
 
-/// A snapshottable plan commits at every sealed epoch: the sink is fed
-/// before the crash, and the restore — to the very epoch whose rows the
-/// sink already holds, the newest usable one — neither re-delivers those
-/// rows nor loses the ones the dead cloud had produced past the cut.
+/// A plugin operator that forwards every record unchanged.
+struct Passthrough;
+
+impl OperatorFactory for Passthrough {
+    fn name(&self) -> &str {
+        "passthrough"
+    }
+
+    fn create(&self, input: SchemaRef, _registry: &FunctionRegistry) -> Result<Box<dyn Operator>> {
+        Ok(Box::new(FlatMapOp::new(
+            "passthrough",
+            input,
+            |rec, out| {
+                out.push(rec.clone());
+                Ok(())
+            },
+        )))
+    }
+}
+
+/// Every plan commits at every sealed epoch — a plugin chain included:
+/// the sink is fed before the crash, and the restore — to the very
+/// epoch whose rows the sink already holds, the newest sealed one —
+/// neither re-delivers those rows nor loses the ones the dead cloud had
+/// produced past the cut.
 #[test]
 fn snapshottable_plans_stream_before_the_crash_exactly_once() {
     let cases = [
@@ -541,6 +562,13 @@ fn snapshottable_plans_stream_before_the_crash_exactly_once() {
             "q4/splittable",
             splittable_window_query(),
             generous_watermark(),
+        ),
+        (
+            "plugin/passthrough",
+            Query::from("s")
+                .filter(col("speed").ge(lit(40.0)))
+                .apply(Arc::new(Passthrough)),
+            WatermarkStrategy::None,
         ),
     ];
     for (name, q, watermark) in cases {
@@ -567,47 +595,90 @@ fn snapshottable_plans_stream_before_the_crash_exactly_once() {
     }
 }
 
-/// A plan with an operator that cannot snapshot never seals a usable
-/// epoch, so the same rule holds everything back: the sink sees nothing
-/// until the from-scratch replay has drained the source, then each row
-/// once.
+/// The four MEOS operator factories, each placed on the train's edge
+/// box, which dies after the cloud has sealed a checkpoint: the restore
+/// resumes the operators' per-train state (open sequences, buffered
+/// fixes, fence membership, latest positions) from the epoch's
+/// snapshots, and the results equal `run`'s.
 #[test]
-fn unsnapshottable_plan_delivers_only_after_the_replay() {
-    struct Passthrough;
-    impl OperatorFactory for Passthrough {
-        fn name(&self) -> &str {
-            "passthrough"
-        }
-        fn create(
-            &self,
-            input: SchemaRef,
-            _registry: &FunctionRegistry,
-        ) -> Result<Box<dyn Operator>> {
-            Ok(Box::new(FlatMapOp::new(
-                "passthrough",
-                input,
-                |rec, out| {
-                    out.push(rec.clone());
-                    Ok(())
-                },
-            )))
-        }
-    }
-
-    let q = Query::from("s")
-        .filter(col("speed").ge(lit(40.0)))
-        .apply(Arc::new(Passthrough));
-    for seed in chaos_seeds() {
-        let (calls, reference) = crash_run_logged(&q, WatermarkStrategy::None, seed);
-        let first_at = calls.first().expect("delivers").0;
-        assert!(
-            first_at >= LONG_BATCHES,
-            "seed {seed}: delivered at poll {first_at}, before the source was drained"
+fn meos_operators_restore_a_sealed_epoch_after_an_edge_crash() {
+    let sim = sncb::FleetSimulator::new(sncb::FleetConfig::test_minutes(10));
+    let net = sim.network();
+    let weather = sim.weather().clone();
+    let records = sim.into_records();
+    let stations = nebulameos::GeofenceSet::new(
+        "stations",
+        net.zones_of(sncb::ZoneKind::StationArea)
+            .map(|z| (z.name.clone(), z.geometry.clone())),
+    );
+    let factories: [Arc<dyn OperatorFactory>; 4] = [
+        Arc::new(nebulameos::TrajectoryBuilderFactory {
+            max_instants: 64,
+            ..nebulameos::TrajectoryBuilderFactory::standard()
+        }),
+        Arc::new(nebulameos::ImputationFactory::standard()),
+        Arc::new(nebulameos::GeofenceEventsFactory {
+            set: stations,
+            key_field: "train_id".into(),
+            pos_field: "pos".into(),
+        }),
+        Arc::new(nebulameos::KNearestFactory::standard(3)),
+    ];
+    let watermark = WatermarkStrategy::BoundedOutOfOrder {
+        ts_field: "ts".into(),
+        slack: 5 * MICROS_PER_SEC,
+    };
+    for factory in factories {
+        let name = factory.name().to_string();
+        let q = Query::from("fleet").apply(factory);
+        let mut local = StreamEnvironment::with_config(EnvConfig {
+            buffer_size: 32,
+            watermark_every: 2,
+            ..EnvConfig::default()
+        });
+        local.add_source(
+            "fleet",
+            Box::new(VecSource::new(sncb::fleet_schema(), records.clone())),
+            watermark.clone(),
         );
+        let (mut sink, reference) = CollectingSink::new();
+        local.run(&q, &mut sink).expect("sync run");
+        let mut reference = reference.records();
+        normalize_records(&mut reference);
+        assert!(!reference.is_empty(), "{name}: the reference emits rows");
+
+        let mut env = sncb::demo::demo_cluster_with(&net, weather.clone(), records.clone());
+        let cfg = env.config_mut();
+        cfg.buffer_size = 32;
+        cfg.watermark_every = 2;
+        let edge = env
+            .topology()
+            .nodes()
+            .iter()
+            .find(|n| n.kind == NodeKind::Edge)
+            .map(|n| n.id)
+            .expect("the train has an edge box");
+        let plan = FaultPlan::seeded(0).crash_node(edge, 40);
+        let (mut sink, got) = CollectingSink::new();
+        let report = env
+            .run_placed_chaos(&q, PlacementStrategy::EdgeFirst, &plan, &mut sink)
+            .unwrap_or_else(|e| panic!("{name}: chaos run failed: {e}"));
+        let mut got = got.records();
+        normalize_records(&mut got);
         assert_eq!(
-            delivered(&calls),
-            reference,
-            "seed {seed}: the full replay must stay exactly-once"
+            got, reference,
+            "{name}: diverges from `run` across the crash"
+        );
+        assert_eq!(report.cluster.replans, 1, "{name}: the edge must die");
+        let events = &report.telemetry.events;
+        let sealed = events
+            .iter()
+            .position(|e| e.kind == TraceKind::CheckpointSealed);
+        let down = events.iter().position(|e| e.kind == TraceKind::NodeDown);
+        assert!(
+            matches!((sealed, down), (Some(s), Some(d)) if s < d),
+            "{name}: the cloud must seal a checkpoint before the edge dies \
+             (sealed at {sealed:?}, down at {down:?})"
         );
     }
 }
@@ -746,7 +817,6 @@ fn ack_and_heartbeat_bytes_stay_under_five_percent_of_the_wire() {
         let cfg = env.config_mut();
         cfg.buffer_size = 64;
         cfg.watermark_every = 2;
-        cfg.checkpoint_every = 4;
         let (mut sink, _) = CountingSink::new();
         let c = env
             .run_placed_chaos(&q, strategy, &FaultPlan::seeded(11), &mut sink)

@@ -179,7 +179,8 @@ fn crash_run(
 }
 
 /// Whether the cloud sealed a checkpoint before the crash, so recovery
-/// restored it; otherwise it took the epoch-0 full replay.
+/// restored it; otherwise it restored epoch 0, the run's start, which
+/// emits no `CheckpointSealed` event.
 fn sealed_before_crash(report: &ClusterReport) -> bool {
     let events = &report.telemetry.events;
     let crash = events
@@ -192,14 +193,16 @@ fn sealed_before_crash(report: &ClusterReport) -> bool {
 }
 
 /// Crash frame counts for the failure suites. With `buffer_size` 32,
-/// `watermark_every` 2 and `checkpoint_every` 4, an edge site handles
-/// one to three frames per source batch (its data, every 2nd batch a
-/// watermark, every 4th a barrier); an edge the plan only routes through
-/// (stateless queries run on the sensor) counts one per batch at the
-/// pump. Either way 0 and 3 kill it before the first barrier — recovery
-/// is the **epoch-0 full replay** — and 11 only after batch 4's barrier
-/// has sealed epoch 1 — recovery **restores that sealed epoch**.
-/// `assert_crash_recovered` checks which one happened.
+/// `watermark_every` 2 and the runtime's barrier every 4 batches, an
+/// edge site handles one to three frames per source batch (its data,
+/// every 2nd batch a watermark, every 4th a barrier); an edge the plan
+/// only routes through (stateless queries run on the sensor) counts one
+/// per batch at the pump. Either way 0 and 3 kill it before the first
+/// barrier — recovery **restores epoch 0**, the run's start, and
+/// replays from batch 0 — and 11 only after batch 4's barrier has
+/// sealed epoch 1 — recovery **restores that sealed epoch**. Both go
+/// through the same restore; `assert_crash_recovered` checks which
+/// epoch it took.
 const CRASH_AFTER_FRAMES: [u64; 3] = [0, 3, 11];
 
 /// A crash run must be invisible in the results: `run`'s rows in `run`'s
@@ -605,12 +608,12 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
     // re-attachment would add its pre-crash raw traffic: batches 1..=8
     // at least (the edge died at batch 8's data frame), 256/600 C =
     // 0.43 C, for 1.2 C or more. So `< C` holds with ~20% to spare and a
-    // mislabelling breaks it — as would an epoch-0 replay of all 600
-    // records, hence the sealed-epoch check.
+    // mislabelling breaks it — as would an epoch-0 restore replaying
+    // all 600 records, hence the sealed-epoch check.
     let (_, crashed, _) = crash_run(&q, generous_watermark(), ColumnarMode::Auto, 11);
     assert!(
         sealed_before_crash(&crashed),
-        "the crash must restore epoch 1, not replay from scratch"
+        "the crash must restore epoch 1, not epoch 0"
     );
     assert!(
         crashed.cluster.uplink_bytes < cloud.cluster.uplink_bytes,
@@ -1463,8 +1466,8 @@ fn batched_splittable_window_cluster_equivalence() {
 fn batched_failure_replanning_equivalence() {
     // An edge crash under forced-columnar execution at `run`'s batch
     // size: checkpoints snapshot window state after buffers were
-    // absorbed columnar-side, and recovery (a sealed-epoch restore for
-    // 11 frames, the epoch-0 replay for 0 and 3) continues from it in
+    // absorbed columnar-side, and recovery (a restore of epoch 1 for 11
+    // frames, of epoch 0 for 0 and 3) continues from it in
     // `run`'s raw order.
     let q = splittable_window_query();
     let reference = sync_reference(&q, Feed::InOrder, generous_watermark());

@@ -1,6 +1,8 @@
 //! Failure surface of mid-run delivery in the cluster runtime,
 //! table-driven like `local_failures`: `Source::poll` erring at its
-//! first or 300th call, `Sink::consume` erring at its third call,
+//! first or 300th call, a source that never becomes ready (the pump
+//! gives up with an `Io` error naming its origin instead of ending the
+//! stream early), `Sink::consume` erring at its third call,
 //! `Sink::finish` erring, and an operator erring mid-stream must each
 //! come back as the typed error it raised — under `EdgeFirst`
 //! and `CloudOnly`, on a stateless and a keyed-window plan, through
@@ -50,6 +52,8 @@ enum Plan {
 enum Failure {
     /// `Source::poll` errs on its k-th call.
     SourcePoll(usize),
+    /// The source never becomes ready: every poll is `Idle`.
+    SourceIdle,
     /// An operator's expression errs on the row carrying `POISON`.
     Operator,
     /// `Sink::consume` errs on its k-th call.
@@ -61,6 +65,9 @@ impl Failure {
     fn error(self) -> NebulaError {
         match self {
             Failure::SourcePoll(k) => NebulaError::Io(format!("source failed at poll {k}")),
+            Failure::SourceIdle => {
+                NebulaError::Io("source of origin 0 stayed idle for more than 100000 polls".into())
+            }
             Failure::Operator => NebulaError::Eval(format!("trip: refused {POISON}")),
             Failure::SinkConsume(k) => NebulaError::Io(format!("sink refused call {k}")),
             Failure::SinkFinish => NebulaError::Io("sink failed to finish".into()),
@@ -88,11 +95,11 @@ fn records() -> Vec<Record> {
         .collect()
 }
 
-/// A `VecSource` whose k-th poll errs (never, for `None`).
+/// A `VecSource` that plays `failure` when it is a source failure.
 struct FailingSource {
     inner: VecSource,
     polls: usize,
-    fail_at: Option<usize>,
+    failure: Option<Failure>,
 }
 
 impl Source for FailingSource {
@@ -102,8 +109,12 @@ impl Source for FailingSource {
 
     fn poll(&mut self, max: usize) -> Result<SourceBatch> {
         self.polls += 1;
-        if Some(self.polls) == self.fail_at {
-            return Err(Failure::SourcePoll(self.polls).error());
+        match self.failure {
+            Some(Failure::SourcePoll(k)) if k == self.polls => {
+                return Err(Failure::SourcePoll(k).error())
+            }
+            Some(Failure::SourceIdle) => return Ok(SourceBatch::Idle),
+            _ => {}
         }
         self.inner.poll(max)
     }
@@ -135,8 +146,8 @@ impl Sink for FailingSink {
 
 /// One train, small buffers and two-frame channels: over a thousand
 /// batches, every hop at its backpressure cap when the failure strikes.
-/// The source's `source_fails_at`-th poll errs.
-fn env(source_fails_at: Option<usize>) -> ClusterEnvironment {
+/// The source plays `failure` if it is one of its own.
+fn env(failure: Option<Failure>) -> ClusterEnvironment {
     let (topo, sensors) = Topology::train_fleet(1);
     let mut env = ClusterEnvironment::with_config(
         topo,
@@ -164,7 +175,7 @@ fn env(source_fails_at: Option<usize>) -> ClusterEnvironment {
         Box::new(FailingSource {
             inner: VecSource::new(schema(), records()),
             polls: 0,
-            fail_at: source_fails_at,
+            failure,
         }),
         WatermarkStrategy::BoundedOutOfOrder {
             ts_field: "ts".into(),
@@ -208,10 +219,10 @@ fn run_in(
     entry: Entry,
     strategy: PlacementStrategy,
     q: &Query,
-    source_fails_at: Option<usize>,
+    failure: Option<Failure>,
     sink: &mut dyn Sink,
 ) -> Result<ClusterReport> {
-    let mut env = env(source_fails_at);
+    let mut env = env(failure);
     match entry {
         Entry::Placed => env.run_placed(q, strategy, sink),
         Entry::ChaosNoFaults => env.run_placed_chaos(q, strategy, &FaultPlan::seeded(1), sink),
@@ -237,6 +248,7 @@ fn every_failure_returns_its_typed_error_in_every_cell() {
     let failures = [
         Failure::SourcePoll(1),
         Failure::SourcePoll(300),
+        Failure::SourceIdle,
         Failure::Operator,
         Failure::SinkConsume(3),
         Failure::SinkFinish,
@@ -256,11 +268,7 @@ fn every_failure_returns_its_typed_error_in_every_cell() {
                             ..FailingSink::default()
                         };
                         let q = query(plan, matches!(failure, Failure::Operator));
-                        let source_fails_at = match failure {
-                            Failure::SourcePoll(k) => Some(k),
-                            _ => None,
-                        };
-                        run_in(entry, strategy, &q, source_fails_at, &mut sink)
+                        run_in(entry, strategy, &q, Some(failure), &mut sink)
                             .map(|report| report.metrics)
                     });
                     assert_eq!(result.err(), Some(failure.error()), "{cell}");

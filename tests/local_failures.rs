@@ -1,7 +1,8 @@
 //! Failure surface of the one local executor, table-driven over its
 //! three configurations: a failing `Source::poll`, operator,
 //! `Sink::consume` or `Sink::finish` must come back as the typed error
-//! it raised — in `run`, `run_threaded` and `run_partitioned(1/2/4)`,
+//! it raised, and a source that never becomes ready as the `Io` error
+//! naming its origin — in `run`, `run_threaded` and `run_partitioned(1/2/4)`,
 //! on a stateless plan (round-robin routing, single-owner ledger steps)
 //! and a keyed-window plan (hash routing, multi-owner steps) — and a
 //! rejected plan must leave the source registered. Every run happens on
@@ -44,6 +45,8 @@ enum Plan {
 enum Failure {
     /// `Source::poll` errs on its k-th call.
     SourcePoll(usize),
+    /// The source never becomes ready: every poll is `Idle`.
+    SourceIdle,
     /// An operator's expression errs on the record carrying `POISON`.
     Operator,
     /// `Sink::consume` errs on its k-th call.
@@ -55,6 +58,9 @@ impl Failure {
     fn error(self) -> NebulaError {
         match self {
             Failure::SourcePoll(k) => NebulaError::Io(format!("source failed at poll {k}")),
+            Failure::SourceIdle => {
+                NebulaError::Io("source of origin 0 stayed idle for more than 100000 polls".into())
+            }
             Failure::Operator => NebulaError::Eval(format!("trip: refused {POISON}")),
             Failure::SinkConsume(k) => NebulaError::Io(format!("sink refused call {k}")),
             Failure::SinkFinish => NebulaError::Io("sink failed to finish".into()),
@@ -82,11 +88,11 @@ fn records() -> Vec<Record> {
         .collect()
 }
 
-/// A `VecSource` whose k-th poll errs (never, for `None`).
+/// A `VecSource` that plays `failure` when it is a source failure.
 struct FailingSource {
     inner: VecSource,
     polls: usize,
-    fail_at: Option<usize>,
+    failure: Option<Failure>,
 }
 
 impl Source for FailingSource {
@@ -96,8 +102,12 @@ impl Source for FailingSource {
 
     fn poll(&mut self, max: usize) -> Result<SourceBatch> {
         self.polls += 1;
-        if Some(self.polls) == self.fail_at {
-            return Err(Failure::SourcePoll(self.polls).error());
+        match self.failure {
+            Some(Failure::SourcePoll(k)) if k == self.polls => {
+                return Err(Failure::SourcePoll(k).error())
+            }
+            Some(Failure::SourceIdle) => return Ok(SourceBatch::Idle),
+            _ => {}
         }
         self.inner.poll(max)
     }
@@ -128,8 +138,9 @@ impl Sink for FailingSink {
 }
 
 /// Small buffers and a two-slot channel: thousands of batches, every
-/// queue at its backpressure cap when the failure strikes.
-fn env(mode: Mode, source_fails_at: Option<usize>) -> StreamEnvironment {
+/// queue at its backpressure cap when the failure strikes. The source
+/// plays `failure` if it is one of its own.
+fn env(mode: Mode, failure: Option<Failure>) -> StreamEnvironment {
     let mut env = StreamEnvironment::with_config(EnvConfig {
         buffer_size: 16,
         watermark_every: 2,
@@ -156,7 +167,7 @@ fn env(mode: Mode, source_fails_at: Option<usize>) -> StreamEnvironment {
         Box::new(FailingSource {
             inner: VecSource::new(schema(), records()),
             polls: 0,
-            fail_at: source_fails_at,
+            failure,
         }),
         WatermarkStrategy::BoundedOutOfOrder {
             ts_field: "ts".into(),
@@ -218,6 +229,7 @@ fn within_deadline<T: Send + 'static>(cell: &str, f: impl FnOnce() -> T + Send +
 fn every_failure_returns_its_typed_error_in_every_mode() {
     let failures = [
         Failure::SourcePoll(40),
+        Failure::SourceIdle,
         Failure::Operator,
         Failure::SinkConsume(3),
         Failure::SinkFinish,
@@ -227,10 +239,6 @@ fn every_failure_returns_its_typed_error_in_every_mode() {
             for failure in failures {
                 let cell = format!("{mode:?} x {plan:?} x {failure:?}");
                 let result = within_deadline(&cell, move || {
-                    let source_fails_at = match failure {
-                        Failure::SourcePoll(k) => Some(k),
-                        _ => None,
-                    };
                     let mut sink = FailingSink {
                         fail_at: match failure {
                             Failure::SinkConsume(k) => Some(k),
@@ -240,7 +248,7 @@ fn every_failure_returns_its_typed_error_in_every_mode() {
                         ..FailingSink::default()
                     };
                     let q = query(plan, matches!(failure, Failure::Operator));
-                    run_in(mode, &mut env(mode, source_fails_at), &q, &mut sink)
+                    run_in(mode, &mut env(mode, Some(failure)), &q, &mut sink)
                 });
                 assert_eq!(result.err(), Some(failure.error()), "{cell}");
             }

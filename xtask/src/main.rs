@@ -8,9 +8,12 @@
 //!    that. Non-test code in `cluster.rs`, `checkpoint.rs`,
 //!    `reliable.rs` and `runtime.rs` — and in `buffer.rs` and
 //!    `expr/columnar.rs`, which every columnar batch of every runtime
-//!    passes through — and in the planning files `query.rs`,
-//!    `topology.rs` and `preagg.rs` must stay panic-free except for the
-//!    entries in `xtask/lint-allow.txt` (invariants a local match
+//!    passes through — in the planning files `query.rs`, `topology.rs`
+//!    and `preagg.rs`, in the operators every node thread drives and
+//!    checkpoints (`ops/`, the telemetry shell in `telemetry.rs`, and
+//!    the MEOS plugin operators in `crates/core`'s `trajectory.rs`,
+//!    `geofence.rs` and `knearest.rs`) must stay panic-free except for
+//!    the entries in `xtask/lint-allow.txt` (invariants a local match
 //!    already proves). `NO_PANIC_FILES` is the full list.
 //! 2. **Stable telemetry operator ids.** Per-operator metrics merge
 //!    across partitions, pipelines and runs by `op{index}:{name}`;
@@ -24,17 +27,22 @@ use std::process::ExitCode;
 
 /// Hot-path files that must stay free of panicking shortcuts.
 const NO_PANIC_FILES: &[&str] = &[
+    "crates/core/src/geofence.rs",
+    "crates/core/src/knearest.rs",
+    "crates/core/src/trajectory.rs",
     "crates/nebula/src/buffer.rs",
     "crates/nebula/src/checkpoint.rs",
     "crates/nebula/src/cluster.rs",
     "crates/nebula/src/expr/columnar.rs",
     "crates/nebula/src/ops/cep.rs",
+    "crates/nebula/src/ops/mod.rs",
     "crates/nebula/src/ops/window_op.rs",
     "crates/nebula/src/preagg.rs",
     "crates/nebula/src/query.rs",
     "crates/nebula/src/reliable.rs",
     "crates/nebula/src/runtime.rs",
     "crates/nebula/src/source.rs",
+    "crates/nebula/src/telemetry.rs",
     "crates/nebula/src/topology.rs",
     "crates/nebula/src/window.rs",
     "crates/nebula/src/wire.rs",
