@@ -81,8 +81,15 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| corrupt(format!("expected {N} bytes")))
+    }
+
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// A count whose elements occupy at least `min_size` bytes each.
@@ -98,13 +105,11 @@ impl<'a> Cur<'a> {
     }
 
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8"),
-        )))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     fn done(&self) -> Result<()> {

@@ -23,9 +23,9 @@ use std::time::Duration;
 /// An abrupt, unannounced node death: after the doomed node has handled
 /// `after_frames` frames it is killed mid-batch — its thread drops all
 /// state and every channel without sending `Eos`. Frames, not source
-/// batches: a site counts every frame it receives (data, watermarks,
-/// barriers, telemetry), a pass-through node every batch its pump
-/// routes across it.
+/// batches: a stage on the node counts every frame it receives (data,
+/// watermarks, barriers, telemetry); when the node hosts no stage, it
+/// counts every batch stage 0 of a pipeline routed across it handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashFault {
     /// The node to kill. Must not be the cloud root or host a source,
@@ -177,8 +177,8 @@ pub(crate) struct ChaosStats {
     pub duplicates_suppressed: AtomicU64,
     pub heartbeats: AtomicU64,
     pub ack_bytes: AtomicU64,
-    /// Site threads spawned across all phases (survives a crashed
-    /// phase, unlike the phase's own return value).
+    /// Threads spawned for stages past stage 0 across all phases
+    /// (survives a crashed phase, unlike the phase's own return value).
     pub sites_spawned: AtomicU64,
 }
 

@@ -7,19 +7,19 @@
 //! counted in `checkpoints_taken` — only epochs the run itself took
 //! are.
 //!
-//! After that, the pump of every pipeline emits a
+//! After that, stage 0 of every pipeline emits a
 //! [`crate::wire::Frame::Barrier`] every few source batches. The barrier
 //! flows through the pipeline like any other frame (so it cuts the
 //! stream at a well-defined point on every link), and each participant
-//! deposits its part of the epoch here as the barrier passes: the pump
-//! its operator snapshots, replay cursor and counters; each site its
-//! operator-chain snapshot; and the cloud — once the barrier has
-//! *aligned* across all live pipelines — the shared-tail operators, the
-//! uncommitted results, and watermark state.
+//! deposits its part of the epoch here as the barrier passes: each
+//! stage, keyed by `(pipe, stage)`, its operator-chain snapshot — stage
+//! 0 also the source cut (replay cursor and counters); and the cloud —
+//! once the barrier has *aligned* across all live pipelines — the
+//! shared-tail operators, the uncommitted results, and watermark state.
 //!
 //! An epoch is **complete** when the cloud part is present and every
-//! pipeline that was still live at the cloud's cut has contributed its
-//! pump and site parts. Every operator snapshots, so a complete epoch
+//! pipeline that was still live at the cloud's cut has contributed all
+//! its stage parts. Every operator snapshots, so a complete epoch
 //! is restorable: completing seals it and prunes everything older, and
 //! recovery consumes the newest sealed epoch.
 //!
@@ -38,12 +38,9 @@ use crate::value::EventTime;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 
-/// A pump's contribution to an epoch: the source-node operator chain,
-/// the replay cursor, and the ingest counters that drive watermark
-/// cadence.
-pub(crate) struct PumpPart {
-    /// Snapshot of the source-node stages.
-    pub ops: Vec<Box<dyn Operator>>,
+/// Where a pipeline's source stood at the cut: the replay cursor and
+/// the ingest counters that drive watermark cadence.
+pub(crate) struct SourceCut {
     /// Data batches emitted when the barrier was sent (the
     /// [`crate::source::ReplaySource`] rewind target).
     pub batches: u64,
@@ -53,9 +50,12 @@ pub(crate) struct PumpPart {
     pub stats: QueryMetrics,
 }
 
-/// One site's operator-chain snapshot for an epoch.
-pub(crate) struct SitePart {
+/// One pipeline stage's contribution to an epoch.
+pub(crate) struct StagePart {
+    /// Snapshot of the stage's operator chain.
     pub ops: Vec<Box<dyn Operator>>,
+    /// The source cut — stage 0 only.
+    pub source: Option<SourceCut>,
 }
 
 /// The cloud's contribution: shared-tail operators plus everything
@@ -76,22 +76,20 @@ pub(crate) struct CloudPart {
 /// All parts deposited for one epoch.
 #[derive(Default)]
 pub(crate) struct EpochState {
-    pub pumps: HashMap<usize, PumpPart>,
-    pub sites: HashMap<(usize, usize), SitePart>,
+    /// Stage parts keyed by `(pipe, stage)`.
+    pub stages: HashMap<(usize, usize), StagePart>,
     pub cloud: Option<CloudPart>,
 }
 
 impl EpochState {
     /// Complete: the cloud aligned, and every pipeline live at the cut
-    /// contributed its pump part and all `expected_sites` chain parts.
-    fn is_complete(&self, expected_sites: &[usize]) -> bool {
+    /// contributed the parts of all its `expected_stages`.
+    fn is_complete(&self, expected_stages: &[usize]) -> bool {
         let Some(cloud) = &self.cloud else {
             return false;
         };
-        expected_sites.iter().enumerate().all(|(p, n_sites)| {
-            cloud.progress.is_done(p as u64)
-                || (self.pumps.contains_key(&p)
-                    && (0..*n_sites).all(|s| self.sites.contains_key(&(p, s))))
+        expected_stages.iter().enumerate().all(|(p, n)| {
+            cloud.progress.is_done(p as u64) || (0..*n).all(|s| self.stages.contains_key(&(p, s)))
         })
     }
 }
@@ -101,16 +99,17 @@ impl EpochState {
 /// metrics (its live operator state is gone with the threads).
 #[derive(Default, Clone)]
 pub(crate) struct PipeFinal {
+    /// Stage 0's ingest stats.
     pub stats: QueryMetrics,
-    pub pump_late: u64,
-    pub site_late: u64,
+    /// Late drops summed over the pipeline's stages.
+    pub late: u64,
 }
 
 struct StoreInner {
     epochs: BTreeMap<u64, EpochState>,
-    /// Site-chain count per pipeline for the current phase (regrouping
-    /// after a crash re-plan changes it).
-    expected_sites: Vec<usize>,
+    /// Stage count per pipeline for the current phase (regrouping after
+    /// a crash re-plan changes it).
+    expected_stages: Vec<usize>,
     finals: Vec<Option<PipeFinal>>,
     taken: u64,
     last_sealed: u64,
@@ -123,13 +122,13 @@ pub(crate) struct CheckpointStore {
 
 impl CheckpointStore {
     /// A store holding `start` as the sealed epoch 0, with
-    /// `expected_sites` site chains per pipeline.
-    pub fn new(start: EpochState, expected_sites: Vec<usize>) -> Self {
-        let n_pipes = expected_sites.len();
+    /// `expected_stages` stages per pipeline.
+    pub fn new(start: EpochState, expected_stages: Vec<usize>) -> Self {
+        let n_pipes = expected_stages.len();
         CheckpointStore {
             inner: Mutex::new(StoreInner {
                 epochs: BTreeMap::from([(0, start)]),
-                expected_sites,
+                expected_stages,
                 finals: vec![None; n_pipes],
                 taken: 0,
                 last_sealed: 0,
@@ -137,24 +136,19 @@ impl CheckpointStore {
         }
     }
 
-    /// Declares how many site chains each pipeline runs this phase.
-    pub fn set_expected_sites(&self, sites: Vec<usize>) {
-        self.inner.lock().expected_sites = sites;
+    /// Declares how many stages each pipeline runs this phase.
+    pub fn set_expected_stages(&self, stages: Vec<usize>) {
+        self.inner.lock().expected_stages = stages;
     }
 
-    pub fn put_pump(&self, epoch: u64, pipe: usize, part: PumpPart) {
-        let mut g = self.inner.lock();
-        g.epochs.entry(epoch).or_default().pumps.insert(pipe, part);
-        g.seal(epoch);
-    }
-
-    pub fn put_site(&self, epoch: u64, pipe: usize, site: usize, part: SitePart) {
+    /// Deposits one stage's part of `epoch`.
+    pub fn put(&self, epoch: u64, pipe: usize, stage: usize, part: StagePart) {
         let mut g = self.inner.lock();
         g.epochs
             .entry(epoch)
             .or_default()
-            .sites
-            .insert((pipe, site), part);
+            .stages
+            .insert((pipe, stage), part);
         g.seal(epoch);
     }
 
@@ -166,7 +160,7 @@ impl CheckpointStore {
         let g = &mut *g;
         let st = g.epochs.entry(epoch).or_default();
         st.cloud = Some(part);
-        let complete = st.is_complete(&g.expected_sites);
+        let complete = st.is_complete(&g.expected_stages);
         if complete {
             if let Some(cloud) = &mut st.cloud {
                 cloud.uncommitted.clear();
@@ -176,23 +170,16 @@ impl CheckpointStore {
         complete
     }
 
-    /// Records a pipeline's final ingest stats and pump-stage late
-    /// drops (deposited by the pump at its end-of-stream; overwritten
-    /// if the pipeline re-runs after recovery).
-    pub fn record_pump_final(&self, pipe: usize, stats: QueryMetrics, pump_late: u64) {
+    /// Adds one stage's end-of-stream totals to `pipe`'s final: its
+    /// late drops and, from stage 0, the ingest stats. A restore voids
+    /// the finals of every pipeline it re-runs.
+    pub fn add_final(&self, pipe: usize, stats: Option<QueryMetrics>, late: u64) {
         let mut g = self.inner.lock();
         let fin = g.finals[pipe].get_or_insert_with(PipeFinal::default);
-        fin.stats = stats;
-        fin.pump_late = pump_late;
-    }
-
-    /// Adds one site chain's final late-drop count for `pipe`
-    /// (deposited as each site drains its end-of-stream).
-    pub fn add_site_final_late(&self, pipe: usize, late: u64) {
-        let mut g = self.inner.lock();
-        g.finals[pipe]
-            .get_or_insert_with(PipeFinal::default)
-            .site_late += late;
+        if let Some(stats) = stats {
+            fin.stats = stats;
+        }
+        fin.late += late;
     }
 
     pub fn final_for(&self, pipe: usize) -> Option<PipeFinal> {
@@ -215,7 +202,7 @@ impl CheckpointStore {
             .epochs
             .iter()
             .rev()
-            .find(|(_, st)| st.is_complete(&g.expected_sites))
+            .find(|(_, st)| st.is_complete(&g.expected_stages))
             .map(|(e, _)| *e)?;
         let st = g.epochs.remove(&epoch)?;
         g.epochs.clear();
@@ -239,7 +226,7 @@ impl StoreInner {
         let complete = self
             .epochs
             .get(&epoch)
-            .is_some_and(|st| st.is_complete(&self.expected_sites));
+            .is_some_and(|st| st.is_complete(&self.expected_stages));
         if complete && epoch > self.last_sealed {
             self.epochs.retain(|e, _| *e >= epoch);
             self.taken += 1;
@@ -252,12 +239,23 @@ impl StoreInner {
 mod tests {
     use super::*;
 
-    fn pump_part() -> PumpPart {
-        PumpPart {
+    /// Stage 0's part: no operators, and the source cut.
+    fn head_part() -> StagePart {
+        StagePart {
             ops: Vec::new(),
-            batches: 4,
-            max_ts: 0,
-            stats: QueryMetrics::default(),
+            source: Some(SourceCut {
+                batches: 4,
+                max_ts: 0,
+                stats: QueryMetrics::default(),
+            }),
+        }
+    }
+
+    /// A later stage's part.
+    fn stage_part() -> StagePart {
+        StagePart {
+            ops: Vec::new(),
+            source: None,
         }
     }
 
@@ -296,8 +294,8 @@ mod tests {
 
     /// A store whose epoch 0 holds no parts, so restore can only find
     /// the epochs a test deposits.
-    fn store(expected_sites: Vec<usize>) -> CheckpointStore {
-        CheckpointStore::new(EpochState::default(), expected_sites)
+    fn store(expected_stages: Vec<usize>) -> CheckpointStore {
+        CheckpointStore::new(EpochState::default(), expected_stages)
     }
 
     #[test]
@@ -306,11 +304,10 @@ mod tests {
         // present, nothing owed. A crash before the first barrier
         // restores it; it never counts as a checkpoint taken.
         let start = EpochState {
-            pumps: HashMap::from([(0, pump_part())]),
-            sites: HashMap::from([((0, 0), SitePart { ops: Vec::new() })]),
+            stages: HashMap::from([((0, 0), head_part()), ((0, 1), stage_part())]),
             cloud: Some(cloud_part(&[false])),
         };
-        let store = CheckpointStore::new(start, vec![1]);
+        let store = CheckpointStore::new(start, vec![2]);
         assert_eq!(store.checkpoints_taken(), 0);
         let (epoch, st) = store.take_for_restore().expect("the start is sealed");
         assert_eq!(epoch, 0);
@@ -318,12 +315,11 @@ mod tests {
 
         // The first sealed barrier counts and supersedes the start.
         let start = EpochState {
-            pumps: HashMap::from([(0, pump_part())]),
+            stages: HashMap::from([((0, 0), head_part())]),
             cloud: Some(cloud_part(&[false])),
-            ..EpochState::default()
         };
-        let store = CheckpointStore::new(start, vec![0]);
-        store.put_pump(1, 0, pump_part());
+        let store = CheckpointStore::new(start, vec![1]);
+        store.put(1, 0, 0, head_part());
         assert!(store.put_cloud(1, cloud_part(&[false])));
         assert_eq!(store.checkpoints_taken(), 1);
         assert_eq!(store.inner.lock().epochs.len(), 1, "epoch 0 pruned");
@@ -333,8 +329,8 @@ mod tests {
 
     #[test]
     fn usable_epoch_commits_and_keeps_no_rows() {
-        let store = store(vec![0]);
-        store.put_pump(1, 0, pump_part());
+        let store = store(vec![1]);
+        store.put(1, 0, 0, head_part());
         assert!(
             store.put_cloud(1, cloud_part_owing(&[false], &[1, 2])),
             "all parts in: the cloud may commit"
@@ -351,10 +347,10 @@ mod tests {
         // A cloud part that lands before its epoch is complete is not a
         // commit; once the late part arrives the epoch restores with
         // the rows the sink has not seen.
-        let store = store(vec![0]);
+        let store = store(vec![1]);
         assert!(!store.put_cloud(2, cloud_part_owing(&[false], &[7, 8, 9])));
         assert_eq!(store.checkpoints_taken(), 0);
-        store.put_pump(2, 0, pump_part());
+        store.put(2, 0, 0, head_part());
         assert_eq!(store.checkpoints_taken(), 1);
         let (_, st) = store.take_for_restore().expect("usable once complete");
         assert_eq!(st.cloud.expect("cloud part").uncommitted.len(), 3);
@@ -362,19 +358,19 @@ mod tests {
 
     #[test]
     fn committed_epoch_outlives_a_newer_unrestorable_one() {
-        // Epoch 1 commits; epoch 2 has only its pump part, so it cannot
-        // be restored yet. Restore must still find epoch 1.
-        let store = store(vec![0]);
-        store.put_pump(1, 0, pump_part());
+        // Epoch 1 commits; epoch 2 has only its stage part, so it
+        // cannot be restored yet. Restore must still find epoch 1.
+        let store = store(vec![1]);
+        store.put(1, 0, 0, head_part());
         assert!(store.put_cloud(1, cloud_part(&[false])));
-        store.put_pump(2, 0, pump_part());
+        store.put(2, 0, 0, head_part());
         assert_eq!(store.checkpoints_taken(), 1);
         let (epoch, _) = store.take_for_restore().expect("committed epoch kept");
         assert_eq!(epoch, 1);
         // A newer commit releases it.
-        let store = self::store(vec![0]);
+        let store = self::store(vec![1]);
         for epoch in 1..=2 {
-            store.put_pump(epoch, 0, pump_part());
+            store.put(epoch, 0, 0, head_part());
             assert!(store.put_cloud(epoch, cloud_part(&[false])));
         }
         assert_eq!(store.checkpoints_taken(), 2);
@@ -383,16 +379,16 @@ mod tests {
 
     #[test]
     fn epoch_completes_only_with_all_parts() {
-        let store = store(vec![1, 1]);
-        store.put_pump(1, 0, pump_part());
-        store.put_site(1, 0, 0, SitePart { ops: vec![] });
+        let store = store(vec![2, 2]);
+        store.put(1, 0, 0, head_part());
+        store.put(1, 0, 1, stage_part());
         store.put_cloud(1, cloud_part(&[false, false]));
         assert!(store.take_for_restore().is_none(), "pipe 1 parts missing");
-        store.put_pump(1, 0, pump_part());
-        store.put_site(1, 0, 0, SitePart { ops: vec![] });
+        store.put(1, 0, 0, head_part());
+        store.put(1, 0, 1, stage_part());
         store.put_cloud(1, cloud_part(&[false, false]));
-        store.put_pump(1, 1, pump_part());
-        store.put_site(1, 1, 0, SitePart { ops: vec![] });
+        store.put(1, 1, 0, head_part());
+        store.put(1, 1, 1, stage_part());
         let (epoch, _) = store.take_for_restore().expect("complete now");
         assert_eq!(epoch, 1);
         assert!(store.checkpoints_taken() >= 1);
@@ -400,9 +396,9 @@ mod tests {
 
     #[test]
     fn done_pipes_need_no_parts() {
-        let store = store(vec![1, 1]);
-        store.put_pump(3, 0, pump_part());
-        store.put_site(3, 0, 0, SitePart { ops: vec![] });
+        let store = store(vec![2, 2]);
+        store.put(3, 0, 0, head_part());
+        store.put(3, 0, 1, stage_part());
         // Pipe 1 already finished at the cloud's cut.
         store.put_cloud(3, cloud_part(&[false, true]));
         let (epoch, st) = store.take_for_restore().expect("pipe 1 exempt");
@@ -412,13 +408,13 @@ mod tests {
 
     #[test]
     fn restore_takes_newest_and_voids_live_finals() {
-        let store = store(vec![0, 0]);
-        store.record_pump_final(0, QueryMetrics::default(), 0);
-        store.record_pump_final(1, QueryMetrics::default(), 2);
-        store.add_site_final_late(1, 3);
+        let store = store(vec![1, 1]);
+        store.add_final(0, Some(QueryMetrics::default()), 0);
+        store.add_final(1, Some(QueryMetrics::default()), 2);
+        store.add_final(1, None, 3);
         for epoch in 1..=3 {
-            store.put_pump(epoch, 0, pump_part());
-            store.put_pump(epoch, 1, pump_part());
+            store.put(epoch, 0, 0, head_part());
+            store.put(epoch, 1, 0, head_part());
             store.put_cloud(epoch, cloud_part(&[false, true]));
         }
         let (epoch, _) = store.take_for_restore().expect("usable");
@@ -430,7 +426,7 @@ mod tests {
         let kept = store
             .final_for(1)
             .expect("done pipe keeps its final totals");
-        assert_eq!(kept.pump_late + kept.site_late, 5);
+        assert_eq!(kept.late, 5);
         assert!(store.take_for_restore().is_none(), "store drained");
     }
 }

@@ -13,17 +13,19 @@
 //! ## Execution model
 //!
 //! [`ClusterEnvironment::run_placed`] computes a [`Placement`] per
-//! hosted source, groups consecutive same-node stages into *sites*, and
-//! wires them source → edge → cloud:
+//! hosted source and turns each into a *pipeline* of stages, wired
+//! source → edge → cloud. A stage is the operators placed on one node,
+//! driven on its own thread by one loop: take input, drive the
+//! operators, and re-encode their output as frames for the next hop —
+//! watermarks and end-of-stream travel as control frames, so event-time
+//! windows close correctly across node boundaries.
 //!
-//! - the **pump** polls the source on its own thread, runs the stages
-//!   placed on the source node, and generates watermarks exactly like
-//!   [`crate::runtime::StreamEnvironment::run`];
-//! - **edge sites** decode incoming frames, drive their sub-chain, and
-//!   re-encode outputs downstream — watermarks and end-of-stream travel
-//!   as control frames, so event-time windows close correctly across
-//!   node boundaries;
-//! - the **cloud site** fans in all pipelines, advancing its event-time
+//! - **stage 0** sits on the source node (its operators may be none);
+//!   its input is the source itself, and it alone generates watermarks,
+//!   exactly like [`crate::runtime::StreamEnvironment::run`];
+//! - **every later stage** takes its input from the frames of the stage
+//!   before it;
+//! - the **cloud** fans in all pipelines, advancing its event-time
 //!   clock to the *minimum* watermark across live inputs (the standard
 //!   distributed watermark rule), runs the shared tail of the plan, and
 //!   hands results to the sink as it produces them, under one rule: *a
@@ -50,7 +52,7 @@
 //! ## Failure and recovery
 //!
 //! [`ClusterEnvironment::run_placed_chaos`] runs the same placed plan
-//! under a seeded [`FaultPlan`]: every inter-site channel drops,
+//! under a seeded [`FaultPlan`]: every inter-stage channel drops,
 //! duplicates, reorders, corrupts and delays frames deterministically,
 //! and one non-source node on a pipeline's route may be killed
 //! *abruptly*, mid-batch — the one way a run fails a node. Three
@@ -63,12 +65,13 @@
 //!   operator pipeline sees a perfect in-order exactly-once stream;
 //! - every operator snapshots ([`Operator::snapshot`]): before any
 //!   thread spawns, the coordinator stores the freshly compiled chains
-//!   as epoch 0, the run's start; then pumps emit [`Frame::Barrier`]
-//!   markers every four source batches, operator snapshots flow into an
-//!   internal `CheckpointStore` as the barrier passes each site, and the
-//!   cloud seals the epoch once the barrier has aligned across all live
-//!   pipelines — the commit point: restore never goes back past it, so
-//!   the rows produced before its cut go to the sink;
+//!   as epoch 0, the run's start; then each pipeline's stage 0 emits
+//!   [`Frame::Barrier`] markers every four source batches, operator
+//!   snapshots flow into an internal `CheckpointStore` as the barrier
+//!   passes each stage, and the cloud seals the epoch once the barrier
+//!   has aligned across all live pipelines — the commit point: restore
+//!   never goes back past it, so the rows produced before its cut go to
+//!   the sink;
 //! - after a crash, the topology re-plans around the dead node
 //!   ([`Topology::fail_node`]), operator state restores from the newest
 //!   sealed epoch (epoch 0 when the crash beat the first barrier),
@@ -79,7 +82,7 @@
 use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
 use crate::buffer::TupleBuffer;
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
-use crate::checkpoint::{CheckpointStore, CloudPart, EpochState, PumpPart, SitePart};
+use crate::checkpoint::{CheckpointStore, CloudPart, EpochState, SourceCut, StagePart};
 use crate::error::{ClusterError, NebulaError, Result};
 use crate::expr::{FunctionRegistry, Plugin};
 use crate::metrics::{Histogram, QueryMetrics};
@@ -131,9 +134,9 @@ fn is_knock_on(e: &NebulaError) -> bool {
         || matches!(e, NebulaError::Eval(m) if m.starts_with("cluster: ") && m.ends_with(" hung up"))
 }
 
-/// Chaos runs: each pump emits a checkpoint barrier every this many
-/// source batches (crash recovery restores the newest epoch the cloud
-/// sealed).
+/// Chaos runs: stage 0 emits a checkpoint barrier every this many
+/// source batches — barrier `e` right after batch `e * CHECKPOINT_EVERY`
+/// (crash recovery restores the newest epoch the cloud sealed).
 const CHECKPOINT_EVERY: u64 = 4;
 
 /// Cluster runtime tuning knobs (the distributed analogue of
@@ -142,16 +145,16 @@ const CHECKPOINT_EVERY: u64 = 4;
 pub struct ClusterConfig {
     /// Records per source poll.
     pub buffer_size: usize,
-    /// Emit a watermark every N source batches (per pipeline).
+    /// Emit a watermark every N source batches (per pipeline; 0 is
+    /// read as 1).
     pub watermark_every: u64,
-    /// Capacity (frames) of each inter-site channel.
+    /// Capacity (frames) of each inter-stage channel.
     pub channel_capacity: usize,
     /// Columnar batching policy (see [`crate::runtime::ColumnarMode`])
-    /// for every chain of the plan: the source node's stages, and each
-    /// site and cloud tail that receives frames. Data frames are
-    /// column-major whatever the mode, and a batch encodes to the same
-    /// bytes from rows or columns, so frame format and byte accounting
-    /// are identical under every mode.
+    /// for every chain of the plan: each pipeline stage, and the cloud
+    /// tail. Data frames are column-major whatever the mode, and a batch
+    /// encodes to the same bytes from rows or columns, so frame format
+    /// and byte accounting are identical under every mode.
     pub columnar: crate::runtime::ColumnarMode,
     /// Runtime telemetry knobs: per-operator instrumentation, the
     /// cloud-side sampling cadence, per-node snapshot shipping over the
@@ -210,7 +213,8 @@ pub struct ClusterMetrics {
     pub migrated_stages: usize,
     /// Re-planning rounds triggered by failures.
     pub replans: u32,
-    /// Site threads spawned over the run (all phases).
+    /// Threads spawned over the run (all phases) for pipeline stages
+    /// past stage 0, which sits on the source node.
     pub sites: usize,
     /// True when the run split a window into edge partials + cloud merge.
     pub preaggregated: bool,
@@ -237,7 +241,7 @@ pub struct ClusterMetrics {
 /// Everything a placed run reports.
 #[derive(Debug)]
 pub struct ClusterReport {
-    /// End-to-end query metrics (ingest at the pumps, delivery at the
+    /// End-to-end query metrics (ingest at each stage 0, delivery at the
     /// cloud), comparable with the single-process executors.
     pub metrics: QueryMetrics,
     /// Measured per-link traffic.
@@ -518,8 +522,8 @@ impl ClusterEnvironment {
         // it rather than "survive" a failure that never happened.
         if let Some(crash) = chaos_plan.and_then(|plan| plan.crash) {
             let mut on_route = false;
-            for (h, pl) in hosted_ref.iter().zip(&placements) {
-                on_route |= route_crosses(&self.topo, cloud_node, h.node, &pl.stages, crash.node)?;
+            for pl in &placements {
+                on_route |= route_crosses(&self.topo, cloud_node, &pl.stages, crash.node)?;
             }
             if !on_route {
                 return Err(ClusterError::IneligibleFault {
@@ -574,7 +578,7 @@ impl ClusterEnvironment {
             .ok_or_else(|| internal("hosted sources vanished mid-plan"))?;
 
         // Per-pipeline node assignment for each compiled operator, from
-        // the placement (stage 0 is the source, stage i+1 operator i).
+        // the placement (entry 0 is the source, entry i+1 operator i).
         let mut pipelines = Vec::with_capacity(n_pipes);
         for (p, (h, chain)) in hosted.into_iter().zip(pipe_chains).enumerate() {
             let mut assign: Vec<NodeId> = placements[p].stages[1..=pipe_op_end].to_vec();
@@ -592,16 +596,14 @@ impl ClusterEnvironment {
                 assign.truncate(cut);
                 cloud_ops.extend(tail);
             }
-            let (group0, sites) = regroup(h.node, flat, &assign);
             let source: Box<dyn Source> = if chaos_plan.is_some() {
                 Box::new(ReplaySource::new(h.source))
             } else {
                 h.source
             };
             pipelines.push(PipelinePlan {
-                node: h.node,
-                assign,
-                pump: PumpState {
+                stages: regroup(h.node, flat, &assign),
+                source: PipeSource {
                     // The pipeline's index is the punctuation origin
                     // stamped on every buffer it emits.
                     driver: SourceDriver::new(
@@ -610,17 +612,12 @@ impl ClusterEnvironment {
                         ts_cols[p],
                         p as u64,
                         self.config.buffer_size,
-                        self.config.watermark_every.max(1),
+                        self.config.watermark_every,
                     ),
-                    ops: group0,
+                    progress: ProgressTracker::new(),
                     stats: QueryMetrics::default(),
                     eos_sent: false,
-                    progress: ProgressTracker::new(),
-                    node_name: self.topo.node(h.node).name.clone(),
-                    sent_records: 0,
-                    snap_seq: 0,
                 },
-                sites,
             });
         }
         let accounts = Arc::new(TrafficAccounts {
@@ -649,184 +646,163 @@ impl ClusterEnvironment {
         // (after a recovery skips finished pipelines, pipeline 0 may no
         // longer be available to ask).
         let cloud_in_schema = pipeline_out_schema(&pipelines[0]);
-        // Site counts per pipe, captured while the pipelines still own
-        // their sites (a crashed phase loses them with its threads).
-        let phase1_sites: Vec<usize> = pipelines.iter().map(|p| p.sites.len()).collect();
         // A chaos run's store starts out holding the run's start as
         // epoch 0, so a crash always has a sealed epoch to restore.
         let chaos_run = match chaos_plan {
             Some(plan) => {
                 let start = start_epoch(&pipelines, &cloud_state)?;
-                let store = CheckpointStore::new(start, phase1_sites.clone());
+                let store = CheckpointStore::new(start, stage_counts(&pipelines));
                 Some(ChaosRun::new(plan, store, &self.topo))
             }
             None => None,
         };
 
-        // Phase 1: run to completion, or until the plan's crash trips.
-        let io = PhaseIo {
-            topo: &self.topo,
-            cfg: &self.config,
-            wire: &self.wire,
-            accounts: &accounts,
-            cloud_node,
-        };
-        match run_phase(
-            &io,
-            &mut pipelines,
-            cloud_state,
-            &mut out,
-            &cloud_in_schema,
-            chaos_run.as_ref(),
-        ) {
-            Ok((st, spawned)) => {
-                cloud_state = st;
-                cluster.sites += spawned;
+        // Phase 1 runs to completion, or until the plan's crash trips; a
+        // crash re-plans and restores, and phase 2 runs to completion.
+        let mut resumed: Option<ChaosRun> = None;
+        loop {
+            let io = PhaseIo {
+                topo: &self.topo,
+                cfg: &self.config,
+                wire: &self.wire,
+                accounts: &accounts,
+                cloud_node,
+            };
+            let chaos = resumed.as_ref().or(chaos_run.as_ref());
+            let e = match run_phase(
+                &io,
+                &mut pipelines,
+                cloud_state,
+                &mut out,
+                &cloud_in_schema,
+                chaos,
+            ) {
+                Ok((st, spawned)) => {
+                    cloud_state = st;
+                    cluster.sites += spawned;
+                    break;
+                }
+                Err(e) => e,
+            };
+            // An error with the crash switch tripped IS the injected
+            // abrupt node death: detect, re-plan, restore, resume.
+            let Some((c, failed)) = chaos.and_then(|c| {
+                let switch = c.switch.as_ref().filter(|s| s.tripped())?;
+                Some((c, switch.node))
+            }) else {
+                return Err(e);
+            };
+            let recovery_t0 = Instant::now();
+            if tel_on {
+                trace.push(
+                    COORDINATOR_ORIGIN,
+                    TraceKind::NodeDown,
+                    format!("node '{}' crashed", self.topo.node(failed).name),
+                );
             }
-            Err(e) => {
-                // An error with the crash switch tripped IS the injected
-                // abrupt node death: detect, re-plan, restore, resume.
-                let Some((c, failed)) = chaos_run.as_ref().and_then(|c| {
-                    let switch = c.switch.as_ref().filter(|s| s.tripped())?;
-                    Some((c, switch.node))
-                }) else {
-                    return Err(e);
-                };
-                let recovery_t0 = Instant::now();
-                if tel_on {
-                    trace.push(
-                        COORDINATOR_ORIGIN,
-                        TraceKind::NodeDown,
-                        format!("node '{}' crashed", self.topo.node(failed).name),
-                    );
-                }
-                let parent = self
-                    .topo
-                    .links()
-                    .iter()
-                    .find(|l| l.from == failed)
-                    .map(|l| l.to)
-                    .ok_or_else(|| {
-                        NebulaError::Plan(format!(
-                            "cannot fail node '{}': it has no parent to migrate to",
-                            self.topo.node(failed).name
-                        ))
-                    })?;
-                self.topo.fail_node(failed);
-                cluster.replans += 1;
-                for (pipe, pl) in pipelines.iter_mut().zip(&mut placements) {
-                    for node in pipe.assign.iter_mut().filter(|n| **n == failed) {
-                        *node = parent;
-                    }
-                    let (new_pl, migrated) =
-                        crate::topology::replace_after_failure(pl, failed, parent);
-                    *pl = new_pl;
-                    cluster.migrated_stages += migrated;
-                }
-                if tel_on {
-                    trace.push(
-                        COORDINATOR_ORIGIN,
-                        TraceKind::Replan,
-                        format!(
-                            "{} stage(s) migrated to '{}'",
-                            cluster.migrated_stages,
-                            self.topo.node(parent).name
-                        ),
-                    );
-                }
-                // Restore the newest sealed epoch (the run's start at
-                // the latest): pump counters and operator state per live
-                // pipeline, cloud tail state, and a source rewind to the
-                // checkpointed batch.
-                let (_epoch, mut snap) = c
-                    .store
-                    .take_for_restore()
-                    .ok_or_else(|| internal("no sealed epoch to restore"))?;
-                let cloud_part = snap
-                    .cloud
-                    .take()
-                    .ok_or_else(|| internal("sealed epoch lacks its cloud part"))?;
-                for (p, pipe) in pipelines.iter_mut().enumerate() {
-                    if cloud_part.progress.is_done(p as u64) {
-                        // This pipeline finished before the cut: nothing
-                        // to re-run (its totals live on in the store's
-                        // finals).
-                        pipe.pump.eos_sent = true;
-                        pipe.pump.ops = Vec::new();
-                        pipe.sites = Vec::new();
-                        continue;
-                    }
-                    let pp = snap
-                        .pumps
-                        .remove(&p)
-                        .ok_or_else(|| internal("sealed epoch lacks a pump part"))?;
-                    let mut flat = pp.ops;
-                    for s in 0..phase1_sites[p] {
-                        let part = snap
-                            .sites
-                            .remove(&(p, s))
-                            .ok_or_else(|| internal("sealed epoch lacks a site part"))?;
-                        flat.extend(part.ops);
-                    }
-                    let (group0, sites) = regroup(pipe.node, flat, &pipe.assign);
-                    pipe.pump.ops = group0;
-                    pipe.sites = sites;
-                    pipe.pump.stats = pp.stats;
-                    pipe.pump.eos_sent = false;
-                    // Replay re-derives pump-local punctuation from
-                    // scratch; a stale tracker would dedup the
-                    // re-observed sequences.
-                    pipe.pump.progress = ProgressTracker::new();
-                    if !pipe.pump.driver.restore(pp.batches, pp.max_ts) {
-                        return Err(internal("chaos source lost its replay log"));
-                    }
-                }
-                // Restored operators are snapshots of the instrumented
-                // chain: they keep reporting into the original
-                // registries, so per-operator counters survive the crash
-                // (including the pre-crash work the replay re-runs — see
-                // docs/observability.md). The cloud sampler and snapshot
-                // retention restart fresh: the sampled series is
-                // best-effort under crashes. The dead phase's held rows
-                // are void; the cut owes the sink what it had not
-                // committed.
-                out.held = cloud_part.uncommitted;
-                cloud_state = CloudState {
-                    ops: cloud_part.ops,
-                    progress: cloud_part.progress,
-                    latency: cloud_part.latency,
-                    tel: CloudTel::new(
-                        &self.config.telemetry,
-                        all_chains(&pipe_tels, &cloud_tel),
-                        Arc::clone(&trace),
+            let parent = self
+                .topo
+                .links()
+                .iter()
+                .find(|l| l.from == failed)
+                .map(|l| l.to)
+                .ok_or_else(|| {
+                    NebulaError::Plan(format!(
+                        "cannot fail node '{}': it has no parent to migrate to",
+                        self.topo.node(failed).name
+                    ))
+                })?;
+            self.topo.fail_node(failed);
+            cluster.replans += 1;
+            for pl in &mut placements {
+                let (new_pl, migrated) = crate::topology::replace_after_failure(pl, failed, parent);
+                *pl = new_pl;
+                cluster.migrated_stages += migrated;
+            }
+            if tel_on {
+                trace.push(
+                    COORDINATOR_ORIGIN,
+                    TraceKind::Replan,
+                    format!(
+                        "{} stage(s) migrated to '{}'",
+                        cluster.migrated_stages,
+                        self.topo.node(parent).name
                     ),
-                };
-                cluster.recovery_ms = recovery_t0.elapsed().as_secs_f64() * 1e3;
-
-                // Phase 2: chaos continues on the surviving links, but
-                // the crash switch is disarmed (the node is dead).
-                let resumed = c.next_phase();
-                resumed
-                    .store
-                    .set_expected_sites(pipelines.iter().map(|p| p.sites.len()).collect());
-                let io = PhaseIo {
-                    topo: &self.topo,
-                    cfg: &self.config,
-                    wire: &self.wire,
-                    accounts: &accounts,
-                    cloud_node,
-                };
-                let (st, spawned) = run_phase(
-                    &io,
-                    &mut pipelines,
-                    cloud_state,
-                    &mut out,
-                    &cloud_in_schema,
-                    Some(&resumed),
-                )?;
-                cloud_state = st;
-                cluster.sites += spawned;
+                );
             }
+            // Restore the newest sealed epoch (the run's start at
+            // the latest): source counters and operator state per
+            // live pipeline, cloud tail state, and a source rewind to
+            // the checkpointed batch.
+            let (_epoch, mut snap) = c
+                .store
+                .take_for_restore()
+                .ok_or_else(|| internal("no sealed epoch to restore"))?;
+            let cloud_part = snap
+                .cloud
+                .take()
+                .ok_or_else(|| internal("sealed epoch lacks its cloud part"))?;
+            for (p, (pipe, pl)) in pipelines.iter_mut().zip(&placements).enumerate() {
+                if cloud_part.progress.is_done(p as u64) {
+                    // This pipeline finished before the cut: nothing
+                    // to re-run (its totals live on in the store's
+                    // finals).
+                    pipe.source.eos_sent = true;
+                    pipe.stages = Vec::new();
+                    continue;
+                }
+                // Every stage's operators in pipeline order, regrouped
+                // once by the re-planned placement (its entry 0 is the
+                // source node, entry i+1 operator i); stage 0's part
+                // carries the source cut.
+                let (mut flat, mut cut) = (Vec::new(), None);
+                for part in (0..).map_while(|s| snap.stages.remove(&(p, s))) {
+                    flat.extend(part.ops);
+                    cut = cut.or(part.source);
+                }
+                let (Some(cut), Some(&node), Some(assign)) =
+                    (cut, pl.stages.first(), pl.stages.get(1..=flat.len()))
+                else {
+                    return Err(internal("sealed epoch lacks a stage part"));
+                };
+                pipe.stages = regroup(node, flat, assign);
+                pipe.source.stats = cut.stats;
+                pipe.source.eos_sent = false;
+                // Replay re-derives stage 0's punctuation from
+                // scratch; a stale tracker would dedup the
+                // re-observed sequences.
+                pipe.source.progress = ProgressTracker::new();
+                if !pipe.source.driver.restore(cut.batches, cut.max_ts) {
+                    return Err(internal("chaos source lost its replay log"));
+                }
+            }
+            // Restored operators are snapshots of the instrumented
+            // chain: they keep reporting into the original
+            // registries, so per-operator counters survive the crash
+            // (including the pre-crash work the replay re-runs — see
+            // docs/observability.md). The cloud sampler and snapshot
+            // retention restart fresh: the sampled series is
+            // best-effort under crashes. The dead phase's held rows
+            // are void; the cut owes the sink what it had not
+            // committed.
+            out.held = cloud_part.uncommitted;
+            cloud_state = CloudState {
+                ops: cloud_part.ops,
+                progress: cloud_part.progress,
+                latency: cloud_part.latency,
+                tel: CloudTel::new(
+                    &self.config.telemetry,
+                    all_chains(&pipe_tels, &cloud_tel),
+                    Arc::clone(&trace),
+                ),
+            };
+            cluster.recovery_ms = recovery_t0.elapsed().as_secs_f64() * 1e3;
+
+            // Phase 2: chaos continues on the surviving links, but the
+            // crash switch is disarmed (the node is dead).
+            let next = c.next_phase();
+            next.store.set_expected_stages(stage_counts(&pipelines));
+            resumed = Some(next);
         }
 
         // The run is over: no recovery can replay what is still held.
@@ -844,15 +820,14 @@ impl ClusterEnvironment {
                         .final_for(p)
                         .ok_or_else(|| internal("pipeline finished without final totals"))?;
                     metrics.merge(&fin.stats);
-                    metrics.late_drops += fin.pump_late + fin.site_late;
+                    metrics.late_drops += fin.late;
                 }
             }
             None => {
                 for pipe in &pipelines {
-                    metrics.merge(&pipe.pump.stats);
-                    metrics.late_drops += chain_late_drops(&pipe.pump.ops);
-                    for (_, ops) in &pipe.sites {
-                        metrics.late_drops += chain_late_drops(ops);
+                    metrics.merge(&pipe.source.stats);
+                    for stage in &pipe.stages {
+                        metrics.late_drops += chain_late_drops(&stage.ops);
                     }
                 }
             }
@@ -1044,7 +1019,7 @@ struct ChaosRun {
     store: Arc<CheckpointStore>,
     switch: Option<Arc<CrashSwitch>>,
     /// Set by any thread that errors, so threads blocked on quiet
-    /// channels (the cloud between frames, pumps between polls) notice
+    /// channels (the cloud between frames, stage 0 between polls) notice
     /// the phase is dying and wind down instead of hanging.
     abort: Arc<AtomicBool>,
     phase: u64,
@@ -1096,21 +1071,17 @@ fn snapshot_chain(ops: &[Box<dyn Operator>]) -> Result<Vec<Box<dyn Operator>>> {
 }
 
 /// The run's start as checkpoint epoch 0: snapshots of the freshly
-/// compiled pump, site and cloud chains, every source at batch 0 with
-/// no event time seen, fresh trackers and no rows owed to the sink.
+/// compiled stage and cloud chains, every source at batch 0 with no
+/// event time seen, fresh trackers and no rows owed to the sink.
 fn start_epoch(pipelines: &[PipelinePlan], cloud: &CloudState) -> Result<EpochState> {
     let mut epoch = EpochState::default();
     for (p, pipe) in pipelines.iter().enumerate() {
-        let pump = PumpPart {
-            ops: snapshot_chain(&pipe.pump.ops)?,
-            batches: 0,
-            max_ts: EventTime::MIN,
-            stats: QueryMetrics::default(),
-        };
-        epoch.pumps.insert(p, pump);
-        for (s, (_, ops)) in pipe.sites.iter().enumerate() {
-            let ops = snapshot_chain(ops)?;
-            epoch.sites.insert((p, s), SitePart { ops });
+        for (s, stage) in pipe.stages.iter().enumerate() {
+            let part = StagePart {
+                ops: snapshot_chain(&stage.ops)?,
+                source: (s == 0).then(|| pipe.source.cut(0)),
+            };
+            epoch.stages.insert((p, s), part);
         }
     }
     epoch.cloud = Some(CloudPart {
@@ -1122,33 +1093,40 @@ fn start_epoch(pipelines: &[PipelinePlan], cloud: &CloudState) -> Result<EpochSt
     Ok(epoch)
 }
 
-/// Splits a pipeline's operators into the pump group (stages on the
-/// source node) and contiguous same-node site groups.
-#[allow(clippy::type_complexity)]
-fn regroup(
-    source_node: NodeId,
-    flat: Vec<Box<dyn Operator>>,
-    assign: &[NodeId],
-) -> (
-    Vec<Box<dyn Operator>>,
-    Vec<(NodeId, Vec<Box<dyn Operator>>)>,
-) {
-    debug_assert_eq!(flat.len(), assign.len());
-    let mut group0 = Vec::new();
-    let mut sites: Vec<(NodeId, Vec<Box<dyn Operator>>)> = Vec::new();
-    for (op, &node) in flat.into_iter().zip(assign) {
-        if sites.is_empty() && node == source_node {
-            group0.push(op);
-        } else if let Some(last) = sites.last_mut().filter(|(n, _)| *n == node) {
-            last.1.push(op);
-        } else {
-            sites.push((node, vec![op]));
-        }
-    }
-    (group0, sites)
+/// Stages per pipeline this phase: how many parts an epoch needs.
+fn stage_counts(pipelines: &[PipelinePlan]) -> Vec<usize> {
+    pipelines.iter().map(|p| p.stages.len()).collect()
 }
 
-/// Per-link traffic counters shared across site threads.
+/// One stage of a pipeline: the operators placed on one node, driven
+/// by one thread.
+struct Stage {
+    node: NodeId,
+    ops: Vec<Box<dyn Operator>>,
+}
+
+/// Groups a pipeline's operators into stages: stage 0 on the source
+/// node (possibly with no operators), then one stage per contiguous
+/// same-node run.
+fn regroup(source_node: NodeId, flat: Vec<Box<dyn Operator>>, assign: &[NodeId]) -> Vec<Stage> {
+    debug_assert_eq!(flat.len(), assign.len());
+    let mut stages = vec![Stage {
+        node: source_node,
+        ops: Vec::new(),
+    }];
+    for (op, &node) in flat.into_iter().zip(assign) {
+        match stages.last_mut().filter(|s| s.node == node) {
+            Some(stage) => stage.ops.push(op),
+            None => stages.push(Stage {
+                node,
+                ops: vec![op],
+            }),
+        }
+    }
+    stages
+}
+
+/// Per-link traffic counters shared across stage threads.
 #[derive(Default)]
 struct LinkAccount {
     frames: AtomicU64,
@@ -1169,7 +1147,7 @@ struct TrafficAccounts {
     uplink: LinkAccount,
 }
 
-/// The sending half of an inter-site channel, with link accounting.
+/// The sending half of an inter-stage channel, with link accounting.
 enum TxTarget {
     Direct(Sender<Vec<u8>>),
     Inbox(Sender<(usize, Vec<u8>)>, usize),
@@ -1217,7 +1195,7 @@ impl WireTx {
                 .max_queue
                 .fetch_max(depth, Ordering::Relaxed);
         }
-        let hung = || hung_up("downstream site");
+        let hung = || hung_up("downstream stage");
         match &self.target {
             TxTarget::Direct(tx) => tx.send(bytes).map_err(|_| hung()),
             TxTarget::Inbox(tx, p) => tx.send((*p, bytes)).map_err(|_| hung()),
@@ -1225,7 +1203,7 @@ impl WireTx {
     }
 }
 
-/// A site's downstream sender: the accounting [`WireTx`] plus, in chaos
+/// A stage's downstream sender: the accounting [`WireTx`] plus, in chaos
 /// mode, the resilient-delivery layer wrapped around it (envelopes,
 /// acks, retransmission, the chaos injector itself).
 struct TxLink {
@@ -1234,28 +1212,12 @@ struct TxLink {
 }
 
 impl TxLink {
-    fn plain(wire: WireTx) -> TxLink {
-        TxLink { wire, rel: None }
-    }
-
-    fn reliable(wire: WireTx, rel: ReliableTx) -> TxLink {
-        TxLink {
-            wire,
-            rel: Some(Box::new(rel)),
-        }
-    }
-
     fn send(&mut self, bytes: Vec<u8>, records: u64) -> Result<()> {
         let TxLink { wire, rel } = self;
         match rel {
             Some(r) => r.send(&bytes, records, &mut |b, n| wire.send(b, n)),
             None => wire.send(bytes, records),
         }
-    }
-
-    /// Frames currently queued on this link's downstream channel.
-    fn queue_depth(&self) -> u64 {
-        self.wire.depth.load(Ordering::Relaxed)
     }
 
     /// Chaos mode: an unsequenced liveness beacon. No-op on plain links
@@ -1282,7 +1244,7 @@ impl TxLink {
     }
 }
 
-/// A site's upstream receiver: a plain channel, or the resilient layer
+/// A stage's upstream receiver: a plain channel, or the resilient layer
 /// reassembling an exactly-once in-order stream from chaos-injected
 /// arrivals.
 enum RxLink {
@@ -1298,9 +1260,9 @@ impl RxLink {
     /// The next in-order payload. On a reliable link this loops over raw
     /// arrivals (absorbing corruption, duplicates and reordering) and
     /// polls the abort flag while idle, so a dying phase never hangs a
-    /// site on a quiet channel.
+    /// stage on a quiet channel.
     fn recv(&mut self, depth: &AtomicU64) -> Result<Vec<u8>> {
-        let hung = || hung_up("upstream site");
+        let hung = || hung_up("upstream stage");
         match self {
             RxLink::Plain(rx) => {
                 let bytes = rx.recv().map_err(|_| hung())?;
@@ -1377,7 +1339,7 @@ fn flag_abort<T>(abort: Option<&AtomicBool>, r: Result<T>) -> Result<T> {
 /// buffers columnar when its head opts in, exactly as the source gate
 /// decides for the chain it feeds, or when there is no tail and the
 /// buffer passes straight on (any mode but `Off`). Decided once per
-/// phase, like the pump's: a re-plan may move stages.
+/// phase, like the source's: a re-plan may move stages.
 fn tail_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
     chain_wants_columnar(mode, ops) || (ops.is_empty() && mode != ColumnarMode::Off)
 }
@@ -1391,7 +1353,9 @@ fn received(columnar: bool, tb: TupleBuffer) -> StreamMessage {
     }
 }
 
-/// Encodes and forwards terminal messages downstream.
+/// Encodes and forwards terminal messages downstream, skipping empty
+/// batches. Rows and buffers encode to the same column-major bytes, so
+/// byte accounting does not depend on the layout.
 fn forward(
     msgs: Vec<StreamMessage>,
     out_schema: &SchemaRef,
@@ -1399,160 +1363,292 @@ fn forward(
     tx: &mut TxLink,
 ) -> Result<()> {
     for msg in msgs {
-        match msg {
-            // Rows and buffers encode to the same column-major bytes, so
-            // byte accounting does not depend on the layout.
-            StreamMessage::Data(b) => {
-                let records = b.len() as u64;
-                if records > 0 {
-                    let frame = Frame::Data(b.into_records());
-                    tx.send(encode_frame(&frame, out_schema, wire)?, records)?;
-                }
-            }
-            StreamMessage::Columnar(b) => {
-                let records = b.len() as u64;
-                if records > 0 {
-                    let frame = Frame::Columnar(b);
-                    tx.send(encode_frame(&frame, out_schema, wire)?, records)?;
-                }
-            }
-            StreamMessage::Watermark(w) => {
-                tx.send(encode_frame(&Frame::Watermark(w), out_schema, wire)?, 0)?;
-            }
-            StreamMessage::Eos => {
-                tx.send(encode_frame(&Frame::Eos, out_schema, wire)?, 0)?;
-            }
-        }
+        let records = msg.record_count() as u64;
+        let frame = match msg {
+            StreamMessage::Data(b) if records > 0 => Frame::Data(b.into_records()),
+            StreamMessage::Columnar(b) if records > 0 => Frame::Columnar(b),
+            StreamMessage::Data(_) | StreamMessage::Columnar(_) => continue,
+            StreamMessage::Watermark(w) => Frame::Watermark(w),
+            StreamMessage::Eos => Frame::Eos,
+        };
+        tx.send(encode_frame(&frame, out_schema, wire)?, records)?;
     }
     Ok(())
 }
 
-/// Chaos-mode context for one site thread: where its checkpoint parts
-/// go, and — on the doomed node — the crash switch that kills it.
-struct SiteChaos {
+/// A pipeline's source side, preserved across phases: the input of its
+/// stage 0.
+struct PipeSource {
+    /// Polling, stamping, batch and idle counting.
+    driver: SourceDriver,
+    /// Stage 0's progress over the source's per-buffer punctuation; its
+    /// frontier is what crosses the wire as `Frame::Watermark`.
+    progress: ProgressTracker,
+    stats: QueryMetrics,
+    /// This pipeline's stream already ended (stage 0 sent its Eos);
+    /// later phases spawn nothing for it.
+    eos_sent: bool,
+}
+
+impl PipeSource {
+    /// The cut a restore rewinds the source to, after `batches` batches.
+    fn cut(&self, batches: u64) -> SourceCut {
+        SourceCut {
+            batches,
+            max_ts: self.driver.max_ts(),
+            stats: self.stats.clone(),
+        }
+    }
+}
+
+struct PipelinePlan {
+    source: PipeSource,
+    stages: Vec<Stage>,
+}
+
+/// Chaos-mode context for one stage thread: where its checkpoint parts
+/// go, the phase's abort flag, and — when the stage counts frames for
+/// the doomed node — the crash switch that kills it.
+struct StageChaos {
     store: Arc<CheckpointStore>,
     pipe: usize,
-    site_idx: usize,
+    stage: usize,
+    abort: Arc<AtomicBool>,
     doom: Option<Arc<CrashSwitch>>,
     doom_name: String,
 }
 
-/// Telemetry context for one site thread: ship a [`NodeSnapshot`]
+impl StageChaos {
+    /// Counts one frame for the doomed node. Once the switch trips the
+    /// node dies abruptly: all operator state and every channel drop
+    /// mid-batch, with no Eos.
+    fn check_doom(&self) -> Result<()> {
+        match &self.doom {
+            Some(doom) if doom.observe() => Err(ClusterError::NodeDown {
+                node: self.doom_name.clone(),
+            }
+            .into()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Telemetry context for one stage thread: ship a [`NodeSnapshot`]
 /// downstream at most once per `every`.
-struct SiteTel {
+struct StageTel {
     node: String,
     origin: u64,
     every: Duration,
 }
 
-/// One edge site: decode, drive the sub-chain (columnar when
-/// [`tail_wants_columnar`] says so under `mode`), re-encode downstream.
-/// Returns the operator state on end-of-stream.
+/// Where a stage's input comes from.
+enum StageInput<'a> {
+    /// Stage 0: the pipeline's source. `polled` is the sequence of the
+    /// batch last handed out, until the next step.
+    Source {
+        src: &'a mut PipeSource,
+        polled: Option<u64>,
+    },
+    /// Every later stage: the upstream link, decoding frames of
+    /// `schema`; `columnar` is the [`tail_wants_columnar`] gate.
+    Link {
+        rx: RxLink,
+        depth: Arc<AtomicU64>,
+        schema: SchemaRef,
+        columnar: bool,
+    },
+}
+
+/// One step of a stage's input.
+enum Step {
+    /// A source batch with the watermark it punctuated, or one received
+    /// data or watermark frame.
+    Batch(Option<StreamMessage>, Option<EventTime>),
+    /// A checkpoint barrier: snapshot the stage, then pass it on.
+    Barrier(u64),
+    /// An upstream node snapshot, relayed unchanged (its layout is
+    /// schema-independent).
+    Relay(Vec<u8>),
+    Eos,
+}
+
+impl StageInput<'_> {
+    /// Stage 0's source side.
+    fn source(&self) -> Option<&PipeSource> {
+        match self {
+            StageInput::Source { src, .. } => Some(src),
+            StageInput::Link { .. } => None,
+        }
+    }
+
+    /// The next step. Only the source makes watermarks (the tracker's
+    /// frontier, on punctuated sequences) and barriers (every
+    /// [`CHECKPOINT_EVERY`] sequences), and only it sends heartbeats
+    /// while idle. A stage on the doomed node counts every frame it
+    /// receives, before handling it; a source counts once per batch,
+    /// after the stage has handled the batch and before its barrier.
+    fn next(
+        &mut self,
+        chaos: Option<&StageChaos>,
+        wire: &WireRegistry,
+        tx: &mut TxLink,
+    ) -> Result<Step> {
+        let (src, polled) = match self {
+            StageInput::Link {
+                rx,
+                depth,
+                schema,
+                columnar,
+            } => {
+                let bytes = rx.recv(depth)?;
+                chaos.map_or(Ok(()), StageChaos::check_doom)?;
+                return Ok(match decode_frame(&bytes, schema, wire)? {
+                    Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
+                    Frame::Columnar(tb) => Step::Batch(Some(received(*columnar, tb)), None),
+                    Frame::Watermark(w) => Step::Batch(None, Some(w)),
+                    Frame::Barrier(epoch) => Step::Barrier(epoch),
+                    Frame::Telemetry(_) => Step::Relay(bytes),
+                    Frame::Eos => Step::Eos,
+                });
+            }
+            StageInput::Source { src, polled } => (src, polled),
+        };
+        if let (Some(sequence), Some(c)) = (polled.take(), chaos) {
+            c.check_doom()?;
+            if sequence.is_multiple_of(CHECKPOINT_EVERY) {
+                // Everything up to `sequence` is ahead of the barrier on
+                // every downstream link.
+                return Ok(Step::Barrier(sequence / CHECKPOINT_EVERY));
+            }
+        }
+        loop {
+            if chaos.is_some_and(|c| c.abort.load(Ordering::Relaxed)) {
+                return Err(ClusterError::Aborted.into());
+            }
+            match src.driver.poll()? {
+                Polled::Batch(Stamped {
+                    msg,
+                    sequence,
+                    punctuation,
+                }) => {
+                    src.stats.batches += 1;
+                    src.stats.records_in += msg.record_count() as u64;
+                    src.stats.bytes_in += msg.data_bytes() as u64;
+                    // The per-buffer punctuation stamp is the source of
+                    // truth; the wire watermark is the tracker's frontier
+                    // over it. Every sequence feeds the tracker —
+                    // unpunctuated buffers close gaps — but only
+                    // punctuated ones emit.
+                    src.progress
+                        .observe(src.driver.origin(), sequence, punctuation);
+                    let watermark = punctuation.and(src.progress.frontier());
+                    src.stats.watermarks += u64::from(watermark.is_some());
+                    *polled = Some(sequence);
+                    return Ok(Step::Batch(Some(msg), watermark));
+                }
+                Polled::Idle(idle) => {
+                    if chaos.is_some() && idle.is_multiple_of(1024) {
+                        // Keep a quiet link observably alive.
+                        tx.heartbeat()?;
+                    }
+                    std::thread::yield_now();
+                }
+                Polled::End => return Ok(Step::Eos),
+            }
+        }
+    }
+}
+
+/// The one loop of every non-cloud stage: take input steps, drive the
+/// operators, and forward their output downstream as frames of
+/// `out_schema`, with the stage's node snapshots and checkpoint
+/// barriers; on end-of-stream, flush and return the operators.
 ///
 /// Thread entry point: every argument is moved out of the spawning
-/// closure and owned until the site shuts down.
-#[allow(clippy::too_many_arguments, clippy::needless_pass_by_value)]
-fn run_site(
+/// closure and owned until the stage shuts down.
+#[allow(clippy::needless_pass_by_value)]
+fn run_stage(
     mut ops: Vec<Box<dyn Operator>>,
-    in_schema: SchemaRef,
-    mut rx: RxLink,
-    depth: Arc<AtomicU64>,
+    mut input: StageInput<'_>,
     mut tx: TxLink,
+    out_schema: SchemaRef,
     wire: WireRegistry,
-    mode: ColumnarMode,
-    chaos: Option<SiteChaos>,
-    tel: Option<SiteTel>,
+    chaos: Option<StageChaos>,
+    tel: Option<StageTel>,
 ) -> Result<Vec<Box<dyn Operator>>> {
-    let out_schema = ops
-        .last()
-        .map_or_else(|| in_schema.clone(), |o| o.output_schema());
-    let columnar = tail_wants_columnar(mode, &ops);
     let started = Instant::now();
     let mut last_snap = Instant::now();
     let (mut records_in, mut records_out, mut snap_seq) = (0u64, 0u64, 0u64);
     loop {
-        let bytes = rx.recv(&depth)?;
-        if let Some(c) = &chaos {
-            if let Some(switch) = &c.doom {
-                if switch.observe() {
-                    // Abrupt death: all operator state and every channel
-                    // drop mid-batch, with no Eos.
-                    return Err(ClusterError::NodeDown {
-                        node: c.doom_name.clone(),
-                    }
-                    .into());
+        match input.next(chaos.as_ref(), &wire, &mut tx)? {
+            Step::Batch(data, watermark) => {
+                let had_data = data.is_some();
+                for msg in data
+                    .into_iter()
+                    .chain(watermark.map(StreamMessage::Watermark))
+                {
+                    records_in += msg.record_count() as u64;
+                    let msgs = drive(&mut ops, msg)?;
+                    records_out += records_of(&msgs);
+                    forward(msgs, &out_schema, &wire, &mut tx)?;
+                }
+                let due = |t: &&StageTel| had_data && last_snap.elapsed() >= t.every;
+                if let Some(t) = tel.as_ref().filter(due) {
+                    // The snapshot rides the same route (and, in chaos
+                    // mode, the same resilient link) as the data it
+                    // describes. Stage 0 reports its outbound queue and
+                    // its tracker; a later stage its inbound queue and no
+                    // frontier (the cloud reads lag off stage 0's).
+                    let src = input.source();
+                    snap_seq += 1;
+                    let snap = NodeSnapshot {
+                        origin: t.origin,
+                        node: t.node.clone(),
+                        seq: snap_seq,
+                        at_us: started.elapsed().as_micros() as u64,
+                        records_in,
+                        records_out,
+                        queue_depth: match &input {
+                            StageInput::Link { depth, .. } => depth.load(Ordering::Relaxed),
+                            StageInput::Source { .. } => tx.wire.depth.load(Ordering::Relaxed),
+                        },
+                        frontier: src.and_then(|s| s.progress.frontier()),
+                        frontier_lag_us: src.map_or(0, |s| s.progress.frontier_lag_us()),
+                    };
+                    tx.send(
+                        encode_frame(&Frame::Telemetry(snap), &out_schema, &wire)?,
+                        0,
+                    )?;
+                    last_snap = Instant::now();
                 }
             }
-        }
-        match decode_frame(&bytes, &in_schema, &wire)? {
-            Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
-            Frame::Columnar(tb) => {
-                records_in += tb.len() as u64;
-                let msgs = drive(&mut ops, received(columnar, tb))?;
-                records_out += records_of(&msgs);
-                forward(msgs, &out_schema, &wire, &mut tx)?;
-                if let Some(t) = &tel {
-                    if last_snap.elapsed() >= t.every {
-                        // Sites have no progress tracker of their own:
-                        // the frontier fields stay empty and the cloud
-                        // reads lag off the pump's snapshots instead.
-                        snap_seq += 1;
-                        let snap = NodeSnapshot {
-                            origin: t.origin,
-                            node: t.node.clone(),
-                            seq: snap_seq,
-                            at_us: started.elapsed().as_micros() as u64,
-                            records_in,
-                            records_out,
-                            queue_depth: depth.load(Ordering::Relaxed),
-                            frontier: None,
-                            frontier_lag_us: 0,
-                        };
-                        tx.send(
-                            encode_frame(&Frame::Telemetry(snap), &out_schema, &wire)?,
-                            0,
-                        )?;
-                        last_snap = Instant::now();
-                    }
-                }
-            }
-            Frame::Watermark(w) => {
-                let msgs = drive(&mut ops, StreamMessage::Watermark(w))?;
-                records_out += records_of(&msgs);
-                forward(msgs, &out_schema, &wire, &mut tx)?;
-            }
-            Frame::Barrier(epoch) => {
+            Step::Barrier(epoch) => {
                 let Some(c) = &chaos else {
                     return Err(internal("checkpoint barrier outside a chaos run"));
                 };
                 // Snapshot at the cut and pass the barrier on; it is a
                 // pipeline-level marker, never driven through operators.
-                c.store.put_site(
-                    epoch,
-                    c.pipe,
-                    c.site_idx,
-                    SitePart {
-                        ops: snapshot_chain(&ops)?,
-                    },
-                );
+                let part = StagePart {
+                    ops: snapshot_chain(&ops)?,
+                    source: input.source().map(|s| s.cut(epoch * CHECKPOINT_EVERY)),
+                };
+                c.store.put(epoch, c.pipe, c.stage, part);
                 tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, &wire)?, 0)?;
             }
-            Frame::Telemetry(_) => {
-                // Upstream snapshots relay unchanged toward the cloud
-                // fan-in (the frame needs no re-encode: its layout is
-                // schema-independent).
-                tx.send(bytes, 0)?;
-            }
-            Frame::Eos => {
-                // No snapshot ships after end-of-stream, so the local
-                // counters need no final update.
+            Step::Relay(bytes) => tx.send(bytes, 0)?,
+            Step::Eos => {
                 let msgs = drive(&mut ops, StreamMessage::Eos)?;
                 forward(msgs, &out_schema, &wire, &mut tx)?;
                 tx.flush()?;
                 if let Some(c) = &chaos {
-                    c.store.add_site_final_late(c.pipe, chain_late_drops(&ops));
+                    let stats = input.source().map(|s| s.stats.clone());
+                    c.store.add_final(c.pipe, stats, chain_late_drops(&ops));
                 }
-                rx.linger(&depth);
+                // The source is spent; a link lingers.
+                match &mut input {
+                    StageInput::Source { src, .. } => src.eos_sent = true,
+                    StageInput::Link { rx, depth, .. } => rx.linger(depth),
+                }
                 return Ok(ops);
             }
         }
@@ -1966,194 +2062,11 @@ fn run_cloud(
     }
 }
 
-/// One pipeline's source-side state, preserved across phases.
-struct PumpState {
-    /// The source stage: polling, stamping, batch and idle counting.
-    driver: SourceDriver,
-    /// Stages placed on the source node, driven on the pump thread.
-    ops: Vec<Box<dyn Operator>>,
-    stats: QueryMetrics,
-    /// This pipeline's stream already ended (its Eos reached the
-    /// cloud); later phases spawn nothing for it.
-    eos_sent: bool,
-    /// Pump-local progress over the source's per-buffer punctuation;
-    /// its frontier is what crosses the wire as `Frame::Watermark`.
-    progress: ProgressTracker,
-    /// The hosting topology node's name, stamped on telemetry
-    /// snapshots this pump ships.
-    node_name: String,
-    /// Records forwarded downstream (post source-node stages).
-    sent_records: u64,
-    /// Monotone sequence for shipped [`NodeSnapshot`]s.
-    snap_seq: u64,
-}
-
-struct PipelinePlan {
-    node: NodeId,
-    /// Node per compiled pipeline operator (crash re-plan bookkeeping).
-    assign: Vec<NodeId>,
-    pump: PumpState,
-    sites: Vec<(NodeId, Vec<Box<dyn Operator>>)>,
-}
-
-/// Chaos-mode context for one pump thread.
-struct PumpChaos {
-    store: Arc<CheckpointStore>,
-    pipe: usize,
-    abort: Arc<AtomicBool>,
-    /// Set when the doomed node is a pass-through hop on this pump's
-    /// route (it hosts no site thread anywhere): the pump observes the
-    /// crash switch on its frames and dies when it trips, severing the
-    /// path exactly as the node's crash would.
-    doom: Option<Arc<CrashSwitch>>,
-    doom_name: String,
-}
-
-impl PumpChaos {
-    /// Kills the pump if the pass-through crash switch trips.
-    fn check_doom(&self) -> Result<()> {
-        if let Some(doom) = &self.doom {
-            if doom.observe() {
-                return Err(ClusterError::NodeDown {
-                    node: self.doom_name.clone(),
-                }
-                .into());
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Takes stamped buffers from the pipeline's [`SourceDriver`], drives
-/// the source-node stages, and pushes data, frontier watermarks,
-/// telemetry snapshots and checkpoint barriers downstream as frames,
-/// then flushes end-of-stream.
-fn pump(
-    st: &mut PumpState,
-    tx: &mut TxLink,
-    wire: &WireRegistry,
-    cfg: &ClusterConfig,
-    chaos: Option<&PumpChaos>,
-) -> Result<()> {
-    let out_schema = st
-        .ops
-        .last()
-        .map_or_else(|| st.driver.schema().clone(), |o| o.output_schema());
-    // Columnar only pays off when a local stage consumes the buffer;
-    // with no source-node stages the rows go straight to the encoder,
-    // which lays them out column by column itself. Decided per phase: a
-    // re-plan may have moved stages onto or off this node.
-    st.driver.gate(cfg.columnar, &st.ops);
-    let origin = st.driver.origin();
-    let started = Instant::now();
-    let mut last_snap = Instant::now();
-    loop {
-        if let Some(c) = chaos {
-            if c.abort.load(Ordering::Relaxed) {
-                return Err(ClusterError::Aborted.into());
-            }
-        }
-        match st.driver.poll()? {
-            Polled::Batch(Stamped {
-                msg,
-                sequence,
-                punctuation,
-            }) => {
-                st.stats.batches += 1;
-                st.stats.records_in += msg.record_count() as u64;
-                st.stats.bytes_in += msg.data_bytes() as u64;
-                let msgs = drive(&mut st.ops, msg)?;
-                st.sent_records += records_of(&msgs);
-                forward(msgs, &out_schema, wire, tx)?;
-                // The per-buffer punctuation stamp is the source of
-                // truth; the wire watermark is the pump tracker's
-                // frontier over it. Every sequence feeds the tracker —
-                // unpunctuated buffers close gaps — but only punctuated
-                // ones emit.
-                st.progress.observe(origin, sequence, punctuation);
-                if punctuation.is_some() {
-                    if let Some(w) = st.progress.frontier() {
-                        st.stats.watermarks += 1;
-                        let msgs = drive(&mut st.ops, StreamMessage::Watermark(w))?;
-                        st.sent_records += records_of(&msgs);
-                        forward(msgs, &out_schema, wire, tx)?;
-                    }
-                }
-                if cfg.telemetry.enabled && last_snap.elapsed() >= cfg.telemetry.sample_every {
-                    // Ship a node snapshot downstream; it rides the
-                    // same route (and, in chaos mode, the same
-                    // resilient link) as the data it describes.
-                    st.snap_seq += 1;
-                    let snap = NodeSnapshot {
-                        origin,
-                        node: st.node_name.clone(),
-                        seq: st.snap_seq,
-                        at_us: started.elapsed().as_micros() as u64,
-                        records_in: st.stats.records_in,
-                        records_out: st.sent_records,
-                        queue_depth: tx.queue_depth(),
-                        frontier: st.progress.frontier(),
-                        frontier_lag_us: st.progress.frontier_lag_us(),
-                    };
-                    tx.send(encode_frame(&Frame::Telemetry(snap), &out_schema, wire)?, 0)?;
-                    last_snap = Instant::now();
-                }
-                if let Some(c) = chaos {
-                    c.check_doom()?;
-                    if sequence.is_multiple_of(CHECKPOINT_EVERY) {
-                        // Snapshot the pump's cut and send the barrier
-                        // after it: everything up to `sequence` is
-                        // ahead of the marker on every downstream link.
-                        let epoch = sequence / CHECKPOINT_EVERY;
-                        c.store.put_pump(
-                            epoch,
-                            c.pipe,
-                            PumpPart {
-                                ops: snapshot_chain(&st.ops)?,
-                                batches: sequence,
-                                max_ts: st.driver.max_ts(),
-                                stats: st.stats.clone(),
-                            },
-                        );
-                        tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, wire)?, 0)?;
-                    }
-                }
-            }
-            Polled::Idle(idle) => {
-                if chaos.is_some() && idle.is_multiple_of(1024) {
-                    // Keep a quiet link observably alive.
-                    tx.heartbeat()?;
-                }
-                std::thread::yield_now();
-            }
-            Polled::End => break,
-        }
-    }
-    let msgs = drive(&mut st.ops, StreamMessage::Eos)?;
-    st.sent_records += records_of(&msgs);
-    forward(msgs, &out_schema, wire, tx)?;
-    tx.flush()?;
-    if let Some(c) = chaos {
-        c.store
-            .record_pump_final(c.pipe, st.stats.clone(), chain_late_drops(&st.ops));
-    }
-    st.eos_sent = true;
-    Ok(())
-}
-
-/// Whether `node` lies on the frame route `src → sites… → cloud` of a
-/// pipeline — as any hop endpoint, including pass-through relays that
-/// host no operators.
-fn route_crosses(
-    topo: &Topology,
-    cloud: NodeId,
-    src: NodeId,
-    sites: &[NodeId],
-    node: NodeId,
-) -> Result<bool> {
-    let mut stops = Vec::with_capacity(sites.len() + 2);
-    stops.push(src);
-    stops.extend_from_slice(sites);
+/// Whether `node` lies on a pipeline's frame route `stops… → cloud`
+/// (the source node first) — as any hop endpoint, including
+/// pass-through relays that host no operators.
+fn route_crosses(topo: &Topology, cloud: NodeId, stops: &[NodeId], node: NodeId) -> Result<bool> {
+    let mut stops = stops.to_vec();
     stops.push(cloud);
     for leg in stops.windows(2) {
         let crosses = topo.path_up(leg[0], leg[1])?.into_iter().any(|idx| {
@@ -2210,17 +2123,18 @@ impl PhaseIo<'_> {
 
 /// The schema of records a pipeline delivers to the cloud site.
 fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
-    let last_ops = p.sites.last().map(|(_, ops)| ops).unwrap_or(&p.pump.ops);
-    last_ops
-        .last()
-        .map_or_else(|| p.pump.driver.schema().clone(), |o| o.output_schema())
+    p.stages
+        .iter()
+        .rev()
+        .find_map(|s| s.ops.last())
+        .map_or_else(|| p.source.driver.schema().clone(), |o| o.output_schema())
 }
 
-/// Spawns the sites and cloud for every pipeline, runs the pumps, and
-/// joins everything, restoring operator state into `pipelines`. Returns
-/// the cloud state and how many site threads were spawned. Pipelines
-/// whose stream already ended (`eos_sent`) spawn nothing. In chaos mode
-/// every hop gets a fault injector, a resilient link, and a reverse ack
+/// Spawns every pipeline's stages and the cloud, and joins everything,
+/// restoring operator state into `pipelines`. Returns the cloud state
+/// and how many threads beyond stage 0 were spawned. Pipelines whose
+/// stream already ended (`eos_sent`) spawn nothing. In chaos mode every
+/// hop gets a fault injector, a resilient link, and a reverse ack
 /// channel, which the cloud's end joins with the checkpoint store.
 fn run_phase(
     io: &PhaseIo<'_>,
@@ -2233,27 +2147,27 @@ fn run_phase(
     let cap = io.cfg.channel_capacity.max(1);
     let n_pipes = pipelines.len();
     let mut sites_spawned = 0usize;
-    let participated: Vec<bool> = pipelines.iter().map(|p| !p.pump.eos_sent).collect();
 
-    // Site node lists, to restore `pipe.sites` after the scope ends
-    // (the scoped `&mut` borrows release only at the scope boundary).
-    let site_nodes: Vec<Vec<NodeId>> = pipelines
+    // Stage nodes (none for a pipeline that already ended), to rebuild
+    // `pipe.stages` after the scope ends (the scoped `&mut` borrows
+    // release only at the scope boundary).
+    let stage_nodes: Vec<Vec<NodeId>> = pipelines
         .iter()
-        .map(|p| p.sites.iter().map(|(n, _)| *n).collect())
+        .map(|p| p.stages.iter().map(|s| s.node).collect())
         .collect();
-    // When the doomed node hosts a site somewhere, that site thread
-    // observes the crash switch; otherwise the node is a pass-through
-    // hop and the pump whose route crosses it plays the victim.
-    let doomed_site_hosted = chaos
+    // When the doomed node hosts a stage somewhere, that stage counts
+    // its frames; otherwise the node is a pass-through hop and stage 0
+    // of the pipeline whose route crosses it plays the victim.
+    let doomed_hosted = chaos
         .and_then(|c| c.switch.as_ref())
-        .is_some_and(|s| site_nodes.iter().any(|ns| ns.contains(&s.node)));
+        .is_some_and(|s| stage_nodes.iter().any(|ns| ns.contains(&s.node)));
 
-    type SiteOps = Vec<Vec<Box<dyn Operator>>>;
-    let scoped: Result<(CloudState, Vec<SiteOps>)> = std::thread::scope(|scope| {
+    type StageOps = Vec<Vec<Box<dyn Operator>>>;
+    let scoped: Result<(CloudState, Vec<StageOps>)> = std::thread::scope(|scope| {
         let (inbox_tx, inbox_rx) = bounded::<(usize, Vec<u8>)>(cap * n_pipes);
         let mut inbox_depths = Vec::with_capacity(n_pipes);
-        let mut site_handles = Vec::with_capacity(n_pipes);
-        let mut pump_handles = Vec::new();
+        // Every stage thread, as (pipe, stage, handle).
+        let mut handles = Vec::new();
         // Per-pipeline reverse ack channel for the hop into the cloud
         // (chaos mode only).
         let mut cloud_acks: Vec<Option<Sender<AckMsg>>> = Vec::with_capacity(n_pipes);
@@ -2261,158 +2175,122 @@ fn run_phase(
         for (p, pipe) in pipelines.iter_mut().enumerate() {
             let inbox_depth = Arc::new(AtomicU64::new(0));
             inbox_depths.push(Arc::clone(&inbox_depth));
-            if pipe.pump.eos_sent {
-                site_handles.push(Vec::new());
+            if pipe.source.eos_sent {
                 cloud_acks.push(None);
                 continue;
             }
-            let PipelinePlan {
-                node,
-                pump: pump_state,
-                sites,
-                ..
-            } = pipe;
-            let src_node = *node;
-            let taken = std::mem::take(sites);
-            let nodes = &site_nodes[p];
-            let n_sites = taken.len();
-
-            // One channel per hop into a site; hop i feeds site i. In
-            // chaos mode each hop level (0..=n_sites; level n_sites is
-            // the hop into the cloud) also gets a reverse ack channel.
-            let (hop_rxs, hops): (Vec<_>, Vec<_>) = (0..n_sites)
-                .map(|_| {
-                    let (tx, rx) = bounded::<Vec<u8>>(cap);
-                    (rx, (tx, Arc::new(AtomicU64::new(0))))
-                })
-                .unzip();
-            let mut ack_txs: Vec<Option<Sender<AckMsg>>> = Vec::new();
-            let mut ack_rxs: Vec<Option<Receiver<AckMsg>>> = Vec::new();
-            if chaos.is_some() {
-                for _ in 0..=n_sites {
-                    let (t, r) = bounded::<AckMsg>(cap * 64);
-                    ack_txs.push(Some(t));
-                    ack_rxs.push(Some(r));
+            let stages = std::mem::take(&mut pipe.stages);
+            let nodes = &stage_nodes[p];
+            // When no stage sits on the doomed node, stage 0 of a pipeline
+            // routed through it counts its source batches instead.
+            let pass_through = match chaos.and_then(|c| c.switch.as_ref()) {
+                Some(sw) if !doomed_hosted => {
+                    route_crosses(io.topo, io.cloud_node, nodes, sw.node)?
                 }
-            }
-            // The sender of hop `level`, leaving `from`: into site
-            // `level`, or into the cloud inbox past the last site.
-            let mut mk_tx = |level: usize, from: NodeId| -> Result<TxLink> {
-                let (to, target, depth) = match hops.get(level) {
-                    Some((tx, depth)) => (nodes[level], TxTarget::Direct(tx.clone()), depth),
-                    None => (
-                        io.cloud_node,
-                        TxTarget::Inbox(inbox_tx.clone(), p),
-                        &inbox_depth,
-                    ),
-                };
-                let wire_tx = io.wire_tx(from, to, target, Arc::clone(depth))?;
-                let Some(c) = chaos else {
-                    return Ok(TxLink::plain(wire_tx));
-                };
-                let ack_rx = ack_rxs[level]
-                    .take()
-                    .ok_or_else(|| internal("ack channel consumed twice"))?;
-                Ok(TxLink::reliable(
-                    wire_tx,
-                    ReliableTx::new(
-                        format!("pipe{p}/hop{level}"),
-                        ack_rx,
-                        LinkChaos::new(&c.plan, c.link_id(p, level)),
-                        Arc::clone(&c.stats),
-                    ),
-                ))
+                _ => false,
             };
-            let mut pump_tx = mk_tx(0, src_node)?;
 
-            // Spawn sites with forward-threaded schemas.
-            let mut in_schema = pump_state
-                .ops
-                .last()
-                .map_or_else(|| pump_state.driver.schema().clone(), |o| o.output_schema());
-            let mut handles = Vec::with_capacity(n_sites);
-            for (i, ((site_node, ops), rx)) in taken.into_iter().zip(hop_rxs).enumerate() {
-                let out_tx = mk_tx(i + 1, site_node)?;
-                let rx_link = match chaos {
-                    Some(c) => RxLink::Reliable {
-                        rx,
-                        rel: ReliableRx::new(
-                            ack_txs[i]
-                                .take()
-                                .ok_or_else(|| internal("ack sender consumed twice"))?,
-                            Arc::clone(&c.stats),
-                        ),
-                        abort: Arc::clone(&c.abort),
+            // Spawn the stages front to back with forward-threaded
+            // schemas. Each builds its outbound hop and leaves the
+            // receiving end to the next stage, or past the last one to the
+            // cloud's inbox; in chaos mode every hop also gets a reverse
+            // ack channel.
+            let mut schema = pipe.source.driver.schema().clone();
+            let mut src = Some(&mut pipe.source);
+            let mut inbound = None;
+            let mut cloud_ack = None;
+            for (s, Stage { node, ops }) in stages.into_iter().enumerate() {
+                let out_schema = ops
+                    .last()
+                    .map_or_else(|| schema.clone(), |o| o.output_schema());
+                let in_schema = std::mem::replace(&mut schema, out_schema.clone());
+                // The columnar gate, decided per phase (a re-plan may move
+                // stages): the source transposes only for an operator
+                // that consumes the buffer — with none, rows go straight
+                // to the encoder, which lays them out column by column
+                // itself — while a link also passes buffers straight on.
+                let input = match (inbound.take(), src.take()) {
+                    (None, Some(src)) => {
+                        src.driver.gate(io.cfg.columnar, &ops);
+                        StageInput::Source { src, polled: None }
+                    }
+                    (Some((rx, depth, ack_tx)), None) => StageInput::Link {
+                        rx: match (chaos, ack_tx) {
+                            (Some(c), Some(ack_tx)) => RxLink::Reliable {
+                                rx,
+                                rel: ReliableRx::new(ack_tx, Arc::clone(&c.stats)),
+                                abort: Arc::clone(&c.abort),
+                            },
+                            _ => RxLink::Plain(rx),
+                        },
+                        depth,
+                        schema: in_schema,
+                        columnar: tail_wants_columnar(io.cfg.columnar, &ops),
                     },
-                    None => RxLink::Plain(rx),
+                    _ => return Err(internal("a stage without an input")),
                 };
-                let site_chaos = chaos.map(|c| SiteChaos {
+                let (ack_tx, ack_rx) = chaos.map(|_| bounded::<AckMsg>(cap * 64)).unzip();
+                let (to, target, depth) = match nodes.get(s + 1) {
+                    Some(&next) => {
+                        let (tx, rx) = bounded::<Vec<u8>>(cap);
+                        let depth = Arc::new(AtomicU64::new(0));
+                        inbound = Some((rx, Arc::clone(&depth), ack_tx));
+                        (next, TxTarget::Direct(tx), depth)
+                    }
+                    None => {
+                        cloud_ack = ack_tx;
+                        let inbox = TxTarget::Inbox(inbox_tx.clone(), p);
+                        (io.cloud_node, inbox, Arc::clone(&inbox_depth))
+                    }
+                };
+                let rel = match (chaos, ack_rx) {
+                    (Some(c), Some(ack_rx)) => Some(Box::new(ReliableTx::new(
+                        format!("pipe{p}/hop{s}"),
+                        ack_rx,
+                        LinkChaos::new(&c.plan, c.link_id(p, s)),
+                        Arc::clone(&c.stats),
+                    ))),
+                    _ => None,
+                };
+                let tx = TxLink {
+                    wire: io.wire_tx(node, to, target, depth)?,
+                    rel,
+                };
+                let stage_chaos = chaos.map(|c| StageChaos {
                     store: Arc::clone(&c.store),
                     pipe: p,
-                    site_idx: i,
-                    doom: c
-                        .switch
-                        .as_ref()
-                        .filter(|s| s.node == site_node)
+                    stage: s,
+                    abort: Arc::clone(&c.abort),
+                    doom: (c.switch.as_ref())
+                        .filter(|sw| sw.node == node || (s == 0 && pass_through))
                         .map(Arc::clone),
                     doom_name: c.doomed_name.clone(),
                 });
-                let site_tel = io.cfg.telemetry.enabled.then(|| SiteTel {
-                    node: io.topo.node(site_node).name.clone(),
+                let stage_tel = io.cfg.telemetry.enabled.then(|| StageTel {
+                    node: io.topo.node(node).name.clone(),
                     origin: p as u64,
                     every: io.cfg.telemetry.sample_every,
                 });
                 let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
-                let depth_in = Arc::clone(&hops[i].1);
-                let out_schema = ops
-                    .last()
-                    .map_or_else(|| in_schema.clone(), |o| o.output_schema());
                 let wire = io.wire.clone();
-                let schema = in_schema.clone();
-                let mode = io.cfg.columnar;
-                handles.push(scope.spawn(move || {
-                    let r = run_site(
-                        ops, schema, rx_link, depth_in, out_tx, wire, mode, site_chaos, site_tel,
-                    );
-                    flag_abort(abort_flag.as_deref(), r)
-                }));
-                sites_spawned += 1;
-                if let Some(c) = chaos {
-                    c.stats.sites_spawned.fetch_add(1, Ordering::Relaxed);
+                handles.push((
+                    p,
+                    s,
+                    scope.spawn(move || {
+                        let r = run_stage(ops, input, tx, out_schema, wire, stage_chaos, stage_tel);
+                        flag_abort(abort_flag.as_deref(), r)
+                    }),
+                ));
+                if s > 0 {
+                    sites_spawned += 1;
+                    if let Some(c) = chaos {
+                        c.stats.sites_spawned.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-                in_schema = out_schema;
             }
-            site_handles.push(handles);
-            // Chaos mode: the last level's ack sender belongs to the
-            // cloud's end of this pipeline's uplink.
-            cloud_acks.push(ack_txs.pop().flatten());
-            // The hop senders were cloned into the WireTx values; drop
-            // the originals so channels disconnect when sites finish.
-            drop(hops);
-
-            let wire = io.wire.clone();
-            let cfg = io.cfg;
-            let pump_doom = match chaos.and_then(|c| c.switch.as_ref()) {
-                Some(s)
-                    if !doomed_site_hosted
-                        && route_crosses(io.topo, io.cloud_node, src_node, nodes, s.node)? =>
-                {
-                    Some(Arc::clone(s))
-                }
-                _ => None,
-            };
-            let pump_chaos = chaos.map(|c| PumpChaos {
-                store: Arc::clone(&c.store),
-                pipe: p,
-                abort: Arc::clone(&c.abort),
-                doom: pump_doom,
-                doom_name: c.doomed_name.clone(),
-            });
-            let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
-            pump_handles.push(scope.spawn(move || {
-                let r = pump(pump_state, &mut pump_tx, &wire, cfg, pump_chaos.as_ref());
-                flag_abort(abort_flag.as_deref(), r)
-            }));
+            // Chaos mode: the last hop's ack sender belongs to the cloud's
+            // end of this pipeline's uplink.
+            cloud_acks.push(cloud_ack);
         }
 
         let wire = io.wire.clone();
@@ -2445,9 +2323,9 @@ fn run_phase(
         });
         drop(inbox_tx);
 
-        // Join everything, keeping the first root cause in sites →
-        // cloud → pumps order: when one thread fails (the sink at the
-        // cloud, an operator anywhere) its neighbours fail with a
+        // Join everything, keeping the first root cause in later stages
+        // → cloud → stage 0 order: when one thread fails (the sink at
+        // the cloud, an operator anywhere) its neighbours fail with a
         // knock-on error, which only stands in until the cause is joined.
         let mut err: Option<NebulaError> = None;
         let mut note = |e: NebulaError| {
@@ -2458,20 +2336,22 @@ fn run_phase(
                 err = Some(e);
             }
         };
-        let mut all_ops: Vec<SiteOps> = Vec::with_capacity(n_pipes);
-        for handles in site_handles {
-            let mut pipe_ops = Vec::with_capacity(handles.len());
-            for handle in handles {
-                pipe_ops.push(joined(handle, "site").unwrap_or_else(|e| {
-                    note(e);
-                    Vec::new()
-                }));
-            }
-            all_ops.push(pipe_ops);
+        let mut all_ops: Vec<StageOps> = (stage_nodes.iter())
+            .map(|nodes| nodes.iter().map(|_| Vec::new()).collect())
+            .collect();
+        let (heads, later): (Vec<_>, Vec<_>) = handles.into_iter().partition(|(_, s, _)| *s == 0);
+        for (p, s, handle) in later {
+            all_ops[p][s] = joined(handle, "stage").unwrap_or_else(|e| {
+                note(e);
+                Vec::new()
+            });
         }
         let cloud = joined(cloud_handle, "cloud").map_err(&mut note).ok();
-        for handle in pump_handles {
-            let _ = joined(handle, "pump").map_err(&mut note);
+        for (p, s, handle) in heads {
+            all_ops[p][s] = joined(handle, "stage").unwrap_or_else(|e| {
+                note(e);
+                Vec::new()
+            });
         }
         if let Some(e) = err {
             return Err(e);
@@ -2481,15 +2361,13 @@ fn run_phase(
     });
 
     let (state, all_ops) = scoped?;
-    for (i, (pipe, (nodes, ops))) in pipelines
+    for (pipe, (nodes, ops)) in pipelines
         .iter_mut()
-        .zip(site_nodes.into_iter().zip(all_ops))
-        .enumerate()
+        .zip(stage_nodes.into_iter().zip(all_ops))
     {
-        if !participated[i] {
-            continue;
-        }
-        pipe.sites = nodes.into_iter().zip(ops).collect();
+        pipe.stages = (nodes.into_iter().zip(ops))
+            .map(|(node, ops)| Stage { node, ops })
+            .collect();
     }
     Ok((state, sites_spawned))
 }

@@ -210,10 +210,10 @@ impl Expr {
         match self {
             Expr::Literal(v) => Ok((BoundExpr::Literal(v.clone()), v.data_type())),
             Expr::Column(name) => {
-                let idx = schema.index_of(name).ok_or_else(|| {
-                    NebulaError::Type(format!("unknown column '{name}' in schema {schema}"))
-                })?;
-                let dt = schema.field_at(idx).expect("index valid").dtype;
+                let unknown =
+                    || NebulaError::Type(format!("unknown column '{name}' in schema {schema}"));
+                let idx = schema.index_of(name).ok_or_else(unknown)?;
+                let dt = schema.field_at(idx).ok_or_else(unknown)?.dtype;
                 Ok((BoundExpr::Column(idx), dt))
             }
             Expr::Binary { op, lhs, rhs } => {

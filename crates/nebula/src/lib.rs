@@ -23,7 +23,7 @@
 //!   link cost accounting, edge-first vs cloud-only strategies, and
 //!   re-placement under node churn ([`topology`]).
 //! - **A distributed cluster runtime** — placed plans actually execute
-//!   across topology nodes: per-node site threads joined by bounded
+//!   across topology nodes: per-node stage threads joined by bounded
 //!   channels carrying a byte-accounted wire format, cross-boundary
 //!   watermark propagation, and edge pre-aggregation of splittable
 //!   window aggregates ([`cluster`], [`wire`], [`preagg`]).

@@ -55,7 +55,7 @@ pub struct EnvConfig {
     /// Records per source poll / buffer (NebulaStream's TupleBuffer
     /// capacity analogue).
     pub buffer_size: usize,
-    /// Emit a watermark every N source batches.
+    /// Emit a watermark every N source batches (0 is read as 1).
     pub watermark_every: u64,
     /// Channel capacity (buffers) for threaded execution.
     pub channel_capacity: usize,

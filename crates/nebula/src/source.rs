@@ -476,6 +476,7 @@ pub(crate) struct SourceDriver {
 }
 
 impl SourceDriver {
+    /// A `watermark_every` of 0 is read as 1: every batch punctuates.
     pub(crate) fn new(
         source: Box<dyn Source>,
         watermark: WatermarkStrategy,
@@ -491,7 +492,7 @@ impl SourceDriver {
             ts_col,
             origin,
             buffer_size,
-            watermark_every,
+            watermark_every: watermark_every.max(1),
             columnar: false,
             batches: 0,
             max_ts: EventTime::MIN,

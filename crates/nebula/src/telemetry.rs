@@ -407,7 +407,7 @@ impl OperatorReport {
 }
 
 /// Merges per-operator reports from many chains (partitions, pipeline
-/// pumps, the cloud tail) into one plan-ordered list keyed by operator
+/// stages, the cloud tail) into one plan-ordered list keyed by operator
 /// id — the per-operator analogue of summing partition
 /// [`QueryMetrics`].
 pub fn merge_operator_reports(chains: &[ChainTelemetry]) -> Vec<OperatorReport> {
@@ -777,7 +777,8 @@ pub struct NodeSnapshot {
     pub records_in: u64,
     /// Records the node has emitted downstream.
     pub records_out: u64,
-    /// Outbound (pumps) or inbound (sites) channel depth.
+    /// Outbound (a pipeline's stage 0) or inbound (every later stage)
+    /// channel depth.
     pub queue_depth: u64,
     /// The node's local progress frontier, if it tracks one.
     pub frontier: Option<EventTime>,

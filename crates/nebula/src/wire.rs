@@ -84,16 +84,16 @@ pub enum Frame {
     Columnar(TupleBuffer),
     /// Control: no record with event time `< wm` will arrive anymore.
     Watermark(EventTime),
-    /// Control: the upstream site has flushed its state and finished.
+    /// Control: the upstream stage has flushed its state and finished.
     Eos,
     /// Control: checkpoint barrier — everything before this marker
-    /// belongs to checkpoint epoch `.0`. Sites snapshot their operator
+    /// belongs to checkpoint epoch `.0`. Stages snapshot their operator
     /// state when the barrier passes; the cloud aligns barriers across
     /// pipes before snapshotting (Chandy–Lamport style consistent cut).
     Barrier(u64),
     /// Out-of-band telemetry: a periodic per-node snapshot shipped to
-    /// the cloud for fan-in next to the query results. Relay sites
-    /// forward it unchanged; it never affects data or progress.
+    /// the cloud for fan-in next to the query results. Later stages
+    /// relay it unchanged; it never affects data or progress.
     Telemetry(crate::telemetry::NodeSnapshot),
 }
 

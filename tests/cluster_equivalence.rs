@@ -194,10 +194,10 @@ fn sealed_before_crash(report: &ClusterReport) -> bool {
 
 /// Crash frame counts for the failure suites. With `buffer_size` 32,
 /// `watermark_every` 2 and the runtime's barrier every 4 batches, an
-/// edge site handles one to three frames per source batch (its data,
+/// edge stage handles one to three frames per source batch (its data,
 /// every 2nd batch a watermark, every 4th a barrier); an edge the plan
 /// only routes through (stateless queries run on the sensor) counts one
-/// per batch at the pump. Either way 0 and 3 kill it before the first
+/// per batch at stage 0. Either way 0 and 3 kill it before the first
 /// barrier — recovery **restores epoch 0**, the run's start, and
 /// replays from batch 0 — and 11 only after batch 4's barrier has
 /// sealed epoch 1 — recovery **restores that sealed epoch**. Both go
@@ -1157,6 +1157,59 @@ fn late_drops_reported_identically_across_runtimes() {
     }
 }
 
+#[test]
+fn watermark_every_zero_reads_as_one_in_run_and_run_placed() {
+    // `watermark_every: 0` must mean the same thing to every executor:
+    // a watermark after every batch. With zero slack, one-batch
+    // cadence and 8-record jitter, that cadence decides which records
+    // are late, so a mode that never punctuated would emit more rows
+    // and drop none.
+    let exact = WatermarkStrategy::BoundedOutOfOrder {
+        ts_field: "ts".into(),
+        slack: 0,
+    };
+    let q = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Tumbling {
+            size: 10 * MICROS_PER_SEC,
+        },
+        vec![WindowAgg::new("n", AggSpec::Count)],
+    );
+    let run = |watermark_every: u64| {
+        let mut env = StreamEnvironment::with_config(EnvConfig {
+            buffer_size: 4,
+            watermark_every,
+            ..EnvConfig::default()
+        });
+        env.add_source("s", source(Feed::Jittered(3)), exact.clone());
+        let (mut sink, got) = CollectingSink::new();
+        let metrics = env.run(&q, &mut sink).expect("sync run");
+        (normalized(got.records()), metrics.late_drops)
+    };
+    let (reference, late) = run(1);
+    assert!(late > 0, "zero slack under jitter must drop something");
+    assert_eq!(run(0), (reference.clone(), late), "run: 0 reads as 1");
+    for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
+        let (topo, sensors) = Topology::train_fleet(3);
+        let mut env = ClusterEnvironment::with_config(
+            topo,
+            ClusterConfig {
+                buffer_size: 4,
+                watermark_every: 0,
+                ..ClusterConfig::default()
+            },
+        );
+        env.add_source("s", sensors[0], source(Feed::Jittered(3)), exact.clone());
+        let (mut sink, got) = CollectingSink::new();
+        let report = env.run_placed(&q, strategy, &mut sink).expect("placed run");
+        assert_eq!(
+            (normalized(got.records()), report.metrics.late_drops),
+            (reference.clone(), late),
+            "run_placed {strategy:?}: 0 reads as 1"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Streaming delivery: results leave the cloud as they are produced
 // ---------------------------------------------------------------------------
@@ -1198,8 +1251,8 @@ fn first_delivery_happens_while_the_source_still_has_batches() {
     // 200 batches of 32. `run` hands the sink its first buffer right
     // after the poll that produced it (poll `k`); a placed run may have
     // polled further ahead by then, but only by what fits between the
-    // pump and the sink: one frame in hand per thread plus the bounded
-    // channels (one into the edge site at most, one cloud inbox).
+    // source and the sink: one frame in hand per thread plus the bounded
+    // channels (one into the edge stage at most, one cloud inbox).
     let total_polls = 200;
     let clocked = || {
         let polls = Arc::new(AtomicU64::new(0));

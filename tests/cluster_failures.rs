@@ -1,6 +1,6 @@
 //! Failure surface of mid-run delivery in the cluster runtime,
 //! table-driven like `local_failures`: `Source::poll` erring at its
-//! first or 300th call, a source that never becomes ready (the pump
+//! first or 300th call, a source that never becomes ready (stage 0
 //! gives up with an `Io` error naming its origin instead of ending the
 //! stream early), `Sink::consume` erring at its third call,
 //! `Sink::finish` erring, and an operator erring mid-stream must each
@@ -11,7 +11,7 @@
 //! fault).
 //!
 //! Since results leave the cloud site as they are produced, the sink
-//! fails *while* the pumps and sites are still running: the source is
+//! fails *while* the pipeline stages are still running: the source is
 //! long and the channels two frames deep, so when the error fires every
 //! upstream thread is parked on a full channel and must wake with a
 //! hang-up (or `Aborted`) that never masks the root cause. The erring
