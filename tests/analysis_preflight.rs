@@ -198,3 +198,109 @@ fn meos_capabilities_type_opaque_plans_for_the_wire() {
         report.render()
     );
 }
+
+/// The source columns every row-preserving demo query keeps.
+const FLEET: &str = "ts: TIMESTAMP, train_id: INT, pos: POINT, speed_kmh: FLOAT, \
+     battery_v: FLOAT, battery_temp_c: FLOAT, brake_bar: FLOAT, noise_db: FLOAT, \
+     passengers: INT, doors_open: BOOL, odometer_m: FLOAT, cabin_temp_c: FLOAT";
+
+const W011_THRESHOLD: &str = "W011 op0:window: threshold windows close on predicate \
+     transitions and cannot pre-aggregate at the edge; raw records ship to the cloud";
+
+#[test]
+fn analyze_bin_rows_are_pinned() {
+    // The `analyze` bin's 24 rows — Q1–Q8 under local, partitioned(4)
+    // and placed(edge-first) — pinned by every diagnostic's code, path
+    // and message and by the inferred output schema.
+    let fleet = |extra: &str| format!("({FLEET}, {extra})");
+    let expected: [(&str, String, &[&str]); 8] = [
+        (
+            "Q1",
+            fleet("speeding: BOOL, equipment: BOOL, in_maintenance: BOOL, alert: TEXT"),
+            &[],
+        ),
+        (
+            "Q2",
+            "(train_id: INT, window_start: TIMESTAMP, window_end: TIMESTAMP, avg_db: FLOAT, \
+             peak_db: FLOAT, samples: INT, at: POINT)"
+                .into(),
+            &[],
+        ),
+        ("Q3", fleet("zone_limit_kmh: FLOAT, excess_kmh: FLOAT"), &[]),
+        (
+            "Q4",
+            fleet("weather_factor: FLOAT, suggested_kmh: FLOAT"),
+            &[],
+        ),
+        (
+            "Q5",
+            fleet(
+                "pattern: TEXT, match_start: TIMESTAMP, match_end: TIMESTAMP, \
+                 workshop_m: FLOAT, workshop: TEXT",
+            ),
+            &[],
+        ),
+        (
+            "Q6",
+            "(train_id: INT, window_start: TIMESTAMP, window_end: TIMESTAMP, \
+             peak_passengers: INT, avg_passengers: FLOAT, ticks: INT, at: POINT)"
+                .into(),
+            &[W011_THRESHOLD],
+        ),
+        (
+            "Q7",
+            "(train_id: INT, window_start: TIMESTAMP, window_end: TIMESTAMP, stop_pos: POINT, \
+             ticks: INT)"
+                .into(),
+            &[W011_THRESHOLD],
+        ),
+        (
+            "Q8",
+            fleet("pattern: TEXT, match_start: TIMESTAMP, match_end: TIMESTAMP"),
+            &[],
+        ),
+    ];
+    let env = environment();
+    let cluster = cluster_environment();
+    let queries = nebulameos::all_demo_queries();
+    assert_eq!(queries.len(), expected.len());
+    let mut rows = 0;
+    for ((name, query), (id, schema, placed)) in queries.into_iter().zip(&expected) {
+        assert!(name.starts_with(id), "{name} is {id}");
+        let reports = [
+            (
+                "local",
+                env.analyze(&query).expect("source registered"),
+                &[][..],
+            ),
+            (
+                "partitioned(4)",
+                env.analyze_for(&query, Target::Partitioned { parallelism: 4 })
+                    .expect("source registered"),
+                &[][..],
+            ),
+            (
+                "placed(edge-first)",
+                cluster
+                    .analyze(&query, PlacementStrategy::EdgeFirst)
+                    .expect("source hosted"),
+                *placed,
+            ),
+        ];
+        for (target, report, diags) in reports {
+            let got: Vec<String> = report
+                .diagnostics
+                .iter()
+                .map(|d| format!("{} {}: {}", d.code, d.path, d.message))
+                .collect();
+            assert_eq!(got, *diags, "{name} under {target}");
+            assert_eq!(
+                report.output_schema.map(|s| s.to_string()).as_deref(),
+                Some(schema.as_str()),
+                "{name} under {target}"
+            );
+            rows += 1;
+        }
+    }
+    assert_eq!(rows, 24);
+}
