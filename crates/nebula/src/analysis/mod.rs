@@ -24,11 +24,12 @@
 //!
 //! Findings carry stable codes (`E0xx` errors, `W0xx` lints — see
 //! [`Code`]), span-like operator paths (`op3:window`), and deny/warn
-//! levels ([`AnalysisOptions`]). Errors mirror the physical operator
-//! constructors exactly: a plan that analyzes clean compiles and runs
-//! without schema or type errors (the `prop_analysis` suite pins this
-//! soundness property), and a rejected plan would have failed at
-//! runtime. See `docs/analysis.md` for the full code table.
+//! levels ([`AnalysisOptions`]). Errors come from the compiler's own
+//! binder — the schema pass binds the plan through the operator
+//! constructors `compile` uses, collecting instead of failing fast — so
+//! a plan that analyzes clean compiles, and a rejected plan fails to
+//! compile with the first diagnostic's message (the `prop_analysis`
+//! suite pins both). See `docs/analysis.md` for the full code table.
 
 mod diagnostics;
 mod placement_pass;
@@ -180,9 +181,9 @@ impl AnalysisContext {
 }
 
 /// Analyzes `query` against the source schema and function registry
-/// for the given context. Never executes anything: plugin operators
-/// and aggregate factories are probe-instantiated (and dropped) to
-/// learn their output schemas, exactly as compilation would.
+/// for the given context. Never executes anything: the plan's
+/// operators — plugin operators included — are instantiated exactly as
+/// compilation would, read for their output schemas, and dropped.
 pub fn analyze(
     query: &Query,
     input: SchemaRef,
@@ -345,22 +346,29 @@ mod tests {
 
     #[test]
     fn e003_non_numeric_aggregate() {
-        // Stricter than `compile`: sum over TEXT binds fine but its
-        // fold hard-errors on the first value — the analyzer rejects
-        // the guaranteed runtime crash up front.
-        let q = Query::from("s").window(
-            vec![],
-            WindowSpec::Tumbling {
-                size: 60 * MICROS_PER_SEC,
-            },
-            vec![WindowAgg::new("total", AggSpec::Sum(col("name")))],
-        );
-        let report = analyze_local(&q);
-        assert_eq!(codes(&report), vec![Code::TypeMismatch]);
-        assert!(
-            compile(&q, schema(), &registry()).is_ok(),
-            "compile alone misses this"
-        );
+        // sum/avg fold numerically: over TEXT they would fail on the
+        // first row, so binding rejects them — in compile too.
+        for (name, spec) in [
+            ("sum", AggSpec::Sum(col("name"))),
+            ("avg", AggSpec::Avg(col("name"))),
+        ] {
+            let q = Query::from("s").window(
+                vec![],
+                WindowSpec::Tumbling {
+                    size: 60 * MICROS_PER_SEC,
+                },
+                vec![WindowAgg::new("total", spec)],
+            );
+            let report = analyze_local(&q);
+            assert_eq!(codes(&report), vec![Code::TypeMismatch]);
+            assert_eq!(report.diagnostics[0].path, "op0:window/agg[0]");
+            let message = format!("aggregate '{name}' requires numeric input, got TEXT");
+            assert_eq!(report.diagnostics[0].message, message);
+            assert_eq!(
+                compile(&q, schema(), &registry()).err(),
+                Some(NebulaError::Type(message))
+            );
+        }
 
         // min/max tolerate any comparable input; no diagnostic.
         let q = Query::from("s").window(
@@ -374,6 +382,41 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_subtree_reports_once() {
+        // The missing column poisons its subtree: no E003 for negating
+        // it, no E005 for a predicate made of it.
+        let missing = || col("missing");
+        let queries = [
+            Query::from("s").map_extend(vec![("x", missing().neg())]),
+            Query::from("s").window(
+                vec![],
+                WindowSpec::Threshold {
+                    predicate: missing(),
+                    min_count: 1,
+                },
+                vec![WindowAgg::new("n", AggSpec::Count)],
+            ),
+            Query::from("s").cep(Pattern::new(
+                "p",
+                vec![PatternStep::new("step", missing())],
+                MICROS_PER_SEC,
+            )),
+        ];
+        for q in &queries {
+            assert_eq!(codes(&analyze_local(q)), vec![Code::UnknownColumn], "{q:?}");
+            assert_mirrors_compile(q);
+        }
+
+        // A NULL literal is a type, not a failure: negating it is E003.
+        let q = Query::from("s").map_extend(vec![("x", lit(Value::Null).neg())]);
+        assert_eq!(codes(&analyze_local(&q)), vec![Code::TypeMismatch]);
+        assert!(matches!(
+            compile(&q, schema(), &registry()),
+            Err(NebulaError::Type(_))
+        ));
+    }
+
+    #[test]
     fn e006_empty_plan() {
         let q = Query::from("s");
         let report = analyze_local(&q);
@@ -383,14 +426,21 @@ mod tests {
 
     #[test]
     fn e007_bad_window_geometry() {
-        let q = Query::from("s").window(
-            vec![],
+        // The extremes too: the analyzer builds the window it rejects.
+        for spec in [
             WindowSpec::Tumbling { size: 0 },
-            vec![WindowAgg::new("n", AggSpec::Count)],
-        );
-        let report = analyze_local(&q);
-        assert_eq!(codes(&report), vec![Code::BadWindowGeometry]);
-        assert_mirrors_compile(&q);
+            WindowSpec::Tumbling { size: i64::MIN },
+            WindowSpec::Sliding {
+                size: i64::MIN,
+                slide: -1,
+            },
+        ] {
+            let q =
+                Query::from("s").window(vec![], spec, vec![WindowAgg::new("n", AggSpec::Count)]);
+            let report = analyze_local(&q);
+            assert_eq!(codes(&report), vec![Code::BadWindowGeometry]);
+            assert_mirrors_compile(&q);
+        }
 
         let q = Query::from("s").cep(Pattern::new(
             "p",

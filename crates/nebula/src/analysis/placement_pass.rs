@@ -52,39 +52,26 @@ fn check_partitioning(
     parallelism: usize,
     diags: &mut Vec<Diagnostic>,
 ) {
-    match query.partition_scheme() {
-        PartitionScheme::RoundRobin => {}
+    let reason = match query.partition_scheme() {
+        PartitionScheme::RoundRobin => return,
+        // The runtime binds key expressions against the *source* schema
+        // and falls back to Single when any fails to bind.
         PartitionScheme::Key(exprs) => {
-            // The runtime binds key expressions against the *source*
-            // schema and falls back to Single when any fails to bind.
-            let mut scratch = Vec::new();
-            for e in &exprs {
-                super::schema_pass::infer_expr(e, &facts.input, registry, "key", &mut scratch);
+            if exprs.iter().all(|e| e.bind(&facts.input, registry).is_ok()) {
+                return;
             }
-            if !scratch.is_empty() {
-                diags.push(Diagnostic::new(
-                    Code::PartitionFallback,
-                    partition_path(query),
-                    format!(
-                        "requested parallelism {parallelism}, but the partition key does \
-                         not bind against the source schema; all records route to a \
-                         single worker"
-                    ),
-                ));
-            }
+            "the partition key does not bind against the source schema"
         }
-        PartitionScheme::Single => {
-            diags.push(Diagnostic::new(
-                Code::PartitionFallback,
-                partition_path(query),
-                format!(
-                    "requested parallelism {parallelism}, but {}; all records route to a \
-                     single worker",
-                    single_reason(query)
-                ),
-            ));
-        }
-    }
+        PartitionScheme::Single(reason) => reason,
+    };
+    diags.push(Diagnostic::new(
+        Code::PartitionFallback,
+        partition_path(query),
+        format!(
+            "requested parallelism {parallelism}, but {reason}; all records route to a \
+             single worker"
+        ),
+    ));
 }
 
 /// The path of the operator that forces single-worker routing.
@@ -98,54 +85,6 @@ fn partition_path(query: &Query) -> String {
         }
     }
     "plan".into()
-}
-
-/// Why `partition_scheme()` chose `Single`, mirroring its walk.
-fn single_reason(query: &Query) -> &'static str {
-    let mut prefix_preserves_columns = true;
-    let mut stateful_seen = false;
-    for op in query.ops() {
-        match op {
-            LogicalOp::Filter(_) => {}
-            LogicalOp::Map { extend, .. } => {
-                if !extend {
-                    prefix_preserves_columns = false;
-                }
-            }
-            LogicalOp::Custom(_) => {
-                return if stateful_seen {
-                    "a second stateful operator follows the keyed stage"
-                } else {
-                    "a plugin operator's state is opaque to key analysis"
-                };
-            }
-            LogicalOp::Window { keys, .. } => {
-                if stateful_seen {
-                    return "a second stateful operator follows the keyed stage";
-                }
-                stateful_seen = true;
-                if keys.is_empty() {
-                    return "the window is keyless";
-                }
-                if !prefix_preserves_columns {
-                    return "a narrowing projection upstream may redefine the key columns";
-                }
-            }
-            LogicalOp::Cep(p) => {
-                if stateful_seen {
-                    return "a second stateful operator follows the keyed stage";
-                }
-                stateful_seen = true;
-                if p.key.is_none() {
-                    return "the pattern is keyless";
-                }
-                if !prefix_preserves_columns {
-                    return "a narrowing projection upstream may redefine the key columns";
-                }
-            }
-        }
-    }
-    "the plan is stateful but keyless"
 }
 
 /// Warns when an edge-first placement cannot pre-aggregate the first

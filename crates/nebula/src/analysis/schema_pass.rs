@@ -1,25 +1,23 @@
 //! Pass 1: typed schema inference.
 //!
-//! Walks the operator chain threading a [`Schema`] through every
-//! operator, resolving each [`Expr`] to a concrete [`DataType`] —
-//! including opaque MEOS types, whose producing functions a
-//! [`CapabilityRegistry`] can name. The pass mirrors the physical
-//! operator constructors *exactly*: it emits an `E` diagnostic
-//! precisely where [`crate::query::compile`] would fail, so a plan
-//! that analyzes clean is guaranteed to compile (the `prop_analysis`
-//! suite pins this). Unlike `compile`, which stops at the first error,
-//! inference continues past failures (a failed subexpression types as
-//! `NULL`, which is permissive) and reports every finding with a
-//! span-like operator path.
+//! Binds the operator chain with the binder [`crate::query::compile`]
+//! uses, collecting instead of failing fast: every typing rule is the
+//! one `compile` applies, so the pass emits an `E` diagnostic exactly
+//! where `compile` would fail, and its first diagnostic carries
+//! `compile`'s error message. Binding continues past
+//! a failed check — a failed subtree gets a poisoned type that no rule
+//! reports again — and every finding carries a span-like operator path.
+//! The pass then reads what the later passes need off the bound
+//! operators: the schema after each one, event-time redefinition, and
+//! the provenance of opaque MEOS columns, whose producing functions a
+//! [`CapabilityRegistry`] can name.
 
 use super::diagnostics::{Code, Diagnostic};
 use super::CapabilityRegistry;
-use crate::expr::{Expr, FunctionRegistry};
-use crate::ops::Pattern;
-use crate::query::LogicalOp;
-use crate::schema::{Field, Schema, SchemaRef};
+use crate::expr::{Binder, Expr, FunctionRegistry};
+use crate::query::{bind_ops, LogicalOp};
+use crate::schema::SchemaRef;
 use crate::value::DataType;
-use crate::window::{AggSpec, WindowAgg, WindowSpec};
 
 /// An opaque-typed column whose producing function the capability
 /// registry knows, with the wire tag its values will carry.
@@ -60,117 +58,49 @@ pub(super) fn run(
     caps: &CapabilityRegistry,
     diags: &mut Vec<Diagnostic>,
 ) -> PlanFacts {
-    let mut facts = PlanFacts {
-        input: input.clone(),
-        after: Vec::with_capacity(ops.len()),
-        ts_redefined_at: None,
-        opaque_cols: Vec::new(),
-    };
-    for (i, f) in input.fields().iter().enumerate() {
-        if f.dtype == DataType::Opaque {
-            facts.opaque_cols.push(OpaqueCol {
-                after_op: usize::MAX,
-                column: input
-                    .field_at(i)
-                    .map(|f| f.name.clone())
-                    .unwrap_or_default(),
-                tag: None,
-            });
-        }
-    }
-    let mut schema = input;
-    let mut aborted = false;
-    for (i, op) in ops.iter().enumerate() {
-        if aborted {
-            facts.after.push(None);
-            continue;
-        }
-        let next = match op {
-            LogicalOp::Filter(pred) => {
-                let path = format!("op{i}:filter");
-                let t = infer_expr(pred, &schema, registry, &path, diags);
-                if t != DataType::Bool && t != DataType::Null {
-                    diags.push(Diagnostic::new(
-                        Code::PredicateNotBool,
-                        path,
-                        format!("filter predicate must be BOOL, got {t}"),
-                    ));
-                }
-                Some(schema.clone())
-            }
-            LogicalOp::Map {
-                projections,
-                extend,
-            } => Some(infer_map(
-                projections,
-                *extend,
-                i,
-                ts_field,
-                &schema,
-                registry,
-                caps,
-                &mut facts,
-                diags,
-            )),
-            LogicalOp::Window { keys, spec, aggs } => Some(infer_window(
-                keys, spec, aggs, i, ts_field, &schema, registry, diags,
-            )),
-            LogicalOp::Cep(pattern) => {
-                Some(infer_cep(pattern, i, ts_field, &schema, registry, diags))
-            }
-            LogicalOp::Custom(factory) => {
-                let path = format!("op{i}:{}", factory.name());
-                // Plugin operators are opaque to inference: probe-
-                // instantiate against the inferred schema (exactly what
-                // compile does) and read the output schema back.
-                match factory.create(schema.clone(), registry) {
-                    Ok(op) => Some(op.output_schema()),
-                    Err(e) => {
-                        diags.push(Diagnostic::new(
-                            Code::OperatorInstantiation,
-                            path,
-                            format!("operator '{}' failed to instantiate: {e}", factory.name()),
-                        ));
-                        aborted = true;
-                        None
-                    }
-                }
-            }
-        };
-        if let Some(s) = &next {
-            schema = s.clone();
-        }
-        facts.after.push(next);
-    }
-    facts
-}
-
-/// Infers an extending/narrowing projection, tracking event-time
-/// redefinition and opaque column provenance.
-#[allow(clippy::too_many_arguments)]
-fn infer_map(
-    projections: &[(String, Expr)],
-    extend: bool,
-    i: usize,
-    ts_field: &str,
-    schema: &SchemaRef,
-    registry: &FunctionRegistry,
-    caps: &CapabilityRegistry,
-    facts: &mut PlanFacts,
-    diags: &mut Vec<Diagnostic>,
-) -> SchemaRef {
-    let mut fields: Vec<Field> = if extend {
-        schema.fields().to_vec()
-    } else {
+    let mut binder = Binder::collect(registry);
+    let bound = bind_ops(ops, ts_field, input.clone(), &mut binder);
+    diags.extend(binder.into_diagnostics());
+    let bound = bound.map(|plan| plan.operators).unwrap_or_else(|e| {
+        // A collecting binder records every failed check, so this error
+        // is none of them; the plan's schemas end at the source.
+        diags.push(Diagnostic::new(
+            Code::OperatorInstantiation,
+            "plan",
+            e.to_string(),
+        ));
         Vec::new()
+    });
+    let mut facts = PlanFacts {
+        after: (0..ops.len())
+            .map(|i| bound.get(i).map(|op| op.output_schema()))
+            .collect(),
+        ts_redefined_at: None,
+        opaque_cols: input
+            .fields()
+            .iter()
+            .filter(|f| f.dtype == DataType::Opaque)
+            .map(|f| OpaqueCol {
+                after_op: usize::MAX,
+                column: f.name.clone(),
+                tag: None,
+            })
+            .collect(),
+        input,
     };
-    for (j, (name, e)) in projections.iter().enumerate() {
-        let path = format!("op{i}:map/proj[{j}]");
-        let t = infer_expr(e, schema, registry, &path, diags);
-        if name == ts_field && !matches!(e, Expr::Column(c) if c == ts_field) {
-            facts.ts_redefined_at.get_or_insert(i);
-        }
-        if t == DataType::Opaque {
+    for (i, op) in ops.iter().enumerate() {
+        let (LogicalOp::Map { projections, .. }, Some(out)) = (op, &facts.after[i]) else {
+            continue;
+        };
+        // The projections are the map's last output columns.
+        let first = out.len() - projections.len();
+        for (j, (name, e)) in projections.iter().enumerate() {
+            if name == ts_field && !matches!(e, Expr::Column(c) if c == ts_field) {
+                facts.ts_redefined_at.get_or_insert(i);
+            }
+            if out.field_at(first + j).map(|f| f.dtype) != Some(DataType::Opaque) {
+                continue;
+            }
             let tag = match e {
                 Expr::Call { name: fname, .. } => caps.opaque_fn_tag(fname).map(str::to_string),
                 // Identity projections carry the original column's tag.
@@ -188,323 +118,6 @@ fn infer_map(
                 tag,
             });
         }
-        fields.push(Field::new(name.clone(), t));
     }
-    Schema::new(fields)
-}
-
-/// Infers a window aggregation, mirroring `WindowOp::new`.
-#[allow(clippy::too_many_arguments)]
-fn infer_window(
-    keys: &[(String, Expr)],
-    spec: &WindowSpec,
-    aggs: &[WindowAgg],
-    i: usize,
-    ts_field: &str,
-    schema: &SchemaRef,
-    registry: &FunctionRegistry,
-    diags: &mut Vec<Diagnostic>,
-) -> SchemaRef {
-    let path = format!("op{i}:window");
-    if let Err(e) = spec.validate() {
-        let detail = match e {
-            crate::error::NebulaError::Plan(m) | crate::error::NebulaError::Type(m) => m,
-            other => other.to_string(),
-        };
-        diags.push(Diagnostic::new(Code::BadWindowGeometry, &path, detail));
-    }
-    if schema.index_of(ts_field).is_none() {
-        diags.push(Diagnostic::new(
-            Code::MissingTimeField,
-            &path,
-            format!("window: unknown ts field '{ts_field}' in schema {schema}"),
-        ));
-    }
-    let mut fields = Vec::with_capacity(keys.len() + 2 + aggs.len());
-    for (j, (name, e)) in keys.iter().enumerate() {
-        let key_path = format!("{path}/key[{j}]");
-        let t = infer_expr(e, schema, registry, &key_path, diags);
-        fields.push(Field::new(name.clone(), t));
-    }
-    fields.push(Field::new("window_start", DataType::Timestamp));
-    fields.push(Field::new("window_end", DataType::Timestamp));
-    for (j, agg) in aggs.iter().enumerate() {
-        let agg_path = format!("{path}/agg[{j}]");
-        let t = infer_agg(&agg.spec, schema, registry, &agg_path, diags);
-        fields.push(Field::new(agg.name.clone(), t));
-    }
-    if let WindowSpec::Threshold { predicate, .. } = spec {
-        let t = infer_expr(predicate, schema, registry, &path, diags);
-        // The threshold constructor is strict: NULL is not accepted.
-        if t != DataType::Bool {
-            diags.push(Diagnostic::new(
-                Code::PredicateNotBool,
-                &path,
-                format!("threshold predicate must be BOOL, got {t}"),
-            ));
-        }
-    }
-    Schema::new(fields)
-}
-
-/// Infers one aggregate's output type, mirroring `AggSpec::output_type`.
-fn infer_agg(
-    spec: &AggSpec,
-    schema: &SchemaRef,
-    registry: &FunctionRegistry,
-    path: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> DataType {
-    match spec {
-        AggSpec::Count => DataType::Int,
-        // `sum`/`avg` bind over any type but their fold hard-errors on
-        // the first non-numeric value — a guaranteed runtime crash the
-        // type pass can reject up front (stricter than `compile`).
-        AggSpec::Avg(e) => {
-            let t = infer_expr(e, schema, registry, path, diags);
-            require_numeric_agg("avg", t, path, diags);
-            DataType::Float
-        }
-        AggSpec::Sum(e) => {
-            let t = infer_expr(e, schema, registry, path, diags);
-            require_numeric_agg("sum", t, path, diags);
-            t
-        }
-        AggSpec::Min(e) | AggSpec::Max(e) | AggSpec::First(e) | AggSpec::Last(e) => {
-            infer_expr(e, schema, registry, path, diags)
-        }
-        AggSpec::Custom(f) => match f.output_type(schema, registry) {
-            Ok(t) => t,
-            Err(e) => {
-                diags.push(Diagnostic::new(
-                    Code::OperatorInstantiation,
-                    path,
-                    format!("aggregate factory rejected the input schema: {e}"),
-                ));
-                DataType::Null
-            }
-        },
-    }
-}
-
-/// Numeric-input requirement of the `sum`/`avg` folds (Null stays
-/// permissive: it marks a subtree that already has a diagnostic).
-fn require_numeric_agg(agg: &str, t: DataType, path: &str, diags: &mut Vec<Diagnostic>) {
-    if !matches!(
-        t,
-        DataType::Int | DataType::Float | DataType::Timestamp | DataType::Null
-    ) {
-        diags.push(Diagnostic::new(
-            Code::TypeMismatch,
-            path,
-            format!("aggregate '{agg}' requires numeric input, got {t}"),
-        ));
-    }
-}
-
-/// Infers a CEP stage, mirroring `CepOp::new`.
-fn infer_cep(
-    pattern: &Pattern,
-    i: usize,
-    ts_field: &str,
-    schema: &SchemaRef,
-    registry: &FunctionRegistry,
-    diags: &mut Vec<Diagnostic>,
-) -> SchemaRef {
-    let path = format!("op{i}:cep");
-    if pattern.steps.is_empty() {
-        diags.push(Diagnostic::new(
-            Code::BadWindowGeometry,
-            &path,
-            "pattern needs >= 1 step",
-        ));
-    }
-    if pattern.within <= 0 {
-        diags.push(Diagnostic::new(
-            Code::BadWindowGeometry,
-            &path,
-            "pattern 'within' must be positive",
-        ));
-    }
-    if schema.index_of(ts_field).is_none() {
-        diags.push(Diagnostic::new(
-            Code::MissingTimeField,
-            &path,
-            format!("cep: unknown ts field '{ts_field}' in schema {schema}"),
-        ));
-    }
-    for (j, step) in pattern.steps.iter().enumerate() {
-        let step_path = format!("{path}/step[{j}]");
-        let t = infer_expr(&step.predicate, schema, registry, &step_path, diags);
-        // The CEP constructor is strict: NULL is not accepted.
-        if t != DataType::Bool {
-            diags.push(Diagnostic::new(
-                Code::PredicateNotBool,
-                step_path,
-                format!(
-                    "pattern step '{}' predicate must be BOOL, got {t}",
-                    step.name
-                ),
-            ));
-        }
-    }
-    if let Some(key) = &pattern.key {
-        let key_path = format!("{path}/key");
-        infer_expr(key, schema, registry, &key_path, diags);
-    }
-    schema.extend(vec![
-        Field::new("pattern", DataType::Text),
-        Field::new("match_start", DataType::Timestamp),
-        Field::new("match_end", DataType::Timestamp),
-    ])
-}
-
-/// Resolves an expression to its result type, emitting a diagnostic
-/// for every defect. A failed subtree types as `NULL`, which every
-/// typing rule accepts, so one defect never cascades into spurious
-/// downstream mismatches. Acceptance (zero diagnostics) coincides
-/// exactly with [`Expr::bind`] succeeding.
-pub(super) fn infer_expr(
-    e: &Expr,
-    schema: &Schema,
-    registry: &FunctionRegistry,
-    path: &str,
-    diags: &mut Vec<Diagnostic>,
-) -> DataType {
-    use crate::expr::UnOp;
-    match e {
-        Expr::Literal(v) => v.data_type(),
-        Expr::Column(name) => match schema.index_of(name) {
-            Some(idx) => schema
-                .field_at(idx)
-                .map(|f| f.dtype)
-                .unwrap_or(DataType::Null),
-            None => {
-                diags.push(Diagnostic::new(
-                    Code::UnknownColumn,
-                    path,
-                    format!("unknown column '{name}' in schema {schema}"),
-                ));
-                DataType::Null
-            }
-        },
-        Expr::Binary { op, lhs, rhs } => {
-            let tl = infer_expr(lhs, schema, registry, path, diags);
-            let tr = infer_expr(rhs, schema, registry, path, diags);
-            let numeric = |t: DataType| {
-                matches!(
-                    t,
-                    DataType::Int | DataType::Float | DataType::Timestamp | DataType::Null
-                )
-            };
-            if op.is_arith() {
-                if !numeric(tl) || !numeric(tr) {
-                    diags.push(Diagnostic::new(
-                        Code::TypeMismatch,
-                        path,
-                        format!("operator {op} requires numeric operands, got {tl} and {tr}"),
-                    ));
-                    return DataType::Null;
-                }
-                if tl == DataType::Float || tr == DataType::Float {
-                    DataType::Float
-                } else {
-                    DataType::Int
-                }
-            } else if op.is_cmp() {
-                let comparable = (numeric(tl) && numeric(tr))
-                    || (tl == tr)
-                    || tl == DataType::Null
-                    || tr == DataType::Null;
-                if !comparable {
-                    diags.push(Diagnostic::new(
-                        Code::TypeMismatch,
-                        path,
-                        format!("cannot compare {tl} with {tr}"),
-                    ));
-                }
-                DataType::Bool
-            } else {
-                // And / Or
-                for t in [tl, tr] {
-                    if t != DataType::Bool && t != DataType::Null {
-                        diags.push(Diagnostic::new(
-                            Code::TypeMismatch,
-                            path,
-                            format!("operator {op} requires BOOL operands, got {t}"),
-                        ));
-                    }
-                }
-                DataType::Bool
-            }
-        }
-        Expr::Unary { op, expr } => {
-            let te = infer_expr(expr, schema, registry, path, diags);
-            match op {
-                UnOp::Not => {
-                    if te != DataType::Bool && te != DataType::Null {
-                        diags.push(Diagnostic::new(
-                            Code::TypeMismatch,
-                            path,
-                            format!("NOT requires BOOL, got {te}"),
-                        ));
-                    }
-                    DataType::Bool
-                }
-                UnOp::Neg => match te {
-                    DataType::Int => DataType::Int,
-                    DataType::Float => DataType::Float,
-                    other => {
-                        diags.push(Diagnostic::new(
-                            Code::TypeMismatch,
-                            path,
-                            format!("negation requires numeric, got {other}"),
-                        ));
-                        DataType::Null
-                    }
-                },
-            }
-        }
-        Expr::Call { name, args } => {
-            let func = registry.get(name);
-            if func.is_none() {
-                diags.push(Diagnostic::new(
-                    Code::UnknownFunction,
-                    path,
-                    format!("unknown function '{name}'"),
-                ));
-            }
-            let mut types = Vec::with_capacity(args.len());
-            for a in args {
-                types.push(infer_expr(a, schema, registry, path, diags));
-            }
-            let Some(func) = func else {
-                return DataType::Null;
-            };
-            if args.len() < func.min_args() || args.len() > func.max_args() {
-                diags.push(Diagnostic::new(
-                    Code::BadArity,
-                    path,
-                    format!(
-                        "function '{name}' expects {}..={} args, got {}",
-                        func.min_args(),
-                        func.max_args(),
-                        args.len()
-                    ),
-                ));
-                return DataType::Null;
-            }
-            match func.return_type(&types) {
-                Ok(t) => t,
-                Err(e) => {
-                    diags.push(Diagnostic::new(
-                        Code::TypeMismatch,
-                        path,
-                        format!("function '{name}' rejects these argument types: {e}"),
-                    ));
-                    DataType::Null
-                }
-            }
-        }
-    }
+    facts
 }

@@ -8,8 +8,7 @@
 //! projections that redefine the event-time field upstream of a
 //! time-sensitive operator so output timestamps could regress the
 //! frontier (`W013`). Degenerate geometry itself (`E007`) is caught
-//! during schema inference, where the operator constructors are
-//! mirrored.
+//! during schema inference, by the operator constructors themselves.
 
 use super::diagnostics::{Code, Diagnostic};
 use super::schema_pass::PlanFacts;

@@ -6,16 +6,19 @@
 //! mechanism that NebulaMEOS uses to surface MEOS operations
 //! (`edwithin`, `tpoint_at_stbox`, …) inside queries.
 
+mod binder;
 mod builtins;
 mod columnar;
 mod eval;
 mod registry;
 
+pub(crate) use binder::Binder;
 pub use builtins::register_builtins;
 pub use eval::BoundExpr;
 pub use registry::{ClosureFunction, FunctionRegistry, Plugin, ScalarFunction};
 
-use crate::error::{NebulaError, Result};
+use crate::analysis::Code;
+use crate::error::Result;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 use std::fmt;
@@ -207,124 +210,145 @@ impl Expr {
         schema: &Schema,
         registry: &FunctionRegistry,
     ) -> Result<(BoundExpr, DataType)> {
-        match self {
-            Expr::Literal(v) => Ok((BoundExpr::Literal(v.clone()), v.data_type())),
-            Expr::Column(name) => {
-                let unknown =
-                    || NebulaError::Type(format!("unknown column '{name}' in schema {schema}"));
-                let idx = schema.index_of(name).ok_or_else(unknown)?;
-                let dt = schema.field_at(idx).ok_or_else(unknown)?.dtype;
-                Ok((BoundExpr::Column(idx), dt))
-            }
+        let (bound, t) = self.bind_with(schema, &mut Binder::fail_fast(registry))?;
+        Ok((bound, t.unwrap_or(DataType::Null)))
+    }
+
+    /// [`Expr::bind`] through `b`. The type is `None` — poisoned — when
+    /// a check below failed while collecting.
+    pub(crate) fn bind_with(
+        &self,
+        schema: &Schema,
+        b: &mut Binder,
+    ) -> Result<(BoundExpr, Option<DataType>)> {
+        let poisoned = || (BoundExpr::Literal(Value::Null), None);
+        Ok(match self {
+            Expr::Literal(v) => (BoundExpr::Literal(v.clone()), Some(v.data_type())),
+            Expr::Column(name) => match schema.index_of(name).zip(schema.field(name)) {
+                Some((idx, f)) => (BoundExpr::Column(idx), Some(f.dtype)),
+                None => {
+                    let msg = format!("unknown column '{name}' in schema {schema}");
+                    b.report(Code::UnknownColumn, msg)?;
+                    poisoned()
+                }
+            },
             Expr::Binary { op, lhs, rhs } => {
-                let (bl, tl) = lhs.bind(schema, registry)?;
-                let (br, tr) = rhs.bind(schema, registry)?;
-                let out = binary_result_type(*op, tl, tr)?;
-                Ok((
-                    BoundExpr::Binary {
-                        op: *op,
-                        lhs: Box::new(bl),
-                        rhs: Box::new(br),
-                    },
-                    out,
-                ))
+                let (bl, tl) = lhs.bind_with(schema, b)?;
+                let (br, tr) = rhs.bind_with(schema, b)?;
+                let out = binary_result_type(*op, tl, tr, b)?;
+                let (lhs, rhs) = (Box::new(bl), Box::new(br));
+                (BoundExpr::Binary { op: *op, lhs, rhs }, out)
             }
             Expr::Unary { op, expr } => {
-                let (be, te) = expr.bind(schema, registry)?;
+                let (be, te) = expr.bind_with(schema, b)?;
                 let out = match op {
                     UnOp::Not => {
-                        if te != DataType::Bool && te != DataType::Null {
-                            return Err(NebulaError::Type(format!("NOT requires BOOL, got {te}")));
+                        if let Some(t) = te.filter(|&t| t != DataType::Bool && t != DataType::Null)
+                        {
+                            b.report(Code::TypeMismatch, format!("NOT requires BOOL, got {t}"))?;
                         }
-                        DataType::Bool
+                        Some(DataType::Bool)
                     }
                     UnOp::Neg => match te {
-                        DataType::Int => DataType::Int,
-                        DataType::Float => DataType::Float,
-                        other => {
-                            return Err(NebulaError::Type(format!(
-                                "negation requires numeric, got {other}"
-                            )))
+                        Some(DataType::Int | DataType::Float) | None => te,
+                        Some(other) => {
+                            let msg = format!("negation requires numeric, got {other}");
+                            b.report(Code::TypeMismatch, msg)?;
+                            None
                         }
                     },
                 };
-                Ok((
-                    BoundExpr::Unary {
-                        op: *op,
-                        expr: Box::new(be),
-                    },
-                    out,
-                ))
+                let expr = Box::new(be);
+                (BoundExpr::Unary { op: *op, expr }, out)
             }
             Expr::Call { name, args } => {
-                let func = registry
-                    .get(name)
-                    .ok_or_else(|| NebulaError::Type(format!("unknown function '{name}'")))?;
+                let func = b.registry().get(name);
+                if func.is_none() {
+                    b.report(Code::UnknownFunction, format!("unknown function '{name}'"))?;
+                }
+                let (args, types): (Vec<_>, Vec<_>) = args
+                    .iter()
+                    .map(|a| a.bind_with(schema, b))
+                    .collect::<Result<Vec<_>>>()?
+                    .into_iter()
+                    .unzip();
+                let Some(func) = func else {
+                    return Ok(poisoned());
+                };
                 if args.len() < func.min_args() || args.len() > func.max_args() {
-                    return Err(NebulaError::Type(format!(
-                        "function '{name}' expects {}..={} args, got {}",
-                        func.min_args(),
-                        func.max_args(),
+                    let (min, max) = (func.min_args(), func.max_args());
+                    let msg = format!(
+                        "function '{name}' expects {min}..={max} args, got {}",
                         args.len()
-                    )));
+                    );
+                    b.report(Code::BadArity, msg)?;
+                    return Ok(poisoned());
                 }
-                let mut bound = Vec::with_capacity(args.len());
-                let mut types = Vec::with_capacity(args.len());
-                for a in args {
-                    let (b, t) = a.bind(schema, registry)?;
-                    bound.push(b);
-                    types.push(t);
+                let Some(types) = types.into_iter().collect::<Option<Vec<_>>>() else {
+                    return Ok(poisoned());
+                };
+                match func.return_type(&types) {
+                    Ok(ret) => (BoundExpr::Call { func, args, ret }, Some(ret)),
+                    Err(e) => {
+                        let msg = format!("function '{name}' rejects these argument types: {e}");
+                        b.report(Code::TypeMismatch, msg)?;
+                        poisoned()
+                    }
                 }
-                let ret = func.return_type(&types)?;
-                Ok((
-                    BoundExpr::Call {
-                        func,
-                        args: bound,
-                        ret,
-                    },
-                    ret,
-                ))
             }
-        }
+        })
     }
 }
 
-fn binary_result_type(op: BinOp, tl: DataType, tr: DataType) -> Result<DataType> {
+/// The types arithmetic and the `sum`/`avg` folds accept.
+pub(crate) fn numeric(t: DataType) -> bool {
     use DataType::*;
-    let numeric = |t: DataType| matches!(t, Int | Float | Timestamp | Null);
+    matches!(t, Int | Float | Timestamp | Null)
+}
+
+/// The result type of `tl op tr`. A poisoned operand types as NULL,
+/// which every rule accepts.
+fn binary_result_type(
+    op: BinOp,
+    tl: Option<DataType>,
+    tr: Option<DataType>,
+    b: &mut Binder,
+) -> Result<Option<DataType>> {
+    use DataType::*;
+    let (tl, tr) = (tl.unwrap_or(Null), tr.unwrap_or(Null));
     if op.is_arith() {
         if !numeric(tl) || !numeric(tr) {
-            return Err(NebulaError::Type(format!(
-                "operator {op} requires numeric operands, got {tl} and {tr}"
-            )));
+            let msg = format!("operator {op} requires numeric operands, got {tl} and {tr}");
+            b.report(Code::TypeMismatch, msg)?;
+            return Ok(None);
         }
-        return Ok(if tl == Float || tr == Float {
+        return Ok(Some(if tl == Float || tr == Float {
             Float
         } else {
             Int
-        });
+        }));
     }
     if op.is_cmp() {
         let comparable = (numeric(tl) && numeric(tr)) || (tl == tr) || tl == Null || tr == Null;
         if !comparable {
-            return Err(NebulaError::Type(format!("cannot compare {tl} with {tr}")));
+            b.report(Code::TypeMismatch, format!("cannot compare {tl} with {tr}"))?;
         }
-        return Ok(Bool);
+        return Ok(Some(Bool));
     }
     // And / Or
     for t in [tl, tr] {
         if t != Bool && t != Null {
-            return Err(NebulaError::Type(format!(
-                "operator {op} requires BOOL operands, got {t}"
-            )));
+            let msg = format!("operator {op} requires BOOL operands, got {t}");
+            b.report(Code::TypeMismatch, msg)?;
         }
     }
-    Ok(Bool)
+    Ok(Some(Bool))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NebulaError;
     use crate::record::Record;
     use crate::schema::Schema;
 

@@ -8,9 +8,10 @@
 //! edge devices.
 
 use super::{event_times, GroupKey, Operator};
+use crate::analysis::Code;
 use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
-use crate::expr::{BoundExpr, Expr, FunctionRegistry};
+use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, SchemaRef};
 use crate::value::{DataType, DurationUs, EventTime, Value};
@@ -114,30 +115,41 @@ impl CepOp {
         input: &SchemaRef,
         registry: &FunctionRegistry,
     ) -> Result<Self> {
+        Self::bind(pattern, ts_field, input, &mut Binder::fail_fast(registry))
+    }
+
+    pub(crate) fn bind(
+        pattern: &Pattern,
+        ts_field: &str,
+        input: &SchemaRef,
+        b: &mut Binder,
+    ) -> Result<Self> {
+        b.at("cep");
         if pattern.steps.is_empty() {
-            return Err(NebulaError::Plan("pattern needs >= 1 step".into()));
+            b.report(Code::BadWindowGeometry, "pattern needs >= 1 step")?;
         }
         if pattern.within <= 0 {
-            return Err(NebulaError::Plan(
-                "pattern 'within' must be positive".into(),
-            ));
+            b.report(Code::BadWindowGeometry, "pattern 'within' must be positive")?;
         }
-        let ts_col = input
-            .index_of(ts_field)
-            .ok_or_else(|| NebulaError::Plan(format!("cep: unknown ts field '{ts_field}'")))?;
+        let ts_col = input.index_of(ts_field);
+        if ts_col.is_none() {
+            let msg = format!("cep: unknown ts field '{ts_field}' in schema {input}");
+            b.report(Code::MissingTimeField, msg)?;
+        }
         let mut steps = Vec::with_capacity(pattern.steps.len());
-        for s in &pattern.steps {
-            let (b, t) = s.predicate.bind(input, registry)?;
-            if t != DataType::Bool {
-                return Err(NebulaError::Type(format!(
-                    "pattern step '{}' predicate must be BOOL, got {t}",
-                    s.name
-                )));
+        for (j, s) in pattern.steps.iter().enumerate() {
+            b.at(format_args!("cep/step[{j}]"));
+            let (step, t) = s.predicate.bind_with(input, b)?;
+            // Strict: a NULL-typed predicate is rejected too.
+            if let Some(t) = t.filter(|&t| t != DataType::Bool) {
+                let msg = format!("pattern step '{}' predicate must be BOOL, got {t}", s.name);
+                b.report(Code::PredicateNotBool, msg)?;
             }
-            steps.push(b);
+            steps.push(step);
         }
+        b.at("cep/key");
         let key_expr = match &pattern.key {
-            Some(k) => Some(k.bind(input, registry)?.0),
+            Some(k) => Some(k.bind_with(input, b)?.0),
             None => None,
         };
         let output = input.extend(vec![
@@ -154,7 +166,8 @@ impl CepOp {
             },
             steps,
             key_expr,
-            ts_col,
+            // Only a collecting binder gets here without a ts column.
+            ts_col: ts_col.unwrap_or(0),
             output,
             state: HashMap::new(),
             matches: 0,

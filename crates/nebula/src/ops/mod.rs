@@ -13,12 +13,13 @@ pub use cep::{CepOp, Pattern, PatternStep};
 pub(crate) use window_op::sort_emission;
 pub use window_op::WindowOp;
 
+use crate::analysis::Code;
 use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
-use crate::expr::{BoundExpr, Expr, FunctionRegistry};
+use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, Schema, SchemaRef};
-use crate::value::{EventTime, Value};
+use crate::value::{DataType, EventTime, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -355,14 +356,18 @@ pub struct FilterOp {
 impl FilterOp {
     /// Binds `predicate` against `input`.
     pub fn new(predicate: &Expr, input: SchemaRef, registry: &FunctionRegistry) -> Result<Self> {
-        let (bound, dt) = predicate.bind(&input, registry)?;
-        if dt != crate::value::DataType::Bool && dt != crate::value::DataType::Null {
-            return Err(NebulaError::Type(format!(
-                "filter predicate must be BOOL, got {dt}"
-            )));
+        Self::bind(predicate, input, &mut Binder::fail_fast(registry))
+    }
+
+    pub(crate) fn bind(predicate: &Expr, input: SchemaRef, b: &mut Binder) -> Result<Self> {
+        b.at("filter");
+        let (predicate, t) = predicate.bind_with(&input, b)?;
+        if let Some(t) = t.filter(|&t| t != DataType::Bool && t != DataType::Null) {
+            let msg = format!("filter predicate must be BOOL, got {t}");
+            b.report(Code::PredicateNotBool, msg)?;
         }
         Ok(FilterOp {
-            predicate: bound,
+            predicate,
             schema: input,
         })
     }
@@ -432,16 +437,26 @@ impl MapOp {
         input: &SchemaRef,
         registry: &FunctionRegistry,
     ) -> Result<Self> {
+        Self::bind(projections, extend, input, &mut Binder::fail_fast(registry))
+    }
+
+    pub(crate) fn bind(
+        projections: &[(String, Expr)],
+        extend: bool,
+        input: &SchemaRef,
+        b: &mut Binder,
+    ) -> Result<Self> {
         let mut bound = Vec::with_capacity(projections.len());
         let mut fields: Vec<Field> = if extend {
             input.fields().to_vec()
         } else {
             Vec::new()
         };
-        for (name, e) in projections {
-            let (b, t) = e.bind(input, registry)?;
-            bound.push(b);
-            fields.push(Field::new(name.clone(), t));
+        for (j, (name, e)) in projections.iter().enumerate() {
+            b.at(format_args!("map/proj[{j}]"));
+            let (e, t) = e.bind_with(input, b)?;
+            bound.push(e);
+            fields.push(Field::new(name.clone(), t.unwrap_or(DataType::Null)));
         }
         Ok(MapOp {
             projections: bound,
@@ -583,7 +598,6 @@ impl Operator for FlatMapOp {
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use crate::value::DataType;
 
     fn schema() -> SchemaRef {
         Schema::of(&[("id", DataType::Int), ("v", DataType::Float)])

@@ -24,9 +24,10 @@
 //! per-record path.
 
 use super::{event_times, record_sort_key, GroupKey, Operator};
+use crate::analysis::Code;
 use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
-use crate::expr::{BoundExpr, Expr, FunctionRegistry};
+use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, Value};
@@ -82,23 +83,6 @@ struct AggFactory {
 }
 
 impl AggFactory {
-    fn new(
-        specs: Vec<WindowAgg>,
-        input: SchemaRef,
-        registry: FunctionRegistry,
-        ts_field: &str,
-    ) -> Result<Self> {
-        let templates = specs
-            .into_iter()
-            .map(|a| a.spec.template(&input, &registry, ts_field))
-            .collect::<Result<_>>()?;
-        Ok(AggFactory {
-            templates,
-            input,
-            registry,
-        })
-    }
-
     fn make(&self) -> Result<Vec<Box<dyn Aggregator>>> {
         self.templates
             .iter()
@@ -142,20 +126,13 @@ struct SliceStore {
 }
 
 impl SliceStore {
-    fn new(
-        layout: SliceLayout,
-        ts_field: &str,
-        key_count: usize,
-        specs: Vec<WindowAgg>,
-        input: SchemaRef,
-        registry: FunctionRegistry,
-    ) -> Result<Self> {
-        Ok(SliceStore {
+    fn new(layout: SliceLayout, key_count: usize, factory: AggFactory) -> Self {
+        SliceStore {
             layout,
             key_count,
-            factory: AggFactory::new(specs, input, registry, ts_field)?,
+            factory,
             keys: HashMap::new(),
-        })
+        }
     }
 
     /// Estimated bytes of live slice state: key entries plus per-slice
@@ -584,7 +561,19 @@ impl WindowOp {
         input: SchemaRef,
         registry: &FunctionRegistry,
     ) -> Result<Self> {
-        Self::build(ts_field, keys, spec, aggs, input, registry, Role::Whole)
+        let b = &mut Binder::fail_fast(registry);
+        Self::bind(ts_field, keys, spec, aggs, input, b)
+    }
+
+    pub(crate) fn bind(
+        ts_field: &str,
+        keys: &[(String, Expr)],
+        spec: WindowSpec,
+        aggs: Vec<WindowAgg>,
+        input: SchemaRef,
+        b: &mut Binder,
+    ) -> Result<Self> {
+        Self::build(ts_field, keys, spec, aggs, input, b, Role::Whole)
     }
 
     /// The edge half of a split time window: aggregates records into
@@ -602,8 +591,8 @@ impl WindowOp {
         input: SchemaRef,
         registry: &FunctionRegistry,
     ) -> Result<Self> {
-        let spec = spec.clone();
-        Self::build(ts_field, keys, spec, aggs, input, registry, Role::Partial)
+        let b = &mut Binder::fail_fast(registry);
+        Self::build(ts_field, keys, spec.clone(), aggs, input, b, Role::Partial)
     }
 
     /// The cloud half of a split time window. `input` is the schema
@@ -625,8 +614,8 @@ impl WindowOp {
         input: SchemaRef,
         registry: &FunctionRegistry,
     ) -> Result<Self> {
-        let spec = spec.clone();
-        Self::build(ts_field, keys, spec, aggs, input, registry, Role::Merge)
+        let b = &mut Binder::fail_fast(registry);
+        Self::build(ts_field, keys, spec.clone(), aggs, input, b, Role::Merge)
     }
 
     fn build(
@@ -635,19 +624,29 @@ impl WindowOp {
         spec: WindowSpec,
         aggs: Vec<WindowAgg>,
         input: SchemaRef,
-        registry: &FunctionRegistry,
+        b: &mut Binder,
         role: Role,
     ) -> Result<Self> {
-        spec.validate()?;
-        let ts_col = input
-            .index_of(ts_field)
-            .ok_or_else(|| NebulaError::Plan(format!("window: unknown ts field '{ts_field}'")))?;
-        let mut key_exprs = Vec::with_capacity(keys.len());
-        let mut fields = Vec::with_capacity(keys.len() + 2 + aggs.len());
-        for (name, e) in keys {
-            let (b, t) = e.bind(&input, registry)?;
-            key_exprs.push(b);
-            fields.push(Field::new(name.clone(), t));
+        let registry = b.registry();
+        b.at("window");
+        if let Err(NebulaError::Plan(m)) = spec.validate() {
+            b.report(Code::BadWindowGeometry, m)?;
+        }
+        let ts_col = input.index_of(ts_field);
+        if ts_col.is_none() {
+            let msg = format!("window: unknown ts field '{ts_field}' in schema {input}");
+            b.report(Code::MissingTimeField, msg)?;
+        }
+        // Only a collecting binder gets past a missing ts column.
+        let ts_col = ts_col.unwrap_or(0);
+        let key_count = keys.len();
+        let mut key_exprs = Vec::with_capacity(key_count);
+        let mut fields = Vec::with_capacity(key_count + 2 + aggs.len());
+        for (j, (name, e)) in keys.iter().enumerate() {
+            b.at(format_args!("window/key[{j}]"));
+            let (e, t) = e.bind_with(&input, b)?;
+            key_exprs.push(e);
+            fields.push(Field::new(name.clone(), t.unwrap_or(DataType::Null)));
         }
         let bound = if role == Role::Partial {
             "slice"
@@ -656,11 +655,16 @@ impl WindowOp {
         };
         fields.push(Field::new(format!("{bound}_start"), DataType::Timestamp));
         fields.push(Field::new(format!("{bound}_end"), DataType::Timestamp));
+        let ts = BoundExpr::Column(ts_col);
+        let mut templates = Vec::with_capacity(aggs.len());
         let mut arities = Vec::new();
-        for agg in &aggs {
-            let output = Field::new(agg.name.clone(), agg.spec.output_type(&input, registry)?);
+        for (j, agg) in aggs.into_iter().enumerate() {
+            b.at(format_args!("window/agg[{j}]"));
+            let (template, t) = agg.spec.bind(&input, &ts, b)?;
+            templates.push(template);
+            let t = t.unwrap_or(DataType::Null);
             if role == Role::Whole {
-                fields.push(output);
+                fields.push(Field::new(agg.name, t));
                 continue;
             }
             let partial = agg.spec.partial_types(&input, registry)?.ok_or_else(|| {
@@ -671,26 +675,25 @@ impl WindowOp {
             })?;
             arities.push(partial.len());
             match (role, partial.len()) {
-                (Role::Partial, 1) => fields.push(Field::new(agg.name.clone(), partial[0])),
+                (Role::Partial, 1) => fields.push(Field::new(agg.name, partial[0])),
                 (Role::Partial, _) => {
                     for (j, t) in partial.into_iter().enumerate() {
                         fields.push(Field::new(format!("{}_p{j}", agg.name), t));
                     }
                 }
-                _ => fields.push(output),
+                _ => fields.push(Field::new(agg.name, t)),
             }
         }
+        let factory = |input| AggFactory {
+            templates,
+            input,
+            registry: registry.clone(),
+        };
         let state = match spec {
             WindowSpec::Tumbling { size: size @ slide } | WindowSpec::Sliding { size, slide } => {
+                let layout = SliceLayout::new(size, slide);
                 WindowState::Time {
-                    store: SliceStore::new(
-                        SliceLayout::new(size, slide),
-                        ts_field,
-                        keys.len(),
-                        aggs,
-                        input,
-                        registry.clone(),
-                    )?,
+                    store: SliceStore::new(layout, key_count, factory(input)),
                     role,
                     arities,
                 }
@@ -704,23 +707,24 @@ impl WindowOp {
                 predicate,
                 min_count,
             } => {
-                let (predicate, t) = predicate.bind(&input, registry)?;
-                if t != DataType::Bool {
-                    return Err(NebulaError::Type(format!(
-                        "threshold predicate must be BOOL, got {t}"
-                    )));
+                b.at("window");
+                let (predicate, t) = predicate.bind_with(&input, b)?;
+                // Strict: a NULL-typed predicate is rejected too.
+                if let Some(t) = t.filter(|&t| t != DataType::Bool) {
+                    let msg = format!("threshold predicate must be BOOL, got {t}");
+                    b.report(Code::PredicateNotBool, msg)?;
                 }
                 WindowState::Threshold {
                     predicate,
                     min_count,
-                    factory: AggFactory::new(aggs, input, registry.clone(), ts_field)?,
+                    factory: factory(input),
                     open: HashMap::new(),
                 }
             }
         };
         Ok(WindowOp {
             ts_col,
-            key_count: keys.len(),
+            key_count,
             key_exprs,
             output: Schema::new(fields),
             state,

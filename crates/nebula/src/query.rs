@@ -17,8 +17,9 @@
 //! assert_eq!(q.source(), "trains");
 //! ```
 
+use crate::analysis::Code;
 use crate::error::{NebulaError, Result};
-use crate::expr::{Expr, FunctionRegistry};
+use crate::expr::{Binder, Expr, FunctionRegistry};
 use crate::ops::{CepOp, FilterOp, MapOp, Operator, OperatorFactory, Pattern, WindowOp};
 use crate::schema::SchemaRef;
 use crate::window::{WindowAgg, WindowSpec};
@@ -187,6 +188,7 @@ impl Query {
     /// - A plan with no stateful operators at all is embarrassingly
     ///   parallel: records round-robin across workers.
     pub fn partition_scheme(&self) -> PartitionScheme {
+        const NARROWED: &str = "a narrowing projection upstream may redefine the key columns";
         let mut prefix_preserves_columns = true;
         let mut ops = self.ops.iter();
         let candidate = loop {
@@ -201,28 +203,37 @@ impl Query {
                     }
                 }
                 LogicalOp::Window { keys, .. } => {
-                    break if prefix_preserves_columns && !keys.is_empty() {
-                        PartitionScheme::Key(keys.iter().map(|(_, e)| e.clone()).collect())
+                    break if keys.is_empty() {
+                        PartitionScheme::Single("the window is keyless")
+                    } else if !prefix_preserves_columns {
+                        PartitionScheme::Single(NARROWED)
                     } else {
-                        PartitionScheme::Single
+                        PartitionScheme::Key(keys.iter().map(|(_, e)| e.clone()).collect())
                     };
                 }
                 LogicalOp::Cep(pattern) => {
                     break match (&pattern.key, prefix_preserves_columns) {
                         (Some(key), true) => PartitionScheme::Key(vec![key.clone()]),
-                        _ => PartitionScheme::Single,
+                        (Some(_), false) => PartitionScheme::Single(NARROWED),
+                        (None, _) => PartitionScheme::Single("the pattern is keyless"),
                     };
                 }
-                LogicalOp::Custom(_) => return PartitionScheme::Single,
+                LogicalOp::Custom(_) => {
+                    return PartitionScheme::Single(
+                        "a plugin operator's state is opaque to key analysis",
+                    )
+                }
             }
         };
-        if ops.any(|op| {
-            matches!(
-                op,
-                LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
-            )
-        }) {
-            return PartitionScheme::Single;
+        if matches!(candidate, PartitionScheme::Key(_))
+            && ops.any(|op| {
+                matches!(
+                    op,
+                    LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
+                )
+            })
+        {
+            return PartitionScheme::Single("a second stateful operator follows the keyed stage");
         }
         candidate
     }
@@ -237,8 +248,8 @@ pub enum PartitionScheme {
     /// Stateless plan: records distribute evenly, any worker will do.
     RoundRobin,
     /// Stateful but keyless or opaque: all data on one worker (the rest
-    /// only see watermarks and end-of-stream).
-    Single,
+    /// only see watermarks and end-of-stream). Carries why.
+    Single(&'static str),
 }
 
 /// A compiled physical plan.
@@ -274,25 +285,48 @@ pub(crate) fn compile_ops(
     input: SchemaRef,
     registry: &FunctionRegistry,
 ) -> Result<CompiledPlan> {
+    bind_ops(ops, ts_field, input, &mut Binder::fail_fast(registry))
+}
+
+/// Binds `ops` in order through `b`, each against its predecessor's
+/// output schema. A collecting binder stops only at a plugin operator
+/// that fails to instantiate: no schema follows it, so the plan ends
+/// there.
+pub(crate) fn bind_ops(
+    ops: &[LogicalOp],
+    ts_field: &str,
+    input: SchemaRef,
+    b: &mut Binder,
+) -> Result<CompiledPlan> {
     let mut operators: Vec<Box<dyn Operator>> = Vec::with_capacity(ops.len());
     let mut schema = input;
-    for op in ops {
+    for (i, op) in ops.iter().enumerate() {
+        b.enter(i);
         let physical: Box<dyn Operator> = match op {
-            LogicalOp::Filter(pred) => Box::new(FilterOp::new(pred, schema.clone(), registry)?),
+            LogicalOp::Filter(pred) => Box::new(FilterOp::bind(pred, schema.clone(), b)?),
             LogicalOp::Map {
                 projections,
                 extend,
-            } => Box::new(MapOp::new(projections, *extend, &schema, registry)?),
-            LogicalOp::Window { keys, spec, aggs } => Box::new(WindowOp::new(
+            } => Box::new(MapOp::bind(projections, *extend, &schema, b)?),
+            LogicalOp::Window { keys, spec, aggs } => Box::new(WindowOp::bind(
                 ts_field,
                 keys,
                 spec.clone(),
                 aggs.clone(),
                 schema.clone(),
-                registry,
+                b,
             )?),
-            LogicalOp::Cep(pattern) => Box::new(CepOp::new(pattern, ts_field, &schema, registry)?),
-            LogicalOp::Custom(factory) => factory.create(schema.clone(), registry)?,
+            LogicalOp::Cep(pattern) => Box::new(CepOp::bind(pattern, ts_field, &schema, b)?),
+            LogicalOp::Custom(factory) => match factory.create(schema.clone(), b.registry()) {
+                Ok(op) => op,
+                Err(e) => {
+                    let name = factory.name();
+                    b.at(name);
+                    let msg = format!("operator '{name}' failed to instantiate: {e}");
+                    b.report(Code::OperatorInstantiation, msg)?;
+                    break;
+                }
+            },
         };
         schema = physical.output_schema();
         operators.push(physical);
@@ -403,7 +437,7 @@ mod tests {
             WindowSpec::Tumbling { size: 60_000_000 },
             vec![WindowAgg::new("n", AggSpec::Count)],
         );
-        assert!(matches!(q.partition_scheme(), PartitionScheme::Single));
+        assert!(matches!(q.partition_scheme(), PartitionScheme::Single(_)));
     }
 
     #[test]
@@ -417,7 +451,7 @@ mod tests {
                 WindowSpec::Tumbling { size: 60_000_000 },
                 vec![WindowAgg::new("n", AggSpec::Count)],
             );
-        assert!(matches!(q.partition_scheme(), PartitionScheme::Single));
+        assert!(matches!(q.partition_scheme(), PartitionScheme::Single(_)));
     }
 
     #[test]
@@ -439,7 +473,7 @@ mod tests {
         ));
         assert!(matches!(
             keyless.partition_scheme(),
-            PartitionScheme::Single
+            PartitionScheme::Single(_)
         ));
     }
 
@@ -463,7 +497,7 @@ mod tests {
                 WindowSpec::Tumbling { size: 60_000_000 },
                 vec![WindowAgg::new("n", AggSpec::Count)],
             );
-        assert!(matches!(q.partition_scheme(), PartitionScheme::Single));
+        assert!(matches!(q.partition_scheme(), PartitionScheme::Single(_)));
         // Same for stacked keyed windows: correctness over parallelism.
         let q = Query::from("trains")
             .window(
@@ -476,7 +510,7 @@ mod tests {
                 WindowSpec::Tumbling { size: 120_000_000 },
                 vec![WindowAgg::new("m", AggSpec::Count)],
             );
-        assert!(matches!(q.partition_scheme(), PartitionScheme::Single));
+        assert!(matches!(q.partition_scheme(), PartitionScheme::Single(_)));
     }
 
     #[test]

@@ -494,7 +494,7 @@ impl StreamEnvironment {
                     .collect::<Result<Vec<BoundExpr>>>()
                     .map_or(Route::Single, Route::Key),
                 PartitionScheme::RoundRobin => Route::RoundRobin,
-                PartitionScheme::Single => Route::Single,
+                PartitionScheme::Single(_) => Route::Single,
             }
         };
         // Single-routed plans get exactly one partition: more would

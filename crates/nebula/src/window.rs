@@ -12,9 +12,10 @@
 //! opens while the predicate holds and closes (emitting, if it saw at
 //! least `min_count` records) when it stops holding.
 
+use crate::analysis::Code;
 use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
-use crate::expr::{col, BoundExpr, Expr, FunctionRegistry};
+use crate::expr::{col, numeric, Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::Record;
 use crate::schema::Schema;
 use crate::value::{DataType, DurationUs, EventTime, Value};
@@ -87,11 +88,13 @@ impl WindowSpec {
     }
 }
 
+/// Total over every `i64`: the analyzer lays out windows whose
+/// geometry it has just rejected.
 fn gcd(mut a: i64, mut b: i64) -> i64 {
     while b != 0 {
-        (a, b) = (b, a % b);
+        (a, b) = (b, a.wrapping_rem(b));
     }
-    a.abs()
+    a.wrapping_abs()
 }
 
 /// The stream-slicing geometry of a time window: event time partitions
@@ -296,22 +299,10 @@ pub enum AggSpec {
 impl AggSpec {
     /// Output type of the aggregate over `input`.
     pub fn output_type(&self, input: &Schema, registry: &FunctionRegistry) -> Result<DataType> {
-        match self {
-            AggSpec::Count => Ok(DataType::Int),
-            AggSpec::Avg(e) => {
-                e.bind(input, registry)?;
-                Ok(DataType::Float)
-            }
-            AggSpec::Sum(e) | AggSpec::Min(e) | AggSpec::Max(e) => {
-                let (_, t) = e.bind(input, registry)?;
-                Ok(t)
-            }
-            AggSpec::First(e) | AggSpec::Last(e) => {
-                let (_, t) = e.bind(input, registry)?;
-                Ok(t)
-            }
-            AggSpec::Custom(f) => f.output_type(input, registry),
-        }
+        // The output type never depends on the event-time column.
+        let ts = BoundExpr::Literal(Value::Null);
+        let (_, t) = self.bind(input, &ts, &mut Binder::fail_fast(registry))?;
+        Ok(t.unwrap_or(DataType::Null))
     }
 
     /// The wire layout of the aggregate's partial snapshot, or `None`
@@ -323,19 +314,12 @@ impl AggSpec {
         input: &Schema,
         registry: &FunctionRegistry,
     ) -> Result<Option<Vec<DataType>>> {
+        let out = self.output_type(input, registry)?;
         Ok(match self {
             AggSpec::Count => Some(vec![DataType::Int]),
-            AggSpec::Sum(_) | AggSpec::Min(_) | AggSpec::Max(_) => {
-                Some(vec![self.output_type(input, registry)?])
-            }
-            AggSpec::Avg(e) => {
-                e.bind(input, registry)?;
-                Some(vec![DataType::Float, DataType::Int])
-            }
-            AggSpec::First(_) | AggSpec::Last(_) => Some(vec![
-                DataType::Timestamp,
-                self.output_type(input, registry)?,
-            ]),
+            AggSpec::Sum(_) | AggSpec::Min(_) | AggSpec::Max(_) => Some(vec![out]),
+            AggSpec::Avg(_) => Some(vec![DataType::Float, DataType::Int]),
+            AggSpec::First(_) | AggSpec::Last(_) => Some(vec![DataType::Timestamp, out]),
             AggSpec::Custom(f) => f.partial_types(input, registry)?,
         })
     }
@@ -357,29 +341,58 @@ impl AggSpec {
         registry: &FunctionRegistry,
         ts_field: &str,
     ) -> Result<Box<dyn Aggregator>> {
-        self.template(input, registry, ts_field)?
-            .make(input, registry)
+        let (ts, _) = col(ts_field).bind(input, registry)?;
+        let (template, _) = self.bind(input, &ts, &mut Binder::fail_fast(registry))?;
+        template.make(input, registry)
     }
 
-    /// Binds the aggregate against `input` once; see [`AggTemplate`].
-    pub(crate) fn template(
+    /// Binds the aggregate against `input` once, through `b`: the
+    /// accumulator template (see [`AggTemplate`]) and the output type
+    /// (`None` when poisoned). `ts` is the event-time column `first` and
+    /// `last` order by.
+    pub(crate) fn bind(
         &self,
         input: &Schema,
-        registry: &FunctionRegistry,
-        ts_field: &str,
-    ) -> Result<AggTemplate> {
-        let bind = |e: &Expr| e.bind(input, registry).map(|(b, _)| b);
-        let ts = || bind(&col(ts_field));
-        Ok(AggTemplate::Builtin(match self {
-            AggSpec::Count => BuiltinAgg::count(),
-            AggSpec::Sum(e) => BuiltinAgg::new(bind(e)?, AggKind::Sum),
-            AggSpec::Min(e) => BuiltinAgg::new(bind(e)?, AggKind::Min),
-            AggSpec::Max(e) => BuiltinAgg::new(bind(e)?, AggKind::Max),
-            AggSpec::Avg(e) => BuiltinAgg::new(bind(e)?, AggKind::Avg),
-            AggSpec::First(e) => BuiltinAgg::timed(bind(e)?, ts()?, AggKind::First),
-            AggSpec::Last(e) => BuiltinAgg::timed(bind(e)?, ts()?, AggKind::Last),
-            AggSpec::Custom(f) => return Ok(AggTemplate::Custom(f.clone())),
-        }))
+        ts: &BoundExpr,
+        b: &mut Binder,
+    ) -> Result<(AggTemplate, Option<DataType>)> {
+        let (kind, e) = match self {
+            AggSpec::Count => {
+                let count = AggTemplate::Builtin(BuiltinAgg::count());
+                return Ok((count, Some(DataType::Int)));
+            }
+            AggSpec::Sum(e) => (AggKind::Sum, e),
+            AggSpec::Min(e) => (AggKind::Min, e),
+            AggSpec::Max(e) => (AggKind::Max, e),
+            AggSpec::Avg(e) => (AggKind::Avg, e),
+            AggSpec::First(e) => (AggKind::First, e),
+            AggSpec::Last(e) => (AggKind::Last, e),
+            AggSpec::Custom(f) => {
+                let t = f.output_type(input, b.registry());
+                if let Err(e) = &t {
+                    let msg = format!("aggregate factory rejected the input schema: {e}");
+                    b.report(Code::OperatorInstantiation, msg)?;
+                }
+                return Ok((AggTemplate::Custom(f.clone()), t.ok()));
+            }
+        };
+        let (expr, t) = e.bind_with(input, b)?;
+        if let (AggKind::Sum | AggKind::Avg, Some(t)) = (kind, t.filter(|&t| !numeric(t))) {
+            // The folds are numeric: any other input fails on its first row.
+            let name = if kind == AggKind::Sum { "sum" } else { "avg" };
+            let msg = format!("aggregate '{name}' requires numeric input, got {t}");
+            b.report(Code::TypeMismatch, msg)?;
+        }
+        let agg = match kind {
+            AggKind::First | AggKind::Last => BuiltinAgg::timed(expr, ts.clone(), kind),
+            _ => BuiltinAgg::new(expr, kind),
+        };
+        let out = if kind == AggKind::Avg {
+            Some(DataType::Float)
+        } else {
+            t
+        };
+        Ok((AggTemplate::Builtin(agg), out))
     }
 }
 

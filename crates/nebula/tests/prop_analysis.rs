@@ -11,6 +11,8 @@
 //! 2. **Rejections are real**: an analyzer-rejected plan either fails
 //!    to compile or crashes at runtime — never runs clean end to end.
 //! 3. **Warnings never reject** and never change results.
+//! 4. **One binder**: `compile` fails exactly when the schema pass
+//!    reports an `E` code, with the first diagnostic's message.
 
 use nebula::analysis::{analyze, AnalysisContext, AnalysisReport};
 use nebula::prelude::*;
@@ -229,6 +231,25 @@ proptest! {
             "analyzer rejected {q:?} but it ran clean\nreport: {}",
             report.render()
         );
+    }
+
+    #[test]
+    fn compile_fails_exactly_where_analysis_errs(seeds in proptest::collection::vec(0u64..u64::MAX, 4..24)) {
+        let q = rand_query(&mut Tape::new(seeds));
+        let report = analyze_local(&q);
+        let compiled = compile(&q, schema(), &FunctionRegistry::with_builtins());
+        let first = report.errors().next();
+        match (compiled.err(), first) {
+            (None, None) => {}
+            (Some(NebulaError::Type(m) | NebulaError::Plan(m)), Some(first)) => {
+                prop_assert_eq!(&m, &first.message, "{:?}\nreport: {}", q, report.render());
+            }
+            (err, _) => prop_assert!(
+                false,
+                "compile gave {err:?} for {q:?}\nreport: {}",
+                report.render()
+            ),
+        }
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //!    every `impl Operator` must return a string-literal `name()` so
 //!    ids never drift between runs. Operators whose name is genuinely
 //!    dynamic (plugin wrappers) are allowlisted here.
+//!
+//! `loc` — non-test line counts (everything before a file's
+//! `#[cfg(test)]`) of every `.rs` file under the same trees, then of
+//! every directory and tree: the unit the simplicity targets in
+//! `ROADMAP.md` are stated in.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,12 +39,13 @@ fn main() -> ExitCode {
     let task = std::env::args().nth(1);
     match task.as_deref() {
         Some("lint") => lint(),
+        Some("loc") => loc(),
         Some(other) => {
-            eprintln!("unknown task '{other}'; available: lint");
+            eprintln!("unknown task '{other}'; available: lint, loc");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- lint|loc");
             ExitCode::FAILURE
         }
     }
@@ -65,6 +72,33 @@ fn lint() -> ExitCode {
         eprint!("{failures}");
         ExitCode::FAILURE
     }
+}
+
+/// Prints the non-test lines of every file under [`CHECKED_TREES`],
+/// then the total of every directory from each tree down.
+fn loc() -> ExitCode {
+    let root = repo_root();
+    let mut dirs: BTreeMap<PathBuf, usize> = BTreeMap::new();
+    for path in checked_files(&root) {
+        let rel = path.strip_prefix(&root).unwrap_or(&path);
+        let lines = match std::fs::read_to_string(&path) {
+            Ok(content) => non_test_prefix(&content).lines().count(),
+            Err(e) => {
+                eprintln!("loc: cannot read {}: {e}", rel.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        println!("{lines:>7}  {}", rel.display());
+        for dir in rel.ancestors().skip(1) {
+            if CHECKED_TREES.iter().any(|tree| dir.starts_with(tree)) {
+                *dirs.entry(dir.to_path_buf()).or_default() += lines;
+            }
+        }
+    }
+    for (dir, lines) in dirs {
+        println!("{lines:>7}  {}/", dir.display());
+    }
+    ExitCode::SUCCESS
 }
 
 /// The non-test prefix of a source file: everything before the first
