@@ -4,22 +4,27 @@
 //!
 //! One executor, three configurations. Every local entry point runs the
 //! same loop — a `SourceDriver` yields stamped buffers, a dispatcher
-//! routes them to partitions as ledger-ordered tasks, folds their
-//! stamps into the progress frontier and hands released results to the
-//! sink — and differs only in which thread does what (NebulaStream's
-//! task-based worker execution model):
+//! routes them to partitions as ledger-ordered tasks and folds their
+//! stamps into the progress frontier, and the thread that completes a
+//! task hands whatever the emission ledger released to the sink — and
+//! differs only in which thread does what (NebulaStream's task-based
+//! worker execution model):
 //!
 //! | entry point | source thread? | pool workers | tasks execute on | sink runs on |
 //! |---|---|---|---|---|
 //! | [`StreamEnvironment::run`] | no | 0 | the caller, inline | the caller |
 //! | [`StreamEnvironment::run_threaded`] | yes, behind a bounded channel | 0 | the caller, inline | the caller |
-//! | [`StreamEnvironment::run_partitioned`] | no | one per partition ([`EnvConfig::parallelism`]) | work-stealing workers | the caller |
+//! | [`StreamEnvironment::run_partitioned`] | no | one per partition ([`EnvConfig::parallelism`]) | work-stealing workers | the worker whose completion released the result, one call at a time |
 //!
 //! With workers, buffers are hash-partitioned by the plan's grouping
 //! key and tasks complete out of order; the emission ledger releases
 //! results in dispatch order once every earlier step has completed, so
 //! the delivered stream is identical in every configuration and no
-//! end-of-run global sort is needed.
+//! end-of-run global sort is needed. A result leaves as soon as its step
+//! is released, on the thread that released it, without waiting for the
+//! dispatcher's next source poll. A panicking operator or sink fails the
+//! run with an [`NebulaError::Eval`] carrying the panic message, in
+//! every mode.
 //!
 //! Progress is *punctuated*: sources stamp every buffer with an
 //! origin/sequence/watermark header ([`crate::buffer::BufferMeta`]) and
@@ -44,8 +49,10 @@ use crate::telemetry::{
     TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
 };
 use crate::value::EventTime;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -552,8 +559,10 @@ impl StreamEnvironment {
     /// source schema). Any idle worker may claim any partition with
     /// queued tasks, so tasks complete out of order and a skewed hot key
     /// does not serialize the pool behind one slow worker; the emission
-    /// ledger releases results to `sink` in dispatch order, so the
-    /// delivered stream is identical to [`Self::run`]'s. Per-partition
+    /// ledger releases results in dispatch order, so the delivered
+    /// stream is identical to [`Self::run`]'s. The worker whose
+    /// completion released a result hands it to `sink` right away, one
+    /// sink call at a time, so `sink` runs on pool workers. Per-partition
     /// metrics — including latency histograms and the frontier-lag
     /// high-water mark — merge into the returned report.
     pub fn run_partitioned(&mut self, query: &Query, sink: &mut dyn Sink) -> Result<QueryMetrics> {
@@ -569,13 +578,14 @@ impl StreamEnvironment {
     /// owning partitions as ledger-ordered tasks, folds the stamp into
     /// the [`ProgressTracker`], broadcasts frontier advances to every
     /// partition so each chain's clock moves exactly as in a
-    /// one-partition run, hands whatever the [`EmissionLedger`] has
-    /// released to `sink`, and samples telemetry. `mode` only decides
-    /// which thread does what: tasks execute inline on the caller or on
-    /// pool workers, and the driver polls on the caller or on a producer
-    /// thread behind a bounded channel. The sink always runs on the
-    /// caller, and with no workers the ledger is drained before the
-    /// next batch is taken, so results stream out as buffers arrive.
+    /// one-partition run, and samples telemetry. Whichever thread
+    /// completes a task delivers what that completion released from the
+    /// [`EmissionLedger`] ([`Pool::flush`]), so results leave as their
+    /// step completes. `mode` only decides which thread does what: tasks
+    /// execute inline on the caller or on pool workers, and the driver
+    /// polls on the caller or on a producer thread behind a bounded
+    /// channel. Only [`Sink::finish`] always runs on the caller, after
+    /// every thread has joined.
     fn execute(
         &mut self,
         query: &Query,
@@ -643,6 +653,12 @@ impl StreamEnvironment {
         let pool = Pool {
             slots,
             ledger: Mutex::new(EmissionLedger::new(output_schema, key_count)),
+            outlet: Mutex::new(Outlet {
+                sink,
+                released: Vec::new(),
+                broken: false,
+            }),
+            delivered: AtomicU64::new(0),
             threads,
             capacity: channel_capacity.max(1),
             finished: AtomicUsize::new(0),
@@ -656,7 +672,6 @@ impl StreamEnvironment {
         let channel_depth = AtomicU64::new(0);
         let mut tracker = ProgressTracker::new();
         tracker.register(LOCAL_ORIGIN);
-        let mut released: Vec<StreamMessage> = Vec::new();
 
         std::thread::scope(|scope| {
             let (pool, channel_depth) = (&pool, &channel_depth);
@@ -682,7 +697,6 @@ impl StreamEnvironment {
             let dispatched: Result<()> = (|| {
                 let mut rr: usize = 0;
                 let mut routed_records: u64 = 0;
-                let mut released_records: u64 = 0;
                 while !pool.abort.load(Ordering::Acquire) {
                     let Some(Stamped {
                         msg,
@@ -711,18 +725,13 @@ impl StreamEnvironment {
                             pool.broadcast(Some(w))?;
                         }
                     }
-                    pool.ledger.lock().take_released(&mut released);
-                    for msg in released.drain(..) {
-                        released_records += msg.record_count() as u64;
-                        deliver(sink, &msg)?;
-                    }
-                    // Records routed in, records released out, tasks
+                    // Records routed in, records delivered out, tasks
                     // and buffers queued anywhere — the registries are
                     // atomic, so reading them races nothing.
                     sampler.maybe_sample(
                         &Gauges {
                             records_in: routed_records,
-                            records_out: released_records,
+                            records_out: pool.delivered.load(Ordering::Relaxed),
                             queue_depth: channel_depth.load(Ordering::Relaxed) + pool.queue_depth(),
                             frontier: tracker.frontier(),
                             frontier_lag_us: tracker.frontier_lag_us(),
@@ -757,22 +766,18 @@ impl StreamEnvironment {
         })?;
         tracker.finish(LOCAL_ORIGIN);
 
-        // Every step completed: the ledger's remainder (end-of-stream
-        // flushes, and whatever workers finished after the last batch)
-        // is released in dispatch order.
+        // Every step completed, and the completion that released the
+        // last of them delivered it: the ledger is empty.
         let Pool {
             slots,
             ledger,
+            outlet,
             stalls,
             ..
         } = pool;
-        let mut ledger = ledger.into_inner();
-        ledger.take_released(&mut released);
-        for msg in &released {
-            deliver(sink, msg)?;
-        }
+        let ledger = ledger.into_inner();
         debug_assert!(ledger.steps.is_empty(), "all steps released");
-        sink.finish()?;
+        outlet.into_inner().sink.finish()?;
 
         let mut metrics = QueryMetrics::default();
         for slot in slots {
@@ -995,12 +1000,30 @@ struct PartitionSlot {
     exec: Mutex<PartitionExec>,
 }
 
+/// Where released results leave the pool: the sink and the buffer each
+/// flush moves the ledger's released messages into.
+struct Outlet<'s> {
+    sink: &'s mut dyn Sink,
+    released: Vec<StreamMessage>,
+    /// Raised for the span of each flush's delivery and lowered once it
+    /// succeeds. Still raised on entry means a sink call failed or
+    /// panicked: that thread reports it, and the sink is not called
+    /// again.
+    broken: bool,
+}
+
 /// The task pool: every partition's slot, the ledger ordering their
-/// outputs, and the state its threads share. With `threads == 0` there
-/// are no workers and [`Pool::submit`] executes on the caller.
-struct Pool {
+/// outputs, the outlet delivering them, and the state its threads
+/// share. With `threads == 0` there are no workers and [`Pool::submit`]
+/// executes on the caller.
+struct Pool<'s> {
     slots: Vec<PartitionSlot>,
     ledger: Mutex<EmissionLedger>,
+    /// Locked before `ledger` whenever both are held, never after.
+    outlet: Mutex<Outlet<'s>>,
+    /// Records the outlet has handed to the sink. Written under the
+    /// outlet lock; the sampler reads it without waiting on a sink call.
+    delivered: AtomicU64,
     threads: usize,
     /// Per-partition queue bound.
     capacity: usize,
@@ -1014,7 +1037,7 @@ struct Pool {
     first_err: Mutex<Option<NebulaError>>,
 }
 
-impl Pool {
+impl Pool<'_> {
     /// Executes a task inline when there are no workers; otherwise
     /// queues it to its partition, bounded: waits while the queue is at
     /// capacity — workers drain concurrently, stealing the partition if
@@ -1022,7 +1045,7 @@ impl Pool {
     fn submit(&self, p: usize, task: Task) -> Result<()> {
         let slot = &self.slots[p];
         if self.threads == 0 {
-            return run_partition_task(&mut slot.exec.lock(), task, &self.ledger).map(drop);
+            return self.run_task(slot.exec.lock(), task);
         }
         let mut stalled = false;
         while slot.depth.load(Ordering::Acquire) >= self.capacity {
@@ -1058,6 +1081,58 @@ impl Pool {
             .map(|s| s.depth.load(Ordering::Acquire) as u64)
             .sum()
     }
+
+    /// Executes one task on the partition `exec` guards, lets go of the
+    /// partition, and delivers whatever the completion released. This is
+    /// every thread's way to run a task — pool workers and the inline
+    /// caller alike — so a panic in an operator or the sink is caught
+    /// here and becomes an [`NebulaError::Eval`] carrying its message.
+    fn run_task(&self, mut exec: MutexGuard<'_, PartitionExec>, task: Task) -> Result<()> {
+        catch_unwind(AssertUnwindSafe(move || {
+            let released = run_partition_task(&mut exec, task, &self.ledger)?;
+            drop(exec);
+            if released {
+                self.flush()?;
+            }
+            Ok(())
+        }))
+        .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())))
+    }
+
+    /// Hands everything the ledger has released to the sink. Taking the
+    /// messages and delivering them happen under the outlet lock, so
+    /// whichever thread flushes, the sink sees dispatch order, one call
+    /// at a time.
+    fn flush(&self) -> Result<()> {
+        let mut outlet = self.outlet.lock();
+        let Outlet {
+            sink,
+            released,
+            broken,
+        } = &mut *outlet;
+        if *broken {
+            return Ok(());
+        }
+        *broken = true;
+        self.ledger.lock().take_released(released);
+        for msg in released.drain(..) {
+            deliver(&mut **sink, &msg)?;
+            self.delivered
+                .fetch_add(msg.record_count() as u64, Ordering::Relaxed);
+        }
+        *broken = false;
+        Ok(())
+    }
+}
+
+/// The typed error a caught panic becomes.
+fn panic_error(payload: &(dyn Any + Send)) -> NebulaError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    NebulaError::Eval(format!("task panicked: {msg}"))
 }
 
 /// Orders out-of-order task completions back into a deterministic
@@ -1137,8 +1212,10 @@ impl EmissionLedger {
 
     /// Banks one owner's completion with the terminal messages its
     /// chain emitted, then releases every fully-completed step at the
-    /// front of the dispatch order.
-    fn complete(&mut self, step: u64, outputs: Vec<StreamMessage>) {
+    /// front of the dispatch order. Returns whether that released any
+    /// message for the sink.
+    fn complete(&mut self, step: u64, outputs: Vec<StreamMessage>) -> bool {
+        let before = self.released.len();
         let open = step.checked_sub(self.next_release);
         if let Some(s) = open.and_then(|i| self.steps.get_mut(i as usize)) {
             s.outputs
@@ -1172,6 +1249,7 @@ impl EmissionLedger {
                 self.released.push(StreamMessage::Data(merged));
             }
         }
+        self.released.len() > before
     }
 
     /// Moves everything released so far, in dispatch order, to the end
@@ -1184,8 +1262,11 @@ impl EmissionLedger {
 /// A pool worker: repeatedly claims any partition that has queued
 /// tasks and no current executor, then drains its queue. Partitions
 /// are scanned starting at the worker's own index, so each worker
-/// prefers "its" partition and steals only when otherwise idle.
-fn partition_worker(wid: usize, pool: &Pool) {
+/// prefers "its" partition and steals only when otherwise idle. A task
+/// is popped only under its partition's `exec` lock, so a partition's
+/// tasks run in queue order although the lock is let go after each one
+/// while its released results are delivered.
+fn partition_worker(wid: usize, pool: &Pool<'_>) {
     let n = pool.slots.len();
     let mut spins: u32 = 0;
     loop {
@@ -1195,30 +1276,24 @@ fn partition_worker(wid: usize, pool: &Pool) {
         let mut progressed = false;
         for k in 0..n {
             let slot = &pool.slots[(wid + k) % n];
-            if slot.depth.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let Some(mut exec) = slot.exec.try_lock() else {
-                // Another worker owns this partition right now; its
-                // queue is their problem. Steal elsewhere.
-                continue;
-            };
-            loop {
+            while slot.depth.load(Ordering::Acquire) > 0 {
+                let Some(exec) = slot.exec.try_lock() else {
+                    // Another worker owns this partition right now; its
+                    // queue is their problem. Steal elsewhere.
+                    break;
+                };
                 let task = { slot.queue.lock().pop_front() };
                 let Some(task) = task else { break };
                 slot.depth.fetch_sub(1, Ordering::AcqRel);
                 progressed = true;
-                match run_partition_task(&mut exec, task, &pool.ledger) {
-                    Ok(was_eos) => {
-                        if was_eos {
-                            pool.finished.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }
-                    Err(e) => {
-                        pool.first_err.lock().get_or_insert(e);
-                        pool.abort.store(true, Ordering::Release);
-                        return;
-                    }
+                let is_eos = matches!(task.msg, StreamMessage::Eos);
+                if let Err(e) = pool.run_task(exec, task) {
+                    pool.first_err.lock().get_or_insert(e);
+                    pool.abort.store(true, Ordering::Release);
+                    return;
+                }
+                if is_eos {
+                    pool.finished.fetch_add(1, Ordering::AcqRel);
                 }
                 if pool.abort.load(Ordering::Acquire) {
                     return;
@@ -1242,8 +1317,8 @@ fn partition_worker(wid: usize, pool: &Pool) {
 
 /// Executes one task against a partition's chain, accounting it in the
 /// partition's metrics and banking the chain's terminal messages in the
-/// emission ledger. Returns `true` when the task was this partition's
-/// end-of-stream.
+/// emission ledger. Returns whether the ledger released anything for
+/// the sink.
 fn run_partition_task(
     exec: &mut PartitionExec,
     task: Task,
@@ -1277,8 +1352,7 @@ fn run_partition_task(
     if is_eos {
         exec.metrics.late_drops = chain_late_drops(&exec.ops);
     }
-    ledger.lock().complete(step, outputs);
-    Ok(is_eos)
+    Ok(ledger.lock().complete(step, outputs))
 }
 
 /// FNV-1a over the canonical key bytes: deterministic across runs and
@@ -1909,5 +1983,36 @@ mod tests {
         t.observe(0, 2, Some(9_000));
         // Catching up does not erase the high-water mark.
         assert_eq!(t.frontier_lag_us(), 8_000);
+    }
+
+    #[test]
+    fn ledger_releases_out_of_order_completions_in_dispatch_order() {
+        let mut ledger = EmissionLedger::new(schema(), 0);
+        let steps: Vec<u64> = (0..3).map(|_| ledger.open(1, None)).collect();
+        assert_eq!(steps, [0, 1, 2]);
+        let output = |ts_s| {
+            let buf = RecordBuffer::new(schema(), vec![rec(ts_s, 0, 1.0)]);
+            vec![StreamMessage::Data(buf)]
+        };
+        let mut released = Vec::new();
+
+        assert!(!ledger.complete(1, output(1)), "step 0 is still open");
+        ledger.take_released(&mut released);
+        assert!(released.is_empty());
+
+        assert!(ledger.complete(0, output(0)), "step 0 releases 0 and 1");
+        ledger.take_released(&mut released);
+        let rows: Vec<Record> = released
+            .drain(..)
+            .flat_map(|m| match m {
+                StreamMessage::Data(b) => b.into_records(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(rows, [rec(0, 0, 1.0), rec(1, 0, 1.0)], "dispatch order");
+        assert_eq!(ledger.steps.len(), 1, "step 2 stays open");
+
+        assert!(ledger.complete(2, output(2)));
+        assert!(ledger.steps.is_empty());
     }
 }

@@ -9,6 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A consumer of result buffers.
+///
+/// Under [`crate::runtime::StreamEnvironment::run_partitioned`] the
+/// sink may be called from a pool worker — whichever completed the step
+/// that released the result — but never concurrently: one call at a
+/// time, in dispatch order. [`Sink::finish`] runs on the caller.
 pub trait Sink: Send {
     /// Consumes one buffer.
     fn consume(&mut self, buf: &RecordBuffer) -> Result<()>;

@@ -15,7 +15,10 @@
 use nebula::prelude::*;
 use nebulameos::{DemoContext, DemoZones, MeosPlugin, WeatherProvider};
 use sncb::{FleetConfig, FleetSimulator};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 fn schema() -> SchemaRef {
     Schema::of(&[
@@ -597,6 +600,118 @@ fn partitioned_ledger_delivers_the_layout_the_chain_emitted() {
     assert!(par.row_calls > 0, "windows closed on both partitions");
     assert_eq!(par.columnar_calls, 0, "multi-owner steps merge as rows");
     assert_eq!(bytes_of(&par), bytes_of(&sync), "keyed-window raw order");
+}
+
+/// How long the fenced source waits for the sink before it gives up.
+const FENCE_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Yields its first batch at once; its second poll blocks until the
+/// sink has received `expect` rows, and fails with an `Io` error if
+/// that takes longer than [`FENCE_DEADLINE`]. Then it yields the rest.
+struct FencedSource {
+    batches: VecDeque<Vec<Record>>,
+    polls: usize,
+    delivered: Arc<AtomicUsize>,
+    expect: usize,
+}
+
+impl Source for FencedSource {
+    fn schema(&self) -> SchemaRef {
+        schema()
+    }
+
+    fn poll(&mut self, _max: usize) -> Result<SourceBatch> {
+        self.polls += 1;
+        if self.polls == 2 {
+            let deadline = Instant::now() + FENCE_DEADLINE;
+            while self.delivered.load(Ordering::SeqCst) < self.expect {
+                if Instant::now() > deadline {
+                    return Err(NebulaError::Io(format!(
+                        "sink had {} of batch 1's {} rows after {FENCE_DEADLINE:?}",
+                        self.delivered.load(Ordering::SeqCst),
+                        self.expect
+                    )));
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        Ok(self
+            .batches
+            .pop_front()
+            .map_or(SourceBatch::Exhausted, SourceBatch::Data))
+    }
+}
+
+/// Counts the rows it receives where the fenced source can see them.
+struct FenceSink(Arc<AtomicUsize>);
+
+impl Sink for FenceSink {
+    fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
+        self.0.fetch_add(buf.len(), Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+#[test]
+fn released_results_reach_the_sink_before_the_next_poll() {
+    // Batch 1 (16 records, 0..15 s) crosses the first 10 s window end,
+    // and with one punctuation per batch and no slack its watermark
+    // closes that window. Whatever batch 1 released — its 16 rows on
+    // the stateless plan, the first window's 5 rows on the keyed one —
+    // must reach the sink while the source is still blocked in its
+    // next poll: in every mode, the thread that completes a step
+    // delivers it.
+    let stateless = Query::from("s")
+        .filter(col("speed").ge(lit(0.0)))
+        .map_extend(vec![("kmh", col("speed").mul(lit(3.6)))]);
+    let keyed = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Tumbling {
+            size: 10 * MICROS_PER_SEC,
+        },
+        vec![WindowAgg::new("n", AggSpec::Count)],
+    );
+    for (name, q, expect, total) in [
+        ("stateless", &stateless, 16, 600),
+        ("keyed window", &keyed, 5, 300),
+    ] {
+        for mode in ALL_MODES {
+            let mut env = StreamEnvironment::with_config(EnvConfig {
+                buffer_size: 16,
+                watermark_every: 1,
+                parallelism: match mode {
+                    Mode::Partitioned(p) => p,
+                    _ => 1,
+                },
+                ..EnvConfig::default()
+            });
+            let delivered = Arc::new(AtomicUsize::new(0));
+            let mut recs = records();
+            let rest = recs.split_off(16);
+            env.add_source(
+                "s",
+                Box::new(FencedSource {
+                    batches: VecDeque::from([recs, rest]),
+                    polls: 0,
+                    delivered: delivered.clone(),
+                    expect,
+                }),
+                WatermarkStrategy::BoundedOutOfOrder {
+                    ts_field: "ts".into(),
+                    slack: 0,
+                },
+            );
+            let mut sink = FenceSink(delivered.clone());
+            let result = match mode {
+                Mode::Sync => env.run(q, &mut sink),
+                Mode::Threaded => env.run_threaded(q, &mut sink),
+                Mode::Partitioned(_) => env.run_partitioned(q, &mut sink),
+            };
+            let m = result.unwrap_or_else(|e| panic!("{name} / {mode:?}: {e}"));
+            assert_eq!(m.records_in, 600, "{name} / {mode:?}");
+            assert_eq!(delivered.load(Ordering::SeqCst), total, "{name} / {mode:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 //! Failure surface of the one local executor, table-driven over its
 //! three configurations: a failing `Source::poll`, operator,
 //! `Sink::consume` or `Sink::finish` must come back as the typed error
-//! it raised, and a source that never becomes ready as the `Io` error
-//! naming its origin — in `run`, `run_threaded` and `run_partitioned(1/2/4)`,
+//! it raised, a panicking operator or `Sink::consume` as the `Eval`
+//! error carrying the panic message, and a source that never becomes
+//! ready as the `Io` error naming its origin — in `run`, `run_threaded`
+//! and `run_partitioned(1/2/4)`,
 //! on a stateless plan (round-robin routing, single-owner ledger steps)
 //! and a keyed-window plan (hash routing, multi-owner steps) — and a
 //! rejected plan must leave the source registered. Every run happens on
 //! a spawned thread behind `recv_timeout`, so a hang (the
 //! `run_threaded` × sink-error cell used to block forever: the producer
-//! parked on the full channel while the scope waited to join it) fails
-//! the cell instead of stalling the suite.
+//! parked on the full channel while the scope waited to join it; the
+//! `run_partitioned(1)` × panic cells did too: the one worker died
+//! without raising the abort flag) fails the cell instead of stalling
+//! the suite.
 
 use nebula::prelude::*;
 use std::sync::mpsc;
@@ -49,8 +53,12 @@ enum Failure {
     SourceIdle,
     /// An operator's expression errs on the record carrying `POISON`.
     Operator,
+    /// An operator's expression panics on the record carrying `POISON`.
+    OperatorPanic,
     /// `Sink::consume` errs on its k-th call.
     SinkConsume(usize),
+    /// `Sink::consume` panics on its k-th call.
+    SinkPanic(usize),
     SinkFinish,
 }
 
@@ -62,8 +70,23 @@ impl Failure {
                 NebulaError::Io("source of origin 0 stayed idle for more than 100000 polls".into())
             }
             Failure::Operator => NebulaError::Eval(format!("trip: refused {POISON}")),
+            Failure::OperatorPanic => {
+                NebulaError::Eval(format!("task panicked: explode: refused {POISON}"))
+            }
             Failure::SinkConsume(k) => NebulaError::Io(format!("sink refused call {k}")),
+            Failure::SinkPanic(k) => {
+                NebulaError::Eval(format!("task panicked: sink exploded at call {k}"))
+            }
             Failure::SinkFinish => NebulaError::Io("sink failed to finish".into()),
+        }
+    }
+
+    /// The registry function this failure puts in the plan's filter.
+    fn operator(self) -> Option<&'static str> {
+        match self {
+            Failure::Operator => Some("trip"),
+            Failure::OperatorPanic => Some("explode"),
+            _ => None,
         }
     }
 }
@@ -117,6 +140,7 @@ impl Source for FailingSource {
 struct FailingSink {
     calls: usize,
     fail_at: Option<usize>,
+    panic_at: Option<usize>,
     fail_finish: bool,
 }
 
@@ -125,6 +149,9 @@ impl Sink for FailingSink {
         self.calls += 1;
         if Some(self.calls) == self.fail_at {
             return Err(Failure::SinkConsume(self.calls).error());
+        }
+        if Some(self.calls) == self.panic_at {
+            panic!("sink exploded at call {}", self.calls);
         }
         Ok(())
     }
@@ -162,6 +189,17 @@ fn env(mode: Mode, failure: Option<Failure>) -> StreamEnvironment {
             },
         ))
         .expect("trip registers once");
+    env.registry_mut()
+        .register(ClosureFunction::new(
+            "explode",
+            1,
+            DataType::Int,
+            |args| match &args[0] {
+                Value::Int(v) if *v == POISON => panic!("explode: refused {POISON}"),
+                other => Ok(other.clone()),
+            },
+        ))
+        .expect("explode registers once");
     env.add_source(
         "s",
         Box::new(FailingSource {
@@ -177,13 +215,12 @@ fn env(mode: Mode, failure: Option<Failure>) -> StreamEnvironment {
     env
 }
 
-/// `trips` puts the erring call in the plan's filter; without it the
-/// plan cannot fail by itself.
-fn query(plan: Plan, trips: bool) -> Query {
-    let v = if trips {
-        call("trip", vec![col("v")])
-    } else {
-        col("v")
+/// `trip` names the failing function to put in the plan's filter;
+/// without one the plan cannot fail by itself.
+fn query(plan: Plan, trip: Option<&str>) -> Query {
+    let v = match trip {
+        Some(f) => call(f, vec![col("v")]),
+        None => col("v"),
     };
     let q = Query::from("s").filter(v.ge(lit(0i64)));
     match plan {
@@ -231,26 +268,38 @@ fn every_failure_returns_its_typed_error_in_every_mode() {
         Failure::SourcePoll(40),
         Failure::SourceIdle,
         Failure::Operator,
+        Failure::OperatorPanic,
         Failure::SinkConsume(3),
+        Failure::SinkPanic(3),
         Failure::SinkFinish,
     ];
     for mode in MODES {
         for plan in [Plan::Stateless, Plan::KeyedWindow] {
             for failure in failures {
                 let cell = format!("{mode:?} x {plan:?} x {failure:?}");
-                let result = within_deadline(&cell, move || {
+                let (result, calls) = within_deadline(&cell, move || {
                     let mut sink = FailingSink {
                         fail_at: match failure {
                             Failure::SinkConsume(k) => Some(k),
                             _ => None,
                         },
+                        panic_at: match failure {
+                            Failure::SinkPanic(k) => Some(k),
+                            _ => None,
+                        },
                         fail_finish: matches!(failure, Failure::SinkFinish),
                         ..FailingSink::default()
                     };
-                    let q = query(plan, matches!(failure, Failure::Operator));
-                    run_in(mode, &mut env(mode, Some(failure)), &q, &mut sink)
+                    let q = query(plan, failure.operator());
+                    let result = run_in(mode, &mut env(mode, Some(failure)), &q, &mut sink);
+                    (result, sink.calls)
                 });
                 assert_eq!(result.err(), Some(failure.error()), "{cell}");
+                // Workers deliver concurrently, but a sink that failed
+                // or panicked is never called again.
+                if let Failure::SinkConsume(k) | Failure::SinkPanic(k) = failure {
+                    assert_eq!(calls, k, "{cell}: sink calls");
+                }
             }
         }
     }
@@ -266,7 +315,7 @@ fn healthy_run_of_the_same_table_succeeds() {
             let cell = format!("{mode:?} x {plan:?}");
             let m = within_deadline(&cell, move || {
                 let mut sink = FailingSink::default();
-                run_in(mode, &mut env(mode, None), &query(plan, false), &mut sink)
+                run_in(mode, &mut env(mode, None), &query(plan, None), &mut sink)
             })
             .unwrap_or_else(|e| panic!("{cell}: {e}"));
             assert_eq!(m.records_in, RECORDS as u64, "{cell}");
@@ -308,7 +357,7 @@ fn rejected_plan_leaves_the_source_registered_in_every_mode() {
             );
         }
         let mut sink = FailingSink::default();
-        let m = run_in(mode, &mut env, &query(Plan::Stateless, false), &mut sink)
+        let m = run_in(mode, &mut env, &query(Plan::Stateless, None), &mut sink)
             .unwrap_or_else(|e| panic!("{mode:?}: source lost to a rejected plan: {e}"));
         assert_eq!(m.records_in, RECORDS as u64, "{mode:?}");
     }
