@@ -551,20 +551,98 @@ impl Column {
         (self.gather(&head), self.gather(&tail))
     }
 
-    /// Appends all rows of `other` (same logical field).
-    pub fn concat(&self, other: &Column) -> Column {
-        // Concatenation via the value fallback is simple and loss-free;
-        // re-typing keeps the result in columnar form when both sides
-        // agree.
-        let n = self.len() + other.len();
-        let mut b = ColumnBuilder::with_capacity(n);
-        for i in 0..self.len() {
-            b.push(&self.value_at(i));
+    /// Appends all rows of `other` (same logical field). Matching
+    /// layouts extend their typed storage in one pass each — values,
+    /// validity masks, text arenas (offsets shifted by the arena
+    /// length), opaque handles; an empty side takes the other's layout;
+    /// any other mismatch degrades the column to [`Column::Values`]
+    /// (lossless), as [`Column::push`] does.
+    pub fn append(&mut self, other: &Column) {
+        let len = self.len();
+        if other.is_empty() {
+            return;
         }
-        for i in 0..other.len() {
-            b.push(&other.value_at(i));
+        if len == 0 {
+            *self = other.clone();
+            return;
         }
-        b.finish()
+        match (&mut *self, other) {
+            (
+                Column::Bool { data, validity },
+                Column::Bool {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                extend_validity(validity, len, v.as_deref(), d.len());
+                data.extend_from_slice(d);
+            }
+            (
+                Column::Int { data, validity },
+                Column::Int {
+                    data: d,
+                    validity: v,
+                },
+            )
+            | (
+                Column::Timestamp { data, validity },
+                Column::Timestamp {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                extend_validity(validity, len, v.as_deref(), d.len());
+                data.extend_from_slice(d);
+            }
+            (
+                Column::Float { data, validity },
+                Column::Float {
+                    data: d,
+                    validity: v,
+                },
+            ) => {
+                extend_validity(validity, len, v.as_deref(), d.len());
+                data.extend_from_slice(d);
+            }
+            (
+                Column::Point { xs, ys, validity },
+                Column::Point {
+                    xs: oxs,
+                    ys: oys,
+                    validity: v,
+                },
+            ) => {
+                extend_validity(validity, len, v.as_deref(), oxs.len());
+                xs.extend_from_slice(oxs);
+                ys.extend_from_slice(oys);
+            }
+            (
+                Column::Text {
+                    arena,
+                    offsets,
+                    validity,
+                },
+                Column::Text {
+                    arena: a,
+                    offsets: o,
+                    validity: v,
+                },
+            ) => {
+                extend_validity(validity, len, v.as_deref(), other.len());
+                let (first, last) = (o[0], o[o.len() - 1]);
+                let base = arena.len() as u32;
+                arena.extend_from_slice(&a[first as usize..last as usize]);
+                offsets.extend(o[1..].iter().map(|&end| end - first + base));
+            }
+            (Column::Opaque(data), Column::Opaque(o)) => data.extend_from_slice(o),
+            (Column::Values(data), other) => {
+                data.extend((0..other.len()).map(|i| other.value_at(i)))
+            }
+            (_, other) => {
+                *self = Column::Values((0..len).map(|i| self.value_at(i)).collect());
+                self.append(other);
+            }
+        }
     }
 }
 
@@ -591,8 +669,30 @@ fn push_validity(validity: &mut Option<Vec<bool>>, rows: usize, valid: bool) {
     }
 }
 
+/// Extends the validity mask of a `rows`-row column by `other`'s mask
+/// over `added` rows (`None` = all valid); the mask comes into being
+/// only when `other` has one.
+fn extend_validity(
+    validity: &mut Option<Vec<bool>>,
+    rows: usize,
+    other: Option<&[bool]>,
+    added: usize,
+) {
+    match (validity.as_mut(), other) {
+        (None, None) => {}
+        (Some(m), None) => m.resize(rows + added, true),
+        (Some(m), Some(o)) => m.extend_from_slice(o),
+        (None, Some(o)) => {
+            let mut m = Vec::with_capacity(rows + added);
+            m.resize(rows, true);
+            m.extend_from_slice(o);
+            *validity = Some(m);
+        }
+    }
+}
+
 /// Incrementally builds a [`Column`] whose type is *not* known up front
-/// (an expression result without a bind-time type, a concatenation),
+/// (an expression result without a bind-time type),
 /// inferring the densest representation: the first non-null value fixes
 /// the typed layout; a later value of a different runtime type degrades
 /// the whole column to [`Column::Values`] (lossless fallback). When the
@@ -903,51 +1003,51 @@ impl TupleBuffer {
         )
     }
 
-    /// Concatenates buffers over one schema. Metadata: origin/sequence
-    /// from the first buffer, time bounds unioned, watermark
-    /// min-combined — a merged buffer can only promise the progress
-    /// that *every* input promised, so two watermarks fold to the
-    /// smaller one and any input without a watermark leaves the merge
-    /// without one. (Max-combining here would let a fast input's
-    /// punctuation close windows that still await the slow input's
-    /// rows.)
+    /// Concatenates buffers over one schema in one pass: the first
+    /// buffer's columns, then each later buffer [`TupleBuffer::append`]ed.
     pub fn concat(schema: SchemaRef, bufs: &[TupleBuffer]) -> TupleBuffer {
-        let width = schema.len();
-        let mut meta = bufs.first().map(|b| b.meta).unwrap_or_default();
-        for b in bufs.iter().skip(1) {
-            meta.min_ts = match (meta.min_ts, b.meta.min_ts) {
-                (Some(a), Some(c)) => Some(a.min(c)),
-                (a, c) => a.or(c),
-            };
-            meta.max_ts = match (meta.max_ts, b.meta.max_ts) {
-                (Some(a), Some(c)) => Some(a.max(c)),
-                (a, c) => a.or(c),
-            };
-            meta.watermark = match (meta.watermark, b.meta.watermark) {
-                (Some(a), Some(c)) => Some(a.min(c)),
-                _ => None,
-            };
-        }
-        let mut columns = Vec::with_capacity(width);
-        let mut len = 0;
-        for i in 0..width {
-            let mut acc: Option<Column> = None;
-            for b in bufs {
-                acc = Some(match acc {
-                    None => b.columns[i].clone(),
-                    Some(a) => a.concat(&b.columns[i]),
-                });
-            }
-            let col = acc.unwrap_or(Column::Values(Vec::new()));
-            len = col.len();
-            columns.push(col);
-        }
-        TupleBuffer {
+        let Some((first, rest)) = bufs.split_first() else {
+            let columns = (0..schema.len())
+                .map(|_| Column::Values(Vec::new()))
+                .collect();
+            return TupleBuffer::new(schema, columns, BufferMeta::default());
+        };
+        let mut out = TupleBuffer {
             schema,
-            len,
-            columns,
-            meta,
+            ..first.clone()
+        };
+        for b in rest {
+            out.append(b);
         }
+        out
+    }
+
+    /// Appends `other`'s rows (same schema) column by column
+    /// ([`Column::append`]). Metadata: origin/sequence stay this
+    /// buffer's, time bounds are unioned, watermarks min-combined — a
+    /// merged buffer can only promise the progress that *every* input
+    /// promised, so two watermarks fold to the smaller one and an input
+    /// without a watermark leaves the merge without one. (Max-combining
+    /// here would let a fast input's punctuation close windows that
+    /// still await the slow input's rows.)
+    pub fn append(&mut self, other: &TupleBuffer) {
+        let meta = &mut self.meta;
+        meta.min_ts = match (meta.min_ts, other.meta.min_ts) {
+            (Some(a), Some(c)) => Some(a.min(c)),
+            (a, c) => a.or(c),
+        };
+        meta.max_ts = match (meta.max_ts, other.meta.max_ts) {
+            (Some(a), Some(c)) => Some(a.max(c)),
+            (a, c) => a.or(c),
+        };
+        meta.watermark = match (meta.watermark, other.meta.watermark) {
+            (Some(a), Some(c)) => Some(a.min(c)),
+            _ => None,
+        };
+        for (col, o) in self.columns.iter_mut().zip(&other.columns) {
+            col.append(o);
+        }
+        self.len += other.len;
     }
 }
 

@@ -2205,7 +2205,7 @@ fn run_phase(
                     .map_or_else(|| schema.clone(), |o| o.output_schema());
                 let in_schema = std::mem::replace(&mut schema, out_schema.clone());
                 // The columnar gate, decided per phase (a re-plan may move
-                // stages): the source transposes only for an operator
+                // stages): the source polls columns only for an operator
                 // that consumes the buffer — with none, rows go straight
                 // to the encoder, which lays them out column by column
                 // itself — while a link also passes buffers straight on.

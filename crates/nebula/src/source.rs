@@ -14,15 +14,28 @@ use std::collections::VecDeque;
 use std::io::BufRead;
 use std::path::Path;
 
-/// What a poll produced.
+/// What a poll produced: rows from [`Source::poll`], one columnar
+/// [`TupleBuffer`] from [`Source::poll_columnar`].
 #[derive(Debug)]
-pub enum SourceBatch {
+pub enum SourceBatch<T = Vec<Record>> {
     /// Records ready for processing.
-    Data(Vec<Record>),
+    Data(T),
     /// Nothing right now, but the stream is alive.
     Idle,
     /// The stream has ended.
     Exhausted,
+}
+
+impl<T> SourceBatch<T> {
+    /// Converts the data of a `Data` batch; `Idle` and `Exhausted` pass
+    /// through.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SourceBatch<U> {
+        match self {
+            SourceBatch::Data(data) => SourceBatch::Data(f(data)),
+            SourceBatch::Idle => SourceBatch::Idle,
+            SourceBatch::Exhausted => SourceBatch::Exhausted,
+        }
+    }
 }
 
 /// A pollable record producer.
@@ -31,6 +44,22 @@ pub trait Source: Send {
     fn schema(&self) -> SchemaRef;
     /// Produces up to `max` records.
     fn poll(&mut self, max: usize) -> Result<SourceBatch>;
+    /// Produces up to `max` records as one columnar buffer — what the
+    /// executors poll when the chain's columnar gate is open. The
+    /// default transposes [`Source::poll`]'s rows with
+    /// [`TupleBuffer::from_records`]: the one place on the source side
+    /// where rows become columns. Override it when the source can build
+    /// the columns more cheaply than from its own rows — it decodes or
+    /// holds its data column-wise, or reorders records it has already
+    /// polled ([`JitterSource`]) — yielding the same records in the
+    /// same order as `poll` would. The executor stamps the buffer's
+    /// [`BufferMeta`], so an override may leave it default.
+    fn poll_columnar(&mut self, max: usize) -> Result<SourceBatch<TupleBuffer>> {
+        let schema = self.schema();
+        Ok(self
+            .poll(max)?
+            .map(|recs| TupleBuffer::from_records(schema, &recs, BufferMeta::default())))
+    }
     /// Repositions the stream at data batch `to_batch`, if the source
     /// supports replay. Returns `false` (the default) when it cannot;
     /// [`ReplaySource`] overrides this for the cluster runtime's crash
@@ -259,10 +288,22 @@ impl XorShift {
 }
 
 /// Wraps a source, locally shuffling records within a bounded reorder
-/// buffer to simulate out-of-order arrival.
+/// buffer to simulate out-of-order arrival. Each poll refills the
+/// buffer to at least `max(window, max)` records (unless the inner
+/// source is idle or ended), shuffles its first `window` records and
+/// emits the first `max`; the rest stay queued. [`Source::poll`] queues
+/// the inner source's rows; [`Source::poll_columnar`] queues its columns
+/// in arrival order and gathers each emitted buffer by index. Both draw
+/// the one permutation, so they emit the same records in the same
+/// order, and switching between them mid-stream (the cluster runtime
+/// decides the columnar gate per phase) carries the queue over.
 pub struct JitterSource<S: Source> {
     inner: S,
-    buffer: Vec<Record>,
+    /// The queue as rows, when read through `poll`.
+    rows: Vec<Record>,
+    /// The queue as columns, when read through `poll_columnar`; at most
+    /// one of the two holds records.
+    columns: TupleBuffer,
     window: usize,
     rng: XorShift,
     inner_done: bool,
@@ -273,11 +314,37 @@ impl<S: Source> JitterSource<S> {
     /// reproducibility.
     pub fn new(inner: S, window: usize, seed: u64) -> Self {
         JitterSource {
+            columns: TupleBuffer::from_records(inner.schema(), &[], BufferMeta::default()),
             inner,
-            buffer: Vec::new(),
+            rows: Vec::new(),
             window: window.max(2),
             rng: XorShift::new(seed),
             inner_done: false,
+        }
+    }
+
+    /// The order in which to emit the `len` queued records:
+    /// Fisher–Yates within the jitter window at the queue head.
+    fn shuffled(&mut self, len: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..len).collect();
+        for i in (1..self.window.min(len)).rev() {
+            order.swap(i, self.rng.next_below(i + 1));
+        }
+        order
+    }
+
+    /// Whether the queue needs another inner batch before a poll of
+    /// `max` emits.
+    fn wants(&self, queued: usize, max: usize) -> bool {
+        !self.inner_done && queued < max.max(self.window)
+    }
+
+    /// What an empty queue answers.
+    fn drained<T>(&self) -> SourceBatch<T> {
+        if self.inner_done {
+            SourceBatch::Exhausted
+        } else {
+            SourceBatch::Idle
         }
     }
 }
@@ -288,28 +355,49 @@ impl<S: Source> Source for JitterSource<S> {
     }
 
     fn poll(&mut self, max: usize) -> Result<SourceBatch> {
-        while !self.inner_done && self.buffer.len() < max.max(self.window) {
+        if !self.columns.is_empty() {
+            self.rows = self.columns.to_record_buffer().into_records();
+            self.columns = self.columns.gather(&[]);
+        }
+        while self.wants(self.rows.len(), max) {
             match self.inner.poll(max)? {
-                SourceBatch::Data(mut recs) => self.buffer.append(&mut recs),
+                SourceBatch::Data(mut recs) => self.rows.append(&mut recs),
                 SourceBatch::Idle => break,
                 SourceBatch::Exhausted => self.inner_done = true,
             }
         }
-        if self.buffer.is_empty() {
-            return Ok(if self.inner_done {
-                SourceBatch::Exhausted
-            } else {
-                SourceBatch::Idle
-            });
+        if self.rows.is_empty() {
+            return Ok(self.drained());
         }
-        // Fisher–Yates within the jitter window at the queue head.
-        let limit = self.window.min(self.buffer.len());
-        for i in (1..limit).rev() {
-            let j = self.rng.next_below(i + 1);
-            self.buffer.swap(i, j);
+        let order = self.shuffled(self.rows.len());
+        let n = max.min(order.len());
+        let mut queued = std::mem::take(&mut self.rows);
+        let mut take = |&i: &usize| std::mem::take(&mut queued[i]);
+        let out = order[..n].iter().map(&mut take).collect();
+        self.rows = order[n..].iter().map(take).collect();
+        Ok(SourceBatch::Data(out))
+    }
+
+    fn poll_columnar(&mut self, max: usize) -> Result<SourceBatch<TupleBuffer>> {
+        if !self.rows.is_empty() {
+            let rows = std::mem::take(&mut self.rows);
+            self.columns = TupleBuffer::from_records(self.schema(), &rows, BufferMeta::default());
         }
-        let n = max.min(self.buffer.len());
-        Ok(SourceBatch::Data(self.buffer.drain(..n).collect()))
+        while self.wants(self.columns.len(), max) {
+            match self.inner.poll_columnar(max)? {
+                SourceBatch::Data(tb) => self.columns.append(&tb),
+                SourceBatch::Idle => break,
+                SourceBatch::Exhausted => self.inner_done = true,
+            }
+        }
+        if self.columns.is_empty() {
+            return Ok(self.drained());
+        }
+        let order = self.shuffled(self.columns.len());
+        let n = max.min(order.len());
+        let out = self.columns.gather(&order[..n]);
+        self.columns = self.columns.gather(&order[n..]);
+        Ok(SourceBatch::Data(out))
     }
 }
 
@@ -337,6 +425,18 @@ impl<S: Source> GapSource<S> {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    /// Swallows a data batch of `len(data)` records with probability
+    /// `gap_probability`, answering `Idle` in its place.
+    fn gap<T>(&mut self, batch: SourceBatch<T>, len: fn(&T) -> usize) -> SourceBatch<T> {
+        match batch {
+            SourceBatch::Data(data) if self.rng.next_f64() < self.gap_probability => {
+                self.dropped += len(&data) as u64;
+                SourceBatch::Idle
+            }
+            other => other,
+        }
+    }
 }
 
 impl<S: Source> Source for GapSource<S> {
@@ -345,17 +445,13 @@ impl<S: Source> Source for GapSource<S> {
     }
 
     fn poll(&mut self, max: usize) -> Result<SourceBatch> {
-        match self.inner.poll(max)? {
-            SourceBatch::Data(recs) => {
-                if self.rng.next_f64() < self.gap_probability {
-                    self.dropped += recs.len() as u64;
-                    Ok(SourceBatch::Idle)
-                } else {
-                    Ok(SourceBatch::Data(recs))
-                }
-            }
-            other => Ok(other),
-        }
+        let batch = self.inner.poll(max)?;
+        Ok(self.gap(batch, Vec::len))
+    }
+
+    fn poll_columnar(&mut self, max: usize) -> Result<SourceBatch<TupleBuffer>> {
+        let batch = self.inner.poll_columnar(max)?;
+        Ok(self.gap(batch, TupleBuffer::len))
     }
 }
 
@@ -456,10 +552,12 @@ pub(crate) enum Polled {
 /// hanging it.
 const IDLE_LIMIT: u64 = 100_000;
 
-/// The source stage of every executor, local and cluster: the only
-/// caller of [`Source::poll`]. Owns what turns a polled batch into
-/// stamped work — the batch sequence, the origin's event-time clock,
-/// idle counting, and the [`ColumnarMode`] gate decision.
+/// The source stage of every executor, local and cluster, and of
+/// [`crate::topology::measure_stage_bytes`]: apart from source wrappers,
+/// the only caller of [`Source::poll`] and [`Source::poll_columnar`].
+/// Owns what turns a polled batch into stamped work — the batch
+/// sequence, the origin's event-time clock, idle counting, and the
+/// [`ColumnarMode`] gate decision that picks which of the two it polls.
 pub(crate) struct SourceDriver {
     source: Box<dyn Source>,
     watermark: WatermarkStrategy,
@@ -476,7 +574,9 @@ pub(crate) struct SourceDriver {
 }
 
 impl SourceDriver {
-    /// A `watermark_every` of 0 is read as 1: every batch punctuates.
+    /// A `watermark_every` of 0 is read as 1: every batch punctuates. A
+    /// `buffer_size` of 0 is read as 1: a poll for no records would
+    /// yield an empty batch forever.
     pub(crate) fn new(
         source: Box<dyn Source>,
         watermark: WatermarkStrategy,
@@ -491,7 +591,7 @@ impl SourceDriver {
             watermark,
             ts_col,
             origin,
-            buffer_size,
+            buffer_size: buffer_size.max(1),
             watermark_every: watermark_every.max(1),
             columnar: false,
             batches: 0,
@@ -500,8 +600,9 @@ impl SourceDriver {
         }
     }
 
-    /// Decides whether to transpose polled batches into
-    /// [`TupleBuffer`]s for `ops`, the chain that consumes them.
+    /// Decides whether to poll columnar [`TupleBuffer`]s
+    /// ([`Source::poll_columnar`]) or rows for `ops`, the chain that
+    /// consumes them.
     pub(crate) fn gate(&mut self, mode: ColumnarMode, ops: &[Box<dyn Operator>]) {
         self.columnar = chain_wants_columnar(mode, ops);
     }
@@ -532,11 +633,20 @@ impl SourceDriver {
     /// [`IDLE_LIMIT`] consecutive polls fails with an `Io` error naming
     /// its origin: a stream cut short must not look like one that ended.
     pub(crate) fn poll(&mut self) -> Result<Polled> {
-        Ok(match self.source.poll(self.buffer_size)? {
-            SourceBatch::Data(recs) => {
+        let batch = if self.columnar {
+            self.source
+                .poll_columnar(self.buffer_size)?
+                .map(StreamMessage::Columnar)
+        } else {
+            self.source
+                .poll(self.buffer_size)?
+                .map(|recs| StreamMessage::Data(RecordBuffer::new(self.schema.clone(), recs)))
+        };
+        Ok(match batch {
+            SourceBatch::Data(msg) => {
                 self.idle = 0;
                 self.batches += 1;
-                Polled::Batch(self.stamp(recs))
+                Polled::Batch(self.stamp(msg))
             }
             SourceBatch::Idle => {
                 self.idle += 1;
@@ -563,46 +673,38 @@ impl SourceDriver {
         }
     }
 
-    /// Converts one polled batch into the runtime's data message —
-    /// columnar when the gate is open — updating the origin's
-    /// event-time clock and stamping the buffer's punctuation: every
+    /// Stamps one polled data message, columnar or rows: updates the
+    /// origin's event-time clock and sets the punctuation — every
     /// `watermark_every`-th sequence under
     /// [`WatermarkStrategy::BoundedOutOfOrder`] promises
     /// `max_ts - slack`. Columnar buffers carry
-    /// origin/sequence/punctuation inline in their
-    /// [`BufferMeta`] (the NebulaStream TupleBuffer
-    /// header); for row buffers the stamps ride the [`Stamped`].
-    fn stamp(&mut self, recs: Vec<Record>) -> Stamped {
+    /// origin/sequence/time bounds/punctuation inline in their
+    /// [`BufferMeta`] (the NebulaStream TupleBuffer header), which this
+    /// overwrites whatever the source left there; for row buffers the
+    /// stamps ride the [`Stamped`].
+    fn stamp(&mut self, mut msg: StreamMessage) -> Stamped {
         let sequence = self.batches;
         let track_ts = matches!(self.watermark, WatermarkStrategy::BoundedOutOfOrder { .. });
-        let mut msg = if self.columnar {
-            let mut tb = TupleBuffer::from_records(
-                self.schema.clone(),
-                &recs,
-                BufferMeta {
+        let max_ts = match &mut msg {
+            StreamMessage::Columnar(tb) => {
+                *tb.meta_mut() = BufferMeta {
                     origin: self.origin,
                     sequence,
                     ..BufferMeta::default()
-                },
-            );
-            if let Some(col) = self.ts_col {
-                tb.recompute_time_bounds(col);
-                if track_ts {
-                    if let Some(t) = tb.meta().max_ts {
-                        self.max_ts = self.max_ts.max(t);
-                    }
+                };
+                if let Some(col) = self.ts_col {
+                    tb.recompute_time_bounds(col);
                 }
+                tb.meta().max_ts
             }
-            StreamMessage::Columnar(tb)
-        } else {
-            let buf = RecordBuffer::new(self.schema.clone(), recs);
-            if track_ts {
-                if let Some(t) = self.ts_col.and_then(|col| buf.max_event_time(col)) {
-                    self.max_ts = self.max_ts.max(t);
-                }
+            StreamMessage::Data(buf) if track_ts => {
+                self.ts_col.and_then(|col| buf.max_event_time(col))
             }
-            StreamMessage::Data(buf)
+            _ => None,
         };
+        if let Some(t) = max_ts.filter(|_| track_ts) {
+            self.max_ts = self.max_ts.max(t);
+        }
         let punctuation = match &self.watermark {
             WatermarkStrategy::BoundedOutOfOrder { slack, .. }
                 if sequence.is_multiple_of(self.watermark_every)

@@ -13,9 +13,9 @@ use crate::error::{NebulaError, Result};
 use crate::expr::FunctionRegistry;
 use crate::ops::Operator;
 use crate::query::{compile, LogicalOp, Query};
-use crate::record::{RecordBuffer, StreamMessage};
-use crate::runtime::drive;
-use crate::source::{Source, SourceBatch};
+use crate::record::StreamMessage;
+use crate::runtime::{drive, LOCAL_ORIGIN};
+use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
 use std::collections::HashMap;
 
 /// A node identifier.
@@ -267,31 +267,35 @@ pub struct StageBytes {
 }
 
 /// Runs the query over `source` once, measuring bytes/records crossing
-/// every operator boundary — the input to network-cost evaluation.
+/// every operator boundary — the input to network-cost evaluation. The
+/// source is polled through the executors' source stage, in rows and
+/// without watermarks: a `buffer_size` of 0 reads as 1, and a source
+/// that never becomes ready fails with an `Io` error instead of
+/// hanging the measurement.
 pub fn measure_stage_bytes(
-    mut source: Box<dyn Source>,
+    source: Box<dyn Source>,
     query: &Query,
     registry: &FunctionRegistry,
     buffer_size: usize,
 ) -> Result<StageBytes> {
-    let schema = source.schema();
-    let plan = compile(query, schema.clone(), registry)?;
+    let plan = compile(query, source.schema(), registry)?;
     let mut ops = plan.operators;
     let n = ops.len();
     let mut bytes = vec![0u64; n + 1];
     let mut records = vec![0u64; n + 1];
 
-    loop {
-        match source.poll(buffer_size)? {
-            SourceBatch::Data(recs) => {
-                let buf = RecordBuffer::new(schema.clone(), recs);
-                bytes[0] += buf.est_bytes() as u64;
-                records[0] += buf.len() as u64;
-                drive_stages(&mut ops, StreamMessage::Data(buf), &mut bytes, &mut records)?;
-            }
-            SourceBatch::Idle => {}
-            SourceBatch::Exhausted => break,
-        }
+    let mut driver = SourceDriver::new(
+        source,
+        WatermarkStrategy::None,
+        None,
+        LOCAL_ORIGIN,
+        buffer_size,
+        1,
+    );
+    while let Some(Stamped { msg, .. }) = driver.next_batch()? {
+        bytes[0] += msg.data_bytes() as u64;
+        records[0] += msg.record_count() as u64;
+        drive_stages(&mut ops, msg, &mut bytes, &mut records)?;
     }
     drive_stages(&mut ops, StreamMessage::Eos, &mut bytes, &mut records)?;
     Ok(StageBytes {
@@ -506,6 +510,47 @@ mod tests {
         assert!(sb.stage_records[1] < 200, "filter keeps ~9%");
         assert!(sb.stage_bytes[1] < sb.stage_bytes[0] / 5);
         assert!(sb.stage_records[2] <= sb.stage_records[1]);
+    }
+
+    /// Runs `measure_stage_bytes` on its own thread; a result that does
+    /// not arrive within the deadline is a hang and fails the test.
+    fn measure_within_deadline(source: Box<dyn Source>, buffer_size: usize) -> Result<StageBytes> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let reg = FunctionRegistry::with_builtins();
+            let _ = tx.send(measure_stage_bytes(
+                source,
+                &demo_query(),
+                &reg,
+                buffer_size,
+            ));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("measure_stage_bytes hung")
+    }
+
+    #[test]
+    fn stage_bytes_of_a_never_ready_source_fail_instead_of_hanging() {
+        struct NeverReady;
+        impl Source for NeverReady {
+            fn schema(&self) -> crate::schema::SchemaRef {
+                schema()
+            }
+            fn poll(&mut self, _max: usize) -> Result<crate::source::SourceBatch> {
+                Ok(crate::source::SourceBatch::Idle)
+            }
+        }
+        match measure_within_deadline(Box::new(NeverReady), 128) {
+            Err(NebulaError::Io(msg)) => assert!(msg.contains("stayed idle"), "{msg}"),
+            other => panic!("expected the idle-source error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stage_bytes_read_a_zero_buffer_size_as_one() {
+        let src = Box::new(VecSource::new(schema(), records(100)));
+        let sb = measure_within_deadline(src, 0).unwrap();
+        assert_eq!(sb.stage_records[0], 100);
     }
 
     #[test]

@@ -317,7 +317,8 @@ proptest! {
     }
 
     // Concatenating any chunking of a stream reproduces the unchunked
-    // transpose, and the merged metadata is the union of time bounds
+    // transpose, in its layout, and the merged metadata is the union of
+    // time bounds
     // (min of mins, max of maxes) with a *conservative* watermark —
     // min across chunks, and no watermark at all if any chunk lacks
     // one — plus origin/sequence from the head.
@@ -342,6 +343,16 @@ proptest! {
             .collect();
         let glued = TupleBuffer::concat(schema(), &bufs);
         prop_assert_eq!(rows_of(&glued), recs);
+        // Chunks of one typed stream glue into the typed layout of the
+        // whole, not into the boxed fallback.
+        let whole = TupleBuffer::from_records(schema(), &recs, BufferMeta::default());
+        for (c, (got, want)) in glued.columns().iter().zip(whole.columns()).enumerate() {
+            prop_assert_eq!(
+                std::mem::discriminant(got),
+                std::mem::discriminant(want),
+                "column {} layout", c
+            );
+        }
 
         let used = &metas[..bufs.len()];
         let fold = |sel: fn(&BufferMeta) -> Option<EventTime>, pick: fn(i64, i64) -> i64| {

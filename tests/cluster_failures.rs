@@ -8,7 +8,8 @@
 //! and `CloudOnly`, on a stateless and a keyed-window plan, through
 //! `run_placed` and through `run_placed_chaos` with an empty fault plan
 //! (resilient links, barriers and commit-on-checkpoint, no injected
-//! fault).
+//! fault). `buffer_size: 0` must run as 1 under `run_placed` instead
+//! of polling for nothing forever.
 //!
 //! Since results leave the cloud site as they are produced, the sink
 //! fails *while* the pipeline stages are still running: the source is
@@ -148,11 +149,16 @@ impl Sink for FailingSink {
 /// batches, every hop at its backpressure cap when the failure strikes.
 /// The source plays `failure` if it is one of its own.
 fn env(failure: Option<Failure>) -> ClusterEnvironment {
+    env_polling(failure, 16)
+}
+
+/// [`env`] with `buffer_size` records per source poll.
+fn env_polling(failure: Option<Failure>, buffer_size: usize) -> ClusterEnvironment {
     let (topo, sensors) = Topology::train_fleet(1);
     let mut env = ClusterEnvironment::with_config(
         topo,
         ClusterConfig {
-            buffer_size: 16,
+            buffer_size,
             watermark_every: 2,
             channel_capacity: 2,
             ..ClusterConfig::default()
@@ -298,6 +304,27 @@ fn healthy_run_of_the_same_table_succeeds() {
                 assert!(m.records_out > 0, "{cell}");
                 assert!(calls > 3, "{cell}: only {calls} deliveries");
             }
+        }
+    }
+}
+
+#[test]
+fn zero_buffer_size_reads_as_one_when_placed() {
+    // Stage 0 polls through the same source stage as the local
+    // executor: `buffer_size: 0` runs as 1 instead of spinning on empty
+    // batches.
+    for strategy in STRATEGIES {
+        for plan in [Plan::Stateless, Plan::KeyedWindow] {
+            let cell = format!("{strategy:?} x {plan:?} x buffer_size 0");
+            let m = within_deadline(&cell, move || {
+                let mut sink = FailingSink::default();
+                env_polling(None, 0)
+                    .run_placed(&query(plan, false), strategy, &mut sink)
+                    .map(|report| report.metrics)
+            })
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert_eq!(m.records_in, RECORDS as u64, "{cell}");
+            assert_eq!(m.late_drops, 0, "{cell}");
         }
     }
 }

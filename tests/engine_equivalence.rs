@@ -63,6 +63,10 @@ const ALL_MODES: [Mode; 5] = [
 enum Feed {
     InOrder,
     Jittered(u64),
+    /// Jittered within a window of twice the poll size — the benchmark's
+    /// shape: every emitted batch mixes records of two source batches,
+    /// and records wait across batch boundaries.
+    JitteredTwoPolls(u64),
     /// The simulated fleet stream (stream `fleet`, the twelve-field
     /// fleet schema, the demo's zone and weather functions loaded) with
     /// nulls sprinkled into `ts`, `pos` and `speed_kmh` — what the
@@ -70,11 +74,13 @@ enum Feed {
     FleetWithNulls,
 }
 
-fn source(feed: Feed) -> Box<dyn Source> {
+/// `feed`'s source, polled `buffer_size` records at a time.
+fn source(feed: Feed, buffer_size: usize) -> Box<dyn Source> {
     let inner = VecSource::new(schema(), records());
     match feed {
         Feed::InOrder => Box::new(inner),
         Feed::Jittered(seed) => Box::new(JitterSource::new(inner, 8, seed)),
+        Feed::JitteredTwoPolls(seed) => Box::new(JitterSource::new(inner, 2 * buffer_size, seed)),
         Feed::FleetWithNulls => Box::new(VecSource::new(
             sncb::fleet_schema(),
             fleet_fixture().records.clone(),
@@ -143,9 +149,15 @@ impl Plugin for NullTolerantPositions {
     }
 }
 
-/// Adds `feed`'s stream to `env` under the name its queries read from,
-/// with whatever plugins they bind against.
-fn add_feed(env: &mut StreamEnvironment, feed: Feed, watermark: WatermarkStrategy) {
+/// Adds `feed`'s stream, polled `buffer_size` records at a time, to
+/// `env` under the name its queries read from, with whatever plugins
+/// they bind against.
+fn add_feed(
+    env: &mut StreamEnvironment,
+    feed: Feed,
+    watermark: WatermarkStrategy,
+    buffer_size: usize,
+) {
     if feed == Feed::FleetWithNulls {
         let fixture = fleet_fixture();
         env.load_plugin(&MeosPlugin).unwrap();
@@ -154,9 +166,13 @@ fn add_feed(env: &mut StreamEnvironment, feed: Feed, watermark: WatermarkStrateg
         )
         .unwrap();
         env.load_plugin(&NullTolerantPositions).unwrap();
-        env.add_source(nebulameos::FLEET_STREAM, source(feed), watermark);
+        env.add_source(
+            nebulameos::FLEET_STREAM,
+            source(feed, buffer_size),
+            watermark,
+        );
     } else {
-        env.add_source("s", source(feed), watermark);
+        env.add_source("s", source(feed, buffer_size), watermark);
     }
 }
 
@@ -208,7 +224,7 @@ fn try_execute_cfg(
         },
         ..EnvConfig::default()
     });
-    add_feed(&mut env, feed, watermark);
+    add_feed(&mut env, feed, watermark, buffer_size);
     env.load_plugin(&ShortCircuitProbe)?;
     let (mut sink, got) = CollectingSink::new();
     let metrics = match mode {
@@ -504,7 +520,7 @@ fn partitioned_output_is_deterministic_across_parallelism() {
             watermark_every: 2,
             ..EnvConfig::default()
         });
-        env.add_source("s", source(Feed::InOrder), generous_watermark());
+        env.add_source("s", source(Feed::InOrder, 32), generous_watermark());
         let (mut sink, got) = CollectingSink::new();
         env.run(&q, &mut sink).unwrap();
         got.records() // NOT normalized: raw delivery order
@@ -516,7 +532,7 @@ fn partitioned_output_is_deterministic_across_parallelism() {
             parallelism: p,
             ..EnvConfig::default()
         });
-        env.add_source("s", source(Feed::InOrder), generous_watermark());
+        env.add_source("s", source(Feed::InOrder, 32), generous_watermark());
         let (mut sink, got) = CollectingSink::new();
         env.run_partitioned(&q, &mut sink).unwrap();
         got.records()
@@ -562,7 +578,7 @@ fn partitioned_ledger_delivers_the_layout_the_chain_emitted() {
             parallelism: parallelism.unwrap_or(1),
             ..EnvConfig::default()
         });
-        env.add_source("s", source(Feed::InOrder), generous_watermark());
+        env.add_source("s", source(Feed::InOrder, 32), generous_watermark());
         let mut sink = LayoutSink::default();
         match parallelism {
             None => env.run(q, &mut sink),
@@ -823,7 +839,8 @@ fn assert_batch_matrix_per_batch(
 }
 
 /// One stateful cell, in order (one reference across batch sizes) and
-/// jittered (a reference per batch size). Asserts the in-order
+/// jittered, within 8 records and within two polls (a reference per
+/// batch size). Asserts the in-order
 /// reference is not empty, so the cell compares something.
 fn assert_stateful_matrix(name: &str, query: &Query, watermark: &WatermarkStrategy) {
     let (reference, _) = execute_cfg(
@@ -837,6 +854,7 @@ fn assert_stateful_matrix(name: &str, query: &Query, watermark: &WatermarkStrate
     assert!(!reference.is_empty(), "{name}: no rows, nothing compared");
     assert_batch_matrix(name, query, Feed::InOrder, watermark);
     assert_batch_matrix_per_batch(name, query, Feed::Jittered(7), watermark);
+    assert_batch_matrix_per_batch(name, query, Feed::JitteredTwoPolls(7), watermark);
 }
 
 #[test]
@@ -844,6 +862,12 @@ fn batched_filter_matrix() {
     let q = Query::from("s").filter(col("speed").ge(lit(40.0)));
     assert_batch_matrix("filter", &q, Feed::InOrder, &WatermarkStrategy::None);
     assert_batch_matrix("filter", &q, Feed::Jittered(7), &WatermarkStrategy::None);
+    assert_batch_matrix(
+        "filter",
+        &q,
+        Feed::JitteredTwoPolls(7),
+        &WatermarkStrategy::None,
+    );
 }
 
 #[test]
@@ -1362,7 +1386,7 @@ fn execute_with_report(
         },
         ..EnvConfig::default()
     });
-    env.add_source("s", source(feed), watermark);
+    env.add_source("s", source(feed, 32), watermark);
     let (mut sink, got) = CollectingSink::new();
     let metrics = match mode {
         Mode::Sync => env.run(query, &mut sink),

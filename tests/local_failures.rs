@@ -7,7 +7,9 @@
 //! and `run_partitioned(1/2/4)`,
 //! on a stateless plan (round-robin routing, single-owner ledger steps)
 //! and a keyed-window plan (hash routing, multi-owner steps) — and a
-//! rejected plan must leave the source registered. Every run happens on
+//! rejected plan must leave the source registered, and `buffer_size: 0`
+//! must run as 1 instead of polling for nothing forever. Every run
+//! happens on
 //! a spawned thread behind `recv_timeout`, so a hang (the
 //! `run_threaded` × sink-error cell used to block forever: the producer
 //! parked on the full channel while the scope waited to join it; the
@@ -168,8 +170,13 @@ impl Sink for FailingSink {
 /// queue at its backpressure cap when the failure strikes. The source
 /// plays `failure` if it is one of its own.
 fn env(mode: Mode, failure: Option<Failure>) -> StreamEnvironment {
+    env_polling(mode, failure, 16)
+}
+
+/// [`env`] with `buffer_size` records per source poll.
+fn env_polling(mode: Mode, failure: Option<Failure>, buffer_size: usize) -> StreamEnvironment {
     let mut env = StreamEnvironment::with_config(EnvConfig {
-        buffer_size: 16,
+        buffer_size,
         watermark_every: 2,
         channel_capacity: 2,
         parallelism: match mode {
@@ -360,5 +367,24 @@ fn rejected_plan_leaves_the_source_registered_in_every_mode() {
         let m = run_in(mode, &mut env, &query(Plan::Stateless, None), &mut sink)
             .unwrap_or_else(|e| panic!("{mode:?}: source lost to a rejected plan: {e}"));
         assert_eq!(m.records_in, RECORDS as u64, "{mode:?}");
+    }
+}
+
+#[test]
+fn zero_buffer_size_reads_as_one_in_every_mode() {
+    // A poll for no records answers an empty batch, so `buffer_size: 0`
+    // used to spin on empty batches and never end the run.
+    for mode in MODES {
+        for plan in [Plan::Stateless, Plan::KeyedWindow] {
+            let cell = format!("{mode:?} x {plan:?} x buffer_size 0");
+            let m = within_deadline(&cell, move || {
+                let mut sink = FailingSink::default();
+                let mut env = env_polling(mode, None, 0);
+                run_in(mode, &mut env, &query(plan, None), &mut sink)
+            })
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert_eq!(m.records_in, RECORDS as u64, "{cell}");
+            assert_eq!(m.late_drops, 0, "{cell}");
+        }
     }
 }
