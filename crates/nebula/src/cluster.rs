@@ -15,24 +15,26 @@
 //! [`ClusterEnvironment::run_placed`] computes a [`Placement`] per
 //! hosted source and turns each into a *pipeline* of stages, wired
 //! source → edge → cloud. A stage is the operators placed on one node,
-//! driven on its own thread by one loop: take input, drive the
-//! operators, and re-encode their output as frames for the next hop —
-//! watermarks and end-of-stream travel as control frames, so event-time
-//! windows close correctly across node boundaries.
+//! driven on its own thread by the one loop of every stage: take input,
+//! drive the operators, hand their output on. Watermarks and
+//! end-of-stream travel as control frames, so event-time windows close
+//! correctly across node boundaries.
 //!
 //! - **stage 0** sits on the source node (its operators may be none);
 //!   its input is the source itself, and it alone generates watermarks,
 //!   exactly like [`crate::runtime::StreamEnvironment::run`];
 //! - **every later stage** takes its input from the frames of the stage
-//!   before it;
-//! - the **cloud** fans in all pipelines, advancing its event-time
-//!   clock to the *minimum* watermark across live inputs (the standard
-//!   distributed watermark rule), runs the shared tail of the plan, and
-//!   hands results to the sink as it produces them, under one rule: *a
-//!   row goes to the sink as soon as no recovery can replay it* — on
-//!   emission, or at each committed checkpoint in a chaos run. One
-//!   pipeline delivers exactly `run`'s sequence; several interleave in
-//!   arrival order (each keeping its own), so compare those normalized.
+//!   before it; every pipeline stage outputs frames for the next hop;
+//! - the **cloud** is the last stage of every pipeline. Its input is
+//!   their fan-in, which advances the event-time clock to the *minimum*
+//!   watermark across live pipelines (the standard distributed
+//!   watermark rule) and aligns chaos runs' checkpoint barriers. It runs
+//!   the shared tail of the plan; its output is the outbox, which hands
+//!   results to the sink under one rule: *a row goes to the sink as
+//!   soon as no recovery can replay it* — on emission, or at each
+//!   committed checkpoint in a chaos run. One pipeline delivers exactly
+//!   `run`'s sequence; several interleave in arrival order (each
+//!   keeping its own), so compare those normalized.
 //!
 //! ## Edge pre-aggregation
 //!
@@ -80,7 +82,6 @@
 //!   none of which the sink has seen.
 
 use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
-use crate::buffer::TupleBuffer;
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
 use crate::checkpoint::{CheckpointStore, CloudPart, EpochState, SourceCut, StagePart};
 use crate::error::{ClusterError, NebulaError, Result};
@@ -91,7 +92,7 @@ use crate::preagg::{split_window, SplitWindow};
 use crate::query::{compile_ops, LogicalOp, Query};
 use crate::record::StreamMessage;
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
-use crate::runtime::{deliver, drive, resolve_ts_col, ColumnarMode, ProgressTracker};
+use crate::runtime::{deliver, drive, panic_error, resolve_ts_col, ColumnarMode, ProgressTracker};
 use crate::schema::SchemaRef;
 use crate::sink::Sink;
 use crate::source::{
@@ -106,6 +107,7 @@ use crate::value::EventTime;
 use crate::wire::{decode_frame, encode_frame, Frame, WireRegistry};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,12 +121,6 @@ fn internal(msg: &str) -> NebulaError {
 /// A peer closed its end of a channel.
 fn hung_up(who: &str) -> NebulaError {
     NebulaError::Eval(format!("cluster: {who} hung up"))
-}
-
-/// A joined thread's result, a panic folded into an error.
-fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, Result<T>>, who: &str) -> Result<T> {
-    let panicked = |_| Err(NebulaError::Eval(format!("cluster: {who} thread panicked")));
-    handle.join().unwrap_or_else(panicked)
 }
 
 /// True for what a thread reports because *another* thread failed
@@ -214,7 +210,8 @@ pub struct ClusterMetrics {
     /// Re-planning rounds triggered by failures.
     pub replans: u32,
     /// Threads spawned over the run (all phases) for pipeline stages
-    /// past stage 0, which sits on the source node.
+    /// past stage 0, which sits on the source node. The cloud's thread
+    /// is not counted.
     pub sites: usize,
     /// True when the run split a window into edge partials + cloud merge.
     pub preaggregated: bool,
@@ -560,7 +557,7 @@ impl ClusterEnvironment {
         let tel_on = self.config.telemetry.enabled;
         let cloud_base = pipe_chains.first().map_or(0, Vec::len);
         let (mut cloud_ops, cloud_tel) = instrument_chain(cloud_ops, tel_on, cloud_base);
-        let mut pipe_tels: Vec<ChainTelemetry> = Vec::with_capacity(n_pipes);
+        let mut chains: Vec<ChainTelemetry> = Vec::with_capacity(n_pipes + 1);
         let trace = Arc::new(TraceRing::new(self.config.telemetry.max_events));
         if tel_on {
             trace.push(
@@ -583,7 +580,7 @@ impl ClusterEnvironment {
         for (p, (h, chain)) in hosted.into_iter().zip(pipe_chains).enumerate() {
             let mut assign: Vec<NodeId> = placements[p].stages[1..=pipe_op_end].to_vec();
             let (mut flat, tel) = instrument_chain(chain, tel_on, 0);
-            pipe_tels.push(tel);
+            chains.push(tel);
             // A single pipeline with no shared tail may still end at the
             // cloud (CloudOnly): fold the trailing cloud-placed run into
             // the cloud site instead of a one-node relay hop.
@@ -626,21 +623,21 @@ impl ClusterEnvironment {
                 .collect(),
             uplink: LinkAccount::default(),
         });
-        let mut cloud_state = CloudState {
-            ops: cloud_ops,
-            progress: ProgressTracker::with_origins(n_pipes as u64),
-            latency: Histogram::new(),
-            tel: CloudTel::new(
-                &self.config.telemetry,
-                all_chains(&pipe_tels, &cloud_tel),
-                Arc::clone(&trace),
-            ),
+        // The cloud's fan-in progress (origin = pipeline index) and its
+        // outbox, which also samples the run over every chain registry
+        // (pipelines, then the shared cloud tail).
+        let mut progress = ProgressTracker::with_origins(n_pipes as u64);
+        chains.push(cloud_tel);
+        let mut out = Outbox {
+            sampler: TelemetrySampler::new(&self.config.telemetry),
+            chains,
+            trace: tel_on.then(|| Arc::clone(&trace)),
+            ..Outbox::new(sink, chaos_plan.is_some())
         };
         let mut cluster = ClusterMetrics {
             preaggregated: split.is_some(),
             ..ClusterMetrics::default()
         };
-        let mut out = Outbox::new(sink, chaos_plan.is_some());
 
         // The cloud's input schema is fixed by the plan; compute it once
         // (after a recovery skips finished pipelines, pipeline 0 may no
@@ -650,7 +647,7 @@ impl ClusterEnvironment {
         // epoch 0, so a crash always has a sealed epoch to restore.
         let chaos_run = match chaos_plan {
             Some(plan) => {
-                let start = start_epoch(&pipelines, &cloud_state)?;
+                let start = start_epoch(&pipelines, &cloud_ops, &progress)?;
                 let store = CheckpointStore::new(start, stage_counts(&pipelines));
                 Some(ChaosRun::new(plan, store, &self.topo))
             }
@@ -667,18 +664,19 @@ impl ClusterEnvironment {
                 wire: &self.wire,
                 accounts: &accounts,
                 cloud_node,
+                cloud_in_schema: &cloud_in_schema,
             };
             let chaos = resumed.as_ref().or(chaos_run.as_ref());
-            let e = match run_phase(
+            let phase = run_phase(
                 &io,
                 &mut pipelines,
-                cloud_state,
+                &mut cloud_ops,
+                &mut progress,
                 &mut out,
-                &cloud_in_schema,
                 chaos,
-            ) {
-                Ok((st, spawned)) => {
-                    cloud_state = st;
+            );
+            let e = match phase {
+                Ok(spawned) => {
                     cluster.sites += spawned;
                     break;
                 }
@@ -780,22 +778,14 @@ impl ClusterEnvironment {
             // chain: they keep reporting into the original
             // registries, so per-operator counters survive the crash
             // (including the pre-crash work the replay re-runs — see
-            // docs/observability.md). The cloud sampler and snapshot
-            // retention restart fresh: the sampled series is
-            // best-effort under crashes. The dead phase's held rows
-            // are void; the cut owes the sink what it had not
-            // committed.
+            // docs/observability.md). The outbox keeps sampling and
+            // retaining snapshots across the crash; the cloud's gauges
+            // restart with the phase. The dead phase's held rows are
+            // void; the cut owes the sink what it had not committed.
             out.held = cloud_part.uncommitted;
-            cloud_state = CloudState {
-                ops: cloud_part.ops,
-                progress: cloud_part.progress,
-                latency: cloud_part.latency,
-                tel: CloudTel::new(
-                    &self.config.telemetry,
-                    all_chains(&pipe_tels, &cloud_tel),
-                    Arc::clone(&trace),
-                ),
-            };
+            out.latency = cloud_part.latency;
+            cloud_ops = cloud_part.ops;
+            progress = cloud_part.progress;
             cluster.recovery_ms = recovery_t0.elapsed().as_secs_f64() * 1e3;
 
             // Phase 2: chaos continues on the surviving links, but the
@@ -805,8 +795,6 @@ impl ClusterEnvironment {
             resumed = Some(next);
         }
 
-        // The run is over: no recovery can replay what is still held.
-        out.commit()?;
         out.sink.finish()?;
         let mut metrics = QueryMetrics::default();
         match &chaos_run {
@@ -832,15 +820,13 @@ impl ClusterEnvironment {
                 }
             }
         }
-        metrics.late_drops += chain_late_drops(&cloud_state.ops);
+        metrics.late_drops += chain_late_drops(&cloud_ops);
         metrics.records_out = out.records_out;
         metrics.bytes_out = out.bytes_out;
-        metrics.latency.merge(&cloud_state.latency);
+        metrics.latency.merge(&out.latency);
         // How far the fastest pipeline's clock ran ahead of the cloud's
         // combined frontier — the fan-in skew the report promises.
-        metrics.frontier_lag_max_us = metrics
-            .frontier_lag_max_us
-            .max(cloud_state.progress.frontier_lag_us());
+        metrics.frontier_lag_max_us = metrics.frontier_lag_max_us.max(progress.frontier_lag_us());
         metrics.wall = start.elapsed();
 
         cluster.links = accounts
@@ -873,23 +859,8 @@ impl ClusterEnvironment {
             // the shared counter has the true total.
             cluster.sites = c.stats.sites_spawned.load(o) as usize;
         }
-        // One forced sample so even sub-interval runs record a point,
-        // then fold every registry, series, snapshot and event into the
+        // Fold every registry, series, snapshot and event into the
         // run's telemetry report.
-        let mut tel = cloud_state.tel;
-        let final_gauges = Gauges {
-            records_in: tel.records_in,
-            records_out: tel.records_out,
-            queue_depth: 0,
-            frontier: cloud_state.progress.frontier(),
-            frontier_lag_us: metrics.frontier_lag_max_us,
-            stalls: 0,
-        };
-        tel.sampler.force_sample(
-            &final_gauges,
-            &tel.chains,
-            Some((&tel.trace, COORDINATOR_ORIGIN)),
-        );
         let mode = if chaos_run.is_some() {
             "run_placed_chaos"
         } else {
@@ -898,11 +869,9 @@ impl ClusterEnvironment {
         let telemetry = build_report(
             mode,
             &metrics,
-            &tel.chains,
-            tel.sampler,
-            &tel.trace,
-            tel.snaps,
-            tel.snaps_dropped,
+            &out.chains,
+            out.sampler,
+            &trace,
             analysis_warnings,
         );
         Ok(ClusterReport {
@@ -1073,7 +1042,11 @@ fn snapshot_chain(ops: &[Box<dyn Operator>]) -> Result<Vec<Box<dyn Operator>>> {
 /// The run's start as checkpoint epoch 0: snapshots of the freshly
 /// compiled stage and cloud chains, every source at batch 0 with no
 /// event time seen, fresh trackers and no rows owed to the sink.
-fn start_epoch(pipelines: &[PipelinePlan], cloud: &CloudState) -> Result<EpochState> {
+fn start_epoch(
+    pipelines: &[PipelinePlan],
+    cloud_ops: &[Box<dyn Operator>],
+    progress: &ProgressTracker,
+) -> Result<EpochState> {
     let mut epoch = EpochState::default();
     for (p, pipe) in pipelines.iter().enumerate() {
         for (s, stage) in pipe.stages.iter().enumerate() {
@@ -1085,10 +1058,10 @@ fn start_epoch(pipelines: &[PipelinePlan], cloud: &CloudState) -> Result<EpochSt
         }
     }
     epoch.cloud = Some(CloudPart {
-        ops: snapshot_chain(&cloud.ops)?,
+        ops: snapshot_chain(cloud_ops)?,
         uncommitted: Vec::new(),
-        progress: cloud.progress.clone(),
-        latency: cloud.latency.clone(),
+        progress: progress.clone(),
+        latency: Histogram::new(),
     });
     Ok(epoch)
 }
@@ -1147,12 +1120,6 @@ struct TrafficAccounts {
     uplink: LinkAccount,
 }
 
-/// The sending half of an inter-stage channel, with link accounting.
-enum TxTarget {
-    Direct(Sender<Vec<u8>>),
-    Inbox(Sender<(usize, Vec<u8>)>, usize),
-}
-
 /// One traversed link in a sender's path, with the parameters frozen
 /// at channel-construction time (a re-planning phase rebuilds senders,
 /// picking up the post-failure topology).
@@ -1164,8 +1131,12 @@ struct PathLink {
     to_cloud: bool,
 }
 
+/// The sending half of an inter-stage channel, with link accounting.
+/// Frames go out tagged with `slot`, the sender's place at the receiving
+/// end: its pipeline at the cloud, 0 on a hop within a pipeline.
 struct WireTx {
-    target: TxTarget,
+    tx: Sender<(usize, Vec<u8>)>,
+    slot: usize,
     path: Vec<PathLink>,
     accounts: Arc<TrafficAccounts>,
     depth: Arc<AtomicU64>,
@@ -1196,10 +1167,7 @@ impl WireTx {
                 .fetch_max(depth, Ordering::Relaxed);
         }
         let hung = || hung_up("downstream stage");
-        match &self.target {
-            TxTarget::Direct(tx) => tx.send(bytes).map_err(|_| hung()),
-            TxTarget::Inbox(tx, p) => tx.send((*p, bytes)).map_err(|_| hung()),
-        }
+        self.tx.send((self.slot, bytes)).map_err(|_| hung())
     }
 }
 
@@ -1244,84 +1212,108 @@ impl TxLink {
     }
 }
 
-/// A stage's upstream receiver: a plain channel, or the resilient layer
-/// reassembling an exactly-once in-order stream from chaos-injected
-/// arrivals.
-enum RxLink {
-    Plain(Receiver<Vec<u8>>),
-    Reliable {
-        rx: Receiver<Vec<u8>>,
-        rel: ReliableRx,
-        abort: Arc<AtomicBool>,
-    },
+/// A stage's upstream receiver: one channel its senders tag with their
+/// slot (every pipeline's last hop at the cloud, else the stage before),
+/// read plainly or, in chaos mode, through one resilient layer per
+/// sender that reassembles its exactly-once in-order stream from
+/// chaos-injected arrivals.
+struct RxLink {
+    rx: Receiver<(usize, Vec<u8>)>,
+    /// Frames in flight, per sender.
+    depths: Vec<Arc<AtomicU64>>,
+    /// Chaos mode: each sender's resilient receiver, and the phase's
+    /// abort flag.
+    rel: Option<(Vec<ReliableRx>, Arc<AtomicBool>)>,
+    /// The sender whose out-of-order buffer may hold the next payloads.
+    due: Option<usize>,
 }
 
 impl RxLink {
-    /// The next in-order payload. On a reliable link this loops over raw
-    /// arrivals (absorbing corruption, duplicates and reordering) and
-    /// polls the abort flag while idle, so a dying phase never hangs a
-    /// stage on a quiet channel.
-    fn recv(&mut self, depth: &AtomicU64) -> Result<Vec<u8>> {
-        let hung = || hung_up("upstream stage");
-        match self {
-            RxLink::Plain(rx) => {
-                let bytes = rx.recv().map_err(|_| hung())?;
-                depth.fetch_sub(1, Ordering::Relaxed);
-                Ok(bytes)
-            }
-            RxLink::Reliable { rx, rel, abort } => loop {
-                if let Some(payload) = rel.next_buffered() {
-                    return Ok(payload);
-                }
-                match rx.recv_timeout(Duration::from_millis(2)) {
-                    Ok(raw) => {
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        if let RxEvent::Payload(payload) = rel.on_bytes(&raw) {
-                            return Ok(payload);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if abort.load(Ordering::Relaxed) {
-                            return Err(ClusterError::Aborted.into());
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(if abort.load(Ordering::Relaxed) {
-                            ClusterError::Aborted.into()
-                        } else {
-                            hung()
-                        });
-                    }
-                }
-            },
-        }
-    }
-
-    /// Chaos mode: [`linger`] after end-of-stream. No-op on plain links
-    /// (they cannot duplicate).
-    fn linger(&mut self, depth: &AtomicU64) {
-        if let RxLink::Reliable { rx, rel, abort } = self {
-            linger(rx, abort, |raw| {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let _ = rel.on_bytes(&raw);
-                while rel.next_buffered().is_some() {}
+    /// Builds the receiver for `rx`; in chaos mode every sender gets a
+    /// resilient end acknowledging on its `acks` channel (a sender that
+    /// spawned nothing this phase, a dead-end one).
+    fn new(
+        rx: Receiver<(usize, Vec<u8>)>,
+        depths: Vec<Arc<AtomicU64>>,
+        acks: Vec<Option<Sender<AckMsg>>>,
+        chaos: Option<&ChaosRun>,
+    ) -> RxLink {
+        let rel = chaos.map(|c| {
+            let rel = acks.into_iter().map(|ack| {
+                let ack = ack.unwrap_or_else(|| bounded::<AckMsg>(1).0);
+                ReliableRx::new(ack, Arc::clone(&c.stats))
             });
+            (rel.collect(), Arc::clone(&c.abort))
+        });
+        RxLink {
+            rx,
+            depths,
+            rel,
+            due: None,
         }
     }
-}
 
-/// A reliable receiver's end-of-stream: keep absorbing (and re-acking)
-/// stray retransmissions and duplicates until every upstream sender
-/// hangs up or the phase aborts, so no sender's flush emits into a
-/// dropped channel. The reliable layer already delivered every genuine
-/// payload in order, so anything arriving now is bookkeeping.
-fn linger<T>(rx: &Receiver<T>, abort: &AtomicBool, mut absorb: impl FnMut(T)) {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(msg) => absorb(msg),
-            Err(RecvTimeoutError::Timeout) if !abort.load(Ordering::Relaxed) => {}
-            Err(_) => return,
+    /// The next in-order payload and its sender's slot. A plain link
+    /// blocks until one comes. A reliable one loops over raw arrivals,
+    /// absorbing corruption, duplicates and reordering, and returns
+    /// `None` after a few quiet milliseconds unless the phase is
+    /// aborting, so a dying phase never hangs a stage on a quiet
+    /// channel.
+    fn recv(&mut self) -> Result<Option<(usize, Vec<u8>)>> {
+        let hung = || hung_up("upstream stage");
+        let Some((rel, abort)) = &mut self.rel else {
+            let (p, bytes) = self.rx.recv().map_err(|_| hung())?;
+            self.depths[p].fetch_sub(1, Ordering::Relaxed);
+            return Ok(Some((p, bytes)));
+        };
+        loop {
+            if let Some(p) = self.due {
+                match rel[p].next_buffered() {
+                    Some(payload) => return Ok(Some((p, payload))),
+                    None => self.due = None,
+                }
+            }
+            match self.rx.recv_timeout(Duration::from_millis(2)) {
+                Ok((p, raw)) => {
+                    self.depths[p].fetch_sub(1, Ordering::Relaxed);
+                    if let RxEvent::Payload(payload) = rel[p].on_bytes(&raw) {
+                        self.due = Some(p);
+                        return Ok(Some((p, payload)));
+                    }
+                }
+                Err(_) if abort.load(Ordering::Relaxed) => return Err(ClusterError::Aborted.into()),
+                Err(RecvTimeoutError::Timeout) => return Ok(None),
+                Err(RecvTimeoutError::Disconnected) => return Err(hung()),
+            }
         }
+    }
+
+    /// Chaos mode, after end-of-stream: keep absorbing (and re-acking)
+    /// stray retransmissions and duplicates until every sender hangs up
+    /// or the phase aborts, so no sender's flush emits into a dropped
+    /// channel. The reliable layer already delivered every genuine
+    /// payload in order, so anything arriving now is bookkeeping. No-op
+    /// on plain links (they cannot duplicate).
+    fn linger(&mut self) {
+        let Some((rel, abort)) = &mut self.rel else {
+            return;
+        };
+        loop {
+            match self.rx.recv_timeout(Duration::from_millis(2)) {
+                Ok((p, raw)) => {
+                    self.depths[p].fetch_sub(1, Ordering::Relaxed);
+                    let _ = rel[p].on_bytes(&raw);
+                    while rel[p].next_buffered().is_some() {}
+                }
+                Err(RecvTimeoutError::Timeout) if !abort.load(Ordering::Relaxed) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Frames in flight toward this stage.
+    fn depth(&self) -> u64 {
+        self.depths.iter().map(|d| d.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -1344,36 +1336,18 @@ fn tail_wants_columnar(mode: ColumnarMode, ops: &[Box<dyn Operator>]) -> bool {
     chain_wants_columnar(mode, ops) || (ops.is_empty() && mode != ColumnarMode::Off)
 }
 
-/// The data message a receiving tail drives for a decoded buffer.
-fn received(columnar: bool, tb: TupleBuffer) -> StreamMessage {
-    if columnar {
-        StreamMessage::Columnar(tb)
-    } else {
-        StreamMessage::Data(tb.to_record_buffer())
-    }
-}
-
-/// Encodes and forwards terminal messages downstream, skipping empty
-/// batches. Rows and buffers encode to the same column-major bytes, so
-/// byte accounting does not depend on the layout.
-fn forward(
-    msgs: Vec<StreamMessage>,
-    out_schema: &SchemaRef,
-    wire: &WireRegistry,
-    tx: &mut TxLink,
-) -> Result<()> {
-    for msg in msgs {
-        let records = msg.record_count() as u64;
-        let frame = match msg {
-            StreamMessage::Data(b) if records > 0 => Frame::Data(b.into_records()),
-            StreamMessage::Columnar(b) if records > 0 => Frame::Columnar(b),
-            StreamMessage::Data(_) | StreamMessage::Columnar(_) => continue,
-            StreamMessage::Watermark(w) => Frame::Watermark(w),
-            StreamMessage::Eos => Frame::Eos,
-        };
-        tx.send(encode_frame(&frame, out_schema, wire)?, records)?;
-    }
-    Ok(())
+/// The step one received frame makes; `columnar` is the receiving
+/// tail's [`tail_wants_columnar`] gate.
+fn frame_step(frame: Frame, columnar: bool) -> Result<Step> {
+    Ok(match frame {
+        Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
+        Frame::Columnar(tb) if columnar => Step::Batch(Some(StreamMessage::Columnar(tb)), None),
+        Frame::Columnar(tb) => Step::Batch(Some(StreamMessage::Data(tb.to_record_buffer())), None),
+        Frame::Watermark(w) => Step::Batch(None, Some(w)),
+        Frame::Barrier(epoch) => Step::Barrier(epoch),
+        Frame::Telemetry(snap) => Step::Snapshot(snap),
+        Frame::Eos => Step::Eos,
+    })
 }
 
 /// A pipeline's source side, preserved across phases: the input of its
@@ -1407,8 +1381,9 @@ struct PipelinePlan {
 }
 
 /// Chaos-mode context for one stage thread: where its checkpoint parts
-/// go, the phase's abort flag, and — when the stage counts frames for
-/// the doomed node — the crash switch that kills it.
+/// go (as stage `stage` of pipeline `pipe`; the cloud deposits the
+/// cloud part instead), the phase's abort flag, and — when the stage
+/// counts frames for the doomed node — the crash switch that kills it.
 struct StageChaos {
     store: Arc<CheckpointStore>,
     pipe: usize,
@@ -1433,8 +1408,9 @@ impl StageChaos {
     }
 }
 
-/// Telemetry context for one stage thread: ship a [`NodeSnapshot`]
-/// downstream at most once per `every`.
+/// Telemetry context for one pipeline stage thread: ship a
+/// [`NodeSnapshot`] downstream at most once per `every`. The cloud has
+/// none; its outbox samples the run instead.
 struct StageTel {
     node: String,
     origin: u64,
@@ -1449,14 +1425,15 @@ enum StageInput<'a> {
         src: &'a mut PipeSource,
         polled: Option<u64>,
     },
-    /// Every later stage: the upstream link, decoding frames of
+    /// Every later pipeline stage: the upstream link, decoding frames of
     /// `schema`; `columnar` is the [`tail_wants_columnar`] gate.
     Link {
         rx: RxLink,
-        depth: Arc<AtomicU64>,
         schema: SchemaRef,
         columnar: bool,
     },
+    /// The cloud: every pipeline's uplink, merged.
+    FanIn(FanIn<'a>),
 }
 
 /// One step of a stage's input.
@@ -1466,9 +1443,8 @@ enum Step {
     Batch(Option<StreamMessage>, Option<EventTime>),
     /// A checkpoint barrier: snapshot the stage, then pass it on.
     Barrier(u64),
-    /// An upstream node snapshot, relayed unchanged (its layout is
-    /// schema-independent).
-    Relay(Vec<u8>),
+    /// An upstream node snapshot.
+    Snapshot(NodeSnapshot),
     Eos,
 }
 
@@ -1477,40 +1453,44 @@ impl StageInput<'_> {
     fn source(&self) -> Option<&PipeSource> {
         match self {
             StageInput::Source { src, .. } => Some(src),
-            StageInput::Link { .. } => None,
+            StageInput::Link { .. } | StageInput::FanIn(_) => None,
+        }
+    }
+
+    /// The cloud's fan-in: the input of the stage that ends at the
+    /// outbox.
+    fn fan_in(&self) -> Result<&FanIn<'_>> {
+        match self {
+            StageInput::FanIn(fan) => Ok(fan),
+            _ => Err(internal("an outbox without a fan-in")),
         }
     }
 
     /// The next step. Only the source makes watermarks (the tracker's
     /// frontier, on punctuated sequences) and barriers (every
     /// [`CHECKPOINT_EVERY`] sequences), and only it sends heartbeats
-    /// while idle. A stage on the doomed node counts every frame it
-    /// receives, before handling it; a source counts once per batch,
-    /// after the stage has handled the batch and before its barrier.
+    /// while idle; the fan-in merges what the pipelines made. A stage on
+    /// the doomed node counts every frame it receives, before handling
+    /// it; a source counts once per batch, after the stage has handled
+    /// the batch and before its barrier.
     fn next(
         &mut self,
         chaos: Option<&StageChaos>,
         wire: &WireRegistry,
-        tx: &mut TxLink,
+        output: &mut StageOutput<'_, '_>,
     ) -> Result<Step> {
         let (src, polled) = match self {
+            StageInput::FanIn(fan) => return fan.next(wire),
             StageInput::Link {
                 rx,
-                depth,
                 schema,
                 columnar,
-            } => {
-                let bytes = rx.recv(depth)?;
-                chaos.map_or(Ok(()), StageChaos::check_doom)?;
-                return Ok(match decode_frame(&bytes, schema, wire)? {
-                    Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
-                    Frame::Columnar(tb) => Step::Batch(Some(received(*columnar, tb)), None),
-                    Frame::Watermark(w) => Step::Batch(None, Some(w)),
-                    Frame::Barrier(epoch) => Step::Barrier(epoch),
-                    Frame::Telemetry(_) => Step::Relay(bytes),
-                    Frame::Eos => Step::Eos,
-                });
-            }
+            } => loop {
+                if let Some((_, bytes)) = rx.recv()? {
+                    chaos.map_or(Ok(()), StageChaos::check_doom)?;
+                    return frame_step(decode_frame(&bytes, schema, wire)?, *columnar);
+                }
+            },
             StageInput::Source { src, polled } => (src, polled),
         };
         if let (Some(sequence), Some(c)) = (polled.take(), chaos) {
@@ -1547,7 +1527,7 @@ impl StageInput<'_> {
                     return Ok(Step::Batch(Some(msg), watermark));
                 }
                 Polled::Idle(idle) => {
-                    if chaos.is_some() && idle.is_multiple_of(1024) {
+                    if let (0, StageOutput::Link(tx)) = (idle % 1024, &mut *output) {
                         // Keep a quiet link observably alive.
                         tx.heartbeat()?;
                     }
@@ -1559,10 +1539,182 @@ impl StageInput<'_> {
     }
 }
 
-/// The one loop of every non-cloud stage: take input steps, drive the
-/// operators, and forward their output downstream as frames of
-/// `out_schema`, with the stage's node snapshots and checkpoint
-/// barriers; on end-of-stream, flush and return the operators.
+/// The cloud's input: every pipeline's uplink, merged. Barrier
+/// alignment is Chandy–Lamport style: once a barrier arrives from one
+/// pipeline, that pipeline's further frames are held back until every
+/// live pipeline has presented the same barrier, and the epoch seals at
+/// the aligned cut. Only chaos runs send barriers, so in a fault-free
+/// run alignment never engages and every frame applies as it arrives.
+struct FanIn<'a> {
+    rx: RxLink,
+    /// Decodes frames of `schema`; `columnar` is the tail's
+    /// [`tail_wants_columnar`] gate.
+    schema: SchemaRef,
+    columnar: bool,
+    /// Per-pipeline progress (origin = pipeline index), kept across
+    /// phases: each input's frontier, which inputs have ended, and the
+    /// min-combined frontier the tail sees. Centralizing the
+    /// min/monotone rules in the tracker means an input that finishes
+    /// mid-epoch can only *raise* the combined clock, never regress it.
+    progress: &'a mut ProgressTracker,
+    /// The epoch currently aligning, if any.
+    aligning: Option<u64>,
+    /// Pipelines that have presented the aligning barrier.
+    seen: Vec<bool>,
+    /// Frames held back per pipeline during alignment.
+    held: Vec<VecDeque<Vec<u8>>>,
+}
+
+impl FanIn<'_> {
+    /// Whether pipeline `p`'s frames wait for the aligning epoch.
+    fn blocked(&self, p: usize) -> bool {
+        self.aligning.is_some() && self.seen[p]
+    }
+
+    /// The next step: the aligning epoch's barrier once every live
+    /// pipeline has presented it (done ones are exempt — their streams
+    /// ended), then the frames held back behind it, then new arrivals.
+    /// A watermark comes only when the min-combined frontier strictly
+    /// advances, and end-of-stream once every pipeline has ended.
+    fn next(&mut self, wire: &WireRegistry) -> Result<Step> {
+        let n = self.seen.len();
+        loop {
+            if let Some(epoch) = self.aligning {
+                if (0..n).all(|p| self.seen[p] || self.progress.is_done(p as u64)) {
+                    self.aligning = None;
+                    self.seen.fill(false);
+                    return Ok(Step::Barrier(epoch));
+                }
+            }
+            let replay = (0..n).find(|&p| !self.blocked(p) && !self.held[p].is_empty());
+            let (p, bytes) = match replay.and_then(|p| Some((p, self.held[p].pop_front()?))) {
+                Some(frame) => frame,
+                None => match self.rx.recv()? {
+                    Some((p, bytes)) if self.blocked(p) => {
+                        self.held[p].push_back(bytes);
+                        continue;
+                    }
+                    Some(frame) => frame,
+                    None => {
+                        // Silent-death backstop: in-process links
+                        // normally fail by disconnecting, but a peer
+                        // wedged with its channel open (e.g. a link
+                        // flapped down indefinitely) only shows up as
+                        // 10 s without even a heartbeat.
+                        let rel = self.rx.rel.iter().flat_map(|(rel, _)| rel.iter());
+                        for (p, r) in rel.enumerate() {
+                            if !self.progress.is_done(p as u64) {
+                                let patience = Duration::from_secs(10);
+                                r.check_liveness(&format!("pipe{p}/uplink"), patience)?;
+                            }
+                        }
+                        continue;
+                    }
+                },
+            };
+            let origin = p as u64;
+            let advanced =
+                match frame_step(decode_frame(&bytes, &self.schema, wire)?, self.columnar)? {
+                    Step::Batch(None, Some(w)) => self.progress.advance_origin(origin, w),
+                    Step::Barrier(epoch) => {
+                        self.aligning.get_or_insert(epoch);
+                        self.seen[p] = true;
+                        None
+                    }
+                    // Removing a finished input can only raise the minimum.
+                    Step::Eos => {
+                        let advanced = self.progress.finish(origin);
+                        if self.progress.all_done() {
+                            return Ok(Step::Eos);
+                        }
+                        advanced
+                    }
+                    step => return Ok(step),
+                };
+            if let Some(frontier) = advanced {
+                return Ok(Step::Batch(None, Some(frontier)));
+            }
+        }
+    }
+
+    /// The cloud's gauges, given its records in and out.
+    fn gauges(&self, records_in: u64, records_out: u64) -> Gauges {
+        Gauges {
+            records_in,
+            records_out,
+            queue_depth: self.rx.depth(),
+            frontier: self.progress.frontier(),
+            frontier_lag_us: self.progress.frontier_lag_us(),
+            stalls: 0,
+        }
+    }
+}
+
+/// Where a stage's output goes.
+enum StageOutput<'a, 's> {
+    /// A pipeline stage: the link to the next hop, carrying frames.
+    Link(TxLink),
+    /// The cloud, the last stage of every pipeline: the run's outbox.
+    Outbox(&'a mut Outbox<'s>),
+}
+
+impl StageOutput<'_, '_> {
+    /// Hands on one step's terminal messages: encoded as frames of
+    /// `schema` down a link, skipping empty batches, or emitted into the
+    /// outbox. Rows and buffers encode to the same column-major bytes,
+    /// so byte accounting does not depend on the layout.
+    fn forward(
+        &mut self,
+        msgs: Vec<StreamMessage>,
+        schema: &SchemaRef,
+        wire: &WireRegistry,
+    ) -> Result<()> {
+        let tx = match self {
+            StageOutput::Outbox(out) => return out.emit(msgs).map(drop),
+            StageOutput::Link(tx) => tx,
+        };
+        for msg in msgs {
+            let records = msg.record_count() as u64;
+            let frame = match msg {
+                StreamMessage::Data(b) if records > 0 => Frame::Data(b.into_records()),
+                StreamMessage::Columnar(b) if records > 0 => Frame::Columnar(b),
+                StreamMessage::Data(_) | StreamMessage::Columnar(_) => continue,
+                StreamMessage::Watermark(w) => Frame::Watermark(w),
+                StreamMessage::Eos => Frame::Eos,
+            };
+            tx.send(encode_frame(&frame, schema, wire)?, records)?;
+        }
+        Ok(())
+    }
+
+    /// Hands on a node snapshot: down a link on the same route (and, in
+    /// chaos mode, the same resilient link) as the data it describes —
+    /// its layout is schema-independent — or retained by the outbox.
+    fn snapshot(
+        &mut self,
+        snap: NodeSnapshot,
+        schema: &SchemaRef,
+        wire: &WireRegistry,
+    ) -> Result<()> {
+        match self {
+            StageOutput::Link(tx) => {
+                tx.send(encode_frame(&Frame::Telemetry(snap), schema, wire)?, 0)
+            }
+            StageOutput::Outbox(out) => {
+                out.sampler.keep_snapshot(snap);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The one loop of every stage, the cloud included: take input steps,
+/// drive the operators, and hand their output on. A pipeline stage
+/// forwards frames of `out_schema` downstream, with its node snapshots
+/// and checkpoint barriers; the cloud emits into the outbox, seals
+/// checkpoint epochs, keeps the snapshots that reach it, and samples
+/// the run after every step. On end-of-stream, flush and return the
+/// operators.
 ///
 /// Thread entry point: every argument is moved out of the spawning
 /// closure and owned until the stage shuts down.
@@ -1570,7 +1722,7 @@ impl StageInput<'_> {
 fn run_stage(
     mut ops: Vec<Box<dyn Operator>>,
     mut input: StageInput<'_>,
-    mut tx: TxLink,
+    mut output: StageOutput<'_, '_>,
     out_schema: SchemaRef,
     wire: WireRegistry,
     chaos: Option<StageChaos>,
@@ -1580,7 +1732,7 @@ fn run_stage(
     let mut last_snap = Instant::now();
     let (mut records_in, mut records_out, mut snap_seq) = (0u64, 0u64, 0u64);
     loop {
-        match input.next(chaos.as_ref(), &wire, &mut tx)? {
+        match input.next(chaos.as_ref(), &wire, &mut output)? {
             Step::Batch(data, watermark) => {
                 let had_data = data.is_some();
                 for msg in data
@@ -1588,17 +1740,20 @@ fn run_stage(
                     .chain(watermark.map(StreamMessage::Watermark))
                 {
                     records_in += msg.record_count() as u64;
+                    let timed = (!matches!(msg, StreamMessage::Watermark(_))).then(Instant::now);
                     let msgs = drive(&mut ops, msg)?;
+                    // `metrics.latency`: the cloud's per-buffer service time.
+                    if let (Some(t0), StageOutput::Outbox(out)) = (timed, &mut output) {
+                        out.latency.record(t0.elapsed().as_secs_f64() * 1e6);
+                    }
                     records_out += records_of(&msgs);
-                    forward(msgs, &out_schema, &wire, &mut tx)?;
+                    output.forward(msgs, &out_schema, &wire)?;
                 }
                 let due = |t: &&StageTel| had_data && last_snap.elapsed() >= t.every;
                 if let Some(t) = tel.as_ref().filter(due) {
-                    // The snapshot rides the same route (and, in chaos
-                    // mode, the same resilient link) as the data it
-                    // describes. Stage 0 reports its outbound queue and
-                    // its tracker; a later stage its inbound queue and no
-                    // frontier (the cloud reads lag off stage 0's).
+                    // Stage 0 reports its outbound queue and its tracker;
+                    // a later stage its inbound queue and no frontier
+                    // (the cloud reads lag off stage 0's).
                     let src = input.source();
                     snap_seq += 1;
                     let snap = NodeSnapshot {
@@ -1608,17 +1763,15 @@ fn run_stage(
                         at_us: started.elapsed().as_micros() as u64,
                         records_in,
                         records_out,
-                        queue_depth: match &input {
-                            StageInput::Link { depth, .. } => depth.load(Ordering::Relaxed),
-                            StageInput::Source { .. } => tx.wire.depth.load(Ordering::Relaxed),
+                        queue_depth: match (&input, &output) {
+                            (StageInput::Link { rx, .. }, _) => rx.depth(),
+                            (_, StageOutput::Link(tx)) => tx.wire.depth.load(Ordering::Relaxed),
+                            _ => 0,
                         },
                         frontier: src.and_then(|s| s.progress.frontier()),
                         frontier_lag_us: src.map_or(0, |s| s.progress.frontier_lag_us()),
                     };
-                    tx.send(
-                        encode_frame(&Frame::Telemetry(snap), &out_schema, &wire)?,
-                        0,
-                    )?;
+                    output.snapshot(snap, &out_schema, &wire)?;
                     last_snap = Instant::now();
                 }
             }
@@ -1626,134 +1779,59 @@ fn run_stage(
                 let Some(c) = &chaos else {
                     return Err(internal("checkpoint barrier outside a chaos run"));
                 };
-                // Snapshot at the cut and pass the barrier on; it is a
-                // pipeline-level marker, never driven through operators.
-                let part = StagePart {
-                    ops: snapshot_chain(&ops)?,
-                    source: input.source().map(|s| s.cut(epoch * CHECKPOINT_EVERY)),
-                };
-                c.store.put(epoch, c.pipe, c.stage, part);
-                tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, &wire)?, 0)?;
+                // Snapshot at the cut; the barrier is a pipeline-level
+                // marker, never driven through operators.
+                let ops_at_cut = snapshot_chain(&ops)?;
+                match &mut output {
+                    StageOutput::Outbox(out) => {
+                        let progress = input.fan_in()?.progress.clone();
+                        out.seal(epoch, ops_at_cut, progress, &c.store)?;
+                    }
+                    StageOutput::Link(tx) => {
+                        let part = StagePart {
+                            ops: ops_at_cut,
+                            source: input.source().map(|s| s.cut(epoch * CHECKPOINT_EVERY)),
+                        };
+                        c.store.put(epoch, c.pipe, c.stage, part);
+                        tx.send(encode_frame(&Frame::Barrier(epoch), &out_schema, &wire)?, 0)?;
+                    }
+                }
             }
-            Step::Relay(bytes) => tx.send(bytes, 0)?,
+            Step::Snapshot(snap) => output.snapshot(snap, &out_schema, &wire)?,
             Step::Eos => {
                 let msgs = drive(&mut ops, StreamMessage::Eos)?;
-                forward(msgs, &out_schema, &wire, &mut tx)?;
-                tx.flush()?;
-                if let Some(c) = &chaos {
-                    let stats = input.source().map(|s| s.stats.clone());
-                    c.store.add_final(c.pipe, stats, chain_late_drops(&ops));
+                records_out += records_of(&msgs);
+                output.forward(msgs, &out_schema, &wire)?;
+                match &mut output {
+                    // The run is over: no recovery can replay what is
+                    // still held. One forced sample records the end of
+                    // even a sub-interval run.
+                    StageOutput::Outbox(out) => {
+                        out.commit()?;
+                        out.sample(&input.fan_in()?.gauges(records_in, records_out), true);
+                    }
+                    StageOutput::Link(tx) => {
+                        tx.flush()?;
+                        if let Some(c) = &chaos {
+                            let stats = input.source().map(|s| s.stats.clone());
+                            c.store.add_final(c.pipe, stats, chain_late_drops(&ops));
+                        }
+                    }
                 }
                 // The source is spent; a link lingers.
                 match &mut input {
                     StageInput::Source { src, .. } => src.eos_sent = true,
-                    StageInput::Link { rx, depth, .. } => rx.linger(depth),
+                    StageInput::Link { rx, .. } | StageInput::FanIn(FanIn { rx, .. }) => {
+                        rx.linger()
+                    }
                 }
                 return Ok(ops);
             }
         }
-    }
-}
-
-/// Cloud-site state preserved across re-planning phases.
-struct CloudState {
-    ops: Vec<Box<dyn Operator>>,
-    /// Per-pipeline progress (origin = pipeline index): each input's
-    /// frontier, which inputs have ended, and the min-combined global
-    /// frontier fed into the cloud chain. Centralizing the min/monotone
-    /// rules in the tracker means an input that finishes mid-epoch can
-    /// only *raise* the combined clock, never regress it.
-    progress: ProgressTracker,
-    latency: Histogram,
-    /// Cloud-side telemetry riding along the fan-in: the periodic
-    /// sampler, retained per-node snapshots, and the run's trace ring.
-    tel: CloudTel,
-}
-
-/// Cloud-side telemetry state. Rebuilt fresh on crash recovery — the
-/// sampled series is best-effort under crashes, while per-operator
-/// counters survive through the shared [`ChainTelemetry`] handles and
-/// trace events through the shared ring.
-struct CloudTel {
-    enabled: bool,
-    sampler: TelemetrySampler,
-    /// Every chain registry of the run (pipelines, then the shared
-    /// cloud tail) — cloned handles, safe to read from the cloud thread
-    /// while the chains execute elsewhere.
-    chains: Vec<ChainTelemetry>,
-    trace: Arc<TraceRing>,
-    snaps: Vec<NodeSnapshot>,
-    snaps_dropped: u64,
-    max_snaps: usize,
-    /// Records the cloud fan-in has consumed (all pipelines).
-    records_in: u64,
-    /// Records the cloud chain has emitted toward the sink.
-    records_out: u64,
-}
-
-impl CloudTel {
-    fn new(cfg: &TelemetryConfig, chains: Vec<ChainTelemetry>, trace: Arc<TraceRing>) -> CloudTel {
-        CloudTel {
-            enabled: cfg.enabled,
-            sampler: TelemetrySampler::new(cfg),
-            chains,
-            trace,
-            snaps: Vec::new(),
-            snaps_dropped: 0,
-            max_snaps: cfg.max_node_snapshots.max(1),
-            records_in: 0,
-            records_out: 0,
+        if let StageOutput::Outbox(out) = &mut output {
+            out.sample(&input.fan_in()?.gauges(records_in, records_out), false);
         }
     }
-
-    /// Retains a fanned-in node snapshot under the configured bound
-    /// (oldest out first).
-    fn keep(&mut self, snap: NodeSnapshot) {
-        if !self.enabled {
-            return;
-        }
-        if self.snaps.len() >= self.max_snaps {
-            self.snaps.remove(0);
-            self.snaps_dropped += 1;
-        }
-        self.snaps.push(snap);
-    }
-
-    /// Takes an interval-gated sample of the cloud fan-in.
-    fn maybe_sample(&mut self, progress: &ProgressTracker, queue_depth: u64) {
-        let gauges = Gauges {
-            records_in: self.records_in,
-            records_out: self.records_out,
-            queue_depth,
-            frontier: progress.frontier(),
-            frontier_lag_us: progress.frontier_lag_us(),
-            stalls: 0,
-        };
-        self.sampler.maybe_sample(
-            &gauges,
-            &self.chains,
-            Some((&self.trace, COORDINATOR_ORIGIN)),
-        );
-    }
-
-    /// Notes a sealed checkpoint epoch in the trace ring.
-    fn checkpoint_sealed(&self, epoch: u64) {
-        if self.enabled {
-            self.trace.push(
-                COORDINATOR_ORIGIN,
-                TraceKind::CheckpointSealed,
-                format!("epoch {epoch}"),
-            );
-        }
-    }
-}
-
-/// Clones every chain registry of the run (pipelines, then the shared
-/// cloud tail) for the cloud-side sampler and the final report.
-fn all_chains(pipe_tels: &[ChainTelemetry], cloud_tel: &ChainTelemetry) -> Vec<ChainTelemetry> {
-    let mut chains = pipe_tels.to_vec();
-    chains.push(cloud_tel.clone());
-    chains
 }
 
 /// Sums the records carried by a batch of terminal messages.
@@ -1767,7 +1845,9 @@ fn records_of(msgs: &[StreamMessage]) -> u64 {
 /// order and layout; [`Outbox::commit`] hands them over. Only a chaos
 /// run replays, so it commits when the cloud seals an epoch and at
 /// the end of the run; every other run commits on emission. Owned by
-/// the coordinator, so its counts survive a crashed cloud thread.
+/// the coordinator, so its counts survive a crashed cloud thread — as
+/// do the cloud's latency histogram and the run's telemetry series,
+/// which the cloud stage records here too.
 struct Outbox<'a> {
     sink: &'a mut dyn Sink,
     /// Chaos runs: a crash may replay emitted rows until a commit.
@@ -1776,6 +1856,14 @@ struct Outbox<'a> {
     held: Vec<StreamMessage>,
     records_out: u64,
     bytes_out: u64,
+    /// The cloud's per-buffer service time: the run's `metrics.latency`.
+    latency: Histogram,
+    /// The run's sampled series and the node snapshots shipped to the
+    /// cloud, over every chain registry in `chains`.
+    sampler: TelemetrySampler,
+    chains: Vec<ChainTelemetry>,
+    /// The run's trace ring, when telemetry is on.
+    trace: Option<Arc<TraceRing>>,
 }
 
 impl<'a> Outbox<'a> {
@@ -1786,6 +1874,10 @@ impl<'a> Outbox<'a> {
             held: Vec::new(),
             records_out: 0,
             bytes_out: 0,
+            latency: Histogram::new(),
+            sampler: TelemetrySampler::new(&TelemetryConfig::default()),
+            chains: Vec::new(),
+            trace: None,
         }
     }
 
@@ -1809,255 +1901,42 @@ impl<'a> Outbox<'a> {
         }
         Ok(())
     }
-}
 
-/// The cloud's fan-in: the [`CloudState`] plus barrier-alignment
-/// bookkeeping (Chandy–Lamport style: once a barrier arrives from one
-/// pipeline, that pipeline's further frames are held back until every
-/// live pipeline has presented the same barrier; the epoch seals at the
-/// aligned cut). Only chaos runs send barriers, so in a fault-free run
-/// alignment never engages and every frame applies as it arrives.
-struct FanIn<'o, 's> {
-    st: CloudState,
-    out: &'o mut Outbox<'s>,
-    in_schema: SchemaRef,
-    wire: WireRegistry,
-    /// The tail's [`tail_wants_columnar`] gate, decided for the phase.
-    columnar: bool,
-    /// Frames held back per pipeline during alignment.
-    held: Vec<VecDeque<Vec<u8>>>,
-    /// The epoch currently aligning, if any.
-    aligning: Option<u64>,
-    /// Pipelines that have presented the aligning barrier.
-    seen: Vec<bool>,
-    /// Chaos runs: where sealed epochs go.
-    store: Option<Arc<CheckpointStore>>,
-    finished: bool,
-}
+    /// Deposits the cloud's part of `epoch` — the tail at the cut, the
+    /// fan-in's `progress`, and what the outbox still owes the sink —
+    /// and commits if that completed the epoch: restore never goes back
+    /// past this cut.
+    fn seal(
+        &mut self,
+        epoch: u64,
+        ops: Vec<Box<dyn Operator>>,
+        progress: ProgressTracker,
+        store: &CheckpointStore,
+    ) -> Result<()> {
+        let part = CloudPart {
+            ops,
+            uncommitted: self.held.clone(),
+            progress,
+            latency: self.latency.clone(),
+        };
+        if store.put_cloud(epoch, part) {
+            self.commit()?;
+        }
+        if let Some(trace) = &self.trace {
+            let detail = format!("epoch {epoch}");
+            trace.push(COORDINATOR_ORIGIN, TraceKind::CheckpointSealed, detail);
+        }
+        Ok(())
+    }
 
-impl FanIn<'_, '_> {
-    /// Routes one in-order payload: held back if its pipeline is past
-    /// the aligning barrier, applied otherwise.
-    fn ingest(&mut self, p: usize, payload: Vec<u8>) -> Result<()> {
-        if self.aligning.is_some() && self.seen[p] {
-            self.held[p].push_back(payload);
-            Ok(())
+    /// Samples the cloud's `gauges`: interval-gated, or `force`d at the
+    /// end of the run.
+    fn sample(&mut self, gauges: &Gauges, force: bool) {
+        let trace = self.trace.as_deref().map(|t| (t, COORDINATOR_ORIGIN));
+        if force {
+            self.sampler.force_sample(gauges, &self.chains, trace);
         } else {
-            self.apply(p, &payload)
-        }
-    }
-
-    /// Applies one decoded frame from pipeline `p` to the cloud.
-    fn apply(&mut self, p: usize, bytes: &[u8]) -> Result<()> {
-        match decode_frame(bytes, &self.in_schema, &self.wire)? {
-            Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
-            Frame::Columnar(tb) => {
-                self.st.tel.records_in += tb.len() as u64;
-                let t0 = Instant::now();
-                let msgs = drive(&mut self.st.ops, received(self.columnar, tb))?;
-                self.st.latency.record(t0.elapsed().as_secs_f64() * 1e6);
-                self.st.tel.records_out += self.out.emit(msgs)?;
-            }
-            Frame::Watermark(w) => {
-                // The tracker owns the fan-in rules: min across live
-                // origins, monotone, silent until every live origin has
-                // reported.
-                let advanced = self.st.progress.advance_origin(p as u64, w);
-                self.emit_frontier(advanced)?;
-            }
-            Frame::Barrier(epoch) => {
-                if self.aligning.is_none() {
-                    self.aligning = Some(epoch);
-                }
-                self.seen[p] = true;
-            }
-            Frame::Eos => {
-                // Removing a finished input can only raise the minimum.
-                let advanced = self.st.progress.finish(p as u64);
-                if self.st.progress.all_done() {
-                    let msgs = drive(&mut self.st.ops, StreamMessage::Eos)?;
-                    self.st.tel.records_out += self.out.emit(msgs)?;
-                    self.finished = true;
-                    return Ok(());
-                }
-                self.emit_frontier(advanced)?;
-            }
-            Frame::Telemetry(snap) => self.st.tel.keep(snap),
-        }
-        Ok(())
-    }
-
-    /// Drives the tail chain with the new global frontier, if the
-    /// tracker reported a strict advance.
-    fn emit_frontier(&mut self, advanced: Option<EventTime>) -> Result<()> {
-        if let Some(c) = advanced {
-            let msgs = drive(&mut self.st.ops, StreamMessage::Watermark(c))?;
-            self.st.tel.records_out += self.out.emit(msgs)?;
-        }
-        Ok(())
-    }
-
-    /// Seals the aligning epoch once every live pipeline has presented
-    /// its barrier (done pipelines are exempt — their streams ended).
-    fn try_align(&mut self) -> Result<bool> {
-        let Some(epoch) = self.aligning else {
-            return Ok(false);
-        };
-        let aligned =
-            (0..self.seen.len()).all(|p| self.seen[p] || self.st.progress.is_done(p as u64));
-        if !aligned {
-            return Ok(false);
-        }
-        let Some(store) = &self.store else {
-            return Err(internal("checkpoint barrier outside a chaos run"));
-        };
-        let complete = store.put_cloud(
-            epoch,
-            CloudPart {
-                ops: snapshot_chain(&self.st.ops)?,
-                uncommitted: self.out.held.clone(),
-                progress: self.st.progress.clone(),
-                latency: self.st.latency.clone(),
-            },
-        );
-        if complete {
-            // Restore never goes back past this cut.
-            self.out.commit()?;
-        }
-        self.st.tel.checkpoint_sealed(epoch);
-        self.aligning = None;
-        self.seen.iter_mut().for_each(|s| *s = false);
-        Ok(true)
-    }
-
-    /// Processes everything currently processable: seals an aligned
-    /// epoch, then replays held-back frames until each pipeline is
-    /// either drained or blocked by the next alignment.
-    fn drain(&mut self) -> Result<()> {
-        loop {
-            if self.finished {
-                return Ok(());
-            }
-            let mut progressed = self.try_align()?;
-            for p in 0..self.held.len() {
-                while !(self.aligning.is_some() && self.seen[p]) {
-                    let Some(payload) = self.held[p].pop_front() else {
-                        break;
-                    };
-                    self.apply(p, &payload)?;
-                    progressed = true;
-                    if self.finished {
-                        return Ok(());
-                    }
-                }
-            }
-            if !progressed {
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Chaos runs: the cloud's resilient end of every pipeline's uplink,
-/// the checkpoint store, and the phase's abort flag.
-struct CloudChaos {
-    rel: Vec<ReliableRx>,
-    store: Arc<CheckpointStore>,
-    abort: Arc<AtomicBool>,
-}
-
-/// The cloud site: fans in every pipeline, min-combines watermarks,
-/// drives the shared tail, and emits results to `out`. A chaos run adds
-/// resilient per-pipeline links, barrier alignment with epoch sealing,
-/// and abort-aware receives (a silently dead upstream cannot hang the
-/// fan-in); a fault-free run reads its plain links directly.
-///
-/// Thread entry point: arguments are moved out of the spawning closure
-/// and owned until the phase ends.
-#[allow(clippy::too_many_arguments, clippy::needless_pass_by_value)]
-fn run_cloud(
-    st: CloudState,
-    in_schema: SchemaRef,
-    rx: Receiver<(usize, Vec<u8>)>,
-    depths: Vec<Arc<AtomicU64>>,
-    wire: WireRegistry,
-    mode: ColumnarMode,
-    mut chaos: Option<CloudChaos>,
-    out: &mut Outbox<'_>,
-) -> Result<CloudState> {
-    let n = st.progress.len();
-    let columnar = tail_wants_columnar(mode, &st.ops);
-    let mut fan = FanIn {
-        st,
-        out,
-        in_schema,
-        wire,
-        columnar,
-        held: (0..n).map(|_| VecDeque::new()).collect(),
-        aligning: None,
-        seen: vec![false; n],
-        store: chaos.as_ref().map(|c| Arc::clone(&c.store)),
-        finished: false,
-    };
-    loop {
-        fan.drain()?;
-        let queue_depth: u64 = depths.iter().map(|d| d.load(Ordering::Relaxed)).sum();
-        fan.st.tel.maybe_sample(&fan.st.progress, queue_depth);
-        if fan.finished {
-            if let Some(CloudChaos { rel, abort, .. }) = &mut chaos {
-                linger(&rx, abort, |(p, raw)| {
-                    depths[p].fetch_sub(1, Ordering::Relaxed);
-                    let _ = rel[p].on_bytes(&raw);
-                    while rel[p].next_buffered().is_some() {}
-                });
-            }
-            return Ok(fan.st);
-        }
-        // A chaos run wakes up to watch the abort flag and heartbeats; a
-        // fault-free one blocks on its plain links until a frame comes.
-        let got = match &chaos {
-            Some(_) => rx.recv_timeout(Duration::from_millis(5)),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match got {
-            Ok((p, raw)) => {
-                depths[p].fetch_sub(1, Ordering::Relaxed);
-                let Some(c) = &mut chaos else {
-                    fan.ingest(p, raw)?;
-                    continue;
-                };
-                if let RxEvent::Payload(payload) = c.rel[p].on_bytes(&raw) {
-                    fan.ingest(p, payload)?;
-                }
-                while let Some(payload) = c.rel[p].next_buffered() {
-                    fan.ingest(p, payload)?;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let Some(c) = &chaos else { continue };
-                if c.abort.load(Ordering::Relaxed) {
-                    return Err(ClusterError::Aborted.into());
-                }
-                // Silent-death backstop: in-process links normally fail
-                // by disconnecting, but a peer wedged with its channel
-                // open (e.g. a link flapped down indefinitely) only
-                // shows up as missing heartbeats.
-                for (p, r) in c.rel.iter().enumerate() {
-                    if !fan.st.progress.is_done(p as u64) {
-                        r.check_liveness(&format!("pipe{p}/uplink"), Duration::from_secs(10))?;
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                let aborted = chaos
-                    .as_ref()
-                    .is_some_and(|c| c.abort.load(Ordering::Relaxed));
-                return Err(if aborted {
-                    ClusterError::Aborted.into()
-                } else {
-                    hung_up("all pipelines")
-                });
-            }
+            self.sampler.maybe_sample(gauges, &self.chains, trace);
         }
     }
 }
@@ -2087,15 +1966,18 @@ struct PhaseIo<'a> {
     wire: &'a WireRegistry,
     accounts: &'a Arc<TrafficAccounts>,
     cloud_node: NodeId,
+    /// The schema of the frames every pipeline delivers to the cloud.
+    cloud_in_schema: &'a SchemaRef,
 }
 
 impl PhaseIo<'_> {
-    /// Builds an accounting sender for a hop `from → to`.
+    /// Builds an accounting sender for a hop `from → to`, sending as
+    /// `slot` on `tx`.
     fn wire_tx(
         &self,
         from: NodeId,
         to: NodeId,
-        target: TxTarget,
+        (tx, slot): (Sender<(usize, Vec<u8>)>, usize),
         depth: Arc<AtomicU64>,
     ) -> Result<WireTx> {
         let path = self
@@ -2113,7 +1995,8 @@ impl PhaseIo<'_> {
             })
             .collect();
         Ok(WireTx {
-            target,
+            tx,
+            slot,
             path,
             accounts: Arc::clone(self.accounts),
             depth,
@@ -2130,20 +2013,30 @@ fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
         .map_or_else(|| p.source.driver.schema().clone(), |o| o.output_schema())
 }
 
-/// Spawns every pipeline's stages and the cloud, and joins everything,
-/// restoring operator state into `pipelines`. Returns the cloud state
-/// and how many threads beyond stage 0 were spawned. Pipelines whose
-/// stream already ended (`eos_sent`) spawn nothing. In chaos mode every
-/// hop gets a fault injector, a resilient link, and a reverse ack
-/// channel, which the cloud's end joins with the checkpoint store.
+/// A joined stage thread's result. [`run_phase`] catches a panic inside
+/// the thread; one that escapes anyway folds into the same error.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
+    handle
+        .join()
+        .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())))
+}
+
+/// Spawns every pipeline's stages and the cloud — the last stage of
+/// every pipeline, fanning them in — and joins everything, restoring
+/// operator state into `pipelines` and `cloud_ops`. Returns how many
+/// threads past stage 0 the pipelines spawned (the cloud's is not
+/// counted). Pipelines whose stream already ended (`eos_sent`) spawn
+/// nothing. In chaos mode every hop gets a fault injector, a resilient
+/// link, and a reverse ack channel, which the cloud's end joins with
+/// the checkpoint store.
 fn run_phase(
     io: &PhaseIo<'_>,
     pipelines: &mut [PipelinePlan],
-    cloud_state: CloudState,
+    cloud_ops: &mut Vec<Box<dyn Operator>>,
+    progress: &mut ProgressTracker,
     out: &mut Outbox<'_>,
-    cloud_in_schema: &SchemaRef,
     chaos: Option<&ChaosRun>,
-) -> Result<(CloudState, usize)> {
+) -> Result<usize> {
     let cap = io.cfg.channel_capacity.max(1);
     let n_pipes = pipelines.len();
     let mut sites_spawned = 0usize;
@@ -2161,12 +2054,26 @@ fn run_phase(
     let doomed_hosted = chaos
         .and_then(|c| c.switch.as_ref())
         .is_some_and(|s| stage_nodes.iter().any(|ns| ns.contains(&s.node)));
+    let tail = std::mem::take(cloud_ops);
 
-    type StageOps = Vec<Vec<Box<dyn Operator>>>;
-    let scoped: Result<(CloudState, Vec<StageOps>)> = std::thread::scope(|scope| {
+    type Chain = Vec<Box<dyn Operator>>;
+    let scoped: Result<(Chain, Vec<Vec<Chain>>)> = std::thread::scope(|scope| {
+        // Every stage thread, the cloud included, starts here: a panic
+        // becomes the typed error the local executor raises for one,
+        // and any failure raises the chaos phase's abort flag.
+        let abort = chaos.map(|c| Arc::clone(&c.abort));
+        let spawn = |ops, input, output, out_schema, stage_chaos, tel| {
+            let (abort, wire) = (abort.clone(), io.wire.clone());
+            scope.spawn(move || {
+                let stage = || run_stage(ops, input, output, out_schema, wire, stage_chaos, tel);
+                let r = catch_unwind(AssertUnwindSafe(stage))
+                    .unwrap_or_else(|payload| Err(panic_error(payload.as_ref())));
+                flag_abort(abort.as_deref(), r)
+            })
+        };
         let (inbox_tx, inbox_rx) = bounded::<(usize, Vec<u8>)>(cap * n_pipes);
         let mut inbox_depths = Vec::with_capacity(n_pipes);
-        // Every stage thread, as (pipe, stage, handle).
+        // Every pipeline stage thread, as (pipe, stage, handle).
         let mut handles = Vec::new();
         // Per-pipeline reverse ack channel for the hop into the cloud
         // (chaos mode only).
@@ -2215,15 +2122,7 @@ fn run_phase(
                         StageInput::Source { src, polled: None }
                     }
                     (Some((rx, depth, ack_tx)), None) => StageInput::Link {
-                        rx: match (chaos, ack_tx) {
-                            (Some(c), Some(ack_tx)) => RxLink::Reliable {
-                                rx,
-                                rel: ReliableRx::new(ack_tx, Arc::clone(&c.stats)),
-                                abort: Arc::clone(&c.abort),
-                            },
-                            _ => RxLink::Plain(rx),
-                        },
-                        depth,
+                        rx: RxLink::new(rx, vec![depth], vec![ack_tx], chaos),
                         schema: in_schema,
                         columnar: tail_wants_columnar(io.cfg.columnar, &ops),
                     },
@@ -2232,14 +2131,14 @@ fn run_phase(
                 let (ack_tx, ack_rx) = chaos.map(|_| bounded::<AckMsg>(cap * 64)).unzip();
                 let (to, target, depth) = match nodes.get(s + 1) {
                     Some(&next) => {
-                        let (tx, rx) = bounded::<Vec<u8>>(cap);
+                        let (tx, rx) = bounded::<(usize, Vec<u8>)>(cap);
                         let depth = Arc::new(AtomicU64::new(0));
                         inbound = Some((rx, Arc::clone(&depth), ack_tx));
-                        (next, TxTarget::Direct(tx), depth)
+                        (next, (tx, 0), depth)
                     }
                     None => {
                         cloud_ack = ack_tx;
-                        let inbox = TxTarget::Inbox(inbox_tx.clone(), p);
+                        let inbox = (inbox_tx.clone(), p);
                         (io.cloud_node, inbox, Arc::clone(&inbox_depth))
                     }
                 };
@@ -2271,16 +2170,9 @@ fn run_phase(
                     origin: p as u64,
                     every: io.cfg.telemetry.sample_every,
                 });
-                let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
-                let wire = io.wire.clone();
-                handles.push((
-                    p,
-                    s,
-                    scope.spawn(move || {
-                        let r = run_stage(ops, input, tx, out_schema, wire, stage_chaos, stage_tel);
-                        flag_abort(abort_flag.as_deref(), r)
-                    }),
-                ));
+                let output = StageOutput::Link(tx);
+                let handle = spawn(ops, input, output, out_schema, stage_chaos, stage_tel);
+                handles.push((p, s, handle));
                 if s > 0 {
                     sites_spawned += 1;
                     if let Some(c) = chaos {
@@ -2293,34 +2185,34 @@ fn run_phase(
             cloud_acks.push(cloud_ack);
         }
 
-        let wire = io.wire.clone();
-        let schema = cloud_in_schema.clone();
-        let cloud_chaos = chaos.map(|c| CloudChaos {
-            rel: cloud_acks
-                .into_iter()
-                .map(|opt| {
-                    // Skipped pipelines get a dead-end ack channel.
-                    let tx = opt.unwrap_or_else(|| bounded::<AckMsg>(1).0);
-                    ReliableRx::new(tx, Arc::clone(&c.stats))
-                })
-                .collect(),
+        let fan = FanIn {
+            rx: RxLink::new(inbox_rx, inbox_depths, cloud_acks, chaos),
+            schema: io.cloud_in_schema.clone(),
+            columnar: tail_wants_columnar(io.cfg.columnar, &tail),
+            progress,
+            aligning: None,
+            seen: vec![false; n_pipes],
+            held: (0..n_pipes).map(|_| VecDeque::new()).collect(),
+        };
+        let cloud_chaos = chaos.map(|c| StageChaos {
             store: Arc::clone(&c.store),
+            pipe: 0,
+            stage: 0,
             abort: Arc::clone(&c.abort),
+            doom: None,
+            doom_name: String::new(),
         });
-        let abort_flag = chaos.map(|c| Arc::clone(&c.abort));
-        let cloud_handle = scope.spawn(move || {
-            let r = run_cloud(
-                cloud_state,
-                schema,
-                inbox_rx,
-                inbox_depths,
-                wire,
-                io.cfg.columnar,
-                cloud_chaos,
-                out,
-            );
-            flag_abort(abort_flag.as_deref(), r)
-        });
+        let out_schema =
+            (tail.last()).map_or_else(|| io.cloud_in_schema.clone(), |o| o.output_schema());
+        let output = StageOutput::Outbox(out);
+        let cloud = spawn(
+            tail,
+            StageInput::FanIn(fan),
+            output,
+            out_schema,
+            cloud_chaos,
+            None,
+        );
         drop(inbox_tx);
 
         // Join everything, keeping the first root cause in later stages
@@ -2336,19 +2228,19 @@ fn run_phase(
                 err = Some(e);
             }
         };
-        let mut all_ops: Vec<StageOps> = (stage_nodes.iter())
+        let mut all_ops: Vec<Vec<Chain>> = (stage_nodes.iter())
             .map(|nodes| nodes.iter().map(|_| Vec::new()).collect())
             .collect();
         let (heads, later): (Vec<_>, Vec<_>) = handles.into_iter().partition(|(_, s, _)| *s == 0);
         for (p, s, handle) in later {
-            all_ops[p][s] = joined(handle, "stage").unwrap_or_else(|e| {
+            all_ops[p][s] = joined(handle).unwrap_or_else(|e| {
                 note(e);
                 Vec::new()
             });
         }
-        let cloud = joined(cloud_handle, "cloud").map_err(&mut note).ok();
+        let tail = joined(cloud).map_err(&mut note).ok();
         for (p, s, handle) in heads {
-            all_ops[p][s] = joined(handle, "stage").unwrap_or_else(|e| {
+            all_ops[p][s] = joined(handle).unwrap_or_else(|e| {
                 note(e);
                 Vec::new()
             });
@@ -2356,11 +2248,12 @@ fn run_phase(
         if let Some(e) = err {
             return Err(e);
         }
-        let state = cloud.ok_or_else(|| internal("cloud thread vanished without an error"))?;
-        Ok((state, all_ops))
+        let tail = tail.ok_or_else(|| internal("cloud thread vanished without an error"))?;
+        Ok((tail, all_ops))
     });
 
-    let (state, all_ops) = scoped?;
+    let (tail, all_ops) = scoped?;
+    *cloud_ops = tail;
     for (pipe, (nodes, ops)) in pipelines
         .iter_mut()
         .zip(stage_nodes.into_iter().zip(all_ops))
@@ -2369,12 +2262,13 @@ fn run_phase(
             .map(|(node, ops)| Stage { node, ops })
             .collect();
     }
-    Ok((state, sites_spawned))
+    Ok(sites_spawned)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::TupleBuffer;
     use crate::ops::OperatorFactory;
     use crate::record::{Record, RecordBuffer};
     use crate::schema::Schema;

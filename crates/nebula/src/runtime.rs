@@ -797,18 +797,8 @@ impl StreamEnvironment {
             &tels,
             Some((&trace, COORDINATOR_ORIGIN)),
         );
-        self.report = tel_on.then(|| {
-            build_report(
-                mode.name(),
-                &metrics,
-                &tels,
-                sampler,
-                &trace,
-                Vec::new(),
-                0,
-                warnings,
-            )
-        });
+        self.report =
+            tel_on.then(|| build_report(mode.name(), &metrics, &tels, sampler, &trace, warnings));
         Ok(metrics)
     }
 }
@@ -1126,7 +1116,7 @@ impl Pool<'_> {
 }
 
 /// The typed error a caught panic becomes.
-fn panic_error(payload: &(dyn Any + Send)) -> NebulaError {
+pub(crate) fn panic_error(payload: &(dyn Any + Send)) -> NebulaError {
     let msg = payload
         .downcast_ref::<&str>()
         .copied()

@@ -641,7 +641,8 @@ impl TelemetrySample {
 /// [`TraceKind::BackpressureStall`] events. Owned by whichever thread
 /// drives the mode's main loop; call [`TelemetrySampler::maybe_sample`]
 /// once per batch and [`TelemetrySampler::force_sample`] at the end so
-/// even sub-interval runs record one point.
+/// even sub-interval runs record one point. In the cluster modes it
+/// also retains the [`NodeSnapshot`]s the nodes ship to the cloud.
 pub struct TelemetrySampler {
     enabled: bool,
     every: Duration,
@@ -653,6 +654,9 @@ pub struct TelemetrySampler {
     last_stalls: u64,
     samples: VecDeque<TelemetrySample>,
     dropped: u64,
+    max_snapshots: usize,
+    snapshots: VecDeque<NodeSnapshot>,
+    snapshots_dropped: u64,
 }
 
 impl TelemetrySampler {
@@ -670,7 +674,20 @@ impl TelemetrySampler {
             last_stalls: 0,
             samples: VecDeque::new(),
             dropped: 0,
+            max_snapshots: cfg.max_node_snapshots.max(1),
+            snapshots: VecDeque::new(),
+            snapshots_dropped: 0,
         }
+    }
+
+    /// Retains a node snapshot under the configured bound (oldest out
+    /// first).
+    pub(crate) fn keep_snapshot(&mut self, snap: NodeSnapshot) {
+        if self.snapshots.len() >= self.max_snapshots {
+            self.snapshots.pop_front();
+            self.snapshots_dropped += 1;
+        }
+        self.snapshots.push_back(snap);
     }
 
     /// Takes a sample if the configured interval elapsed. `trace`, when
@@ -921,17 +938,16 @@ impl QueryReport {
 
 /// Assembles a [`QueryReport`] from the pieces each execution mode
 /// holds at the end of a run.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_report(
     mode: &str,
     metrics: &QueryMetrics,
     chains: &[ChainTelemetry],
-    sampler: TelemetrySampler,
+    mut sampler: TelemetrySampler,
     trace: &TraceRing,
-    node_snapshots: Vec<NodeSnapshot>,
-    snapshots_dropped: u64,
     analysis: Vec<crate::analysis::Diagnostic>,
 ) -> QueryReport {
+    let node_snapshots = std::mem::take(&mut sampler.snapshots).into();
+    let snapshots_dropped = sampler.snapshots_dropped;
     let (samples, samples_dropped) = sampler.into_series();
     let (events, events_dropped) = trace.snapshot();
     QueryReport {
@@ -1100,8 +1116,6 @@ mod tests {
             &[tel],
             sampler,
             &ring,
-            Vec::new(),
-            0,
             Vec::new(),
         );
         let text = report.render();

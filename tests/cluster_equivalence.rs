@@ -1753,3 +1753,149 @@ fn cluster_cloud_only_chain_telescopes() {
         "cloud-only chain tail produced the delivered records"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Link traffic: fault-free placed runs move the same frames every time
+// ---------------------------------------------------------------------------
+
+/// `(frames, records, bytes)` over one link.
+type Traffic = (u64, u64, u64);
+
+/// Per-link `(frames, records, bytes)` of one telemetry-free placed run
+/// over `trains` trains (each hosting its `train % trains` slice of the
+/// stream), then the uplink's `(frames, records, bytes)`.
+fn link_traffic(
+    query: &Query,
+    strategy: PlacementStrategy,
+    trains: usize,
+) -> (Vec<Traffic>, Traffic) {
+    let (topo, sensors) = Topology::train_fleet(trains);
+    let mut env = ClusterEnvironment::with_config(
+        topo,
+        ClusterConfig {
+            buffer_size: 32,
+            watermark_every: 2,
+            telemetry: TelemetryConfig {
+                enabled: false,
+                ..TelemetryConfig::default()
+            },
+            ..ClusterConfig::default()
+        },
+    );
+    for (t, sensor) in sensors.iter().enumerate() {
+        let slice: Vec<Record> = records()
+            .into_iter()
+            .filter(|r| r.get(1).unwrap().as_int().unwrap() as usize % trains == t)
+            .collect();
+        env.add_source(
+            "s",
+            *sensor,
+            Box::new(VecSource::new(schema(), slice)),
+            generous_watermark(),
+        );
+    }
+    let (mut sink, _) = CollectingSink::new();
+    let report = env
+        .run_placed(query, strategy, &mut sink)
+        .unwrap_or_else(|e| panic!("{strategy:?}/{trains} trains: {e}"));
+    let c = &report.cluster;
+    let links = c.links.iter().map(|l| (l.frames, l.records, l.bytes));
+    (
+        links.collect(),
+        (c.uplink_frames, c.uplink_records, c.uplink_bytes),
+    )
+}
+
+/// Every fault-free cell's link traffic: `(query, strategy, trains,
+/// per-link traffic, uplink traffic)`. Links follow
+/// `Topology::train_fleet`: per train, the edge → cloud uplink, then the
+/// sensor → edge bus.
+const PINNED_TRAFFIC: [(&str, PlacementStrategy, usize, &[Traffic], Traffic); 8] = {
+    use PlacementStrategy::{CloudOnly, EdgeFirst};
+    const RAW_1: Traffic = (29, 600, 19_569);
+    const RAW_2: Traffic = (13, 240, 7_841);
+    const RAW_3: Traffic = (7, 120, 3_923);
+    [
+        (
+            "filter",
+            EdgeFirst,
+            1,
+            &[(29, 297, 9_873); 2],
+            (29, 297, 9_873),
+        ),
+        (
+            "filter",
+            EdgeFirst,
+            3,
+            &[
+                (13, 118, 3_937),
+                (13, 118, 3_937),
+                (13, 120, 4_001),
+                (13, 120, 4_001),
+                (7, 59, 1_971),
+                (7, 59, 1_971),
+            ],
+            (33, 297, 9_909),
+        ),
+        ("filter", CloudOnly, 1, &[RAW_1; 2], RAW_1),
+        (
+            "filter",
+            CloudOnly,
+            3,
+            &[RAW_2, RAW_2, RAW_2, RAW_2, RAW_3, RAW_3],
+            (33, 600, 19_605),
+        ),
+        (
+            "window",
+            EdgeFirst,
+            1,
+            &[(19, 50, 3_066), RAW_1],
+            (19, 50, 3_066),
+        ),
+        (
+            "window",
+            EdgeFirst,
+            3,
+            &[
+                (10, 20, 1_257),
+                RAW_2,
+                (10, 20, 1_257),
+                RAW_2,
+                (6, 10, 639),
+                RAW_3,
+            ],
+            (26, 50, 3_153),
+        ),
+        ("window", CloudOnly, 1, &[RAW_1; 2], RAW_1),
+        (
+            "window",
+            CloudOnly,
+            3,
+            &[RAW_2, RAW_2, RAW_2, RAW_2, RAW_3, RAW_3],
+            (33, 600, 19_605),
+        ),
+    ]
+};
+
+#[test]
+fn fault_free_link_traffic_is_pinned() {
+    // Without faults or telemetry snapshots, the frames every hop sends
+    // are a function of the plan and the feed: each stage forwards
+    // every frame its operators hand it, repeated watermarks included.
+    // A hop that drops, merges or adds frames moves these counts.
+    let filter = Query::from("s").filter(col("speed").ge(lit(40.0)));
+    let window = splittable_window_query();
+    for (name, strategy, trains, links, uplink) in PINNED_TRAFFIC {
+        let q = if name == "filter" { &filter } else { &window };
+        let (got_links, got_uplink) = link_traffic(q, strategy, trains);
+        let cell = format!("{name}/{strategy:?}/{trains} train(s)");
+        assert_eq!(
+            got_links, links,
+            "{cell}: per-link (frames, records, bytes)"
+        );
+        assert_eq!(
+            got_uplink, uplink,
+            "{cell}: uplink (frames, records, bytes)"
+        );
+    }
+}

@@ -4,7 +4,9 @@
 //! gives up with an `Io` error naming its origin instead of ending the
 //! stream early), `Sink::consume` erring at its third call,
 //! `Sink::finish` erring, and an operator erring mid-stream must each
-//! come back as the typed error it raised — under `EdgeFirst`
+//! come back as the typed error it raised, and an operator or
+//! `Sink::consume` panicking as the `Eval` error carrying the panic
+//! message, as in `local_failures` — under `EdgeFirst`
 //! and `CloudOnly`, on a stateless and a keyed-window plan, through
 //! `run_placed` and through `run_placed_chaos` with an empty fault plan
 //! (resilient links, barriers and commit-on-checkpoint, no injected
@@ -57,8 +59,12 @@ enum Failure {
     SourceIdle,
     /// An operator's expression errs on the row carrying `POISON`.
     Operator,
+    /// An operator's expression panics on the row carrying `POISON`.
+    OperatorPanic,
     /// `Sink::consume` errs on its k-th call.
     SinkConsume(usize),
+    /// `Sink::consume` panics on its k-th call.
+    SinkPanic(usize),
     SinkFinish,
 }
 
@@ -70,8 +76,23 @@ impl Failure {
                 NebulaError::Io("source of origin 0 stayed idle for more than 100000 polls".into())
             }
             Failure::Operator => NebulaError::Eval(format!("trip: refused {POISON}")),
+            Failure::OperatorPanic => {
+                NebulaError::Eval(format!("task panicked: explode: refused {POISON}"))
+            }
             Failure::SinkConsume(k) => NebulaError::Io(format!("sink refused call {k}")),
+            Failure::SinkPanic(k) => {
+                NebulaError::Eval(format!("task panicked: sink exploded at call {k}"))
+            }
             Failure::SinkFinish => NebulaError::Io("sink failed to finish".into()),
+        }
+    }
+
+    /// The registry function this failure puts in the plan's filter.
+    fn operator(self) -> Option<&'static str> {
+        match self {
+            Failure::Operator => Some("trip"),
+            Failure::OperatorPanic => Some("explode"),
+            _ => None,
         }
     }
 }
@@ -125,6 +146,7 @@ impl Source for FailingSource {
 struct FailingSink {
     calls: usize,
     fail_at: Option<usize>,
+    panic_at: Option<usize>,
     fail_finish: bool,
 }
 
@@ -133,6 +155,9 @@ impl Sink for FailingSink {
         self.calls += 1;
         if Some(self.calls) == self.fail_at {
             return Err(Failure::SinkConsume(self.calls).error());
+        }
+        if Some(self.calls) == self.panic_at {
+            panic!("sink exploded at call {}", self.calls);
         }
         Ok(())
     }
@@ -175,6 +200,17 @@ fn env_polling(failure: Option<Failure>, buffer_size: usize) -> ClusterEnvironme
             },
         ))
         .expect("trip registers once");
+    env.registry_mut()
+        .register(ClosureFunction::new(
+            "explode",
+            1,
+            DataType::Int,
+            |args| match &args[0] {
+                Value::Int(v) if *v == POISON => panic!("explode: refused {POISON}"),
+                other => Ok(other.clone()),
+            },
+        ))
+        .expect("explode registers once");
     env.add_source(
         "s",
         sensors[0],
@@ -191,16 +227,14 @@ fn env_polling(failure: Option<Failure>, buffer_size: usize) -> ClusterEnvironme
     env
 }
 
-/// `trips` routes one column through the erring call; without it the
-/// plan cannot fail by itself. The window plan trips *behind* the
-/// window, on the one output row whose minimum is `POISON`.
-fn query(plan: Plan, trips: bool) -> Query {
-    let through = |column: &str| {
-        if trips {
-            call("trip", vec![col(column)])
-        } else {
-            col(column)
-        }
+/// `trip` names the failing function to route one column through;
+/// without one the plan cannot fail by itself. The window plan trips
+/// *behind* the window, on the one output row whose minimum is
+/// `POISON`.
+fn query(plan: Plan, trip: Option<&str>) -> Query {
+    let through = |column: &str| match trip {
+        Some(f) => call(f, vec![col(column)]),
+        None => col(column),
     };
     match plan {
         Plan::Stateless => Query::from("s")
@@ -256,7 +290,9 @@ fn every_failure_returns_its_typed_error_in_every_cell() {
         Failure::SourcePoll(300),
         Failure::SourceIdle,
         Failure::Operator,
+        Failure::OperatorPanic,
         Failure::SinkConsume(3),
+        Failure::SinkPanic(3),
         Failure::SinkFinish,
     ];
     for entry in [Entry::Placed, Entry::ChaosNoFaults] {
@@ -270,10 +306,14 @@ fn every_failure_returns_its_typed_error_in_every_cell() {
                                 Failure::SinkConsume(k) => Some(k),
                                 _ => None,
                             },
+                            panic_at: match failure {
+                                Failure::SinkPanic(k) => Some(k),
+                                _ => None,
+                            },
                             fail_finish: matches!(failure, Failure::SinkFinish),
                             ..FailingSink::default()
                         };
-                        let q = query(plan, matches!(failure, Failure::Operator));
+                        let q = query(plan, failure.operator());
                         run_in(entry, strategy, &q, Some(failure), &mut sink)
                             .map(|report| report.metrics)
                     });
@@ -295,7 +335,7 @@ fn healthy_run_of_the_same_table_succeeds() {
                 let cell = format!("{entry:?} x {strategy:?} x {plan:?}");
                 let (calls, m) = within_deadline(&cell, move || {
                     let mut sink = FailingSink::default();
-                    let report = run_in(entry, strategy, &query(plan, false), None, &mut sink);
+                    let report = run_in(entry, strategy, &query(plan, None), None, &mut sink);
                     (sink.calls, report.map(|report| report.metrics))
                 });
                 let m = m.unwrap_or_else(|e| panic!("{cell}: {e}"));
@@ -319,7 +359,7 @@ fn zero_buffer_size_reads_as_one_when_placed() {
             let m = within_deadline(&cell, move || {
                 let mut sink = FailingSink::default();
                 env_polling(None, 0)
-                    .run_placed(&query(plan, false), strategy, &mut sink)
+                    .run_placed(&query(plan, None), strategy, &mut sink)
                     .map(|report| report.metrics)
             })
             .unwrap_or_else(|e| panic!("{cell}: {e}"));
