@@ -27,8 +27,9 @@
 use crate::values::as_point;
 use meos::geo::{Geometry, Metric, Point};
 use nebula::prelude::{
-    call, col, lit, AggSpec, ClosureFunction, DataType, Expr, FunctionRegistry, Pattern,
-    PatternStep, Plugin, Query, Value, WindowAgg, WindowSpec, MICROS_PER_SEC,
+    call, col, invoke_rows, lit, AggSpec, ClosureFunction, Column, ColumnArg, DataType, Expr,
+    FunctionRegistry, Pattern, PatternStep, Plugin, Query, ScalarFunction, Value, WindowAgg,
+    WindowSpec, MICROS_PER_SEC,
 };
 use std::sync::Arc;
 
@@ -104,9 +105,167 @@ type BoxedGeom = ((f64, f64, f64, f64), Geometry);
 /// A bbox-pruned geometry carrying its speed limit (km/h).
 type BoxedLimitedGeom = ((f64, f64, f64, f64), Geometry, f64);
 
+/// True iff `p` lies in `g`, tested only inside `g`'s bbox.
+fn boxed_contains(&(x0, y0, x1, y1): &(f64, f64, f64, f64), g: &Geometry, p: &Point) -> bool {
+    p.x >= x0 && p.x <= x1 && p.y >= y0 && p.y <= y1 && g.contains(p, Metric::Haversine)
+}
+
+/// The result of a [`PointFunction`] body: one row of its typed output
+/// column.
+trait PointOutput: Sized {
+    /// The declared return type.
+    const TYPE: DataType;
+    /// The row call's boxed result.
+    fn value(self) -> Value;
+    /// The typed, null-free column of a kernel's results.
+    fn column(rows: impl ExactSizeIterator<Item = Self>) -> Column;
+}
+
+impl PointOutput for bool {
+    const TYPE: DataType = DataType::Bool;
+    fn value(self) -> Value {
+        Value::Bool(self)
+    }
+    fn column(rows: impl ExactSizeIterator<Item = Self>) -> Column {
+        Column::Bool {
+            data: rows.collect(),
+            validity: None,
+        }
+    }
+}
+
+impl PointOutput for f64 {
+    const TYPE: DataType = DataType::Float;
+    fn value(self) -> Value {
+        Value::Float(self)
+    }
+    fn column(rows: impl ExactSizeIterator<Item = Self>) -> Column {
+        Column::Float {
+            data: rows.collect(),
+            validity: None,
+        }
+    }
+}
+
+impl PointOutput for Arc<str> {
+    const TYPE: DataType = DataType::Text;
+    fn value(self) -> Value {
+        Value::Text(self)
+    }
+    fn column(rows: impl ExactSizeIterator<Item = Self>) -> Column {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0u32);
+        let mut arena = Vec::new();
+        for s in rows {
+            arena.extend_from_slice(s.as_bytes());
+            offsets.push(arena.len() as u32);
+        }
+        Column::Text {
+            arena,
+            offsets,
+            validity: None,
+        }
+    }
+}
+
+/// A context function of a point — and, when `timed`, of a timestamp
+/// that reads null as 0 — with one per-point `body` behind both the row
+/// call and a typed kernel. The kernel reads a null-free
+/// [`Column::Point`]'s coordinate planes (and a null-free
+/// [`Column::Timestamp`]) straight into the output column; any other
+/// argument shape — a validity mask, boxed [`Column::Values`], a
+/// literal — goes through [`invoke_rows`], so a null position fails
+/// exactly as the row call does.
+struct PointFunction<F> {
+    name: &'static str,
+    timed: bool,
+    body: F,
+}
+
+impl<O, F> PointFunction<F>
+where
+    O: PointOutput + 'static,
+    F: Fn(&Point, i64) -> O + Send + Sync + 'static,
+{
+    /// An untimed function of one point.
+    fn untimed(name: &'static str, body: F) -> Arc<dyn ScalarFunction> {
+        Arc::new(PointFunction {
+            name,
+            timed: false,
+            body,
+        })
+    }
+
+    /// A function of a point and a timestamp.
+    fn timed(name: &'static str, body: F) -> Arc<dyn ScalarFunction> {
+        Arc::new(PointFunction {
+            name,
+            timed: true,
+            body,
+        })
+    }
+}
+
+impl<O, F> ScalarFunction for PointFunction<F>
+where
+    O: PointOutput,
+    F: Fn(&Point, i64) -> O + Send + Sync,
+{
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn min_args(&self) -> usize {
+        1 + usize::from(self.timed)
+    }
+
+    fn return_type(&self, _: &[DataType]) -> nebula::Result<DataType> {
+        Ok(O::TYPE)
+    }
+
+    fn invoke(&self, args: &[Value]) -> nebula::Result<Value> {
+        let p = as_point(&args[0])?;
+        let t = match args.get(1) {
+            Some(t) if self.timed => t.as_timestamp().unwrap_or(0),
+            _ => 0,
+        };
+        Ok((self.body)(&p, t).value())
+    }
+
+    fn invoke_columnar(
+        &self,
+        args: &[ColumnArg<'_>],
+        ret: DataType,
+        rows: usize,
+    ) -> nebula::Result<Column> {
+        let (xs, ys) = match args.first() {
+            Some(ColumnArg::Column(Column::Point {
+                xs,
+                ys,
+                validity: None,
+            })) => (xs, ys),
+            _ => return invoke_rows(self, args, ret, rows),
+        };
+        let points = xs.iter().zip(ys).map(|(&x, &y)| Point::new(x, y));
+        if !self.timed {
+            return Ok(O::column(points.map(|p| (self.body)(&p, 0))));
+        }
+        match args.get(1) {
+            Some(ColumnArg::Column(Column::Timestamp {
+                data,
+                validity: None,
+            })) => Ok(O::column(
+                points.zip(data).map(|(p, &t)| (self.body)(&p, t)),
+            )),
+            _ => invoke_rows(self, args, ret, rows),
+        }
+    }
+}
+
+/// Registers `name(pos)`: is `pos` inside any of `geoms`?
 fn register_containment(
     reg: &mut FunctionRegistry,
-    name: &str,
+    name: &'static str,
     geoms: Vec<Geometry>,
 ) -> nebula::Result<()> {
     // Precomputed bboxes for pruning.
@@ -114,16 +273,8 @@ fn register_containment(
         .into_iter()
         .map(|g| (g.bbox(Metric::Haversine), g))
         .collect();
-    reg.register(ClosureFunction::new(name, 1, DataType::Bool, move |args| {
-        let p = as_point(&args[0])?;
-        let inside = boxed.iter().any(|((x0, y0, x1, y1), g)| {
-            p.x >= *x0
-                && p.x <= *x1
-                && p.y >= *y0
-                && p.y <= *y1
-                && g.contains(&p, Metric::Haversine)
-        });
-        Ok(Value::Bool(inside))
+    reg.register(PointFunction::untimed(name, move |p, _| {
+        boxed.iter().any(|(b, g)| boxed_contains(b, g, p))
     }))
 }
 
@@ -161,61 +312,38 @@ impl Plugin for DemoContext {
             .iter()
             .map(|(_, g, l)| (g.bbox(Metric::Haversine), g.clone(), *l))
             .collect();
-        reg.register(ClosureFunction::new(
-            "risk_speed_limit",
-            1,
-            DataType::Float,
-            move |args| {
-                let p = as_point(&args[0])?;
-                let mut limit = 999.0f64;
-                for ((x0, y0, x1, y1), g, l) in &risk {
-                    if p.x >= *x0
-                        && p.x <= *x1
-                        && p.y >= *y0
-                        && p.y <= *y1
-                        && g.contains(&p, Metric::Haversine)
-                    {
-                        limit = limit.min(*l);
-                    }
-                }
-                Ok(Value::Float(limit))
-            },
-        ))?;
+        reg.register(PointFunction::untimed("risk_speed_limit", move |p, _| {
+            risk.iter()
+                .filter(|(b, g, _)| boxed_contains(b, g, p))
+                .fold(999.0f64, |limit, (_, _, l)| limit.min(*l))
+        }))?;
 
         // Nearest workshop distance / name.
-        let shops: Vec<(String, Geometry)> = z.workshops.clone();
-        let shops2 = shops.clone();
-        reg.register(ClosureFunction::new(
-            "nearest_workshop_m",
-            1,
-            DataType::Float,
-            move |args| {
-                let p = as_point(&args[0])?;
-                let d = shops
-                    .iter()
-                    .map(|(_, g)| g.distance_to_point(&p, Metric::Haversine))
-                    .fold(f64::INFINITY, f64::min);
-                Ok(Value::Float(d))
-            },
-        ))?;
-        reg.register(ClosureFunction::new(
+        let shops: Vec<Geometry> = z.workshops.iter().map(|(_, g)| g.clone()).collect();
+        reg.register(PointFunction::untimed("nearest_workshop_m", move |p, _| {
+            shops
+                .iter()
+                .map(|g| g.distance_to_point(p, Metric::Haversine))
+                .fold(f64::INFINITY, f64::min)
+        }))?;
+        let named: Vec<(Arc<str>, Geometry)> = z
+            .workshops
+            .iter()
+            .map(|(n, g)| (Arc::from(n.as_str()), g.clone()))
+            .collect();
+        let none: Arc<str> = Arc::from("");
+        reg.register(PointFunction::untimed(
             "nearest_workshop_name",
-            1,
-            DataType::Text,
-            move |args| {
-                let p = as_point(&args[0])?;
+            move |p, _| {
                 // NaN distances (a NaN position) are skipped, as the
                 // `f64::min` fold of `nearest_workshop_m` skips them, so
                 // the name and the distance always agree.
-                let best = shops2
+                named
                     .iter()
-                    .map(|(n, g)| (n, g.distance_to_point(&p, Metric::Haversine)))
+                    .map(|(n, g)| (n, g.distance_to_point(p, Metric::Haversine)))
                     .filter(|(_, d)| !d.is_nan())
-                    .min_by(|a, b| a.1.total_cmp(&b.1));
-                Ok(match best {
-                    Some((n, _)) => Value::text(n.clone()),
-                    None => Value::text(""),
-                })
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .map_or_else(|| none.clone(), |(n, _)| n.clone())
             },
         ))?;
 
@@ -223,16 +351,9 @@ impl Plugin for DemoContext {
         match &self.weather {
             Some(w) => {
                 let w = w.clone();
-                reg.register(ClosureFunction::new(
-                    "weather_speed_factor",
-                    2,
-                    DataType::Float,
-                    move |args| {
-                        let p = as_point(&args[0])?;
-                        let t = args[1].as_timestamp().unwrap_or(0);
-                        Ok(Value::Float(w.speed_factor(p, t)))
-                    },
-                ))?;
+                reg.register(PointFunction::timed("weather_speed_factor", move |p, t| {
+                    w.speed_factor(*p, t)
+                }))?;
             }
             None => {
                 reg.register(ClosureFunction::new(

@@ -9,20 +9,26 @@
 //! predicate truth (`as_bool().unwrap_or(false)`).
 
 use super::eval::eval_binary;
-use super::{BinOp, BoundExpr, UnOp};
+use super::{BinOp, BoundExpr, ColumnArg, UnOp};
 use crate::buffer::{Column, ColumnBuilder, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::value::Value;
 use std::borrow::Cow;
 
 impl BoundExpr {
-    /// True iff evaluating this expression over a column actually runs
-    /// a vectorized kernel somewhere — i.e. the tree is not *entirely*
-    /// per-row work. [`BoundExpr::eval_column`] falls back to scalar
-    /// invocation for [`BoundExpr::Call`] nodes, so a chain head whose
-    /// expressions are pure calls (e.g. an opaque-geometry predicate)
-    /// gains nothing from columnar input and should not ask the source
-    /// to transpose for it.
+    /// True iff evaluating this expression over a column runs an engine
+    /// kernel somewhere — i.e. the tree is not *entirely* calls.
+    /// [`BoundExpr::eval_column`] hands a [`BoundExpr::Call`] node to
+    /// [`super::ScalarFunction::invoke_columnar`], which is a typed
+    /// kernel for some functions and argument shapes and the per-row
+    /// `invoke` loop for the rest; which one runs is known only per
+    /// buffer, so a call counts as per-row work here. Two rules read
+    /// this: a chain head whose expressions are pure calls (e.g. an
+    /// opaque-geometry predicate) does not ask the source to transpose
+    /// for it, and the right side of an `And`/`Or` that is a call runs
+    /// only on the rows its left side leaves undecided (a zone test
+    /// behind a selective speed test runs on the few rows that pass
+    /// it), not over the whole buffer.
     pub fn vectorizes(&self) -> bool {
         match self {
             BoundExpr::Literal(_) | BoundExpr::Column(_) => true,
@@ -148,31 +154,15 @@ impl BoundExpr {
                 }
             }
             BoundExpr::Call { func, args, ret } => {
-                // Vector-evaluate the arguments, then invoke per row with
-                // a reused scratch vector: the argument subtrees get the
-                // batched kernels even though the call itself is scalar.
-                // Literal arguments are written to the scratch once.
+                // Vector-evaluate the arguments, then hand the function
+                // the whole buffer: a typed kernel where it has one, the
+                // per-row `invoke` loop otherwise.
                 let mut operands = Vec::with_capacity(args.len());
                 for a in args {
                     operands.push(a.eval_operand(buf)?);
                 }
-                let mut scratch: Vec<Value> = operands
-                    .iter()
-                    .map(|o| match o {
-                        Operand::Scalar(v) => (*v).clone(),
-                        Operand::Col(_) => Value::Null,
-                    })
-                    .collect();
-                let mut out = Column::with_type(*ret, n);
-                for row in 0..n {
-                    for (slot, o) in scratch.iter_mut().zip(&operands) {
-                        if let Operand::Col(c) = o {
-                            *slot = c.value_at(row);
-                        }
-                    }
-                    out.push(&func.invoke(&scratch)?);
-                }
-                Ok(Operand::owned(out))
+                let args: Vec<ColumnArg<'_>> = operands.iter().map(Operand::as_arg).collect();
+                func.invoke_columnar(&args, *ret, n).map(Operand::owned)
             }
         }
     }
@@ -249,6 +239,14 @@ impl<'a> Operand<'a> {
                 }
                 c
             }
+        }
+    }
+
+    /// The argument view a function's columnar call reads.
+    fn as_arg(&self) -> ColumnArg<'_> {
+        match self {
+            Operand::Col(c) => ColumnArg::Column(c),
+            Operand::Scalar(v) => ColumnArg::Literal(v),
         }
     }
 

@@ -15,7 +15,9 @@ mod registry;
 pub(crate) use binder::Binder;
 pub use builtins::register_builtins;
 pub use eval::BoundExpr;
-pub use registry::{ClosureFunction, FunctionRegistry, Plugin, ScalarFunction};
+pub use registry::{
+    invoke_rows, ClosureFunction, ColumnArg, FunctionRegistry, Plugin, ScalarFunction,
+};
 
 use crate::analysis::Code;
 use crate::error::Result;

@@ -6,12 +6,29 @@
 //! [`ScalarFunction`]s, making new operations available to every query
 //! without engine changes.
 
+use crate::buffer::Column;
 use crate::error::{NebulaError, Result};
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A scalar function callable from expressions.
+///
+/// [`ScalarFunction::invoke`] is the definition: one call, one row.
+/// The columnar evaluator calls [`ScalarFunction::invoke_columnar`]
+/// once per buffer instead; its default runs [`invoke_rows`], the
+/// `invoke`-per-row loop, so a function that implements only `invoke`
+/// behaves exactly as the row path does. Override it when the
+/// function's body can read typed argument columns directly (a point
+/// function over the `xs`/`ys` planes of a [`Column::Point`]): a typed
+/// loop skips building a [`Value`] per argument and per result, which
+/// for a cheap body is most of the per-row cost. The contract is the
+/// row loop's result: the same values at every row, laid out so
+/// `value_at` reads them back, and an error wherever the loop would
+/// fail. The simple way to keep it is to handle only the argument
+/// shapes the kernel cannot get wrong (typically null-free typed
+/// columns) and to hand everything else — validity masks, boxed
+/// [`Column::Values`], literals — to [`invoke_rows`].
 pub trait ScalarFunction: Send + Sync {
     /// Registry key (lower-case by convention).
     fn name(&self) -> &str;
@@ -25,6 +42,57 @@ pub trait ScalarFunction: Send + Sync {
     fn return_type(&self, arg_types: &[DataType]) -> Result<DataType>;
     /// Evaluates the function.
     fn invoke(&self, args: &[Value]) -> Result<Value>;
+    /// Evaluates the function at each of `rows` rows of evaluated
+    /// arguments, into a column laid out for `ret` (the return type
+    /// bound for the call). Defaults to [`invoke_rows`]; see the trait
+    /// documentation for when to override it and what an override must
+    /// keep.
+    fn invoke_columnar(
+        &self,
+        args: &[ColumnArg<'_>],
+        ret: DataType,
+        rows: usize,
+    ) -> Result<Column> {
+        invoke_rows(self, args, ret, rows)
+    }
+}
+
+/// One evaluated argument of a columnar call.
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnArg<'a> {
+    /// One value per row.
+    Column(&'a Column),
+    /// The same value at every row.
+    Literal(&'a Value),
+}
+
+/// Evaluates `func` one [`ScalarFunction::invoke`] per row, with a
+/// reused argument vector into which literals are written once: the
+/// default [`ScalarFunction::invoke_columnar`] and the fallback of every
+/// override. Fails at the first row whose call fails.
+pub fn invoke_rows<F: ScalarFunction + ?Sized>(
+    func: &F,
+    args: &[ColumnArg<'_>],
+    ret: DataType,
+    rows: usize,
+) -> Result<Column> {
+    let mut scratch: Vec<Value> = args
+        .iter()
+        .map(|a| match a {
+            ColumnArg::Literal(v) => (*v).clone(),
+            ColumnArg::Column(_) => Value::Null,
+        })
+        .collect();
+    let mut out = Column::with_type(ret, rows);
+    for row in 0..rows {
+        for (slot, a) in scratch.iter_mut().zip(args) {
+            if let ColumnArg::Column(c) = a {
+                *slot = c.value_at(row);
+            }
+        }
+        out.push(&func.invoke(&scratch)?);
+    }
+    Ok(out)
 }
 
 /// Boxed return-type inference function.

@@ -135,7 +135,8 @@ pub mod prelude {
     };
     pub use crate::error::{ClusterError, NebulaError, Result};
     pub use crate::expr::{
-        call, col, lit, BoundExpr, ClosureFunction, Expr, FunctionRegistry, Plugin, ScalarFunction,
+        call, col, invoke_rows, lit, BoundExpr, ClosureFunction, ColumnArg, Expr, FunctionRegistry,
+        Plugin, ScalarFunction,
     };
     pub use crate::metrics::{Histogram, QueryMetrics};
     pub use crate::ops::{

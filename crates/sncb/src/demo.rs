@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 impl WeatherProvider for WeatherField {
     fn speed_factor(&self, pos: Point, t_micros: i64) -> f64 {
-        self.sample(&pos, TimestampTz::from_micros(t_micros))
+        self.condition_at(&pos, TimestampTz::from_micros(t_micros))
             .speed_factor()
     }
 }

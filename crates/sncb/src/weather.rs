@@ -53,7 +53,15 @@ impl WeatherSample {
     /// The demo's recommended speed factor under this condition
     /// (1.0 = no restriction).
     pub fn speed_factor(&self) -> f64 {
-        match self.condition() {
+        self.condition().speed_factor()
+    }
+}
+
+impl WeatherCondition {
+    /// The demo's recommended speed factor under this condition
+    /// (1.0 = no restriction).
+    pub fn speed_factor(self) -> f64 {
+        match self {
             WeatherCondition::Clear => 1.0,
             WeatherCondition::HeavyRain => 0.8,
             WeatherCondition::HeavySnow => 0.6,
@@ -95,6 +103,16 @@ impl WeatherField {
     fn noise(&self, channel: u64, x: f64, y: f64, t: f64) -> f64 {
         let seed = self.seed ^ channel.wrapping_mul(0xA24BAED4963EE407);
         let (xi, yi, ti) = (x.floor() as i64, y.floor() as i64, t.floor() as i64);
+        // Neighbours wrap: an infinite coordinate saturates to
+        // `i64::MAX`, whose `+ 1` must not panic.
+        let corner = |dx: i64, dy: i64, dt: i64| {
+            hash3(
+                seed,
+                xi.wrapping_add(dx),
+                yi.wrapping_add(dy),
+                ti.wrapping_add(dt),
+            )
+        };
         let (xf, yf, tf) = (
             smooth(x - x.floor()),
             smooth(y - y.floor()),
@@ -104,7 +122,7 @@ impl WeatherField {
         for (dx, wx) in [(0, 1.0 - xf), (1, xf)] {
             for (dy, wy) in [(0, 1.0 - yf), (1, yf)] {
                 for (dt, wt) in [(0, 1.0 - tf), (1, tf)] {
-                    acc += wx * wy * wt * hash3(seed, xi + dx, yi + dy, ti + dt);
+                    acc += wx * wy * wt * corner(dx, dy, dt);
                 }
             }
         }
@@ -113,42 +131,84 @@ impl WeatherField {
 
     /// Samples the field at a position and time.
     pub fn sample(&self, pos: &Point, at: TimestampTz) -> WeatherSample {
-        // Space scale ~0.25° (≈20 km cells), time scale 2 h — weather
-        // systems larger than a train, evolving over hours.
-        let x = pos.x / 0.25;
-        let y = pos.y / 0.25;
-        let t = at.micros() as f64 / (2.0 * 3_600.0 * 1e6);
-
-        // Diurnal + noise temperature.
-        let day_frac = (at.micros() as f64 / (24.0 * 3_600.0 * 1e6)).rem_euclid(1.0);
-        let diurnal = -4.0 * (2.0 * std::f64::consts::PI * (day_frac - 0.17)).cos();
-        let temp_c = 8.0 + diurnal + 10.0 * (self.noise(1, x, y, t) - 0.35);
-
-        // Precipitation: skewed so most of the time is dry.
-        let wet = self.noise(2, x, y, t);
-        let precip = ((wet - 0.55).max(0.0) * 25.0).powf(1.3);
+        let (cell, day) = (lattice(pos, at), day_frac(at));
+        let temp_c = self.temp_c(cell, day);
+        let precip = self.precip_mmh(cell);
         let (rain_mmh, snow_mmh) = if temp_c < 1.5 {
             (0.0, precip)
         } else {
             (precip, 0.0)
         };
-
-        // Fog: calm + humid pockets, mostly at night/morning.
-        let fog_n = self.noise(3, x * 2.0, y * 2.0, t * 1.5);
-        let fog_hours = day_frac < 0.4;
-        let visibility_m = if fog_hours && fog_n > 0.75 {
-            60.0 + 400.0 * (1.0 - fog_n)
-        } else {
-            10_000.0
-        };
-
         WeatherSample {
             temp_c,
             rain_mmh,
             snow_mmh,
-            visibility_m,
+            visibility_m: self.visibility_m(cell, day),
         }
     }
+
+    /// `sample(pos, at).condition()`, evaluating only the channels the
+    /// classification reads: visibility only in fog hours, temperature
+    /// (rain or snow?) only when precipitation exceeds 1 mm/h.
+    pub fn condition_at(&self, pos: &Point, at: TimestampTz) -> WeatherCondition {
+        let (cell, day) = (lattice(pos, at), day_frac(at));
+        if self.visibility_m(cell, day) < 200.0 {
+            return WeatherCondition::Fog;
+        }
+        let precip = self.precip_mmh(cell);
+        if precip > 1.0 {
+            if self.temp_c(cell, day) < 1.5 {
+                return WeatherCondition::HeavySnow;
+            }
+            if precip > 4.0 {
+                return WeatherCondition::HeavyRain;
+            }
+        }
+        WeatherCondition::Clear
+    }
+
+    /// Diurnal + noise temperature (°C).
+    fn temp_c(&self, (x, y, t): Lattice, day_frac: f64) -> f64 {
+        let diurnal = -4.0 * (2.0 * std::f64::consts::PI * (day_frac - 0.17)).cos();
+        8.0 + diurnal + 10.0 * (self.noise(1, x, y, t) - 0.35)
+    }
+
+    /// Precipitation (mm/h), rain or snow: skewed so most of the time is
+    /// dry.
+    fn precip_mmh(&self, (x, y, t): Lattice) -> f64 {
+        let wet = self.noise(2, x, y, t);
+        ((wet - 0.55).max(0.0) * 25.0).powf(1.3)
+    }
+
+    /// Visibility (m). Fog: calm + humid pockets, only at night/morning,
+    /// so the fog channel is read only then.
+    fn visibility_m(&self, (x, y, t): Lattice, day_frac: f64) -> f64 {
+        if day_frac < 0.4 {
+            let fog_n = self.noise(3, x * 2.0, y * 2.0, t * 1.5);
+            if fog_n > 0.75 {
+                return 60.0 + 400.0 * (1.0 - fog_n);
+            }
+        }
+        10_000.0
+    }
+}
+
+/// Noise-lattice coordinates `(x, y, t)`.
+type Lattice = (f64, f64, f64);
+
+/// Space scale ~0.25° (≈20 km cells), time scale 2 h — weather systems
+/// larger than a train, evolving over hours.
+fn lattice(pos: &Point, at: TimestampTz) -> Lattice {
+    (
+        pos.x / 0.25,
+        pos.y / 0.25,
+        at.micros() as f64 / (2.0 * 3_600.0 * 1e6),
+    )
+}
+
+/// Fraction of the UTC day elapsed at `at`, in `[0, 1)`.
+fn day_frac(at: TimestampTz) -> f64 {
+    (at.micros() as f64 / (24.0 * 3_600.0 * 1e6)).rem_euclid(1.0)
 }
 
 #[cfg(test)]
