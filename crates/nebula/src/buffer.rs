@@ -11,11 +11,14 @@
 //! The row-oriented [`crate::record::RecordBuffer`] remains the
 //! reference representation: `from_records`/`to_record_buffer` convert
 //! losslessly in both directions, which is what the differential test
-//! suites pin the batched kernels against.
+//! suites pin the batched kernels against. A buffer built for a plan's
+//! read set holds only the fields the plan reads; the rest are
+//! [`Column::Absent`].
 
 use crate::record::{Record, RecordBuffer};
-use crate::schema::{Schema, SchemaRef};
+use crate::schema::{ReadSet, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, OpaqueValue, Value};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One field of a [`TupleBuffer`], stored contiguously.
@@ -78,6 +81,12 @@ pub enum Column {
     Opaque(Vec<Option<Arc<dyn OpaqueValue>>>),
     /// Fallback: boxed values for columns with mixed runtime types.
     Values(Vec<Value>),
+    /// A field nothing downstream reads (outside the plan's
+    /// [`ReadSet`]): its row count and no storage. It keeps the field's
+    /// position, so column indices do not change; gathers, splits and
+    /// appends keep it absent in O(1), and a value read from it is
+    /// null. The wire ships it as its type tag and length.
+    Absent(usize),
 }
 
 impl Column {
@@ -91,7 +100,13 @@ impl Column {
             Column::Text { offsets, .. } => offsets.len().saturating_sub(1),
             Column::Opaque(v) => v.len(),
             Column::Values(v) => v.len(),
+            Column::Absent(n) => *n,
         }
+    }
+
+    /// True iff the field was not built (see [`Column::Absent`]).
+    pub fn is_absent(&self) -> bool {
+        matches!(self, Column::Absent(_))
     }
 
     /// True iff the column has no rows.
@@ -140,83 +155,6 @@ impl Column {
         }
     }
 
-    /// Field `idx` of every record as one column laid out for `dtype`.
-    /// Fixed-width types are gathered straight into their typed vector;
-    /// text, opaque payloads and any field holding a value of another
-    /// runtime type go value by value through [`Column::push`], which
-    /// degrades on the contradiction.
-    fn from_field(dtype: DataType, records: &[Record], idx: usize) -> Column {
-        /// One typed vector plus validity, or `None` if some value is
-        /// neither null nor accepted by `get`.
-        fn gather<T: Copy>(
-            records: &[Record],
-            idx: usize,
-            zero: T,
-            get: impl Fn(&Value) -> Option<T>,
-        ) -> Option<(Vec<T>, Option<Vec<bool>>)> {
-            let mut null_rows = Vec::new();
-            let mut contradicted = false;
-            let data = records
-                .iter()
-                .enumerate()
-                .map(|(row, rec)| match rec.get(idx) {
-                    None | Some(Value::Null) => {
-                        null_rows.push(row);
-                        zero
-                    }
-                    Some(v) => get(v).unwrap_or_else(|| {
-                        contradicted = true;
-                        zero
-                    }),
-                })
-                .collect();
-            if contradicted {
-                return None;
-            }
-            let validity = (!null_rows.is_empty()).then(|| {
-                let mut mask = vec![true; records.len()];
-                for row in null_rows {
-                    mask[row] = false;
-                }
-                mask
-            });
-            Some((data, validity))
-        }
-        let gathered = match dtype {
-            DataType::Bool => gather(records, idx, false, Value::as_bool)
-                .map(|(data, validity)| Column::Bool { data, validity }),
-            DataType::Int => gather(records, idx, 0, |v| match v {
-                Value::Int(i) => Some(*i),
-                _ => None,
-            })
-            .map(|(data, validity)| Column::Int { data, validity }),
-            DataType::Float => gather(records, idx, 0.0, |v| match v {
-                Value::Float(f) => Some(*f),
-                _ => None,
-            })
-            .map(|(data, validity)| Column::Float { data, validity }),
-            DataType::Timestamp => gather(records, idx, 0, |v| match v {
-                Value::Timestamp(t) => Some(*t),
-                _ => None,
-            })
-            .map(|(data, validity)| Column::Timestamp { data, validity }),
-            DataType::Point => {
-                gather(records, idx, (0.0, 0.0), Value::as_point).map(|(data, validity)| {
-                    let (xs, ys) = data.into_iter().unzip();
-                    Column::Point { xs, ys, validity }
-                })
-            }
-            DataType::Text | DataType::Opaque | DataType::Null => None,
-        };
-        gathered.unwrap_or_else(|| {
-            let mut col = Column::with_type(dtype, records.len());
-            for rec in records {
-                col.push(rec.get(idx).unwrap_or(&Value::Null));
-            }
-            col
-        })
-    }
-
     /// Appends one row without taking ownership of `v`: a value of the
     /// column's own type lands in the typed storage, a null in the
     /// validity mask, and a value whose runtime type contradicts the
@@ -260,6 +198,7 @@ impl Column {
             (Column::Opaque(data), Value::Opaque(o)) => data.push(Some(o.clone())),
             (Column::Values(data), v) => data.push(v.clone()),
             (_, Value::Null) => self.push_null(),
+            (Column::Absent(n), _) => *n += 1,
             (_, v) => {
                 *self = Column::Values((0..self.len()).map(|i| self.value_at(i)).collect());
                 self.push(v);
@@ -297,6 +236,7 @@ impl Column {
             }
             Column::Opaque(data) => data.push(None),
             Column::Values(data) => data.push(Value::Null),
+            Column::Absent(n) => *n += 1,
         }
     }
 
@@ -360,22 +300,7 @@ impl Column {
                 None => Value::Null,
             },
             Column::Values(v) => v[idx].clone(),
-        }
-    }
-
-    /// The text slice at row `idx` for [`Column::Text`] (avoids the
-    /// `Arc<str>` allocation of [`Column::value_at`]); `None` when the
-    /// row is null or the column is not text.
-    pub fn text_at(&self, idx: usize) -> Option<&str> {
-        match self {
-            Column::Text {
-                arena,
-                offsets,
-                validity,
-            } if validity.as_ref().is_none_or(|m| m[idx]) => {
-                std::str::from_utf8(&arena[offsets[idx] as usize..offsets[idx + 1] as usize]).ok()
-            }
-            _ => None,
+            Column::Absent(_) => Value::Null,
         }
     }
 
@@ -390,6 +315,7 @@ impl Column {
             | Column::Text { validity, .. } => validity.as_ref().is_some_and(|m| !m[idx]),
             Column::Opaque(v) => v[idx].is_none(),
             Column::Values(v) => v[idx].is_null(),
+            Column::Absent(_) => true,
         }
     }
 
@@ -425,6 +351,7 @@ impl Column {
                 .map(|o| o.as_ref().map_or(1, |o| o.est_bytes()))
                 .sum(),
             Column::Values(v) => v.iter().map(Value::est_bytes).sum(),
+            Column::Absent(_) => 0,
         }
     }
 
@@ -487,6 +414,7 @@ impl Column {
                     row.push(v.clone());
                 }
             }
+            Column::Absent(_) => rows.iter_mut().for_each(|row| row.push(Value::Null)),
         }
     }
 
@@ -540,12 +468,16 @@ impl Column {
             }
             Column::Opaque(v) => Column::Opaque(indices.iter().map(|&i| v[i].clone()).collect()),
             Column::Values(v) => Column::Values(indices.iter().map(|&i| v[i].clone()).collect()),
+            Column::Absent(_) => Column::Absent(indices.len()),
         }
     }
 
     /// Splits into rows `[0, at)` and `[at, len)`.
     pub fn split_at(&self, at: usize) -> (Column, Column) {
         let n = self.len();
+        if self.is_absent() {
+            return (Column::Absent(at), Column::Absent(n - at));
+        }
         let head: Vec<usize> = (0..at).collect();
         let tail: Vec<usize> = (at..n).collect();
         (self.gather(&head), self.gather(&tail))
@@ -556,7 +488,8 @@ impl Column {
     /// validity masks, text arenas (offsets shifted by the arena
     /// length), opaque handles; an empty side takes the other's layout;
     /// any other mismatch degrades the column to [`Column::Values`]
-    /// (lossless), as [`Column::push`] does.
+    /// (lossless), as [`Column::push`] does. A field absent on either
+    /// side is absent in the result: nothing reads it.
     pub fn append(&mut self, other: &Column) {
         let len = self.len();
         if other.is_empty() {
@@ -567,6 +500,8 @@ impl Column {
             return;
         }
         match (&mut *self, other) {
+            (Column::Absent(n), o) => *n += o.len(),
+            (_, Column::Absent(m)) => *self = Column::Absent(len + m),
             (
                 Column::Bool { data, validity },
                 Column::Bool {
@@ -743,15 +678,87 @@ impl ColumnBuilder {
     }
 }
 
-/// The columns of [`TupleBuffer::from_records`], one per schema field —
-/// for callers that hold the schema by reference (the wire encoder).
-pub(crate) fn columns_from_records(schema: &Schema, records: &[Record]) -> Vec<Column> {
-    schema
-        .fields()
-        .iter()
-        .enumerate()
-        .map(|(idx, f)| Column::from_field(f.dtype, records, idx))
-        .collect()
+/// The one rows→columns routine: every transposition of records —
+/// [`TupleBuffer::from_records`], the sources' columnar reads, the wire
+/// encoder's row batches — goes through it. Row-major: each record is
+/// read once, its fields in `reads` pushed into their columns in one
+/// pass (an owned record is dropped right after, while still in cache),
+/// and every other field is built as [`Column::Absent`]. Each column is
+/// laid out for its field's type; a null or missing field (a record
+/// shorter than the schema, as the row path's out-of-range reads) goes
+/// to the validity mask, and a value whose runtime type contradicts the
+/// field's type degrades that one column to [`Column::Values`]
+/// ([`Column::push`]). Returns the row count and the columns.
+pub(crate) fn transpose<R: Borrow<Record>>(
+    schema: &Schema,
+    records: impl IntoIterator<Item = R>,
+    reads: &ReadSet,
+) -> (usize, Vec<Column>) {
+    let records = records.into_iter();
+    let cap = records.size_hint().0;
+    let mut live: Vec<(usize, Column)> = (schema.fields().iter().enumerate())
+        .filter(|&(idx, _)| reads.contains(idx))
+        .map(|(idx, f)| (idx, Column::with_type(f.dtype, cap)))
+        .collect();
+    let mut rows = 0;
+    for rec in records {
+        let values = rec.borrow().values();
+        for (idx, col) in &mut live {
+            match (col, values.get(*idx).unwrap_or(&Value::Null)) {
+                // The common case, a non-null value of a null-free
+                // column's own type, without `push`'s general dispatch.
+                (
+                    Column::Float {
+                        data,
+                        validity: None,
+                    },
+                    Value::Float(f),
+                ) => data.push(*f),
+                (
+                    Column::Int {
+                        data,
+                        validity: None,
+                    },
+                    Value::Int(i),
+                )
+                | (
+                    Column::Timestamp {
+                        data,
+                        validity: None,
+                    },
+                    Value::Timestamp(i),
+                ) => data.push(*i),
+                (
+                    Column::Point {
+                        xs,
+                        ys,
+                        validity: None,
+                    },
+                    Value::Point { x, y },
+                ) => {
+                    xs.push(*x);
+                    ys.push(*y);
+                }
+                (
+                    Column::Bool {
+                        data,
+                        validity: None,
+                    },
+                    Value::Bool(b),
+                ) => data.push(*b),
+                (col, v) => col.push(v),
+            }
+        }
+        rows += 1;
+    }
+    let mut live = live.into_iter().peekable();
+    let columns = (0..schema.len())
+        .map(|idx| match live.next_if(|(i, _)| *i == idx) {
+            Some((_, col)) => col,
+            None => Column::Absent(rows),
+        })
+        .collect();
+    (rows, columns)
 }
 
 /// Per-buffer metadata, mirroring NebulaStream's TupleBuffer header.
@@ -795,18 +802,36 @@ impl TupleBuffer {
     }
 
     /// Transposes row records into columns laid out by the schema's
-    /// field types, reading each [`Value`] in place. Nulls go to the
-    /// validity masks; records shorter than the schema pad with nulls
-    /// (mirroring the row path's out-of-range column reads); a value
-    /// whose runtime type contradicts its field's declared type degrades
-    /// that one column to [`Column::Values`].
+    /// field types, reading each [`Value`] in place, every field built
+    /// (see [`TupleBuffer::transpose`]). Nulls go to the validity masks;
+    /// records shorter than the schema pad with nulls (mirroring the row
+    /// path's out-of-range column reads); a value whose runtime type
+    /// contradicts its field's declared type degrades that one column to
+    /// [`Column::Values`].
     pub fn from_records(schema: SchemaRef, records: &[Record], meta: BufferMeta) -> Self {
-        let columns = columns_from_records(&schema, records);
+        let reads = ReadSet::all(schema.len());
+        TupleBuffer {
+            meta,
+            ..TupleBuffer::transpose(schema, records, &reads)
+        }
+    }
+
+    /// Transposes records as [`TupleBuffer::from_records`] does, but
+    /// builds only the fields in `reads`: every other one is
+    /// [`Column::Absent`]. Owned records are consumed one at a time, so
+    /// a source can drain its queue straight into the buffer. Default
+    /// metadata (the executor stamps it).
+    pub fn transpose<R: Borrow<Record>>(
+        schema: SchemaRef,
+        records: impl IntoIterator<Item = R>,
+        reads: &ReadSet,
+    ) -> Self {
+        let (len, columns) = transpose(&schema, records, reads);
         TupleBuffer {
             schema,
-            len: records.len(),
+            len,
             columns,
-            meta,
+            meta: BufferMeta::default(),
         }
     }
 
@@ -936,10 +961,37 @@ impl TupleBuffer {
         self.meta.max_ts = bounds.map(|(_, hi)| hi);
     }
 
+    /// Replaces every column outside `reads` with [`Column::Absent`],
+    /// dropping its storage — what a link ships when the stages behind
+    /// it read only `reads`.
+    pub fn narrow(&mut self, reads: &ReadSet) {
+        for (idx, col) in self.columns.iter_mut().enumerate() {
+            if !reads.contains(idx) {
+                *col = Column::Absent(self.len);
+            }
+        }
+    }
+
     /// Converts back to the row representation, column by column: each
     /// column's layout is matched once and its typed slice spread over
-    /// the pre-sized records.
+    /// the pre-sized records. Every column must be present: an absent
+    /// one here means a consumer reads a field the plan's read set
+    /// left out (a debug assertion).
     pub fn to_record_buffer(&self) -> RecordBuffer {
+        debug_assert!(
+            !self.columns.iter().any(Column::is_absent),
+            "an absent column reached to_record_buffer: {}",
+            self.schema
+        );
+        self.to_rows_unread_as_null()
+    }
+
+    /// [`TupleBuffer::to_record_buffer`] that reads an absent column as
+    /// nulls: for a consumer that reads no more than the set the buffer
+    /// was narrowed to (a row-mode tail behind a link, a row poll of
+    /// [`crate::source::JitterSource`]'s columnar queue), so those nulls
+    /// are never read.
+    pub(crate) fn to_rows_unread_as_null(&self) -> RecordBuffer {
         let width = self.columns.len();
         let mut records: Vec<Record> = (0..self.len)
             .map(|_| Record::new(Vec::with_capacity(width)))
@@ -1182,6 +1234,51 @@ mod tests {
         let tb = TupleBuffer::from_records(s, &recs, BufferMeta::default());
         assert_eq!(tb.to_record_buffer().records(), &recs[..]);
         assert_eq!(tb.est_bytes(), 3);
+    }
+
+    #[test]
+    fn absent_fields_stay_absent_through_every_reshape() {
+        let records: Vec<Record> = (0..10).map(rec).collect();
+        let full = TupleBuffer::from_records(schema(), &records, BufferMeta::default());
+        let reads = ReadSet::of(6, [0, 2]);
+        let tb = TupleBuffer::transpose(schema(), &records, &reads);
+        assert_eq!(tb.len(), 10);
+        let mut narrowed = full.clone();
+        narrowed.narrow(&reads);
+        assert_eq!(
+            format!("{:?}", tb.columns()),
+            format!("{:?}", narrowed.columns())
+        );
+        assert!(matches!(tb.column(1), Some(Column::Absent(10))));
+        assert_eq!(tb.value_at(4, 1), Some(Value::Null));
+        assert_eq!(tb.est_bytes(), 10 * 8 + 6 * 8 + 4);
+
+        let absent =
+            |b: &TupleBuffer| -> Vec<bool> { b.columns().iter().map(Column::is_absent).collect() };
+        let dead = absent(&tb);
+        let mask: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
+        let filtered = tb.filter(&mask);
+        assert_eq!(absent(&filtered), dead);
+        assert!(matches!(filtered.column(3), Some(Column::Absent(4))));
+        let (head, tail) = tb.split_at(3);
+        assert!(matches!(head.column(1), Some(Column::Absent(3))));
+        assert!(matches!(tail.column(1), Some(Column::Absent(7))));
+        let joined = TupleBuffer::concat(schema(), &[head, tail]);
+        assert_eq!(
+            format!("{:?}", joined.columns()),
+            format!("{:?}", tb.columns())
+        );
+        // A field absent on either side of an append is absent after it.
+        for (mut left, right) in [(tb.clone(), &full), (full.clone(), &tb)] {
+            left.append(right);
+            assert_eq!(absent(&left), dead);
+            assert!(matches!(left.column(1), Some(Column::Absent(20))));
+            assert_eq!(left.column(0).map(Column::len), Some(20));
+        }
+        // Rows read the dead fields as nulls.
+        let row = tb.to_rows_unread_as_null().records()[2].clone();
+        assert_eq!(row.get(0), Some(&Value::Timestamp(2000)));
+        assert_eq!(row.get(1), Some(&Value::Null));
     }
 
     #[test]

@@ -82,6 +82,7 @@
 //!   none of which the sink has seen.
 
 use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
+use crate::buffer::TupleBuffer;
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
 use crate::checkpoint::{CheckpointStore, CloudPart, EpochState, SourceCut, StagePart};
 use crate::error::{ClusterError, NebulaError, Result};
@@ -89,11 +90,11 @@ use crate::expr::{FunctionRegistry, Plugin};
 use crate::metrics::{Histogram, QueryMetrics};
 use crate::ops::{chain_late_drops, Operator, WindowOp};
 use crate::preagg::{split_window, SplitWindow};
-use crate::query::{compile_ops, LogicalOp, Query};
+use crate::query::{compile_ops, liveness, LogicalOp, Query};
 use crate::record::StreamMessage;
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
 use crate::runtime::{deliver, drive, panic_error, resolve_ts_col, ColumnarMode, ProgressTracker};
-use crate::schema::SchemaRef;
+use crate::schema::{ReadSet, SchemaRef};
 use crate::sink::Sink;
 use crate::source::{
     chain_wants_columnar, Polled, ReplaySource, Source, SourceDriver, Stamped, WatermarkStrategy,
@@ -104,7 +105,7 @@ use crate::telemetry::{
 };
 use crate::topology::{place, NodeId, NodeKind, Placement, PlacementStrategy, Topology};
 use crate::value::EventTime;
-use crate::wire::{decode_frame, encode_frame, Frame, WireRegistry};
+use crate::wire::{check_widths, decode_frame, encode_frame, Frame, WireRegistry};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -295,11 +296,6 @@ impl ClusterEnvironment {
     /// The topology (mutated by failure re-planning).
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Mutable topology access (pre-run churn experiments).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topo
     }
 
     /// The function registry.
@@ -1177,11 +1173,14 @@ impl WireTx {
 struct TxLink {
     wire: WireTx,
     rel: Option<Box<ReliableTx>>,
+    /// The columns the stages behind the link read: the only ones it
+    /// ships.
+    reads: ReadSet,
 }
 
 impl TxLink {
     fn send(&mut self, bytes: Vec<u8>, records: u64) -> Result<()> {
-        let TxLink { wire, rel } = self;
+        let TxLink { wire, rel, .. } = self;
         match rel {
             Some(r) => r.send(&bytes, records, &mut |b, n| wire.send(b, n)),
             None => wire.send(bytes, records),
@@ -1191,7 +1190,7 @@ impl TxLink {
     /// Chaos mode: an unsequenced liveness beacon. No-op on plain links
     /// (a plain channel cannot lose frames, so silence is unambiguous).
     fn heartbeat(&mut self) -> Result<()> {
-        let TxLink { wire, rel } = self;
+        let TxLink { wire, rel, .. } = self;
         if let Some(r) = rel {
             r.heartbeat(&mut |b, n| wire.send(b, n))?;
         }
@@ -1203,7 +1202,7 @@ impl TxLink {
     /// injected-fault counters into the run's stats. No-op on plain
     /// links.
     fn flush(&mut self) -> Result<()> {
-        let TxLink { wire, rel } = self;
+        let TxLink { wire, rel, .. } = self;
         if let Some(r) = rel {
             r.flush(&mut |b, n| wire.send(b, n))?;
             r.merge_chaos_counters();
@@ -1342,7 +1341,11 @@ fn frame_step(frame: Frame, columnar: bool) -> Result<Step> {
     Ok(match frame {
         Frame::Data(_) => return Err(internal("a data frame decoded to rows")),
         Frame::Columnar(tb) if columnar => Step::Batch(Some(StreamMessage::Columnar(tb)), None),
-        Frame::Columnar(tb) => Step::Batch(Some(StreamMessage::Data(tb.to_record_buffer())), None),
+        // The sender narrowed the buffer to what this tail reads.
+        Frame::Columnar(tb) => {
+            let rows = tb.to_rows_unread_as_null();
+            Step::Batch(Some(StreamMessage::Data(rows)), None)
+        }
         Frame::Watermark(w) => Step::Batch(None, Some(w)),
         Frame::Barrier(epoch) => Step::Barrier(epoch),
         Frame::Telemetry(snap) => Step::Snapshot(snap),
@@ -1661,8 +1664,10 @@ enum StageOutput<'a, 's> {
 impl StageOutput<'_, '_> {
     /// Hands on one step's terminal messages: encoded as frames of
     /// `schema` down a link, skipping empty batches, or emitted into the
-    /// outbox. Rows and buffers encode to the same column-major bytes,
-    /// so byte accounting does not depend on the layout.
+    /// outbox. A link ships only the columns the stages behind it read;
+    /// rows are transposed to those columns and buffers narrowed to
+    /// them, so both encode to the same bytes and byte accounting does
+    /// not depend on the layout.
     fn forward(
         &mut self,
         msgs: Vec<StreamMessage>,
@@ -1675,14 +1680,26 @@ impl StageOutput<'_, '_> {
         };
         for msg in msgs {
             let records = msg.record_count() as u64;
+            // Rows are transposed borrowed and dropped after the send,
+            // off the path to the next stage.
+            let mut rows = None;
             let frame = match msg {
-                StreamMessage::Data(b) if records > 0 => Frame::Data(b.into_records()),
-                StreamMessage::Columnar(b) if records > 0 => Frame::Columnar(b),
+                StreamMessage::Data(b) if records > 0 => {
+                    check_widths(b.records(), schema)?;
+                    let tb = TupleBuffer::transpose(schema.clone(), b.records(), &tx.reads);
+                    rows = Some(b);
+                    Frame::Columnar(tb)
+                }
+                StreamMessage::Columnar(mut b) if records > 0 => {
+                    b.narrow(&tx.reads);
+                    Frame::Columnar(b)
+                }
                 StreamMessage::Data(_) | StreamMessage::Columnar(_) => continue,
                 StreamMessage::Watermark(w) => Frame::Watermark(w),
                 StreamMessage::Eos => Frame::Eos,
             };
             tx.send(encode_frame(&frame, schema, wire)?, records)?;
+            drop(rows);
         }
         Ok(())
     }
@@ -2088,6 +2105,18 @@ fn run_phase(
             }
             let stages = std::mem::take(&mut pipe.stages);
             let nodes = &stage_nodes[p];
+            // What the source builds and each hop ships: the liveness of
+            // the pipeline's whole chain, its stages and then the cloud
+            // tail. Entry `i` is what is read past the chain's `i`-th
+            // operator.
+            let live = {
+                let chain: Vec<&dyn Operator> = (stages.iter().flat_map(|s| &s.ops))
+                    .chain(&tail)
+                    .map(|op| op.as_ref())
+                    .collect();
+                liveness(&chain, pipe.source.driver.schema().len())
+            };
+            let mut ops_before = 0;
             // When no stage sits on the doomed node, stage 0 of a pipeline
             // routed through it counts its source batches instead.
             let pass_through = match chaos.and_then(|c| c.switch.as_ref()) {
@@ -2114,11 +2143,12 @@ fn run_phase(
                 // The columnar gate, decided per phase (a re-plan may move
                 // stages): the source polls columns only for an operator
                 // that consumes the buffer — with none, rows go straight
-                // to the encoder, which lays them out column by column
-                // itself — while a link also passes buffers straight on.
+                // to `forward`, which transposes them to the link's
+                // columns — while a link also passes buffers straight on.
+                ops_before += ops.len();
                 let input = match (inbound.take(), src.take()) {
                     (None, Some(src)) => {
-                        src.driver.gate(io.cfg.columnar, &ops);
+                        src.driver.gate(io.cfg.columnar, &ops, live[0].clone());
                         StageInput::Source { src, polled: None }
                     }
                     (Some((rx, depth, ack_tx)), None) => StageInput::Link {
@@ -2154,6 +2184,7 @@ fn run_phase(
                 let tx = TxLink {
                     wire: io.wire_tx(node, to, target, depth)?,
                     rel,
+                    reads: live[ops_before].clone(),
                 };
                 let stage_chaos = chaos.map(|c| StageChaos {
                     store: Arc::clone(&c.store),

@@ -114,12 +114,16 @@ impl BoundExpr {
         let n = buf.len();
         match self {
             BoundExpr::Literal(v) => Ok(Operand::Scalar(v)),
-            BoundExpr::Column(idx) => buf.column(*idx).map(Operand::borrowed).ok_or_else(|| {
-                NebulaError::Eval(format!(
-                    "record has {} fields, column #{idx} missing",
-                    buf.columns().len()
-                ))
-            }),
+            BoundExpr::Column(idx) => {
+                let col = buf.column(*idx).ok_or_else(|| {
+                    NebulaError::Eval(format!(
+                        "record has {} fields, column #{idx} missing",
+                        buf.columns().len()
+                    ))
+                })?;
+                debug_assert!(!col.is_absent(), "column #{idx} is read but absent");
+                Ok(Operand::borrowed(col))
+            }
             BoundExpr::Binary { op, lhs, rhs } => match op {
                 BinOp::And | BinOp::Or => Ok(Operand::owned(Column::Bool {
                     data: self.eval_mask(buf)?,

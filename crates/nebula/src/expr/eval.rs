@@ -4,6 +4,7 @@ use super::registry::ScalarFunction;
 use super::{BinOp, UnOp};
 use crate::error::{NebulaError, Result};
 use crate::record::Record;
+use crate::schema::ReadSet;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
 
@@ -59,6 +60,21 @@ impl std::fmt::Debug for BoundExpr {
 }
 
 impl BoundExpr {
+    /// Marks in `reads` every input column the expression reads — the
+    /// expression's share of an operator's [`crate::ops::Operator::reads`].
+    pub fn mark_reads(&self, reads: &mut ReadSet) {
+        match self {
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Column(idx) => reads.insert(*idx),
+            BoundExpr::Binary { lhs, rhs, .. } => {
+                lhs.mark_reads(reads);
+                rhs.mark_reads(reads);
+            }
+            BoundExpr::Unary { expr, .. } => expr.mark_reads(reads),
+            BoundExpr::Call { args, .. } => args.iter().for_each(|a| a.mark_reads(reads)),
+        }
+    }
+
     /// Evaluates against one record.
     pub fn eval(&self, rec: &Record) -> Result<Value> {
         match self {

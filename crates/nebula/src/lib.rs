@@ -147,7 +147,7 @@ pub mod prelude {
     pub use crate::query::{compile, LogicalOp, PartitionScheme, Query};
     pub use crate::record::{Record, RecordBuffer, StreamMessage};
     pub use crate::runtime::{ColumnarMode, EnvConfig, ProgressTracker, StreamEnvironment};
-    pub use crate::schema::{Field, Schema, SchemaRef};
+    pub use crate::schema::{Field, ReadSet, Schema, SchemaRef};
     pub use crate::sink::{
         normalize_records, CallbackSink, Collected, CollectingSink, CountingSink, CsvSink,
         NullSink, Sink, SinkCounters,

@@ -13,7 +13,7 @@ use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
 use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
-use crate::schema::{Field, SchemaRef};
+use crate::schema::{Field, ReadSet, SchemaRef};
 use crate::value::{DataType, DurationUs, EventTime, Value};
 use std::collections::HashMap;
 
@@ -284,6 +284,17 @@ impl Operator for CepOp {
     /// Matches leave as rows.
     fn propagates_columnar(&self) -> bool {
         false
+    }
+
+    /// The steps, the key and the event time, plus the live input
+    /// columns a match carries on (the final record's, which lead the
+    /// output).
+    fn reads(&self, live: &ReadSet, reads: &mut ReadSet) {
+        reads.insert(self.ts_col);
+        for e in self.steps.iter().chain(&self.key_expr) {
+            e.mark_reads(reads);
+        }
+        live.iter().for_each(|c| reads.insert(c));
     }
 
     /// The batch kernel: event times come from the typed column, the

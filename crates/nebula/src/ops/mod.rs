@@ -18,7 +18,7 @@ use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
-use crate::schema::{Field, Schema, SchemaRef};
+use crate::schema::{Field, ReadSet, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -69,6 +69,21 @@ pub trait Operator: Send {
     /// the `Auto` gate stops scanning for downstream benefit past them.
     fn propagates_columnar(&self) -> bool {
         true
+    }
+
+    /// One step of the backward liveness pass behind every source's read
+    /// set ([`crate::query::compile`]): marks in `reads`, sized to the
+    /// input schema, the input columns this operator reads when the
+    /// stages after it read the output columns in `live`. An operator
+    /// reads the inputs of everything it evaluates — whether or not its
+    /// result is live, so errors do not depend on the plan's tail — plus
+    /// the input columns it passes through to a live output column. The
+    /// default reads every input column: right for any operator whose
+    /// column accesses the engine cannot see (plugin and row-only
+    /// operators).
+    fn reads(&self, live: &ReadSet, reads: &mut ReadSet) {
+        let _ = live;
+        reads.insert_all();
     }
 
     /// Handles a watermark; the default forwards it downstream. Stateful
@@ -404,6 +419,12 @@ impl Operator for FilterOp {
         self.predicate.vectorizes()
     }
 
+    /// The predicate's columns, and every live column it passes on.
+    fn reads(&self, live: &ReadSet, reads: &mut ReadSet) {
+        self.predicate.mark_reads(reads);
+        live.iter().for_each(|c| reads.insert(c));
+    }
+
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
         let mask = self.predicate.eval_mask(&buf)?;
         match mask.iter().filter(|&&k| k).count() {
@@ -505,6 +526,18 @@ impl Operator for MapOp {
 
     fn columnar_benefit(&self) -> bool {
         self.projections.iter().any(BoundExpr::vectorizes)
+    }
+
+    /// Every projection's columns (each is evaluated, live or not), and
+    /// in extend mode the live input columns it keeps, which lead the
+    /// output in input order.
+    fn reads(&self, live: &ReadSet, reads: &mut ReadSet) {
+        for p in &self.projections {
+            p.mark_reads(reads);
+        }
+        if self.extend {
+            live.iter().for_each(|c| reads.insert(c));
+        }
     }
 
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {

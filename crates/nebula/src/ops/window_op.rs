@@ -29,7 +29,7 @@ use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
 use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
-use crate::schema::{Field, Schema, SchemaRef};
+use crate::schema::{Field, ReadSet, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, Value};
 use crate::window::{AggTemplate, Aggregator, SliceLayout, WindowAgg, WindowSpec};
 use std::collections::{BTreeMap, HashMap};
@@ -838,6 +838,32 @@ impl Operator for WindowOp {
     /// Finished windows leave as rows.
     fn propagates_columnar(&self) -> bool {
         false
+    }
+
+    /// The time column, the keys, every aggregate's operand and a
+    /// threshold predicate — however few of the output columns are
+    /// live, since every window still closes. The cloud merge reads its
+    /// partial rows whole.
+    fn reads(&self, _live: &ReadSet, reads: &mut ReadSet) {
+        reads.insert(self.ts_col);
+        for k in &self.key_exprs {
+            k.mark_reads(reads);
+        }
+        let factory = match &self.state {
+            WindowState::Time {
+                role: Role::Merge, ..
+            } => return reads.insert_all(),
+            WindowState::Time { store, .. } => &store.factory,
+            WindowState::Threshold {
+                predicate, factory, ..
+            } => {
+                predicate.mark_reads(reads);
+                factory
+            }
+        };
+        for t in &factory.templates {
+            t.mark_reads(reads);
+        }
     }
 
     /// The batch kernels. Time windows: see `SliceStore::absorb_buffer`.

@@ -21,7 +21,7 @@ use crate::analysis::Code;
 use crate::error::{NebulaError, Result};
 use crate::expr::{Binder, Expr, FunctionRegistry};
 use crate::ops::{CepOp, FilterOp, MapOp, Operator, OperatorFactory, Pattern, WindowOp};
-use crate::schema::SchemaRef;
+use crate::schema::{ReadSet, SchemaRef};
 use crate::window::{WindowAgg, WindowSpec};
 use std::sync::Arc;
 
@@ -258,6 +258,10 @@ pub struct CompiledPlan {
     pub operators: Vec<Box<dyn Operator>>,
     /// The schema leaving the last operator.
     pub output_schema: SchemaRef,
+    /// The input columns the plan reads, by the backward liveness pass
+    /// over `operators`: the source's read set, before an executor adds
+    /// the columns its watermark and routing read.
+    pub reads: ReadSet,
 }
 
 /// Compiles a query against the source schema and registry, binding every
@@ -299,6 +303,7 @@ pub(crate) fn bind_ops(
     b: &mut Binder,
 ) -> Result<CompiledPlan> {
     let mut operators: Vec<Box<dyn Operator>> = Vec::with_capacity(ops.len());
+    let width = input.len();
     let mut schema = input;
     for (i, op) in ops.iter().enumerate() {
         b.enter(i);
@@ -331,10 +336,34 @@ pub(crate) fn bind_ops(
         schema = physical.output_schema();
         operators.push(physical);
     }
+    let chain: Vec<&dyn Operator> = operators.iter().map(|op| op.as_ref()).collect();
+    let reads = liveness(&chain, width).swap_remove(0);
     Ok(CompiledPlan {
         operators,
         output_schema: schema,
+        reads,
     })
+}
+
+/// The backward liveness pass over a bound chain `width` columns wide
+/// at its input. The sink reads every column it receives; walking back,
+/// each operator turns the columns read after it into the input columns
+/// it reads ([`Operator::reads`]). Entry `i` is what is read of operator
+/// `i`'s input — entry 0 the source's read set — and the last entry the
+/// chain's output, read whole.
+pub(crate) fn liveness(ops: &[&dyn Operator], width: usize) -> Vec<ReadSet> {
+    let width_at = |i: usize| match i {
+        0 => width,
+        i => ops[i - 1].output_schema().len(),
+    };
+    let mut live = vec![ReadSet::all(width_at(ops.len()))];
+    for (i, op) in ops.iter().enumerate().rev() {
+        let mut reads = ReadSet::none(width_at(i));
+        op.reads(&live[live.len() - 1], &mut reads);
+        live.push(reads);
+    }
+    live.reverse();
+    live
 }
 
 #[cfg(test)]
@@ -511,6 +540,81 @@ mod tests {
                 vec![WindowAgg::new("m", AggSpec::Count)],
             );
         assert!(matches!(q.partition_scheme(), PartitionScheme::Single(_)));
+    }
+
+    /// The plan's read set over [`schema`] (`ts`, `train_id`, `speed`),
+    /// as column positions.
+    fn reads(q: &Query) -> Vec<usize> {
+        let reg = FunctionRegistry::with_builtins();
+        compile(q, schema(), &reg).unwrap().reads.iter().collect()
+    }
+
+    #[test]
+    fn liveness_follows_each_operator_rule() {
+        let minute = WindowSpec::Tumbling { size: 60_000_000 };
+        let count = || vec![WindowAgg::new("n", AggSpec::Count)];
+        // The sink reads everything a filter passes on.
+        assert_eq!(
+            reads(&Query::from("t").filter(col("speed").gt(lit(1.0)))),
+            [0, 1, 2]
+        );
+        // A narrowing map reads its projections only; a filter before it
+        // adds its predicate.
+        assert_eq!(reads(&Query::from("t").map(vec![("s", col("speed"))])), [2]);
+        let q = Query::from("t")
+            .filter(col("train_id").gt(lit(1)))
+            .map(vec![("s", col("speed"))]);
+        assert_eq!(reads(&q), [1, 2]);
+        // A window reads its time column, keys and aggregate operands;
+        // an extending map before it still evaluates its unread column.
+        let keyed = Query::from("t").window(vec![("k", col("train_id"))], minute.clone(), count());
+        assert_eq!(reads(&keyed), [0, 1]);
+        let q = Query::from("t")
+            .map_extend(vec![("x", col("speed").mul(lit(2.0)))])
+            .window(vec![], minute, count());
+        assert_eq!(reads(&q), [0, 2]);
+        // A threshold predicate is read.
+        let q = Query::from("t").window(
+            vec![],
+            WindowSpec::Threshold {
+                predicate: col("speed").gt(lit(1.0)),
+                min_count: 2,
+            },
+            count(),
+        );
+        assert_eq!(reads(&q), [0, 2]);
+        // CEP reads its steps, key and time column, plus the live
+        // columns its matches carry on.
+        use crate::ops::{Pattern, PatternStep};
+        let pattern = Pattern::new(
+            "p",
+            vec![PatternStep::new("hi", col("speed").gt(lit(50.0)))],
+            1_000_000,
+        );
+        let q = (Query::from("t").cep(pattern.clone())).map(vec![("at", col("match_end"))]);
+        assert_eq!(reads(&q), [0, 2]);
+        let q = Query::from("t")
+            .cep(pattern)
+            .map(vec![("train", col("train_id"))]);
+        assert_eq!(reads(&q), [0, 1, 2]);
+        // A plugin operator reads everything.
+        struct Pass;
+        impl OperatorFactory for Pass {
+            fn name(&self) -> &str {
+                "pass"
+            }
+            fn create(&self, input: SchemaRef, _: &FunctionRegistry) -> Result<Box<dyn Operator>> {
+                let f = |r: &crate::record::Record, out: &mut Vec<_>| {
+                    out.push(r.clone());
+                    Ok(())
+                };
+                Ok(Box::new(crate::ops::FlatMapOp::new("pass", input, f)))
+            }
+        }
+        let q = Query::from("t")
+            .apply(Arc::new(Pass))
+            .map(vec![("s", col("speed"))]);
+        assert_eq!(reads(&q), [0, 1, 2]);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl RecordBuffer {
         &self.records
     }
 
-    /// Mutable access to the records.
-    pub fn records_mut(&mut self) -> &mut Vec<Record> {
-        &mut self.records
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()

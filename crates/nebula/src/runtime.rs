@@ -35,13 +35,14 @@
 use crate::analysis::{
     self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry, Diagnostic,
 };
-use crate::buffer::TupleBuffer;
+use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{BoundExpr, FunctionRegistry, Plugin};
 use crate::metrics::QueryMetrics;
 use crate::ops::{chain_late_drops, GroupKey, Operator};
 use crate::query::{compile, PartitionScheme, Query};
 use crate::record::{Record, RecordBuffer, StreamMessage};
+use crate::schema::ReadSet;
 use crate::sink::Sink;
 use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
 use crate::telemetry::{
@@ -195,11 +196,6 @@ impl ProgressTracker {
     /// has been promised complete by all live origins.
     pub fn frontier(&self) -> Option<EventTime> {
         self.frontier
-    }
-
-    /// One origin's own frontier.
-    pub fn origin_frontier(&self, origin: u64) -> Option<EventTime> {
-        self.origins.get(&origin).and_then(|o| o.watermark)
     }
 
     /// Whether an origin has finished.
@@ -427,14 +423,26 @@ impl StreamEnvironment {
             .insert(name.into(), RegisteredSource { source, watermark });
     }
 
-    /// Human-readable physical plan for a query.
+    /// Human-readable physical plan for a query: the source with its
+    /// read set (the fields the plan and the watermark read; a columnar
+    /// poll builds only those), then each operator with its output
+    /// schema.
     pub fn explain(&self, query: &Query) -> Result<String> {
         let src = self
             .sources
             .get(query.source())
             .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
-        let plan = compile(query, src.source.schema(), &self.registry)?;
-        let mut s = format!("Source[{}] {}\n", query.source(), src.source.schema());
+        let schema = src.source.schema();
+        let plan = compile(query, schema.clone(), &self.registry)?;
+        let mut reads = plan.reads;
+        if let Ok(Some(col)) = resolve_ts_col(&src.watermark, &schema) {
+            reads.insert(col);
+        }
+        let mut s = format!(
+            "Source[{}] {schema} reads: {}\n",
+            query.source(),
+            reads.names(&schema)
+        );
         for op in &plan.operators {
             s.push_str(&format!("  -> {} {}\n", op.name(), op.output_schema()));
         }
@@ -511,6 +519,12 @@ impl StreamEnvironment {
             _ => mode.workers,
         };
         let first = compile(query, schema.clone(), &self.registry)?;
+        // The router evaluates the key on source buffers: its columns
+        // are read too.
+        let mut reads = first.reads;
+        if let Route::Key(exprs) = &route {
+            exprs.iter().for_each(|e| e.mark_reads(&mut reads));
+        }
         let output_schema = first.output_schema;
         let mut chains = vec![first.operators];
         for _ in 1..partitions {
@@ -518,6 +532,7 @@ impl StreamEnvironment {
         }
         Ok(Prepared {
             ts_col,
+            reads,
             route,
             chains,
             output_schema,
@@ -594,6 +609,7 @@ impl StreamEnvironment {
     ) -> Result<QueryMetrics> {
         let Prepared {
             ts_col,
+            reads,
             route,
             chains,
             output_schema,
@@ -623,7 +639,7 @@ impl StreamEnvironment {
             self.config.buffer_size,
             self.config.watermark_every,
         );
-        driver.gate(self.config.columnar, &chains[0]);
+        driver.gate(self.config.columnar, &chains[0], reads);
         let channel_capacity = self.config.channel_capacity;
 
         let start = Instant::now();
@@ -838,6 +854,8 @@ impl ExecMode {
 /// chain per partition plus how buffers reach them.
 struct Prepared {
     ts_col: Option<usize>,
+    /// The source's read set (`SourceDriver::gate` adds the time column).
+    reads: ReadSet,
     route: Route,
     chains: Vec<OperatorChain>,
     output_schema: crate::schema::SchemaRef,
@@ -875,11 +893,19 @@ fn produce(
 }
 
 /// Hands one released terminal message to the sink in the layout the
-/// chain emitted.
+/// chain emitted. The sink reads every column it receives, so none may
+/// be absent (a debug assertion on the read sets).
 pub(crate) fn deliver(sink: &mut dyn Sink, msg: &StreamMessage) -> Result<()> {
     match msg {
         StreamMessage::Data(b) => sink.consume(b),
-        StreamMessage::Columnar(b) => sink.consume_columnar(b),
+        StreamMessage::Columnar(b) => {
+            debug_assert!(
+                !b.columns().iter().any(Column::is_absent),
+                "an absent column reached the sink: {}",
+                b.schema()
+            );
+            sink.consume_columnar(b)
+        }
         StreamMessage::Watermark(_) | StreamMessage::Eos => Ok(()),
     }
 }

@@ -107,6 +107,70 @@ impl fmt::Display for Schema {
     }
 }
 
+/// The fields of a schema that something downstream reads, by position.
+///
+/// The backward liveness pass of [`crate::query::compile`] derives one
+/// per source (the plan's `reads`); the executors add the watermark's
+/// time column and hand it to [`crate::source::Source::poll_columnar`],
+/// which builds a field outside it as [`crate::buffer::Column::Absent`].
+/// A position past the width is read: what the set does not describe
+/// stays on the safe side.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadSet(Vec<bool>);
+
+impl ReadSet {
+    /// Every field of a `width`-field schema.
+    pub fn all(width: usize) -> Self {
+        ReadSet(vec![true; width])
+    }
+
+    /// No field of a `width`-field schema.
+    pub fn none(width: usize) -> Self {
+        ReadSet(vec![false; width])
+    }
+
+    /// The fields at `cols` of a `width`-field schema.
+    pub fn of(width: usize, cols: impl IntoIterator<Item = usize>) -> Self {
+        let mut set = ReadSet::none(width);
+        for c in cols {
+            set.insert(c);
+        }
+        set
+    }
+
+    /// True iff field `col` is read.
+    pub fn contains(&self, col: usize) -> bool {
+        self.0.get(col).copied().unwrap_or(true)
+    }
+
+    /// Marks field `col` read (a position past the width already is).
+    pub fn insert(&mut self, col: usize) {
+        if let Some(r) = self.0.get_mut(col) {
+            *r = true;
+        }
+    }
+
+    /// Marks every field read.
+    pub fn insert_all(&mut self) {
+        self.0.fill(true);
+    }
+
+    /// The positions of the read fields, in schema order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.0.len()).filter(|&c| self.0[c])
+    }
+
+    /// The names of the read fields of `schema`, comma-separated — how
+    /// `explain` prints a source's read set.
+    pub fn names(&self, schema: &Schema) -> String {
+        let names: Vec<&str> = self
+            .iter()
+            .filter_map(|c| schema.field_at(c).map(|f| f.name.as_str()))
+            .collect();
+        names.join(", ")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +209,18 @@ mod tests {
         assert_eq!(e.index_of("alert"), Some(4));
         assert!(!e.same_layout(&s));
         assert!(s.same_layout(&schema()));
+    }
+
+    #[test]
+    fn read_set_marks_positions() {
+        let s = schema();
+        let mut reads = ReadSet::of(4, [3, 0, 9]);
+        assert_eq!(reads.iter().collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(reads.names(&s), "ts, speed");
+        assert!(reads.contains(7), "past the width reads as read");
+        reads.insert_all();
+        assert_eq!(reads, ReadSet::all(4));
+        assert_eq!(ReadSet::none(4).names(&s), "");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::error::{NebulaError, Result};
 use crate::ops::Operator;
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::runtime::ColumnarMode;
-use crate::schema::SchemaRef;
+use crate::schema::{ReadSet, SchemaRef};
 use crate::value::{DataType, DurationUs, EventTime, Value};
 use std::collections::VecDeque;
 use std::io::BufRead;
@@ -45,20 +45,26 @@ pub trait Source: Send {
     /// Produces up to `max` records.
     fn poll(&mut self, max: usize) -> Result<SourceBatch>;
     /// Produces up to `max` records as one columnar buffer — what the
-    /// executors poll when the chain's columnar gate is open. The
-    /// default transposes [`Source::poll`]'s rows with
-    /// [`TupleBuffer::from_records`]: the one place on the source side
-    /// where rows become columns. Override it when the source can build
-    /// the columns more cheaply than from its own rows — it decodes or
-    /// holds its data column-wise, or reorders records it has already
-    /// polled ([`JitterSource`]) — yielding the same records in the
-    /// same order as `poll` would. The executor stamps the buffer's
-    /// [`BufferMeta`], so an override may leave it default.
-    fn poll_columnar(&mut self, max: usize) -> Result<SourceBatch<TupleBuffer>> {
+    /// executors poll when the chain's columnar gate is open. `reads` is
+    /// the plan's read set over [`Source::schema`]: only those fields
+    /// must be built, every other one may be [`Column::Absent`]
+    /// (nothing downstream reads it). The default transposes
+    /// [`Source::poll`]'s rows with [`TupleBuffer::transpose`], building
+    /// exactly the read fields. Override it when the source can build
+    /// the columns more cheaply than from its own rows — it holds or
+    /// decodes its data column-wise, can skip the dead fields before
+    /// parsing them, or reorders records it has already polled
+    /// ([`JitterSource`]) — yielding the same records in the same order
+    /// as `poll` would. An override may build more than `reads` (a
+    /// field it cannot skip), never less. The executor stamps the
+    /// buffer's [`BufferMeta`], so an override may leave it default.
+    ///
+    /// [`Column::Absent`]: crate::buffer::Column::Absent
+    fn poll_columnar(&mut self, max: usize, reads: &ReadSet) -> Result<SourceBatch<TupleBuffer>> {
         let schema = self.schema();
         Ok(self
             .poll(max)?
-            .map(|recs| TupleBuffer::from_records(schema, &recs, BufferMeta::default())))
+            .map(|recs| TupleBuffer::transpose(schema, recs, reads)))
     }
     /// Repositions the stream at data batch `to_batch`, if the source
     /// supports replay. Returns `false` (the default) when it cannot;
@@ -112,6 +118,21 @@ impl Source for VecSource {
         }
         let n = max.min(self.records.len());
         Ok(SourceBatch::Data(self.records.drain(..n).collect()))
+    }
+
+    /// Drains the queue straight into the columns: each record is
+    /// transposed and dropped in turn, with no batch of rows between.
+    fn poll_columnar(&mut self, max: usize, reads: &ReadSet) -> Result<SourceBatch<TupleBuffer>> {
+        if self.records.is_empty() {
+            return Ok(SourceBatch::Exhausted);
+        }
+        let n = max.min(self.records.len());
+        let drained = self.records.drain(..n);
+        Ok(SourceBatch::Data(TupleBuffer::transpose(
+            self.schema.clone(),
+            drained,
+            reads,
+        )))
     }
 }
 
@@ -293,10 +314,12 @@ impl XorShift {
 /// source is idle or ended), shuffles its first `window` records and
 /// emits the first `max`; the rest stay queued. [`Source::poll`] queues
 /// the inner source's rows; [`Source::poll_columnar`] queues its columns
-/// in arrival order and gathers each emitted buffer by index. Both draw
-/// the one permutation, so they emit the same records in the same
-/// order, and switching between them mid-stream (the cluster runtime
-/// decides the columnar gate per phase) carries the queue over.
+/// (the read set's) in arrival order and gathers each emitted buffer by
+/// index. Both draw the one permutation, so they emit the same records
+/// in the same order, and switching between them mid-stream (the
+/// cluster runtime decides the columnar gate per phase) carries the
+/// queue over; rows taken from a columnar queue read a field outside
+/// the read set as null.
 pub struct JitterSource<S: Source> {
     inner: S,
     /// The queue as rows, when read through `poll`.
@@ -356,7 +379,7 @@ impl<S: Source> Source for JitterSource<S> {
 
     fn poll(&mut self, max: usize) -> Result<SourceBatch> {
         if !self.columns.is_empty() {
-            self.rows = self.columns.to_record_buffer().into_records();
+            self.rows = self.columns.to_rows_unread_as_null().into_records();
             self.columns = self.columns.gather(&[]);
         }
         while self.wants(self.rows.len(), max) {
@@ -378,13 +401,13 @@ impl<S: Source> Source for JitterSource<S> {
         Ok(SourceBatch::Data(out))
     }
 
-    fn poll_columnar(&mut self, max: usize) -> Result<SourceBatch<TupleBuffer>> {
+    fn poll_columnar(&mut self, max: usize, reads: &ReadSet) -> Result<SourceBatch<TupleBuffer>> {
         if !self.rows.is_empty() {
             let rows = std::mem::take(&mut self.rows);
-            self.columns = TupleBuffer::from_records(self.schema(), &rows, BufferMeta::default());
+            self.columns = TupleBuffer::transpose(self.schema(), rows, reads);
         }
         while self.wants(self.columns.len(), max) {
-            match self.inner.poll_columnar(max)? {
+            match self.inner.poll_columnar(max, reads)? {
                 SourceBatch::Data(tb) => self.columns.append(&tb),
                 SourceBatch::Idle => break,
                 SourceBatch::Exhausted => self.inner_done = true,
@@ -449,8 +472,8 @@ impl<S: Source> Source for GapSource<S> {
         Ok(self.gap(batch, Vec::len))
     }
 
-    fn poll_columnar(&mut self, max: usize) -> Result<SourceBatch<TupleBuffer>> {
-        let batch = self.inner.poll_columnar(max)?;
+    fn poll_columnar(&mut self, max: usize, reads: &ReadSet) -> Result<SourceBatch<TupleBuffer>> {
+        let batch = self.inner.poll_columnar(max, reads)?;
         Ok(self.gap(batch, TupleBuffer::len))
     }
 }
@@ -567,6 +590,8 @@ pub(crate) struct SourceDriver {
     buffer_size: usize,
     watermark_every: u64,
     columnar: bool,
+    /// What a columnar poll builds (see [`SourceDriver::gate`]).
+    reads: ReadSet,
     /// Batches yielded so far — the sequence of the latest one.
     batches: u64,
     max_ts: EventTime,
@@ -585,8 +610,10 @@ impl SourceDriver {
         buffer_size: usize,
         watermark_every: u64,
     ) -> Self {
+        let schema = source.schema();
         SourceDriver {
-            schema: source.schema(),
+            reads: ReadSet::all(schema.len()),
+            schema,
             source,
             watermark,
             ts_col,
@@ -602,9 +629,14 @@ impl SourceDriver {
 
     /// Decides whether to poll columnar [`TupleBuffer`]s
     /// ([`Source::poll_columnar`]) or rows for `ops`, the chain that
-    /// consumes them.
-    pub(crate) fn gate(&mut self, mode: ColumnarMode, ops: &[Box<dyn Operator>]) {
+    /// consumes them, and what a columnar poll builds: `reads`, the
+    /// plan's read set, plus the time column the watermark reads.
+    pub(crate) fn gate(&mut self, mode: ColumnarMode, ops: &[Box<dyn Operator>], reads: ReadSet) {
         self.columnar = chain_wants_columnar(mode, ops);
+        self.reads = reads;
+        if let Some(col) = self.ts_col {
+            self.reads.insert(col);
+        }
     }
 
     pub(crate) fn schema(&self) -> &SchemaRef {
@@ -635,7 +667,7 @@ impl SourceDriver {
     pub(crate) fn poll(&mut self) -> Result<Polled> {
         let batch = if self.columnar {
             self.source
-                .poll_columnar(self.buffer_size)?
+                .poll_columnar(self.buffer_size, &self.reads)?
                 .map(StreamMessage::Columnar)
         } else {
             self.source

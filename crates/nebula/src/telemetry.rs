@@ -41,7 +41,7 @@ use crate::error::Result;
 use crate::metrics::{Histogram, QueryMetrics};
 use crate::ops::Operator;
 use crate::record::{RecordBuffer, StreamMessage};
-use crate::schema::SchemaRef;
+use crate::schema::{ReadSet, SchemaRef};
 use crate::value::EventTime;
 
 /// Telemetry knobs, embedded in [`crate::runtime::EnvConfig`] and
@@ -183,6 +183,10 @@ impl Operator for InstrumentedOp {
 
     fn propagates_columnar(&self) -> bool {
         self.inner.propagates_columnar()
+    }
+
+    fn reads(&self, live: &ReadSet, reads: &mut ReadSet) {
+        self.inner.reads(live, reads)
     }
 
     fn on_watermark(&mut self, wm: EventTime, out: &mut Vec<StreamMessage>) -> Result<()> {

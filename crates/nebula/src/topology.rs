@@ -12,9 +12,10 @@
 use crate::error::{NebulaError, Result};
 use crate::expr::FunctionRegistry;
 use crate::ops::Operator;
-use crate::query::{compile, LogicalOp, Query};
+use crate::query::{compile, liveness, LogicalOp, Query};
 use crate::record::StreamMessage;
 use crate::runtime::{drive, LOCAL_ORIGIN};
+use crate::schema::ReadSet;
 use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
 use std::collections::HashMap;
 
@@ -268,6 +269,8 @@ pub struct StageBytes {
 
 /// Runs the query over `source` once, measuring bytes/records crossing
 /// every operator boundary — the input to network-cost evaluation. The
+/// bytes of a boundary count only the columns read past it (the
+/// plan's liveness), which is all a link placed there ships. The
 /// source is polled through the executors' source stage, in rows and
 /// without watermarks: a `buffer_size` of 0 reads as 1, and a source
 /// that never becomes ready fails with an `Io` error instead of
@@ -278,8 +281,10 @@ pub fn measure_stage_bytes(
     registry: &FunctionRegistry,
     buffer_size: usize,
 ) -> Result<StageBytes> {
+    let width = source.schema().len();
     let plan = compile(query, source.schema(), registry)?;
     let mut ops = plan.operators;
+    let live = liveness(&ops.iter().map(|op| op.as_ref()).collect::<Vec<_>>(), width);
     let n = ops.len();
     let mut bytes = vec![0u64; n + 1];
     let mut records = vec![0u64; n + 1];
@@ -293,11 +298,17 @@ pub fn measure_stage_bytes(
         1,
     );
     while let Some(Stamped { msg, .. }) = driver.next_batch()? {
-        bytes[0] += msg.data_bytes() as u64;
+        bytes[0] += live_bytes(&msg, &live[0]);
         records[0] += msg.record_count() as u64;
-        drive_stages(&mut ops, msg, &mut bytes, &mut records)?;
+        drive_stages(&mut ops, msg, &live, &mut bytes, &mut records)?;
     }
-    drive_stages(&mut ops, StreamMessage::Eos, &mut bytes, &mut records)?;
+    drive_stages(
+        &mut ops,
+        StreamMessage::Eos,
+        &live,
+        &mut bytes,
+        &mut records,
+    )?;
     Ok(StageBytes {
         stage_bytes: bytes,
         stage_records: records,
@@ -305,10 +316,12 @@ pub fn measure_stage_bytes(
 }
 
 /// Drives one message through `ops` stage by stage, adding what leaves
-/// operator `i` to `bytes[i + 1]` and `records[i + 1]`.
+/// operator `i` to `bytes[i + 1]` (its columns in `live[i + 1]`) and
+/// `records[i + 1]`.
 fn drive_stages(
     ops: &mut [Box<dyn Operator>],
     first: StreamMessage,
+    live: &[ReadSet],
     bytes: &mut [u64],
     records: &mut [u64],
 ) -> Result<()> {
@@ -319,12 +332,29 @@ fn drive_stages(
             next.extend(drive(&mut ops[i..=i], msg)?);
         }
         for m in &next {
-            bytes[i + 1] += m.data_bytes() as u64;
+            bytes[i + 1] += live_bytes(m, &live[i + 1]);
             records[i + 1] += m.record_count() as u64;
         }
         cur = next;
     }
     Ok(())
+}
+
+/// The estimated bytes of `msg`'s columns in `live`.
+fn live_bytes(msg: &StreamMessage, live: &ReadSet) -> u64 {
+    let bytes = match msg {
+        StreamMessage::Data(b) => (b.records().iter())
+            .flat_map(|rec| rec.values().iter().enumerate())
+            .filter(|&(col, _)| live.contains(col))
+            .map(|(_, v)| v.est_bytes())
+            .sum(),
+        StreamMessage::Columnar(b) => (b.columns().iter().enumerate())
+            .filter(|&(col, _)| live.contains(col))
+            .map(|(_, c)| c.est_bytes())
+            .sum(),
+        StreamMessage::Watermark(_) | StreamMessage::Eos => 0,
+    };
+    bytes as u64
 }
 
 /// Network cost of running a placement: bytes crossing each link and the

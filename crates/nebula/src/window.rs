@@ -17,7 +17,7 @@ use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{col, numeric, Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::Record;
-use crate::schema::Schema;
+use crate::schema::{ReadSet, Schema};
 use crate::value::{DataType, DurationUs, EventTime, Value};
 use std::sync::Arc;
 
@@ -407,6 +407,20 @@ pub(crate) enum AggTemplate {
 }
 
 impl AggTemplate {
+    /// Marks the input columns the aggregate folds: a built-in's operand
+    /// (and the event time `first`/`last` order by); every column for a
+    /// plugin's, whose reads the engine cannot see.
+    pub(crate) fn mark_reads(&self, reads: &mut ReadSet) {
+        match self {
+            AggTemplate::Builtin(agg) => {
+                for e in agg.expr.iter().chain(&agg.ts) {
+                    e.mark_reads(reads);
+                }
+            }
+            AggTemplate::Custom(_) => reads.insert_all(),
+        }
+    }
+
     /// A fresh, empty accumulator (`input`/`registry`: what the
     /// template was bound against).
     pub(crate) fn make(

@@ -30,6 +30,12 @@
 //!     payload length and the payload (see below);
 //!   - `NULL`: nothing; every row must be null.
 //!
+//! A field the sender did not build ([`Column::Absent`]: nothing behind
+//! the link reads it) is one block of its own in place of the above:
+//! the flag byte `0xFF`, the field type's one-byte tag and the `u32` row
+//! count, which must equal the batch's; no payload follows. So a link
+//! ships only the columns its downstream stages read.
+//!
 //! A null row keeps its fixed-width slot, zeroed, and an empty text
 //! slice, so each batch has exactly one encoding and [`decode_frame`]
 //! builds every fixed-width column with one bounds-checked copy. Measured
@@ -63,10 +69,10 @@
 //! are rejected — corrupted frames surface as [`NebulaError::Wire`]
 //! errors (see the `prop_wire` property suite).
 
-use crate::buffer::{columns_from_records, BufferMeta, Column, TupleBuffer};
+use crate::buffer::{transpose, BufferMeta, Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::record::Record;
-use crate::schema::Schema;
+use crate::schema::{ReadSet, Schema};
 use crate::value::{DataType, EventTime, OpaqueValue, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -169,15 +175,9 @@ pub fn encode_frame(frame: &Frame, schema: &Schema, registry: &WireRegistry) -> 
     out.extend_from_slice(&[0; 4]);
     match frame {
         Frame::Data(records) => {
-            if let Some(rec) = records.iter().find(|r| r.len() != schema.len()) {
-                return Err(NebulaError::Wire(format!(
-                    "record has {} fields, channel schema {}",
-                    rec.len(),
-                    schema.len()
-                )));
-            }
-            let columns = columns_from_records(schema, records);
-            encode_batch(records.len(), &columns, schema, registry, &mut out)?;
+            check_widths(records, schema)?;
+            let (rows, columns) = transpose(schema, records, &ReadSet::all(schema.len()));
+            encode_batch(rows, &columns, schema, registry, &mut out)?;
         }
         Frame::Columnar(tb) => encode_batch(tb.len(), tb.columns(), schema, registry, &mut out)?,
         Frame::Watermark(wm) => {
@@ -215,6 +215,19 @@ pub fn encode_frame(frame: &Frame, schema: &Schema, registry: &WireRegistry) -> 
     Ok(out)
 }
 
+/// Rows bound for a channel must have its schema's width: the column
+/// blocks have no slot for an extra field, and a missing one is no null.
+pub(crate) fn check_widths(records: &[Record], schema: &Schema) -> Result<()> {
+    match records.iter().find(|r| r.len() != schema.len()) {
+        Some(rec) => Err(NebulaError::Wire(format!(
+            "record has {} fields, channel schema {}",
+            rec.len(),
+            schema.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Appends a data body: the frame type, the row count, then each
 /// field's column block.
 fn encode_batch(
@@ -237,10 +250,11 @@ fn encode_batch(
         ));
     }
     let rows = u32::try_from(n).map_err(|_| NebulaError::Wire(format!("{n} rows in one frame")))?;
-    let fixed: usize = schema
-        .fields()
-        .iter()
-        .map(|f| 1 + n * min_row_bits(f.dtype) as usize / 8)
+    let fixed: usize = (schema.fields().iter().zip(columns))
+        .map(|(f, col)| match col {
+            Column::Absent(_) => 6,
+            _ => 1 + n * min_row_bits(f.dtype) as usize / 8,
+        })
         .sum();
     out.reserve(1 + 4 + fixed);
     out.push(FRAME_DATA);
@@ -284,6 +298,12 @@ fn encode_column(
     out: &mut Vec<u8>,
 ) -> Result<()> {
     match (dtype, col) {
+        (dtype, Column::Absent(n)) => {
+            let rows = u32::try_from(*n).map_err(|_| corrupt(format!("{n} rows in one frame")))?;
+            out.push(ABSENT);
+            out.push(type_tag(dtype));
+            out.extend_from_slice(&rows.to_le_bytes());
+        }
         (DataType::Bool, Column::Bool { data, validity }) => {
             put_validity(validity.as_deref(), out);
             put_fixed(data, validity.as_deref(), out, |&b| [b as u8]);
@@ -339,6 +359,24 @@ fn encode_column(
         }
     }
     Ok(())
+}
+
+/// The block flag of a field the sender did not build
+/// ([`Column::Absent`]): its type tag and row count follow, no payload.
+const ABSENT: u8 = 0xFF;
+
+/// A field type's one-byte tag, which an absent block repeats.
+fn type_tag(dtype: DataType) -> u8 {
+    match dtype {
+        DataType::Bool => 0,
+        DataType::Int => 1,
+        DataType::Float => 2,
+        DataType::Timestamp => 3,
+        DataType::Point => 4,
+        DataType::Text => 5,
+        DataType::Opaque => 6,
+        DataType::Null => 7,
+    }
 }
 
 /// `v` as the variant a `dtype` column stores, or a mismatch error.
@@ -580,14 +618,8 @@ fn decode_batch(
     registry: &WireRegistry,
 ) -> Result<TupleBuffer> {
     let n = c.u32()? as usize;
-    // Every row occupies at least `min_bits` of what is left; refuse a
-    // count that cannot fit before allocating anything for it.
-    let min_bits: u64 = schema.fields().iter().map(|f| min_row_bits(f.dtype)).sum();
-    if n > 0 && (min_bits == 0 || n as u64 * min_bits > c.remaining() as u64 * 8) {
-        return Err(corrupt(format!(
-            "row count {n} impossible in {} bytes",
-            c.remaining()
-        )));
+    if n > 0 && schema.is_empty() {
+        return Err(corrupt(format!("row count {n} impossible without fields")));
     }
     let columns = schema
         .fields()
@@ -611,6 +643,27 @@ fn decode_column(
     n: usize,
     registry: &WireRegistry,
 ) -> Result<Column> {
+    if c.buf.get(c.pos) == Some(&ABSENT) {
+        c.pos += 1;
+        let (tag, rows) = (c.u8()?, c.u32()? as usize);
+        if tag != type_tag(dtype) {
+            return Err(corrupt(format!(
+                "absent block tagged {tag}, field is {dtype}"
+            )));
+        }
+        if rows != n {
+            return Err(corrupt(format!("absent block of {rows} rows, batch {n}")));
+        }
+        return Ok(Column::Absent(n));
+    }
+    // Every row occupies at least `min_row_bits` of what is left; refuse
+    // a count that cannot fit before allocating anything for it.
+    if n as u64 * min_row_bits(dtype) > c.remaining() as u64 * 8 {
+        return Err(corrupt(format!(
+            "row count {n} impossible in {} bytes",
+            c.remaining()
+        )));
+    }
     let validity = take_validity(c, n)?;
     let valid = |row: usize| validity.as_ref().is_none_or(|m| m[row]);
     Ok(match dtype {

@@ -11,7 +11,10 @@
 //! - `JitterSource`'s columnar reorder window emits exactly the rows
 //!   its row window emits, in the same order, for any window, poll size
 //!   and seed — also under `GapSource`, and when one stream switches
-//!   between the two reads mid-way.
+//!   between the two reads mid-way;
+//! - a columnar read with a read set is the full read with every field
+//!   outside the set replaced by `Column::Absent`, for `VecSource`'s
+//!   drain, the trait default, `JitterSource` and `GapSource`.
 //!
 //! The records carry a column with nulls, a text column and a column
 //! whose runtime types contradict its declared type in some batches
@@ -137,7 +140,7 @@ fn drain(source: &mut dyn Source, max: usize, pick: impl Fn(usize) -> Read) -> V
                 SourceBatch::Exhausted => return answers,
             },
             Read::Columns => match source
-                .poll_columnar(max)
+                .poll_columnar(max, &ReadSet::all(schema().len()))
                 .expect("scripted sources do not fail")
             {
                 SourceBatch::Data(tb) => {
@@ -181,8 +184,85 @@ fn same_answers(a: &[Answer], b: &[Answer]) -> std::result::Result<(), String> {
     Ok(())
 }
 
+/// A read set over [`schema`]'s five fields from the low bits of `mask`.
+fn read_set(mask: u8) -> ReadSet {
+    ReadSet::of(
+        schema().len(),
+        (0..schema().len()).filter(|c| mask >> c & 1 == 1),
+    )
+}
+
+/// Polls `narrow` with `reads` and `full` with every field, in lockstep
+/// until both end: each narrow buffer must be the full one with the
+/// fields outside `reads` absent.
+fn narrow_reads_match(
+    mut narrow: Box<dyn Source>,
+    mut full: Box<dyn Source>,
+    max: usize,
+    reads: &ReadSet,
+) -> std::result::Result<(), String> {
+    let all = ReadSet::all(schema().len());
+    for poll in 0..100_000 {
+        match (
+            narrow.poll_columnar(max, reads).unwrap(),
+            full.poll_columnar(max, &all).unwrap(),
+        ) {
+            (SourceBatch::Data(got), SourceBatch::Data(mut want)) => {
+                want.narrow(reads);
+                let absent = |tb: &TupleBuffer| -> Vec<bool> {
+                    tb.columns().iter().map(Column::is_absent).collect()
+                };
+                let dead: Vec<bool> = (0..schema().len()).map(|c| !reads.contains(c)).collect();
+                if got.len() != want.len()
+                    || absent(&got) != dead
+                    || format!("{:?}", got.columns()) != format!("{:?}", want.columns())
+                {
+                    return Err(format!("poll {poll}: {got:?} vs {want:?}"));
+                }
+            }
+            (SourceBatch::Idle, SourceBatch::Idle) => {}
+            (SourceBatch::Exhausted, SourceBatch::Exhausted) => return Ok(()),
+            (got, want) => return Err(format!("poll {poll}: {got:?} vs {want:?}")),
+        }
+    }
+    Err("no end of stream".into())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // Every source builds exactly its read set: the full buffer with
+    // the dead fields absent, batch for batch.
+    #[test]
+    fn read_sets_leave_only_dead_fields_absent(
+        steps in arb_steps(),
+        window in 2usize..600,
+        max in 1usize..400,
+        seed in 0u64..u64::MAX,
+        mask in 0u8..32,
+        rows in 0i64..900,
+    ) {
+        let reads = read_set(mask);
+        let vec_source = || -> Box<dyn Source> {
+            Box::new(VecSource::new(schema(), (0..rows).map(record).collect()))
+        };
+        prop_assert!(narrow_reads_match(vec_source(), vec_source(), max, &reads).is_ok(),
+            "VecSource: {:?}", narrow_reads_match(vec_source(), vec_source(), max, &reads));
+        let scripted = || -> Box<dyn Source> { Box::new(Scripted::new(&steps)) };
+        prop_assert!(narrow_reads_match(scripted(), scripted(), max, &reads).is_ok(),
+            "default: {:?}", narrow_reads_match(scripted(), scripted(), max, &reads));
+        let jitter = || -> Box<dyn Source> {
+            Box::new(JitterSource::new(Scripted::new(&steps), window, seed))
+        };
+        prop_assert!(narrow_reads_match(jitter(), jitter(), max, &reads).is_ok(),
+            "JitterSource: {:?}", narrow_reads_match(jitter(), jitter(), max, &reads));
+        let gap = || -> Box<dyn Source> {
+            let inner = VecSource::new(schema(), (0..rows).map(record).collect());
+            Box::new(GapSource::new(JitterSource::new(inner, window, seed), 0.3, seed ^ 1))
+        };
+        prop_assert!(narrow_reads_match(gap(), gap(), max, &reads).is_ok(),
+            "GapSource: {:?}", narrow_reads_match(gap(), gap(), max, &reads));
+    }
 
     // The trait's default columnar read is the transposition of the
     // row read, batch for batch.
@@ -194,7 +274,8 @@ proptest! {
         let mut columnar = Scripted::new(&steps);
         let mut reference = Scripted::new(&steps);
         loop {
-            match (columnar.poll_columnar(max).unwrap(), reference.poll(max).unwrap()) {
+            let all = ReadSet::all(schema().len());
+            match (columnar.poll_columnar(max, &all).unwrap(), reference.poll(max).unwrap()) {
                 (SourceBatch::Data(tb), SourceBatch::Data(recs)) => {
                     let want = TupleBuffer::from_records(schema(), &recs, BufferMeta::default());
                     prop_assert_eq!(tb.meta(), want.meta());

@@ -1,6 +1,7 @@
 //! Property-based tests for the cluster wire codec: encode/decode
 //! round-trips over arbitrary records, every column type with null runs,
 //! and control frames; byte accounting against the analytic estimator;
+//! absent columns (fields outside a read set) as tag-and-length blocks;
 //! and the no-panic guarantee on corrupted frames, with each malformed
 //! column case rejected as `NebulaError::Wire`.
 
@@ -366,6 +367,57 @@ proptest! {
     }
 
     #[test]
+    fn absent_columns_round_trip_as_tag_and_length(
+        records in batch_strategy(),
+        mask in 0u16..1024,
+        flips in proptest::collection::vec((0usize..4096, 1u8..255), 1..8),
+    ) {
+        // Only the read fields carry bytes; each absent one is a 6-byte
+        // block that decodes back to an absent column of the batch's
+        // length, and the read fields decode as they would in full.
+        let reg = WireRegistry::new();
+        let s = schema();
+        let reads = ReadSet::of(s.len(), (0..s.len()).filter(|c| mask >> c & 1 == 1));
+        let narrow = TupleBuffer::transpose(s.clone(), &records, &reads);
+        let bytes = encode_frame(&Frame::Columnar(narrow), &s, &reg).expect("encode");
+        let Frame::Columnar(back) = decode_frame(&bytes, &s, &reg).expect("decode") else {
+            panic!("a data frame decodes columnar");
+        };
+        prop_assert_eq!(back.len(), records.len());
+        for (c, col) in back.columns().iter().enumerate() {
+            prop_assert_eq!(col.is_absent(), !reads.contains(c), "column {}", c);
+            prop_assert_eq!(col.len(), records.len());
+        }
+        for (row, rec) in records.iter().enumerate() {
+            for (c, v) in rec.values().iter().enumerate() {
+                let want = if reads.contains(c) { v.clone() } else { Value::Null };
+                let got = back.value_at(row, c).expect("in range");
+                prop_assert!(values_eq(&got, &want), "row {} column {}: {} != {}", row, c, got, want);
+            }
+        }
+        let full = encode_frame(&Frame::Data(records.clone()), &s, &reg).expect("encode");
+        let dead: usize = (0..s.len()).filter(|&c| !reads.contains(c)).count();
+        let dead_payload: usize = (0..s.len())
+            .filter(|&c| !reads.contains(c))
+            .map(|c| {
+                let dtype = s.fields()[c].dtype;
+                let nulls = records.iter().any(|r| r.values()[c].is_null());
+                let bitmap = if nulls { records.len().div_ceil(8) } else { 0 };
+                let values: usize = records.iter().map(|r| wire_value_bytes(dtype, &r.values()[c])).sum();
+                1 + bitmap + values
+            })
+            .sum();
+        prop_assert_eq!(bytes.len(), full.len() - dead_payload + 6 * dead);
+        // Corrupted narrow frames error instead of panicking too.
+        let mut bad = bytes;
+        for (pos, xor) in flips {
+            let pos = pos % bad.len();
+            bad[pos] ^= xor;
+        }
+        let _ = decode_frame(&bad, &s, &reg);
+    }
+
+    #[test]
     fn corrupted_frames_error_instead_of_panicking(
         records in batch_strategy(),
         flips in proptest::collection::vec((0usize..4096, 1u8..255), 1..8),
@@ -538,6 +590,36 @@ fn malformed_columns_are_wire_errors() {
         DataType::Text,
         &data_frame(1, &cat(&[&[0], &le(2), b"\xC3\x28"])),
         "UTF-8",
+    );
+    // An absent block: its tag must be the field's, its length the
+    // batch's, and nothing may follow it but the next field's block.
+    let absent = |tag: u8, rows: u32| cat(&[&[0xFF, tag], &le(rows)]);
+    let s = Schema::of(&[("c", DataType::Int)]);
+    let ok = decode_frame(&data_frame(3, &absent(1, 3)), &s, &WireRegistry::new()).unwrap();
+    assert!(matches!(ok, Frame::Columnar(tb) if tb.len() == 3 && tb.columns()[0].is_absent()));
+    assert_wire_error(
+        "absent length",
+        DataType::Int,
+        &data_frame(3, &absent(1, 2)),
+        "2 rows",
+    );
+    assert_wire_error(
+        "absent tag",
+        DataType::Int,
+        &data_frame(3, &absent(2, 3)),
+        "tagged 2",
+    );
+    assert_wire_error(
+        "absent payload",
+        DataType::Int,
+        &data_frame(1, &cat(&[&absent(1, 1), &[7; 8]])),
+        "trailing",
+    );
+    assert_wire_error(
+        "absent truncated",
+        DataType::Int,
+        &data_frame(1, &[0xFF, 1, 1]),
+        "truncated",
     );
     // Trailing bytes after the last column.
     let mut trailing = good[4..].to_vec();

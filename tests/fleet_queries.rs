@@ -4,74 +4,19 @@
 //! train 1, emergency brakes + leak on train 2, unscheduled stops on
 //! train 3) must be found by exactly the queries designed to catch them.
 
-use meos::geo::Point;
 use nebula::prelude::*;
-use nebulameos::{all_demo_queries, DemoContext, DemoZones, MeosPlugin, WeatherProvider};
-use sncb::{FleetConfig, FleetSimulator, RailNetwork, WeatherField, ZoneKind};
-use std::sync::Arc;
+use nebulameos::{all_demo_queries, DemoContext, MeosPlugin};
+use sncb::{demo_environment, demo_zones, FleetConfig, FleetSimulator};
 
-/// Adapts the sncb weather field to the query-side provider trait.
-struct FieldWeather(WeatherField);
-
-impl WeatherProvider for FieldWeather {
-    fn speed_factor(&self, pos: Point, t_micros: i64) -> f64 {
-        self.0
-            .sample(&pos, meos::time::TimestampTz::from_micros(t_micros))
-            .speed_factor()
-    }
-}
-
-/// Builds the query zone inventory from the simulated network.
-fn zones_from(net: &RailNetwork) -> DemoZones {
-    let collect = |kind: ZoneKind| {
-        net.zones_of(kind)
-            .map(|z| (z.name.clone(), z.geometry.clone()))
-            .collect::<Vec<_>>()
-    };
-    DemoZones {
-        maintenance: collect(ZoneKind::Maintenance),
-        noise_sensitive: collect(ZoneKind::NoiseSensitive),
-        high_risk: net
-            .zones_of(ZoneKind::HighRiskCurve)
-            .map(|z| {
-                (
-                    z.name.clone(),
-                    z.geometry.clone(),
-                    z.speed_limit_kmh.unwrap_or(80.0),
-                )
-            })
-            .collect(),
-        station_areas: collect(ZoneKind::StationArea),
-        workshops: collect(ZoneKind::Workshop),
-    }
-}
-
-/// One fully wired environment over a fresh simulated stream.
-fn demo_env(minutes: i64) -> (StreamEnvironment, SchemaRef) {
-    let cfg = FleetConfig::test_minutes(minutes);
-    let sim = FleetSimulator::new(cfg);
-    let net = sim.network();
-    let weather = Arc::new(FieldWeather(sim.weather().clone()));
-    let records = sim.into_records();
-
-    let mut env = StreamEnvironment::new();
-    env.load_plugin(&MeosPlugin).unwrap();
-    env.load_plugin(&DemoContext::new(zones_from(&net)).with_weather(weather))
-        .unwrap();
-    let schema = sncb::fleet_schema();
-    env.add_source(
-        "fleet",
-        Box::new(VecSource::new(schema.clone(), records)),
-        WatermarkStrategy::BoundedOutOfOrder {
-            ts_field: "ts".into(),
-            slack: 5 * MICROS_PER_SEC,
-        },
-    );
-    (env, schema)
+/// One fully wired environment over a fresh simulated stream: the demo
+/// wiring the examples and the benchmark use (`sncb::demo`), the lazy
+/// weather provider included.
+fn demo_env(minutes: i64) -> StreamEnvironment {
+    demo_environment(FleetConfig::test_minutes(minutes)).0
 }
 
 fn run_query(q: &Query, minutes: i64) -> (Collected, QueryMetrics) {
-    let (mut env, _) = demo_env(minutes);
+    let mut env = demo_env(minutes);
     let (mut sink, got) = CollectingSink::new();
     let m = env.run(q, &mut sink).unwrap();
     (got, m)
@@ -87,7 +32,7 @@ fn column(records: &[Record], idx: usize) -> Vec<Value> {
 #[test]
 fn all_queries_compile_and_run_on_fleet() {
     for (name, q) in all_demo_queries() {
-        let (mut env, _) = demo_env(5);
+        let mut env = demo_env(5);
         let (mut sink, _) = CollectingSink::new();
         let m = env.run(&q, &mut sink);
         assert!(m.is_ok(), "{name}: {:?}", m.err());
@@ -232,7 +177,7 @@ fn queries_survive_gps_dropouts_and_jitter() {
     let records = sim.into_records();
     let mut env = StreamEnvironment::new();
     env.load_plugin(&MeosPlugin).unwrap();
-    env.load_plugin(&DemoContext::new(zones_from(&net)))
+    env.load_plugin(&DemoContext::new(demo_zones(&net)))
         .unwrap();
     env.add_source(
         "fleet",
