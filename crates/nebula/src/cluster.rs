@@ -470,47 +470,12 @@ impl ClusterEnvironment {
         // Validate watermark fields and compute placements before taking
         // the sources, so a plan error leaves them registered.
         let mut ts_cols = Vec::with_capacity(n_pipes);
-        let mut placements = Vec::with_capacity(n_pipes);
         for h in hosted_ref {
             ts_cols.push(resolve_ts_col(&h.watermark, &schema)?);
-            placements.push(place(query, &self.topo, h.node, strategy)?);
         }
-
-        // Decide the plan split: per-pipeline prefix vs the shared cloud
-        // tail, pre-aggregating a splittable window at the edge.
-        let ops = query.ops();
-        let split = if strategy == PlacementStrategy::EdgeFirst {
-            split_window(query)
-        } else {
-            None
-        };
-        let first_stateful = ops.iter().position(|o| {
-            matches!(
-                o,
-                LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
-            )
-        });
-        let (pipe_op_end, shared) = match &split {
-            // Prefix + partial window per pipeline; merge + suffix shared.
-            Some(sw) => (sw.window_idx + 1, SharedTail::Merge),
-            None => match (n_pipes, first_stateful) {
-                // Several pipelines fan into one stateful tail: the
-                // stateful operators must run once, at the cloud.
-                (2.., Some(s)) => (s, SharedTail::Plain),
-                _ => (ops.len(), SharedTail::None),
-            },
-        };
-        // The reported placements must say where stages actually run:
-        // everything in the shared tail executes at the cloud, whatever
-        // `place()` originally assigned (the split window's own stage
-        // keeps its node — that is where the partial runs).
-        if !matches!(shared, SharedTail::None) {
-            for pl in &mut placements {
-                for stage in &mut pl.stages[pipe_op_end + 1..] {
-                    *stage = cloud_node;
-                }
-            }
-        }
+        let hosts: Vec<NodeId> = hosted_ref.iter().map(|h| h.node).collect();
+        let (mut placements, split, pipe_op_end, shared) =
+            plan_split(query, &self.topo, &hosts, strategy, cloud_node)?;
         // A crash target no frame ever crosses could never trip: reject
         // it rather than "survive" a failure that never happened.
         if let Some(crash) = chaos_plan.and_then(|plan| plan.crash) {
@@ -574,21 +539,10 @@ impl ClusterEnvironment {
         // the placement (entry 0 is the source, entry i+1 operator i).
         let mut pipelines = Vec::with_capacity(n_pipes);
         for (p, (h, chain)) in hosted.into_iter().zip(pipe_chains).enumerate() {
-            let mut assign: Vec<NodeId> = placements[p].stages[1..=pipe_op_end].to_vec();
+            let assign = pipe_assign(&placements[p], pipe_op_end, n_pipes, shared, cloud_node);
             let (mut flat, tel) = instrument_chain(chain, tel_on, 0);
             chains.push(tel);
-            // A single pipeline with no shared tail may still end at the
-            // cloud (CloudOnly): fold the trailing cloud-placed run into
-            // the cloud site instead of a one-node relay hop.
-            if n_pipes == 1 && matches!(shared, SharedTail::None) {
-                let cut = assign
-                    .iter()
-                    .rposition(|n| *n != cloud_node)
-                    .map_or(0, |i| i + 1);
-                let tail = flat.split_off(cut);
-                assign.truncate(cut);
-                cloud_ops.extend(tail);
-            }
+            cloud_ops.extend(flat.split_off(assign.len()));
             let source: Box<dyn Source> = if chaos_plan.is_some() {
                 Box::new(ReplaySource::new(h.source))
             } else {
@@ -889,6 +843,80 @@ enum SharedTail {
     /// The window's cloud merge plus the post-window tail
     /// (pre-aggregation).
     Merge,
+}
+
+/// Decides the plan split: per-pipeline placements, the split window,
+/// the pipeline prefix's end and what the cloud shares.
+fn plan_split(
+    query: &Query,
+    topo: &Topology,
+    hosts: &[NodeId],
+    strategy: PlacementStrategy,
+    cloud_node: NodeId,
+) -> Result<(Vec<Placement>, Option<SplitWindow>, usize, SharedTail)> {
+    let mut placements = Vec::with_capacity(hosts.len());
+    for &h in hosts {
+        placements.push(place(query, topo, h, strategy)?);
+    }
+    // Decide the plan split: per-pipeline prefix vs the shared cloud
+    // tail, pre-aggregating a splittable window at the edge.
+    let ops = query.ops();
+    let split = if strategy == PlacementStrategy::EdgeFirst {
+        split_window(query)
+    } else {
+        None
+    };
+    let first_stateful = ops.iter().position(|o| {
+        matches!(
+            o,
+            LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
+        )
+    });
+    let (pipe_op_end, shared) = match &split {
+        // Prefix + partial window per pipeline; merge + suffix shared.
+        Some(sw) => (sw.window_idx + 1, SharedTail::Merge),
+        None => match (hosts.len(), first_stateful) {
+            // Several pipelines fan into one stateful tail: the
+            // stateful operators must run once, at the cloud.
+            (2.., Some(s)) => (s, SharedTail::Plain),
+            _ => (ops.len(), SharedTail::None),
+        },
+    };
+    // The reported placements must say where stages actually run:
+    // everything in the shared tail executes at the cloud, whatever
+    // `place()` originally assigned (the split window's own stage
+    // keeps its node — that is where the partial runs).
+    if !matches!(shared, SharedTail::None) {
+        for pl in &mut placements {
+            for stage in &mut pl.stages[pipe_op_end + 1..] {
+                *stage = cloud_node;
+            }
+        }
+    }
+    Ok((placements, split, pipe_op_end, shared))
+}
+
+/// The node of each compiled pipeline operator, from the placement
+/// (entry 0 is the source, entry i+1 operator i). A single pipeline
+/// with no shared tail may still end at the cloud (CloudOnly): its
+/// trailing cloud-placed run folds into the cloud site instead of a
+/// one-node relay hop, so the assignment stops before it.
+fn pipe_assign(
+    placement: &Placement,
+    pipe_op_end: usize,
+    n_pipes: usize,
+    shared: SharedTail,
+    cloud_node: NodeId,
+) -> Vec<NodeId> {
+    let mut assign: Vec<NodeId> = placement.stages[1..=pipe_op_end].to_vec();
+    if n_pipes == 1 && matches!(shared, SharedTail::None) {
+        let cut = assign
+            .iter()
+            .rposition(|n| *n != cloud_node)
+            .map_or(0, |i| i + 1);
+        assign.truncate(cut);
+    }
+    assign
 }
 
 /// The operator instances a plan split compiles into.
@@ -2400,7 +2428,7 @@ mod tests {
         }
     }
 
-    struct ToColumnarFactory;
+    pub(super) struct ToColumnarFactory;
 
     impl OperatorFactory for ToColumnarFactory {
         fn name(&self) -> &str {
@@ -2490,5 +2518,257 @@ mod tests {
                 assert_eq!(got, BTreeSet::from(["columnar"]), "{strategy:?}/{mode:?}");
             }
         }
+    }
+}
+
+/// The placed planner's decisions, pinned per plan shape: each
+/// pipeline's stages as (node, operator count), the cloud's operator
+/// count and the reported placements, for both strategies on one and
+/// on three hosted sources.
+#[cfg(test)]
+mod plan_tests {
+    use super::*;
+    use crate::expr::{col, lit};
+    use crate::ops::{Pattern, PatternStep};
+    use crate::schema::Schema;
+    use crate::value::{DataType, MICROS_PER_SEC};
+    use crate::window::{AggSpec, WindowAgg, WindowSpec};
+    use PlacementStrategy::{CloudOnly, EdgeFirst};
+
+    fn schema() -> SchemaRef {
+        Schema::of(&[
+            ("ts", DataType::Timestamp),
+            ("train", DataType::Int),
+            ("speed", DataType::Float),
+        ])
+    }
+
+    fn window(spec: WindowSpec) -> Query {
+        Query::from("s").filter(col("speed").gt(lit(1.0))).window(
+            vec![("train", col("train"))],
+            spec,
+            vec![
+                WindowAgg::new("n", AggSpec::Count),
+                WindowAgg::new("top", AggSpec::Max(col("speed"))),
+            ],
+        )
+    }
+
+    fn tumbling() -> WindowSpec {
+        WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        }
+    }
+
+    /// One query per plan shape.
+    fn shapes() -> Vec<(&'static str, Query)> {
+        let pattern = Pattern::new(
+            "fast",
+            vec![PatternStep::new("a", col("speed").gt(lit(100.0)))],
+            60 * MICROS_PER_SEC,
+        )
+        .keyed_by(col("train"));
+        vec![
+            (
+                "stateless",
+                Query::from("s")
+                    .filter(col("speed").gt(lit(1.0)))
+                    .map_extend(vec![("fast", col("speed").gt(lit(100.0)))]),
+            ),
+            ("tumbling", window(tumbling())),
+            (
+                "sliding",
+                window(WindowSpec::Sliding {
+                    size: 60 * MICROS_PER_SEC,
+                    slide: 20 * MICROS_PER_SEC,
+                }),
+            ),
+            (
+                "threshold",
+                window(WindowSpec::Threshold {
+                    predicate: col("speed").gt(lit(100.0)),
+                    min_count: 1,
+                }),
+            ),
+            (
+                "cep",
+                Query::from("s")
+                    .filter(col("speed").gt(lit(1.0)))
+                    .cep(pattern),
+            ),
+            (
+                "plugin",
+                Query::from("s")
+                    .filter(col("speed").gt(lit(1.0)))
+                    .apply(Arc::new(tests::ToColumnarFactory)),
+            ),
+            ("suffix", window(tumbling()).filter(col("n").gt(lit(1i64)))),
+        ]
+    }
+
+    /// `train-0-sensors` → `0s`, `train-0-edge` → `0e`.
+    fn short(topo: &Topology, node: NodeId) -> String {
+        let name = &topo.node(node).name;
+        name.replace("train-", "")
+            .replace("-sensors", "s")
+            .replace("-edge", "e")
+    }
+
+    /// `stages / cloud ops / placements`, pipelines separated by `|`.
+    fn shape(
+        topo: &Topology,
+        query: &Query,
+        hosts: &[NodeId],
+        strategy: PlacementStrategy,
+        failed: Option<NodeId>,
+    ) -> String {
+        let registry = FunctionRegistry::with_builtins();
+        let cloud = topo.cloud().unwrap();
+        let (mut placements, split, end, shared) =
+            plan_split(query, topo, hosts, strategy, cloud).unwrap();
+        let unfailed = placements.clone();
+        let mut migrated = 0;
+        for pl in placements.iter_mut().filter(|_| failed.is_some()) {
+            let (next, m) = crate::topology::replace_after_failure(pl, failed.unwrap(), cloud);
+            *pl = next;
+            migrated += m;
+        }
+        let chains = compile_chains(
+            &registry,
+            query,
+            &schema(),
+            hosts.len(),
+            &split,
+            end,
+            shared,
+        )
+        .unwrap();
+        let mut cloud_ops = chains.cloud_ops.len();
+        let mut pipes = Vec::new();
+        for (p, mut chain) in chains.pipe_chains.into_iter().enumerate() {
+            let cut = pipe_assign(&unfailed[p], end, hosts.len(), shared, cloud).len();
+            cloud_ops += chain.split_off(cut).len();
+            let stages = regroup(hosts[p], chain, &placements[p].stages[1..=cut]);
+            let stages: Vec<String> = (stages.iter())
+                .map(|s| format!("{}:{}", short(topo, s.node), s.ops.len()))
+                .collect();
+            pipes.push(stages.join(" "));
+        }
+        let placed: Vec<String> = (placements.iter())
+            .map(|pl| {
+                let nodes: Vec<String> = pl.stages.iter().map(|&n| short(topo, n)).collect();
+                nodes.join(" ")
+            })
+            .collect();
+        let shape = format!(
+            "{} / {cloud_ops} / {}",
+            pipes.join(" | "),
+            placed.join(" | ")
+        );
+        match failed {
+            Some(_) => format!("{shape} / {migrated}"),
+            None => shape,
+        }
+    }
+
+    /// `stages / cloud ops / placements` per shape, strategy and
+    /// number of hosted sources.
+    const PINNED: [&str; 28] = [
+        "stateless EdgeFirst 1: 0s:2 / 0 / 0s 0s 0s cloud",
+        "stateless EdgeFirst 3: 0s:2 | 1s:2 | 2s:2 / 0 / 0s 0s 0s cloud | 1s 1s 1s cloud | 2s 2s 2s cloud",
+        "stateless CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud",
+        "stateless CloudOnly 3: 0s:0 cloud:2 | 1s:0 cloud:2 | 2s:0 cloud:2 / 0 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud",
+        "tumbling EdgeFirst 1: 0s:1 0e:1 / 1 / 0s 0s 0e cloud",
+        "tumbling EdgeFirst 3: 0s:1 0e:1 | 1s:1 1e:1 | 2s:1 2e:1 / 1 / 0s 0s 0e cloud | 1s 1s 1e cloud | 2s 2s 2e cloud",
+        "tumbling CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud",
+        "tumbling CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud",
+        "sliding EdgeFirst 1: 0s:1 0e:1 / 1 / 0s 0s 0e cloud",
+        "sliding EdgeFirst 3: 0s:1 0e:1 | 1s:1 1e:1 | 2s:1 2e:1 / 1 / 0s 0s 0e cloud | 1s 1s 1e cloud | 2s 2s 2e cloud",
+        "sliding CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud",
+        "sliding CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud",
+        "threshold EdgeFirst 1: 0s:1 0e:1 / 0 / 0s 0s 0e cloud",
+        "threshold EdgeFirst 3: 0s:1 | 1s:1 | 2s:1 / 1 / 0s 0s cloud cloud | 1s 1s cloud cloud | 2s 2s cloud cloud",
+        "threshold CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud",
+        "threshold CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud",
+        "cep EdgeFirst 1: 0s:1 0e:1 / 0 / 0s 0s 0e cloud",
+        "cep EdgeFirst 3: 0s:1 | 1s:1 | 2s:1 / 1 / 0s 0s cloud cloud | 1s 1s cloud cloud | 2s 2s cloud cloud",
+        "cep CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud",
+        "cep CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud",
+        "plugin EdgeFirst 1: 0s:1 0e:1 / 0 / 0s 0s 0e cloud",
+        "plugin EdgeFirst 3: 0s:1 | 1s:1 | 2s:1 / 1 / 0s 0s cloud cloud | 1s 1s cloud cloud | 2s 2s cloud cloud",
+        "plugin CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud",
+        "plugin CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud",
+        "suffix EdgeFirst 1: 0s:1 0e:1 / 2 / 0s 0s 0e cloud cloud",
+        "suffix EdgeFirst 3: 0s:1 0e:1 | 1s:1 1e:1 | 2s:1 2e:1 / 2 / 0s 0s 0e cloud cloud | 1s 1s 1e cloud cloud | 2s 2s 2e cloud cloud",
+        "suffix CloudOnly 1: 0s:0 / 3 / 0s cloud cloud cloud cloud",
+        "suffix CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 2 / 0s cloud cloud cloud cloud | 1s cloud cloud cloud cloud | 2s cloud cloud cloud cloud",
+    ];
+
+    #[test]
+    fn plan_shapes_are_pinned() {
+        let (topo, sensors) = Topology::train_fleet(3);
+        let mut got = Vec::new();
+        for (name, query) in shapes() {
+            for strategy in [EdgeFirst, CloudOnly] {
+                for n in [1, 3] {
+                    let shape = shape(&topo, &query, &sensors[..n], strategy, None);
+                    got.push(format!("{name} {strategy:?} {n}: {shape}"));
+                }
+            }
+        }
+        assert_eq!(got, PINNED);
+    }
+
+    /// `stages / cloud ops / placements / migrated` after train 0's
+    /// edge fails.
+    const PINNED_AFTER_FAILURE: [&str; 28] = [
+        "stateless EdgeFirst 1: 0s:2 / 0 / 0s 0s 0s cloud / 0",
+        "stateless EdgeFirst 3: 0s:2 | 1s:2 | 2s:2 / 0 / 0s 0s 0s cloud | 1s 1s 1s cloud | 2s 2s 2s cloud / 0",
+        "stateless CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud / 0",
+        "stateless CloudOnly 3: 0s:0 cloud:2 | 1s:0 cloud:2 | 2s:0 cloud:2 / 0 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud / 0",
+        "tumbling EdgeFirst 1: 0s:1 cloud:1 / 1 / 0s 0s cloud cloud / 1",
+        "tumbling EdgeFirst 3: 0s:1 cloud:1 | 1s:1 1e:1 | 2s:1 2e:1 / 1 / 0s 0s cloud cloud | 1s 1s 1e cloud | 2s 2s 2e cloud / 1",
+        "tumbling CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud / 0",
+        "tumbling CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud / 0",
+        "sliding EdgeFirst 1: 0s:1 cloud:1 / 1 / 0s 0s cloud cloud / 1",
+        "sliding EdgeFirst 3: 0s:1 cloud:1 | 1s:1 1e:1 | 2s:1 2e:1 / 1 / 0s 0s cloud cloud | 1s 1s 1e cloud | 2s 2s 2e cloud / 1",
+        "sliding CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud / 0",
+        "sliding CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud / 0",
+        "threshold EdgeFirst 1: 0s:1 cloud:1 / 0 / 0s 0s cloud cloud / 1",
+        "threshold EdgeFirst 3: 0s:1 | 1s:1 | 2s:1 / 1 / 0s 0s cloud cloud | 1s 1s cloud cloud | 2s 2s cloud cloud / 0",
+        "threshold CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud / 0",
+        "threshold CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud / 0",
+        "cep EdgeFirst 1: 0s:1 cloud:1 / 0 / 0s 0s cloud cloud / 1",
+        "cep EdgeFirst 3: 0s:1 | 1s:1 | 2s:1 / 1 / 0s 0s cloud cloud | 1s 1s cloud cloud | 2s 2s cloud cloud / 0",
+        "cep CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud / 0",
+        "cep CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud / 0",
+        "plugin EdgeFirst 1: 0s:1 cloud:1 / 0 / 0s 0s cloud cloud / 1",
+        "plugin EdgeFirst 3: 0s:1 | 1s:1 | 2s:1 / 1 / 0s 0s cloud cloud | 1s 1s cloud cloud | 2s 2s cloud cloud / 0",
+        "plugin CloudOnly 1: 0s:0 / 2 / 0s cloud cloud cloud / 0",
+        "plugin CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 1 / 0s cloud cloud cloud | 1s cloud cloud cloud | 2s cloud cloud cloud / 0",
+        "suffix EdgeFirst 1: 0s:1 cloud:1 / 2 / 0s 0s cloud cloud cloud / 1",
+        "suffix EdgeFirst 3: 0s:1 cloud:1 | 1s:1 1e:1 | 2s:1 2e:1 / 2 / 0s 0s cloud cloud cloud | 1s 1s 1e cloud cloud | 2s 2s 2e cloud cloud / 1",
+        "suffix CloudOnly 1: 0s:0 / 3 / 0s cloud cloud cloud cloud / 0",
+        "suffix CloudOnly 3: 0s:0 cloud:1 | 1s:0 cloud:1 | 2s:0 cloud:1 / 2 / 0s cloud cloud cloud cloud | 1s cloud cloud cloud cloud | 2s cloud cloud cloud cloud / 0",
+    ];
+
+    #[test]
+    fn plan_after_an_edge_failure_is_pinned() {
+        // Train 0's edge box dies: every stage on it migrates to the
+        // cloud, its parent; the fold and the cloud's share stay.
+        let (topo, sensors) = Topology::train_fleet(3);
+        let edge = topo
+            .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
+            .unwrap();
+        let mut got = Vec::new();
+        for (name, query) in shapes() {
+            for strategy in [EdgeFirst, CloudOnly] {
+                for n in [1, 3] {
+                    let shape = shape(&topo, &query, &sensors[..n], strategy, Some(edge));
+                    got.push(format!("{name} {strategy:?} {n}: {shape}"));
+                }
+            }
+        }
+        assert_eq!(got, PINNED_AFTER_FAILURE);
     }
 }
