@@ -14,8 +14,9 @@ use super::diagnostics::{Code, Diagnostic};
 use super::schema_pass::PlanFacts;
 use super::{AnalysisContext, Target};
 use crate::expr::FunctionRegistry;
-use crate::preagg::split_window;
+use crate::preagg::{edge_split, CloudRole};
 use crate::query::{LogicalOp, PartitionScheme, Query};
+use crate::topology::PlacementStrategy;
 use crate::value::DataType;
 use crate::window::WindowSpec;
 use std::collections::BTreeSet;
@@ -34,9 +35,12 @@ pub(super) fn run(
             check_partitioning(query, facts, registry, *parallelism, diags);
         }
         Target::Partitioned { .. } => {}
-        Target::Placed { edge_first, .. } => {
+        Target::Placed {
+            edge_first,
+            pipelines,
+        } => {
             if *edge_first {
-                check_edge_split(query, diags);
+                check_edge_split(query, *pipelines, diags);
             }
             check_wire_codecs(facts, ctx, diags);
         }
@@ -88,20 +92,16 @@ fn partition_path(query: &Query) -> String {
 }
 
 /// Warns when an edge-first placement cannot pre-aggregate the first
-/// stateful window at the edge, so raw records ship to the cloud.
-fn check_edge_split(query: &Query, diags: &mut Vec<Diagnostic>) {
-    let first_stateful = query.ops().iter().enumerate().find(|(_, op)| {
-        matches!(
-            op,
-            LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
-        )
-    });
-    let Some((i, LogicalOp::Window { spec, aggs, .. })) = first_stateful else {
+/// stateful window at the edge, so raw records ship to the cloud. Reads
+/// the placed planner's own split.
+fn check_edge_split(query: &Query, pipelines: usize, diags: &mut Vec<Diagnostic>) {
+    let split = edge_split(query, PlacementStrategy::EdgeFirst, pipelines);
+    let (Some(i), CloudRole::None | CloudRole::Plain) = (split.first_stateful, split.cloud) else {
+        return;
+    };
+    let LogicalOp::Window { spec, aggs, .. } = &query.ops()[i] else {
         return; // CEP/plugin stages are not aggregates; nothing to split.
     };
-    if split_window(query).is_some() {
-        return;
-    }
     let message = if matches!(spec, WindowSpec::Threshold { .. }) {
         "threshold windows close on predicate transitions and cannot pre-aggregate \
          at the edge; raw records ship to the cloud"

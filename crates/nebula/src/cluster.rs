@@ -89,8 +89,8 @@ use crate::error::{ClusterError, NebulaError, Result};
 use crate::expr::{FunctionRegistry, Plugin};
 use crate::metrics::{Histogram, QueryMetrics};
 use crate::ops::{chain_late_drops, Operator, WindowOp};
-use crate::preagg::{split_window, SplitWindow};
-use crate::query::{compile_ops, liveness, LogicalOp, Query};
+use crate::preagg::CloudRole;
+use crate::query::{compile_ops, liveness, Query};
 use crate::record::StreamMessage;
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
 use crate::runtime::{deliver, drive, panic_error, resolve_ts_col, ColumnarMode, ProgressTracker};
@@ -103,11 +103,14 @@ use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, NodeSnapshot, QueryReport,
     TelemetryConfig, TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
 };
-use crate::topology::{place, NodeId, NodeKind, Placement, PlacementStrategy, Topology};
+use crate::topology::{
+    plan_placed, NodeId, NodeKind, PlacedPlan, Placement, PlacementStrategy, Topology,
+};
 use crate::value::EventTime;
 use crate::wire::{check_widths, decode_frame, encode_frame, Frame, WireRegistry};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -362,6 +365,58 @@ impl ClusterEnvironment {
         ))
     }
 
+    /// Renders the placed plan of `query` under `strategy`, one line per
+    /// pipeline stage — pipeline, stage, node, operators, output schema,
+    /// and the columns it reads of its input (stage 0: of the source,
+    /// the watermark's time column included) — then the cloud's line
+    /// with its role.
+    pub fn explain(&self, query: &Query, strategy: PlacementStrategy) -> Result<String> {
+        let hosted = self
+            .sources
+            .get(query.source())
+            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
+        let schema = hosted[0].source.schema();
+        let hosts: Vec<NodeId> = hosted.iter().map(|h| h.node).collect();
+        let plan = plan_placed(query, &self.topo, &hosts, strategy)?;
+        let compiled = compile_chains(&self.registry, query, &schema, &plan)?;
+        let line = |ops: &[Box<dyn Operator>], input: &SchemaRef, reads: &ReadSet| {
+            let names: Vec<&str> = ops.iter().map(|op| op.name()).collect();
+            let out = ops
+                .last()
+                .map_or_else(|| input.clone(), |op| op.output_schema());
+            let reads = reads.names(input);
+            (format!("[{}] {out} reads: {reads}", names.join(", ")), out)
+        };
+        let mut s = String::new();
+        let mut cloud_reads = ReadSet::all(compiled.cloud_in.len());
+        for (p, (h, chain)) in hosted.iter().zip(compiled.pipe_chains).enumerate() {
+            let full: Vec<&dyn Operator> = (chain.iter().chain(&compiled.cloud_ops))
+                .map(|op| op.as_ref())
+                .collect();
+            let mut live = liveness(&full, schema.len());
+            if let Some(col) = resolve_ts_col(&h.watermark, &schema)? {
+                live[0].insert(col);
+            }
+            cloud_reads = live[chain.len()].clone();
+            let (mut at, mut input) = (0, schema.clone());
+            for (i, stage) in cut_stages(chain, &plan.pipelines[p])?.iter().enumerate() {
+                let (text, out) = line(&stage.ops, &input, &live[at]);
+                let node = &self.topo.node(stage.node).name;
+                let _ = writeln!(s, "pipe{p} stage{i} {node} {text}");
+                (at, input) = (at + stage.ops.len(), out);
+            }
+        }
+        let role = match &plan.role {
+            CloudRole::None => "none".to_string(),
+            CloudRole::Plain => "plain".to_string(),
+            CloudRole::Merge(sw) => format!("merge op{}", sw.window_idx),
+        };
+        let (text, _) = line(&compiled.cloud_ops, &compiled.cloud_in, &cloud_reads);
+        let cloud = &self.topo.node(plan.cloud).name;
+        let _ = writeln!(s, "{cloud} role: {role} {text}");
+        Ok(s)
+    }
+
     /// Hosts a source for stream `name` on `node`. A stream may be
     /// hosted on several nodes (one per train): the placed query then
     /// runs one edge pipeline per hosted source, fanning into the cloud.
@@ -431,9 +486,7 @@ impl ClusterEnvironment {
         sink: &mut dyn Sink,
     ) -> Result<ClusterReport> {
         let start = Instant::now();
-        let cloud_node = self
-            .topo
-            .cloud()
+        (self.topo.cloud())
             .ok_or_else(|| NebulaError::Plan("topology has no cloud node".into()))?;
         if query.ops().is_empty() {
             return Err(NebulaError::Plan(
@@ -459,65 +512,37 @@ impl ClusterEnvironment {
         // Validate the fault plan before any thread spawns (and before
         // the sources are consumed): the crash target must exist and
         // must be neither the cloud root nor a source host.
+        let hosts: Vec<NodeId> = hosted_ref.iter().map(|h| h.node).collect();
         if let Some(plan) = chaos_plan {
-            let src_nodes: Vec<NodeId> = hosted_ref.iter().map(|h| h.node).collect();
-            plan.validate(&self.topo, &src_nodes)?;
+            plan.validate(&self.topo, &hosts)?;
         }
         // Pre-flight static analysis: errors reject the plan before any
         // thread spawns (the sources stay registered); warnings ride
         // along into the telemetry report.
         let analysis_warnings = self.analyze(query, strategy)?.into_accepted()?;
-        // Validate watermark fields and compute placements before taking
-        // the sources, so a plan error leaves them registered.
+        // Validate watermark fields and plan before taking the sources,
+        // so a plan error leaves them registered. A crash target no
+        // frame ever crosses could never trip: reject it rather than
+        // "survive" a failure that never happened.
         let mut ts_cols = Vec::with_capacity(n_pipes);
         for h in hosted_ref {
             ts_cols.push(resolve_ts_col(&h.watermark, &schema)?);
         }
-        let hosts: Vec<NodeId> = hosted_ref.iter().map(|h| h.node).collect();
-        let (mut placements, split, pipe_op_end, shared) =
-            plan_split(query, &self.topo, &hosts, strategy, cloud_node)?;
-        // A crash target no frame ever crosses could never trip: reject
-        // it rather than "survive" a failure that never happened.
+        let mut plan = plan_placed(query, &self.topo, &hosts, strategy)?;
         if let Some(crash) = chaos_plan.and_then(|plan| plan.crash) {
-            let mut on_route = false;
-            for pl in &placements {
-                on_route |= route_crosses(&self.topo, cloud_node, &pl.stages, crash.node)?;
-            }
-            if !on_route {
-                return Err(ClusterError::IneligibleFault {
-                    detail: format!(
-                        "'{}' lies on no pipeline's frame route",
-                        self.topo.node(crash.node).name
-                    ),
-                }
-                .into());
-            }
+            plan.ensure_on_route(&self.topo, crash.node)?;
         }
 
-        // Compile per-pipeline chains and the shared cloud tail, once:
-        // crash recovery restores snapshots of these instances.
-        let CompiledChains {
-            pipe_chains,
-            cloud_ops,
-        } = compile_chains(
-            &self.registry,
-            query,
-            &schema,
-            n_pipes,
-            &split,
-            pipe_op_end,
-            shared,
-        )?;
+        // Compile per-pipeline chains and the cloud's, once: crash
+        // recovery restores snapshots of these instances.
+        let compiled = compile_chains(&self.registry, query, &schema, &plan)?;
 
-        // Instrument every chain. The shared cloud tail's operator ids
-        // start past the pipeline chain so edge `op0..` and cloud
-        // `opN..` positions never collide; the single-pipe fold below
-        // moves already-wrapped tail operators into the cloud chain,
-        // keeping their pipeline-relative ids (and their registry
-        // handles, which stay with the pipe's `ChainTelemetry`).
+        // Instrument every chain. The cloud's operator ids start past
+        // the pipeline chain so edge `op0..` and cloud `opN..`
+        // positions never collide.
         let tel_on = self.config.telemetry.enabled;
-        let cloud_base = pipe_chains.first().map_or(0, Vec::len);
-        let (mut cloud_ops, cloud_tel) = instrument_chain(cloud_ops, tel_on, cloud_base);
+        let cloud_base = compiled.pipe_chains.first().map_or(0, Vec::len);
+        let (mut cloud_ops, cloud_tel) = instrument_chain(compiled.cloud_ops, tel_on, cloud_base);
         let mut chains: Vec<ChainTelemetry> = Vec::with_capacity(n_pipes + 1);
         let trace = Arc::new(TraceRing::new(self.config.telemetry.max_events));
         if tel_on {
@@ -535,21 +560,17 @@ impl ClusterEnvironment {
             .remove(query.source())
             .ok_or_else(|| internal("hosted sources vanished mid-plan"))?;
 
-        // Per-pipeline node assignment for each compiled operator, from
-        // the placement (entry 0 is the source, entry i+1 operator i).
         let mut pipelines = Vec::with_capacity(n_pipes);
-        for (p, (h, chain)) in hosted.into_iter().zip(pipe_chains).enumerate() {
-            let assign = pipe_assign(&placements[p], pipe_op_end, n_pipes, shared, cloud_node);
-            let (mut flat, tel) = instrument_chain(chain, tel_on, 0);
+        for (p, (h, chain)) in hosted.into_iter().zip(compiled.pipe_chains).enumerate() {
+            let (flat, tel) = instrument_chain(chain, tel_on, 0);
             chains.push(tel);
-            cloud_ops.extend(flat.split_off(assign.len()));
             let source: Box<dyn Source> = if chaos_plan.is_some() {
                 Box::new(ReplaySource::new(h.source))
             } else {
                 h.source
             };
             pipelines.push(PipelinePlan {
-                stages: regroup(h.node, flat, &assign),
+                stages: cut_stages(flat, &plan.pipelines[p])?,
                 source: PipeSource {
                     // The pipeline's index is the punctuation origin
                     // stamped on every buffer it emits.
@@ -585,14 +606,10 @@ impl ClusterEnvironment {
             ..Outbox::new(sink, chaos_plan.is_some())
         };
         let mut cluster = ClusterMetrics {
-            preaggregated: split.is_some(),
+            preaggregated: matches!(plan.role, CloudRole::Merge(_)),
             ..ClusterMetrics::default()
         };
 
-        // The cloud's input schema is fixed by the plan; compute it once
-        // (after a recovery skips finished pipelines, pipeline 0 may no
-        // longer be available to ask).
-        let cloud_in_schema = pipeline_out_schema(&pipelines[0]);
         // A chaos run's store starts out holding the run's start as
         // epoch 0, so a crash always has a sealed epoch to restore.
         let chaos_run = match chaos_plan {
@@ -613,8 +630,8 @@ impl ClusterEnvironment {
                 cfg: &self.config,
                 wire: &self.wire,
                 accounts: &accounts,
-                cloud_node,
-                cloud_in_schema: &cloud_in_schema,
+                plan: &plan,
+                cloud_in_schema: &compiled.cloud_in,
             };
             let chaos = resumed.as_ref().or(chaos_run.as_ref());
             let phase = run_phase(
@@ -648,35 +665,15 @@ impl ClusterEnvironment {
                     format!("node '{}' crashed", self.topo.node(failed).name),
                 );
             }
-            let parent = self
-                .topo
-                .links()
-                .iter()
-                .find(|l| l.from == failed)
-                .map(|l| l.to)
-                .ok_or_else(|| {
-                    NebulaError::Plan(format!(
-                        "cannot fail node '{}': it has no parent to migrate to",
-                        self.topo.node(failed).name
-                    ))
-                })?;
-            self.topo.fail_node(failed);
+            let parent = self.topo.parent(failed);
+            let (next, migrated) = plan.after_failure(&mut self.topo, failed)?;
+            plan = next;
             cluster.replans += 1;
-            for pl in &mut placements {
-                let (new_pl, migrated) = crate::topology::replace_after_failure(pl, failed, parent);
-                *pl = new_pl;
-                cluster.migrated_stages += migrated;
-            }
-            if tel_on {
-                trace.push(
-                    COORDINATOR_ORIGIN,
-                    TraceKind::Replan,
-                    format!(
-                        "{} stage(s) migrated to '{}'",
-                        cluster.migrated_stages,
-                        self.topo.node(parent).name
-                    ),
-                );
+            cluster.migrated_stages += migrated;
+            if let (true, Some(parent)) = (tel_on, parent) {
+                let to = &self.topo.node(parent).name;
+                let detail = format!("{} stage(s) migrated to '{to}'", cluster.migrated_stages);
+                trace.push(COORDINATOR_ORIGIN, TraceKind::Replan, detail);
             }
             // Restore the newest sealed epoch (the run's start at
             // the latest): source counters and operator state per
@@ -690,7 +687,7 @@ impl ClusterEnvironment {
                 .cloud
                 .take()
                 .ok_or_else(|| internal("sealed epoch lacks its cloud part"))?;
-            for (p, (pipe, pl)) in pipelines.iter_mut().zip(&placements).enumerate() {
+            for (p, (pipe, planned)) in pipelines.iter_mut().zip(&plan.pipelines).enumerate() {
                 if cloud_part.progress.is_done(p as u64) {
                     // This pipeline finished before the cut: nothing
                     // to re-run (its totals live on in the store's
@@ -699,21 +696,16 @@ impl ClusterEnvironment {
                     pipe.stages = Vec::new();
                     continue;
                 }
-                // Every stage's operators in pipeline order, regrouped
-                // once by the re-planned placement (its entry 0 is the
-                // source node, entry i+1 operator i); stage 0's part
-                // carries the source cut.
+                // Every stage's operators in pipeline order, cut by the
+                // re-planned stages; stage 0's part carries the source
+                // cut.
                 let (mut flat, mut cut) = (Vec::new(), None);
                 for part in (0..).map_while(|s| snap.stages.remove(&(p, s))) {
                     flat.extend(part.ops);
                     cut = cut.or(part.source);
                 }
-                let (Some(cut), Some(&node), Some(assign)) =
-                    (cut, pl.stages.first(), pl.stages.get(1..=flat.len()))
-                else {
-                    return Err(internal("sealed epoch lacks a stage part"));
-                };
-                pipe.stages = regroup(node, flat, assign);
+                let cut = cut.ok_or_else(|| internal("sealed epoch lacks a stage part"))?;
+                pipe.stages = cut_stages(flat, planned)?;
                 pipe.source.stats = cut.stats;
                 pipe.source.eos_sent = false;
                 // Replay re-derives stage 0's punctuation from
@@ -827,179 +819,66 @@ impl ClusterEnvironment {
         Ok(ClusterReport {
             metrics,
             cluster,
-            placements,
+            placements: plan.placements(),
             telemetry,
         })
     }
 }
 
-/// What runs at the cloud beyond per-pipeline chains.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SharedTail {
-    /// Nothing shared: the cloud site only collects results.
-    None,
-    /// The plan tail from the first stateful operator (multi-pipeline).
-    Plain,
-    /// The window's cloud merge plus the post-window tail
-    /// (pre-aggregation).
-    Merge,
-}
-
-/// Decides the plan split: per-pipeline placements, the split window,
-/// the pipeline prefix's end and what the cloud shares.
-fn plan_split(
-    query: &Query,
-    topo: &Topology,
-    hosts: &[NodeId],
-    strategy: PlacementStrategy,
-    cloud_node: NodeId,
-) -> Result<(Vec<Placement>, Option<SplitWindow>, usize, SharedTail)> {
-    let mut placements = Vec::with_capacity(hosts.len());
-    for &h in hosts {
-        placements.push(place(query, topo, h, strategy)?);
-    }
-    // Decide the plan split: per-pipeline prefix vs the shared cloud
-    // tail, pre-aggregating a splittable window at the edge.
-    let ops = query.ops();
-    let split = if strategy == PlacementStrategy::EdgeFirst {
-        split_window(query)
-    } else {
-        None
-    };
-    let first_stateful = ops.iter().position(|o| {
-        matches!(
-            o,
-            LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
-        )
-    });
-    let (pipe_op_end, shared) = match &split {
-        // Prefix + partial window per pipeline; merge + suffix shared.
-        Some(sw) => (sw.window_idx + 1, SharedTail::Merge),
-        None => match (hosts.len(), first_stateful) {
-            // Several pipelines fan into one stateful tail: the
-            // stateful operators must run once, at the cloud.
-            (2.., Some(s)) => (s, SharedTail::Plain),
-            _ => (ops.len(), SharedTail::None),
-        },
-    };
-    // The reported placements must say where stages actually run:
-    // everything in the shared tail executes at the cloud, whatever
-    // `place()` originally assigned (the split window's own stage
-    // keeps its node — that is where the partial runs).
-    if !matches!(shared, SharedTail::None) {
-        for pl in &mut placements {
-            for stage in &mut pl.stages[pipe_op_end + 1..] {
-                *stage = cloud_node;
-            }
-        }
-    }
-    Ok((placements, split, pipe_op_end, shared))
-}
-
-/// The node of each compiled pipeline operator, from the placement
-/// (entry 0 is the source, entry i+1 operator i). A single pipeline
-/// with no shared tail may still end at the cloud (CloudOnly): its
-/// trailing cloud-placed run folds into the cloud site instead of a
-/// one-node relay hop, so the assignment stops before it.
-fn pipe_assign(
-    placement: &Placement,
-    pipe_op_end: usize,
-    n_pipes: usize,
-    shared: SharedTail,
-    cloud_node: NodeId,
-) -> Vec<NodeId> {
-    let mut assign: Vec<NodeId> = placement.stages[1..=pipe_op_end].to_vec();
-    if n_pipes == 1 && matches!(shared, SharedTail::None) {
-        let cut = assign
-            .iter()
-            .rposition(|n| *n != cloud_node)
-            .map_or(0, |i| i + 1);
-        assign.truncate(cut);
-    }
-    assign
-}
-
-/// The operator instances a plan split compiles into.
+/// The operator instances a placed plan compiles into.
 struct CompiledChains {
     pipe_chains: Vec<Vec<Box<dyn Operator>>>,
     cloud_ops: Vec<Box<dyn Operator>>,
+    /// The schema of the frames every pipeline delivers to the cloud.
+    cloud_in: SchemaRef,
 }
 
-/// Compiles per-pipeline chains (one operator instance set each) and
-/// the shared cloud tail. A split window compiles as the stateless
-/// prefix plus the window's edge partial, shipping one partial row per
-/// slice, and the window's cloud merge.
+/// Compiles `plan`: one chain per pipeline (its stages' operators in
+/// order) and the cloud's. A split window compiles as the window's edge
+/// partial, shipping one partial row per slice, at the end of each
+/// pipeline and as its cloud merge at the head of the cloud's chain.
 fn compile_chains(
     registry: &FunctionRegistry,
     query: &Query,
     schema: &SchemaRef,
-    n_pipes: usize,
-    split: &Option<SplitWindow>,
-    pipe_op_end: usize,
-    shared: SharedTail,
+    plan: &PlacedPlan,
 ) -> Result<CompiledChains> {
-    let ops = query.ops();
-    let mut pipe_chains = Vec::with_capacity(n_pipes);
-    let mut pipe_out_schema = schema.clone();
-    let mut pre_window_schema = schema.clone();
-    for _ in 0..n_pipes {
-        let prefix_end = split.as_ref().map_or(pipe_op_end, |sw| sw.window_idx);
-        let plan = compile_ops(
-            &ops[..prefix_end],
-            query.ts_field(),
-            schema.clone(),
-            registry,
-        )?;
-        let mut operators = plan.operators;
-        pre_window_schema = plan.output_schema.clone();
-        pipe_out_schema = plan.output_schema;
+    let (ops, ts) = (query.ops(), query.ts_field());
+    let split = match &plan.role {
+        CloudRole::Merge(sw) => Some(sw),
+        CloudRole::None | CloudRole::Plain => None,
+    };
+    let tail_start = plan.cloud_ops.start + usize::from(split.is_some());
+    // The schemas leaving the stateless prefix and every pipeline.
+    let (mut prefix_out, mut cloud_in) = (schema.clone(), schema.clone());
+    let mut pipe_chains = Vec::with_capacity(plan.pipelines.len());
+    for _ in &plan.pipelines {
+        let chain = compile_ops(&ops[..plan.cloud_ops.start], ts, schema.clone(), registry)?;
+        let mut operators = chain.operators;
+        prefix_out = chain.output_schema;
+        cloud_in = prefix_out.clone();
         if let Some(sw) = split {
-            let partial = WindowOp::edge_partial(
-                query.ts_field(),
-                &sw.keys,
-                &sw.spec,
-                sw.aggs.clone(),
-                pre_window_schema.clone(),
-                registry,
-            )?;
-            pipe_out_schema = partial.output_schema();
+            let (keys, aggs, input) = (&sw.keys, sw.aggs.clone(), prefix_out.clone());
+            let partial = WindowOp::edge_partial(ts, keys, &sw.spec, aggs, input, registry)?;
+            cloud_in = partial.output_schema();
             operators.push(Box::new(partial));
         }
         pipe_chains.push(operators);
     }
     let mut cloud_ops: Vec<Box<dyn Operator>> = Vec::new();
-    match shared {
-        SharedTail::Merge => {
-            let sw = split
-                .as_ref()
-                .ok_or_else(|| internal("merge tail without a split window"))?;
-            let merge = WindowOp::cloud_merge(
-                query.ts_field(),
-                &sw.keys,
-                &sw.spec,
-                sw.aggs.clone(),
-                pre_window_schema,
-                registry,
-            )?;
-            let merge_out = merge.output_schema();
-            cloud_ops.push(Box::new(merge));
-            let suffix = compile_ops(&ops[pipe_op_end..], query.ts_field(), merge_out, registry)?;
-            cloud_ops.extend(suffix.operators);
-        }
-        SharedTail::Plain => {
-            let tail = compile_ops(
-                &ops[pipe_op_end..],
-                query.ts_field(),
-                pipe_out_schema,
-                registry,
-            )?;
-            cloud_ops.extend(tail.operators);
-        }
-        SharedTail::None => {}
+    let mut tail_in = cloud_in.clone();
+    if let Some(sw) = split {
+        let (keys, aggs, input) = (&sw.keys, sw.aggs.clone(), prefix_out);
+        let merge = WindowOp::cloud_merge(ts, keys, &sw.spec, aggs, input, registry)?;
+        tail_in = merge.output_schema();
+        cloud_ops.push(Box::new(merge));
     }
+    let tail = compile_ops(&ops[tail_start..], ts, tail_in, registry)?;
+    cloud_ops.extend(tail.operators);
     Ok(CompiledChains {
         pipe_chains,
         cloud_ops,
+        cloud_in,
     })
 }
 
@@ -1102,25 +981,18 @@ struct Stage {
     ops: Vec<Box<dyn Operator>>,
 }
 
-/// Groups a pipeline's operators into stages: stage 0 on the source
-/// node (possibly with no operators), then one stage per contiguous
-/// same-node run.
-fn regroup(source_node: NodeId, flat: Vec<Box<dyn Operator>>, assign: &[NodeId]) -> Vec<Stage> {
-    debug_assert_eq!(flat.len(), assign.len());
-    let mut stages = vec![Stage {
-        node: source_node,
-        ops: Vec::new(),
-    }];
-    for (op, &node) in flat.into_iter().zip(assign) {
-        match stages.last_mut().filter(|s| s.node == node) {
-            Some(stage) => stage.ops.push(op),
-            None => stages.push(Stage {
-                node,
-                ops: vec![op],
-            }),
-        }
+/// Cuts a pipeline's operator chain into its planned stages, given as
+/// (node, operator count).
+fn cut_stages(mut flat: Vec<Box<dyn Operator>>, planned: &[(NodeId, usize)]) -> Result<Vec<Stage>> {
+    if flat.len() != planned.iter().map(|&(_, n)| n).sum::<usize>() {
+        return Err(internal("a chain that does not fit its planned stages"));
     }
-    stages
+    let stages = planned.iter().map(|&(node, n)| {
+        let rest = flat.split_off(n);
+        let ops = std::mem::replace(&mut flat, rest);
+        Stage { node, ops }
+    });
+    Ok(stages.collect())
 }
 
 /// Per-link traffic counters shared across stage threads.
@@ -1986,31 +1858,13 @@ impl<'a> Outbox<'a> {
     }
 }
 
-/// Whether `node` lies on a pipeline's frame route `stops… → cloud`
-/// (the source node first) — as any hop endpoint, including
-/// pass-through relays that host no operators.
-fn route_crosses(topo: &Topology, cloud: NodeId, stops: &[NodeId], node: NodeId) -> Result<bool> {
-    let mut stops = stops.to_vec();
-    stops.push(cloud);
-    for leg in stops.windows(2) {
-        let crosses = topo.path_up(leg[0], leg[1])?.into_iter().any(|idx| {
-            let l = &topo.links()[idx];
-            l.from == node || l.to == node
-        });
-        if crosses {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
 /// Shared phase context.
 struct PhaseIo<'a> {
     topo: &'a Topology,
     cfg: &'a ClusterConfig,
     wire: &'a WireRegistry,
     accounts: &'a Arc<TrafficAccounts>,
-    cloud_node: NodeId,
+    plan: &'a PlacedPlan,
     /// The schema of the frames every pipeline delivers to the cloud.
     cloud_in_schema: &'a SchemaRef,
 }
@@ -2047,15 +1901,6 @@ impl PhaseIo<'_> {
             depth,
         })
     }
-}
-
-/// The schema of records a pipeline delivers to the cloud site.
-fn pipeline_out_schema(p: &PipelinePlan) -> SchemaRef {
-    p.stages
-        .iter()
-        .rev()
-        .find_map(|s| s.ops.last())
-        .map_or_else(|| p.source.driver.schema().clone(), |o| o.output_schema())
 }
 
 /// A joined stage thread's result. [`run_phase`] catches a panic inside
@@ -2148,10 +1993,8 @@ fn run_phase(
             // When no stage sits on the doomed node, stage 0 of a pipeline
             // routed through it counts its source batches instead.
             let pass_through = match chaos.and_then(|c| c.switch.as_ref()) {
-                Some(sw) if !doomed_hosted => {
-                    route_crosses(io.topo, io.cloud_node, nodes, sw.node)?
-                }
-                _ => false,
+                Some(sw) => !doomed_hosted && io.plan.route_crosses(p, sw.node),
+                None => false,
             };
 
             // Spawn the stages front to back with forward-threaded
@@ -2197,7 +2040,7 @@ fn run_phase(
                     None => {
                         cloud_ack = ack_tx;
                         let inbox = (inbox_tx.clone(), p);
-                        (io.cloud_node, inbox, Arc::clone(&inbox_depth))
+                        (io.plan.cloud, inbox, Arc::clone(&inbox_depth))
                     }
                 };
                 let rel = match (chaos, ack_rx) {
@@ -2623,46 +2466,31 @@ mod plan_tests {
         failed: Option<NodeId>,
     ) -> String {
         let registry = FunctionRegistry::with_builtins();
-        let cloud = topo.cloud().unwrap();
-        let (mut placements, split, end, shared) =
-            plan_split(query, topo, hosts, strategy, cloud).unwrap();
-        let unfailed = placements.clone();
+        let mut plan = plan_placed(query, topo, hosts, strategy).unwrap();
         let mut migrated = 0;
-        for pl in placements.iter_mut().filter(|_| failed.is_some()) {
-            let (next, m) = crate::topology::replace_after_failure(pl, failed.unwrap(), cloud);
-            *pl = next;
-            migrated += m;
+        if let Some(failed) = failed {
+            (plan, migrated) = plan.after_failure(&mut topo.clone(), failed).unwrap();
         }
-        let chains = compile_chains(
-            &registry,
-            query,
-            &schema(),
-            hosts.len(),
-            &split,
-            end,
-            shared,
-        )
-        .unwrap();
-        let mut cloud_ops = chains.cloud_ops.len();
+        // Compile from the plan and cut each chain by its stages.
+        let chains = compile_chains(&registry, query, &schema(), &plan).unwrap();
+        assert_eq!(chains.cloud_ops.len(), plan.cloud_ops.len());
         let mut pipes = Vec::new();
-        for (p, mut chain) in chains.pipe_chains.into_iter().enumerate() {
-            let cut = pipe_assign(&unfailed[p], end, hosts.len(), shared, cloud).len();
-            cloud_ops += chain.split_off(cut).len();
-            let stages = regroup(hosts[p], chain, &placements[p].stages[1..=cut]);
-            let stages: Vec<String> = (stages.iter())
+        for (chain, planned) in chains.pipe_chains.into_iter().zip(&plan.pipelines) {
+            let stages: Vec<String> = (cut_stages(chain, planned).unwrap().iter())
                 .map(|s| format!("{}:{}", short(topo, s.node), s.ops.len()))
                 .collect();
             pipes.push(stages.join(" "));
         }
-        let placed: Vec<String> = (placements.iter())
+        let placed: Vec<String> = (plan.placements().iter())
             .map(|pl| {
                 let nodes: Vec<String> = pl.stages.iter().map(|&n| short(topo, n)).collect();
                 nodes.join(" ")
             })
             .collect();
         let shape = format!(
-            "{} / {cloud_ops} / {}",
+            "{} / {} / {}",
             pipes.join(" | "),
+            plan.cloud_ops.len(),
             placed.join(" | ")
         );
         match failed {

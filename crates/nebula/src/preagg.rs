@@ -23,7 +23,8 @@
 //! custom aggregate run their window whole on one node.
 //!
 //! [`split_window`] decides whether a query's first stateful operator
-//! can be split. The split runs one window operator in two roles:
+//! can be split, and [`edge_split`] what every pipeline and the cloud
+//! run of a placed plan. The split runs one window operator in two roles:
 //! [`WindowOp::edge_partial`](crate::ops::WindowOp::edge_partial) emits
 //! per-slice partial rows at the edge, and
 //! [`WindowOp::cloud_merge`](crate::ops::WindowOp::cloud_merge) folds
@@ -32,6 +33,7 @@
 
 use crate::expr::Expr;
 use crate::query::{LogicalOp, Query};
+use crate::topology::PlacementStrategy;
 use crate::window::{WindowAgg, WindowSpec};
 
 /// A splittable window found in a query plan, with everything needed to
@@ -53,30 +55,69 @@ pub struct SplitWindow {
 /// and maps) runs unchanged before the partial window; everything after
 /// the window consumes merged rows and moves to the merge node.
 pub fn split_window(query: &Query) -> Option<SplitWindow> {
-    for (i, op) in query.ops().iter().enumerate() {
-        match op {
-            LogicalOp::Filter(_) | LogicalOp::Map { .. } => continue,
-            LogicalOp::Window { keys, spec, aggs } => {
-                if !matches!(
-                    spec,
-                    WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. }
-                ) {
-                    return None;
-                }
-                if !aggs.iter().all(|a| a.spec.splittable()) {
-                    return None;
-                }
-                return Some(SplitWindow {
-                    window_idx: i,
-                    keys: keys.clone(),
-                    spec: spec.clone(),
-                    aggs: aggs.clone(),
-                });
-            }
-            LogicalOp::Cep(_) | LogicalOp::Custom(_) => return None,
-        }
+    let (i, op) = (query.ops().iter().enumerate()).find(|(_, op)| op.is_stateful())?;
+    let LogicalOp::Window { keys, spec, aggs } = op else {
+        return None;
+    };
+    let timed = matches!(
+        spec,
+        WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. }
+    );
+    (timed && aggs.iter().all(|a| a.spec.splittable())).then(|| SplitWindow {
+        window_idx: i,
+        keys: keys.clone(),
+        spec: spec.clone(),
+        aggs: aggs.clone(),
+    })
+}
+
+/// What the cloud runs of a placed plan, for every pipeline at once.
+#[derive(Debug, Clone)]
+pub enum CloudRole {
+    /// Nothing shared: the cloud runs what a single pipeline folds into
+    /// it, if anything, and collects results.
+    None,
+    /// The plan tail from the first stateful operator: several
+    /// pipelines fan into one stateful tail, which must run once.
+    Plain,
+    /// The split window's cloud merge, then the plan tail after it.
+    Merge(SplitWindow),
+}
+
+/// The topology-free part of a placed plan: where the pipelines end and
+/// what the cloud shares.
+#[derive(Debug, Clone)]
+pub struct EdgeSplit {
+    /// The first window, CEP or plugin operator, if any.
+    pub first_stateful: Option<usize>,
+    /// Every pipeline runs `ops[..pipe_end]`; a split window runs there
+    /// as its edge partial.
+    pub pipe_end: usize,
+    /// What the cloud shares.
+    pub cloud: CloudRole,
+}
+
+/// Splits `query` between its `pipelines` and the cloud: under
+/// `EdgeFirst` a splittable first window pre-aggregates at the edge and
+/// merges at the cloud; otherwise several pipelines hand everything
+/// from the first stateful operator on to the cloud, and one pipeline
+/// keeps the whole plan.
+pub fn edge_split(query: &Query, strategy: PlacementStrategy, pipelines: usize) -> EdgeSplit {
+    let ops = query.ops();
+    let first_stateful = ops.iter().position(LogicalOp::is_stateful);
+    let split = (strategy == PlacementStrategy::EdgeFirst)
+        .then(|| split_window(query))
+        .flatten();
+    let (pipe_end, cloud) = match (split, first_stateful) {
+        (Some(sw), _) => (sw.window_idx + 1, CloudRole::Merge(sw)),
+        (None, Some(s)) if pipelines > 1 => (s, CloudRole::Plain),
+        (None, _) => (ops.len(), CloudRole::None),
+    };
+    EdgeSplit {
+        first_stateful,
+        pipe_end,
+        cloud,
     }
-    None
 }
 
 #[cfg(test)]

@@ -52,6 +52,17 @@ pub enum LogicalOp {
     Custom(Arc<dyn OperatorFactory>),
 }
 
+impl LogicalOp {
+    /// Whether the operator keeps state across buffers: a window, a CEP
+    /// pattern, or a plugin operator (whose state is opaque).
+    pub fn is_stateful(&self) -> bool {
+        matches!(
+            self,
+            LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
+        )
+    }
+}
+
 impl std::fmt::Debug for LogicalOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -225,14 +236,7 @@ impl Query {
                 }
             }
         };
-        if matches!(candidate, PartitionScheme::Key(_))
-            && ops.any(|op| {
-                matches!(
-                    op,
-                    LogicalOp::Window { .. } | LogicalOp::Cep(_) | LogicalOp::Custom(_)
-                )
-            })
-        {
+        if matches!(candidate, PartitionScheme::Key(_)) && ops.any(LogicalOp::is_stateful) {
             return PartitionScheme::Single("a second stateful operator follows the keyed stage");
         }
         candidate

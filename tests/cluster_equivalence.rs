@@ -1899,3 +1899,85 @@ fn fault_free_link_traffic_is_pinned() {
         );
     }
 }
+
+/// `explain` renders the placed plan: one line per pipeline stage
+/// (pipeline, stage, node, operators, output schema, the columns read
+/// of its input), then the cloud's line with its role.
+#[test]
+fn explain_prints_the_placed_plan() {
+    use PlacementStrategy::{CloudOnly, EdgeFirst};
+    const FLEET: &str = "(ts: TIMESTAMP, train_id: INT, pos: POINT, speed_kmh: FLOAT, \
+        battery_v: FLOAT, battery_temp_c: FLOAT, brake_bar: FLOAT, noise_db: FLOAT, \
+        passengers: INT, doors_open: BOOL, odometer_m: FLOAT, cabin_temp_c: FLOAT)";
+    const Q2_OUT: &str = "(train_id: INT, window_start: TIMESTAMP, window_end: TIMESTAMP, \
+        avg_db: FLOAT, peak_db: FLOAT, samples: INT, at: POINT)";
+    let sim = sncb::FleetSimulator::new(sncb::FleetConfig::test_minutes(1));
+    let env = sncb::demo::demo_cluster_with(&sim.network(), sim.weather().clone(), Vec::new());
+    let q2 = nebulameos::q2_noise_monitoring(80.0);
+
+    // Q2 under EdgeFirst: the filter stays on the sensors, the window
+    // splits into the edge's partial and the cloud's merge, and the
+    // cloud runs the filter after it.
+    let partial = "(train_id: INT, slice_start: TIMESTAMP, slice_end: TIMESTAMP, \
+        avg_db_p0: FLOAT, avg_db_p1: INT, peak_db: FLOAT, samples: INT, at_p0: TIMESTAMP, \
+        at_p1: POINT)";
+    let q2_reads = "ts, train_id, pos, noise_db";
+    assert_eq!(
+        env.explain(&q2, EdgeFirst)
+            .unwrap()
+            .lines()
+            .collect::<Vec<_>>(),
+        [
+            format!("pipe0 stage0 train-0-sensors [filter] {FLEET} reads: {q2_reads}"),
+            format!("pipe0 stage1 train-0-edge [window] {partial} reads: {q2_reads}"),
+            format!(
+                "cloud role: merge op1 [window, filter] {Q2_OUT} reads: train_id, \
+                 slice_start, slice_end, avg_db_p0, avg_db_p1, peak_db, samples, at_p0, at_p1"
+            ),
+        ]
+    );
+    // Q2 under CloudOnly: one pipeline folds its whole chain into the
+    // cloud, and the sensors ship only what it reads.
+    assert_eq!(
+        env.explain(&q2, CloudOnly)
+            .unwrap()
+            .lines()
+            .collect::<Vec<_>>(),
+        [
+            format!("pipe0 stage0 train-0-sensors [] {FLEET} reads: {q2_reads}"),
+            format!("cloud role: none [filter, window, filter] {Q2_OUT} reads: {q2_reads}"),
+        ]
+    );
+
+    // Three trains fanning into a threshold window, which cannot split:
+    // each train filters, and the cloud runs the window once for all.
+    let q = Query::from("s").filter(col("load").ge(lit(0))).window(
+        vec![("train", col("train"))],
+        WindowSpec::Threshold {
+            predicate: col("speed").gt(lit(40.0)),
+            min_count: 2,
+        },
+        vec![WindowAgg::new("n", AggSpec::Count)],
+    );
+    let (topo, sensors) = Topology::train_fleet(3);
+    let mut env = ClusterEnvironment::new(topo);
+    for sensor in &sensors {
+        env.add_source("s", *sensor, source(Feed::InOrder), generous_watermark());
+    }
+    let input =
+        "(ts: TIMESTAMP, train: INT, speed: FLOAT, load: INT) reads: ts, train, speed, load";
+    assert_eq!(
+        env.explain(&q, EdgeFirst)
+            .unwrap()
+            .lines()
+            .collect::<Vec<_>>(),
+        [
+            format!("pipe0 stage0 train-0-sensors [filter] {input}"),
+            format!("pipe1 stage0 train-1-sensors [filter] {input}"),
+            format!("pipe2 stage0 train-2-sensors [filter] {input}"),
+            "cloud role: plain [window] (train: INT, window_start: TIMESTAMP, window_end: \
+             TIMESTAMP, n: INT) reads: ts, train, speed"
+                .to_string(),
+        ]
+    );
+}
