@@ -16,7 +16,7 @@
 
 use crate::error::{ClusterError, NebulaError, Result};
 use crate::source::XorShift;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{NodeId, PlacedPlan, Topology};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -133,12 +133,13 @@ impl FaultPlan {
         self
     }
 
-    /// Validates the plan against a topology before any thread spawns.
-    /// The crash target must exist, must not be the cloud root (failing
-    /// the root is unrecoverable — there is nowhere to migrate to), and
-    /// must not host a source (`source_nodes`). The error lists every
-    /// ineligible node with its reason.
-    pub fn validate(&self, topo: &Topology, source_nodes: &[NodeId]) -> Result<()> {
+    /// Validates the plan against a placed query plan over `topo`
+    /// before any thread spawns. The crash target must exist, must not
+    /// be the cloud root (failing the root is unrecoverable — there is
+    /// nowhere to migrate to), must not host a source, and must lie on
+    /// some pipeline's frame route (elsewhere it would never see a frame,
+    /// so it could never crash). The error lists every reason.
+    pub fn validate(&self, topo: &Topology, placed: &PlacedPlan) -> Result<()> {
         let Some(crash) = &self.crash else {
             return Ok(());
         };
@@ -150,8 +151,19 @@ impl FaultPlan {
             if topo.cloud() == Some(crash.node) {
                 problems.push(format!("'{name}' is the cloud root"));
             }
-            if source_nodes.contains(&crash.node) {
+            if placed
+                .placements
+                .iter()
+                .any(|pl| pl.stages[0] == crash.node)
+            {
                 problems.push(format!("'{name}' hosts a source"));
+            }
+            let mut on_route = false;
+            for pipe in 0..placed.placements.len() {
+                on_route |= placed.route_crosses(topo, pipe, crash.node)?;
+            }
+            if problems.is_empty() && !on_route {
+                problems.push(format!("'{name}' lies on no pipeline's frame route"));
             }
         }
         if problems.is_empty() {
@@ -333,7 +345,9 @@ impl LinkChaos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
+    use crate::expr::{col, lit};
+    use crate::query::Query;
+    use crate::topology::{plan_placed, PlacementStrategy, Topology};
 
     #[test]
     fn link_chaos_is_deterministic_per_seed_and_link() {
@@ -406,19 +420,21 @@ mod tests {
     fn validate_rejects_root_source_and_missing_nodes() {
         let (topo, sensors) = Topology::train_fleet(2);
         let cloud = topo.cloud().unwrap();
+        let query = Query::from("s").filter(col("speed").gt(lit(1.0)));
+        let placed = plan_placed(&query, &topo, &sensors, PlacementStrategy::EdgeFirst).unwrap();
         let err = FaultPlan::seeded(0)
             .crash_node(cloud, 5)
-            .validate(&topo, &sensors)
+            .validate(&topo, &placed)
             .unwrap_err();
         assert!(err.to_string().contains("cloud root"), "{err}");
         let err = FaultPlan::seeded(0)
             .crash_node(sensors[0], 5)
-            .validate(&topo, &sensors)
+            .validate(&topo, &placed)
             .unwrap_err();
         assert!(err.to_string().contains("hosts a source"), "{err}");
         let err = FaultPlan::seeded(0)
             .crash_node(NodeId(999), 5)
-            .validate(&topo, &sensors)
+            .validate(&topo, &placed)
             .unwrap_err();
         assert!(err.to_string().contains("does not exist"), "{err}");
         // An edge node is eligible.
@@ -435,7 +451,7 @@ mod tests {
             .unwrap();
         assert!(FaultPlan::seeded(0)
             .crash_node(edge, 5)
-            .validate(&topo, &sensors)
+            .validate(&topo, &placed)
             .is_ok());
     }
 }

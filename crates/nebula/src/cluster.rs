@@ -12,13 +12,14 @@
 //!
 //! ## Execution model
 //!
-//! [`ClusterEnvironment::run_placed`] computes a [`Placement`] per
-//! hosted source and turns each into a *pipeline* of stages, wired
-//! source → edge → cloud. A stage is the operators placed on one node,
-//! driven on its own thread by the one loop of every stage: take input,
-//! drive the operators, hand their output on. Watermarks and
-//! end-of-stream travel as control frames, so event-time windows close
-//! correctly across node boundaries.
+//! [`ClusterEnvironment::run_placed`] runs the [`PlacedPlan`] that
+//! [`crate::topology::plan_placed`] decides (and
+//! [`ClusterEnvironment::explain`] prints): one *pipeline* of stages per
+//! hosted source, wired source → edge → cloud. A stage is the operators
+//! placed on one node, driven on its own thread by the one loop of every
+//! stage: take input, drive the operators, hand their output on.
+//! Watermarks and end-of-stream travel as control frames, so event-time
+//! windows close correctly across node boundaries.
 //!
 //! - **stage 0** sits on the source node (its operators may be none);
 //!   its input is the source itself, and it alone generates watermarks,
@@ -39,15 +40,9 @@
 //! ## Edge pre-aggregation
 //!
 //! Under [`PlacementStrategy::EdgeFirst`], a query whose first stateful
-//! operator is a splittable time window (see [`crate::preagg`]) is
-//! split: each edge runs the window as [`WindowOp::edge_partial`],
-//! aggregating records into shared `gcd(size, slide)`-wide slices and
-//! shipping **one partial row per slice** — not one per overlapping
-//! window — and the cloud runs it as [`WindowOp::cloud_merge`], folding
-//! the per-edge slice partials and materializing finished windows.
-//! Only aggregated rows cross the uplink, and sliding windows stop
-//! re-shipping the content their overlaps share — the measured
-//! [`ClusterMetrics::uplink_bytes`] reduction versus
+//! operator is a splittable time window is split (see [`crate::preagg`]):
+//! each edge ships one partial row per slice, and the cloud merges them.
+//! The measured [`ClusterMetrics::uplink_bytes`] reduction versus
 //! [`PlacementStrategy::CloudOnly`] is the demonstration's headline
 //! number.
 //!
@@ -74,8 +69,8 @@
 //!   has aligned across all live pipelines — the commit point: restore
 //!   never goes back past it, so the rows produced before its cut go to
 //!   the sink;
-//! - after a crash, the topology re-plans around the dead node
-//!   ([`Topology::fail_node`]), operator state restores from the newest
+//! - after a crash, the plan moves off the dead node
+//!   ([`PlacedPlan::after_failure`]), operator state restores from the newest
 //!   sealed epoch (epoch 0 when the crash beat the first barrier),
 //!   sources rewind via [`crate::source::ReplaySource`], and the run
 //!   resumes — re-emitting exactly the records the crash swallowed,
@@ -329,10 +324,12 @@ impl ClusterEnvironment {
         Ok(())
     }
 
-    /// The static-analysis capability registry (for manual additions
-    /// beyond what loaded plugins declare).
-    pub fn capabilities_mut(&mut self) -> &mut CapabilityRegistry {
-        &mut self.capabilities
+    /// The sources hosted for `query`'s stream.
+    fn hosted(&self, query: &Query) -> Result<&[HostedSource]> {
+        let hosted = self.sources.get(query.source());
+        hosted
+            .map(Vec::as_slice)
+            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))
     }
 
     /// Analyzes `query` for placed execution under `strategy` without
@@ -340,10 +337,7 @@ impl ClusterEnvironment {
     /// The analyzer sees the hosted sources' watermark strategies, the
     /// loaded plugins' capabilities, and the live wire-codec tags.
     pub fn analyze(&self, query: &Query, strategy: PlacementStrategy) -> Result<AnalysisReport> {
-        let hosted = self
-            .sources
-            .get(query.source())
-            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
+        let hosted = self.hosted(query)?;
         let mut capabilities = self.capabilities.clone();
         for tag in self.wire.tags() {
             capabilities.register_wire_tag(tag);
@@ -365,16 +359,11 @@ impl ClusterEnvironment {
         ))
     }
 
-    /// Renders the placed plan of `query` under `strategy`, one line per
-    /// pipeline stage — pipeline, stage, node, operators, output schema,
-    /// and the columns it reads of its input (stage 0: of the source,
-    /// the watermark's time column included) — then the cloud's line
-    /// with its role.
+    /// Renders the placed plan of `query` under `strategy`: per pipeline
+    /// stage its node, operators, output schema and the columns it reads
+    /// of its input, then the cloud's role, operators, schema and reads.
     pub fn explain(&self, query: &Query, strategy: PlacementStrategy) -> Result<String> {
-        let hosted = self
-            .sources
-            .get(query.source())
-            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
+        let hosted = self.hosted(query)?;
         let schema = hosted[0].source.schema();
         let hosts: Vec<NodeId> = hosted.iter().map(|h| h.node).collect();
         let plan = plan_placed(query, &self.topo, &hosts, strategy)?;
@@ -399,21 +388,19 @@ impl ClusterEnvironment {
             }
             cloud_reads = live[chain.len()].clone();
             let (mut at, mut input) = (0, schema.clone());
-            for (i, stage) in cut_stages(chain, &plan.pipelines[p])?.iter().enumerate() {
+            for (i, stage) in cut_stages(chain, &plan.stages(p))?.iter().enumerate() {
                 let (text, out) = line(&stage.ops, &input, &live[at]);
                 let node = &self.topo.node(stage.node).name;
-                let _ = writeln!(s, "pipe{p} stage{i} {node} {text}");
+                writeln!(s, "pipe{p} stage{i} {node} {text}").ok();
                 (at, input) = (at + stage.ops.len(), out);
             }
         }
         let role = match &plan.role {
-            CloudRole::None => "none".to_string(),
-            CloudRole::Plain => "plain".to_string(),
             CloudRole::Merge(sw) => format!("merge op{}", sw.window_idx),
+            role => format!("{role:?}").to_lowercase(),
         };
         let (text, _) = line(&compiled.cloud_ops, &compiled.cloud_in, &cloud_reads);
-        let cloud = &self.topo.node(plan.cloud).name;
-        let _ = writeln!(s, "{cloud} role: {role} {text}");
+        writeln!(s, "{} role: {role} {text}", self.topo.node(plan.cloud).name).ok();
         Ok(s)
     }
 
@@ -493,10 +480,7 @@ impl ClusterEnvironment {
                 "query has no operators; add at least a filter/map/window".into(),
             ));
         }
-        let hosted_ref = self
-            .sources
-            .get(query.source())
-            .ok_or_else(|| NebulaError::Plan(format!("unknown source '{}'", query.source())))?;
+        let hosted_ref = self.hosted(query)?;
         let n_pipes = hosted_ref.len();
         let schema = hosted_ref[0].source.schema();
         for h in &hosted_ref[1..] {
@@ -509,29 +493,22 @@ impl ClusterEnvironment {
                 )));
             }
         }
-        // Validate the fault plan before any thread spawns (and before
-        // the sources are consumed): the crash target must exist and
-        // must be neither the cloud root nor a source host.
+        // Plan and validate the fault plan before any thread spawns and
+        // before the sources are consumed.
         let hosts: Vec<NodeId> = hosted_ref.iter().map(|h| h.node).collect();
-        if let Some(plan) = chaos_plan {
-            plan.validate(&self.topo, &hosts)?;
+        let mut plan = plan_placed(query, &self.topo, &hosts, strategy)?;
+        if let Some(faults) = chaos_plan {
+            faults.validate(&self.topo, &plan)?;
         }
         // Pre-flight static analysis: errors reject the plan before any
         // thread spawns (the sources stay registered); warnings ride
         // along into the telemetry report.
         let analysis_warnings = self.analyze(query, strategy)?.into_accepted()?;
-        // Validate watermark fields and plan before taking the sources,
-        // so a plan error leaves them registered. A crash target no
-        // frame ever crosses could never trip: reject it rather than
-        // "survive" a failure that never happened.
-        let mut ts_cols = Vec::with_capacity(n_pipes);
-        for h in hosted_ref {
-            ts_cols.push(resolve_ts_col(&h.watermark, &schema)?);
-        }
-        let mut plan = plan_placed(query, &self.topo, &hosts, strategy)?;
-        if let Some(crash) = chaos_plan.and_then(|plan| plan.crash) {
-            plan.ensure_on_route(&self.topo, crash.node)?;
-        }
+        // Validate watermark fields before taking the sources, so a plan
+        // error leaves them registered.
+        let ts_cols = (hosted_ref.iter())
+            .map(|h| resolve_ts_col(&h.watermark, &schema))
+            .collect::<Result<Vec<_>>>()?;
 
         // Compile per-pipeline chains and the cloud's, once: crash
         // recovery restores snapshots of these instances.
@@ -570,7 +547,7 @@ impl ClusterEnvironment {
                 h.source
             };
             pipelines.push(PipelinePlan {
-                stages: cut_stages(flat, &plan.pipelines[p])?,
+                stages: cut_stages(flat, &plan.stages(p))?,
                 source: PipeSource {
                     // The pipeline's index is the punctuation origin
                     // stamped on every buffer it emits.
@@ -687,7 +664,7 @@ impl ClusterEnvironment {
                 .cloud
                 .take()
                 .ok_or_else(|| internal("sealed epoch lacks its cloud part"))?;
-            for (p, (pipe, planned)) in pipelines.iter_mut().zip(&plan.pipelines).enumerate() {
+            for (p, pipe) in pipelines.iter_mut().enumerate() {
                 if cloud_part.progress.is_done(p as u64) {
                     // This pipeline finished before the cut: nothing
                     // to re-run (its totals live on in the store's
@@ -705,7 +682,7 @@ impl ClusterEnvironment {
                     cut = cut.or(part.source);
                 }
                 let cut = cut.ok_or_else(|| internal("sealed epoch lacks a stage part"))?;
-                pipe.stages = cut_stages(flat, planned)?;
+                pipe.stages = cut_stages(flat, &plan.stages(p))?;
                 pipe.source.stats = cut.stats;
                 pipe.source.eos_sent = false;
                 // Replay re-derives stage 0's punctuation from
@@ -819,7 +796,7 @@ impl ClusterEnvironment {
         Ok(ClusterReport {
             metrics,
             cluster,
-            placements: plan.placements(),
+            placements: plan.placements,
             telemetry,
         })
     }
@@ -833,10 +810,9 @@ struct CompiledChains {
     cloud_in: SchemaRef,
 }
 
-/// Compiles `plan`: one chain per pipeline (its stages' operators in
-/// order) and the cloud's. A split window compiles as the window's edge
-/// partial, shipping one partial row per slice, at the end of each
-/// pipeline and as its cloud merge at the head of the cloud's chain.
+/// Compiles `plan`: one chain per pipeline and the cloud's. A split
+/// window compiles as its edge partial at the end of each pipeline and
+/// as its cloud merge at the head of the cloud's chain.
 fn compile_chains(
     registry: &FunctionRegistry,
     query: &Query,
@@ -848,11 +824,10 @@ fn compile_chains(
         CloudRole::Merge(sw) => Some(sw),
         CloudRole::None | CloudRole::Plain => None,
     };
-    let tail_start = plan.cloud_ops.start + usize::from(split.is_some());
     // The schemas leaving the stateless prefix and every pipeline.
     let (mut prefix_out, mut cloud_in) = (schema.clone(), schema.clone());
-    let mut pipe_chains = Vec::with_capacity(plan.pipelines.len());
-    for _ in &plan.pipelines {
+    let mut pipe_chains = Vec::with_capacity(plan.placements.len());
+    for _ in &plan.placements {
         let chain = compile_ops(&ops[..plan.cloud_ops.start], ts, schema.clone(), registry)?;
         let mut operators = chain.operators;
         prefix_out = chain.output_schema;
@@ -873,7 +848,7 @@ fn compile_chains(
         tail_in = merge.output_schema();
         cloud_ops.push(Box::new(merge));
     }
-    let tail = compile_ops(&ops[tail_start..], ts, tail_in, registry)?;
+    let tail = compile_ops(&ops[plan.pipe_ops..], ts, tail_in, registry)?;
     cloud_ops.extend(tail.operators);
     Ok(CompiledChains {
         pipe_chains,
@@ -1938,12 +1913,6 @@ fn run_phase(
         .iter()
         .map(|p| p.stages.iter().map(|s| s.node).collect())
         .collect();
-    // When the doomed node hosts a stage somewhere, that stage counts
-    // its frames; otherwise the node is a pass-through hop and stage 0
-    // of the pipeline whose route crosses it plays the victim.
-    let doomed_hosted = chaos
-        .and_then(|c| c.switch.as_ref())
-        .is_some_and(|s| stage_nodes.iter().any(|ns| ns.contains(&s.node)));
     let tail = std::mem::take(cloud_ops);
 
     type Chain = Vec<Box<dyn Operator>>;
@@ -1993,7 +1962,7 @@ fn run_phase(
             // When no stage sits on the doomed node, stage 0 of a pipeline
             // routed through it counts its source batches instead.
             let pass_through = match chaos.and_then(|c| c.switch.as_ref()) {
-                Some(sw) => !doomed_hosted && io.plan.route_crosses(p, sw.node),
+                Some(sw) => io.plan.passes_through(io.topo, p, sw.node)?,
                 None => false,
             };
 
@@ -2475,13 +2444,13 @@ mod plan_tests {
         let chains = compile_chains(&registry, query, &schema(), &plan).unwrap();
         assert_eq!(chains.cloud_ops.len(), plan.cloud_ops.len());
         let mut pipes = Vec::new();
-        for (chain, planned) in chains.pipe_chains.into_iter().zip(&plan.pipelines) {
-            let stages: Vec<String> = (cut_stages(chain, planned).unwrap().iter())
+        for (p, chain) in chains.pipe_chains.into_iter().enumerate() {
+            let stages: Vec<String> = (cut_stages(chain, &plan.stages(p)).unwrap().iter())
                 .map(|s| format!("{}:{}", short(topo, s.node), s.ops.len()))
                 .collect();
             pipes.push(stages.join(" "));
         }
-        let placed: Vec<String> = (plan.placements().iter())
+        let placed: Vec<String> = (plan.placements.iter())
             .map(|pl| {
                 let nodes: Vec<String> = pl.stages.iter().map(|&n| short(topo, n)).collect();
                 nodes.join(" ")

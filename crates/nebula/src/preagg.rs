@@ -71,43 +71,35 @@ pub fn split_window(query: &Query) -> Option<SplitWindow> {
     })
 }
 
-/// What the cloud runs of a placed plan, for every pipeline at once.
+/// What the cloud runs of a placed plan for all its pipelines.
 #[derive(Debug, Clone)]
 pub enum CloudRole {
-    /// Nothing shared: the cloud runs what a single pipeline folds into
-    /// it, if anything, and collects results.
+    /// Nothing shared (one pipeline may fold its tail into the cloud).
     None,
-    /// The plan tail from the first stateful operator: several
-    /// pipelines fan into one stateful tail, which must run once.
+    /// The plan from the first stateful operator on, run once.
     Plain,
-    /// The split window's cloud merge, then the plan tail after it.
+    /// The split window's cloud merge, then the plan after it.
     Merge(SplitWindow),
 }
 
-/// The topology-free part of a placed plan: where the pipelines end and
-/// what the cloud shares.
+/// The topology-free part of a placed plan.
 #[derive(Debug, Clone)]
 pub struct EdgeSplit {
-    /// The first window, CEP or plugin operator, if any.
+    /// The first window, CEP or plugin operator.
     pub first_stateful: Option<usize>,
-    /// Every pipeline runs `ops[..pipe_end]`; a split window runs there
-    /// as its edge partial.
+    /// Every pipeline runs `ops[..pipe_end]` (a split window partially).
     pub pipe_end: usize,
     /// What the cloud shares.
     pub cloud: CloudRole,
 }
 
-/// Splits `query` between its `pipelines` and the cloud: under
-/// `EdgeFirst` a splittable first window pre-aggregates at the edge and
-/// merges at the cloud; otherwise several pipelines hand everything
-/// from the first stateful operator on to the cloud, and one pipeline
-/// keeps the whole plan.
+/// Splits `query` between its `pipelines` and the cloud: a split window
+/// under `EdgeFirst`, else several pipelines share everything from the
+/// first stateful operator on, and one pipeline keeps the whole plan.
 pub fn edge_split(query: &Query, strategy: PlacementStrategy, pipelines: usize) -> EdgeSplit {
     let ops = query.ops();
     let first_stateful = ops.iter().position(LogicalOp::is_stateful);
-    let split = (strategy == PlacementStrategy::EdgeFirst)
-        .then(|| split_window(query))
-        .flatten();
+    let split = split_window(query).filter(|_| strategy == PlacementStrategy::EdgeFirst);
     let (pipe_end, cloud) = match (split, first_stateful) {
         (Some(sw), _) => (sw.window_idx + 1, CloudRole::Merge(sw)),
         (None, Some(s)) if pipelines > 1 => (s, CloudRole::Plain),

@@ -395,12 +395,6 @@ impl StreamEnvironment {
         Ok(())
     }
 
-    /// The static-analysis capability registry (for manual additions
-    /// beyond what loaded plugins declare).
-    pub fn capabilities_mut(&mut self) -> &mut CapabilityRegistry {
-        &mut self.capabilities
-    }
-
     /// The telemetry report of the most recent run, if telemetry was
     /// enabled ([`TelemetryConfig::enabled`]). Each run replaces it.
     pub fn last_report(&self) -> Option<&QueryReport> {

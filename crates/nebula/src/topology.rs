@@ -9,7 +9,7 @@
 //! Node churn is handled by incremental re-placement (cf. Chaudhary et
 //! al., ICDE 2025).
 
-use crate::error::{ClusterError, NebulaError, Result};
+use crate::error::{NebulaError, Result};
 use crate::expr::FunctionRegistry;
 use crate::ops::Operator;
 use crate::preagg::{edge_split, CloudRole};
@@ -264,33 +264,29 @@ pub fn place(
     Ok(Placement { stages })
 }
 
-/// A placed query plan, decided once by [`plan_placed`]: the stages of
-/// every pipeline, one per hosted source, and what the cloud runs as the
-/// last stage of all of them. Compilation, recovery and `explain` read
-/// it; a node failure yields the next plan ([`PlacedPlan::after_failure`]).
+/// A placed query plan, decided once by [`plan_placed`]: one pipeline
+/// per hosted source, and the cloud as the last stage of all of them.
 #[derive(Debug, Clone)]
 pub struct PlacedPlan {
-    /// Per pipeline, its stages as (node, logical operator count), in
-    /// order: stage 0 sits on the source node, possibly with no
-    /// operators, then one stage per contiguous same-node run.
-    pub pipelines: Vec<Vec<(NodeId, usize)>>,
+    /// Per pipeline, [`place`]'s placement, with what the cloud runs
+    /// placed there.
+    pub placements: Vec<Placement>,
+    /// Every pipeline runs `ops[..pipe_ops]` (a split window as its edge
+    /// partial).
+    pub pipe_ops: usize,
+    /// The logical operators the cloud runs (the split window's merge
+    /// first).
+    pub cloud_ops: Range<usize>,
     /// The cloud root.
     pub cloud: NodeId,
-    /// The logical operators the cloud runs (under
-    /// [`CloudRole::Merge`], the window's merge first).
-    pub cloud_ops: Range<usize>,
     /// What the cloud shares.
     pub role: CloudRole,
-    /// Per pipeline, every node its frames cross on the way to the
-    /// cloud, pass-through relays included.
-    routes: Vec<Vec<NodeId>>,
 }
 
-/// Plans `query` over `topo` with one pipeline per source host in
-/// `hosts`: places each with [`place`], splits pipelines from the cloud
-/// with [`edge_split`], and folds a single pipeline's trailing
-/// cloud-placed operators into the cloud instead of a one-node relay
-/// hop.
+/// Plans one pipeline per source host in `hosts`: [`place`]s it and
+/// splits it from the cloud ([`edge_split`]). A single pipeline with
+/// nothing shared folds its trailing cloud-placed operators into the
+/// cloud instead of a one-node relay hop.
 pub fn plan_placed(
     query: &Query,
     topo: &Topology,
@@ -302,89 +298,68 @@ pub fn plan_placed(
         .ok_or_else(|| NebulaError::Plan("topology has no cloud node".into()))?;
     let split = edge_split(query, strategy, hosts.len());
     let fold = hosts.len() == 1 && matches!(split.cloud, CloudRole::None);
-    let mut pipelines = Vec::with_capacity(hosts.len());
+    let mut pipe_ops = split.pipe_end;
+    let mut placements = Vec::with_capacity(hosts.len());
     for &host in hosts {
-        let placed = place(query, topo, host, strategy)?.stages;
-        let mut end = split.pipe_end;
+        let mut placed = place(query, topo, host, strategy)?;
+        let ops = &placed.stages[1..=pipe_ops];
         if fold {
-            end = placed[1..=end]
-                .iter()
-                .rposition(|&n| n != cloud)
-                .map_or(0, |i| i + 1);
+            pipe_ops = ops.iter().rposition(|&n| n != cloud).map_or(0, |i| i + 1);
         }
-        pipelines.push(stages_of(&placed[..=end]));
+        placed.stages[pipe_ops + 1..].fill(cloud);
+        placements.push(placed);
     }
-    let pipe_ops = pipelines.first().map_or(split.pipe_end, |p| op_count(p));
-    let start = pipe_ops - usize::from(matches!(split.cloud, CloudRole::Merge(_)));
-    let mut plan = PlacedPlan {
-        pipelines,
+    let merge = matches!(split.cloud, CloudRole::Merge(_));
+    Ok(PlacedPlan {
+        placements,
+        pipe_ops,
+        cloud_ops: pipe_ops - usize::from(merge)..query.ops().len(),
         cloud,
-        cloud_ops: start..query.ops().len(),
         role: split.cloud,
-        routes: Vec::new(),
-    };
-    plan.routes = plan.trace_routes(topo)?;
-    Ok(plan)
-}
-
-/// Groups a placement prefix (source node, then one node per operator)
-/// into stages.
-fn stages_of(nodes: &[NodeId]) -> Vec<(NodeId, usize)> {
-    let mut stages = vec![(nodes[0], 0)];
-    for &node in &nodes[1..] {
-        match stages.last_mut().filter(|(n, _)| *n == node) {
-            Some((_, count)) => *count += 1,
-            None => stages.push((node, 1)),
-        }
-    }
-    stages
-}
-
-/// Logical operators in a pipeline's stages.
-fn op_count(stages: &[(NodeId, usize)]) -> usize {
-    stages.iter().map(|&(_, n)| n).sum()
+    })
 }
 
 impl PlacedPlan {
-    /// Per pipeline, where every stage runs, in [`place`]'s form: the
-    /// source node, one node per logical operator, then the sink. The
-    /// shared tail is reported at the cloud, where it runs.
-    pub fn placements(&self) -> Vec<Placement> {
-        let n_ops = self.cloud_ops.end;
-        (self.pipelines.iter())
-            .map(|stages| {
-                let mut nodes = vec![stages[0].0];
-                for &(node, count) in stages {
-                    nodes.extend(std::iter::repeat_n(node, count));
-                }
-                nodes.resize(n_ops + 2, self.cloud);
-                Placement { stages: nodes }
-            })
-            .collect()
-    }
-
-    /// Whether `node` lies on pipeline `pipe`'s frame route, as any hop
-    /// endpoint, pass-through relays that host no operators included.
-    pub fn route_crosses(&self, pipe: usize, node: NodeId) -> bool {
-        self.routes.get(pipe).is_some_and(|r| r.contains(&node))
-    }
-
-    /// Fails with [`ClusterError::IneligibleFault`] when `node` lies on
-    /// no pipeline's frame route: a crash there could never trip.
-    pub fn ensure_on_route(&self, topo: &Topology, node: NodeId) -> Result<()> {
-        if (0..self.pipelines.len()).any(|p| self.route_crosses(p, node)) {
-            return Ok(());
+    /// Pipeline `pipe`'s stages as (node, logical operator count): stage
+    /// 0 on the source node, possibly with no operators, then one stage
+    /// per contiguous same-node run.
+    pub fn stages(&self, pipe: usize) -> Vec<(NodeId, usize)> {
+        let nodes = &self.placements[pipe].stages[..=self.pipe_ops];
+        let mut stages = vec![(nodes[0], 0)];
+        for &node in &nodes[1..] {
+            match stages.last_mut().filter(|(n, _)| *n == node) {
+                Some((_, count)) => *count += 1,
+                None => stages.push((node, 1)),
+            }
         }
-        let name = &topo.node(node).name;
-        let detail = format!("'{name}' lies on no pipeline's frame route");
-        Err(ClusterError::IneligibleFault { detail }.into())
+        stages
     }
 
-    /// The plan after `failed` dies: the node leaves `topo` (its
-    /// children re-attach to its parent, see [`Topology::fail_node`]) and
-    /// every stage it ran migrates to that parent via
-    /// [`replace_after_failure`]. Returns the next plan and how many
-    /// operator placements moved.
+    /// Whether `node` is a hop endpoint on pipeline `pipe`'s frame route
+    /// over `topo`, pass-through relays that host no operators included.
+    pub fn route_crosses(&self, topo: &Topology, pipe: usize, node: NodeId) -> Result<bool> {
+        for leg in self.placements[pipe].stages.windows(2) {
+            for idx in topo.path_up(leg[0], leg[1])? {
+                let link = &topo.links()[idx];
+                if link.from == node || link.to == node {
+                    return Ok(true);
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// Whether pipeline `pipe`'s stage 0 stands in for a crash of
+    /// `node`: no stage runs there, but the pipeline's frames cross it.
+    pub fn passes_through(&self, topo: &Topology, pipe: usize, node: NodeId) -> Result<bool> {
+        let ops = 1..=self.pipe_ops;
+        let hosted = (self.placements.iter()).any(|pl| pl.stages[ops.clone()].contains(&node));
+        Ok(!hosted && self.route_crosses(topo, pipe, node)?)
+    }
+
+    /// The plan after `failed` dies and leaves `topo`
+    /// ([`Topology::fail_node`]): its operators migrate to its parent
+    /// ([`replace_after_failure`]). Returns the plan and how many moved.
     pub fn after_failure(
         &self,
         topo: &mut Topology,
@@ -397,33 +372,13 @@ impl PlacedPlan {
             ))
         })?;
         topo.fail_node(failed);
-        let mut migrated = 0;
-        let mut next = self.clone();
-        for (stages, placed) in next.pipelines.iter_mut().zip(self.placements()) {
-            let (placed, moved) = replace_after_failure(&placed, failed, parent);
+        let (mut next, mut migrated) = (self.clone(), 0);
+        for placed in &mut next.placements {
+            let moved;
+            (*placed, moved) = replace_after_failure(placed, failed, parent);
             migrated += moved;
-            *stages = stages_of(&placed.stages[..=op_count(stages)]);
         }
-        next.routes = next.trace_routes(topo)?;
         Ok((next, migrated))
-    }
-
-    /// Every pipeline's route over `topo`: its stage nodes, then the
-    /// cloud.
-    fn trace_routes(&self, topo: &Topology) -> Result<Vec<Vec<NodeId>>> {
-        let mut routes = Vec::with_capacity(self.pipelines.len());
-        for stages in &self.pipelines {
-            let mut stops: Vec<NodeId> = stages.iter().map(|&(n, _)| n).collect();
-            stops.push(self.cloud);
-            let mut route = Vec::new();
-            for leg in stops.windows(2) {
-                for idx in topo.path_up(leg[0], leg[1])? {
-                    route.extend([topo.links()[idx].from, topo.links()[idx].to]);
-                }
-            }
-            routes.push(route);
-        }
-        Ok(routes)
     }
 }
 
