@@ -5,10 +5,10 @@
 //! evaluated before any exact geometry work.
 
 use crate::error::{MeosError, Result};
-use crate::geo::{Geometry, Metric, Point, Polygon, EARTH_RADIUS_M};
+use crate::geo::{Point, Polygon, EARTH_RADIUS_M};
 use crate::span::Span;
-use crate::temporal::{TSequence, TempValue};
-use crate::time::{Period, TimeDelta};
+use crate::temporal::TSequence;
+use crate::time::Period;
 use serde::{Deserialize, Serialize};
 
 /// A bounding box over a numeric value dimension and an optional time
@@ -117,15 +117,6 @@ impl STBox {
         })
     }
 
-    /// Degenerate box at one point (and optional period).
-    pub fn from_point(p: &Point, t: Option<Period>) -> Self {
-        STBox {
-            x: Span::point(p.x),
-            y: Span::point(p.y),
-            t,
-        }
-    }
-
     /// Tight box of a temporal-point sequence.
     pub fn from_tpoint(seq: &TSequence<Point>) -> Self {
         let mut it = seq.values();
@@ -141,17 +132,6 @@ impl STBox {
             x: Span::inclusive(bb.0, bb.2).expect("bbox valid"),
             y: Span::inclusive(bb.1, bb.3).expect("bbox valid"),
             t: Some(seq.period()),
-        }
-    }
-
-    /// Box of a geometry (circle radii converted per `metric`), with an
-    /// optional period.
-    pub fn from_geometry(geom: &Geometry, metric: Metric, t: Option<Period>) -> Self {
-        let (xmin, ymin, xmax, ymax) = geom.bbox(metric);
-        STBox {
-            x: Span::inclusive(xmin, xmax).expect("bbox valid"),
-            y: Span::inclusive(ymin, ymax).expect("bbox valid"),
-            t,
         }
     }
 
@@ -254,15 +234,6 @@ impl STBox {
         Some(STBox { x, y, t })
     }
 
-    /// Expands the spatial extents by `d` coordinate units on every side.
-    pub fn expand_space(&self, d: f64) -> STBox {
-        STBox {
-            x: self.x.expand(d),
-            y: self.y.expand(d),
-            t: self.t,
-        }
-    }
-
     /// Expands the spatial extents by `metres`, converting to degrees at
     /// the box centre latitude (geodetic boxes).
     pub fn expand_meters(&self, metres: f64) -> STBox {
@@ -277,26 +248,9 @@ impl STBox {
         }
     }
 
-    /// Expands the time extent by `delta` on both ends (no-op when
-    /// unconstrained).
-    pub fn expand_time(&self, delta: TimeDelta) -> STBox {
-        STBox {
-            x: self.x,
-            y: self.y,
-            t: self.t.map(|p| p.expand_by(delta)),
-        }
-    }
-
     /// The spatial footprint as a rectangle polygon.
     pub fn to_polygon(&self) -> Polygon {
         Polygon::rect(self.xmin(), self.ymin(), self.xmax(), self.ymax())
-    }
-}
-
-impl<V: TempValue> TSequence<V> {
-    /// Tight period-only "box" helper shared by the generic engine side.
-    pub fn temporal_extent(&self) -> Period {
-        self.period()
     }
 }
 

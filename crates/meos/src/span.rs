@@ -363,11 +363,6 @@ impl<T: SpanBound> SpanSet<T> {
         idx > 0 && self.spans[idx - 1].contains_value(v)
     }
 
-    /// True iff any member overlaps `other`.
-    pub fn overlaps_span(&self, other: &Span<T>) -> bool {
-        self.spans.iter().any(|s| s.overlaps(other))
-    }
-
     /// Set union.
     pub fn union(&self, other: &SpanSet<T>) -> SpanSet<T> {
         let mut all = self.spans.clone();
@@ -405,16 +400,6 @@ impl<T: SpanBound> SpanSet<T> {
             current = next;
         }
         SpanSet::from_spans(current)
-    }
-
-    /// Intersection with a single span.
-    pub fn intersection_span(&self, other: &Span<T>) -> SpanSet<T> {
-        let spans = self
-            .spans
-            .iter()
-            .filter_map(|s| s.intersection(other))
-            .collect();
-        SpanSet { spans }
     }
 
     /// Sum of member widths.

@@ -420,15 +420,6 @@ impl Period {
     }
 }
 
-impl PeriodSet {
-    /// Total duration covered by all member periods.
-    pub fn total_duration(&self) -> TimeDelta {
-        self.spans()
-            .iter()
-            .fold(TimeDelta::ZERO, |acc, p| acc + p.duration())
-    }
-}
-
 /// An ordered set of distinct timestamps (the MEOS `tstzset`).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TimestampSet {

@@ -103,7 +103,6 @@ pub struct CepOp {
     ts_col: usize,
     output: SchemaRef,
     state: HashMap<GroupKey, Vec<Partial>>,
-    matches: u64,
 }
 
 impl CepOp {
@@ -170,19 +169,12 @@ impl CepOp {
             ts_col: ts_col.unwrap_or(0),
             output,
             state: HashMap::new(),
-            matches: 0,
         })
-    }
-
-    /// Total matches emitted so far.
-    pub fn match_count(&self) -> u64 {
-        self.matches
     }
 
     /// The output row of one match: the completing record's values,
     /// then `pattern`, `match_start` and `match_end`.
-    fn emit(&mut self, values: &[Value], first_ts: EventTime, ts: EventTime) -> Record {
-        self.matches += 1;
+    fn emit(&self, values: &[Value], first_ts: EventTime, ts: EventTime) -> Record {
         let mut row = Vec::with_capacity(values.len() + 3);
         row.extend_from_slice(values);
         row.push(Value::text(self.pattern_name.clone()));
@@ -415,7 +407,6 @@ mod tests {
         assert_eq!(r.get(3), Some(&Value::text("spike-then-drop")));
         assert_eq!(r.get(4), Some(&Value::Timestamp(MICROS_PER_SEC)));
         assert_eq!(r.get(5), Some(&Value::Timestamp(3 * MICROS_PER_SEC)));
-        assert_eq!(op.match_count(), 1);
     }
 
     #[test]

@@ -313,9 +313,11 @@ impl XorShift {
 /// buffer to at least `max(window, max)` records (unless the inner
 /// source is idle or ended), shuffles its first `window` records and
 /// emits the first `max`; the rest stay queued. [`Source::poll`] queues
-/// the inner source's rows; [`Source::poll_columnar`] queues its columns
-/// (the read set's) in arrival order and gathers each emitted buffer by
-/// index. Both draw the one permutation, so they emit the same records
+/// the inner source's rows; [`Source::poll_columnar`] appends its
+/// columns (the read set's) to one buffer in arrival order, queues row
+/// indices into it and gathers each emitted buffer by index, compacting
+/// the buffer only once its emitted rows outnumber the queued ones. Both
+/// draw the one permutation, so they emit the same records
 /// in the same order, and switching between them mid-stream (the
 /// cluster runtime decides the columnar gate per phase) carries the
 /// queue over; rows taken from a columnar queue read a field outside
@@ -324,9 +326,12 @@ pub struct JitterSource<S: Source> {
     inner: S,
     /// The queue as rows, when read through `poll`.
     rows: Vec<Record>,
-    /// The queue as columns, when read through `poll_columnar`; at most
-    /// one of the two holds records.
+    /// The rows read through `poll_columnar`, in arrival order, emitted
+    /// ones included until the next compaction.
     columns: TupleBuffer,
+    /// The queue as indices into `columns`; at most one of `rows` and
+    /// `queue` holds records.
+    queue: Vec<usize>,
     window: usize,
     rng: XorShift,
     inner_done: bool,
@@ -340,6 +345,7 @@ impl<S: Source> JitterSource<S> {
             columns: TupleBuffer::from_records(inner.schema(), &[], BufferMeta::default()),
             inner,
             rows: Vec::new(),
+            queue: Vec::new(),
             window: window.max(2),
             rng: XorShift::new(seed),
             inner_done: false,
@@ -378,8 +384,9 @@ impl<S: Source> Source for JitterSource<S> {
     }
 
     fn poll(&mut self, max: usize) -> Result<SourceBatch> {
-        if !self.columns.is_empty() {
-            self.rows = self.columns.to_rows_unread_as_null().into_records();
+        if !self.queue.is_empty() {
+            let queued = self.columns.gather(&std::mem::take(&mut self.queue));
+            self.rows = queued.to_rows_unread_as_null().into_records();
             self.columns = self.columns.gather(&[]);
         }
         while self.wants(self.rows.len(), max) {
@@ -404,22 +411,32 @@ impl<S: Source> Source for JitterSource<S> {
     fn poll_columnar(&mut self, max: usize, reads: &ReadSet) -> Result<SourceBatch<TupleBuffer>> {
         if !self.rows.is_empty() {
             let rows = std::mem::take(&mut self.rows);
+            self.queue = (0..rows.len()).collect();
             self.columns = TupleBuffer::transpose(self.schema(), rows, reads);
         }
-        while self.wants(self.columns.len(), max) {
+        while self.wants(self.queue.len(), max) {
             match self.inner.poll_columnar(max, reads)? {
-                SourceBatch::Data(tb) => self.columns.append(&tb),
+                SourceBatch::Data(tb) => {
+                    self.queue
+                        .extend(self.columns.len()..self.columns.len() + tb.len());
+                    self.columns.append(&tb);
+                }
                 SourceBatch::Idle => break,
                 SourceBatch::Exhausted => self.inner_done = true,
             }
         }
-        if self.columns.is_empty() {
+        if self.queue.is_empty() {
             return Ok(self.drained());
         }
-        let order = self.shuffled(self.columns.len());
+        let order = self.shuffled(self.queue.len());
         let n = max.min(order.len());
-        let out = self.columns.gather(&order[..n]);
-        self.columns = self.columns.gather(&order[n..]);
+        let emit: Vec<usize> = order[..n].iter().map(|&i| self.queue[i]).collect();
+        self.queue = order[n..].iter().map(|&i| self.queue[i]).collect();
+        let out = self.columns.gather(&emit);
+        if self.columns.len() - self.queue.len() > self.queue.len() {
+            self.columns = self.columns.gather(&self.queue);
+            self.queue = (0..self.queue.len()).collect();
+        }
         Ok(SourceBatch::Data(out))
     }
 }
