@@ -270,17 +270,17 @@ pub fn place(
 pub struct PlacedPlan {
     /// Per pipeline, [`place`]'s placement, with what the cloud runs
     /// placed there.
-    pub placements: Vec<Placement>,
+    pub(crate) placements: Vec<Placement>,
     /// Every pipeline runs `ops[..pipe_ops]` (a split window as its edge
     /// partial).
-    pub pipe_ops: usize,
+    pub(crate) pipe_ops: usize,
     /// The logical operators the cloud runs (the split window's merge
     /// first).
-    pub cloud_ops: Range<usize>,
+    pub(crate) cloud_ops: Range<usize>,
     /// The cloud root.
-    pub cloud: NodeId,
+    pub(crate) cloud: NodeId,
     /// What the cloud shares.
-    pub role: CloudRole,
+    pub(crate) role: CloudRole,
 }
 
 /// Plans one pipeline per source host in `hosts`: [`place`]s it and
@@ -320,6 +320,12 @@ pub fn plan_placed(
 }
 
 impl PlacedPlan {
+    /// Per pipeline, where the source, each logical operator and the
+    /// sink run.
+    pub fn placements(&self) -> &[Placement] {
+        &self.placements
+    }
+
     /// Pipeline `pipe`'s stages as (node, logical operator count): stage
     /// 0 on the source node, possibly with no operators, then one stage
     /// per contiguous same-node run.
@@ -360,11 +366,7 @@ impl PlacedPlan {
     /// The plan after `failed` dies and leaves `topo`
     /// ([`Topology::fail_node`]): its operators migrate to its parent
     /// ([`replace_after_failure`]). Returns the plan and how many moved.
-    pub fn after_failure(
-        &self,
-        topo: &mut Topology,
-        failed: NodeId,
-    ) -> Result<(PlacedPlan, usize)> {
+    pub fn after_failure(&self, topo: &mut Topology, failed: NodeId) -> Result<(Self, usize)> {
         let parent = topo.parent(failed).ok_or_else(|| {
             NebulaError::Plan(format!(
                 "cannot fail node '{}': it has no parent to migrate to",
@@ -372,13 +374,12 @@ impl PlacedPlan {
             ))
         })?;
         topo.fail_node(failed);
-        let (mut next, mut migrated) = (self.clone(), 0);
-        for placed in &mut next.placements {
-            let moved;
-            (*placed, moved) = replace_after_failure(placed, failed, parent);
-            migrated += moved;
-        }
-        Ok((next, migrated))
+        let (placements, moved): (Vec<_>, Vec<_>) = (self.placements.iter())
+            .map(|placed| replace_after_failure(placed, failed, parent))
+            .unzip();
+        let mut next = self.clone();
+        next.placements = placements;
+        Ok((next, moved.iter().sum()))
     }
 }
 
