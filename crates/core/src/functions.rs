@@ -395,7 +395,7 @@ impl Plugin for MeosPlugin {
 /// tags), and which tags the extension ships wire codecs for (see
 /// [`crate::wire::register_meos_codecs`]). Environments pick this up
 /// automatically when they load [`MeosPlugin`]; standalone analyzer
-/// users pass it to `AnalysisContext::with_capabilities`.
+/// users set it as `AnalysisContext::capabilities`.
 pub fn meos_capabilities() -> CapabilityRegistry {
     let mut caps = CapabilityRegistry::new();
     caps.register_opaque_fn("tpoint_at_stbox", "meos.tgeompoint");

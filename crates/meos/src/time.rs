@@ -407,17 +407,6 @@ impl Period {
     pub fn duration(&self) -> TimeDelta {
         self.upper() - self.lower()
     }
-
-    /// Expands the period by `delta` on both ends.
-    pub fn expand_by(&self, delta: TimeDelta) -> Period {
-        Span::new(
-            self.lower() - delta,
-            self.upper() + delta,
-            self.lower_inc(),
-            self.upper_inc(),
-        )
-        .expect("expanded period remains valid")
-    }
 }
 
 /// An ordered set of distinct timestamps (the MEOS `tstzset`).
@@ -570,8 +559,6 @@ mod tests {
     fn period_duration_and_expand() {
         let p = Period::inclusive(ts(2025, 1, 1, 0, 0, 0), ts(2025, 1, 1, 1, 0, 0)).unwrap();
         assert_eq!(p.duration(), TimeDelta::from_hours(1));
-        let e = p.expand_by(TimeDelta::from_minutes(30));
-        assert_eq!(e.duration(), TimeDelta::from_hours(2));
     }
 
     #[test]

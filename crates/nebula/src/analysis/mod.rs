@@ -160,24 +160,6 @@ impl AnalysisContext {
             ..AnalysisContext::local()
         }
     }
-
-    /// Adds a source watermark strategy.
-    pub fn with_watermark(mut self, w: WatermarkStrategy) -> Self {
-        self.watermarks.push(w);
-        self
-    }
-
-    /// Replaces the capability registry.
-    pub fn with_capabilities(mut self, caps: CapabilityRegistry) -> Self {
-        self.capabilities = caps;
-        self
-    }
-
-    /// Replaces the lint options.
-    pub fn with_options(mut self, options: AnalysisOptions) -> Self {
-        self.options = options;
-        self
-    }
 }
 
 /// Analyzes `query` against the source schema and function registry
@@ -471,10 +453,13 @@ mod tests {
 
         // Watermark strategy naming a missing field.
         let q = Query::from("s").filter(col("speed").gt(lit(1.0)));
-        let ctx = AnalysisContext::local().with_watermark(WatermarkStrategy::BoundedOutOfOrder {
-            ts_field: "event_time".into(),
-            slack: MICROS_PER_SEC,
-        });
+        let ctx = AnalysisContext {
+            watermarks: vec![WatermarkStrategy::BoundedOutOfOrder {
+                ts_field: "event_time".into(),
+                slack: MICROS_PER_SEC,
+            }],
+            ..AnalysisContext::local()
+        };
         let report = analyze(&q, schema(), &registry(), &ctx);
         assert_eq!(codes(&report), vec![Code::MissingTimeField]);
         assert_eq!(report.diagnostics[0].path, "source");
@@ -592,14 +577,20 @@ mod tests {
 
         let mut caps = CapabilityRegistry::new();
         caps.register_opaque_fn("make_blob", "test.blob");
-        let ctx = AnalysisContext::placed(true).with_capabilities(caps.clone());
+        let ctx = AnalysisContext {
+            capabilities: caps.clone(),
+            ..AnalysisContext::placed(true)
+        };
         let report = analyze(&q, schema(), &reg, &ctx);
         assert_eq!(codes(&report), vec![Code::MissingWireCodec]);
         assert!(report.diagnostics[0].message.contains("test.blob"));
 
         // With the codec registered the plan is clean.
         caps.register_wire_tag("test.blob");
-        let ctx = AnalysisContext::placed(true).with_capabilities(caps);
+        let ctx = AnalysisContext {
+            capabilities: caps,
+            ..AnalysisContext::placed(true)
+        };
         let report = analyze(&q, schema(), &reg, &ctx);
         assert!(report.is_clean());
     }
@@ -649,7 +640,10 @@ mod tests {
 
     #[test]
     fn w015_no_watermark_strategy() {
-        let ctx = AnalysisContext::local().with_watermark(WatermarkStrategy::None);
+        let ctx = AnalysisContext {
+            watermarks: vec![WatermarkStrategy::None],
+            ..AnalysisContext::local()
+        };
         let report = analyze(&keyless_window(), schema(), &registry(), &ctx);
         assert_eq!(codes(&report), vec![Code::NoWatermarkStrategy]);
         assert!(!report.has_errors(), "legal for finite replays");
@@ -657,14 +651,18 @@ mod tests {
 
     #[test]
     fn lint_levels_promote_and_silence_warnings() {
-        let deny = AnalysisContext::partitioned(4)
-            .with_options(AnalysisOptions::new().set(Code::PartitionFallback, LintLevel::Deny));
+        let deny = AnalysisContext {
+            options: AnalysisOptions::new().set(Code::PartitionFallback, LintLevel::Deny),
+            ..AnalysisContext::partitioned(4)
+        };
         let report = analyze(&keyless_window(), schema(), &registry(), &deny);
         assert!(report.has_errors());
         assert!(report.into_accepted().is_err());
 
-        let allow = AnalysisContext::partitioned(4)
-            .with_options(AnalysisOptions::new().set(Code::PartitionFallback, LintLevel::Allow));
+        let allow = AnalysisContext {
+            options: AnalysisOptions::new().set(Code::PartitionFallback, LintLevel::Allow),
+            ..AnalysisContext::partitioned(4)
+        };
         let report = analyze(&keyless_window(), schema(), &registry(), &allow);
         assert!(report.is_clean());
     }

@@ -182,10 +182,13 @@ fn env() -> StreamEnvironment {
 }
 
 fn analyze_local(q: &Query) -> AnalysisReport {
-    let ctx = AnalysisContext::local().with_watermark(WatermarkStrategy::BoundedOutOfOrder {
-        ts_field: "ts".into(),
-        slack: 5 * MICROS_PER_SEC,
-    });
+    let ctx = AnalysisContext {
+        watermarks: vec![WatermarkStrategy::BoundedOutOfOrder {
+            ts_field: "ts".into(),
+            slack: 5 * MICROS_PER_SEC,
+        }],
+        ..AnalysisContext::local()
+    };
     analyze(q, schema(), &FunctionRegistry::with_builtins(), &ctx)
 }
 

@@ -1,310 +1,75 @@
-//! Chaos-equivalence suite: every query shape the engine supports is
-//! run through `ClusterEnvironment::run_placed_chaos` on the
-//! `train_fleet` topology while a seeded [`FaultPlan`] mangles every
-//! link — dropping, duplicating, reordering and bit-corrupting frames,
-//! flapping links, and abruptly killing a non-source node mid-run — and
-//! must still produce order-normalized results, counters and late-drop
-//! totals identical to the single-threaded `StreamEnvironment::run`
-//! reference. The resilient wire protocol (CRC32 envelopes, sequence
-//! numbers, ack/retransmit) plus barrier checkpointing with source
-//! replay are only correct if all of that is observationally invisible.
+//! The fault rows of the test matrix (`tests/common`): every catalog
+//! plan through `ClusterEnvironment::run_placed_chaos` on the
+//! `train_fleet` topology — with resilient links and no fault, and
+//! while a seeded [`FaultPlan`] mangles every link (dropping,
+//! duplicating, reordering and bit-corrupting frames) and, under
+//! `EdgeFirst`, abruptly kills train 0's edge box mid-run — must still
+//! produce results, counters and late-drop totals identical to `run`.
+//! The resilient wire protocol (CRC32 envelopes, sequence numbers,
+//! ack/retransmit) plus barrier checkpointing with source replay are
+//! only correct if all of that is observationally invisible.
 
+#[macro_use]
+mod common;
+
+use common::catalog::{catalog, splittable_window_query};
+use common::matrix::{cells_of, check, execute, Config, Entry};
+use common::*;
 use nebula::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn schema() -> SchemaRef {
-    Schema::of(&[
-        ("ts", DataType::Timestamp),
-        ("train", DataType::Int),
-        ("speed", DataType::Float),
-        ("load", DataType::Int),
-    ])
-}
+matrix_rows!(
+    catalog_plans_match_run_under_chaos,
+    q1_filter_chaos_equivalence,
+    q2_map_chaos_equivalence,
+    q3_filter_map_extend_chaos_equivalence,
+    q4_splittable_window_chaos_equivalence,
+    q5_sliding_window_chaos_equivalence,
+    q6_keyless_window_chaos_equivalence,
+    q7_threshold_window_chaos_equivalence,
+    q8_cep_chaos_equivalence,
+);
 
-/// The same deterministic 600-record stream as `cluster_equivalence`.
-fn records() -> Vec<Record> {
-    records_n(600)
-}
-
-/// The first `n` records of that stream's pattern.
-fn records_n(n: i64) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            Record::new(vec![
-                Value::Timestamp(i * MICROS_PER_SEC),
-                Value::Int(i % 5),
-                Value::Float(((i * 7) % 80) as f64),
-                Value::Int((i * 13) % 200),
-            ])
-        })
-        .collect()
-}
-
-fn source() -> Box<dyn Source> {
-    Box::new(VecSource::new(schema(), records()))
-}
-
-fn generous_watermark() -> WatermarkStrategy {
-    WatermarkStrategy::BoundedOutOfOrder {
-        ts_field: "ts".into(),
-        slack: 60 * MICROS_PER_SEC,
-    }
-}
-
-/// The synchronous single-process reference.
-fn sync_reference(query: &Query, watermark: WatermarkStrategy) -> (Vec<Record>, QueryMetrics) {
-    let mut env = StreamEnvironment::with_config(EnvConfig {
-        buffer_size: 32,
-        watermark_every: 2,
-        ..EnvConfig::default()
-    });
-    env.add_source("s", source(), watermark);
-    let (mut sink, got) = CollectingSink::new();
-    let metrics = env.run(query, &mut sink).expect("sync run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    (recs, metrics)
-}
-
-fn fleet_env(watermark: WatermarkStrategy) -> (ClusterEnvironment, NodeId) {
-    let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
-    env.add_source("s", sensors[0], source(), watermark);
-    (env, sensors[0])
-}
-
-/// The edge node of train 0 — the non-source box chaos runs kill.
-fn edge_node(env: &ClusterEnvironment, sensor: NodeId) -> NodeId {
-    env.topology()
-        .first_ancestor_of_kind(sensor, NodeKind::Edge)
-        .expect("edge exists")
-}
-
-/// Seeds for the per-query equivalence sweep. `NEBULA_CHAOS_SEED`
-/// overrides them so CI can soak the suite across distinct fault
-/// schedules without a code change.
-fn chaos_seeds() -> Vec<u64> {
-    match std::env::var("NEBULA_CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("NEBULA_CHAOS_SEED must be a u64")],
-        Err(_) => vec![3, 41],
-    }
-}
-
-/// The headline fault schedule from the issue: ≥5% drops, ≥2%
-/// duplicates, plus corruption and reordering, seeded for determinism.
-fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan::seeded(seed)
-        .drop_frames(0.08)
-        .duplicate_frames(0.04)
-        .reorder_frames(0.03)
-        .corrupt_frames(0.03)
-}
-
+/// `query` edge-first over `feed` at the default config, under `plan`.
 fn chaos_run(
     query: &Query,
-    strategy: PlacementStrategy,
-    watermark: WatermarkStrategy,
+    watermark: &WatermarkStrategy,
+    feed: Feed,
     plan: &FaultPlan,
 ) -> (Vec<Record>, ClusterReport) {
-    let (mut env, _) = fleet_env(watermark);
+    let (mut env, _) = cluster_env(feed, 3, cluster_config(), watermark);
     let (mut sink, got) = CollectingSink::new();
     let report = env
-        .run_placed_chaos(query, strategy, plan, &mut sink)
-        .unwrap_or_else(|e| panic!("{strategy:?} chaos run (seed {}) failed: {e}", plan.seed));
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    (recs, report)
+        .run_placed_chaos(query, PlacementStrategy::EdgeFirst, plan, &mut sink)
+        .unwrap_or_else(|e| panic!("chaos run (seed {}) failed: {e}", plan.seed));
+    (normalized(got.records()), report)
 }
 
-/// Both strategies, seeded lossy links, and (EdgeFirst) an abrupt
-/// mid-run kill of the edge box: all must match the sync reference,
-/// including the late-drop total.
-fn assert_chaos_equivalent(name: &str, query: &Query, watermark: &WatermarkStrategy) {
-    let (reference, ref_metrics) = sync_reference(query, watermark.clone());
-    for seed in chaos_seeds() {
-        for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-            let mut plan = lossy_plan(seed);
-            if strategy == PlacementStrategy::EdgeFirst {
-                // Kill the edge box mid-stream; recovery replays from
-                // the last sealed checkpoint (the run's start at the
-                // latest) and must be invisible in the output.
-                let (env, sensor) = fleet_env(watermark.clone());
-                plan = plan.crash_node(edge_node(&env, sensor), 12);
-            }
-            let (got, report) = chaos_run(query, strategy, watermark.clone(), &plan);
-            assert_eq!(
-                got, reference,
-                "{name}: {strategy:?}/seed {seed} diverges from sync reference under chaos"
-            );
-            assert_eq!(
-                report.metrics.records_in, ref_metrics.records_in,
-                "{name}: {strategy:?}/seed {seed} records_in"
-            );
-            assert_eq!(
-                report.metrics.records_out, ref_metrics.records_out,
-                "{name}: {strategy:?}/seed {seed} records_out"
-            );
-            assert_eq!(
-                report.metrics.late_drops, ref_metrics.late_drops,
-                "{name}: {strategy:?}/seed {seed} late_drops"
-            );
-            assert!(
-                report.cluster.faults_injected > 0,
-                "{name}: {strategy:?}/seed {seed}: the plan injected nothing"
-            );
-            if plan.crash.is_some() {
-                assert_eq!(
-                    report.cluster.replans, 1,
-                    "{name}: seed {seed}: crash must force one re-planning round"
-                );
-                assert!(
-                    report.cluster.recovery_ms > 0.0,
-                    "{name}: seed {seed}: recovery must be timed"
-                );
-            }
-        }
-    }
+/// `run`'s order-normalized rows and metrics over `feed`.
+fn reference(query: &Query, watermark: &WatermarkStrategy) -> (Vec<Record>, QueryMetrics) {
+    let out =
+        execute(query, watermark, Feed::InOrder, Entry::Run, Config::DEFAULT).expect("sync run");
+    (normalized(out.rows), out.metrics)
 }
 
-// ---------------------------------------------------------------------------
-// Q1-Q8: the engine's query shapes under seeded chaos
-// ---------------------------------------------------------------------------
-
-#[test]
-fn q1_filter_chaos_equivalence() {
-    let q = Query::from("s").filter(col("speed").ge(lit(40.0)));
-    assert_chaos_equivalent("q1/filter", &q, &WatermarkStrategy::None);
+/// Train 0's edge box on the three-train fleet.
+fn edge() -> NodeId {
+    let (topo, sensors) = Topology::train_fleet(3);
+    edge_node(&topo, sensors[0])
 }
 
-#[test]
-fn q2_map_chaos_equivalence() {
-    let q = Query::from("s").map(vec![
-        ("train", col("train")),
-        ("kmh", col("speed").mul(lit(3.6))),
-    ]);
-    assert_chaos_equivalent("q2/map", &q, &WatermarkStrategy::None);
-}
-
-#[test]
-fn q3_filter_map_extend_chaos_equivalence() {
-    let q = Query::from("s")
-        .filter(col("load").gt(lit(50)))
-        .map_extend(vec![("over", col("speed").sub(lit(40.0)))]);
-    assert_chaos_equivalent("q3/map_extend", &q, &WatermarkStrategy::None);
-}
-
-fn splittable_window_query() -> Query {
-    Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("sum_load", AggSpec::Sum(col("load"))),
-            WindowAgg::new("min_speed", AggSpec::Min(col("speed"))),
-            WindowAgg::new("max_speed", AggSpec::Max(col("speed"))),
-        ],
-    )
-}
-
-#[test]
-fn q4_splittable_window_chaos_equivalence() {
-    assert_chaos_equivalent(
-        "q4/splittable",
-        &splittable_window_query(),
-        &generous_watermark(),
-    );
-}
-
-#[test]
-fn q5_sliding_window_chaos_equivalence() {
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Sliding {
-            size: 60 * MICROS_PER_SEC,
-            slide: 20 * MICROS_PER_SEC,
-        },
-        vec![WindowAgg::new("n", AggSpec::Count)],
-    );
-    assert_chaos_equivalent("q5/sliding", &q, &generous_watermark());
-}
-
-#[test]
-fn q6_keyless_window_chaos_equivalence() {
-    let q = Query::from("s").window(
-        vec![],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![WindowAgg::new("n", AggSpec::Count)],
-    );
-    assert_chaos_equivalent("q6/keyless", &q, &generous_watermark());
-}
-
-#[test]
-fn q7_threshold_window_chaos_equivalence() {
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Threshold {
-            predicate: col("speed").gt(lit(56.0)),
-            min_count: 2,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("peak", AggSpec::Max(col("speed"))),
-        ],
-    );
-    assert_chaos_equivalent("q7/threshold", &q, &WatermarkStrategy::None);
-}
-
-#[test]
-fn q8_cep_chaos_equivalence() {
-    let pattern = Pattern::new(
-        "speed-drop",
-        vec![
-            PatternStep::new("fast", col("speed").gt(lit(60.0))),
-            PatternStep::new("slow", col("speed").lt(lit(10.0))),
-        ],
-        120 * MICROS_PER_SEC,
-    )
-    .keyed_by(col("train"));
-    assert_chaos_equivalent(
-        "q8/cep",
-        &Query::from("s").cep(pattern),
-        &WatermarkStrategy::None,
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Headline invariants, plugin operators, and plan validation
-// ---------------------------------------------------------------------------
-
-/// The issue's acceptance run: lossy links plus an abrupt mid-run kill
-/// of the edge box. The output is identical to the clean reference and
-/// the fault-tolerance machinery demonstrably engaged.
+/// The acceptance run: lossy links plus an abrupt mid-run kill of the
+/// edge box. The output is identical to the clean reference and the
+/// fault-tolerance machinery demonstrably engaged.
 #[test]
 fn chaos_headline_counters_engage() {
     let q = splittable_window_query();
-    let (reference, _) = sync_reference(&q, generous_watermark());
-    let (env, sensor) = fleet_env(generous_watermark());
-    let plan = lossy_plan(7).crash_node(edge_node(&env, sensor), 12);
-    drop(env);
-    let (got, report) = chaos_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        generous_watermark(),
-        &plan,
-    );
+    let (reference, _) = reference(&q, &generous_watermark());
+    let plan = lossy_plan(7).crash_node(edge(), 12);
+    let (got, report) = chaos_run(&q, &generous_watermark(), Feed::InOrder, &plan);
     assert_eq!(got, reference, "headline chaos run diverges");
     let c = &report.cluster;
     assert!(c.faults_injected > 0, "faults: {c:?}");
@@ -330,18 +95,13 @@ fn chaos_headline_counters_engage() {
 #[test]
 fn flapping_lagging_links_chaos_equivalence() {
     let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, generous_watermark());
+    let (reference, ref_metrics) = reference(&q, &generous_watermark());
     let plan = FaultPlan::seeded(11)
         .drop_frames(0.05)
         .duplicate_frames(0.02)
         .flap_links(16, 3)
         .add_latency(Duration::from_micros(200));
-    let (got, report) = chaos_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        generous_watermark(),
-        &plan,
-    );
+    let (got, report) = chaos_run(&q, &generous_watermark(), Feed::InOrder, &plan);
     assert_eq!(got, reference, "flapping links diverge");
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
 }
@@ -351,75 +111,36 @@ fn flapping_lagging_links_chaos_equivalence() {
 /// epoch through the one recovery path and still matches.
 #[test]
 fn plugin_chain_crash_restores_the_newest_sealed_epoch() {
-    struct DuplicateHighSpeed;
-    impl OperatorFactory for DuplicateHighSpeed {
-        fn name(&self) -> &str {
-            "duplicate_high_speed"
-        }
-        fn create(
-            &self,
-            input: SchemaRef,
-            _registry: &FunctionRegistry,
-        ) -> Result<Box<dyn Operator>> {
-            let speed_col = input
-                .index_of("speed")
-                .ok_or_else(|| NebulaError::Plan("needs 'speed'".into()))?;
-            Ok(Box::new(FlatMapOp::new(
-                "duplicate_high_speed",
-                input,
-                move |rec, out| {
-                    out.push(rec.clone());
-                    if rec
-                        .get(speed_col)
-                        .and_then(Value::as_float)
-                        .is_some_and(|s| s > 70.0)
-                    {
-                        out.push(rec.clone());
-                    }
-                    Ok(())
-                },
-            )))
-        }
-    }
+    let plans = catalog();
+    let plugin = plans
+        .iter()
+        .find(|p| p.name == "plugin")
+        .expect("cataloged");
+    let mut cells = cells_of(plugin);
+    let cell = cells
+        .iter_mut()
+        .find(|c| matches!(c.entry, Entry::PlacedChaos(PlacementStrategy::EdgeFirst, _)))
+        .expect("a chaos cell");
+    cell.entry = Entry::PlacedChaos(PlacementStrategy::EdgeFirst, 19);
+    check(cell, &mut HashMap::new());
+}
 
-    let q = Query::from("s").apply(Arc::new(DuplicateHighSpeed));
-    let (reference, ref_metrics) = sync_reference(&q, WatermarkStrategy::None);
-    let (env, sensor) = fleet_env(WatermarkStrategy::None);
-    let plan = lossy_plan(19).crash_node(edge_node(&env, sensor), 12);
-    drop(env);
-    let (got, report) = chaos_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        WatermarkStrategy::None,
-        &plan,
-    );
-    assert_eq!(got, reference, "plugin chain restore diverges");
+/// Multi-source chaos: three trains each pumping their own slice while
+/// one train's edge box dies mid-run. Recovery rewinds every pipeline
+/// to a consistent cut.
+#[test]
+fn multi_source_chaos_crash_equivalence() {
+    let q = splittable_window_query();
+    let (reference, ref_metrics) = reference(&q, &generous_watermark());
+    let failed = edge();
+    let plan = lossy_plan(5).crash_node(failed, 8);
+    let (recs, report) = chaos_run(&q, &generous_watermark(), Feed::MultiSource, &plan);
+    assert_eq!(recs, reference, "multi-source crash diverges");
     assert_eq!(report.metrics.records_in, ref_metrics.records_in);
     assert_eq!(report.metrics.records_out, ref_metrics.records_out);
     assert_eq!(report.cluster.replans, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Commit-on-checkpoint: results stream out of a chaos run, exactly once
-// ---------------------------------------------------------------------------
-
-/// A `VecSource` that publishes how many times it has been polled — a
-/// logical clock the sink reads instead of the wall clock. Crash
-/// recovery replays from the engine's own log, so a poll is counted
-/// once however often its batch is re-run.
-struct ClockedSource {
-    inner: VecSource,
-    polls: Arc<AtomicU64>,
-}
-
-impl Source for ClockedSource {
-    fn schema(&self) -> SchemaRef {
-        self.inner.schema()
-    }
-
-    fn poll(&mut self, max: usize) -> Result<SourceBatch> {
-        self.polls.fetch_add(1, Ordering::SeqCst);
-        self.inner.poll(max)
+    for pl in &report.placements {
+        assert!(!pl.stages.contains(&failed), "stage still on failed node");
     }
 }
 
@@ -447,19 +168,15 @@ const CRASH_AFTER_FRAMES: u64 = 300;
 /// delivery that reads a smaller poll count happened before the crash.
 const POLLS_BEFORE_CRASH: u64 = CRASH_AFTER_FRAMES / 3;
 
-/// `LONG_BATCHES` batches of 32.
-fn long_records() -> Vec<Record> {
-    records_n(32 * LONG_BATCHES as i64)
-}
-
-/// Runs `query` edge-first over the long stream while lossy links
-/// mangle frames and the edge box dies mid-run; returns the delivery
-/// log and `run`'s order-normalized output of the same query.
+/// Runs `query` edge-first over `LONG_BATCHES` batches of 32 while
+/// lossy links mangle frames and the edge box dies mid-run; returns the
+/// delivery log and `run`'s order-normalized output of the same query.
 fn crash_run_logged(
     query: &Query,
     watermark: WatermarkStrategy,
     seed: u64,
 ) -> (Vec<(u64, Vec<Record>)>, Vec<Record>) {
+    let long_records = || records_n(32 * LONG_BATCHES as i64);
     let mut sync_env = StreamEnvironment::with_config(EnvConfig {
         buffer_size: 32,
         watermark_every: 2,
@@ -472,35 +189,22 @@ fn crash_run_logged(
     );
     let (mut sink, reference) = CollectingSink::new();
     sync_env.run(query, &mut sink).expect("sync run");
-    let mut reference = reference.records();
-    normalize_records(&mut reference);
+    let reference = normalized(reference.records());
 
     let (topo, sensors) = Topology::train_fleet(3);
-    let edge = topo
-        .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
-        .expect("edge exists");
+    let edge = edge_node(&topo, sensors[0]);
     let mut env = ClusterEnvironment::with_config(
         topo,
         ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
             telemetry: TelemetryConfig {
                 enabled: false,
                 ..TelemetryConfig::default()
             },
-            ..ClusterConfig::default()
+            ..cluster_config()
         },
     );
-    let polls = Arc::new(AtomicU64::new(0));
-    env.add_source(
-        "s",
-        sensors[0],
-        Box::new(ClockedSource {
-            inner: VecSource::new(schema(), long_records()),
-            polls: Arc::clone(&polls),
-        }),
-        watermark,
-    );
+    let (source, polls) = ClockedSource::boxed(long_records());
+    env.add_source("s", sensors[0], source, watermark);
     let mut sink = CallLogSink {
         polls,
         calls: Vec::new(),
@@ -516,33 +220,6 @@ fn crash_run_logged(
         "seed {seed}: records_out"
     );
     (sink.calls, reference)
-}
-
-/// The rows of every logged delivery, order-normalized.
-fn delivered(calls: &[(u64, Vec<Record>)]) -> Vec<Record> {
-    let mut rows: Vec<Record> = calls.iter().flat_map(|(_, r)| r.iter().cloned()).collect();
-    normalize_records(&mut rows);
-    rows
-}
-
-/// A plugin operator that forwards every record unchanged.
-struct Passthrough;
-
-impl OperatorFactory for Passthrough {
-    fn name(&self) -> &str {
-        "passthrough"
-    }
-
-    fn create(&self, input: SchemaRef, _registry: &FunctionRegistry) -> Result<Box<dyn Operator>> {
-        Ok(Box::new(FlatMapOp::new(
-            "passthrough",
-            input,
-            |rec, out| {
-                out.push(rec.clone());
-                Ok(())
-            },
-        )))
-    }
 }
 
 /// Every plan commits at every sealed epoch — a plugin chain included:
@@ -586,8 +263,9 @@ fn snapshottable_plans_stream_before_the_crash_exactly_once() {
             );
             // Every row of either query is distinct, so equality with
             // the reference rules out a row delivered twice.
+            let rows = calls.into_iter().flat_map(|(_, r)| r).collect();
             assert_eq!(
-                delivered(&calls),
+                normalized(rows),
                 reference,
                 "{name}/seed {seed}: not exactly-once across the crash"
             );
@@ -624,10 +302,6 @@ fn meos_operators_restore_a_sealed_epoch_after_an_edge_crash() {
         }),
         Arc::new(nebulameos::KNearestFactory::standard(3)),
     ];
-    let watermark = WatermarkStrategy::BoundedOutOfOrder {
-        ts_field: "ts".into(),
-        slack: 5 * MICROS_PER_SEC,
-    };
     for factory in factories {
         let name = factory.name().to_string();
         let q = Query::from("fleet").apply(factory);
@@ -639,12 +313,11 @@ fn meos_operators_restore_a_sealed_epoch_after_an_edge_crash() {
         local.add_source(
             "fleet",
             Box::new(VecSource::new(sncb::fleet_schema(), records.clone())),
-            watermark.clone(),
+            bounded(5),
         );
         let (mut sink, reference) = CollectingSink::new();
         local.run(&q, &mut sink).expect("sync run");
-        let mut reference = reference.records();
-        normalize_records(&mut reference);
+        let reference = normalized(reference.records());
         assert!(!reference.is_empty(), "{name}: the reference emits rows");
 
         let mut env = sncb::demo::demo_cluster_with(&net, weather.clone(), records.clone());
@@ -663,10 +336,9 @@ fn meos_operators_restore_a_sealed_epoch_after_an_edge_crash() {
         let report = env
             .run_placed_chaos(&q, PlacementStrategy::EdgeFirst, &plan, &mut sink)
             .unwrap_or_else(|e| panic!("{name}: chaos run failed: {e}"));
-        let mut got = got.records();
-        normalize_records(&mut got);
         assert_eq!(
-            got, reference,
+            normalized(got.records()),
+            reference,
             "{name}: diverges from `run` across the crash"
         );
         assert_eq!(report.cluster.replans, 1, "{name}: the edge must die");
@@ -683,60 +355,13 @@ fn meos_operators_restore_a_sealed_epoch_after_an_edge_crash() {
     }
 }
 
-/// Multi-source chaos: three trains each pumping their own slice while
-/// one train's edge box dies mid-run. Recovery rewinds every pipeline
-/// to a consistent cut.
-#[test]
-fn multi_source_chaos_crash_equivalence() {
-    let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, generous_watermark());
-
-    let (topo, sensors) = Topology::train_fleet(3);
-    let failed = topo
-        .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
-        .expect("edge exists");
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records()
-            .into_iter()
-            .filter(|r| (r.get(1).unwrap().as_int().unwrap() as usize) % sensors.len() == t)
-            .collect();
-        env.add_source(
-            "s",
-            *sensor,
-            Box::new(VecSource::new(schema(), slice)),
-            generous_watermark(),
-        );
-    }
-    let plan = lossy_plan(5).crash_node(failed, 8);
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed_chaos(&q, PlacementStrategy::EdgeFirst, &plan, &mut sink)
-        .expect("multi-source chaos run");
-    let mut recs = got.records();
-    normalize_records(&mut recs);
-    assert_eq!(recs, reference, "multi-source crash diverges");
-    assert_eq!(report.metrics.records_in, ref_metrics.records_in);
-    assert_eq!(report.metrics.records_out, ref_metrics.records_out);
-    assert_eq!(report.cluster.replans, 1);
-    for pl in &report.placements {
-        assert!(!pl.stages.contains(&failed), "stage still on failed node");
-    }
-}
-
 /// Ineligible fault plans fail fast with every offending node named,
 /// and leave the hosted sources registered for a corrected retry.
 #[test]
 fn ineligible_fault_plans_are_rejected_up_front() {
     let q = Query::from("s").filter(col("speed").ge(lit(0.0)));
-    let (mut env, sensor) = fleet_env(WatermarkStrategy::None);
+    let (mut env, sensor) =
+        cluster_env(Feed::InOrder, 3, cluster_config(), &WatermarkStrategy::None);
     let cloud = env.topology().cloud().expect("cloud exists");
     // The source streams from train 0; train 2's edge box carries none
     // of its frames, so crashing it could never trip.
@@ -846,13 +471,17 @@ fn ack_and_heartbeat_bytes_stay_under_five_percent_of_the_wire() {
 /// is untouched.
 #[test]
 fn clean_runs_report_no_chaos_metrics() {
-    let q = splittable_window_query();
-    let (mut env, _) = fleet_env(generous_watermark());
-    let (mut sink, _) = CollectingSink::new();
-    let report = env
-        .run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
-        .expect("clean run");
-    let c = &report.cluster;
+    let c = execute(
+        &splittable_window_query(),
+        &generous_watermark(),
+        Feed::InOrder,
+        Entry::Placed(PlacementStrategy::EdgeFirst),
+        Config::DEFAULT,
+    )
+    .expect("clean run")
+    .cluster
+    .unwrap()
+    .cluster;
     assert_eq!(c.retransmits, 0);
     assert_eq!(c.corrupt_dropped, 0);
     assert_eq!(c.duplicates_suppressed, 0);

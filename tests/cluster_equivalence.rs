@@ -1,581 +1,74 @@
-//! Differential cluster-equivalence suite: every query shape the engine
-//! supports is run through `ClusterEnvironment::run_placed` on the
-//! `train_fleet` topology — under both placement strategies, over
-//! in-order and jittered feeds, and with the edge box crashing mid-run
-//! — and must produce results and `records_in`/`records_out`
-//! counters identical to the single-threaded `StreamEnvironment::run`
-//! reference: row for row in `run`'s own delivery order when one
-//! pipeline feeds the cloud, order-normalized (with each pipeline's
-//! rows still in that pipeline's order) when several interleave there. The distributed runtime is only
-//! correct if crossing node boundaries (wire encoding, bounded link
-//! channels, cross-boundary watermarks, edge pre-aggregation, crash
-//! recovery) is observationally invisible.
+//! The placed rows of the test matrix (`tests/common`): every catalog
+//! plan through `ClusterEnvironment::run_placed` on the `train_fleet`
+//! topology under both placement strategies, and with train 0's edge
+//! box crashing mid-run (`run_placed_chaos` on clean links, restoring
+//! epoch 0 or a sealed epoch), against the single-threaded `run`: row
+//! for row in `run`'s raw delivery order at the default config,
+//! order-normalized over the batch-size × columnar-mode sweep. The
+//! distributed runtime is only correct if crossing node boundaries
+//! (wire encoding, bounded link channels, cross-boundary watermarks,
+//! edge pre-aggregation, crash recovery) is observationally invisible.
 //!
-//! Beyond equivalence, the suite asserts the paper's headline number
-//! from measured traffic: an edge-placed pre-aggregating windowed query
-//! moves a fraction of the uplink bytes of cloud-only placement.
+//! The hand-written checks below pin what only a cluster has: measured
+//! uplink bytes against the analytic `network_cost`, per-link traffic,
+//! fan-in of several trains, streaming delivery, and `explain`.
 
+#[macro_use]
+mod common;
+
+use common::catalog::{composite, splittable_window_query};
+use common::matrix::{execute, run_owned, Config, Entry, LOCAL};
+use common::*;
 use nebula::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-fn schema() -> SchemaRef {
-    Schema::of(&[
-        ("ts", DataType::Timestamp),
-        ("train", DataType::Int),
-        ("speed", DataType::Float),
-        ("load", DataType::Int),
-    ])
-}
-
-/// The same deterministic 600-record stream as `engine_equivalence`.
-fn records() -> Vec<Record> {
-    records_n(600)
-}
-
-/// The first `n` records of that stream's pattern.
-fn records_n(n: i64) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            Record::new(vec![
-                Value::Timestamp(i * MICROS_PER_SEC),
-                Value::Int(i % 5),
-                Value::Float(((i * 7) % 80) as f64),
-                Value::Int((i * 13) % 200),
-            ])
-        })
-        .collect()
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Feed {
-    InOrder,
-    Jittered(u64),
-}
-
-fn source(feed: Feed) -> Box<dyn Source> {
-    let inner = VecSource::new(schema(), records());
-    match feed {
-        Feed::InOrder => Box::new(inner),
-        Feed::Jittered(seed) => Box::new(JitterSource::new(inner, 8, seed)),
-    }
-}
-
-fn generous_watermark() -> WatermarkStrategy {
-    WatermarkStrategy::BoundedOutOfOrder {
-        ts_field: "ts".into(),
-        slack: 60 * MICROS_PER_SEC,
-    }
-}
-
-/// Canonical order, for comparisons across executions that may differ
-/// in interleaving (several pipelines, different batch sizes).
-fn normalized(mut recs: Vec<Record>) -> Vec<Record> {
-    normalize_records(&mut recs);
-    recs
-}
-
-/// The synchronous single-process reference, in `run`'s raw delivery
-/// order: a one-pipeline placed run must reproduce it row for row.
-/// [`HeavyLoad`] is loaded, as in [`cluster_run_cfg`].
-fn sync_reference(
-    query: &Query,
-    feed: Feed,
-    watermark: WatermarkStrategy,
-) -> (Vec<Record>, QueryMetrics) {
-    let mut env = StreamEnvironment::with_config(EnvConfig {
-        buffer_size: 32,
-        watermark_every: 2,
-        ..EnvConfig::default()
-    });
-    env.load_plugin(&HeavyLoad).expect("plugin");
-    env.add_source("s", source(feed), watermark);
-    let (mut sink, got) = CollectingSink::new();
-    let metrics = env.run(query, &mut sink).expect("sync run");
-    (got.records(), metrics)
-}
-
-fn fleet_env(feed: Feed, watermark: WatermarkStrategy) -> (ClusterEnvironment, NodeId) {
-    let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
-    env.add_source("s", sensors[0], source(feed), watermark);
-    (env, sensors[0])
-}
-
-fn cluster_run(
-    query: &Query,
-    strategy: PlacementStrategy,
-    feed: Feed,
-    watermark: WatermarkStrategy,
-) -> (Vec<Record>, ClusterReport) {
-    let (mut env, _) = fleet_env(feed, watermark);
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed(query, strategy, &mut sink)
-        .unwrap_or_else(|e| panic!("{strategy:?}/{feed:?} cluster run failed: {e}"));
-    (got.records(), report)
-}
-
-/// Both strategies, one feed, must agree with the sync reference.
-fn assert_cluster_equivalent(name: &str, query: &Query, feed: Feed, watermark: &WatermarkStrategy) {
-    let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
-    for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let (got, report) = cluster_run(query, strategy, feed, watermark.clone());
-        assert_eq!(
-            got, reference,
-            "{name}: {strategy:?}/{feed:?} diverges from sync reference"
-        );
-        assert_eq!(
-            report.metrics.records_in, ref_metrics.records_in,
-            "{name}: {strategy:?}/{feed:?} records_in"
-        );
-        assert_eq!(
-            report.metrics.records_out, ref_metrics.records_out,
-            "{name}: {strategy:?}/{feed:?} records_out"
-        );
-    }
-}
-
-fn assert_cluster_equivalent_both_feeds(name: &str, query: &Query, watermark: &WatermarkStrategy) {
-    assert_cluster_equivalent(name, query, Feed::InOrder, watermark);
-    for seed in [7, 99] {
-        assert_cluster_equivalent(name, query, Feed::Jittered(seed), watermark);
-    }
-}
-
-/// The edge node of train 0 — the box failure tests kill mid-run.
-fn edge_node(env: &ClusterEnvironment, sensor: NodeId) -> NodeId {
-    env.topology()
-        .first_ancestor_of_kind(sensor, NodeKind::Edge)
-        .expect("edge exists")
-}
-
-/// An edge-first placed run whose only fault is train 0's edge box
-/// crashing after it has handled `after_frames` frames (clean links,
-/// `run_placed_chaos`). Returns the raw delivery, the report and the
-/// crashed node.
-fn crash_run(
-    query: &Query,
-    watermark: WatermarkStrategy,
-    columnar: ColumnarMode,
-    after_frames: u64,
-) -> (Vec<Record>, ClusterReport, NodeId) {
-    let (mut env, sensor) = fleet_env(Feed::InOrder, watermark);
-    env.config_mut().columnar = columnar;
-    let edge = edge_node(&env, sensor);
-    let plan = FaultPlan::seeded(0).crash_node(edge, after_frames);
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed_chaos(query, PlacementStrategy::EdgeFirst, &plan, &mut sink)
-        .unwrap_or_else(|e| panic!("crash after {after_frames} frames: {e}"));
-    (got.records(), report, edge)
-}
-
-/// Whether the cloud sealed a checkpoint before the crash, so recovery
-/// restored it; otherwise it restored epoch 0, the run's start, which
-/// emits no `CheckpointSealed` event.
-fn sealed_before_crash(report: &ClusterReport) -> bool {
-    let events = &report.telemetry.events;
-    let crash = events
-        .iter()
-        .position(|e| e.kind == TraceKind::NodeDown)
-        .expect("the crash is in the trace");
-    events[..crash]
-        .iter()
-        .any(|e| e.kind == TraceKind::CheckpointSealed)
-}
-
-/// Crash frame counts for the failure suites. With `buffer_size` 32,
-/// `watermark_every` 2 and the runtime's barrier every 4 batches, an
-/// edge stage handles one to three frames per source batch (its data,
-/// every 2nd batch a watermark, every 4th a barrier); an edge the plan
-/// only routes through (stateless queries run on the sensor) counts one
-/// per batch at stage 0. Either way 0 and 3 kill it before the first
-/// barrier — recovery **restores epoch 0**, the run's start, and
-/// replays from batch 0 — and 11 only after batch 4's barrier has
-/// sealed epoch 1 — recovery **restores that sealed epoch**. Both go
-/// through the same restore; `assert_crash_recovered` checks which
-/// epoch it took.
-const CRASH_AFTER_FRAMES: [u64; 3] = [0, 3, 11];
-
-/// A crash run must be invisible in the results: `run`'s rows in `run`'s
-/// raw order (one pipeline), the same counters, one re-planning round,
-/// and no stage left on the dead node.
-fn assert_crash_recovered(
-    name: &str,
-    (got, report, crashed): (Vec<Record>, ClusterReport, NodeId),
-    (reference, ref_metrics): &(Vec<Record>, QueryMetrics),
-    after_frames: u64,
-) {
-    assert_eq!(
-        &got, reference,
-        "{name}: results diverge from `run` after the edge crashed at frame {after_frames}"
-    );
-    assert_eq!(report.metrics.records_in, ref_metrics.records_in, "{name}");
-    assert_eq!(
-        report.metrics.records_out, ref_metrics.records_out,
-        "{name}"
-    );
-    assert_eq!(report.cluster.replans, 1, "{name}: one re-planning round");
-    // The re-planned placement no longer references the crashed node.
-    for pl in &report.placements {
-        assert!(
-            !pl.stages.contains(&crashed),
-            "{name}: stage still on the crashed node"
-        );
-    }
-    assert_eq!(
-        sealed_before_crash(&report),
-        after_frames == 11,
-        "{name}: crash at frame {after_frames} took the wrong recovery path"
-    );
-}
-
-/// A mid-run crash of the edge box must be invisible in the results,
-/// on both recovery paths.
-fn assert_failure_equivalent(name: &str, query: &Query, watermark: &WatermarkStrategy) {
-    let reference = sync_reference(query, Feed::InOrder, watermark.clone());
-    for after_frames in CRASH_AFTER_FRAMES {
-        let run = crash_run(query, watermark.clone(), ColumnarMode::Auto, after_frames);
-        assert_crash_recovered(name, run, &reference, after_frames);
-    }
-}
-
-/// The rows whose `train_col` holds `train`, in the order given.
-fn rows_of_train(recs: &[Record], train_col: usize, train: i64) -> Vec<Record> {
-    recs.iter()
-        .filter(|r| r.get(train_col).and_then(Value::as_int) == Some(train))
-        .cloned()
-        .collect()
-}
-
-fn splittable_window_query() -> Query {
-    Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("sum_load", AggSpec::Sum(col("load"))),
-            WindowAgg::new("min_speed", AggSpec::Min(col("speed"))),
-            WindowAgg::new("max_speed", AggSpec::Max(col("speed"))),
-        ],
-    )
-}
+matrix_rows!(
+    catalog_plans_match_run_when_placed,
+    filter_cluster_equivalence,
+    map_cluster_equivalence,
+    map_extend_cluster_equivalence,
+    tumbling_window_cluster_equivalence,
+    unsplittable_custom_window_cluster_equivalence,
+    splittable_window_cluster_equivalence,
+    sliding_window_cluster_equivalence,
+    keyless_window_cluster_equivalence,
+    threshold_window_cluster_equivalence,
+    cep_cluster_equivalence,
+    cep_then_keyless_window_cluster_equivalence,
+    plugin_operator_cluster_equivalence,
+    composite_pipeline_cluster_equivalence,
+    failure_replanning_mid_run_equivalence,
+    batched_stateless_cluster_equivalence,
+    batched_cloud_tail_cluster_equivalence,
+    batched_splittable_window_cluster_equivalence,
+);
 
 #[test]
-fn filter_cluster_equivalence() {
-    let q = Query::from("s").filter(col("speed").ge(lit(40.0)));
-    assert_cluster_equivalent_both_feeds("filter", &q, &WatermarkStrategy::None);
+fn batched_failure_replanning_equivalence() {
+    // An edge crash under forced-columnar execution: checkpoints
+    // snapshot window state after buffers were absorbed columnar-side,
+    // and recovery continues from it in `run`'s raw order.
+    run_owned("batched_failure_replanning_equivalence");
 }
 
-#[test]
-fn map_cluster_equivalence() {
-    let q = Query::from("s").map(vec![
-        ("train", col("train")),
-        ("kmh", col("speed").mul(lit(3.6))),
-    ]);
-    assert_cluster_equivalent_both_feeds("map", &q, &WatermarkStrategy::None);
+/// Runs `query` over `feed` through `entry` at the default config.
+fn placed(query: &Query, watermark: &WatermarkStrategy, feed: Feed, entry: Entry) -> ClusterReport {
+    execute(query, watermark, feed, entry, Config::DEFAULT)
+        .unwrap_or_else(|e| panic!("{entry:?}/{feed:?}: {e}"))
+        .cluster
+        .expect("a placed run")
 }
 
-#[test]
-fn map_extend_cluster_equivalence() {
-    let q = Query::from("s")
-        .filter(col("load").gt(lit(50)))
-        .map_extend(vec![("over", col("speed").sub(lit(40.0)))]);
-    assert_cluster_equivalent_both_feeds("map_extend", &q, &WatermarkStrategy::None);
-}
-
-#[test]
-fn tumbling_window_cluster_equivalence() {
-    // Avg decomposes into a (sum, count) partial, so this splits too:
-    // the edge ships slice partials including the decomposed mean.
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
-            WindowAgg::new("max_load", AggSpec::Max(col("load"))),
-        ],
-    );
-    let (_, report) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        generous_watermark(),
-    );
-    assert!(report.cluster.preaggregated, "avg splits via (sum, count)");
-    assert_cluster_equivalent_both_feeds("tumbling", &q, &generous_watermark());
-    assert_cluster_equivalent(
-        "tumbling/no-wm",
-        &q,
-        Feed::InOrder,
-        &WatermarkStrategy::None,
-    );
-}
-
-/// A plugin aggregate that does not opt into the partial contract:
-/// `splittable()` stays false, so its window must run whole on one node
-/// (the unsplit window-at-the-edge path).
-struct OpaqueCountAgg;
-
-impl AggregatorFactory for OpaqueCountAgg {
-    fn output_type(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<DataType> {
-        Ok(DataType::Int)
-    }
-
-    fn create(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<Box<dyn Aggregator>> {
-        struct Acc(i64);
-        impl Aggregator for Acc {
-            fn update(&mut self, _rec: &Record) -> Result<()> {
-                self.0 += 1;
-                Ok(())
-            }
-            fn partial(&self) -> Result<Vec<Value>> {
-                Ok(vec![Value::Int(self.0)])
-            }
-            fn merge_partial(&mut self, partial: &[Value]) -> Result<()> {
-                self.0 += partial.first().and_then(Value::as_int).unwrap_or(0);
-                Ok(())
-            }
-            fn finish(&mut self) -> Result<Value> {
-                Ok(Value::Int(self.0))
-            }
-        }
-        Ok(Box::new(Acc(0)))
-    }
-}
-
-#[test]
-fn unsplittable_custom_window_cluster_equivalence() {
-    // The custom aggregate keeps `splittable()` false: no pre-aggregation
-    // split engages and the window runs whole at its placed node.
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![WindowAgg::new(
-            "n",
-            AggSpec::Custom(Arc::new(OpaqueCountAgg)),
-        )],
-    );
-    let (_, report) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        generous_watermark(),
-    );
-    assert!(!report.cluster.preaggregated, "split must not engage");
-    assert_cluster_equivalent("unsplittable", &q, Feed::InOrder, &generous_watermark());
-}
-
-#[test]
-fn splittable_window_cluster_equivalence() {
-    // All-splittable aggregates: exercises edge partials + cloud merge.
-    let q = splittable_window_query();
-    let (_, report) = cluster_run(
-        &q,
-        PlacementStrategy::EdgeFirst,
-        Feed::InOrder,
-        generous_watermark(),
-    );
-    assert!(report.cluster.preaggregated, "split must engage");
-    assert_cluster_equivalent_both_feeds("splittable", &q, &generous_watermark());
-    assert_cluster_equivalent(
-        "splittable/no-wm",
-        &q,
-        Feed::InOrder,
-        &WatermarkStrategy::None,
-    );
-}
-
-#[test]
-fn sliding_window_cluster_equivalence() {
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Sliding {
-            size: 60 * MICROS_PER_SEC,
-            slide: 20 * MICROS_PER_SEC,
-        },
-        vec![WindowAgg::new("n", AggSpec::Count)],
-    );
-    assert_cluster_equivalent_both_feeds("sliding", &q, &generous_watermark());
-}
-
-#[test]
-fn keyless_window_cluster_equivalence() {
-    let q = Query::from("s").window(
-        vec![],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![WindowAgg::new("n", AggSpec::Count)],
-    );
-    assert_cluster_equivalent_both_feeds("keyless", &q, &generous_watermark());
-}
-
-#[test]
-fn threshold_window_cluster_equivalence() {
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Threshold {
-            predicate: col("speed").gt(lit(80.0 * 0.7)),
-            min_count: 2,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("peak", AggSpec::Max(col("speed"))),
-        ],
-    );
-    assert_cluster_equivalent("threshold", &q, Feed::InOrder, &WatermarkStrategy::None);
-}
-
-fn cep_query() -> Query {
-    let pattern = Pattern::new(
-        "speed-drop",
-        vec![
-            PatternStep::new("fast", col("speed").gt(lit(60.0))),
-            PatternStep::new("slow", col("speed").lt(lit(10.0))),
-        ],
-        120 * MICROS_PER_SEC,
-    )
-    .keyed_by(col("train"));
-    Query::from("s").cep(pattern)
-}
-
-#[test]
-fn cep_cluster_equivalence() {
-    assert_cluster_equivalent("cep", &cep_query(), Feed::InOrder, &WatermarkStrategy::None);
-}
-
-#[test]
-fn cep_then_keyless_window_cluster_equivalence() {
-    let q = cep_query().window(
-        vec![],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![WindowAgg::new("n", AggSpec::Count)],
-    );
-    assert_cluster_equivalent("cep+window", &q, Feed::InOrder, &WatermarkStrategy::None);
-}
-
-/// A plugin operator crossing node boundaries (opaque state: the chain
-/// runs whole at its placed node).
-struct DuplicateHighSpeed;
-
-impl OperatorFactory for DuplicateHighSpeed {
-    fn name(&self) -> &str {
-        "duplicate_high_speed"
-    }
-
-    fn create(&self, input: SchemaRef, _registry: &FunctionRegistry) -> Result<Box<dyn Operator>> {
-        let speed_col = input
-            .index_of("speed")
-            .ok_or_else(|| NebulaError::Plan("needs 'speed'".into()))?;
-        Ok(Box::new(FlatMapOp::new(
-            "duplicate_high_speed",
-            input,
-            move |rec, out| {
-                out.push(rec.clone());
-                if rec
-                    .get(speed_col)
-                    .and_then(Value::as_float)
-                    .is_some_and(|s| s > 70.0)
-                {
-                    out.push(rec.clone());
-                }
-                Ok(())
-            },
-        )))
-    }
-}
-
-#[test]
-fn plugin_operator_cluster_equivalence() {
-    let q = Query::from("s").apply(Arc::new(DuplicateHighSpeed));
-    assert_cluster_equivalent_both_feeds("plugin", &q, &WatermarkStrategy::None);
-}
-
-#[test]
-fn composite_pipeline_cluster_equivalence() {
-    let q = Query::from("s")
-        .filter(col("load").ge(lit(20)))
-        .map_extend(vec![("kmh", col("speed").mul(lit(3.6)))])
-        .window(
-            vec![("train", col("train"))],
-            WindowSpec::Tumbling {
-                size: 120 * MICROS_PER_SEC,
-            },
-            vec![
-                WindowAgg::new("n", AggSpec::Count),
-                WindowAgg::new("top_kmh", AggSpec::Max(col("kmh"))),
-            ],
-        );
-    assert_cluster_equivalent_both_feeds("composite", &q, &generous_watermark());
-}
-
-#[test]
-fn failure_replanning_mid_run_equivalence() {
-    assert_failure_equivalent(
-        "filter",
-        &Query::from("s").filter(col("speed").ge(lit(40.0))),
-        &WatermarkStrategy::None,
-    );
-    assert_failure_equivalent(
-        "splittable",
-        &splittable_window_query(),
-        &generous_watermark(),
-    );
-    assert_failure_equivalent(
-        "tumbling-avg",
-        &Query::from("s").window(
-            vec![("train", col("train"))],
-            WindowSpec::Tumbling {
-                size: 60 * MICROS_PER_SEC,
-            },
-            vec![
-                WindowAgg::new("n", AggSpec::Count),
-                WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
-            ],
-        ),
-        &generous_watermark(),
-    );
-    assert_failure_equivalent("cep", &cep_query(), &WatermarkStrategy::None);
-    assert_failure_equivalent(
-        "threshold",
-        &Query::from("s").window(
-            vec![("train", col("train"))],
-            WindowSpec::Threshold {
-                predicate: col("speed").gt(lit(56.0)),
-                min_count: 2,
-            },
-            vec![WindowAgg::new("n", AggSpec::Count)],
-        ),
-        &WatermarkStrategy::None,
-    );
-}
-
-#[test]
-fn edge_preaggregation_cuts_measured_uplink_bytes() {
-    let q = splittable_window_query();
+/// The edge-first and cloud-only runs of `query` must agree on their
+/// rows, and the edge's pre-aggregation cut the measured uplink bytes
+/// more than fivefold.
+fn assert_preaggregation_cuts_uplink(query: &Query) -> (ClusterReport, ClusterReport) {
     let wm = generous_watermark();
-    let (edge_recs, edge) =
-        cluster_run(&q, PlacementStrategy::EdgeFirst, Feed::InOrder, wm.clone());
-    let (cloud_recs, cloud) = cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm);
-    assert_eq!(edge_recs, cloud_recs, "strategies agree on results");
+    let [edge, cloud] = [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly]
+        .map(|s| execute(query, &wm, Feed::InOrder, Entry::Placed(s), Config::DEFAULT).unwrap());
+    assert_eq!(edge.rows, cloud.rows, "strategies agree on results");
+    let (edge, cloud) = (edge.cluster.unwrap(), cloud.cluster.unwrap());
     assert!(edge.cluster.preaggregated);
     assert!(!cloud.cluster.preaggregated);
     assert!(
@@ -584,6 +77,13 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
         edge.cluster.uplink_bytes,
         cloud.cluster.uplink_bytes
     );
+    (edge, cloud)
+}
+
+#[test]
+fn edge_preaggregation_cuts_measured_uplink_bytes() {
+    let q = splittable_window_query();
+    let (edge, cloud) = assert_preaggregation_cuts_uplink(&q);
     assert!(
         edge.cluster.uplink_records < cloud.cluster.uplink_records,
         "aggregated rows, not raw records, cross the uplink"
@@ -610,7 +110,7 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
     // 0.43 C, for 1.2 C or more. So `< C` holds with ~20% to spare and a
     // mislabelling breaks it — as would an epoch-0 restore replaying
     // all 600 records, hence the sealed-epoch check.
-    let (_, crashed, _) = crash_run(&q, generous_watermark(), ColumnarMode::Auto, 11);
+    let crashed = placed(&q, &generous_watermark(), Feed::InOrder, Entry::Crash(11));
     assert!(
         sealed_before_crash(&crashed),
         "the crash must restore epoch 1, not epoch 0"
@@ -625,12 +125,30 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
 }
 
 #[test]
+fn avg_query_preaggregates_and_cuts_uplink() {
+    // Avg used to forfeit pre-aggregation (no single-column merge); the
+    // (sum, count) slice partial ships it like any other aggregate.
+    let q = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        },
+        vec![
+            WindowAgg::new("n", AggSpec::Count),
+            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
+            WindowAgg::new("avg_load", AggSpec::Avg(col("load"))),
+        ],
+    );
+    assert_preaggregation_cuts_uplink(&q);
+}
+
+#[test]
 fn multi_source_placements_report_cloud_for_the_shared_tail() {
     // With several pipelines fanning into one stateful tail, the tail
     // runs once at the cloud; the reported placements must say so even
     // though `place()` would have put the (non-splittable) window on
     // each train's edge box. The custom aggregate keeps the window
-    // unsplittable (Avg now splits via its (sum, count) partial).
+    // unsplittable.
     let q = Query::from("s").filter(col("load").ge(lit(0))).window(
         vec![("train", col("train"))],
         WindowSpec::Tumbling {
@@ -645,7 +163,12 @@ fn multi_source_placements_report_cloud_for_the_shared_tail() {
     let cloud = topo.cloud().unwrap();
     let mut env = ClusterEnvironment::new(topo);
     for sensor in &sensors {
-        env.add_source("s", *sensor, source(Feed::InOrder), generous_watermark());
+        env.add_source(
+            "s",
+            *sensor,
+            source(Feed::InOrder, 32),
+            generous_watermark(),
+        );
     }
     let (mut sink, _) = CollectingSink::new();
     let report = env
@@ -661,62 +184,52 @@ fn multi_source_placements_report_cloud_for_the_shared_tail() {
     }
 }
 
-#[test]
-fn multi_source_fleet_merges_at_cloud() {
-    // Three trains, each hosting its own slice of the stream on its own
-    // sensors: per-edge partial windows must merge at the cloud into
-    // exactly the rows a single-process run over the union produces.
-    let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, generous_watermark());
-
-    let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
+/// Three trains, each hosting its own slice of the stream: the fan-in
+/// must deliver exactly `run`'s rows over the union, and each train —
+/// which lives on one pipeline — in `run`'s order, in whatever order
+/// the pipelines interleave at the cloud.
+fn assert_fan_in_matches_run(
+    query: &Query,
+    watermark: &WatermarkStrategy,
+    train_col: usize,
+) -> ClusterReport {
+    let run = |feed, entry| execute(query, watermark, feed, entry, Config::DEFAULT).expect("run");
+    let reference = run(Feed::InOrder, Entry::Run);
+    let got = run(
+        Feed::MultiSource,
+        Entry::Placed(PlacementStrategy::EdgeFirst),
     );
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records()
-            .into_iter()
-            .filter(|r| {
-                let train = r.get(1).unwrap().as_int().unwrap();
-                (train as usize) % sensors.len() == t
-            })
-            .collect();
-        assert!(!slice.is_empty());
-        env.add_source(
-            "s",
-            *sensor,
-            Box::new(VecSource::new(schema(), slice)),
-            generous_watermark(),
-        );
-    }
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
-        .expect("multi-source run");
     assert_eq!(
-        normalized(got.records()),
-        normalized(reference.clone()),
+        normalized(got.rows.clone()),
+        normalized(reference.rows.clone()),
         "fan-in merge matches the union reference"
     );
-    // Pipelines interleave at the cloud in arrival order, but each
-    // train lives on one pipeline and its windows still come out in
-    // that pipeline's order.
     for train in 0..5 {
         assert_eq!(
-            rows_of_train(&got.records(), 0, train),
-            rows_of_train(&reference, 0, train),
+            rows_of_train(&got.rows, train_col, train),
+            rows_of_train(&reference.rows, train_col, train),
             "train {train}: per-pipeline delivery order"
         );
     }
-    assert_eq!(report.metrics.records_in, ref_metrics.records_in);
-    assert_eq!(report.metrics.records_out, ref_metrics.records_out);
-    assert!(report.cluster.preaggregated);
+    assert_eq!(got.metrics.records_in, reference.metrics.records_in);
+    assert_eq!(got.metrics.records_out, reference.metrics.records_out);
+    let report = got.cluster.unwrap();
     assert_eq!(report.placements.len(), 3);
+    report
+}
+
+#[test]
+fn multi_source_fleet_merges_at_cloud() {
+    // Per-edge partial windows must merge at the cloud.
+    let report = assert_fan_in_matches_run(&splittable_window_query(), &generous_watermark(), 0);
+    assert!(report.cluster.preaggregated);
+}
+
+#[test]
+fn multi_source_stateless_rows_keep_their_pipeline_order() {
+    // The cloud never reorders what one pipeline sent.
+    let q = Query::from("s").filter(col("speed").ge(lit(40.0)));
+    assert_fan_in_matches_run(&q, &WatermarkStrategy::None, 1);
 }
 
 #[test]
@@ -730,17 +243,18 @@ fn early_finished_source_does_not_stall_or_regress_the_fleet_clock() {
     // never regress — either failure mode leaves windows open or
     // double-closes them, diverging from the union reference.
     let q = splittable_window_query();
-    let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, generous_watermark());
+    let reference = execute(
+        &q,
+        &generous_watermark(),
+        Feed::InOrder,
+        Entry::Run,
+        Config::DEFAULT,
+    )
+    .expect("sync run");
+    let (reference, ref_metrics) = (reference.rows, reference.metrics);
 
     let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
+    let mut env = ClusterEnvironment::with_config(topo, cluster_config());
     let all = records();
     let slices: [Vec<Record>; 3] = [
         // Exhausts mid-run: only the first 40 of 600 records.
@@ -832,22 +346,10 @@ fn meos_sequence_append_crosses_the_wire() {
     sync_env.run(&q, &mut sink).expect("sync run");
 
     let (topo, sensors) = Topology::train_fleet(2);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
+    let mut env = ClusterEnvironment::with_config(topo, cluster_config());
     nebulameos::register_meos_codecs(env.wire_registry_mut());
     // Each train's samples stream from its own sensors.
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records
-            .iter()
-            .filter(|r| r.get(1).unwrap().as_int().unwrap() as usize % 2 == t)
-            .cloned()
-            .collect();
+    for (sensor, slice) in sensors.iter().zip(train_slices(&records, 2)) {
         env.add_source(
             "fleet",
             *sensor,
@@ -895,7 +397,7 @@ fn meos_sequence_append_crosses_the_wire() {
 
 #[test]
 fn plan_error_keeps_sources_hosted() {
-    let (mut env, _) = fleet_env(Feed::InOrder, WatermarkStrategy::None);
+    let (mut env, _) = cluster_env(Feed::InOrder, 3, cluster_config(), &WatermarkStrategy::None);
     let bad = Query::from("s").filter(col("no_such_column").gt(lit(1.0)));
     let (mut sink, _) = CollectingSink::new();
     assert!(env
@@ -911,14 +413,9 @@ fn plan_error_keeps_sources_hosted() {
     assert_eq!(got.len(), 600);
 }
 
-/// The analytic estimator (`measure_stage_bytes` + `network_cost`) must
-/// reconcile with the bytes actually measured on the wire. Stated
-/// tolerance: measured bytes may exceed the estimate by at most 15%
-/// (frame headers, per-field validity flags and bitmaps, control
-/// frames) and never undercut it by more than 5%.
-#[test]
-fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
-    let q = Query::from("s").filter(col("speed").ge(lit(40.0))).window(
+/// The filtered per-train window of the wire-byte reconciliation.
+fn filtered_window() -> Query {
+    Query::from("s").filter(col("speed").ge(lit(40.0))).window(
         vec![("train", col("train"))],
         WindowSpec::Tumbling {
             size: 60 * MICROS_PER_SEC,
@@ -927,40 +424,51 @@ fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
             WindowAgg::new("n", AggSpec::Count),
             WindowAgg::new("max_speed", AggSpec::Max(col("speed"))),
         ],
-    );
+    )
+}
+
+/// For each strategy, the analytic estimate (`measure_stage_bytes` +
+/// `network_cost`) of the filtered window's wire bytes and a placed run
+/// of it at `columnar`.
+fn estimated_and_measured(
+    columnar: ColumnarMode,
+) -> Vec<(PlacementStrategy, NetworkCost, ClusterReport)> {
+    let q = filtered_window();
     let reg = FunctionRegistry::with_builtins();
     let stages = measure_stage_bytes(Box::new(VecSource::new(schema(), records())), &q, &reg, 32)
         .expect("stage measurement");
+    [PlacementStrategy::CloudOnly, PlacementStrategy::EdgeFirst]
+        .map(|strategy| {
+            let (topo, sensors) = Topology::train_fleet(3);
+            let placement = place(&q, &topo, sensors[0], strategy).expect("placement");
+            let analytic = network_cost(&topo, &placement, &stages).expect("network cost");
+            let config = Config {
+                batch: 32,
+                columnar,
+            };
+            let entry = Entry::Placed(strategy);
+            let report = execute(&q, &WatermarkStrategy::None, Feed::InOrder, entry, config)
+                .expect("cluster run")
+                .cluster
+                .unwrap();
+            assert_eq!(
+                report.cluster.preaggregated,
+                strategy == PlacementStrategy::EdgeFirst,
+                "{strategy:?}: the split engages exactly under EdgeFirst"
+            );
+            (strategy, analytic, report)
+        })
+        .into()
+}
 
-    for strategy in [PlacementStrategy::CloudOnly, PlacementStrategy::EdgeFirst] {
-        let (topo, sensors) = Topology::train_fleet(3);
-        let placement = place(&q, &topo, sensors[0], strategy).expect("placement");
-        let analytic = network_cost(&topo, &placement, &stages).expect("network cost");
-
-        let mut env = ClusterEnvironment::with_config(
-            topo,
-            ClusterConfig {
-                buffer_size: 32,
-                watermark_every: 2,
-                ..ClusterConfig::default()
-            },
-        );
-        env.add_source(
-            "s",
-            sensors[0],
-            source(Feed::InOrder),
-            WatermarkStrategy::None,
-        );
-        let (mut sink, _) = CollectingSink::new();
-        let report = env
-            .run_placed(&q, strategy, &mut sink)
-            .expect("cluster run");
-        assert_eq!(
-            report.cluster.preaggregated,
-            strategy == PlacementStrategy::EdgeFirst,
-            "{strategy:?}: the split engages exactly under EdgeFirst"
-        );
-
+/// The analytic estimator (`measure_stage_bytes` + `network_cost`) must
+/// reconcile with the bytes actually measured on the wire. Stated
+/// tolerance: measured bytes may exceed the estimate by at most 15%
+/// (frame headers, per-field validity flags and bitmaps, control
+/// frames) and never undercut it by more than 5%.
+#[test]
+fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
+    for (strategy, analytic, report) in estimated_and_measured(ColumnarMode::Auto) {
         for (i, link) in report.cluster.links.iter().enumerate() {
             let estimate = analytic.bytes_per_link[i];
             let measured = link.bytes;
@@ -991,33 +499,72 @@ fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
 }
 
 #[test]
-fn avg_query_preaggregates_and_cuts_uplink() {
-    // Avg used to forfeit pre-aggregation (no single-column merge); the
-    // (sum, count) slice partial ships it like any other aggregate.
-    let q = Query::from("s").window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("avg_speed", AggSpec::Avg(col("speed"))),
-            WindowAgg::new("avg_load", AggSpec::Avg(col("load"))),
-        ],
-    );
-    let wm = generous_watermark();
-    let (edge_recs, edge) =
-        cluster_run(&q, PlacementStrategy::EdgeFirst, Feed::InOrder, wm.clone());
-    let (cloud_recs, cloud) = cluster_run(&q, PlacementStrategy::CloudOnly, Feed::InOrder, wm);
-    assert_eq!(edge_recs, cloud_recs, "strategies agree on avg results");
-    assert!(edge.cluster.preaggregated, "avg splits at the edge");
-    assert!(!cloud.cluster.preaggregated);
-    assert!(
-        edge.cluster.uplink_bytes * 5 < cloud.cluster.uplink_bytes,
-        "avg pre-aggregation must cut measured uplink bytes >5x: edge {} vs cloud {}",
-        edge.cluster.uplink_bytes,
-        cloud.cluster.uplink_bytes
-    );
+fn batched_wire_bytes_reconcile_with_analytic_network_cost() {
+    // The analytic estimator was validated against the per-record wire
+    // path; the batched path must land inside the same stated tolerance.
+    for (strategy, analytic, report) in estimated_and_measured(ColumnarMode::Force) {
+        for (i, link) in report.cluster.links.iter().enumerate() {
+            let estimate = analytic.bytes_per_link[i];
+            let measured = link.bytes;
+            if estimate == 0 {
+                assert!(
+                    measured < 64,
+                    "{strategy:?} link {i}: {measured} bytes on a zero-estimate link"
+                );
+                continue;
+            }
+            let ratio = measured as f64 / estimate as f64;
+            assert!(
+                (0.95..=1.15).contains(&ratio),
+                "{strategy:?} link {i}: columnar measured {measured} vs estimate {estimate} \
+                 (ratio {ratio:.3}) outside the stated 15% tolerance"
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_wire_bytes_match_row_wire_bytes() {
+    // Rows and buffers encode to the same column-major bytes, so
+    // per-link traffic must be byte-identical to the per-record path,
+    // keeping the analytic `network_cost` reconciliation valid for
+    // batched runs too.
+    let q = filtered_window();
+    for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
+        let [row, col] = [ColumnarMode::Off, ColumnarMode::Force].map(|columnar| {
+            let config = Config {
+                batch: 32,
+                columnar,
+            };
+            let entry = Entry::Placed(strategy);
+            execute(&q, &WatermarkStrategy::None, Feed::InOrder, entry, config).unwrap()
+        });
+        assert_eq!(
+            normalized(col.rows),
+            normalized(row.rows),
+            "{strategy:?}: results"
+        );
+        let (row, col) = (row.cluster.unwrap(), col.cluster.unwrap());
+        assert_eq!(
+            col.cluster.uplink_bytes, row.cluster.uplink_bytes,
+            "{strategy:?}: uplink bytes"
+        );
+        assert_eq!(
+            col.cluster.links.len(),
+            row.cluster.links.len(),
+            "{strategy:?}: link count"
+        );
+        for (i, (lc, lr)) in col
+            .cluster
+            .links
+            .iter()
+            .zip(row.cluster.links.iter())
+            .enumerate()
+        {
+            assert_eq!(lc.bytes, lr.bytes, "{strategy:?} link {i}: bytes");
+            assert_eq!(lc.records, lr.records, "{strategy:?} link {i}: records");
+        }
+    }
 }
 
 #[test]
@@ -1031,17 +578,10 @@ fn sliding_uplink_does_not_scale_with_overlap() {
     use nebulameos::TFloatSeqAgg;
 
     let run_uplink = |spec: WindowSpec| -> u64 {
-        let (topo, sensors) = Topology::train_fleet(3);
-        let mut env = ClusterEnvironment::with_config(
-            topo,
-            ClusterConfig {
-                buffer_size: 32,
-                watermark_every: 2,
-                ..ClusterConfig::default()
-            },
-        );
+        let (mut env, sensor) =
+            cluster_env(Feed::InOrder, 3, cluster_config(), &generous_watermark());
+        let _ = sensor;
         nebulameos::register_meos_codecs(env.wire_registry_mut());
-        env.add_source("s", sensors[0], source(Feed::InOrder), generous_watermark());
         let q = Query::from("s").window(
             vec![("train", col("train"))],
             spec,
@@ -1083,77 +623,23 @@ fn late_drops_reported_identically_across_runtimes() {
     // must report the same (at-most-once-per-record) late count through
     // QueryMetrics. Out-of-order task completion must not double-count
     // a record that is late in more than one partition step.
-    let tight = WatermarkStrategy::BoundedOutOfOrder {
-        ts_field: "ts".into(),
-        slack: 2 * MICROS_PER_SEC,
-    };
-    // 64-record jitter against 2 s slack: displacements far exceed what
-    // the watermark tolerates, every runtime sees the same deterministic
-    // shuffle (seeded), and plenty of records outlive all their windows.
-    let wild = || -> Box<dyn Source> {
-        Box::new(JitterSource::new(
-            VecSource::new(schema(), records()),
-            64,
-            7,
-        ))
-    };
     let q = splittable_window_query();
-
-    let sync_metrics = {
-        let mut env = StreamEnvironment::with_config(EnvConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            ..EnvConfig::default()
-        });
-        env.add_source("s", wild(), tight.clone());
-        let (mut sink, _) = CollectingSink::new();
-        env.run(&q, &mut sink).expect("sync run")
+    let late = |entry| {
+        execute(&q, &bounded(2), Feed::Wild, entry, Config::DEFAULT)
+            .unwrap_or_else(|e| panic!("{entry:?}: {e}"))
+            .metrics
+            .late_drops
     };
-    assert!(
-        sync_metrics.late_drops > 0,
-        "jitter 64 with 2 s slack must drop something"
-    );
-
-    let mut env = StreamEnvironment::with_config(EnvConfig {
-        buffer_size: 32,
-        watermark_every: 2,
-        ..EnvConfig::default()
-    });
-    env.add_source("s", wild(), tight.clone());
-    let (mut sink, _) = CollectingSink::new();
-    let threaded = env.run_threaded(&q, &mut sink).expect("threaded run");
-    assert_eq!(threaded.late_drops, sync_metrics.late_drops, "threaded");
-
-    for p in [1, 2, 4, 8] {
-        let mut env = StreamEnvironment::with_config(EnvConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            parallelism: p,
-            ..EnvConfig::default()
-        });
-        env.add_source("s", wild(), tight.clone());
-        let (mut sink, _) = CollectingSink::new();
-        let m = env.run_partitioned(&q, &mut sink).expect("partitioned run");
-        assert_eq!(m.late_drops, sync_metrics.late_drops, "partitioned({p})");
-    }
-
-    for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let (topo, sensors) = Topology::train_fleet(3);
-        let mut env = ClusterEnvironment::with_config(
-            topo,
-            ClusterConfig {
-                buffer_size: 32,
-                watermark_every: 2,
-                ..ClusterConfig::default()
-            },
-        );
-        env.add_source("s", sensors[0], wild(), tight.clone());
-        let (mut sink, _) = CollectingSink::new();
-        let report = env.run_placed(&q, strategy, &mut sink).expect("placed run");
-        assert_eq!(
-            report.metrics.late_drops, sync_metrics.late_drops,
-            "{strategy:?}"
-        );
+    let sync = late(Entry::Run);
+    assert!(sync > 0, "jitter 64 with 2 s slack must drop something");
+    let mut entries = LOCAL.to_vec();
+    entries.extend([
+        Entry::Partitioned(8),
+        Entry::Placed(PlacementStrategy::EdgeFirst),
+        Entry::Placed(PlacementStrategy::CloudOnly),
+    ]);
+    for entry in entries {
+        assert_eq!(late(entry), sync, "{entry:?}");
     }
 }
 
@@ -1164,10 +650,7 @@ fn watermark_every_zero_reads_as_one_in_run_and_run_placed() {
     // cadence and 8-record jitter, that cadence decides which records
     // are late, so a mode that never punctuated would emit more rows
     // and drop none.
-    let exact = WatermarkStrategy::BoundedOutOfOrder {
-        ts_field: "ts".into(),
-        slack: 0,
-    };
+    let exact = bounded(0);
     let q = Query::from("s").window(
         vec![("train", col("train"))],
         WindowSpec::Tumbling {
@@ -1181,7 +664,7 @@ fn watermark_every_zero_reads_as_one_in_run_and_run_placed() {
             watermark_every,
             ..EnvConfig::default()
         });
-        env.add_source("s", source(Feed::Jittered(3)), exact.clone());
+        env.add_source("s", source(Feed::Jittered(3), 4), exact.clone());
         let (mut sink, got) = CollectingSink::new();
         let metrics = env.run(&q, &mut sink).expect("sync run");
         (normalized(got.records()), metrics.late_drops)
@@ -1190,16 +673,12 @@ fn watermark_every_zero_reads_as_one_in_run_and_run_placed() {
     assert!(late > 0, "zero slack under jitter must drop something");
     assert_eq!(run(0), (reference.clone(), late), "run: 0 reads as 1");
     for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let (topo, sensors) = Topology::train_fleet(3);
-        let mut env = ClusterEnvironment::with_config(
-            topo,
-            ClusterConfig {
-                buffer_size: 4,
-                watermark_every: 0,
-                ..ClusterConfig::default()
-            },
-        );
-        env.add_source("s", sensors[0], source(Feed::Jittered(3)), exact.clone());
+        let config = ClusterConfig {
+            buffer_size: 4,
+            watermark_every: 0,
+            ..ClusterConfig::default()
+        };
+        let (mut env, _) = cluster_env(Feed::Jittered(3), 3, config, &exact);
         let (mut sink, got) = CollectingSink::new();
         let report = env.run_placed(&q, strategy, &mut sink).expect("placed run");
         assert_eq!(
@@ -1210,31 +689,9 @@ fn watermark_every_zero_reads_as_one_in_run_and_run_placed() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Streaming delivery: results leave the cloud as they are produced
-// ---------------------------------------------------------------------------
-
-/// A `VecSource` that publishes how many times it has been polled — a
-/// logical clock a sink can read without looking at the wall clock.
-struct ClockedSource {
-    inner: VecSource,
-    polls: Arc<AtomicU64>,
-}
-
-impl Source for ClockedSource {
-    fn schema(&self) -> SchemaRef {
-        self.inner.schema()
-    }
-
-    fn poll(&mut self, max: usize) -> Result<SourceBatch> {
-        self.polls.fetch_add(1, Ordering::SeqCst);
-        self.inner.poll(max)
-    }
-}
-
 /// Notes the source's poll count at the first delivery.
 struct FirstDeliverySink {
-    polls: Arc<AtomicU64>,
+    polls: Arc<std::sync::atomic::AtomicU64>,
     first_at: Option<u64>,
 }
 
@@ -1255,11 +712,7 @@ fn first_delivery_happens_while_the_source_still_has_batches() {
     // channels (one into the edge stage at most, one cloud inbox).
     let total_polls = 200;
     let clocked = || {
-        let polls = Arc::new(AtomicU64::new(0));
-        let source = Box::new(ClockedSource {
-            inner: VecSource::new(schema(), records_n(32 * total_polls as i64)),
-            polls: Arc::clone(&polls),
-        });
+        let (source, polls) = ClockedSource::boxed(records_n(32 * total_polls as i64));
         let sink = FirstDeliverySink {
             polls,
             first_at: None,
@@ -1291,11 +744,7 @@ fn first_delivery_happens_while_the_source_still_has_batches() {
 
         for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
             let (topo, sensors) = Topology::train_fleet(3);
-            let config = ClusterConfig {
-                buffer_size: 32,
-                watermark_every: 2,
-                ..ClusterConfig::default()
-            };
+            let config = cluster_config();
             let in_flight = 2 * config.channel_capacity as u64 + 3;
             let mut env = ClusterEnvironment::with_config(topo, config);
             let (source, mut sink) = clocked();
@@ -1316,365 +765,17 @@ fn first_delivery_happens_while_the_source_still_has_batches() {
     }
 }
 
-#[test]
-fn multi_source_stateless_rows_keep_their_pipeline_order() {
-    // Three stateless pipelines interleave at the cloud in arrival
-    // order — compare normalized — but the cloud never reorders what
-    // one pipeline sent: each train slice arrives in source order.
-    let q = Query::from("s").filter(col("speed").ge(lit(40.0)));
-    let (reference, ref_metrics) = sync_reference(&q, Feed::InOrder, WatermarkStrategy::None);
-
-    let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            ..ClusterConfig::default()
-        },
-    );
-    // Trains 0 and 3 on pipeline 0, 1 and 4 on pipeline 1, 2 on pipeline 2.
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records()
-            .into_iter()
-            .filter(|r| r.get(1).unwrap().as_int().unwrap() as usize % sensors.len() == t)
-            .collect();
-        env.add_source(
-            "s",
-            *sensor,
-            Box::new(VecSource::new(schema(), slice)),
-            WatermarkStrategy::None,
-        );
-    }
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed(&q, PlacementStrategy::EdgeFirst, &mut sink)
-        .expect("multi-source stateless run");
-    assert_eq!(report.metrics.records_out, ref_metrics.records_out);
-    assert_eq!(normalized(got.records()), normalized(reference.clone()));
-    for train in 0..5 {
-        assert_eq!(
-            rows_of_train(&got.records(), 1, train),
-            rows_of_train(&reference, 1, train),
-            "train {train}: per-pipeline delivery order"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched (columnar) wire-path coverage
-// ---------------------------------------------------------------------------
-
-/// A plugin function with no columnar kernel — the shape of the paper's
-/// zone predicates (`in_noise_zone(pos)`), which a columnar filter or
-/// map evaluates row by row inside its batch.
-struct HeavyLoad;
-
-impl Plugin for HeavyLoad {
-    fn name(&self) -> &str {
-        "heavy-load"
-    }
-
-    fn register(&self, reg: &mut FunctionRegistry) -> Result<()> {
-        reg.register(ClosureFunction::new(
-            "heavy_load",
-            1,
-            DataType::Bool,
-            |args| {
-                Ok(match args[0].as_int() {
-                    Some(load) => Value::Bool(load >= 120),
-                    None => Value::Null,
-                })
-            },
-        ))
-    }
-}
-
-/// [`cluster_run`] with explicit batch size and columnar mode (and
-/// [`HeavyLoad`] loaded): data frames are column-major whatever the
-/// mode, and each receiving tail takes them columnar or as rows by the
-/// same gate as the source, so results must not depend on either.
-fn cluster_run_cfg(
-    query: &Query,
-    strategy: PlacementStrategy,
-    feed: Feed,
-    watermark: WatermarkStrategy,
-    buffer_size: usize,
-    columnar: ColumnarMode,
-) -> (Vec<Record>, ClusterReport) {
-    let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size,
-            columnar,
-            watermark_every: 2,
-            ..ClusterConfig::default()
-        },
-    );
-    env.load_plugin(&HeavyLoad).expect("plugin");
-    env.add_source("s", sensors[0], source(feed), watermark);
-    let (mut sink, got) = CollectingSink::new();
-    let report = env
-        .run_placed(query, strategy, &mut sink)
-        .unwrap_or_else(|e| {
-            panic!("{strategy:?}/{feed:?}/batch={buffer_size}/{columnar:?} cluster run failed: {e}")
-        });
-    // Batch size shapes the jittered feed and the watermark cadence,
-    // so runs at different sizes compare in canonical order.
-    (normalized(got.records()), report)
-}
-
-/// Batched cluster execution vs the per-record sync reference, across
-/// batch sizes, every columnar mode (`Auto` is the default and what the
-/// benchmark runs), placement strategies and jittered feeds.
-fn assert_batched_cluster_equivalent(
-    name: &str,
-    query: &Query,
-    feed: Feed,
-    watermark: &WatermarkStrategy,
-) {
-    let (reference, ref_metrics) = sync_reference(query, feed, watermark.clone());
-    let reference = normalized(reference);
-    for batch in [1, 7, 64, 1024] {
-        for columnar in [ColumnarMode::Off, ColumnarMode::Force, ColumnarMode::Auto] {
-            for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-                let (got, report) =
-                    cluster_run_cfg(query, strategy, feed, watermark.clone(), batch, columnar);
-                assert_eq!(
-                    got, reference,
-                    "{name}: {strategy:?}/{feed:?}/batch={batch}/{columnar:?} diverges"
-                );
-                assert_eq!(
-                    report.metrics.records_in, ref_metrics.records_in,
-                    "{name}: {strategy:?}/batch={batch}/{columnar:?} records_in"
-                );
-                assert_eq!(
-                    report.metrics.records_out, ref_metrics.records_out,
-                    "{name}: {strategy:?}/batch={batch}/{columnar:?} records_out"
-                );
-                assert_eq!(
-                    report.metrics.late_drops, ref_metrics.late_drops,
-                    "{name}: {strategy:?}/batch={batch}/{columnar:?} late_drops"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_stateless_cluster_equivalence() {
-    let q = Query::from("s")
-        .filter(col("load").gt(lit(50)))
-        .map_extend(vec![("over", col("speed").sub(lit(40.0)))]);
-    assert_batched_cluster_equivalent("stateless", &q, Feed::InOrder, &WatermarkStrategy::None);
-    assert_batched_cluster_equivalent("stateless", &q, Feed::Jittered(7), &WatermarkStrategy::None);
-}
-
-#[test]
-fn batched_cloud_tail_cluster_equivalence() {
-    // Under `CloudOnly` the whole chain is the cloud tail fed by decoded
-    // frames. Q1's shape: computed flags and a plugin call, a filter on
-    // them, then a text-valued `if`.
-    let q1 = Query::from("s")
-        .map_extend(vec![
-            ("fast", col("speed").gt(lit(60.0))),
-            ("heavy", call("heavy_load", vec![col("load")])),
-        ])
-        .filter(col("fast").or(col("heavy")))
-        .map_extend(vec![(
-            "alert",
-            call("if", vec![col("heavy"), lit("load"), lit("speed")]),
-        )]);
-    for feed in [Feed::InOrder, Feed::Jittered(7)] {
-        assert_batched_cluster_equivalent("q1-shaped", &q1, feed, &WatermarkStrategy::None);
-    }
-    // Q2's shape: a plugin-call filter ahead of a tumbling window.
-    let q2 = Query::from("s")
-        .filter(call("heavy_load", vec![col("load")]))
-        .window(
-            vec![("train", col("train"))],
-            WindowSpec::Tumbling {
-                size: 60 * MICROS_PER_SEC,
-            },
-            vec![
-                WindowAgg::new("n", AggSpec::Count),
-                WindowAgg::new("peak", AggSpec::Max(col("speed"))),
-            ],
-        );
-    for feed in [Feed::InOrder, Feed::Jittered(99)] {
-        assert_batched_cluster_equivalent("q2-shaped", &q2, feed, &generous_watermark());
-    }
-}
-
-#[test]
-fn batched_splittable_window_cluster_equivalence() {
-    // Exact (order-independent) aggregates, so jittered feeds compare
-    // bit-for-bit across batch sizes despite per-batch watermark cadence.
-    let q = splittable_window_query();
-    assert_batched_cluster_equivalent("splittable", &q, Feed::InOrder, &generous_watermark());
-    assert_batched_cluster_equivalent("splittable", &q, Feed::Jittered(99), &generous_watermark());
-}
-
-#[test]
-fn batched_failure_replanning_equivalence() {
-    // An edge crash under forced-columnar execution at `run`'s batch
-    // size: checkpoints snapshot window state after buffers were
-    // absorbed columnar-side, and recovery (a restore of epoch 1 for 11
-    // frames, of epoch 0 for 0 and 3) continues from it in
-    // `run`'s raw order.
-    let q = splittable_window_query();
-    let reference = sync_reference(&q, Feed::InOrder, generous_watermark());
-    for after_frames in CRASH_AFTER_FRAMES {
-        let run = crash_run(&q, generous_watermark(), ColumnarMode::Force, after_frames);
-        assert_crash_recovered("columnar", run, &reference, after_frames);
-    }
-}
-
-#[test]
-fn batched_wire_bytes_match_row_wire_bytes() {
-    // Rows and buffers encode to the same column-major bytes, so
-    // per-link traffic must be byte-identical to the per-record path,
-    // keeping the analytic `network_cost` reconciliation valid for
-    // batched runs too.
-    let q = Query::from("s").filter(col("speed").ge(lit(40.0))).window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("max_speed", AggSpec::Max(col("speed"))),
-        ],
-    );
-    for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let (row_recs, row) = cluster_run_cfg(
-            &q,
-            strategy,
-            Feed::InOrder,
-            WatermarkStrategy::None,
-            32,
-            ColumnarMode::Off,
-        );
-        let (col_recs, col) = cluster_run_cfg(
-            &q,
-            strategy,
-            Feed::InOrder,
-            WatermarkStrategy::None,
-            32,
-            ColumnarMode::Force,
-        );
-        assert_eq!(col_recs, row_recs, "{strategy:?}: results");
-        assert_eq!(
-            col.cluster.uplink_bytes, row.cluster.uplink_bytes,
-            "{strategy:?}: uplink bytes"
-        );
-        assert_eq!(
-            col.cluster.links.len(),
-            row.cluster.links.len(),
-            "{strategy:?}: link count"
-        );
-        for (i, (lc, lr)) in col
-            .cluster
-            .links
-            .iter()
-            .zip(row.cluster.links.iter())
-            .enumerate()
-        {
-            assert_eq!(lc.bytes, lr.bytes, "{strategy:?} link {i}: bytes");
-            assert_eq!(lc.records, lr.records, "{strategy:?} link {i}: records");
-        }
-    }
-}
-
-#[test]
-fn batched_wire_bytes_reconcile_with_analytic_network_cost() {
-    // The analytic estimator was validated against the per-record wire
-    // path; the batched path must land inside the same stated tolerance.
-    let q = Query::from("s").filter(col("speed").ge(lit(40.0))).window(
-        vec![("train", col("train"))],
-        WindowSpec::Tumbling {
-            size: 60 * MICROS_PER_SEC,
-        },
-        vec![
-            WindowAgg::new("n", AggSpec::Count),
-            WindowAgg::new("max_speed", AggSpec::Max(col("speed"))),
-        ],
-    );
-    let reg = FunctionRegistry::with_builtins();
-    let stages = measure_stage_bytes(Box::new(VecSource::new(schema(), records())), &q, &reg, 32)
-        .expect("stage measurement");
-
-    for strategy in [PlacementStrategy::CloudOnly, PlacementStrategy::EdgeFirst] {
-        let (topo, sensors) = Topology::train_fleet(3);
-        let placement = place(&q, &topo, sensors[0], strategy).expect("placement");
-        let analytic = network_cost(&topo, &placement, &stages).expect("network cost");
-
-        let mut env = ClusterEnvironment::with_config(
-            topo,
-            ClusterConfig {
-                buffer_size: 32,
-                watermark_every: 2,
-                columnar: ColumnarMode::Force,
-                ..ClusterConfig::default()
-            },
-        );
-        env.add_source(
-            "s",
-            sensors[0],
-            source(Feed::InOrder),
-            WatermarkStrategy::None,
-        );
-        let (mut sink, _) = CollectingSink::new();
-        let report = env
-            .run_placed(&q, strategy, &mut sink)
-            .expect("columnar cluster run");
-        assert_eq!(
-            report.cluster.preaggregated,
-            strategy == PlacementStrategy::EdgeFirst,
-            "{strategy:?}: the split engages exactly under EdgeFirst"
-        );
-
-        for (i, link) in report.cluster.links.iter().enumerate() {
-            let estimate = analytic.bytes_per_link[i];
-            let measured = link.bytes;
-            if estimate == 0 {
-                assert!(
-                    measured < 64,
-                    "{strategy:?} link {i}: {measured} bytes on a zero-estimate link"
-                );
-                continue;
-            }
-            let ratio = measured as f64 / estimate as f64;
-            assert!(
-                (0.95..=1.15).contains(&ratio),
-                "{strategy:?} link {i}: columnar measured {measured} vs estimate {estimate} \
-                 (ratio {ratio:.3}) outside the stated 15% tolerance"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry: cluster-side conservation and node snapshot fan-in
-// ---------------------------------------------------------------------------
-
 /// Runs one placed query with sub-interval sampling so every node ships
 /// snapshots, returning the full cluster report.
 fn telemetry_cluster_run(query: &Query, strategy: PlacementStrategy) -> ClusterReport {
-    let (topo, sensors) = Topology::train_fleet(3);
-    let mut env = ClusterEnvironment::with_config(
-        topo,
-        ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
-            telemetry: TelemetryConfig {
-                sample_every: std::time::Duration::ZERO,
-                ..TelemetryConfig::default()
-            },
-            ..ClusterConfig::default()
+    let config = ClusterConfig {
+        telemetry: TelemetryConfig {
+            sample_every: std::time::Duration::ZERO,
+            ..TelemetryConfig::default()
         },
-    );
-    env.add_source("s", sensors[0], source(Feed::InOrder), generous_watermark());
+        ..cluster_config()
+    };
+    let (mut env, _) = cluster_env(Feed::InOrder, 3, config, &generous_watermark());
     let (mut sink, _got) = CollectingSink::new();
     env.run_placed(query, strategy, &mut sink)
         .unwrap_or_else(|e| panic!("{strategy:?} telemetry run failed: {e}"))
@@ -1726,16 +827,7 @@ fn cluster_cloud_only_chain_telescopes() {
     // CloudOnly keeps the whole chain at the cloud in plan order, so
     // the strict single-process invariant carries over: consecutive
     // operators telescope and the tail's output is what the sink saw.
-    let q = Query::from("s")
-        .filter(col("load").ge(lit(20)))
-        .map_extend(vec![("kmh", col("speed").mul(lit(3.6)))])
-        .window(
-            vec![("train", col("train"))],
-            WindowSpec::Tumbling {
-                size: 120 * MICROS_PER_SEC,
-            },
-            vec![WindowAgg::new("n", AggSpec::Count)],
-        );
+    let q = composite(Vec::new());
     let report = telemetry_cluster_run(&q, PlacementStrategy::CloudOnly);
     let tel = &report.telemetry;
     for pair in tel.operators.windows(2) {
@@ -1754,10 +846,6 @@ fn cluster_cloud_only_chain_telescopes() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Link traffic: fault-free placed runs move the same frames every time
-// ---------------------------------------------------------------------------
-
 /// `(frames, records, bytes)` over one link.
 type Traffic = (u64, u64, u64);
 
@@ -1773,20 +861,14 @@ fn link_traffic(
     let mut env = ClusterEnvironment::with_config(
         topo,
         ClusterConfig {
-            buffer_size: 32,
-            watermark_every: 2,
             telemetry: TelemetryConfig {
                 enabled: false,
                 ..TelemetryConfig::default()
             },
-            ..ClusterConfig::default()
+            ..cluster_config()
         },
     );
-    for (t, sensor) in sensors.iter().enumerate() {
-        let slice: Vec<Record> = records()
-            .into_iter()
-            .filter(|r| r.get(1).unwrap().as_int().unwrap() as usize % trains == t)
-            .collect();
+    for (sensor, slice) in sensors.iter().zip(train_slices(&records(), trains)) {
         env.add_source(
             "s",
             *sensor,
@@ -1962,7 +1044,12 @@ fn explain_prints_the_placed_plan() {
     let (topo, sensors) = Topology::train_fleet(3);
     let mut env = ClusterEnvironment::new(topo);
     for sensor in &sensors {
-        env.add_source("s", *sensor, source(Feed::InOrder), generous_watermark());
+        env.add_source(
+            "s",
+            *sensor,
+            source(Feed::InOrder, 32),
+            generous_watermark(),
+        );
     }
     let input =
         "(ts: TIMESTAMP, train: INT, speed: FLOAT, load: INT) reads: ts, train, speed, load";
