@@ -18,12 +18,15 @@ pub enum Slot {
     Faults,
 }
 
+/// Builds a plan's query.
+pub type QueryFn = fn() -> Query;
+
 /// The entries a plan skips, and why.
 pub type Skip = (fn(Entry) -> bool, &'static str);
 
 pub struct Plan {
     pub name: &'static str,
-    pub query: fn() -> Query,
+    pub query: QueryFn,
     pub watermark: fn() -> WatermarkStrategy,
     /// Feeds of its default cells on every local and placed entry.
     pub feeds: &'static [Feed],
@@ -53,8 +56,6 @@ pub struct Plan {
     /// The entries it cannot run under yet, and why.
     pub skip: Option<Skip>,
 }
-
-type QueryFn = fn() -> Query;
 
 fn plan(name: &'static str, query: QueryFn) -> Plan {
     Plan {
