@@ -685,10 +685,16 @@ impl ClusterEnvironment {
                 pipe.stages = cut_stages(flat, &plan.stages(p))?;
                 pipe.source.stats = cut.stats;
                 pipe.source.eos_sent = false;
-                // Replay re-derives stage 0's punctuation from
-                // scratch; a stale tracker would dedup the
-                // re-observed sequences.
+                // Replay re-derives stage 0's punctuation from the
+                // cut: a stale tracker would dedup the re-observed
+                // sequences, and one still waiting for the cut's
+                // batches would park every replayed buffer and hold
+                // back every watermark until end-of-stream.
+                let origin = pipe.source.driver.origin();
                 pipe.source.progress = ProgressTracker::new();
+                for sequence in 1..=cut.batches {
+                    pipe.source.progress.observe(origin, sequence, None);
+                }
                 if !pipe.source.driver.restore(cut.batches, cut.max_ts) {
                     return Err(internal("chaos source lost its replay log"));
                 }

@@ -1,7 +1,7 @@
 //! The plan catalog: every plan shape the suites run, once, with the
 //! feeds it runs on and the rows (tests) that own its cells.
 
-use super::matrix::{Config, Entry};
+use super::matrix::Config;
 use super::*;
 use Feed::{FleetWithNulls, InOrder, Jittered, JitteredTwoPolls};
 
@@ -20,9 +20,6 @@ pub enum Slot {
 
 /// Builds a plan's query.
 pub type QueryFn = fn() -> Query;
-
-/// The entries a plan skips, and why.
-pub type Skip = (fn(Entry) -> bool, &'static str);
 
 pub struct Plan {
     pub name: &'static str,
@@ -53,8 +50,6 @@ pub struct Plan {
     /// The rows that own its cells, per slot; an unnamed slot belongs to
     /// the slot's catch-all row.
     pub rows: Vec<(Slot, &'static str)>,
-    /// The entries it cannot run under yet, and why.
-    pub skip: Option<Skip>,
 }
 
 fn plan(name: &'static str, query: QueryFn) -> Plan {
@@ -70,7 +65,6 @@ fn plan(name: &'static str, query: QueryFn) -> Plan {
         empty: false,
         reorders_across_partitions: false,
         rows: Vec::new(),
-        skip: None,
     }
 }
 
@@ -118,19 +112,6 @@ impl Plan {
     fn row(mut self, slot: Slot, test: &'static str) -> Self {
         self.rows.push((slot, test));
         self
-    }
-
-    fn skip(self, entries: fn(Entry) -> bool, reason: &'static str) -> Self {
-        Plan {
-            skip: Some((entries, reason)),
-            ..self
-        }
-    }
-
-    /// Why it skips `entry`, if it does.
-    pub fn skips(&self, entry: Entry) -> Option<&'static str> {
-        self.skip
-            .and_then(|(entries, reason)| entries(entry).then_some(reason))
     }
 
     pub fn owner(&self, slot: Slot) -> Option<&'static str> {
@@ -287,7 +268,6 @@ const READ_SETS: &str = "no_absent_column_reaches_a_sink_in_any_mode";
 
 /// Every plan shape, once.
 pub fn catalog() -> Vec<Plan> {
-    use nebula::prelude::PlacementStrategy::EdgeFirst;
     use Slot::*;
     let generous = generous_watermark;
     let demo = || bounded(5);
@@ -336,12 +316,7 @@ pub fn catalog() -> Vec<Plan> {
         .wm(|| bounded(4))
         .feeds(&[Feed::Wild])
         .splits()
-        .row(Local, "conservation_accounts_late_drops")
-        .skip(
-            |e| matches!(e, Entry::Crash(11) | Entry::PlacedChaos(EdgeFirst, _)),
-            "restoring a sealed epoch lets records through that `run` drops \
-             as late (late_drops 47 against 143, windows over-count)",
-        ),
+        .row(Local, "conservation_accounts_late_drops"),
         // Avg decomposes into a (sum, count) partial, so this splits too.
         plan("tumbling", tumbling_avg)
             .wm(generous)

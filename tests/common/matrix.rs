@@ -76,7 +76,7 @@ pub fn entries() -> Vec<Entry> {
     all
 }
 
-/// Entries that run alike, for skip reasons and row ownership.
+/// Entries that run alike, for row ownership.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Group {
     Local,
@@ -267,9 +267,6 @@ pub fn cells_of(plan: &Plan) -> Vec<Cell<'_>> {
         columnar,
     };
     for entry in entries() {
-        if plan.skips(entry).is_some() {
-            continue;
-        }
         let mut cell = |feed, sweep, configs, slot| {
             let owner = plan.owner(slot).unwrap_or_else(|| catch_all(slot));
             cells.push(Cell {
@@ -528,9 +525,9 @@ fn check_placed(cell: &Cell, name: &str, report: &ClusterReport) {
 }
 
 /// The matrix, one line per cell: plan, feed, entry, configs and the
-/// row (test) that owns it, or the reason a plan skips an entry. Fails
-/// if a plan has neither a cell nor a reason under some entry, or if a
-/// cell's owner is no row of the suites.
+/// row (test) that owns it. Fails if a plan has no cell under some
+/// entry — every plan runs under every entry, and one that cannot is a
+/// finding — or if a cell's owner is no row of the suites.
 pub fn list_every_cell() -> usize {
     const SUITES: [&str; 4] = [
         include_str!("../engine_equivalence.rs"),
@@ -542,13 +539,9 @@ pub fn list_every_cell() -> usize {
     for plan in &catalog() {
         let cells = cells_of(plan);
         for entry in entries() {
-            if let Some(reason) = plan.skips(entry) {
-                println!("{}\t-\t{entry:?}\tskipped: {reason}", plan.name);
-                continue;
-            }
             assert!(
                 cells.iter().any(|c| c.entry == entry),
-                "{}: no cell and no reason under {entry:?}",
+                "{}: no cell under {entry:?}",
                 plan.name
             );
         }
