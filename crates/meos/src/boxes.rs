@@ -184,19 +184,6 @@ impl STBox {
         }
     }
 
-    /// True iff `other ⊆ self` in every constrained dimension; an
-    /// unconstrained time dimension contains everything.
-    pub fn contains_stbox(&self, other: &STBox) -> bool {
-        if !self.x.contains_span(&other.x) || !self.y.contains_span(&other.y) {
-            return false;
-        }
-        match (&self.t, &other.t) {
-            (Some(a), Some(b)) => a.contains_span(b),
-            (Some(_), None) => false,
-            (None, _) => true,
-        }
-    }
-
     /// Smallest box containing both.
     pub fn union(&self, other: &STBox) -> STBox {
         let merge = |a: &Span<f64>, b: &Span<f64>| {
@@ -307,9 +294,6 @@ mod tests {
         let c = STBox::from_coords(20.0, 30.0, 20.0, 30.0, None).unwrap();
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        let inner = STBox::from_coords(2.0, 3.0, 2.0, 3.0, None).unwrap();
-        assert!(a.contains_stbox(&inner));
-        assert!(!inner.contains_stbox(&a));
     }
 
     #[test]
@@ -324,11 +308,7 @@ mod tests {
         )
         .unwrap();
         assert!(no_t.overlaps(&with_t));
-        assert!(no_t.contains_stbox(&with_t));
-        assert!(
-            !with_t.contains_stbox(&no_t),
-            "cannot contain unconstrained"
-        );
+        assert!(with_t.overlaps(&no_t), "an unconstrained time overlaps any");
     }
 
     #[test]

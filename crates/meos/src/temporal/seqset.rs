@@ -3,7 +3,7 @@
 use super::sequence::TSequence;
 use super::value::{Interp, TempValue};
 use crate::error::{MeosError, Result};
-use crate::time::{Period, PeriodSet, TimeDelta, TimestampTz};
+use crate::time::{Period, TimeDelta, TimestampTz};
 use serde::{Deserialize, Serialize};
 
 /// An ordered set of temporally disjoint sequences — the MEOS
@@ -75,11 +75,6 @@ impl<V: TempValue> TSequenceSet<V> {
             last.upper_inc(),
         )
         .expect("seqset period valid")
-    }
-
-    /// The set of periods over which the value is defined.
-    pub fn period_set(&self) -> PeriodSet {
-        PeriodSet::from_spans(self.sequences.iter().map(|s| s.period()).collect())
     }
 
     /// Summed duration of the member sequences (gaps excluded).
@@ -204,7 +199,6 @@ mod tests {
         assert_eq!(ss.period().duration(), TimeDelta::from_secs(30));
         assert_eq!(ss.start_value(), 0.0);
         assert_eq!(ss.end_value(), 30.0);
-        assert_eq!(ss.period_set().num_spans(), 2);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl TSequence<f64> {
         self.at_above(v).intersection(&self.at_below(v))
     }
 
-    /// The sequence restricted to the times where the value equals `v`.
-    pub fn at_value_seq(&self, v: f64) -> Vec<TSequence<f64>> {
-        self.at_periodset(&self.at_value(v))
-    }
-
     /// The sequence with the times where the value equals `v` removed
     /// (MEOS `tnumber_minus_value`).
     pub fn minus_value(&self, v: f64) -> Vec<TSequence<f64>> {
@@ -357,7 +352,7 @@ mod tests {
     #[test]
     fn at_value_seq_and_minus_value_partition() {
         let s = lin(&[(0.0, 0), (10.0, 10)]);
-        let at = s.at_value_seq(5.0);
+        let at = s.at_periodset(&s.at_value(5.0));
         assert_eq!(at.len(), 1);
         assert_eq!(at[0].num_instants(), 1);
         assert_eq!(at[0].start_value(), 5.0);

@@ -44,19 +44,6 @@ pub fn length_with(seq: &TSequence<Point>, metric: Metric) -> f64 {
         .sum()
 }
 
-/// Cumulative travelled distance as a linear temporal float.
-pub fn cumulative_length(seq: &TSequence<Point>, metric: Metric) -> TSequence<f64> {
-    let mut out = Vec::with_capacity(seq.num_instants());
-    let mut acc = 0.0;
-    out.push(TInstant::new(0.0, seq.start_timestamp()));
-    for (a, b) in seq.segments() {
-        acc += metric.distance(&a.value, &b.value);
-        out.push(TInstant::new(acc, b.t));
-    }
-    TSequence::new(out, seq.lower_inc(), seq.upper_inc(), Interp::Linear)
-        .expect("cumulative length valid")
-}
-
 /// Speed as a step temporal float (metric units per second, one value per
 /// segment). `None` for instants/discrete sequences.
 pub fn speed(seq: &TSequence<Point>, metric: Metric) -> Option<TSequence<f64>> {
@@ -663,10 +650,6 @@ mod tests {
         let s = pseq(&[(0.0, 0.0, 0), (3.0, 0.0, 10), (3.0, 4.0, 20)]);
         assert_eq!(trajectory(&s).len(), 3);
         assert_eq!(length_with(&s, Metric::Euclidean), 7.0);
-        let cum = cumulative_length(&s, Metric::Euclidean);
-        assert_eq!(cum.value_at(t(10)), Some(3.0));
-        assert_eq!(cum.end_value(), 7.0);
-        assert_eq!(cum.value_at(t(5)), Some(1.5));
     }
 
     #[test]

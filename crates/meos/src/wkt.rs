@@ -249,32 +249,12 @@ pub fn parse_tfloat(s: &str) -> Result<Temporal<f64>> {
     })
 }
 
-/// Parses a temporal integer literal.
-pub fn parse_tint(s: &str) -> Result<Temporal<i64>> {
-    parse_temporal(s, &|v| {
-        v.parse::<i64>()
-            .map_err(|_| MeosError::Parse(format!("bad int '{v}'")))
-    })
-}
-
 /// Parses a temporal boolean literal (`t`/`f`/`true`/`false`).
 pub fn parse_tbool(s: &str) -> Result<Temporal<bool>> {
     parse_temporal(s, &|v| match v.to_ascii_lowercase().as_str() {
         "t" | "true" => Ok(true),
         "f" | "false" => Ok(false),
         other => Err(MeosError::Parse(format!("bad bool '{other}'"))),
-    })
-}
-
-/// Parses a temporal text literal (optionally double-quoted values).
-pub fn parse_ttext(s: &str) -> Result<Temporal<String>> {
-    parse_temporal(s, &|v| {
-        let v = v.trim();
-        let v = v
-            .strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .unwrap_or(v);
-        Ok(v.to_string())
     })
 }
 
@@ -379,10 +359,6 @@ mod tests {
             parse_tbool("Interp=Step;[t@2025-06-22T10:00:00Z, f@2025-06-22T10:01:00Z]").unwrap();
         assert!(b.start_value());
         assert!(!b.end_value());
-        let txt = parse_ttext("\"hello\"@2025-06-22T10:00:00Z").unwrap();
-        assert_eq!(txt.start_value(), "hello");
-        let ti = parse_tint("{7@2025-06-22T10:00:00Z}").unwrap();
-        assert_eq!(ti.start_value(), 7);
     }
 
     #[test]

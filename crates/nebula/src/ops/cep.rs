@@ -7,7 +7,7 @@
 //! first event. Partial-match count per key is capped to bound memory on
 //! edge devices.
 
-use super::{event_times, GroupKey, Operator};
+use super::{event_times, BufferKeys, GroupKey, KeyMap, Operator};
 use crate::analysis::Code;
 use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
@@ -15,7 +15,6 @@ use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, ReadSet, SchemaRef};
 use crate::value::{DataType, DurationUs, EventTime, Value};
-use std::collections::HashMap;
 
 /// One step of a pattern.
 #[derive(Debug, Clone)]
@@ -102,7 +101,7 @@ pub struct CepOp {
     key_expr: Option<BoundExpr>,
     ts_col: usize,
     output: SchemaRef,
-    state: HashMap<GroupKey, Vec<Partial>>,
+    state: KeyMap<Vec<Partial>>,
 }
 
 impl CepOp {
@@ -168,7 +167,7 @@ impl CepOp {
             // Only a collecting binder gets here without a ts column.
             ts_col: ts_col.unwrap_or(0),
             output,
-            state: HashMap::new(),
+            state: KeyMap::default(),
         })
     }
 
@@ -295,17 +294,16 @@ impl Operator for CepOp {
     /// row materializes only when it completes a match.
     fn process_columnar(&mut self, buf: TupleBuffer, out: &mut Vec<StreamMessage>) -> Result<()> {
         let ts = event_times(&buf, self.ts_col, "cep")?;
-        let keys = GroupKey::evaluate_buffer(self.key_expr.as_slice(), &buf, None)?;
+        let mut keys = BufferKeys::default();
+        keys.evaluate(self.key_expr.as_slice(), &buf, None)?;
         let sat = self
             .steps
             .iter()
             .map(|s| s.eval_mask(&buf))
             .collect::<Result<Vec<_>>>()?;
         // Each distinct key's partials leave the map once per buffer.
-        let mut groups: Vec<Vec<Partial>> = keys
-            .keys
-            .iter()
-            .map(|(key, _)| self.state.remove(key).unwrap_or_default())
+        let mut groups: Vec<Vec<Partial>> = (0..keys.len())
+            .map(|id| self.state.remove(keys.bytes(id)).unwrap_or_default())
             .collect();
         let mut emitted: Vec<Record> = Vec::new();
         for (row, (&id, &t)) in keys.ids.iter().zip(ts.iter()).enumerate() {
@@ -315,8 +313,8 @@ impl Operator for CepOp {
                 emitted.push(m);
             }
         }
-        for ((key, _), partials) in keys.keys.into_iter().zip(groups) {
-            self.state.insert(key, partials);
+        for (id, partials) in groups.into_iter().enumerate() {
+            self.state.insert(keys.key(id), partials);
         }
         self.push_matches(emitted, out);
         Ok(())

@@ -146,9 +146,21 @@ pub trait OperatorFactory: Send + Sync {
 
 /// A canonical, hashable grouping key built from evaluated expressions.
 /// Floats are encoded by bit pattern, so `-0.0` and `0.0` group apart —
-/// acceptable for key use (keys are IDs, not measures).
+/// acceptable for key use (keys are IDs, not measures). The encoding of
+/// each value is self-delimiting (a type tag, then fixed-size or
+/// length-prefixed bytes; only an opaque value's type tag is not), so a
+/// key's bytes are the leading bytes of its emitted row's
+/// [`record_sort_key`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupKey(Box<[u8]>);
+
+/// Lets key maps be probed with a borrowed byte string, so a lookup
+/// builds no `GroupKey` (both hash as the same `[u8]`).
+impl std::borrow::Borrow<[u8]> for GroupKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 impl GroupKey {
     /// Evaluates `exprs` on `rec` and encodes the results.
@@ -178,29 +190,148 @@ impl GroupKey {
     pub fn bytes(&self) -> &[u8] {
         &self.0
     }
+}
 
-    /// Evaluates `exprs` once over a whole buffer into a dense
-    /// per-buffer key id per row (see [`BufferKeys`]), building one
-    /// `GroupKey` per *distinct* key instead of one per row. Callers
-    /// read the ids of rows with `live[row]` only (every row when `live`
-    /// is `None`); a key expression that errors on another row stays
-    /// silent, exactly as on the row path, which never evaluates it
-    /// there.
-    pub(crate) fn evaluate_buffer(
+/// A multiplicative (Fx-style) hasher for the engine's key maps. Keys are
+/// canonical byte strings the engine encodes itself and hashes a word at
+/// a time: far cheaper per probe than the std SipHash, with no defence
+/// against keys crafted to collide.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its well-mixed ones; rotating them
+    /// down serves tables that index by the low bits.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by [`GroupKey`] through [`KeyHasher`].
+pub(crate) type KeyMap<V> = HashMap<GroupKey, V, std::hash::BuildHasherDefault<KeyHasher>>;
+
+fn hash_key(bytes: &[u8]) -> u64 {
+    let mut h = KeyHasher::default();
+    std::hash::Hasher::write(&mut h, bytes);
+    std::hash::Hasher::finish(&h)
+}
+
+fn hash_int(k: i64) -> u64 {
+    (k as u64)
+        .wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        .rotate_left(26)
+}
+
+/// The group keys of one [`TupleBuffer`]: `ids[row]` names the row's
+/// distinct key, and each distinct key's canonical bytes and values are
+/// kept once, in first-appearance order. Stateful columnar kernels
+/// resolve their per-key state once per distinct key per buffer and then
+/// work on integer ids. An operator keeps one `BufferKeys` and refills it
+/// per buffer ([`BufferKeys::evaluate`]), so steady state allocates
+/// nothing: the distinct keys resolve through a small open-addressing
+/// table of ids, probed with [`KeyHasher`], not a map of boxed keys.
+#[derive(Default)]
+pub(crate) struct BufferKeys {
+    pub(crate) ids: Vec<u32>,
+    /// Every distinct key's canonical bytes, back to back; key `i` ends
+    /// at `ends[i]`.
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    /// Every distinct key's values, `arity` per key.
+    values: Vec<Value>,
+    arity: usize,
+    /// The `Int` fast path's distinct keys, by id.
+    ints: Vec<i64>,
+    /// Open-addressing slots, a power of two at least twice the distinct
+    /// keys: 0 is empty, `id + 1` names a key.
+    table: Vec<u32>,
+    /// The row being keyed, encoded.
+    row: Vec<u8>,
+}
+
+impl BufferKeys {
+    /// The id the general path gives a row outside the `live`
+    /// selection (the fast paths key every row).
+    pub(crate) const UNKEYED: u32 = u32::MAX;
+
+    /// Distinct keys in the buffer.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Key `id`'s canonical bytes ([`GroupKey::bytes`]).
+    pub(crate) fn bytes(&self, id: usize) -> &[u8] {
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.bytes[start..self.ends[id]]
+    }
+
+    /// Key `id`'s values.
+    pub(crate) fn values(&self, id: usize) -> &[Value] {
+        &self.values[id * self.arity..(id + 1) * self.arity]
+    }
+
+    /// Key `id` as an owned [`GroupKey`] — for a key new to the state.
+    pub(crate) fn key(&self, id: usize) -> GroupKey {
+        GroupKey(self.bytes(id).into())
+    }
+
+    /// Evaluates `exprs` once over `buf`, replacing the previous buffer's
+    /// keys. Callers read the ids of rows with `live[row]` only (every
+    /// row when `live` is `None`); a key expression that errors on
+    /// another row stays silent, exactly as on the row path, which never
+    /// evaluates it there.
+    pub(crate) fn evaluate(
+        &mut self,
         exprs: &[BoundExpr],
         buf: &TupleBuffer,
         live: Option<&[bool]>,
-    ) -> Result<BufferKeys> {
-        let mut keys = BufferKeys {
-            ids: Vec::with_capacity(buf.len()),
-            keys: Vec::new(),
-        };
+    ) -> Result<()> {
+        self.ids.clear();
+        self.bytes.clear();
+        self.ends.clear();
+        self.values.clear();
+        self.ints.clear();
+        let size = self.table.len().max(16);
+        self.table.clear();
+        self.table.resize(size, 0);
+        self.arity = exprs.len();
+        let mut row_bytes = std::mem::take(&mut self.row);
+        let keyed = self.key_rows(exprs, buf, live, &mut row_bytes);
+        self.row = row_bytes;
+        keyed
+    }
+
+    fn key_rows(
+        &mut self,
+        exprs: &[BoundExpr],
+        buf: &TupleBuffer,
+        live: Option<&[bool]>,
+        row_bytes: &mut Vec<u8>,
+    ) -> Result<()> {
         if exprs.is_empty() {
-            keys.ids.resize(buf.len(), 0);
+            self.ids.resize(buf.len(), 0);
             if !buf.is_empty() {
-                keys.push(Vec::new());
+                self.intern(&[], |_| {});
             }
-            return Ok(keys);
+            return Ok(());
         }
         // Fast path: one null-free `Int` column (a train id) keys by its
         // `i64` slice, with no value materialized per row.
@@ -210,71 +341,111 @@ impl GroupKey {
                 validity: None,
             }) = buf.column(*idx)
             {
-                let mut index: HashMap<i64, u32> = HashMap::new();
                 for &k in data {
-                    let id = *index
-                        .entry(k)
-                        .or_insert_with(|| keys.push(vec![Value::Int(k)]));
-                    keys.ids.push(id);
+                    let id = self.intern_int(k);
+                    self.ids.push(id);
                 }
-                return Ok(keys);
+                return Ok(());
             }
         }
         // General path: each expression evaluates once as a column; if
         // that fails on some row, key the selected rows one at a time so
         // only their errors surface.
         let columns: Option<Vec<Column>> = exprs.iter().map(|e| e.eval_column(buf).ok()).collect();
-        let mut index: HashMap<Box<[u8]>, u32> = HashMap::new();
-        let mut bytes = Vec::with_capacity(exprs.len() * 9);
         for row in 0..buf.len() {
             if live.is_some_and(|m| !m[row]) {
-                keys.ids.push(BufferKeys::UNKEYED);
+                self.ids.push(Self::UNKEYED);
                 continue;
             }
-            let values = match &columns {
-                Some(cols) => cols.iter().map(|c| c.value_at(row)).collect(),
-                None => exprs
-                    .iter()
-                    .map(|e| e.eval_row(buf, row))
-                    .collect::<Result<Vec<_>>>()?,
-            };
-            bytes.clear();
-            for v in &values {
-                encode_value(v, &mut bytes);
-            }
-            let id = match index.get(bytes.as_slice()) {
-                Some(&id) => id,
+            row_bytes.clear();
+            let id = match &columns {
+                Some(cols) => {
+                    for c in cols {
+                        encode_value(&c.value_at(row), row_bytes);
+                    }
+                    self.intern(row_bytes, |v| {
+                        v.extend(cols.iter().map(|c| c.value_at(row)))
+                    })
+                }
                 None => {
-                    let id = keys.push(values);
-                    index.insert(bytes.as_slice().into(), id);
-                    id
+                    let values = exprs
+                        .iter()
+                        .map(|e| e.eval_row(buf, row))
+                        .collect::<Result<Vec<_>>>()?;
+                    for v in &values {
+                        encode_value(v, row_bytes);
+                    }
+                    self.intern(row_bytes, |v| v.extend(values))
                 }
             };
-            keys.ids.push(id);
+            self.ids.push(id);
         }
-        Ok(keys)
+        Ok(())
     }
-}
 
-/// The group keys of one [`TupleBuffer`]: `ids[row]` indexes `keys`,
-/// which holds each distinct key of the buffer once — canonical bytes
-/// plus evaluated values — in first-appearance order. Stateful columnar
-/// kernels resolve their per-key state once per distinct key per buffer
-/// and then work on integer ids.
-pub(crate) struct BufferKeys {
-    pub(crate) ids: Vec<u32>,
-    pub(crate) keys: Vec<(GroupKey, Vec<Value>)>,
-}
+    /// The id of the key encoded as `key`: an existing one, or a new one
+    /// whose values `push_values` appends.
+    fn intern(&mut self, key: &[u8], push_values: impl FnOnce(&mut Vec<Value>)) -> u32 {
+        let mask = self.table.len() - 1;
+        let mut slot = hash_key(key) as usize & mask;
+        loop {
+            match self.table[slot] {
+                0 => break,
+                id if self.bytes(id as usize - 1) == key => return id - 1,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        let id = self.ends.len() as u32;
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+        push_values(&mut self.values);
+        self.table[slot] = id + 1;
+        if self.ends.len() * 2 > self.table.len() {
+            self.grow();
+        }
+        id
+    }
 
-impl BufferKeys {
-    /// The id the general path gives a row outside the `live`
-    /// selection (the fast paths key every row).
-    const UNKEYED: u32 = u32::MAX;
+    /// [`BufferKeys::intern`] for the `Int` fast path: probes by the
+    /// integer itself, hashed by one multiplication.
+    fn intern_int(&mut self, k: i64) -> u32 {
+        let mask = self.table.len() - 1;
+        let mut slot = hash_int(k) as usize & mask;
+        loop {
+            match self.table[slot] {
+                0 => break,
+                id if self.ints[id as usize - 1] == k => return id - 1,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        let id = self.ends.len() as u32;
+        encode_value(&Value::Int(k), &mut self.bytes);
+        self.ends.push(self.bytes.len());
+        self.values.push(Value::Int(k));
+        self.ints.push(k);
+        self.table[slot] = id + 1;
+        if self.ends.len() * 2 > self.table.len() {
+            self.grow();
+        }
+        id
+    }
 
-    /// Appends a new distinct key; returns its id.
-    fn push(&mut self, values: Vec<Value>) -> u32 {
-        self.keys.push((GroupKey::from_values(&values), values));
-        (self.keys.len() - 1) as u32
+    /// Doubles the table and re-places every key.
+    fn grow(&mut self) {
+        let size = self.table.len() * 2;
+        self.table.clear();
+        self.table.resize(size, 0);
+        for id in 0..self.ends.len() {
+            let hash = match self.ints.get(id) {
+                Some(&k) => hash_int(k),
+                None => hash_key(self.bytes(id)),
+            };
+            let mut slot = hash as usize & (size - 1);
+            while self.table[slot] != 0 {
+                slot = (slot + 1) & (size - 1);
+            }
+            self.table[slot] = id as u32 + 1;
+        }
     }
 }
 

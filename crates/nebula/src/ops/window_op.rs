@@ -7,7 +7,9 @@
 //! record regardless of how many windows overlap. A closed window
 //! materializes at watermark time by merging the accumulators of the
 //! slices it covers, which is sound because merging is part of the core
-//! [`Aggregator`] contract.
+//! [`crate::window::Aggregator`] contract. Each key's live slices form a
+//! ring in slice order whose accumulators are held inline: plain typed
+//! state for the built-ins, a boxed aggregator only for a plugin's.
 //!
 //! The cluster runtime splits a splittable time window across nodes
 //! (see [`crate::preagg::split_window`]) by running the same operator in
@@ -17,13 +19,12 @@
 //! finished windows ([`WindowOp::cloud_merge`]).
 //!
 //! Both window kinds have a batch kernel over [`TupleBuffer`]s: keys
-//! evaluate once per buffer into dense per-buffer ids
-//! ([`GroupKey::evaluate_buffer`]), and accumulators fold whole groups
-//! of rows through [`Aggregator::update_rows`]. Groups keep arrival
-//! order, so every accumulator sees exactly the fold sequence of the
-//! per-record path.
+//! evaluate once per buffer into dense per-buffer ids (`BufferKeys`),
+//! and accumulators fold whole groups of rows at once. Groups keep
+//! arrival order, so every accumulator sees exactly the fold sequence
+//! of the per-record path.
 
-use super::{event_times, record_sort_key, GroupKey, Operator};
+use super::{event_times, record_sort_key, BufferKeys, GroupKey, KeyMap, Operator};
 use crate::analysis::Code;
 use crate::buffer::TupleBuffer;
 use crate::error::{NebulaError, Result};
@@ -31,83 +32,130 @@ use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
 use crate::record::{Record, RecordBuffer, StreamMessage};
 use crate::schema::{Field, ReadSet, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, Value};
-use crate::window::{AggTemplate, Aggregator, SliceLayout, WindowAgg, WindowSpec};
-use std::collections::{BTreeMap, HashMap};
+use crate::window::{Acc, AggTemplate, SliceLayout, WindowAgg, WindowSpec};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
+use std::mem::size_of;
 
-/// One slice's accumulators.
-struct SliceState {
-    aggs: Vec<Box<dyn Aggregator>>,
-    /// Absorbed anything since the last partial flush (edge mode).
-    dirty: bool,
-}
-
-/// One key's live slices (two-level layout: probing a slice during
-/// window materialization is a plain integer lookup, with no per-probe
-/// key-encoding clones on the hot path).
-struct KeySlices {
-    key_values: Vec<Value>,
-    slices: BTreeMap<EventTime, SliceState>,
-}
-
-impl KeySlices {
-    fn new(key_values: &[Value]) -> Self {
-        KeySlices {
-            key_values: key_values.to_vec(),
-            slices: BTreeMap::new(),
-        }
-    }
-
-    /// The slice's accumulators, created on first touch and marked
-    /// dirty.
-    fn slice(&mut self, slice: EventTime, factory: &AggFactory) -> Result<&mut SliceState> {
-        let st = match self.slices.entry(slice) {
-            std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
-            std::collections::btree_map::Entry::Vacant(v) => v.insert(SliceState {
-                aggs: factory.make()?,
-                dirty: false,
-            }),
-        };
-        st.dirty = true;
-        Ok(st)
-    }
-}
-
-/// Creates one accumulator set per slice or threshold window (split out
-/// of `SliceStore` so slice creation can borrow the factory while the
-/// slice map is mutably borrowed). The aggregates are bound once, here.
+/// The window's aggregates, bound once, with the input schema and
+/// registry a plugin's factory makes accumulators from.
 #[derive(Clone)]
-struct AggFactory {
+struct Aggs {
     templates: Vec<AggTemplate>,
     input: SchemaRef,
     registry: FunctionRegistry,
 }
 
-impl AggFactory {
-    fn make(&self) -> Result<Vec<Box<dyn Aggregator>>> {
-        self.templates
-            .iter()
-            .map(|t| t.make(&self.input, &self.registry))
-            .collect()
+impl Aggs {
+    fn len(&self) -> usize {
+        self.templates.len()
     }
 
-    /// Deep-copies a set of live accumulators: fresh aggregators from
-    /// the factory, each absorbing the original through the core
-    /// [`Aggregator::merge`] contract — state duplication without
-    /// requiring `Clone` on every aggregator implementation.
-    fn copy_aggs(&self, aggs: &[Box<dyn Aggregator>]) -> Result<Vec<Box<dyn Aggregator>>> {
-        let mut fresh = self.make()?;
-        for (copy, orig) in fresh.iter_mut().zip(aggs) {
-            copy.merge(orig.as_ref())?;
-        }
-        Ok(fresh)
+    fn empty(&self, t: &AggTemplate) -> Result<Acc> {
+        t.empty(&self.input, &self.registry)
     }
+
+    /// Refills `accs` with one empty accumulator per aggregate (no
+    /// allocation for built-ins once `accs` has the capacity).
+    fn reset(&self, accs: &mut Vec<Acc>) -> Result<()> {
+        accs.clear();
+        for t in &self.templates {
+            accs.push(self.empty(t)?);
+        }
+        Ok(())
+    }
+
+    /// A deep copy of `acc`, an accumulator of the aggregate `t`.
+    fn copy(&self, t: &AggTemplate, acc: &Acc) -> Result<Acc> {
+        t.copy(acc, &self.input, &self.registry)
+    }
+}
+
+/// A live slice of one key: its start and whether it absorbed anything
+/// since the edge last shipped it.
+#[derive(Clone, Copy)]
+struct SliceHead {
+    start: EventTime,
+    dirty: bool,
+}
+
+/// One key's live slices: a ring in slice order, oldest at the front.
+/// Slice `i` of `heads` owns the inline accumulators `accs[j][i]`, one
+/// per aggregate `j` — a column per aggregate, so materializing a window
+/// walks each aggregate's covering slices contiguously. Only slices that
+/// absorbed a record or a partial are in the ring, so a key idle for a
+/// while costs nothing for the slices it skipped, and a stray far-future
+/// record cannot make the ring span the distance to it. In-order data
+/// lands in the newest slice (checked first); anything else is a binary
+/// search over the ring's few slices.
+struct KeySlices {
+    key_values: Vec<Value>,
+    heads: VecDeque<SliceHead>,
+    accs: Vec<VecDeque<Acc>>,
+}
+
+impl KeySlices {
+    fn new(key_values: Vec<Value>, aggs: &Aggs) -> Self {
+        KeySlices {
+            key_values,
+            heads: VecDeque::new(),
+            accs: aggs.templates.iter().map(|_| VecDeque::new()).collect(),
+        }
+    }
+
+    /// The ring position of the slice starting at `start`, created empty
+    /// on first touch and marked dirty.
+    fn slot(&mut self, start: EventTime, aggs: &Aggs) -> Result<usize> {
+        let found = match self.heads.back() {
+            Some(h) if h.start == start => Ok(self.heads.len() - 1),
+            Some(h) if h.start < start => Err(self.heads.len()),
+            None => Err(0),
+            Some(_) => self.heads.binary_search_by_key(&start, |h| h.start),
+        };
+        let i = match found {
+            Ok(i) => {
+                self.heads[i].dirty = true;
+                return Ok(i);
+            }
+            Err(i) => i,
+        };
+        for (j, t) in aggs.templates.iter().enumerate() {
+            match aggs.empty(t) {
+                Ok(acc) => self.accs[j].insert(i, acc),
+                Err(e) => {
+                    for col in &mut self.accs[..j] {
+                        col.remove(i);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        self.heads.insert(i, SliceHead { start, dirty: true });
+        Ok(i)
+    }
+}
+
+/// Finds `bytes`' entry, creating it from `new` (the owned key and its
+/// value) only when the key is not in the map yet.
+fn key_entry<'a, V>(
+    map: &'a mut KeyMap<V>,
+    bytes: &[u8],
+    new: impl FnOnce() -> (GroupKey, V),
+) -> Result<&'a mut V> {
+    if !map.contains_key(bytes) {
+        let (key, v) = new();
+        return Ok(map.entry(key).or_insert(v));
+    }
+    map.get_mut(bytes)
+        .ok_or_else(|| NebulaError::Eval("window: key entry vanished".into()))
 }
 
 /// Deterministic emission order: by the row's leading timestamp (window
 /// or slice start, right after the `key_count` key columns) then the
 /// canonical record encoding — same-start multi-key output must not
-/// depend on hash-map iteration order. The single definition serves
-/// watermark, end-of-stream and partial-flush emission alike.
+/// depend on hash-map iteration order. The window state emits in this
+/// order by construction (see [`emission_order`]); the partitioned
+/// runtime re-establishes it over the union of several workers' rows.
 pub(crate) fn sort_emission(records: &mut [Record], key_count: usize) {
     records.sort_by_cached_key(|r| {
         let start = r.get(key_count).and_then(Value::as_timestamp).unwrap_or(0);
@@ -115,50 +163,110 @@ pub(crate) fn sort_emission(records: &mut [Record], key_count: usize) {
     });
 }
 
+/// Orders rows tagged with their (start, key bytes) and drops the tags:
+/// [`sort_emission`]'s order without building a sort key per row. The
+/// two orders agree because one emission never holds two rows of the
+/// same (key, start), and a key's bytes are the leading bytes of its
+/// row's record encoding ([`GroupKey`]), so the first byte where two
+/// rows' encodings differ lies inside their keys.
+fn emission_order<K: Borrow<[u8]>>(mut rows: Vec<(EventTime, K, Record)>) -> Vec<Record> {
+    rows.sort_unstable_by(|a, b| (a.0, a.1.borrow()).cmp(&(b.0, b.1.borrow())));
+    rows.into_iter().map(|(_, _, r)| r).collect()
+}
+
+/// The rows of one buffer that fold into one (key, slice).
+#[derive(Clone, Copy)]
+struct Group {
+    /// The slice number (start / width).
+    slice: i64,
+    /// Rows in the group.
+    len: usize,
+    /// The key's next group, in order of first appearance.
+    next: u32,
+}
+
+/// Ends a chain of [`Group`]s.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Direct-mapped group slots per key: a buffer of out-of-order rows
+/// spreads a key over a few slices, each found without walking the
+/// chain.
+const GROUP_SLOTS: usize = 8;
+
+/// Buffers the batch kernel reuses from one buffer to the next.
+#[derive(Default)]
+struct Scratch {
+    live: Vec<bool>,
+    /// Each live row's slice number (slice start / width).
+    slices: Vec<i64>,
+    /// Each live row's group.
+    gids: Vec<u32>,
+    groups: Vec<Group>,
+    /// Per key id, its first and its latest group, and its groups by
+    /// slice number modulo [`GROUP_SLOTS`] (a miss walks the chain).
+    key_groups: Vec<(u32, u32, [u32; GROUP_SLOTS])>,
+    /// Per group, where its rows begin in `rows` (then, once filled,
+    /// where they end).
+    starts: Vec<usize>,
+    rows: Vec<u32>,
+    /// One window's accumulators while it materializes.
+    window: Vec<Acc>,
+    /// A partial row's key, encoded.
+    key: Vec<u8>,
+}
+
 /// Shared slice state machine: per-(key, slice) accumulators plus the
 /// window bookkeeping all three [`Role`]s of a time window need.
 struct SliceStore {
     layout: SliceLayout,
-    /// Leading key-column count of emitted rows (for emission sorting).
+    /// Leading key-column count of emitted rows.
     key_count: usize,
-    factory: AggFactory,
-    keys: HashMap<GroupKey, KeySlices>,
+    aggs: Aggs,
+    keys: KeyMap<KeySlices>,
+    /// The earliest start of a dirty slice: the edge role's flush has
+    /// work once the first window over it closes (`first_close` grows
+    /// with the slice start).
+    min_dirty: EventTime,
+    scratch: Scratch,
 }
 
 impl SliceStore {
-    fn new(layout: SliceLayout, key_count: usize, factory: AggFactory) -> Self {
+    fn new(layout: SliceLayout, key_count: usize, aggs: Aggs) -> Self {
         SliceStore {
             layout,
             key_count,
-            factory,
-            keys: HashMap::new(),
+            aggs,
+            keys: KeyMap::default(),
+            min_dirty: EventTime::MAX,
+            scratch: Scratch::default(),
         }
     }
 
-    /// Estimated bytes of live slice state: key entries plus per-slice
-    /// accumulator sets, costed at nominal per-container constants. A
-    /// telemetry gauge, not an allocator audit — O(keys + slices).
+    /// Bytes of live slice state as the layout holds it: per key its map
+    /// entry, key bytes and key values; per live slice its head and its
+    /// inline accumulators. Lengths, not capacities; a plugin
+    /// accumulator counts its inline box, not what the box points to. A
+    /// telemetry gauge, O(keys).
     fn est_state_bytes(&self) -> usize {
-        let per_agg = 48;
-        let per_slice = 48 + self.factory.templates.len() * per_agg;
         self.keys
-            .values()
-            .map(|ks| 64 + ks.key_values.len() * 24 + ks.slices.len() * per_slice)
+            .iter()
+            .map(|(key, ks)| {
+                size_of::<(GroupKey, KeySlices)>()
+                    + key.bytes().len()
+                    + ks.key_values.len() * size_of::<Value>()
+                    + ks.accs.len() * size_of::<VecDeque<Acc>>()
+                    + ks.heads.len() * (size_of::<SliceHead>() + ks.accs.len() * size_of::<Acc>())
+            })
             .sum()
     }
 
-    /// The key's slice state, created on first touch and marked dirty.
-    fn slice_entry(
-        &mut self,
-        key: GroupKey,
-        key_values: &[Value],
-        slice: EventTime,
-    ) -> Result<&mut SliceState> {
-        let ks = self
-            .keys
-            .entry(key)
-            .or_insert_with(|| KeySlices::new(key_values));
-        ks.slice(slice, &self.factory)
+    /// True when the watermark's advance from `prev` to `wm` changes
+    /// nothing: no window ends in `(prev, wm]` — windows close and
+    /// slices retire only at window ends — and, for the edge role, no
+    /// dirty slice has come due.
+    fn quiet(&self, role: Role, prev: EventTime, wm: EventTime) -> bool {
+        let due = self.min_dirty != EventTime::MAX && self.layout.first_close(self.min_dirty) <= wm;
+        !self.layout.ends_in(prev, wm) && (role != Role::Partial || !due)
     }
 
     /// Triages one record by event time — THE late-record policy, shared
@@ -179,10 +287,17 @@ impl SliceStore {
             Some(close) if close <= last_watermark => Ok(true),
             Some(_) => {
                 let (key, key_values) = GroupKey::evaluate(key_exprs, rec)?;
-                let st = self.slice_entry(key, &key_values, self.layout.slice_of(ts))?;
-                for agg in &mut st.aggs {
-                    agg.update(rec)?;
+                let start = self.layout.slice_of(ts);
+                let aggs = &self.aggs;
+                let ks = self
+                    .keys
+                    .entry(key)
+                    .or_insert_with(|| KeySlices::new(key_values, aggs));
+                let i = ks.slot(start, aggs)?;
+                for (t, col) in aggs.templates.iter().zip(&mut ks.accs) {
+                    t.update(&mut col[i], rec)?;
                 }
+                self.min_dirty = self.min_dirty.min(start);
                 Ok(false)
             }
         }
@@ -193,65 +308,128 @@ impl SliceStore {
     /// rows. Triage is one comparison per row against the watermark,
     /// which is fixed within a buffer. Keys evaluate only for live rows,
     /// so a key expression that errors on a late row stays silent, as
-    /// on the row path. Live rows then group *stably* by (key id,
-    /// slice) and each group folds through [`Aggregator::update_rows`]:
-    /// every accumulator sees its rows in arrival order, so float sums
-    /// and `first`/`last` ties come out bit-identical to the row path.
+    /// on the row path. Live rows then group *stably* by (key, slice) in
+    /// one pass — a key's few groups of the buffer are a short chain,
+    /// its latest group checked first — and each group folds through one
+    /// `update_rows` call per aggregate: every accumulator sees its rows
+    /// in arrival order, so float sums and `first`/`last` ties come out
+    /// bit-identical to the row path. Each distinct key probes the key
+    /// map once by its bytes; only a key new to the store is copied into
+    /// it.
     fn absorb_buffer(
         &mut self,
         key_exprs: &[BoundExpr],
         buf: &TupleBuffer,
         ts: &[EventTime],
         last_watermark: EventTime,
+        keys: &mut BufferKeys,
     ) -> Result<u64> {
+        let Scratch {
+            live,
+            slices,
+            gids,
+            groups,
+            key_groups,
+            starts,
+            rows,
+            ..
+        } = &mut self.scratch;
         let mut late = 0;
-        let mut live = vec![false; ts.len()];
-        let mut slices = vec![0; ts.len()];
+        live.clear();
+        live.resize(ts.len(), false);
+        slices.clear();
+        slices.resize(ts.len(), 0);
+        // Neighbouring rows mostly share a slice: its bounds and its last
+        // window's end are computed once per run of rows, not per row.
+        // The latest window containing `t` ends at its slice's
+        // `last_close`, unless `t` lies in a `slide > size` gap.
+        let layout = self.layout;
+        let (mut lo, mut hi, mut close, mut no) = (EventTime::MAX, EventTime::MIN, 0, 0);
         for (row, &t) in ts.iter().enumerate() {
-            match self.layout.latest_close(t) {
-                None => {}
-                Some(close) if close <= last_watermark => late += 1,
-                Some(_) => {
-                    live[row] = true;
-                    slices[row] = self.layout.slice_of(t);
-                }
+            if t < lo || t >= hi {
+                no = t.div_euclid(layout.width);
+                lo = no * layout.width;
+                hi = lo.saturating_add(layout.width);
+                close = layout.last_close(lo);
+            }
+            if close <= t {
+                continue;
+            }
+            if close <= last_watermark {
+                late += 1;
+            } else {
+                live[row] = true;
+                slices[row] = no;
             }
         }
-        let keys = GroupKey::evaluate_buffer(key_exprs, buf, Some(&live))?;
-        // Live rows by key id (a stable counting sort), then by slice
-        // within each key (stably again): the rows of one (key, slice)
-        // group keep their arrival order.
-        let live_rows = || (0..ts.len()).filter(|&r| live[r]);
-        let mut starts = vec![0usize; keys.keys.len() + 1];
-        for row in live_rows() {
-            starts[keys.ids[row] as usize + 1] += 1;
+        keys.evaluate(key_exprs, buf, Some(live.as_slice()))?;
+        groups.clear();
+        key_groups.clear();
+        key_groups.resize(keys.len(), (NO_GROUP, NO_GROUP, [NO_GROUP; GROUP_SLOTS]));
+        gids.clear();
+        gids.resize(ts.len(), NO_GROUP);
+        for row in (0..ts.len()).filter(|&r| live[r]) {
+            let (first, latest, slots) = &mut key_groups[keys.ids[row] as usize];
+            let slice = slices[row];
+            let slot = &mut slots[slice as usize % GROUP_SLOTS];
+            let mut g = *slot;
+            if g == NO_GROUP || groups[g as usize].slice != slice {
+                g = *first;
+                while g != NO_GROUP && groups[g as usize].slice != slice {
+                    g = groups[g as usize].next;
+                }
+                if g == NO_GROUP {
+                    g = groups.len() as u32;
+                    groups.push(Group {
+                        slice,
+                        len: 0,
+                        next: NO_GROUP,
+                    });
+                    match *latest {
+                        NO_GROUP => *first = g,
+                        prev => groups[prev as usize].next = g,
+                    }
+                    *latest = g;
+                }
+                *slot = g;
+            }
+            groups[g as usize].len += 1;
+            gids[row] = g;
         }
-        for i in 1..starts.len() {
-            starts[i] += starts[i - 1];
+        // A stable counting sort of the live rows by group.
+        starts.clear();
+        let mut total = 0;
+        for g in groups.iter() {
+            starts.push(total);
+            total += g.len;
         }
-        let mut rows = vec![0u32; starts[keys.keys.len()]];
-        let mut fill = starts.clone();
-        for row in live_rows() {
-            let slot = &mut fill[keys.ids[row] as usize];
+        rows.clear();
+        rows.resize(total, 0);
+        for (row, &g) in gids.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP) {
+            let slot = &mut starts[g as usize];
             rows[*slot] = row as u32;
             *slot += 1;
         }
-        for (id, bounds) in starts.windows(2).enumerate() {
-            let key_rows = &mut rows[bounds[0]..bounds[1]];
-            if key_rows.is_empty() {
+        // Filling advanced each group's start to its end.
+        let aggs = &self.aggs;
+        for (id, &(first, ..)) in key_groups.iter().enumerate() {
+            if first == NO_GROUP {
                 continue;
             }
-            key_rows.sort_by_key(|&r| slices[r as usize]);
-            let (key, key_values) = &keys.keys[id];
-            let ks = self
-                .keys
-                .entry(key.clone())
-                .or_insert_with(|| KeySlices::new(key_values));
-            for group in key_rows.chunk_by(|&a, &b| slices[a as usize] == slices[b as usize]) {
-                let st = ks.slice(slices[group[0] as usize], &self.factory)?;
-                for agg in &mut st.aggs {
-                    agg.update_rows(buf, group)?;
+            let ks = key_entry(&mut self.keys, keys.bytes(id), || {
+                (keys.key(id), KeySlices::new(keys.values(id).to_vec(), aggs))
+            })?;
+            let mut g = first;
+            while g != NO_GROUP {
+                let Group { slice, len, next } = groups[g as usize];
+                let (start, end) = (slice * layout.width, starts[g as usize]);
+                let group = &rows[end - len..end];
+                let i = ks.slot(start, aggs)?;
+                for (t, col) in aggs.templates.iter().zip(&mut ks.accs) {
+                    t.update_rows(&mut col[i], buf, group)?;
                 }
+                self.min_dirty = self.min_dirty.min(start);
+                g = next;
             }
         }
         Ok(late)
@@ -276,39 +454,50 @@ impl SliceStore {
                 row.len()
             )));
         }
-        let slice = row[k].as_timestamp().ok_or_else(|| {
+        let start = row[k].as_timestamp().ok_or_else(|| {
             NebulaError::Eval("window merge: partial row missing slice start".into())
         })?;
-        if self.layout.last_close(slice) <= last_watermark {
+        if self.layout.last_close(start) <= last_watermark {
             return Ok(true);
         }
-        let st = self.slice_entry(GroupKey::from_values(&row[..k]), &row[..k], slice)?;
+        let key = &mut self.scratch.key;
+        key.clear();
+        for v in &row[..k] {
+            super::encode_value(v, key);
+        }
+        let aggs = &self.aggs;
+        let ks = key_entry(&mut self.keys, key, || {
+            (
+                GroupKey::from_values(&row[..k]),
+                KeySlices::new(row[..k].to_vec(), aggs),
+            )
+        })?;
+        let i = ks.slot(start, aggs)?;
         let mut off = k + 2;
-        for (agg, &arity) in st.aggs.iter_mut().zip(arities) {
-            agg.merge_partial(&row[off..off + arity])?;
+        for ((t, col), &arity) in aggs.templates.iter().zip(&mut ks.accs).zip(arities) {
+            t.merge_partial(&mut col[i], &row[off..off + arity])?;
             off += arity;
         }
+        self.min_dirty = self.min_dirty.min(start);
         Ok(false)
     }
 
     /// Materializes every window whose end lies in `(after, upto]`
     /// (`upto = None`: every window not yet emitted — end-of-stream) by
-    /// merging its covering slices, then retires slices no open window
-    /// can ever read again (`last_close <= upto`). Rows come out sorted
-    /// by (window start, canonical record encoding), so emission order
-    /// is deterministic however the hash maps iterate.
+    /// merging its covering slices into one reused set of accumulators,
+    /// then retires slices no open window can ever read again
+    /// (`last_close <= upto`). Rows come out in (window start, key
+    /// bytes) order ([`emission_order`]), however the key map iterates.
     fn close_windows(&mut self, after: EventTime, upto: Option<EventTime>) -> Result<Vec<Record>> {
-        let mut records = Vec::new();
+        let mut rows = Vec::new();
         let (size, slide, width) = (self.layout.size, self.layout.slide, self.layout.width);
-        let factory = &self.factory;
-        for ks in self.keys.values() {
+        let (aggs, window) = (&self.aggs, &mut self.scratch.window);
+        for (key, ks) in &self.keys {
             // Candidate window starts are multiples of `slide` bounded
             // by the key's live slice span AND the (after, upto] end
             // range — enumerated directly, so a watermark that closes
             // nothing costs nothing per live slice.
-            let (Some((&lo, _)), Some((&hi, _))) =
-                (ks.slices.first_key_value(), ks.slices.last_key_value())
-            else {
+            let (Some(lo), Some(hi)) = (ks.heads.front(), ks.heads.back()) else {
                 continue;
             };
             // A window [W, W+size) covers a slice in [lo, hi] iff
@@ -316,91 +505,84 @@ impl SliceStore {
             // its end lands in (after, upto] iff W > after - size and
             // (upto absent or W <= upto - size).
             let w_lo = lo
+                .start
                 .saturating_sub(size)
                 .saturating_add(width)
                 .max(after.saturating_sub(size).saturating_add(1));
             let w_hi = match upto {
-                Some(b) => hi.min(b.saturating_sub(size)),
-                None => hi,
+                Some(b) => hi.start.min(b.saturating_sub(size)),
+                None => hi.start,
             };
             // Round `w_lo` up to the next multiple of `slide`.
             let mut start = -((-w_lo).div_euclid(slide)) * slide;
             while start <= w_hi {
-                let mut covered = ks.slices.range(start..start + size).peekable();
-                if covered.peek().is_none() {
-                    start += slide;
-                    continue;
-                }
-                let mut aggs = factory.make()?;
-                for (_, st) in covered {
-                    for (agg, other) in aggs.iter_mut().zip(&st.aggs) {
-                        agg.merge(other.as_ref())?;
+                let first = ks.heads.partition_point(|h| h.start < start);
+                let end = ks.heads.partition_point(|h| h.start < start + size);
+                if first < end {
+                    aggs.reset(window)?;
+                    for ((t, acc), col) in aggs.templates.iter().zip(&mut *window).zip(&ks.accs) {
+                        t.merge_all(acc, col.range(first..end))?;
                     }
+                    let mut values = Vec::with_capacity(ks.key_values.len() + 2 + aggs.len());
+                    values.extend(ks.key_values.iter().cloned());
+                    values.push(Value::Timestamp(start));
+                    values.push(Value::Timestamp(start + size));
+                    for (t, acc) in aggs.templates.iter().zip(&mut *window) {
+                        values.push(t.finish(acc)?);
+                    }
+                    rows.push((start, key.bytes(), Record::new(values)));
                 }
-                let mut values = Vec::with_capacity(ks.key_values.len() + 2 + aggs.len());
-                values.extend(ks.key_values.iter().cloned());
-                values.push(Value::Timestamp(start));
-                values.push(Value::Timestamp(start + size));
-                for agg in &mut aggs {
-                    values.push(agg.finish()?);
-                }
-                records.push(Record::new(values));
                 start += slide;
             }
         }
-        if let Some(wm) = upto {
-            self.retire(wm);
-        } else {
-            self.keys.clear();
+        let records = emission_order(rows);
+        match upto {
+            Some(wm) => self.retire(wm),
+            None => self.keys.clear(),
         }
-        self.sort_emission(&mut records);
         Ok(records)
     }
 
-    /// See [`sort_emission`].
-    fn sort_emission(&self, records: &mut [Record]) {
-        sort_emission(records, self.key_count);
-    }
-
     /// A deep copy of the whole store — every key's every slice's
-    /// accumulators — for checkpointing. Fails only if an aggregator
-    /// cannot merge (which would equally fail window materialization).
+    /// accumulators — for checkpointing. Fails only if a plugin
+    /// aggregator cannot merge (which would equally fail window
+    /// materialization).
     fn snapshot(&self) -> Result<SliceStore> {
-        let mut keys = HashMap::with_capacity(self.keys.len());
+        let mut keys = KeyMap::default();
+        keys.reserve(self.keys.len());
         for (key, ks) in &self.keys {
-            let mut slices = BTreeMap::new();
-            for (&slice, st) in &ks.slices {
-                slices.insert(
-                    slice,
-                    SliceState {
-                        aggs: self.factory.copy_aggs(&st.aggs)?,
-                        dirty: st.dirty,
-                    },
-                );
-            }
-            keys.insert(
-                key.clone(),
-                KeySlices {
-                    key_values: ks.key_values.clone(),
-                    slices,
-                },
-            );
+            let accs = (self.aggs.templates.iter().zip(&ks.accs))
+                .map(|(t, col)| col.iter().map(|acc| self.aggs.copy(t, acc)).collect())
+                .collect::<Result<_>>()?;
+            let copy = KeySlices {
+                key_values: ks.key_values.clone(),
+                heads: ks.heads.clone(),
+                accs,
+            };
+            keys.insert(key.clone(), copy);
         }
         Ok(SliceStore {
-            layout: self.layout,
-            key_count: self.key_count,
-            factory: self.factory.clone(),
             keys,
+            min_dirty: self.min_dirty,
+            ..SliceStore::new(self.layout, self.key_count, self.aggs.clone())
         })
     }
 
     /// Drops slices whose last covering window has closed: no record or
-    /// partial for them can ever be anything but late.
+    /// partial for them can ever be anything but late. They are the
+    /// front of each key's ring (`last_close` grows with the slice
+    /// start), and a key whose ring empties leaves the map.
     fn retire(&mut self, wm: EventTime) {
         let layout = self.layout;
         self.keys.retain(|_, ks| {
-            ks.slices.retain(|&slice, _| layout.last_close(slice) > wm);
-            !ks.slices.is_empty()
+            let done = ks
+                .heads
+                .partition_point(|h| layout.last_close(h.start) <= wm);
+            ks.heads.drain(..done);
+            for col in &mut ks.accs {
+                col.drain(..done);
+            }
+            !ks.heads.is_empty()
         });
     }
 
@@ -410,31 +592,33 @@ impl SliceStore {
     /// end-of-stream). The accumulators reset to empty, so a slice that
     /// keeps receiving records ships *delta* partials which the cloud
     /// merge folds together. Rows are (keys, slice_start, slice_end,
-    /// partial columns), sorted deterministically.
+    /// partial columns), in (slice start, key bytes) order.
     fn flush_dirty(&mut self, wm: Option<EventTime>) -> Result<Vec<Record>> {
-        let mut records = Vec::new();
-        let layout = self.layout;
-        let factory = &self.factory;
-        for ks in self.keys.values_mut() {
-            let KeySlices { key_values, slices } = ks;
-            for (&slice, st) in slices.iter_mut() {
-                if !st.dirty || wm.is_some_and(|w| layout.first_close(slice) > w) {
+        let mut rows = Vec::new();
+        let (layout, aggs) = (self.layout, &self.aggs);
+        let mut min_dirty = EventTime::MAX;
+        for (key, ks) in &mut self.keys {
+            for (i, head) in ks.heads.iter_mut().enumerate() {
+                if !head.dirty || wm.is_some_and(|w| layout.first_close(head.start) > w) {
+                    if head.dirty {
+                        min_dirty = min_dirty.min(head.start);
+                    }
                     continue;
                 }
-                let aggs = std::mem::replace(&mut st.aggs, factory.make()?);
-                st.dirty = false;
-                let mut values = Vec::with_capacity(key_values.len() + 2 + aggs.len());
-                values.extend(key_values.iter().cloned());
-                values.push(Value::Timestamp(slice));
-                values.push(Value::Timestamp(slice + layout.width));
-                for agg in &aggs {
-                    values.extend(agg.partial()?);
+                head.dirty = false;
+                let mut values = Vec::with_capacity(ks.key_values.len() + 2 + aggs.len());
+                values.extend(ks.key_values.iter().cloned());
+                values.push(Value::Timestamp(head.start));
+                values.push(Value::Timestamp(head.start + layout.width));
+                for (t, col) in aggs.templates.iter().zip(&mut ks.accs) {
+                    t.partial_into(&col[i], &mut values)?;
+                    col[i] = aggs.empty(t)?;
                 }
-                records.push(Record::new(values));
+                rows.push((head.start, key.bytes(), Record::new(values)));
             }
         }
-        self.sort_emission(&mut records);
-        Ok(records)
+        self.min_dirty = min_dirty;
+        Ok(emission_order(rows))
     }
 }
 
@@ -446,18 +630,20 @@ struct ThresholdState {
     /// Last-seen event time.
     end: EventTime,
     count: u64,
-    aggs: Vec<Box<dyn Aggregator>>,
+    accs: Vec<Acc>,
 }
 
 impl ThresholdState {
     /// Opens a window at its first record's event time `ts`.
-    fn open(key_values: Vec<Value>, ts: EventTime, factory: &AggFactory) -> Result<Self> {
+    fn open(key_values: Vec<Value>, ts: EventTime, aggs: &Aggs) -> Result<Self> {
+        let mut accs = Vec::with_capacity(aggs.len());
+        aggs.reset(&mut accs)?;
         Ok(ThresholdState {
             key_values,
             start: ts,
             end: ts,
             count: 0,
-            aggs: factory.make()?,
+            accs,
         })
     }
 
@@ -469,24 +655,35 @@ impl ThresholdState {
 
     /// Folds the queued `rows` of `buf` into the accumulators and
     /// empties the queue.
-    fn fold(&mut self, buf: &TupleBuffer, rows: &mut Vec<u32>) -> Result<()> {
-        for agg in &mut self.aggs {
-            agg.update_rows(buf, rows)?;
+    fn fold(&mut self, aggs: &Aggs, buf: &TupleBuffer, rows: &mut Vec<u32>) -> Result<()> {
+        for (t, acc) in aggs.templates.iter().zip(&mut self.accs) {
+            t.update_rows(acc, buf, rows)?;
         }
         rows.clear();
         Ok(())
     }
 
     /// The window's output row: key columns, start, end, aggregates.
-    fn into_record(mut self) -> Result<Record> {
-        let mut values = Vec::with_capacity(self.key_values.len() + 2 + self.aggs.len());
+    fn into_record(mut self, aggs: &Aggs) -> Result<Record> {
+        let mut values = Vec::with_capacity(self.key_values.len() + 2 + self.accs.len());
         values.append(&mut self.key_values);
         values.push(Value::Timestamp(self.start));
         values.push(Value::Timestamp(self.end));
-        for agg in &mut self.aggs {
-            values.push(agg.finish()?);
+        for (t, acc) in aggs.templates.iter().zip(&mut self.accs) {
+            values.push(t.finish(acc)?);
         }
         Ok(Record::new(values))
+    }
+
+    /// A deep copy, for checkpointing.
+    fn copy(&self, aggs: &Aggs) -> Result<Self> {
+        Ok(ThresholdState {
+            key_values: self.key_values.clone(),
+            accs: (aggs.templates.iter().zip(&self.accs))
+                .map(|(t, acc)| aggs.copy(t, acc))
+                .collect::<Result<_>>()?,
+            ..*self
+        })
     }
 }
 
@@ -510,16 +707,19 @@ enum WindowState {
     /// operator's role, and each aggregate's partial column count (split
     /// roles only; the merge reads partial rows by it).
     Time {
-        store: SliceStore,
+        store: Box<SliceStore>,
         role: Role,
         arities: Vec<usize>,
     },
-    /// Threshold windows: the open window of each key.
+    /// Threshold windows: the open window of each key (`None` only
+    /// while the batch kernel holds it), and the kernel's per-key queues
+    /// of rows still to fold, reused from buffer to buffer.
     Threshold {
         predicate: BoundExpr,
         min_count: usize,
-        factory: AggFactory,
-        open: HashMap<GroupKey, ThresholdState>,
+        aggs: Aggs,
+        open: KeyMap<Option<ThresholdState>>,
+        queues: Vec<Vec<u32>>,
     },
 }
 
@@ -533,8 +733,8 @@ enum WindowState {
 ///   the same key that does not.
 ///
 /// Output schema: key columns, `window_start`, `window_end`, then one
-/// column per aggregate. Watermark emission is deterministic: rows sort
-/// by (window start, key values).
+/// column per aggregate. Watermark emission is deterministic: rows leave
+/// in (window start, key bytes) order.
 ///
 /// A splittable time window also runs as either half of the cluster's
 /// edge/cloud split: [`WindowOp::edge_partial`] and
@@ -547,6 +747,8 @@ pub struct WindowOp {
     state: WindowState,
     last_watermark: EventTime,
     late_drops: u64,
+    /// The batch kernels' per-buffer keys, reused.
+    keys: BufferKeys,
 }
 
 impl WindowOp {
@@ -684,7 +886,7 @@ impl WindowOp {
                 _ => fields.push(Field::new(agg.name, t)),
             }
         }
-        let factory = |input| AggFactory {
+        let aggs = |input| Aggs {
             templates,
             input,
             registry: registry.clone(),
@@ -693,7 +895,7 @@ impl WindowOp {
             WindowSpec::Tumbling { size: size @ slide } | WindowSpec::Sliding { size, slide } => {
                 let layout = SliceLayout::new(size, slide);
                 WindowState::Time {
-                    store: SliceStore::new(layout, key_count, factory(input)),
+                    store: Box::new(SliceStore::new(layout, key_count, aggs(input))),
                     role,
                     arities,
                 }
@@ -717,8 +919,9 @@ impl WindowOp {
                 WindowState::Threshold {
                     predicate,
                     min_count,
-                    factory: factory(input),
-                    open: HashMap::new(),
+                    aggs: aggs(input),
+                    open: KeyMap::default(),
+                    queues: Vec::new(),
                 }
             }
         };
@@ -730,6 +933,7 @@ impl WindowOp {
             state,
             last_watermark: EventTime::MIN,
             late_drops: 0,
+            keys: BufferKeys::default(),
         })
     }
 
@@ -797,24 +1001,24 @@ impl Operator for WindowOp {
                 WindowState::Threshold {
                     predicate,
                     min_count,
-                    factory,
+                    aggs,
                     open,
+                    ..
                 } => {
                     let (key, key_values) = GroupKey::evaluate(&self.key_exprs, rec)?;
                     if predicate.eval_predicate(rec)? {
-                        let st = match open.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                v.insert(ThresholdState::open(key_values, ts, factory)?)
-                            }
+                        let window = open.entry(key).or_default();
+                        let st = match window {
+                            Some(st) => st,
+                            None => window.insert(ThresholdState::open(key_values, ts, aggs)?),
                         };
                         st.extend(ts);
-                        for agg in &mut st.aggs {
-                            agg.update(rec)?;
+                        for (t, acc) in aggs.templates.iter().zip(&mut st.accs) {
+                            t.update(acc, rec)?;
                         }
-                    } else if let Some(st) = open.remove(&key) {
+                    } else if let Some(st) = open.remove(&key).flatten() {
                         if st.count as usize >= *min_count {
-                            emitted.push(st.into_record()?);
+                            emitted.push(st.into_record(aggs)?);
                         }
                     }
                 }
@@ -849,19 +1053,19 @@ impl Operator for WindowOp {
         for k in &self.key_exprs {
             k.mark_reads(reads);
         }
-        let factory = match &self.state {
+        let aggs = match &self.state {
             WindowState::Time {
                 role: Role::Merge, ..
             } => return reads.insert_all(),
-            WindowState::Time { store, .. } => &store.factory,
+            WindowState::Time { store, .. } => &store.aggs,
             WindowState::Threshold {
-                predicate, factory, ..
+                predicate, aggs, ..
             } => {
                 predicate.mark_reads(reads);
-                factory
+                aggs
             }
         };
-        for t in &factory.templates {
+        for t in &aggs.templates {
             t.mark_reads(reads);
         }
     }
@@ -870,8 +1074,8 @@ impl Operator for WindowOp {
     /// Threshold windows: the predicate runs once as a mask and the key
     /// once as per-buffer ids; each key's open window then advances row
     /// by row in arrival order, queueing the rows it absorbs and folding
-    /// them in one [`Aggregator::update_rows`] call when it closes or the
-    /// buffer ends. Each check runs over the whole buffer before the
+    /// them in one pass per aggregate when it closes or the buffer ends.
+    /// Each check runs over the whole buffer before the
     /// next, so when two checks fail on different rows the error may be
     /// another variant than the row path's. The cloud merge walks the
     /// buffer's rows through the row path.
@@ -881,50 +1085,61 @@ impl Operator for WindowOp {
         }
         let ts = event_times(&buf, self.ts_col, "window")?;
         let mut emitted: Vec<Record> = Vec::new();
+        let keys = &mut self.keys;
         match &mut self.state {
             WindowState::Time { store, .. } => {
                 self.late_drops +=
-                    store.absorb_buffer(&self.key_exprs, &buf, &ts, self.last_watermark)?;
+                    store.absorb_buffer(&self.key_exprs, &buf, &ts, self.last_watermark, keys)?;
             }
             WindowState::Threshold {
                 predicate,
                 min_count,
-                factory,
+                aggs,
                 open,
+                queues,
             } => {
-                let keys = GroupKey::evaluate_buffer(&self.key_exprs, &buf, None)?;
+                keys.evaluate(&self.key_exprs, &buf, None)?;
                 let holds = predicate.eval_mask(&buf)?;
-                // Each distinct key's open window leaves the map once per
-                // buffer, with its queue of rows still to fold.
-                let mut windows: Vec<(Option<ThresholdState>, Vec<u32>)> = keys
-                    .keys
-                    .iter()
-                    .map(|(key, _)| (open.remove(key), Vec::new()))
+                // Each distinct key's open window leaves its map entry
+                // once per buffer; its queue collects the rows to fold.
+                let mut windows: Vec<Option<ThresholdState>> = (0..keys.len())
+                    .map(|id| open.get_mut(keys.bytes(id)).and_then(Option::take))
                     .collect();
+                if queues.len() < keys.len() {
+                    queues.resize_with(keys.len(), Vec::new);
+                }
                 for (row, (&id, &t)) in keys.ids.iter().zip(ts.iter()).enumerate() {
-                    let (window, rows) = &mut windows[id as usize];
+                    let (window, rows) = (&mut windows[id as usize], &mut queues[id as usize]);
                     if holds[row] {
                         let st = match window {
                             Some(st) => st,
                             None => window.insert(ThresholdState::open(
-                                keys.keys[id as usize].1.clone(),
+                                keys.values(id as usize).to_vec(),
                                 t,
-                                factory,
+                                aggs,
                             )?),
                         };
                         st.extend(t);
                         rows.push(row as u32);
                     } else if let Some(mut st) = window.take() {
-                        st.fold(&buf, rows)?;
+                        st.fold(aggs, &buf, rows)?;
                         if st.count as usize >= *min_count {
-                            emitted.push(st.into_record()?);
+                            emitted.push(st.into_record(aggs)?);
                         }
                     }
                 }
-                for ((key, _), (window, mut rows)) in keys.keys.into_iter().zip(windows) {
-                    if let Some(mut st) = window {
-                        st.fold(&buf, &mut rows)?;
-                        open.insert(key, st);
+                for (id, (window, rows)) in windows.into_iter().zip(queues.iter_mut()).enumerate() {
+                    let bytes = keys.bytes(id);
+                    let Some(mut st) = window else {
+                        open.remove(bytes);
+                        continue;
+                    };
+                    st.fold(aggs, &buf, rows)?;
+                    match open.get_mut(bytes) {
+                        Some(entry) => *entry = Some(st),
+                        None => {
+                            open.insert(keys.key(id), Some(st));
+                        }
                     }
                 }
             }
@@ -933,10 +1148,17 @@ impl Operator for WindowOp {
         Ok(())
     }
 
+    /// A watermark that moves past no window end (and, at the edge,
+    /// finds no slice due) is forwarded at once: nothing closes, ships
+    /// or retires, so it costs no walk over the keys.
     fn on_watermark(&mut self, wm: EventTime, out: &mut Vec<StreamMessage>) -> Result<()> {
         let prev = self.last_watermark;
         self.last_watermark = self.last_watermark.max(wm);
         if let WindowState::Time { store, role, .. } = &mut self.state {
+            if store.quiet(*role, prev, self.last_watermark) {
+                out.push(StreamMessage::Watermark(wm));
+                return Ok(());
+            }
             let records = if *role == Role::Partial {
                 // Ship every dirty slice some window needs before this
                 // watermark reaches the cloud (FIFO channels deliver the
@@ -964,18 +1186,23 @@ impl Operator for WindowOp {
             } => store.flush_dirty(None)?,
             WindowState::Time { store, .. } => store.close_windows(self.last_watermark, None)?,
             WindowState::Threshold {
-                min_count, open, ..
+                min_count,
+                open,
+                aggs,
+                ..
             } => {
-                let mut records = Vec::new();
-                for (_, st) in open.drain() {
-                    if st.count as usize >= *min_count {
-                        records.push(st.into_record()?);
+                let mut rows = Vec::new();
+                for (key, st) in open.drain() {
+                    match st {
+                        Some(st) if st.count as usize >= *min_count => {
+                            rows.push((st.start, key, st.into_record(aggs)?));
+                        }
+                        _ => {}
                     }
                 }
                 // The same deterministic (start, key) order as slice
                 // output, whatever the hash map's iteration order.
-                sort_emission(&mut records, self.key_count);
-                records
+                emission_order(rows)
             }
         };
         self.push_rows(records, out);
@@ -990,18 +1217,26 @@ impl Operator for WindowOp {
     fn state_bytes(&self) -> usize {
         match &self.state {
             WindowState::Time { store, .. } => store.est_state_bytes(),
-            WindowState::Threshold { open, .. } => {
-                let per_agg = 48;
-                open.values()
-                    .map(|st| 64 + st.key_values.len() * 24 + st.aggs.len() * per_agg)
-                    .sum()
-            }
+            // Per key its map entry and key bytes; per open window its
+            // key values and inline accumulators.
+            WindowState::Threshold { open, .. } => open
+                .iter()
+                .map(|(key, st)| {
+                    size_of::<(GroupKey, Option<ThresholdState>)>()
+                        + key.bytes().len()
+                        + st.as_ref().map_or(0, |st| {
+                            st.key_values.len() * size_of::<Value>()
+                                + st.accs.len() * size_of::<Acc>()
+                        })
+                })
+                .sum(),
         }
     }
 
-    /// Configuration is cloned, slice and threshold state is duplicated
-    /// through the aggregator merge contract (so an aggregator that
-    /// cannot merge fails here, as it would at materialization).
+    /// Configuration is cloned and built-in accumulator state copied;
+    /// a plugin's accumulators are duplicated through the aggregator
+    /// merge contract (so one that cannot merge fails here, as it would
+    /// at materialization).
     fn snapshot(&self) -> Result<Box<dyn Operator>> {
         let state = match &self.state {
             WindowState::Time {
@@ -1009,34 +1244,29 @@ impl Operator for WindowOp {
                 role,
                 arities,
             } => WindowState::Time {
-                store: store.snapshot()?,
+                store: Box::new(store.snapshot()?),
                 role: *role,
                 arities: arities.clone(),
             },
             WindowState::Threshold {
                 predicate,
                 min_count,
-                factory,
+                aggs,
                 open,
+                ..
             } => {
-                let mut copy = HashMap::with_capacity(open.len());
+                let mut copy = KeyMap::default();
+                copy.reserve(open.len());
                 for (key, st) in open {
-                    copy.insert(
-                        key.clone(),
-                        ThresholdState {
-                            key_values: st.key_values.clone(),
-                            start: st.start,
-                            end: st.end,
-                            count: st.count,
-                            aggs: factory.copy_aggs(&st.aggs)?,
-                        },
-                    );
+                    let st = st.as_ref().map(|st| st.copy(aggs)).transpose()?;
+                    copy.insert(key.clone(), st);
                 }
                 WindowState::Threshold {
                     predicate: predicate.clone(),
                     min_count: *min_count,
-                    factory: factory.clone(),
+                    aggs: aggs.clone(),
                     open: copy,
+                    queues: Vec::new(),
                 }
             }
         };
@@ -1048,6 +1278,7 @@ impl Operator for WindowOp {
             state,
             last_watermark: self.last_watermark,
             late_drops: self.late_drops,
+            keys: BufferKeys::default(),
         }))
     }
 }
@@ -1130,6 +1361,128 @@ mod tests {
         );
         assert_eq!(r.get(3), Some(&Value::Int(2)), "count");
         assert_eq!(r.get(4), Some(&Value::Float(15.0)), "avg");
+    }
+
+    #[test]
+    fn watermark_that_closes_nothing_only_forwards() {
+        let mut op = make_op(WindowSpec::Tumbling {
+            size: 10 * MICROS_PER_SEC,
+        });
+        let mut out = Vec::new();
+        let recs = vec![rec(1, 1, 10.0), rec(12, 1, 30.0), rec(14, 2, 5.0)];
+        op.process(RecordBuffer::new(schema(), recs), &mut out)
+            .unwrap();
+        op.on_watermark(10 * MICROS_PER_SEC, &mut out).unwrap();
+        assert_eq!(data_records(&out).len(), 1, "[0,10) closed");
+        let bytes = op.state_bytes();
+        // (10 s, 15 s] holds no window end: nothing closes or retires.
+        let mut out = Vec::new();
+        op.on_watermark(15 * MICROS_PER_SEC, &mut out).unwrap();
+        assert!(
+            matches!(out.as_slice(), [StreamMessage::Watermark(w)] if *w == 15 * MICROS_PER_SEC),
+            "only the watermark leaves"
+        );
+        assert_eq!(op.state_bytes(), bytes, "state untouched");
+        op.on_watermark(20 * MICROS_PER_SEC, &mut out).unwrap();
+        assert_eq!(data_records(&out).len(), 2, "[10,20) closes for both keys");
+        assert_eq!(op.state_bytes(), 0, "every slice retired");
+    }
+
+    #[test]
+    fn edge_ships_a_slice_that_came_due_between_window_ends() {
+        // Sliding 20 s / 5 s: after the watermark at 25 s, a record at
+        // 12 s is late for [0,20) but live for [5,25)..[10,30), and its
+        // slice's first window has closed — so the next watermark ships
+        // it even though (25 s, 26 s] holds no window end.
+        let reg = FunctionRegistry::with_builtins();
+        let spec = WindowSpec::Sliding {
+            size: 20 * MICROS_PER_SEC,
+            slide: 5 * MICROS_PER_SEC,
+        };
+        let mut edge = WindowOp::edge_partial(
+            "ts",
+            &split_keys(),
+            &spec,
+            split_aggs(),
+            split_schema(),
+            &reg,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        edge.on_watermark(25 * MICROS_PER_SEC, &mut out).unwrap();
+        edge.process(
+            RecordBuffer::new(split_schema(), vec![split_rec(12, 0, 1.0, 1)]),
+            &mut out,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        edge.on_watermark(26 * MICROS_PER_SEC, &mut out).unwrap();
+        let partials = data_records(&out);
+        assert_eq!(partials.len(), 1, "the due slice ships");
+        assert_eq!(
+            partials[0].get(1),
+            Some(&Value::Timestamp(10 * MICROS_PER_SEC))
+        );
+        let mut out = Vec::new();
+        edge.on_watermark(27 * MICROS_PER_SEC, &mut out).unwrap();
+        assert!(
+            matches!(out.as_slice(), [StreamMessage::Watermark(_)]),
+            "nothing left to ship"
+        );
+    }
+
+    #[test]
+    fn state_estimate_follows_the_slice_layout() {
+        // Two aggregates (count, avg) keyed by an `Int`: per key its map
+        // entry, 9 key bytes, one key value and two accumulator columns;
+        // per live slice its head and two inline accumulators.
+        let key = size_of::<(GroupKey, KeySlices)>()
+            + 9
+            + size_of::<Value>()
+            + 2 * size_of::<VecDeque<Acc>>();
+        let slice = size_of::<SliceHead>() + 2 * size_of::<Acc>();
+        let mut op = make_op(WindowSpec::Tumbling {
+            size: 10 * MICROS_PER_SEC,
+        });
+        let mut out = Vec::new();
+        let recs = vec![
+            rec(1, 1, 1.0),
+            rec(2, 1, 2.0),
+            rec(12, 1, 3.0),
+            rec(3, 2, 4.0),
+        ];
+        op.process(RecordBuffer::new(schema(), recs), &mut out)
+            .unwrap();
+        assert_eq!(
+            op.state_bytes(),
+            2 * key + 3 * slice,
+            "two keys, three slices"
+        );
+        op.on_watermark(10 * MICROS_PER_SEC, &mut out).unwrap();
+        assert_eq!(op.state_bytes(), key + slice, "key 2 left with its slice");
+
+        // A threshold window: per key its map entry and key bytes; per
+        // open window its key values and inline accumulators.
+        let reg = FunctionRegistry::with_builtins();
+        let mut op = WindowOp::new(
+            "ts",
+            &[("train".into(), col("train"))],
+            WindowSpec::Threshold {
+                predicate: col("speed").gt(lit(50.0)),
+                min_count: 1,
+            },
+            vec![WindowAgg::new("n", AggSpec::Count)],
+            schema(),
+            &reg,
+        )
+        .unwrap();
+        op.process(RecordBuffer::new(schema(), vec![rec(1, 7, 60.0)]), &mut out)
+            .unwrap();
+        let open = size_of::<(GroupKey, Option<ThresholdState>)>()
+            + 9
+            + size_of::<Value>()
+            + size_of::<Acc>();
+        assert_eq!(op.state_bytes(), open, "one open window");
     }
 
     #[test]

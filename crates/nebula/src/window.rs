@@ -159,7 +159,23 @@ impl SliceLayout {
     /// When the *last* window covering the slice closes — after this
     /// watermark the slice can never be read again and is retired.
     pub fn last_close(&self, slice: EventTime) -> EventTime {
+        // Slices are multiples of `width`: when it equals the slide
+        // (`slide` divides `size`), the slice starts the last window.
+        if self.width == self.slide {
+            return slice + self.size;
+        }
         slice.div_euclid(self.slide) * self.slide + self.size
+    }
+
+    /// True when some window ends in `(after, upto]`. Windows close,
+    /// and slices retire, only at window ends, so a watermark advancing
+    /// across none of them changes no window state.
+    pub fn ends_in(&self, after: EventTime, upto: EventTime) -> bool {
+        let (size, slide) = (i128::from(self.size), i128::from(self.slide));
+        // The first end past `after`: W + size, W the smallest multiple
+        // of `slide` above `after - size`.
+        let w = ((i128::from(after) - size).div_euclid(slide) + 1) * slide;
+        upto > after && w + size <= i128::from(upto)
     }
 }
 
@@ -342,8 +358,13 @@ impl AggSpec {
         ts_field: &str,
     ) -> Result<Box<dyn Aggregator>> {
         let (ts, _) = col(ts_field).bind(input, registry)?;
-        let (template, _) = self.bind(input, &ts, &mut Binder::fail_fast(registry))?;
-        template.make(input, registry)
+        match self.bind(input, &ts, &mut Binder::fail_fast(registry))?.0 {
+            AggTemplate::Builtin(agg) => Ok(Box::new(BuiltinAccumulator {
+                agg,
+                state: AggState::EMPTY,
+            })),
+            AggTemplate::Custom(f) => f.create(input, registry),
+        }
     }
 
     /// Binds the aggregate against `input` once, through `b`: the
@@ -396,14 +417,51 @@ impl AggSpec {
     }
 }
 
-/// An aggregate bound against its input schema once. Windows create a
-/// fresh accumulator per slice, threshold window and materialized
-/// window; a built-in's is a copy of the bound, empty template instead
-/// of a second bind, a plugin's comes from its factory.
+/// An aggregate bound against its input schema once. Windows keep one
+/// [`Acc`] per aggregate per slice, threshold window and materialized
+/// window: a built-in's is plain [`AggState`] that the bound template
+/// folds and merges, a plugin's comes from its factory.
 #[derive(Clone)]
 pub(crate) enum AggTemplate {
     Builtin(BuiltinAgg),
     Custom(Arc<dyn AggregatorFactory>),
+}
+
+/// One aggregate's accumulator, held inline by the window state. The
+/// built-in arm is plain state — creating, copying, folding and merging
+/// it allocates nothing and dispatches by `match`; the plugin arm is the
+/// factory's boxed [`Aggregator`]. An `Acc` is only ever handed to the
+/// [`AggTemplate`] that made it.
+pub(crate) enum Acc {
+    Builtin(AggState),
+    Plugin(Box<dyn Aggregator>),
+}
+
+/// A built-in aggregate's accumulated state.
+#[derive(Clone)]
+pub(crate) struct AggState {
+    count: u64,
+    sum: f64,
+    int_only: bool,
+    best: Option<Value>,
+    /// Event time of `best` (`first`/`last` only; meaningful when
+    /// `best` is `Some`).
+    best_ts: EventTime,
+}
+
+impl AggState {
+    /// The state of an accumulator that has seen nothing.
+    pub(crate) const EMPTY: AggState = AggState {
+        count: 0,
+        sum: 0.0,
+        int_only: true,
+        best: None,
+        best_ts: EventTime::MIN,
+    };
+}
+
+fn mismatched() -> NebulaError {
+    NebulaError::Eval("accumulator does not belong to its aggregate".into())
 }
 
 impl AggTemplate {
@@ -423,14 +481,101 @@ impl AggTemplate {
 
     /// A fresh, empty accumulator (`input`/`registry`: what the
     /// template was bound against).
-    pub(crate) fn make(
+    pub(crate) fn empty(&self, input: &Schema, registry: &FunctionRegistry) -> Result<Acc> {
+        match self {
+            AggTemplate::Builtin(_) => Ok(Acc::Builtin(AggState::EMPTY)),
+            AggTemplate::Custom(f) => Ok(Acc::Plugin(f.create(input, registry)?)),
+        }
+    }
+
+    /// A deep copy of `acc`: a built-in's state clones, a plugin's
+    /// fresh accumulator absorbs the original through
+    /// [`Aggregator::merge`] (no `Clone` asked of plugins).
+    pub(crate) fn copy(
         &self,
+        acc: &Acc,
         input: &Schema,
         registry: &FunctionRegistry,
-    ) -> Result<Box<dyn Aggregator>> {
-        match self {
-            AggTemplate::Builtin(agg) => Ok(Box::new(agg.clone())),
-            AggTemplate::Custom(f) => f.create(input, registry),
+    ) -> Result<Acc> {
+        match (self, acc) {
+            (_, Acc::Builtin(st)) => Ok(Acc::Builtin(st.clone())),
+            (AggTemplate::Custom(f), Acc::Plugin(p)) => {
+                let mut fresh = f.create(input, registry)?;
+                fresh.merge(p.as_ref())?;
+                Ok(Acc::Plugin(fresh))
+            }
+            _ => Err(mismatched()),
+        }
+    }
+
+    /// Folds one record in (the row path).
+    pub(crate) fn update(&self, acc: &mut Acc, rec: &Record) -> Result<()> {
+        match (self, acc) {
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.fold(st, |e| e.eval(rec)),
+            (_, Acc::Plugin(p)) => p.update(rec),
+            _ => Err(mismatched()),
+        }
+    }
+
+    /// Folds rows `rows` of `buf` in, in the listed order.
+    pub(crate) fn update_rows(&self, acc: &mut Acc, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
+        match (self, acc) {
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.update_rows(st, buf, rows),
+            (_, Acc::Plugin(p)) => p.update_rows(buf, rows),
+            _ => Err(mismatched()),
+        }
+    }
+
+    /// Merges `others` (accumulators of this aggregate) into `acc`, in
+    /// order — slice → window materialization: one typed loop per
+    /// aggregate for a built-in, [`Aggregator::merge`] per accumulator
+    /// for a plugin.
+    pub(crate) fn merge_all<'a>(
+        &self,
+        acc: &mut Acc,
+        mut others: impl Iterator<Item = &'a Acc>,
+    ) -> Result<()> {
+        match (self, acc) {
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.merge_all(
+                st,
+                others.map(|o| match o {
+                    Acc::Builtin(o) => Ok(o),
+                    Acc::Plugin(_) => Err(mismatched()),
+                }),
+            ),
+            (_, Acc::Plugin(p)) => others.try_for_each(|o| match o {
+                Acc::Plugin(o) => p.merge(o.as_ref()),
+                Acc::Builtin(_) => Err(mismatched()),
+            }),
+            _ => Err(mismatched()),
+        }
+    }
+
+    /// Folds a partial snapshot (see [`Aggregator::partial`]) in.
+    pub(crate) fn merge_partial(&self, acc: &mut Acc, partial: &[Value]) -> Result<()> {
+        match (self, acc) {
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.merge_partial(st, partial),
+            (_, Acc::Plugin(p)) => p.merge_partial(partial),
+            _ => Err(mismatched()),
+        }
+    }
+
+    /// Appends `acc`'s partial snapshot to `out`.
+    pub(crate) fn partial_into(&self, acc: &Acc, out: &mut Vec<Value>) -> Result<()> {
+        match (self, acc) {
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.partial_into(st, out),
+            (_, Acc::Plugin(p)) => out.extend(p.partial()?),
+            _ => return Err(mismatched()),
+        }
+        Ok(())
+    }
+
+    /// The final value.
+    pub(crate) fn finish(&self, acc: &mut Acc) -> Result<Value> {
+        match (self, acc) {
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => Ok(b.finish(st)),
+            (_, Acc::Plugin(p)) => p.finish(),
+            _ => Err(mismatched()),
         }
     }
 }
@@ -446,19 +591,15 @@ pub(crate) enum AggKind {
     Last,
 }
 
+/// A built-in aggregate bound against its input: the operand, the event
+/// time `first`/`last` order by, and the kind. Its state lives apart, in
+/// an [`AggState`].
 #[derive(Clone)]
 pub(crate) struct BuiltinAgg {
     expr: Option<BoundExpr>,
     /// Event-time expression (`first`/`last` only).
     ts: Option<BoundExpr>,
     kind: AggKind,
-    count: u64,
-    sum: f64,
-    int_only: bool,
-    best: Option<Value>,
-    /// Event time of `best` (`first`/`last` only; meaningful when
-    /// `best` is `Some`).
-    best_ts: EventTime,
 }
 
 impl BuiltinAgg {
@@ -467,34 +608,23 @@ impl BuiltinAgg {
             expr: None,
             ts: None,
             kind: AggKind::Count,
-            count: 0,
-            sum: 0.0,
-            int_only: true,
-            best: None,
-            best_ts: EventTime::MIN,
         }
     }
 
     fn new(expr: BoundExpr, kind: AggKind) -> Self {
         BuiltinAgg {
             expr: Some(expr),
-            ..BuiltinAgg::count()
+            ts: None,
+            kind,
         }
-        .with_kind(kind)
     }
 
     fn timed(expr: BoundExpr, ts: BoundExpr, kind: AggKind) -> Self {
         BuiltinAgg {
             expr: Some(expr),
             ts: Some(ts),
-            ..BuiltinAgg::count()
+            kind,
         }
-        .with_kind(kind)
-    }
-
-    fn with_kind(mut self, kind: AggKind) -> Self {
-        self.kind = kind;
-        self
     }
 
     /// `first`/`last` keep the sample at the extremal event time, so
@@ -518,10 +648,10 @@ impl BuiltinAgg {
             }
     }
 
-    fn absorb_sample(&mut self, ts: EventTime, v: Value) {
-        if self.takes_sample(self.best.is_some(), ts, self.best_ts) {
-            self.best = Some(v);
-            self.best_ts = ts;
+    fn absorb_sample(&self, st: &mut AggState, ts: EventTime, v: &Value) {
+        if self.takes_sample(st.best.is_some(), ts, st.best_ts) {
+            st.best = Some(v.clone());
+            st.best_ts = ts;
         }
     }
 
@@ -534,51 +664,75 @@ impl BuiltinAgg {
             std::cmp::Ordering::Greater
         }
     }
-}
 
-impl BuiltinAgg {
-    /// The shared fold body behind [`Aggregator::update`] and
-    /// [`Aggregator::update_row`]: evaluates the operand, and lazily the
-    /// event time (first/last only), through `eval`, so both evaluation
-    /// paths stay byte-identical. `count` has no operand.
-    fn fold(&mut self, eval: impl Fn(&BoundExpr) -> Result<Value>) -> Result<()> {
+    /// Offers `v` as a `min`/`max` candidate.
+    fn offer_extreme(&self, st: &mut AggState, v: &Value) {
+        let replace = match &st.best {
+            Some(b) => v.partial_cmp_num(b) == Some(self.wanted()),
+            None => true,
+        };
+        if replace {
+            st.best = Some(v.clone());
+        }
+    }
+
+    /// The per-record fold behind the row path and the per-row fallback
+    /// of [`BuiltinAgg::update_rows`]: evaluates the operand, and lazily
+    /// the event time (first/last only), through `eval`, so both
+    /// evaluation paths stay byte-identical. `count` has no operand.
+    fn fold(&self, st: &mut AggState, eval: impl Fn(&BoundExpr) -> Result<Value>) -> Result<()> {
         let Some(expr) = &self.expr else {
-            self.count += 1;
+            st.count += 1;
             return Ok(());
         };
         let v = eval(expr)?;
         if v.is_null() {
             return Ok(());
         }
-        self.count += 1;
+        st.count += 1;
         match self.kind {
             AggKind::Sum | AggKind::Avg => {
                 if !matches!(v, Value::Int(_) | Value::Timestamp(_)) {
-                    self.int_only = false;
+                    st.int_only = false;
                 }
-                self.sum += v
+                st.sum += v
                     .as_float()
                     .ok_or_else(|| NebulaError::Eval(format!("aggregate over non-numeric {v}")))?;
             }
-            AggKind::Min | AggKind::Max => {
-                let replace = match &self.best {
-                    Some(b) => v.partial_cmp_num(b) == Some(self.wanted()),
-                    None => true,
-                };
-                if replace {
-                    self.best = Some(v);
-                }
-            }
+            AggKind::Min | AggKind::Max => self.offer_extreme(st, &v),
             AggKind::First | AggKind::Last => {
                 let ts = match &self.ts {
                     Some(ts) => eval(ts)?.as_timestamp(),
                     None => None,
                 }
                 .ok_or_else(missing_event_time)?;
-                self.absorb_sample(ts, v);
+                self.absorb_sample(st, ts, &v);
             }
             // Counted above, as it has no operand.
             AggKind::Count => {}
+        }
+        Ok(())
+    }
+
+    /// A column-reference operand folds through a typed loop over the
+    /// buffer's column; any other operand evaluates row by row, so only
+    /// the listed rows ever evaluate — as on the row path.
+    fn update_rows(&self, st: &mut AggState, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
+        let col = match &self.expr {
+            None => {
+                st.count += rows.len() as u64;
+                return Ok(());
+            }
+            Some(BoundExpr::Column(idx)) => buf.column(*idx),
+            Some(_) => None,
+        };
+        if let Some(col) = col {
+            if self.fold_column(st, col, buf, rows)? {
+                return Ok(());
+            }
+        }
+        for &row in rows {
+            self.fold(st, |e| e.eval_row(buf, row as usize))?;
         }
         Ok(())
     }
@@ -587,7 +741,13 @@ impl BuiltinAgg {
     /// path's fold, value for value and in the same order, without a
     /// boxed `Value` per row. Returns `false` when this aggregate has no
     /// typed loop for the column's layout, leaving the rows unfolded.
-    fn fold_column(&mut self, col: &Column, buf: &TupleBuffer, rows: &[u32]) -> Result<bool> {
+    fn fold_column(
+        &self,
+        st: &mut AggState,
+        col: &Column,
+        buf: &TupleBuffer,
+        rows: &[u32],
+    ) -> Result<bool> {
         let rows = rows.iter().map(|&r| r as usize);
         match self.kind {
             AggKind::Sum | AggKind::Avg => {
@@ -595,10 +755,10 @@ impl BuiltinAgg {
                     return Ok(false);
                 };
                 for r in rows.filter(|&r| validity.is_none_or(|m| m[r])) {
-                    self.count += 1;
-                    self.sum += nums.at(r);
+                    st.count += 1;
+                    st.sum += nums.at(r);
                     if let Nums::Float(_) = nums {
-                        self.int_only = false;
+                        st.int_only = false;
                     }
                 }
             }
@@ -609,10 +769,10 @@ impl BuiltinAgg {
                 // The incumbent as the row path compares it: `None` while
                 // empty, `Some(None)` when it is not numeric (no number
                 // ever replaces it).
-                let mut best = self.best.as_ref().map(Value::as_float);
+                let mut best = st.best.as_ref().map(Value::as_float);
                 let mut best_row = None;
                 for r in rows.filter(|&r| validity.is_none_or(|m| m[r])) {
-                    self.count += 1;
+                    st.count += 1;
                     let x = nums.at(r);
                     let replace = match best {
                         None => true,
@@ -624,7 +784,7 @@ impl BuiltinAgg {
                     }
                 }
                 if let Some(r) = best_row {
-                    self.best = Some(col.value_at(r));
+                    st.best = Some(col.value_at(r));
                 }
             }
             AggKind::First | AggKind::Last => {
@@ -632,22 +792,177 @@ impl BuiltinAgg {
                     return Ok(false);
                 };
                 let (mut has_best, mut best_ts, mut best_row) =
-                    (self.best.is_some(), self.best_ts, None);
+                    (st.best.is_some(), st.best_ts, None);
                 for r in rows.filter(|&r| !col.is_null(r)) {
-                    self.count += 1;
+                    st.count += 1;
                     let ts = buf.event_time(r, ts_col).ok_or_else(missing_event_time)?;
                     if self.takes_sample(has_best, ts, best_ts) {
                         (has_best, best_ts, best_row) = (true, ts, Some(r));
                     }
                 }
                 if let Some(r) = best_row {
-                    self.best = Some(col.value_at(r));
-                    self.best_ts = best_ts;
+                    st.best = Some(col.value_at(r));
+                    st.best_ts = best_ts;
                 }
             }
-            AggKind::Count => self.count += rows.len() as u64,
+            AggKind::Count => st.count += rows.len() as u64,
         }
         Ok(true)
+    }
+
+    /// Appends the partial snapshot: the arity is fixed per kind (see
+    /// [`AggSpec::partial_types`]), an empty state snapshots as nulls.
+    fn partial_into(&self, st: &AggState, out: &mut Vec<Value>) {
+        match self.kind {
+            AggKind::Count => out.push(Value::Int(st.count as i64)),
+            AggKind::Sum => out.push(self.finish(st)),
+            AggKind::Avg => {
+                out.push(Value::Float(st.sum));
+                out.push(Value::Int(st.count as i64));
+            }
+            AggKind::Min | AggKind::Max => out.push(st.best.clone().unwrap_or(Value::Null)),
+            AggKind::First | AggKind::Last => match &st.best {
+                Some(v) => out.extend([Value::Timestamp(st.best_ts), v.clone()]),
+                None => out.extend([Value::Null, Value::Null]),
+            },
+        }
+    }
+
+    fn merge_partial(&self, st: &mut AggState, partial: &[Value]) -> Result<()> {
+        let arity_err = || NebulaError::Eval("aggregate partial has wrong arity".into());
+        let p0 = partial.first().ok_or_else(arity_err)?;
+        match self.kind {
+            AggKind::Count => {
+                st.count += p0.as_int().ok_or_else(arity_err)? as u64;
+            }
+            AggKind::Sum => match p0 {
+                Value::Null => {}
+                Value::Int(i) => {
+                    st.count += 1;
+                    st.sum += *i as f64;
+                }
+                other => {
+                    st.count += 1;
+                    st.int_only = false;
+                    st.sum += other.as_float().ok_or_else(|| {
+                        NebulaError::Eval(format!("cannot merge sum partial '{other}'"))
+                    })?;
+                }
+            },
+            AggKind::Avg => {
+                let n = partial
+                    .get(1)
+                    .and_then(Value::as_int)
+                    .ok_or_else(arity_err)?;
+                if n > 0 {
+                    st.sum += p0.as_float().ok_or_else(arity_err)?;
+                    st.count += n as u64;
+                }
+            }
+            AggKind::Min | AggKind::Max => {
+                if !p0.is_null() {
+                    st.count += 1;
+                    self.offer_extreme(st, p0);
+                }
+            }
+            AggKind::First | AggKind::Last => {
+                if let Some(ts) = p0.as_timestamp() {
+                    let v = partial.get(1).ok_or_else(arity_err)?;
+                    self.absorb_sample(st, ts, v);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Merges other states of this aggregate in, in order: plain field
+    /// arithmetic, observably identical to merging each one's partial
+    /// snapshot in turn. The kind is matched once, and a `min`/`max` or
+    /// `first`/`last` winner is cloned once, at the end.
+    fn merge_all<'a>(
+        &self,
+        st: &mut AggState,
+        others: impl Iterator<Item = Result<&'a AggState>>,
+    ) -> Result<()> {
+        match self.kind {
+            AggKind::Count => {
+                for o in others {
+                    st.count += o?.count;
+                }
+            }
+            AggKind::Sum | AggKind::Avg => {
+                for o in others {
+                    let o = o?;
+                    if o.count > 0 {
+                        st.count += o.count;
+                        st.int_only &= o.int_only;
+                        st.sum += o.sum;
+                    }
+                }
+            }
+            AggKind::Min | AggKind::Max => {
+                let mut won: Option<&Value> = None;
+                for o in others {
+                    let o = o?;
+                    let Some(v) = &o.best else { continue };
+                    st.count += o.count;
+                    let replace = match won.or(st.best.as_ref()) {
+                        Some(b) => v.partial_cmp_num(b) == Some(self.wanted()),
+                        None => true,
+                    };
+                    if replace {
+                        won = Some(v);
+                    }
+                }
+                if let Some(v) = won {
+                    st.best = Some(v.clone());
+                }
+            }
+            AggKind::First | AggKind::Last => {
+                let mut won: Option<(EventTime, &Value)> = None;
+                for o in others {
+                    let o = o?;
+                    let Some(v) = &o.best else { continue };
+                    let (has_best, best_ts) = match won {
+                        Some((ts, _)) => (true, ts),
+                        None => (st.best.is_some(), st.best_ts),
+                    };
+                    if self.takes_sample(has_best, o.best_ts, best_ts) {
+                        won = Some((o.best_ts, v));
+                    }
+                }
+                if let Some((ts, v)) = won {
+                    st.best = Some(v.clone());
+                    st.best_ts = ts;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&self, st: &AggState) -> Value {
+        match self.kind {
+            AggKind::Count => Value::Int(st.count as i64),
+            AggKind::Sum => {
+                if st.count == 0 {
+                    Value::Null
+                } else if st.int_only {
+                    Value::Int(st.sum as i64)
+                } else {
+                    Value::Float(st.sum)
+                }
+            }
+            AggKind::Avg => {
+                if st.count == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(st.sum / st.count as f64)
+                }
+            }
+            AggKind::Min | AggKind::Max | AggKind::First | AggKind::Last => {
+                st.best.clone().unwrap_or(Value::Null)
+            }
+        }
     }
 }
 
@@ -684,177 +999,39 @@ impl<'a> Nums<'a> {
     }
 }
 
-impl Aggregator for BuiltinAgg {
+/// A built-in aggregate as a standalone [`Aggregator`], what
+/// [`AggSpec::create`] returns. Windows do not use it: they keep the
+/// [`AggState`] inline.
+struct BuiltinAccumulator {
+    agg: BuiltinAgg,
+    state: AggState,
+}
+
+impl Aggregator for BuiltinAccumulator {
     fn update(&mut self, rec: &Record) -> Result<()> {
-        self.fold(|e| e.eval(rec))
+        self.agg.fold(&mut self.state, |e| e.eval(rec))
     }
 
     fn update_row(&mut self, buf: &TupleBuffer, row: usize) -> Result<()> {
-        self.fold(|e| e.eval_row(buf, row))
+        self.agg.fold(&mut self.state, |e| e.eval_row(buf, row))
     }
 
-    /// A column-reference operand folds through a typed loop over the
-    /// buffer's column; any other operand evaluates row by row, so only
-    /// the listed rows ever evaluate — as on the row path.
     fn update_rows(&mut self, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
-        let col = match &self.expr {
-            None => {
-                self.count += rows.len() as u64;
-                return Ok(());
-            }
-            Some(BoundExpr::Column(idx)) => buf.column(*idx),
-            Some(_) => None,
-        };
-        if let Some(col) = col {
-            if self.fold_column(col, buf, rows)? {
-                return Ok(());
-            }
-        }
-        for &row in rows {
-            self.update_row(buf, row as usize)?;
-        }
-        Ok(())
+        self.agg.update_rows(&mut self.state, buf, rows)
     }
 
     fn partial(&self) -> Result<Vec<Value>> {
-        Ok(match self.kind {
-            AggKind::Count => vec![Value::Int(self.count as i64)],
-            AggKind::Sum => {
-                if self.count == 0 {
-                    vec![Value::Null]
-                } else if self.int_only {
-                    vec![Value::Int(self.sum as i64)]
-                } else {
-                    vec![Value::Float(self.sum)]
-                }
-            }
-            AggKind::Avg => vec![Value::Float(self.sum), Value::Int(self.count as i64)],
-            AggKind::Min | AggKind::Max => vec![self.best.clone().unwrap_or(Value::Null)],
-            AggKind::First | AggKind::Last => match &self.best {
-                Some(v) => vec![Value::Timestamp(self.best_ts), v.clone()],
-                None => vec![Value::Null, Value::Null],
-            },
-        })
+        let mut out = Vec::with_capacity(2);
+        self.agg.partial_into(&self.state, &mut out);
+        Ok(out)
     }
 
     fn merge_partial(&mut self, partial: &[Value]) -> Result<()> {
-        let arity_err = || NebulaError::Eval("aggregate partial has wrong arity".into());
-        let p0 = partial.first().ok_or_else(arity_err)?;
-        match self.kind {
-            AggKind::Count => {
-                self.count += p0.as_int().ok_or_else(arity_err)? as u64;
-            }
-            AggKind::Sum => match p0 {
-                Value::Null => {}
-                Value::Int(i) => {
-                    self.count += 1;
-                    self.sum += *i as f64;
-                }
-                other => {
-                    self.count += 1;
-                    self.int_only = false;
-                    self.sum += other.as_float().ok_or_else(|| {
-                        NebulaError::Eval(format!("cannot merge sum partial '{other}'"))
-                    })?;
-                }
-            },
-            AggKind::Avg => {
-                let n = partial
-                    .get(1)
-                    .and_then(Value::as_int)
-                    .ok_or_else(arity_err)?;
-                if n > 0 {
-                    self.sum += p0.as_float().ok_or_else(arity_err)?;
-                    self.count += n as u64;
-                }
-            }
-            AggKind::Min | AggKind::Max => {
-                if !p0.is_null() {
-                    self.count += 1;
-                    let replace = match &self.best {
-                        Some(b) => p0.partial_cmp_num(b) == Some(self.wanted()),
-                        None => true,
-                    };
-                    if replace {
-                        self.best = Some(p0.clone());
-                    }
-                }
-            }
-            AggKind::First | AggKind::Last => {
-                if let Some(ts) = p0.as_timestamp() {
-                    let v = partial.get(1).ok_or_else(arity_err)?.clone();
-                    self.absorb_sample(ts, v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Slice → window materialization happens once per closed window per
-    /// covering slice: merging same-type accumulators directly (no
-    /// intermediate partial vector) keeps that hot path allocation-free.
-    /// Observable results are identical to the snapshot path.
-    fn merge(&mut self, other: &dyn Aggregator) -> Result<()> {
-        let Some(b) = other.as_any().and_then(|a| a.downcast_ref::<BuiltinAgg>()) else {
-            return self.merge_partial(&other.partial()?);
-        };
-        match self.kind {
-            AggKind::Count => self.count += b.count,
-            AggKind::Sum | AggKind::Avg => {
-                if b.count > 0 {
-                    self.count += b.count;
-                    self.int_only &= b.int_only;
-                    self.sum += b.sum;
-                }
-            }
-            AggKind::Min | AggKind::Max => {
-                if let Some(v) = &b.best {
-                    self.count += b.count;
-                    let replace = match &self.best {
-                        Some(mine) => v.partial_cmp_num(mine) == Some(self.wanted()),
-                        None => true,
-                    };
-                    if replace {
-                        self.best = Some(v.clone());
-                    }
-                }
-            }
-            AggKind::First | AggKind::Last => {
-                if let Some(v) = &b.best {
-                    self.absorb_sample(b.best_ts, v.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        self.agg.merge_partial(&mut self.state, partial)
     }
 
     fn finish(&mut self) -> Result<Value> {
-        Ok(match self.kind {
-            AggKind::Count => Value::Int(self.count as i64),
-            AggKind::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.int_only {
-                    Value::Int(self.sum as i64)
-                } else {
-                    Value::Float(self.sum)
-                }
-            }
-            AggKind::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
-            AggKind::Min | AggKind::Max | AggKind::First | AggKind::Last => {
-                self.best.clone().unwrap_or(Value::Null)
-            }
-        })
+        Ok(self.agg.finish(&self.state))
     }
 }
 

@@ -7,11 +7,17 @@
 //! (`div_euclid` slice assignment). The split pipeline (the window's
 //! edge partial → its cloud merge) must match too, from row and from
 //! columnar edge input, for every splittable aggregate including the
-//! decomposed `avg` and the order-dependent `first`/`last`.
+//! decomposed `avg` and the order-dependent `first`/`last`. Every batch
+//! a window emits must already be in the engine's emission order:
+//! (window or slice start, canonical record encoding). Extra cases cover
+//! a composite `(Int, Text)` key, a key idle for several slices while its
+//! older slices stay live, and a plugin aggregate folding beside the
+//! built-ins.
 
 use nebula::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const U: i64 = 1_000; // one time unit in µs — keeps geometries readable
 
@@ -20,7 +26,58 @@ fn schema() -> SchemaRef {
         ("ts", DataType::Timestamp),
         ("key", DataType::Int),
         ("v", DataType::Float),
+        ("tag", DataType::Text),
     ])
+}
+
+/// The `tag` column's values: texts of different lengths, so the key
+/// encoding's length prefix takes part in the order.
+const TAGS: [&str; 3] = ["b", "a", "aa"];
+
+/// A plugin aggregate beside the built-ins: the sum of squares of `v`,
+/// splittable through a one-float partial. It folds through the default
+/// per-row `Aggregator` methods, so windows run its boxed accumulator
+/// next to the inline built-in state.
+struct SumSquares;
+
+impl AggregatorFactory for SumSquares {
+    fn output_type(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<DataType> {
+        Ok(DataType::Float)
+    }
+
+    fn create(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<Box<dyn Aggregator>> {
+        struct Acc(f64);
+        impl Aggregator for Acc {
+            fn update(&mut self, rec: &Record) -> Result<()> {
+                let v = rec.get(2).and_then(Value::as_float).unwrap_or(0.0);
+                self.0 += v * v;
+                Ok(())
+            }
+            fn partial(&self) -> Result<Vec<Value>> {
+                Ok(vec![Value::Float(self.0)])
+            }
+            fn merge_partial(&mut self, partial: &[Value]) -> Result<()> {
+                self.0 += partial.first().and_then(Value::as_float).unwrap_or(0.0);
+                Ok(())
+            }
+            fn finish(&mut self) -> Result<Value> {
+                Ok(Value::Float(self.0))
+            }
+        }
+        Ok(Box::new(Acc(0.0)))
+    }
+
+    fn splittable(&self) -> bool {
+        true
+    }
+
+    fn partial_types(
+        &self,
+        _input: &Schema,
+        _registry: &FunctionRegistry,
+    ) -> Result<Option<Vec<DataType>>> {
+        Ok(Some(vec![DataType::Float]))
+    }
 }
 
 fn all_aggs() -> Vec<WindowAgg> {
@@ -35,8 +92,27 @@ fn all_aggs() -> Vec<WindowAgg> {
     ]
 }
 
+/// The built-ins plus the plugin aggregate, which holds its sums exactly
+/// (the values are small integers), so every grouping agrees bit for bit.
+fn mixed_aggs() -> Vec<WindowAgg> {
+    let mut aggs = all_aggs();
+    aggs.insert(
+        2,
+        WindowAgg::new("sq_v", AggSpec::Custom(Arc::new(SumSquares))),
+    );
+    aggs
+}
+
 fn keys() -> Vec<(String, Expr)> {
     vec![("key".to_string(), col("key"))]
+}
+
+/// The composite key: the `Int` key, then the `Text` tag.
+fn composite_keys() -> Vec<(String, Expr)> {
+    vec![
+        ("key".to_string(), col("key")),
+        ("tag".to_string(), col("tag")),
+    ]
 }
 
 /// One generated scenario: a window geometry, a record stream (possibly
@@ -45,8 +121,8 @@ fn keys() -> Vec<(String, Expr)> {
 #[derive(Debug, Clone)]
 struct Scenario {
     spec: WindowSpec,
-    /// (ts µs, key, value) in arrival order.
-    records: Vec<(i64, i64, f64)>,
+    /// (ts µs, key, value, tag index) in arrival order.
+    records: Vec<(i64, i64, f64, usize)>,
     wm_every: usize,
     slack: i64,
 }
@@ -54,7 +130,10 @@ struct Scenario {
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
     (
         (1i64..7, 1i64..7),
-        proptest::collection::vec((-60i64..60, 0i64..4, -9i64..9, 0i64..2), 0..200),
+        proptest::collection::vec(
+            (-60i64..60, 0i64..4, -9i64..9, 0i64..2, 0usize..TAGS.len()),
+            0..200,
+        ),
         (1usize..8, 0i64..12),
     )
         .prop_map(|((size_u, slide_u), rows, (wm_every, slack_u))| {
@@ -69,7 +148,7 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
             // Sub-slice offsets (t * U/2) exercise non-aligned events.
             let records = rows
                 .into_iter()
-                .map(|(t, k, v, half)| (t * U + half * U / 2, k, v as f64))
+                .map(|(t, k, v, half, tag)| (t * U + half * U / 2, k, v as f64, tag))
                 .collect();
             Scenario {
                 spec,
@@ -87,12 +166,7 @@ fn messages(sc: &Scenario) -> Vec<StreamMessage> {
     let mut out = Vec::new();
     let mut max_ts = i64::MIN;
     for chunk in sc.records.chunks(sc.wm_every.max(1)) {
-        let recs: Vec<Record> = chunk
-            .iter()
-            .map(|&(ts, k, v)| {
-                Record::new(vec![Value::Timestamp(ts), Value::Int(k), Value::Float(v)])
-            })
-            .collect();
+        let recs: Vec<Record> = chunk.iter().map(|&r| record(r)).collect();
         for r in chunk {
             max_ts = max_ts.max(r.0);
         }
@@ -103,6 +177,29 @@ fn messages(sc: &Scenario) -> Vec<StreamMessage> {
     }
     out.push(StreamMessage::Eos);
     out
+}
+
+fn record((ts, k, v, tag): (i64, i64, f64, usize)) -> Record {
+    Record::new(vec![
+        Value::Timestamp(ts),
+        Value::Int(k),
+        Value::Float(v),
+        Value::text(TAGS[tag]),
+    ])
+}
+
+/// A scenario whose key 3 goes idle for a stretch of several slices while
+/// a wide slack keeps its older slices live, so its slices resume past a
+/// gap in the same ring.
+fn idle_key_strategy() -> impl Strategy<Value = Scenario> {
+    scenario_strategy().prop_map(|mut sc| {
+        sc.records
+            .retain(|r| !(r.1 == 3 && (-30 * U..10 * U).contains(&r.0)));
+        sc.records.insert(0, (-45 * U, 3, 1.0, 0));
+        sc.records.push((25 * U, 3, 2.0, 0));
+        sc.slack = 40 * U;
+        sc
+    })
 }
 
 /// The same feed with every data batch transposed to a `TupleBuffer`.
@@ -151,22 +248,31 @@ fn drive(op: &mut dyn Operator, feed: Vec<StreamMessage>) -> Vec<Record> {
 /// every record updates every overlapping open window, windows emit when
 /// the watermark passes their end. This is exactly the seed engine's
 /// O(size/slide)-per-record evaluation strategy.
+/// One naive window's key values and accumulators.
+type OpenWindow = (Vec<Value>, Vec<Box<dyn Aggregator>>);
+
 struct NaiveWindows {
     spec: WindowSpec,
     size: i64,
+    /// Input columns of the key.
+    key_cols: Vec<usize>,
+    aggs: Vec<WindowAgg>,
     registry: FunctionRegistry,
-    state: HashMap<(i64, i64), Vec<Box<dyn Aggregator>>>,
+    /// Per (key bytes, window start): the key values and accumulators.
+    state: HashMap<(Vec<u8>, i64), OpenWindow>,
     wm: i64,
     late: u64,
     emitted: Vec<Record>,
 }
 
 impl NaiveWindows {
-    fn new(spec: WindowSpec) -> Self {
+    fn new(spec: WindowSpec, key_cols: Vec<usize>, aggs: Vec<WindowAgg>) -> Self {
         let size = spec.size().expect("time window");
         NaiveWindows {
             spec,
             size,
+            key_cols,
+            aggs,
             registry: FunctionRegistry::with_builtins(),
             state: HashMap::new(),
             wm: i64::MIN,
@@ -175,8 +281,14 @@ impl NaiveWindows {
         }
     }
 
-    fn record(&mut self, ts: i64, key: i64, v: f64) {
-        let rec = Record::new(vec![Value::Timestamp(ts), Value::Int(key), Value::Float(v)]);
+    fn record(&mut self, rec: &Record) {
+        let ts = rec.get(0).unwrap().as_timestamp().unwrap();
+        let key: Vec<Value> = self
+            .key_cols
+            .iter()
+            .map(|&c| rec.get(c).unwrap().clone())
+            .collect();
+        let key_bytes = record_sort_key(&Record::new(key.clone()));
         let starts = self.spec.assign(ts);
         if starts.is_empty() {
             return; // coverage gap: no window, not late either
@@ -189,53 +301,44 @@ impl NaiveWindows {
             if start + self.size <= self.wm {
                 continue; // closed window: silently skip, still absorbed elsewhere
             }
-            let aggs = self.state.entry((key, start)).or_insert_with(|| {
-                all_aggs()
-                    .iter()
-                    .map(|a| {
-                        a.spec
-                            .create(&schema(), &self.registry, "ts")
-                            .expect("create")
-                    })
-                    .collect()
-            });
-            for agg in aggs {
-                agg.update(&rec).expect("update");
+            let (aggs, registry) = (&self.aggs, &self.registry);
+            let (_, accs) = self
+                .state
+                .entry((key_bytes.clone(), start))
+                .or_insert_with(|| {
+                    let accs = aggs
+                        .iter()
+                        .map(|a| a.spec.create(&schema(), registry, "ts").expect("create"))
+                        .collect();
+                    (key.clone(), accs)
+                });
+            for agg in accs {
+                agg.update(rec).expect("update");
             }
         }
     }
 
     fn watermark(&mut self, wm: i64) {
         self.wm = self.wm.max(wm);
-        let due: Vec<(i64, i64)> = self
+        let due: Vec<(Vec<u8>, i64)> = self
             .state
             .keys()
             .filter(|(_, start)| start + self.size <= self.wm)
             .cloned()
             .collect();
-        for key in due {
-            let mut aggs = self.state.remove(&key).expect("due");
-            let mut values = vec![
-                Value::Int(key.0),
-                Value::Timestamp(key.1),
-                Value::Timestamp(key.1 + self.size),
-            ];
-            for agg in &mut aggs {
-                values.push(agg.finish().expect("finish"));
-            }
-            self.emitted.push(Record::new(values));
-        }
+        self.emit(due);
     }
 
     fn eos(&mut self) {
-        let due: Vec<(i64, i64)> = self.state.keys().cloned().collect();
-        for key in due {
-            let mut aggs = self.state.remove(&key).expect("due");
-            let mut values = vec![
-                Value::Int(key.0),
-                Value::Timestamp(key.1),
-                Value::Timestamp(key.1 + self.size),
-            ];
+        let due: Vec<(Vec<u8>, i64)> = self.state.keys().cloned().collect();
+        self.emit(due);
+    }
+
+    fn emit(&mut self, due: Vec<(Vec<u8>, i64)>) {
+        for entry in due {
+            let (mut values, mut aggs) = self.state.remove(&entry).expect("due");
+            values.push(Value::Timestamp(entry.1));
+            values.push(Value::Timestamp(entry.1 + self.size));
             for agg in &mut aggs {
                 values.push(agg.finish().expect("finish"));
             }
@@ -244,17 +347,13 @@ impl NaiveWindows {
     }
 }
 
-fn run_naive(sc: &Scenario) -> (Vec<Record>, u64) {
-    let mut naive = NaiveWindows::new(sc.spec.clone());
+fn run_naive(sc: &Scenario, key_cols: Vec<usize>, aggs: Vec<WindowAgg>) -> (Vec<Record>, u64) {
+    let mut naive = NaiveWindows::new(sc.spec.clone(), key_cols, aggs);
     for msg in messages(sc) {
         match msg {
             StreamMessage::Data(b) => {
                 for r in b.records() {
-                    naive.record(
-                        r.get(0).unwrap().as_timestamp().unwrap(),
-                        r.get(1).unwrap().as_int().unwrap(),
-                        r.get(2).unwrap().as_float().unwrap(),
-                    );
+                    naive.record(r);
                 }
             }
             StreamMessage::Columnar(_) => unreachable!("messages() emits row buffers only"),
@@ -270,20 +369,80 @@ fn normalized(mut recs: Vec<Record>) -> Vec<Record> {
     recs
 }
 
+/// Fails unless every data batch in `msgs` is in the emission order:
+/// by the start after the `key_count` key columns, then the canonical
+/// record encoding.
+fn assert_emission_order(
+    msgs: &[StreamMessage],
+    key_count: usize,
+) -> std::result::Result<(), String> {
+    let order = |r: &Record| {
+        let start = r.get(key_count).and_then(Value::as_timestamp);
+        (start, record_sort_key(r))
+    };
+    for msg in msgs {
+        if let StreamMessage::Data(b) = msg {
+            let keys: Vec<_> = b.records().iter().map(order).collect();
+            prop_assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "batch out of emission order: {:?}",
+                b.records()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A window over `sc` equals the naive reference, row for row and in
+/// late drops, and emits every batch in the emission order.
+fn check_against_naive(
+    sc: &Scenario,
+    keys: &[(String, Expr)],
+    key_cols: Vec<usize>,
+    aggs: &[WindowAgg],
+) -> std::result::Result<(), String> {
+    let reg = FunctionRegistry::with_builtins();
+    let (expect, naive_late) = run_naive(sc, key_cols, aggs.to_vec());
+    for feed in [messages(sc), columnar(messages(sc))] {
+        let mut op = WindowOp::new("ts", keys, sc.spec.clone(), aggs.to_vec(), schema(), &reg)
+            .expect("window op");
+        let out = run_op(&mut op, feed);
+        assert_emission_order(&out, keys.len())?;
+        prop_assert_eq!(normalized(data_rows(&out)), normalized(expect.clone()));
+        prop_assert_eq!(op.late_drops(), naive_late);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // Slice-based aggregation ≡ naive per-window accumulation, bit for
-    // bit, over every aggregate at once.
+    // bit, over every aggregate at once, from row and from columnar
+    // input; every emitted batch is already in emission order.
     #[test]
     fn slicing_equals_naive_per_window_reference(sc in scenario_strategy()) {
-        let reg = FunctionRegistry::with_builtins();
-        let mut op = WindowOp::new("ts", &keys(), sc.spec.clone(), all_aggs(), schema(), &reg)
-            .expect("window op");
-        let got = drive(&mut op, messages(&sc));
-        let (expect, naive_late) = run_naive(&sc);
-        prop_assert_eq!(normalized(got), normalized(expect));
-        prop_assert_eq!(op.late_drops(), naive_late);
+        check_against_naive(&sc, &keys(), vec![1], &all_aggs())?;
+    }
+
+    // The same over a composite (Int, Text) key: the general key path,
+    // and an emission order decided by multi-column key bytes.
+    #[test]
+    fn composite_key_slicing_equals_naive(sc in scenario_strategy()) {
+        check_against_naive(&sc, &composite_keys(), vec![1, 3], &all_aggs())?;
+    }
+
+    // A key idle for several slices resumes past the gap in its ring.
+    #[test]
+    fn idle_key_slicing_equals_naive(sc in idle_key_strategy()) {
+        check_against_naive(&sc, &keys(), vec![1], &all_aggs())?;
+    }
+
+    // A plugin aggregate's boxed accumulator folds, merges and finishes
+    // beside the built-ins' inline state.
+    #[test]
+    fn plugin_beside_builtins_equals_naive(sc in scenario_strategy()) {
+        check_against_naive(&sc, &keys(), vec![1], &mixed_aggs())?;
     }
 
     // The edge/cloud split — per-slice partials shipped at watermark
@@ -309,8 +468,11 @@ proptest! {
                 "ts", &keys(), &sc.spec, all_aggs(), schema(), &reg,
             ).expect("cloud merge");
             let crossing = run_op(&mut edge, feed);
+            assert_emission_order(&crossing, 1)?;
             let partials = data_rows(&crossing);
-            let got = drive(&mut cloud, crossing);
+            let merged = run_op(&mut cloud, crossing);
+            assert_emission_order(&merged, 1)?;
+            let got = data_rows(&merged);
             prop_assert_eq!(normalized(got.clone()), normalized(expect.clone()));
             prop_assert_eq!(cloud.late_drops(), 0);
             prop_assert_eq!(edge.late_drops(), local.late_drops());
