@@ -415,11 +415,10 @@ pub fn meos_capabilities() -> CapabilityRegistry {
 }
 
 /// Convenience: a registry with builtins + the MEOS plugin loaded.
-pub fn meos_registry() -> FunctionRegistry {
+pub fn meos_registry() -> nebula::Result<FunctionRegistry> {
     let mut reg = FunctionRegistry::with_builtins();
-    reg.load_plugin(&MeosPlugin)
-        .expect("meos plugin registers cleanly");
-    reg
+    reg.load_plugin(&MeosPlugin)?;
+    Ok(reg)
 }
 
 /// A point literal helper for queries.
@@ -433,7 +432,7 @@ mod tests {
     use meos::temporal::{TInstant, TSequence, Temporal};
 
     fn registry() -> FunctionRegistry {
-        meos_registry()
+        meos_registry().unwrap()
     }
 
     fn tp() -> Value {

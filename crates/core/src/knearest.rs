@@ -220,7 +220,7 @@ mod tests {
             staleness_us: 60 * MICROS_PER_SEC,
             ..KNearestFactory::standard(k)
         }
-        .create(schema(), &meos_registry())
+        .create(schema(), &meos_registry().unwrap())
         .unwrap()
     }
 
@@ -376,7 +376,7 @@ mod tests {
 
     #[test]
     fn factory_validates() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         assert!(KNearestFactory {
             k: 0,
             ..KNearestFactory::standard(1)

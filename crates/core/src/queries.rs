@@ -628,7 +628,7 @@ mod tests {
     }
 
     fn registry() -> FunctionRegistry {
-        let mut reg = meos_registry();
+        let mut reg = meos_registry().unwrap();
         reg.load_plugin(&DemoContext::new(zones())).unwrap();
         reg
     }
@@ -725,7 +725,7 @@ mod tests {
             ("p0".into(), Geometry::Point(Point::new(4.60, 51.00))),
             ("p1".into(), Geometry::Point(Point::new(4.20, 50.70))),
         ];
-        let mut reg = meos_registry();
+        let mut reg = meos_registry().unwrap();
         reg.load_plugin(&DemoContext::new(z)).unwrap();
         let call = |f: &str, p: Value| reg.get(f).unwrap().invoke(&[p]).unwrap();
         let nan = Value::Point {

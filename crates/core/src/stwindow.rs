@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn trajectory_agg_builds_sequence() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let factory = TrajectoryAgg::new("pos", "ts");
         let mut agg = factory.create(&schema(), &reg).unwrap();
         for (i, x) in [(0, 4.30), (2, 4.32), (1, 4.31)] {
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn trajectory_agg_empty_is_null() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut agg = TrajectoryAgg::new("pos", "ts")
             .create(&schema(), &reg)
             .unwrap();
@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn tfloat_agg_collects_expression() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let factory = TFloatSeqAgg::linear(col("speed_kmh").div(lit(3.6)), "ts");
         let mut agg = factory.create(&schema(), &reg).unwrap();
         agg.update(&rec(0, 1, 4.3, 36.0)).unwrap();
@@ -419,7 +419,7 @@ mod tests {
     fn trajectory_partials_merge_like_one_accumulator() {
         // Sequence-append: two half-streams snapshot into partials that
         // merge into the same trajectory a single accumulator builds.
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let factory = TrajectoryAgg::new("pos", "ts");
         let mut whole = factory.create(&schema(), &reg).unwrap();
         let mut left = factory.create(&schema(), &reg).unwrap();
@@ -450,7 +450,7 @@ mod tests {
 
     #[test]
     fn tfloat_partials_merge_and_empty_partials_are_noops() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let factory = TFloatSeqAgg::linear(col("speed_kmh"), "ts");
         let mut merged = factory.create(&schema(), &reg).unwrap();
         // An empty accumulator snapshots as a null partial; merging it
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn factories_validate_fields() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         assert!(TrajectoryAgg::new("nope", "ts")
             .output_type(&schema(), &reg)
             .is_err());

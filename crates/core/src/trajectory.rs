@@ -418,7 +418,7 @@ mod tests {
 
     #[test]
     fn trajectory_builder_splits_on_gap_and_flushes() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let factory = TrajectoryBuilderFactory {
             max_gap_us: 10 * MICROS_PER_SEC,
             ..TrajectoryBuilderFactory::standard()
@@ -454,7 +454,7 @@ mod tests {
 
     #[test]
     fn trajectory_builder_per_key() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut op = TrajectoryBuilderFactory::standard()
             .create(schema(), &reg)
             .unwrap();
@@ -484,7 +484,7 @@ mod tests {
 
     #[test]
     fn imputation_fills_gaps() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut op = ImputationFactory {
             tick_us: MICROS_PER_SEC,
             max_fill_us: 10 * MICROS_PER_SEC,
@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn imputation_respects_max_fill_and_reorders() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut op = ImputationFactory {
             tick_us: MICROS_PER_SEC,
             max_fill_us: 5 * MICROS_PER_SEC,
@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn imputation_watermark_incremental() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut op = ImputationFactory::standard()
             .create(schema(), &reg)
             .unwrap();
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn trajectory_builder_snapshot_resumes_identically() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut op = TrajectoryBuilderFactory {
             max_gap_us: 10 * MICROS_PER_SEC,
             max_instants: 3,
@@ -608,7 +608,7 @@ mod tests {
 
     #[test]
     fn imputation_snapshot_resumes_identically() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let mut op = ImputationFactory {
             tick_us: MICROS_PER_SEC,
             max_fill_us: 10 * MICROS_PER_SEC,
@@ -631,7 +631,7 @@ mod tests {
 
     #[test]
     fn factories_validate() {
-        let reg = meos_registry();
+        let reg = meos_registry().unwrap();
         let bad = TrajectoryBuilderFactory {
             key_field: "nope".into(),
             ..TrajectoryBuilderFactory::standard()

@@ -3,7 +3,6 @@
 //! as GeoJSON feature collections a map client can render directly.
 
 use meos::geo::{Geometry, Point, EARTH_RADIUS_M};
-use meos::temporal::{TSequence, Temporal};
 use nebula::prelude::{Record, SchemaRef, Value};
 use serde_json::{json, Map, Value as Json};
 
@@ -102,25 +101,6 @@ pub fn records_to_features(records: &[Record], schema: &SchemaRef, pos_field: &s
         .collect()
 }
 
-/// A trajectory (temporal point) as a timestamped LineString feature —
-/// the Deck.gl `TripsLayer` input shape.
-pub fn trajectory_feature(tp: &Temporal<Point>, props: &Map<String, Json>) -> Json {
-    let seqs = tp.to_sequences();
-    let coords: Vec<Json> = seqs
-        .iter()
-        .flat_map(|s: &TSequence<Point>| {
-            s.instants()
-                .iter()
-                .map(|i| json!([i.value.x, i.value.y, 0.0, i.t.micros() / 1_000_000]))
-        })
-        .collect();
-    json!({
-        "type": "Feature",
-        "geometry": { "type": "LineString", "coordinates": coords },
-        "properties": props,
-    })
-}
-
 /// Writes a JSON document, pretty-printed.
 pub fn write_json(path: impl AsRef<std::path::Path>, doc: &Json) -> std::io::Result<()> {
     std::fs::write(path, serde_json::to_string_pretty(doc)?)
@@ -129,8 +109,6 @@ pub fn write_json(path: impl AsRef<std::path::Path>, doc: &Json) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meos::temporal::TInstant;
-    use meos::time::TimestampTz;
     use nebula::prelude::{DataType, Schema};
 
     #[test]
@@ -188,20 +166,5 @@ mod tests {
         assert!(feats[0]["properties"].get("pos").is_none());
         let fc = feature_collection(&feats);
         assert_eq!(fc["features"].as_array().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn trajectory_feature_carries_timestamps() {
-        let tp: Temporal<Point> = TSequence::linear(vec![
-            TInstant::new(Point::new(4.3, 50.8), TimestampTz::from_unix_secs(10)),
-            TInstant::new(Point::new(4.4, 50.9), TimestampTz::from_unix_secs(20)),
-        ])
-        .unwrap()
-        .into();
-        let f = trajectory_feature(&tp, &Map::new());
-        let coords = f["geometry"]["coordinates"].as_array().unwrap();
-        assert_eq!(coords.len(), 2);
-        assert_eq!(coords[0][3], 10);
-        assert_eq!(coords[1][3], 20);
     }
 }

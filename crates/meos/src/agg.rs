@@ -64,7 +64,6 @@ pub struct SequenceBuilder<V: TempValue> {
     max_gap: Option<TimeDelta>,
     max_instants: Option<usize>,
     current: Vec<TInstant<V>>,
-    late: u64,
 }
 
 impl<V: TempValue> SequenceBuilder<V> {
@@ -75,7 +74,6 @@ impl<V: TempValue> SequenceBuilder<V> {
             max_gap: None,
             max_instants: None,
             current: Vec::new(),
-            late: 0,
         }
     }
 
@@ -92,26 +90,10 @@ impl<V: TempValue> SequenceBuilder<V> {
         self
     }
 
-    /// Number of instants currently buffered.
-    pub fn open_len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Number of observations dropped as late so far.
-    pub fn late_count(&self) -> u64 {
-        self.late
-    }
-
-    /// Timestamp of the last accepted observation.
-    pub fn last_timestamp(&self) -> Option<TimestampTz> {
-        self.current.last().map(|i| i.t)
-    }
-
     /// Feeds one observation.
     pub fn push(&mut self, value: V, t: TimestampTz) -> PushResult<V> {
         if let Some(last) = self.current.last() {
             if t <= last.t {
-                self.late += 1;
                 return PushResult::Late;
             }
             let gap_exceeded = self.max_gap.is_some_and(|g| (t - last.t) > g);
@@ -188,7 +170,6 @@ mod tests {
         assert_eq!(b.push(1.0, t(0)), PushResult::Appended);
         assert_eq!(b.push(2.0, t(10)), PushResult::Appended);
         assert_eq!(b.push(1.5, t(5)), PushResult::Late);
-        assert_eq!(b.late_count(), 1);
         let seq = b.flush().unwrap();
         assert_eq!(seq.num_instants(), 2);
         assert!(b.flush().is_none(), "flush drains");
@@ -207,8 +188,6 @@ mod tests {
             }
             other => panic!("expected emit, got {other:?}"),
         }
-        assert_eq!(b.open_len(), 1);
-        assert_eq!(b.last_timestamp(), Some(t(100)));
     }
 
     #[test]

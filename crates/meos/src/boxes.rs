@@ -5,7 +5,7 @@
 //! evaluated before any exact geometry work.
 
 use crate::error::{MeosError, Result};
-use crate::geo::{Point, Polygon, EARTH_RADIUS_M};
+use crate::geo::{Point, Polygon};
 use crate::span::Span;
 use crate::temporal::TSequence;
 use crate::time::Period;
@@ -25,14 +25,6 @@ impl TBox {
     /// Builds a box from a value span and optional period.
     pub fn new(value: Span<f64>, time: Option<Period>) -> Self {
         TBox { value, time }
-    }
-
-    /// Tight box of a float sequence.
-    pub fn from_tfloat(seq: &TSequence<f64>) -> Self {
-        TBox {
-            value: Span::inclusive(seq.min_value(), seq.max_value()).expect("min <= max"),
-            time: Some(seq.period()),
-        }
     }
 
     /// True iff the boxes overlap in every constrained dimension.
@@ -221,20 +213,6 @@ impl STBox {
         Some(STBox { x, y, t })
     }
 
-    /// Expands the spatial extents by `metres`, converting to degrees at
-    /// the box centre latitude (geodetic boxes).
-    pub fn expand_meters(&self, metres: f64) -> STBox {
-        let k = EARTH_RADIUS_M * std::f64::consts::PI / 180.0;
-        let mid_lat = (self.ymin() + self.ymax()) / 2.0;
-        let dx = metres / (k * mid_lat.to_radians().cos().max(1e-9));
-        let dy = metres / k;
-        STBox {
-            x: self.x.expand(dx),
-            y: self.y.expand(dy),
-            t: self.t,
-        }
-    }
-
     /// The spatial footprint as a rectangle polygon.
     pub fn to_polygon(&self) -> Polygon {
         Polygon::rect(self.xmin(), self.ymin(), self.xmax(), self.ymax())
@@ -330,20 +308,13 @@ mod tests {
     }
 
     #[test]
-    fn expand_meters_lat_aware() {
-        let b = STBox::from_coords(4.35, 4.35, 50.85, 50.85, None).unwrap();
-        let e = b.expand_meters(1000.0);
-        let dy = e.ymax() - e.ymin();
-        let dx = e.xmax() - e.xmin();
-        assert!((dy - 0.018).abs() < 0.002, "2 km ≈ 0.018° lat, got {dy}");
-        assert!(dx > dy, "lon degrees are shorter at 50°N");
-    }
-
-    #[test]
     fn tbox_basics() {
         let seq =
             TSequence::linear(vec![TInstant::new(1.0, t(0)), TInstant::new(9.0, t(10))]).unwrap();
-        let b = TBox::from_tfloat(&seq);
+        let b = TBox::new(
+            Span::inclusive(seq.min_value(), seq.max_value()).unwrap(),
+            Some(seq.period()),
+        );
         assert_eq!(b.value.lower(), 1.0);
         assert_eq!(b.value.upper(), 9.0);
         assert!(b.contains(5.0, Some(t(5))));

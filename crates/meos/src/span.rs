@@ -85,11 +85,6 @@ impl<T: SpanBound> Span<T> {
         Span::new(lower, upper, true, true)
     }
 
-    /// `[lower, upper)`, the half-open convention used for windows.
-    pub fn half_open(lower: T, upper: T) -> Result<Self> {
-        Span::new(lower, upper, true, false)
-    }
-
     /// The degenerate single-value span `[v, v]`.
     pub fn point(v: T) -> Self {
         Span {
@@ -162,11 +157,6 @@ impl<T: SpanBound> Span<T> {
     pub fn is_before(&self, other: &Span<T>) -> bool {
         self.upper < other.lower
             || (self.upper == other.lower && !(self.upper_inc && other.lower_inc))
-    }
-
-    /// True iff `self` lies entirely after `other`.
-    pub fn is_after(&self, other: &Span<T>) -> bool {
-        other.is_before(self)
     }
 
     /// True iff the spans touch without overlapping
@@ -257,19 +247,6 @@ impl<T: SpanBound> Span<T> {
         } else {
             T::dist(other.upper, self.lower)
         }
-    }
-}
-
-impl Span<f64> {
-    /// Expands the span by `by` on both sides.
-    pub fn expand(&self, by: f64) -> Span<f64> {
-        Span::new(
-            self.lower - by,
-            self.upper + by,
-            self.lower_inc,
-            self.upper_inc,
-        )
-        .expect("expanded float span remains valid")
     }
 }
 
@@ -458,7 +435,7 @@ mod tests {
         let d = sp(5.0, 6.0, true, true);
         assert!(!a.overlaps(&d));
         assert!(a.is_before(&d));
-        assert!(d.is_after(&a));
+        assert!(!d.is_before(&a));
     }
 
     #[test]
@@ -549,7 +526,7 @@ mod tests {
 
     #[test]
     fn int_spans() {
-        let s = Span::<i64>::half_open(0, 10).unwrap();
+        let s = Span::<i64>::new(0, 10, true, false).unwrap();
         assert!(s.contains_value(0));
         assert!(!s.contains_value(10));
         assert_eq!(s.width(), 10.0);

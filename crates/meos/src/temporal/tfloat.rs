@@ -55,13 +55,6 @@ impl TSequence<f64> {
         self.at_above(v).intersection(&self.at_below(v))
     }
 
-    /// The sequence with the times where the value equals `v` removed
-    /// (MEOS `tnumber_minus_value`).
-    pub fn minus_value(&self, v: f64) -> Vec<TSequence<f64>> {
-        let keep = PeriodSet::from_span(self.period()).minus(&self.at_value(v));
-        self.at_periodset(&keep)
-    }
-
     fn threshold_periods(&self, c: f64, above: bool) -> PeriodSet {
         let sat = |v: f64| if above { v >= c } else { v <= c };
         if self.interp() == Interp::Discrete || self.num_instants() == 1 {
@@ -350,21 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn at_value_seq_and_minus_value_partition() {
+    fn at_value_seq_is_the_crossing_instant() {
         let s = lin(&[(0.0, 0), (10.0, 10)]);
         let at = s.at_periodset(&s.at_value(5.0));
         assert_eq!(at.len(), 1);
         assert_eq!(at[0].num_instants(), 1);
         assert_eq!(at[0].start_value(), 5.0);
-        let minus = s.minus_value(5.0);
-        assert_eq!(minus.len(), 2);
-        assert_eq!(minus[0].end_timestamp(), t(5));
-        assert!(!minus[0].period().upper_inc(), "cut instant excluded");
-        assert_eq!(minus[1].start_timestamp(), t(5));
-        // Value never present -> identity.
-        let whole = s.minus_value(99.0);
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].num_instants(), 2);
+        assert_eq!(at[0].start_timestamp(), t(5));
+        // Value never present -> nothing.
+        assert!(s.at_value(99.0).is_empty());
     }
 
     #[test]

@@ -249,15 +249,6 @@ pub fn parse_tfloat(s: &str) -> Result<Temporal<f64>> {
     })
 }
 
-/// Parses a temporal boolean literal (`t`/`f`/`true`/`false`).
-pub fn parse_tbool(s: &str) -> Result<Temporal<bool>> {
-    parse_temporal(s, &|v| match v.to_ascii_lowercase().as_str() {
-        "t" | "true" => Ok(true),
-        "f" | "false" => Ok(false),
-        other => Err(MeosError::Parse(format!("bad bool '{other}'"))),
-    })
-}
-
 /// Parses a temporal geometry-point literal.
 pub fn parse_tgeompoint(s: &str) -> Result<Temporal<Point>> {
     parse_temporal(s, &parse_point)
@@ -354,21 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn tbool_and_ttext() {
-        let b =
-            parse_tbool("Interp=Step;[t@2025-06-22T10:00:00Z, f@2025-06-22T10:01:00Z]").unwrap();
-        assert!(b.start_value());
-        assert!(!b.end_value());
-    }
-
-    #[test]
     fn rejects_malformed() {
         assert!(parse_tfloat("").is_err());
         assert!(parse_tfloat("[1@bad-ts]").is_err());
         assert!(parse_tfloat("[1@2025-06-22T10:00:00Z").is_err());
         assert!(parse_tfloat("Interp=Wavy;[1@2025-06-22T10:00:00Z]").is_err());
         assert!(parse_tfloat("1 2 3").is_err());
-        assert!(parse_tbool("x@2025-06-22T10:00:00Z").is_err());
     }
 
     #[test]

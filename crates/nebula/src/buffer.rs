@@ -949,11 +949,6 @@ impl TupleBuffer {
         self.event_time_bounds(ts_col).map(|(_, hi)| hi)
     }
 
-    /// Minimum event time over all rows.
-    pub fn min_event_time(&self, ts_col: usize) -> Option<EventTime> {
-        self.event_time_bounds(ts_col).map(|(lo, _)| lo)
-    }
-
     /// Recomputes `meta.min_ts`/`meta.max_ts` exactly from `ts_col`.
     pub fn recompute_time_bounds(&mut self, ts_col: usize) {
         let bounds = self.event_time_bounds(ts_col);

@@ -1,8 +1,8 @@
 //! The distributed cluster runtime: executing placed query plans across
 //! topology nodes.
 //!
-//! Where [`crate::topology`] only *scores* a placement analytically,
-//! this module runs it: every node that hosts part of the plan gets its
+//! [`crate::topology`] decides where each stage of a query runs; this
+//! module runs it there: every node that hosts part of the plan gets its
 //! own thread driving its operator sub-chain, and consecutive nodes are
 //! joined by bounded channels that carry [`crate::wire`]-encoded frames.
 //! Each frame crossing a topology link is accounted — bytes, records,
@@ -76,7 +76,7 @@
 //!   resumes — re-emitting exactly the records the crash swallowed,
 //!   none of which the sink has seen.
 
-use crate::analysis::{self, AnalysisContext, AnalysisOptions, AnalysisReport, CapabilityRegistry};
+use crate::analysis::{self, AnalysisContext, AnalysisReport, CapabilityRegistry};
 use crate::buffer::TupleBuffer;
 use crate::chaos::{ChaosStats, CrashSwitch, FaultPlan, LinkChaos};
 use crate::checkpoint::{CheckpointStore, CloudPart, EpochState, SourceCut, StagePart};
@@ -88,7 +88,9 @@ use crate::preagg::CloudRole;
 use crate::query::{compile_ops, liveness, Query};
 use crate::record::StreamMessage;
 use crate::reliable::{AckMsg, ReliableRx, ReliableTx, RxEvent};
-use crate::runtime::{deliver, drive, panic_error, resolve_ts_col, ColumnarMode, ProgressTracker};
+use crate::runtime::{
+    deliver, drive, panic_error, resolve_ts_col, ColumnarMode, EnvConfig, ProgressTracker,
+};
 use crate::schema::{ReadSet, SchemaRef};
 use crate::sink::Sink;
 use crate::source::{
@@ -96,7 +98,7 @@ use crate::source::{
 };
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, NodeSnapshot, QueryReport,
-    TelemetryConfig, TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
+    TelemetryConfig, TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN, MAX_EVENTS,
 };
 use crate::topology::{
     plan_placed, NodeId, NodeKind, PlacedPlan, Placement, PlacementStrategy, Topology,
@@ -134,44 +136,10 @@ fn is_knock_on(e: &NebulaError) -> bool {
 /// (crash recovery restores the newest epoch the cloud sealed).
 const CHECKPOINT_EVERY: u64 = 4;
 
-/// Cluster runtime tuning knobs (the distributed analogue of
-/// [`crate::runtime::EnvConfig`]).
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Records per source poll.
-    pub buffer_size: usize,
-    /// Emit a watermark every N source batches (per pipeline; 0 is
-    /// read as 1).
-    pub watermark_every: u64,
-    /// Capacity (frames) of each inter-stage channel.
-    pub channel_capacity: usize,
-    /// Columnar batching policy (see [`crate::runtime::ColumnarMode`])
-    /// for every chain of the plan: each pipeline stage, and the cloud
-    /// tail. Data frames are column-major whatever the mode, and a batch
-    /// encodes to the same bytes from rows or columns, so frame format
-    /// and byte accounting are identical under every mode.
-    pub columnar: crate::runtime::ColumnarMode,
-    /// Runtime telemetry knobs: per-operator instrumentation, the
-    /// cloud-side sampling cadence, per-node snapshot shipping over the
-    /// wire, and trace-event retention.
-    pub telemetry: TelemetryConfig,
-    /// Lint-level overrides for the pre-flight static analyzer (see
-    /// [`crate::analysis`]).
-    pub analysis: AnalysisOptions,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            buffer_size: 1024,
-            watermark_every: 4,
-            channel_capacity: 8,
-            columnar: crate::runtime::ColumnarMode::Auto,
-            telemetry: TelemetryConfig::default(),
-            analysis: AnalysisOptions::new(),
-        }
-    }
-}
+/// The cluster's configuration is [`EnvConfig`]. This alias exists only
+/// because the benchmark harness (`fleetbench/src/workloads.rs`) names
+/// it; the next change to the benchmark deletes it.
+pub type ClusterConfig = EnvConfig;
 
 /// Measured traffic over one topology link (same indexing as
 /// [`Topology::links`]).
@@ -197,8 +165,7 @@ pub struct ClusterMetrics {
     /// Per-link traffic, indexed like [`Topology::links`].
     pub links: Vec<LinkMetrics>,
     /// Bytes that crossed any link into a cloud node — the scarce
-    /// cellular uplink (the measured counterpart of
-    /// [`crate::topology::NetworkCost::cloud_uplink_bytes`]).
+    /// cellular uplink, and what a placement costs on this run's input.
     pub uplink_bytes: u64,
     /// Records that crossed into a cloud node.
     pub uplink_records: u64,
@@ -258,11 +225,20 @@ struct HostedSource {
 }
 
 /// The distributed runtime: a topology plus sources hosted on its nodes.
+///
+/// It takes the local executors' [`EnvConfig`]. Placed runs ignore
+/// `parallelism` (each pipeline stage is one thread), and read
+/// `channel_capacity` as the capacity, in frames, of each inter-stage
+/// channel. `columnar`
+/// governs every chain of the plan, each pipeline stage and the cloud
+/// tail; data frames are column-major whatever the mode, and a batch
+/// encodes to the same bytes from rows or columns, so frame format and
+/// byte accounting are identical under every mode.
 pub struct ClusterEnvironment {
     topo: Topology,
     registry: FunctionRegistry,
     wire: WireRegistry,
-    config: ClusterConfig,
+    config: EnvConfig,
     sources: HashMap<String, Vec<HostedSource>>,
     /// Static-analysis capabilities (opaque-type producers), merged
     /// from loaded plugins; live wire-codec tags are added at analysis
@@ -277,14 +253,14 @@ impl ClusterEnvironment {
             topo,
             registry: FunctionRegistry::with_builtins(),
             wire: WireRegistry::new(),
-            config: ClusterConfig::default(),
+            config: EnvConfig::default(),
             sources: HashMap::new(),
             capabilities: CapabilityRegistry::new(),
         }
     }
 
     /// An environment with a custom configuration.
-    pub fn with_config(topo: Topology, config: ClusterConfig) -> Self {
+    pub fn with_config(topo: Topology, config: EnvConfig) -> Self {
         ClusterEnvironment {
             config,
             ..ClusterEnvironment::new(topo)
@@ -312,7 +288,7 @@ impl ClusterEnvironment {
     }
 
     /// The configuration (for tuning after construction).
-    pub fn config_mut(&mut self) -> &mut ClusterConfig {
+    pub fn config_mut(&mut self) -> &mut EnvConfig {
         &mut self.config
     }
 
@@ -521,7 +497,7 @@ impl ClusterEnvironment {
         let cloud_base = compiled.pipe_chains.first().map_or(0, Vec::len);
         let (mut cloud_ops, cloud_tel) = instrument_chain(compiled.cloud_ops, tel_on, cloud_base);
         let mut chains: Vec<ChainTelemetry> = Vec::with_capacity(n_pipes + 1);
-        let trace = Arc::new(TraceRing::new(self.config.telemetry.max_events));
+        let trace = Arc::new(TraceRing::new(MAX_EVENTS));
         if tel_on {
             trace.push(
                 COORDINATOR_ORIGIN,
@@ -1842,7 +1818,7 @@ impl<'a> Outbox<'a> {
 /// Shared phase context.
 struct PhaseIo<'a> {
     topo: &'a Topology,
-    cfg: &'a ClusterConfig,
+    cfg: &'a EnvConfig,
     wire: &'a WireRegistry,
     accounts: &'a Arc<TrafficAccounts>,
     plan: &'a PlacedPlan,
@@ -2265,9 +2241,9 @@ mod tests {
         let (topo, sensors) = Topology::train_fleet(1);
         let mut env = ClusterEnvironment::with_config(
             topo,
-            ClusterConfig {
+            EnvConfig {
                 buffer_size: 16,
-                ..ClusterConfig::default()
+                ..EnvConfig::default()
             },
         );
         env.add_source(
@@ -2307,10 +2283,10 @@ mod tests {
             let (topo, sensors) = Topology::train_fleet(1);
             let mut env = ClusterEnvironment::with_config(
                 topo,
-                ClusterConfig {
+                EnvConfig {
                     buffer_size: 16,
                     columnar,
-                    ..ClusterConfig::default()
+                    ..EnvConfig::default()
                 },
             );
             env.add_source(

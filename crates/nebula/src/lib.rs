@@ -161,8 +161,7 @@ pub mod prelude {
         TraceKind,
     };
     pub use crate::topology::{
-        measure_stage_bytes, network_cost, place, replace_after_failure, NetworkCost, Node, NodeId,
-        NodeKind, Placement, PlacementStrategy, StageBytes, Topology,
+        plan_placed, Node, NodeId, NodeKind, PlacedPlan, Placement, PlacementStrategy, Topology,
     };
     pub use crate::value::{DataType, DurationUs, EventTime, OpaqueValue, Value, MICROS_PER_SEC};
     pub use crate::window::{

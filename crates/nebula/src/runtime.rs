@@ -47,7 +47,7 @@ use crate::sink::Sink;
 use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
 use crate::telemetry::{
     build_report, instrument_chain, ChainTelemetry, Gauges, QueryReport, TelemetryConfig,
-    TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN,
+    TelemetrySampler, TraceKind, TraceRing, COORDINATOR_ORIGIN, MAX_EVENTS,
 };
 use crate::value::EventTime;
 use parking_lot::{Mutex, MutexGuard};
@@ -612,7 +612,7 @@ impl StreamEnvironment {
         let n = chains.len();
         let threads = if mode.workers == 0 { 0 } else { n };
         let tel_on = self.config.telemetry.enabled;
-        let trace = TraceRing::new(self.config.telemetry.max_events);
+        let trace = TraceRing::new(MAX_EVENTS);
         if tel_on {
             trace.push(
                 COORDINATOR_ORIGIN,

@@ -592,9 +592,8 @@ pub(crate) enum Polled {
 /// hanging it.
 const IDLE_LIMIT: u64 = 100_000;
 
-/// The source stage of every executor, local and cluster, and of
-/// [`crate::topology::measure_stage_bytes`]: apart from source wrappers,
-/// the only caller of [`Source::poll`] and [`Source::poll_columnar`].
+/// The source stage of every executor, local and cluster: apart from
+/// source wrappers, the only caller of [`Source::poll`] and [`Source::poll_columnar`].
 /// Owns what turns a polled batch into stamped work — the batch
 /// sequence, the origin's event-time clock, idle counting, and the
 /// [`ColumnarMode`] gate decision that picks which of the two it polls.

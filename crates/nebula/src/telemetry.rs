@@ -44,8 +44,7 @@ use crate::record::{RecordBuffer, StreamMessage};
 use crate::schema::{ReadSet, SchemaRef};
 use crate::value::EventTime;
 
-/// Telemetry knobs, embedded in [`crate::runtime::EnvConfig`] and
-/// [`crate::cluster::ClusterConfig`].
+/// Telemetry knobs, embedded in [`crate::runtime::EnvConfig`].
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Master switch: when false, operators are not wrapped, samplers
@@ -55,23 +54,21 @@ pub struct TelemetryConfig {
     /// on the driver loop (one elapsed-check per source batch), so the
     /// effective cadence is `max(sample_every, batch duration)`.
     pub sample_every: Duration,
-    /// Cap on the in-memory sample series; the oldest samples are
-    /// dropped (and counted) once the cap is reached.
-    pub max_samples: usize,
-    /// Cap on the trace-event ring; oldest events drop first.
-    pub max_events: usize,
-    /// Cap on cloud-side retained per-node snapshots.
-    pub max_node_snapshots: usize,
 }
+
+/// Cap on the in-memory sample series; the oldest samples are dropped
+/// (and counted) once the cap is reached.
+const MAX_SAMPLES: usize = 4096;
+/// Cap on the trace-event ring; oldest events drop first.
+pub(crate) const MAX_EVENTS: usize = 1024;
+/// Cap on cloud-side retained per-node snapshots.
+const MAX_NODE_SNAPSHOTS: usize = 4096;
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: true,
             sample_every: Duration::from_millis(100),
-            max_samples: 4096,
-            max_events: 1024,
-            max_node_snapshots: 4096,
         }
     }
 }
@@ -650,7 +647,6 @@ impl TelemetrySample {
 pub struct TelemetrySampler {
     enabled: bool,
     every: Duration,
-    max_samples: usize,
     start: Instant,
     last: Instant,
     last_records_in: u64,
@@ -658,7 +654,6 @@ pub struct TelemetrySampler {
     last_stalls: u64,
     samples: VecDeque<TelemetrySample>,
     dropped: u64,
-    max_snapshots: usize,
     snapshots: VecDeque<NodeSnapshot>,
     snapshots_dropped: u64,
 }
@@ -670,7 +665,6 @@ impl TelemetrySampler {
         TelemetrySampler {
             enabled: cfg.enabled,
             every: cfg.sample_every,
-            max_samples: cfg.max_samples.max(1),
             start: now,
             last: now,
             last_records_in: 0,
@@ -678,16 +672,15 @@ impl TelemetrySampler {
             last_stalls: 0,
             samples: VecDeque::new(),
             dropped: 0,
-            max_snapshots: cfg.max_node_snapshots.max(1),
             snapshots: VecDeque::new(),
             snapshots_dropped: 0,
         }
     }
 
-    /// Retains a node snapshot under the configured bound (oldest out
+    /// Retains a node snapshot under [`MAX_NODE_SNAPSHOTS`] (oldest out
     /// first).
     pub(crate) fn keep_snapshot(&mut self, snap: NodeSnapshot) {
-        if self.snapshots.len() >= self.max_snapshots {
+        if self.snapshots.len() >= MAX_NODE_SNAPSHOTS {
             self.snapshots.pop_front();
             self.snapshots_dropped += 1;
         }
@@ -756,7 +749,7 @@ impl TelemetrySampler {
             self.last_stalls = gauges.stalls;
         }
 
-        if self.samples.len() >= self.max_samples {
+        if self.samples.len() >= MAX_SAMPLES {
             self.samples.pop_front();
             self.dropped += 1;
         }
@@ -1063,7 +1056,6 @@ mod tests {
     fn sampler_respects_interval_and_bound() {
         let cfg = TelemetryConfig {
             sample_every: Duration::from_secs(3600),
-            max_samples: 2,
             ..TelemetryConfig::default()
         };
         let mut sampler = TelemetrySampler::new(&cfg);
@@ -1071,11 +1063,11 @@ mod tests {
         // Interval has not elapsed: no sample.
         sampler.maybe_sample(&gauges, &[], None);
         // Forced samples always land, and the series stays bounded.
-        for _ in 0..4 {
+        for _ in 0..MAX_SAMPLES + 2 {
             sampler.force_sample(&gauges, &[], None);
         }
         let (samples, dropped) = sampler.into_series();
-        assert_eq!(samples.len(), 2);
+        assert_eq!(samples.len(), MAX_SAMPLES);
         assert_eq!(dropped, 2);
     }
 

@@ -2,22 +2,21 @@
 //!
 //! NebulaStream runs queries over a hierarchy of sensor, edge and cloud
 //! nodes, pushing operators toward the data sources to cut egress. This
-//! module models that: a tree topology with link costs, placement
-//! strategies (edge-first vs. cloud-only), a per-stage byte measurement
-//! harness, and network-cost evaluation — the quantities behind the
-//! paper's "process at the edge, reduce reliance on connectivity" claim.
-//! Node churn is handled by incremental re-placement (cf. Chaudhary et
-//! al., ICDE 2025).
+//! module models that: a tree topology with link bandwidths and
+//! latencies, the placement strategies (edge-first vs. cloud-only), and
+//! [`plan_placed`], which decides once where every stage of a placed
+//! query runs. What a placement costs is measured, not estimated: the
+//! [`ClusterReport`](crate::cluster::ClusterReport) of
+//! [`ClusterEnvironment::run_placed`](crate::cluster::ClusterEnvironment::run_placed)
+//! carries the bytes that crossed every link, the uplink included —
+//! the quantity behind the paper's "process at the edge, reduce
+//! reliance on connectivity" claim. Node churn is handled by
+//! incremental re-placement ([`PlacedPlan::after_failure`]; cf.
+//! Chaudhary et al., ICDE 2025).
 
 use crate::error::{NebulaError, Result};
-use crate::expr::FunctionRegistry;
-use crate::ops::Operator;
 use crate::preagg::{edge_split, CloudRole};
-use crate::query::{compile, liveness, Query};
-use crate::record::StreamMessage;
-use crate::runtime::{drive, LOCAL_ORIGIN};
-use crate::schema::ReadSet;
-use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
+use crate::query::Query;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -226,49 +225,42 @@ pub enum PlacementStrategy {
     CloudOnly,
 }
 
-/// Computes a placement for `query` with its source on `source_node`.
-pub fn place(
+/// `strategy`'s node for the source on `host`, each of `query`'s
+/// operators and the sink, before [`plan_placed`] splits the pipeline
+/// from the cloud.
+fn place(
     query: &Query,
     topo: &Topology,
-    source_node: NodeId,
+    host: NodeId,
+    cloud: NodeId,
     strategy: PlacementStrategy,
-) -> Result<Placement> {
-    let cloud = topo
-        .cloud()
-        .ok_or_else(|| NebulaError::Plan("topology has no cloud node".into()))?;
+) -> Placement {
+    let edge = topo
+        .first_ancestor_of_kind(host, NodeKind::Edge)
+        .unwrap_or(cloud);
     let mut stages = Vec::with_capacity(query.ops().len() + 2);
-    stages.push(source_node);
-    match strategy {
-        PlacementStrategy::CloudOnly => {
-            for _ in query.ops() {
-                stages.push(cloud);
-            }
-        }
-        PlacementStrategy::EdgeFirst => {
-            let edge = topo
-                .first_ancestor_of_kind(source_node, NodeKind::Edge)
-                .unwrap_or(cloud);
-            // Stateless stays where the data is, stateful goes to the
-            // edge; once there, later stages never move back down (data
-            // flows toward the cloud).
-            let mut current = source_node;
-            for op in query.ops() {
-                if op.is_stateful() {
-                    current = edge;
-                }
-                stages.push(current);
-            }
-        }
+    stages.push(host);
+    // Stateless stays where the data is, stateful goes to the edge; once
+    // there, later stages never move back down (data flows toward the
+    // cloud).
+    let mut current = host;
+    for op in query.ops() {
+        current = match strategy {
+            PlacementStrategy::CloudOnly => cloud,
+            PlacementStrategy::EdgeFirst if op.is_stateful() => edge,
+            PlacementStrategy::EdgeFirst => current,
+        };
+        stages.push(current);
     }
     stages.push(cloud);
-    Ok(Placement { stages })
+    Placement { stages }
 }
 
 /// A placed query plan, decided once by [`plan_placed`]: one pipeline
 /// per hosted source, and the cloud as the last stage of all of them.
 #[derive(Debug, Clone)]
 pub struct PlacedPlan {
-    /// Per pipeline, [`place`]'s placement, with what the cloud runs
+    /// Per pipeline, the strategy's placement, with what the cloud runs
     /// placed there.
     pub(crate) placements: Vec<Placement>,
     /// Every pipeline runs `ops[..pipe_ops]` (a split window as its edge
@@ -283,10 +275,10 @@ pub struct PlacedPlan {
     pub(crate) role: CloudRole,
 }
 
-/// Plans one pipeline per source host in `hosts`: [`place`]s it and
-/// splits it from the cloud ([`edge_split`]). A single pipeline with
-/// nothing shared folds its trailing cloud-placed operators into the
-/// cloud instead of a one-node relay hop.
+/// Plans one pipeline per source host in `hosts`: places it by
+/// `strategy` and splits it from the cloud ([`edge_split`]). A single
+/// pipeline with nothing shared folds its trailing cloud-placed
+/// operators into the cloud instead of a one-node relay hop.
 pub fn plan_placed(
     query: &Query,
     topo: &Topology,
@@ -301,7 +293,7 @@ pub fn plan_placed(
     let mut pipe_ops = split.pipe_end;
     let mut placements = Vec::with_capacity(hosts.len());
     for &host in hosts {
-        let mut placed = place(query, topo, host, strategy)?;
+        let mut placed = place(query, topo, host, cloud, strategy);
         let ops = &placed.stages[1..=pipe_ops];
         if fold {
             pipe_ops = ops.iter().rposition(|&n| n != cloud).map_or(0, |i| i + 1);
@@ -364,8 +356,9 @@ impl PlacedPlan {
     }
 
     /// The plan after `failed` dies and leaves `topo`
-    /// ([`Topology::fail_node`]): its operators migrate to its parent
-    /// ([`replace_after_failure`]). Returns the plan and how many moved.
+    /// ([`Topology::fail_node`]): every stage placed on it migrates to its
+    /// parent. Returns the plan and how many stages moved (the number
+    /// incremental re-placement minimizes).
     pub fn after_failure(&self, topo: &mut Topology, failed: NodeId) -> Result<(Self, usize)> {
         let parent = topo.parent(failed).ok_or_else(|| {
             NebulaError::Plan(format!(
@@ -374,201 +367,27 @@ impl PlacedPlan {
             ))
         })?;
         topo.fail_node(failed);
-        let (placements, moved): (Vec<_>, Vec<_>) = (self.placements.iter())
-            .map(|placed| replace_after_failure(placed, failed, parent))
-            .unzip();
         let mut next = self.clone();
-        next.placements = placements;
-        Ok((next, moved.iter().sum()))
-    }
-}
-
-/// Bytes observed leaving each pipeline stage (stage 0 = raw source).
-#[derive(Debug, Clone)]
-pub struct StageBytes {
-    /// `stage_bytes[0]` is source bytes; `stage_bytes[i+1]` is bytes
-    /// emitted by logical operator `i`.
-    pub stage_bytes: Vec<u64>,
-    /// Records per stage, same indexing.
-    pub stage_records: Vec<u64>,
-}
-
-/// Runs the query over `source` once, measuring bytes/records crossing
-/// every operator boundary — the input to network-cost evaluation. The
-/// bytes of a boundary count only the columns read past it (the
-/// plan's liveness), which is all a link placed there ships. The
-/// source is polled through the executors' source stage, in rows and
-/// without watermarks: a `buffer_size` of 0 reads as 1, and a source
-/// that never becomes ready fails with an `Io` error instead of
-/// hanging the measurement.
-pub fn measure_stage_bytes(
-    source: Box<dyn Source>,
-    query: &Query,
-    registry: &FunctionRegistry,
-    buffer_size: usize,
-) -> Result<StageBytes> {
-    let width = source.schema().len();
-    let plan = compile(query, source.schema(), registry)?;
-    let mut ops = plan.operators;
-    let live = liveness(&ops.iter().map(|op| op.as_ref()).collect::<Vec<_>>(), width);
-    let n = ops.len();
-    let mut bytes = vec![0u64; n + 1];
-    let mut records = vec![0u64; n + 1];
-
-    let mut driver = SourceDriver::new(
-        source,
-        WatermarkStrategy::None,
-        None,
-        LOCAL_ORIGIN,
-        buffer_size,
-        1,
-    );
-    while let Some(Stamped { msg, .. }) = driver.next_batch()? {
-        bytes[0] += live_bytes(&msg, &live[0]);
-        records[0] += msg.record_count() as u64;
-        drive_stages(&mut ops, msg, &live, &mut bytes, &mut records)?;
-    }
-    drive_stages(
-        &mut ops,
-        StreamMessage::Eos,
-        &live,
-        &mut bytes,
-        &mut records,
-    )?;
-    Ok(StageBytes {
-        stage_bytes: bytes,
-        stage_records: records,
-    })
-}
-
-/// Drives one message through `ops` stage by stage, adding what leaves
-/// operator `i` to `bytes[i + 1]` (its columns in `live[i + 1]`) and
-/// `records[i + 1]`.
-fn drive_stages(
-    ops: &mut [Box<dyn Operator>],
-    first: StreamMessage,
-    live: &[ReadSet],
-    bytes: &mut [u64],
-    records: &mut [u64],
-) -> Result<()> {
-    let mut cur = vec![first];
-    for i in 0..ops.len() {
-        let mut next = Vec::new();
-        for msg in cur {
-            next.extend(drive(&mut ops[i..=i], msg)?);
+        let stages = next.placements.iter_mut().flat_map(|pl| &mut pl.stages);
+        let mut moved = 0;
+        for node in stages.filter(|node| **node == failed) {
+            *node = parent;
+            moved += 1;
         }
-        for m in &next {
-            bytes[i + 1] += live_bytes(m, &live[i + 1]);
-            records[i + 1] += m.record_count() as u64;
-        }
-        cur = next;
+        Ok((next, moved))
     }
-    Ok(())
-}
-
-/// The estimated bytes of `msg`'s columns in `live`.
-fn live_bytes(msg: &StreamMessage, live: &ReadSet) -> u64 {
-    let bytes = match msg {
-        StreamMessage::Data(b) => (b.records().iter())
-            .flat_map(|rec| rec.values().iter().enumerate())
-            .filter(|&(col, _)| live.contains(col))
-            .map(|(_, v)| v.est_bytes())
-            .sum(),
-        StreamMessage::Columnar(b) => (b.columns().iter().enumerate())
-            .filter(|&(col, _)| live.contains(col))
-            .map(|(_, c)| c.est_bytes())
-            .sum(),
-        StreamMessage::Watermark(_) | StreamMessage::Eos => 0,
-    };
-    bytes as u64
-}
-
-/// Network cost of running a placement: bytes crossing each link and the
-/// end-to-end path latency.
-#[derive(Debug, Clone)]
-pub struct NetworkCost {
-    /// Bytes per link index.
-    pub bytes_per_link: Vec<u64>,
-    /// Total bytes crossing any link.
-    pub total_bytes: u64,
-    /// Sum of one-way latencies along the stage path.
-    pub path_latency_ms: f64,
-    /// Bytes leaving the *edge tier* toward the cloud (the paper's
-    /// scarce resource: the cellular uplink).
-    pub cloud_uplink_bytes: u64,
-}
-
-/// Combines measured stage bytes with a placement over a topology.
-pub fn network_cost(
-    topo: &Topology,
-    placement: &Placement,
-    stages: &StageBytes,
-) -> Result<NetworkCost> {
-    if placement.stages.len() != stages.stage_bytes.len() + 1 {
-        return Err(NebulaError::Plan(format!(
-            "placement has {} stages, measurements {}",
-            placement.stages.len(),
-            stages.stage_bytes.len() + 1
-        )));
-    }
-    let mut bytes_per_link = vec![0u64; topo.links().len()];
-    let mut path_latency_ms = 0.0;
-    let mut cloud_uplink = 0u64;
-    for (i, w) in placement.stages.windows(2).enumerate() {
-        let (from, to) = (w[0], w[1]);
-        if from == to {
-            continue;
-        }
-        let b = stages.stage_bytes[i];
-        for idx in topo.path_up(from, to)? {
-            bytes_per_link[idx] += b;
-            path_latency_ms += topo.links()[idx].latency_ms;
-            if topo.node(topo.links()[idx].to).kind == NodeKind::Cloud {
-                cloud_uplink += b;
-            }
-        }
-    }
-    Ok(NetworkCost {
-        total_bytes: bytes_per_link.iter().sum(),
-        bytes_per_link,
-        path_latency_ms,
-        cloud_uplink_bytes: cloud_uplink,
-    })
-}
-
-/// Re-places a query after a node failure: every stage assigned to the
-/// failed node migrates to that node's former parent. Returns the new
-/// placement and the number of migrated stages (the metric incremental
-/// placement minimizes).
-pub fn replace_after_failure(
-    placement: &Placement,
-    failed: NodeId,
-    fallback: NodeId,
-) -> (Placement, usize) {
-    let mut migrated = 0;
-    let stages = placement
-        .stages
-        .iter()
-        .map(|&n| {
-            if n == failed {
-                migrated += 1;
-                fallback
-            } else {
-                n
-            }
-        })
-        .collect();
-    (Placement { stages }, migrated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterEnvironment, ClusterMetrics};
     use crate::expr::{col, lit};
     use crate::ops::{Pattern, PatternStep};
     use crate::record::Record;
     use crate::schema::Schema;
-    use crate::source::VecSource;
+    use crate::sink::CollectingSink;
+    use crate::source::{VecSource, WatermarkStrategy};
     use crate::value::{DataType, Value, MICROS_PER_SEC};
     use crate::window::{AggSpec, WindowAgg, WindowSpec};
 
@@ -604,6 +423,17 @@ mod tests {
             )
     }
 
+    /// The placement of `query`'s one pipeline, hosted on `host`.
+    fn placement(
+        topo: &Topology,
+        host: NodeId,
+        query: &Query,
+        strategy: PlacementStrategy,
+    ) -> Placement {
+        let plan = plan_placed(query, topo, &[host], strategy).unwrap();
+        plan.placements()[0].clone()
+    }
+
     #[test]
     fn fleet_topology_structure() {
         let (topo, sensors) = Topology::train_fleet(6);
@@ -624,8 +454,8 @@ mod tests {
     fn edge_first_vs_cloud_only_placement() {
         let (topo, sensors) = Topology::train_fleet(1);
         let q = demo_query();
-        let edge = place(&q, &topo, sensors[0], PlacementStrategy::EdgeFirst).unwrap();
-        let cloud = place(&q, &topo, sensors[0], PlacementStrategy::CloudOnly).unwrap();
+        let edge = placement(&topo, sensors[0], &q, PlacementStrategy::EdgeFirst);
+        let cloud = placement(&topo, sensors[0], &q, PlacementStrategy::CloudOnly);
         assert_eq!(edge.stages.len(), 4); // source, filter, window, sink
                                           // Filter stays on the sensor; window moves to the edge.
         assert_eq!(edge.stages[1], sensors[0]);
@@ -642,111 +472,74 @@ mod tests {
             .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
             .unwrap();
         let cloud = topo.cloud().unwrap();
-        let q = demo_query()
-            .filter(col("n").gt(lit(0i64)))
+        // A CEP first: nothing splits, so the one pipeline keeps the plan.
+        let q = Query::from("trains")
+            .filter(col("speed").gt(lit(90.0)))
             .cep(Pattern::new(
                 "busy",
-                vec![PatternStep::new("a", col("n").gt(lit(1i64)))],
+                vec![PatternStep::new("a", col("speed").gt(lit(95.0)))],
                 60 * MICROS_PER_SEC,
-            ));
-        let pl = place(&q, &topo, sensors[0], PlacementStrategy::EdgeFirst).unwrap();
-        // source, filter, window, filter, CEP, sink
-        assert_eq!(
-            pl.stages,
-            vec![sensors[0], sensors[0], edge, edge, edge, cloud]
+            ))
+            .filter(col("train").gt(lit(0i64)));
+        let pl = placement(&topo, sensors[0], &q, PlacementStrategy::EdgeFirst);
+        // source, filter, CEP, filter, sink
+        assert_eq!(pl.stages, vec![sensors[0], sensors[0], edge, edge, cloud]);
+    }
+
+    /// The link traffic of `demo_query` over 1 000 rows on one train.
+    fn placed_traffic(strategy: PlacementStrategy) -> ClusterMetrics {
+        let (topo, sensors) = Topology::train_fleet(1);
+        let mut env = ClusterEnvironment::new(topo);
+        let source = VecSource::new(schema(), records(1000));
+        env.add_source(
+            "trains",
+            sensors[0],
+            Box::new(source),
+            WatermarkStrategy::None,
         );
+        let (mut sink, _) = CollectingSink::new();
+        let report = env.run_placed(&demo_query(), strategy, &mut sink);
+        report.unwrap().cluster
     }
 
     #[test]
     fn stage_bytes_decrease_after_selective_filter() {
-        let reg = FunctionRegistry::with_builtins();
-        let src = Box::new(VecSource::new(schema(), records(1000)));
-        let sb = measure_stage_bytes(src, &demo_query(), &reg, 128).unwrap();
-        assert_eq!(sb.stage_records[0], 1000);
-        assert!(sb.stage_records[1] < 200, "filter keeps ~9%");
-        assert!(sb.stage_bytes[1] < sb.stage_bytes[0] / 5);
-        assert!(sb.stage_records[2] <= sb.stage_records[1]);
-    }
-
-    /// Runs `measure_stage_bytes` on its own thread; a result that does
-    /// not arrive within the deadline is a hang and fails the test.
-    fn measure_within_deadline(source: Box<dyn Source>, buffer_size: usize) -> Result<StageBytes> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let reg = FunctionRegistry::with_builtins();
-            let _ = tx.send(measure_stage_bytes(
-                source,
-                &demo_query(),
-                &reg,
-                buffer_size,
-            ));
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(30))
-            .expect("measure_stage_bytes hung")
-    }
-
-    #[test]
-    fn stage_bytes_of_a_never_ready_source_fail_instead_of_hanging() {
-        struct NeverReady;
-        impl Source for NeverReady {
-            fn schema(&self) -> crate::schema::SchemaRef {
-                schema()
-            }
-            fn poll(&mut self, _max: usize) -> Result<crate::source::SourceBatch> {
-                Ok(crate::source::SourceBatch::Idle)
-            }
-        }
-        match measure_within_deadline(Box::new(NeverReady), 128) {
-            Err(NebulaError::Io(msg)) => assert!(msg.contains("stayed idle"), "{msg}"),
-            other => panic!("expected the idle-source error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stage_bytes_read_a_zero_buffer_size_as_one() {
-        let src = Box::new(VecSource::new(schema(), records(100)));
-        let sb = measure_within_deadline(src, 0).unwrap();
-        assert_eq!(sb.stage_records[0], 100);
+        // `train_fleet(1)`'s link 1 is the sensors → edge bus: under
+        // `EdgeFirst` it carries what leaves the filter, under
+        // `CloudOnly` the raw stream.
+        let filtered = &placed_traffic(PlacementStrategy::EdgeFirst).links[1];
+        let raw = &placed_traffic(PlacementStrategy::CloudOnly).links[1];
+        assert_eq!(raw.records, 1000);
+        assert!(filtered.records < 200, "filter keeps ~9%");
+        assert!(filtered.bytes < raw.bytes / 5);
     }
 
     #[test]
     fn edge_placement_cuts_uplink_bytes() {
-        let (topo, sensors) = Topology::train_fleet(1);
-        let reg = FunctionRegistry::with_builtins();
-        let q = demo_query();
-        let sb = measure_stage_bytes(
-            Box::new(VecSource::new(schema(), records(1000))),
-            &q,
-            &reg,
-            128,
-        )
-        .unwrap();
-        let edge_pl = place(&q, &topo, sensors[0], PlacementStrategy::EdgeFirst).unwrap();
-        let cloud_pl = place(&q, &topo, sensors[0], PlacementStrategy::CloudOnly).unwrap();
-        let edge_cost = network_cost(&topo, &edge_pl, &sb).unwrap();
-        let cloud_cost = network_cost(&topo, &cloud_pl, &sb).unwrap();
+        let edge = placed_traffic(PlacementStrategy::EdgeFirst);
+        let cloud = placed_traffic(PlacementStrategy::CloudOnly);
         assert!(
-            edge_cost.cloud_uplink_bytes < cloud_cost.cloud_uplink_bytes / 5,
+            edge.uplink_bytes < cloud.uplink_bytes / 5,
             "edge {} vs cloud {}",
-            edge_cost.cloud_uplink_bytes,
-            cloud_cost.cloud_uplink_bytes
+            edge.uplink_bytes,
+            cloud.uplink_bytes
         );
-        assert!(edge_cost.total_bytes < cloud_cost.total_bytes);
+        let total = |m: &ClusterMetrics| -> u64 { m.links.iter().map(|l| l.bytes).sum() };
+        assert!(total(&edge) < total(&cloud));
     }
 
     #[test]
     fn failure_replacement_migrates_stages() {
         let (mut topo, sensors) = Topology::train_fleet(1);
         let q = demo_query();
-        let pl = place(&q, &topo, sensors[0], PlacementStrategy::EdgeFirst).unwrap();
+        let plan = plan_placed(&q, &topo, &sensors, PlacementStrategy::EdgeFirst).unwrap();
         let edge = topo
             .first_ancestor_of_kind(sensors[0], NodeKind::Edge)
             .unwrap();
         let cloud = topo.cloud().unwrap();
-        assert!(topo.fail_node(edge));
-        let (new_pl, migrated) = replace_after_failure(&pl, edge, cloud);
+        let (next, migrated) = plan.after_failure(&mut topo, edge).unwrap();
         assert!(migrated >= 1);
-        assert!(!new_pl.stages.contains(&edge));
+        assert!(!next.placements()[0].stages.contains(&edge));
         // Sensor now reaches the cloud directly.
         assert_eq!(topo.path_up(sensors[0], cloud).unwrap().len(), 1);
     }

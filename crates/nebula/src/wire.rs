@@ -39,12 +39,11 @@
 //! A null row keeps its fixed-width slot, zeroed, and an empty text
 //! slice, so each batch has exactly one encoding and [`decode_frame`]
 //! builds every fixed-width column with one bounds-checked copy. Measured
-//! bytes stay close to [`crate::record::Record::est_bytes`] (the
-//! analytic estimator behind `topology::network_cost`): non-null
+//! bytes stay close to [`crate::record::Record::est_bytes`]: non-null
 //! payloads match it exactly, and the overhead is per frame — the 9-byte
 //! header and one flag byte per field — plus, in a column with nulls,
 //! its bitmap and the difference between a null's full slot on the wire
-//! and the 1 byte the estimator counts for it.
+//! and the 1 byte `est_bytes` counts for it.
 //!
 //! Two value/schema flexibilities mirror the engine's accessor rules
 //! ([`Value::as_int`] / [`Value::as_timestamp`] accept either variant):
@@ -1155,7 +1154,7 @@ mod tests {
 
     #[test]
     fn wire_bytes_track_est_bytes() {
-        // Without nulls, measured bytes are the analytic estimate plus a
+        // Without nulls, measured bytes are `est_bytes` plus a
         // per-frame overhead that does not grow with the row count.
         let reg = WireRegistry::new();
         let s = schema();

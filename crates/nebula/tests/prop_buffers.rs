@@ -431,7 +431,6 @@ proptest! {
                 prop_assert!(tb.meta().min_ts.unwrap() <= t && t <= tb.meta().max_ts.unwrap());
             }
         }
-        prop_assert_eq!(tb.min_event_time(0), tb.meta().min_ts);
         prop_assert_eq!(tb.max_event_time(0), tb.meta().max_ts);
     }
 

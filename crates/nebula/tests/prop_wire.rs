@@ -271,7 +271,7 @@ proptest! {
 
     #[test]
     fn wire_bytes_stay_near_the_estimator(records in batch_strategy()) {
-        // The reconciliation contract behind `network_cost`: non-null
+        // The wire's byte contract against `est_bytes`: non-null
         // values cost exactly their `est_bytes`; a null costs its full
         // slot instead of the estimate's 1 byte; the rest is per frame
         // (9 bytes of header, one validity flag per field) plus one

@@ -317,18 +317,6 @@ impl RailNetwork {
             .filter_map(|z| z.speed_limit_kmh)
             .fold(line_limit, f64::min)
     }
-
-    /// Distance (m) from `p` to the nearest workshop, with its name.
-    pub fn nearest_workshop(&self, p: &Point) -> Option<(&str, f64)> {
-        self.zones_of(ZoneKind::Workshop)
-            .map(|z| {
-                (
-                    z.name.as_str(),
-                    z.geometry.distance_to_point(p, Metric::Haversine),
-                )
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
-    }
 }
 
 /// Track point of maximal turning angle (curve centre candidate).
@@ -440,16 +428,5 @@ mod tests {
         let open_track = net.routes[0].position_at(10_000.0).0;
         let lim = net.speed_limit_at(&open_track, 160.0);
         assert!(lim <= 160.0);
-    }
-
-    #[test]
-    fn nearest_workshop_found() {
-        let net = RailNetwork::belgium();
-        let (name, d) = net.nearest_workshop(&net.stations[0].pos).unwrap();
-        assert!(
-            name.contains("Brussels-Midi"),
-            "nearest to Midi is its own: {name}"
-        );
-        assert!(d < 3_000.0, "{d}");
     }
 }

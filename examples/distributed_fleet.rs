@@ -1,7 +1,6 @@
 //! Distributed fleet analytics: the cluster runtime executing a placed
-//! plan across the sensors → edge → cloud topology — for real, not just
-//! scored analytically (contrast with `edge_placement`, which only
-//! estimates network cost).
+//! plan across the sensors → edge → cloud topology, with every link's
+//! traffic measured on the wire.
 //!
 //! Six trains each host their own slice of the fleet stream on their
 //! onboard sensors. A per-train window profile is placed edge-first:
@@ -43,10 +42,10 @@ fn fleet_env(records: &[Record]) -> (ClusterEnvironment, Vec<NodeId>) {
     let (topo, sensors) = Topology::train_fleet(NUM_TRAINS);
     let mut env = ClusterEnvironment::with_config(
         topo,
-        ClusterConfig {
+        EnvConfig {
             buffer_size: 256,
             watermark_every: 2,
-            ..ClusterConfig::default()
+            ..EnvConfig::default()
         },
     );
     let train_col = sncb::fleet_schema().index_of("train_id").expect("train_id");
@@ -147,11 +146,11 @@ fn main() -> nebula::Result<()> {
         .expect("edge exists");
     let mut env = ClusterEnvironment::with_config(
         topo,
-        ClusterConfig {
+        EnvConfig {
             // Small batches so the failure lands mid-stream.
             buffer_size: 64,
             watermark_every: 2,
-            ..ClusterConfig::default()
+            ..EnvConfig::default()
         },
     );
     let train0: Vec<Record> = {

@@ -26,13 +26,14 @@ fn main() {
     // Figure 1: architecture / topology with placement.
     // ------------------------------------------------------------------
     let (topo, sensors) = Topology::train_fleet(6);
-    let placement = place(
+    let plan = plan_placed(
         &queries[0].1,
         &topo,
-        sensors[0],
+        &sensors[..1],
         PlacementStrategy::EdgeFirst,
     )
     .unwrap();
+    let placement = &plan.placements()[0];
     println!("Figure 1 — topology (6 trains):");
     for node in topo.nodes() {
         println!("  {:?} {}", node.kind, node.name);

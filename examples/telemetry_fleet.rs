@@ -96,11 +96,11 @@ fn main() -> nebula::Result<()> {
     let (topo, sensors) = Topology::train_fleet(NUM_TRAINS);
     let mut env = ClusterEnvironment::with_config(
         topo,
-        ClusterConfig {
+        EnvConfig {
             buffer_size: 256,
             watermark_every: 2,
             telemetry: telemetry(),
-            ..ClusterConfig::default()
+            ..EnvConfig::default()
         },
     );
     let train_col = sncb::fleet_schema().index_of("train_id").expect("train_id");

@@ -195,7 +195,7 @@ fn crash_run_logged(
     let edge = edge_node(&topo, sensors[0]);
     let mut env = ClusterEnvironment::with_config(
         topo,
-        ClusterConfig {
+        EnvConfig {
             telemetry: TelemetryConfig {
                 enabled: false,
                 ..TelemetryConfig::default()

@@ -10,8 +10,8 @@
 //! edge pre-aggregation, crash recovery) is observationally invisible.
 //!
 //! The hand-written checks below pin what only a cluster has: measured
-//! uplink bytes against the analytic `network_cost`, per-link traffic,
-//! fan-in of several trains, streaming delivery, and `explain`.
+//! uplink bytes, per-link traffic, fan-in of several trains, streaming
+//! delivery, and `explain`.
 
 #[macro_use]
 mod common;
@@ -413,7 +413,7 @@ fn plan_error_keeps_sources_hosted() {
     assert_eq!(got.len(), 600);
 }
 
-/// The filtered per-train window of the wire-byte reconciliation.
+/// A filtered per-train window: count and max speed per minute.
 fn filtered_window() -> Query {
     Query::from("s").filter(col("speed").ge(lit(40.0))).window(
         vec![("train", col("train"))],
@@ -427,108 +427,10 @@ fn filtered_window() -> Query {
     )
 }
 
-/// For each strategy, the analytic estimate (`measure_stage_bytes` +
-/// `network_cost`) of the filtered window's wire bytes and a placed run
-/// of it at `columnar`.
-fn estimated_and_measured(
-    columnar: ColumnarMode,
-) -> Vec<(PlacementStrategy, NetworkCost, ClusterReport)> {
-    let q = filtered_window();
-    let reg = FunctionRegistry::with_builtins();
-    let stages = measure_stage_bytes(Box::new(VecSource::new(schema(), records())), &q, &reg, 32)
-        .expect("stage measurement");
-    [PlacementStrategy::CloudOnly, PlacementStrategy::EdgeFirst]
-        .map(|strategy| {
-            let (topo, sensors) = Topology::train_fleet(3);
-            let placement = place(&q, &topo, sensors[0], strategy).expect("placement");
-            let analytic = network_cost(&topo, &placement, &stages).expect("network cost");
-            let config = Config {
-                batch: 32,
-                columnar,
-            };
-            let entry = Entry::Placed(strategy);
-            let report = execute(&q, &WatermarkStrategy::None, Feed::InOrder, entry, config)
-                .expect("cluster run")
-                .cluster
-                .unwrap();
-            assert_eq!(
-                report.cluster.preaggregated,
-                strategy == PlacementStrategy::EdgeFirst,
-                "{strategy:?}: the split engages exactly under EdgeFirst"
-            );
-            (strategy, analytic, report)
-        })
-        .into()
-}
-
-/// The analytic estimator (`measure_stage_bytes` + `network_cost`) must
-/// reconcile with the bytes actually measured on the wire. Stated
-/// tolerance: measured bytes may exceed the estimate by at most 15%
-/// (frame headers, per-field validity flags and bitmaps, control
-/// frames) and never undercut it by more than 5%.
-#[test]
-fn analytic_network_cost_reconciles_with_measured_wire_bytes() {
-    for (strategy, analytic, report) in estimated_and_measured(ColumnarMode::Auto) {
-        for (i, link) in report.cluster.links.iter().enumerate() {
-            let estimate = analytic.bytes_per_link[i];
-            let measured = link.bytes;
-            if estimate == 0 {
-                // Only control frames (Eos) may cross an "idle" link.
-                assert!(
-                    measured < 64,
-                    "{strategy:?} link {i}: {measured} bytes on a zero-estimate link"
-                );
-                continue;
-            }
-            let ratio = measured as f64 / estimate as f64;
-            assert!(
-                (0.95..=1.15).contains(&ratio),
-                "{strategy:?} link {i}: measured {measured} vs estimate {estimate} \
-                 (ratio {ratio:.3}) outside the stated 15% tolerance"
-            );
-        }
-        let uplink_ratio =
-            report.cluster.uplink_bytes as f64 / analytic.cloud_uplink_bytes.max(1) as f64;
-        assert!(
-            (0.95..=1.15).contains(&uplink_ratio),
-            "{strategy:?}: uplink measured {} vs estimate {} (ratio {uplink_ratio:.3})",
-            report.cluster.uplink_bytes,
-            analytic.cloud_uplink_bytes
-        );
-    }
-}
-
-#[test]
-fn batched_wire_bytes_reconcile_with_analytic_network_cost() {
-    // The analytic estimator was validated against the per-record wire
-    // path; the batched path must land inside the same stated tolerance.
-    for (strategy, analytic, report) in estimated_and_measured(ColumnarMode::Force) {
-        for (i, link) in report.cluster.links.iter().enumerate() {
-            let estimate = analytic.bytes_per_link[i];
-            let measured = link.bytes;
-            if estimate == 0 {
-                assert!(
-                    measured < 64,
-                    "{strategy:?} link {i}: {measured} bytes on a zero-estimate link"
-                );
-                continue;
-            }
-            let ratio = measured as f64 / estimate as f64;
-            assert!(
-                (0.95..=1.15).contains(&ratio),
-                "{strategy:?} link {i}: columnar measured {measured} vs estimate {estimate} \
-                 (ratio {ratio:.3}) outside the stated 15% tolerance"
-            );
-        }
-    }
-}
-
 #[test]
 fn batched_wire_bytes_match_row_wire_bytes() {
     // Rows and buffers encode to the same column-major bytes, so
-    // per-link traffic must be byte-identical to the per-record path,
-    // keeping the analytic `network_cost` reconciliation valid for
-    // batched runs too.
+    // per-link traffic must be byte-identical to the per-record path.
     let q = filtered_window();
     for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
         let [row, col] = [ColumnarMode::Off, ColumnarMode::Force].map(|columnar| {
@@ -673,10 +575,10 @@ fn watermark_every_zero_reads_as_one_in_run_and_run_placed() {
     assert!(late > 0, "zero slack under jitter must drop something");
     assert_eq!(run(0), (reference.clone(), late), "run: 0 reads as 1");
     for strategy in [PlacementStrategy::EdgeFirst, PlacementStrategy::CloudOnly] {
-        let config = ClusterConfig {
+        let config = EnvConfig {
             buffer_size: 4,
             watermark_every: 0,
-            ..ClusterConfig::default()
+            ..EnvConfig::default()
         };
         let (mut env, _) = cluster_env(Feed::Jittered(3), 3, config, &exact);
         let (mut sink, got) = CollectingSink::new();
@@ -768,7 +670,7 @@ fn first_delivery_happens_while_the_source_still_has_batches() {
 /// Runs one placed query with sub-interval sampling so every node ships
 /// snapshots, returning the full cluster report.
 fn telemetry_cluster_run(query: &Query, strategy: PlacementStrategy) -> ClusterReport {
-    let config = ClusterConfig {
+    let config = EnvConfig {
         telemetry: TelemetryConfig {
             sample_every: std::time::Duration::ZERO,
             ..TelemetryConfig::default()
@@ -860,7 +762,7 @@ fn link_traffic(
     let (topo, sensors) = Topology::train_fleet(trains);
     let mut env = ClusterEnvironment::with_config(
         topo,
-        ClusterConfig {
+        EnvConfig {
             telemetry: TelemetryConfig {
                 enabled: false,
                 ..TelemetryConfig::default()

@@ -276,11 +276,11 @@ fn cluster_env(failure: Option<Failure>, buffer_size: usize) -> (ClusterEnvironm
     let (topo, sensors) = Topology::train_fleet(1);
     let mut env = ClusterEnvironment::with_config(
         topo,
-        ClusterConfig {
+        EnvConfig {
             buffer_size,
             watermark_every: 2,
             channel_capacity: 2,
-            ..ClusterConfig::default()
+            ..EnvConfig::default()
         },
     );
     register_failing_functions(env.registry_mut());

@@ -190,11 +190,11 @@ pub fn execute(
         (metrics, env.take_report(), None)
     } else {
         let trains = if feed == Feed::Fleet { 1 } else { 3 };
-        let config = ClusterConfig {
+        let config = EnvConfig {
             buffer_size: config.batch,
             watermark_every: feed.watermark_every(),
             columnar: config.columnar,
-            ..ClusterConfig::default()
+            ..EnvConfig::default()
         };
         let (mut env, sensor) = cluster_env(feed, trains, config, watermark);
         let report = entry.run_placed(&mut env, sensor, query, &mut sink)?;

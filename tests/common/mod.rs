@@ -557,7 +557,7 @@ pub fn chaos_seeds() -> Vec<u64> {
 pub fn cluster_env(
     feed: Feed,
     trains: usize,
-    config: ClusterConfig,
+    config: EnvConfig,
     watermark: &WatermarkStrategy,
 ) -> (ClusterEnvironment, NodeId) {
     let (topo, sensors) = Topology::train_fleet(trains);
@@ -576,11 +576,11 @@ pub fn cluster_env(
 }
 
 /// The default cluster config of the synthetic feeds.
-pub fn cluster_config() -> ClusterConfig {
-    ClusterConfig {
+pub fn cluster_config() -> EnvConfig {
+    EnvConfig {
         buffer_size: 32,
         watermark_every: 2,
-        ..ClusterConfig::default()
+        ..EnvConfig::default()
     }
 }
 

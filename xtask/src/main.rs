@@ -16,10 +16,10 @@
 //!    ids never drift between runs. Operators whose name is genuinely
 //!    dynamic (plugin wrappers) are allowlisted here.
 //!
-//! `loc` — non-test line counts (everything before a file's
-//! `#[cfg(test)]`) of every `.rs` file under the same trees, then of
-//! every directory and tree: the unit the simplicity targets in
-//! `ROADMAP.md` are stated in.
+//! `loc` — non-test line counts (everything before the `#[cfg(test)]`
+//! that opens a file's trailing test module) of every `.rs` file under
+//! the same trees, then of every directory and tree: the unit the
+//! simplicity targets in `ROADMAP.md` are stated in.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -101,14 +101,26 @@ fn loc() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The non-test prefix of a source file: everything before the first
-/// `#[cfg(test)]` (the repo convention keeps tests in a trailing
-/// module).
+/// The non-test prefix of a source file: everything before the
+/// unindented `#[cfg(test)]` that opens a `mod` (the repo convention
+/// keeps tests in trailing modules). A `#[cfg(test)]` on an import or
+/// on a method does not end the prefix.
 fn non_test_prefix(content: &str) -> &str {
-    match content.find("#[cfg(test)]") {
-        Some(idx) => &content[..idx],
-        None => content,
+    let mut offset = 0;
+    let mut lines = content.split_inclusive('\n').peekable();
+    while let Some(line) = lines.next() {
+        let opens_mod = lines.peek().is_some_and(|next| {
+            let item = next
+                .trim_start_matches("pub(crate) ")
+                .trim_start_matches("pub ");
+            item.starts_with("mod ")
+        });
+        if line.trim_end() == "#[cfg(test)]" && opens_mod {
+            return &content[..offset];
+        }
+        offset += line.len();
     }
+    content
 }
 
 /// Allowlist entries: `path-suffix | line-substring`, one per line,
@@ -297,6 +309,27 @@ mod tests {
     fn non_test_prefix_stops_at_test_module() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests { fn b() { x.unwrap() } }";
         assert!(!non_test_prefix(src).contains("unwrap"));
+        let public = "fn a() {}\n#[cfg(test)]\npub(crate) mod testing {\n}\n";
+        assert_eq!(non_test_prefix(public), "fn a() {}\n");
+    }
+
+    #[test]
+    fn non_test_prefix_reads_past_a_test_only_import() {
+        let src = "#[cfg(test)]\nuse crate::x;\nfn a() { y.unwrap() }\n\
+                   #[cfg(test)]\nmod tests {}\n";
+        assert_eq!(
+            non_test_prefix(src),
+            "#[cfg(test)]\nuse crate::x;\nfn a() { y.unwrap() }\n"
+        );
+    }
+
+    #[test]
+    fn non_test_prefix_reads_past_a_test_only_method() {
+        let src = "impl A {\n    #[cfg(test)]\n    fn t(&self) {}\n    fn b() { y.unwrap() }\n}\n\
+                   #[cfg(test)]\nmod tests {}\n";
+        let prefix = non_test_prefix(src);
+        assert!(prefix.contains("fn b() { y.unwrap() }"), "{prefix}");
+        assert!(!prefix.contains("mod tests"), "{prefix}");
     }
 
     #[test]
