@@ -12,8 +12,8 @@ use meos::geo::Point;
 use meos::temporal::{Interp, TInstant, TSequence, TempValue, Temporal};
 use meos::time::TimestampTz;
 use nebula::prelude::{
-    Aggregator, AggregatorFactory, BoundExpr, DataType, Expr, FunctionRegistry, NebulaError,
-    Record, Schema, Value,
+    Aggregator, AggregatorFactory, BoundExpr, DataType, Expr, FunctionRegistry, NebulaError, Row,
+    Schema, Value,
 };
 
 /// Collects a temporal value's (timestamp, sample) pairs — how a
@@ -94,11 +94,11 @@ impl AggregatorFactory for TrajectoryAgg {
         let ts_col = input
             .index_of(&self.ts_field)
             .ok_or_else(|| NebulaError::Plan(format!("unknown field '{}'", self.ts_field)))?;
-        Ok(Box::new(TrajectoryAccum {
-            pos_col,
+        Ok(Box::new(SeqAccum::<Point>::new(
+            BoundExpr::Column(pos_col),
             ts_col,
-            samples: Vec::new(),
-        }))
+            Interp::Linear,
+        )))
     }
 
     fn splittable(&self) -> bool {
@@ -111,72 +111,6 @@ impl AggregatorFactory for TrajectoryAgg {
         _registry: &FunctionRegistry,
     ) -> nebula::Result<Option<Vec<DataType>>> {
         Ok(Some(vec![DataType::Opaque]))
-    }
-}
-
-struct TrajectoryAccum {
-    pos_col: usize,
-    ts_col: usize,
-    samples: Vec<(i64, Point)>,
-}
-
-impl Aggregator for TrajectoryAccum {
-    fn update(&mut self, rec: &Record) -> nebula::Result<()> {
-        let ts = rec.get(self.ts_col).and_then(Value::as_timestamp);
-        let pos = rec.get(self.pos_col).and_then(Value::as_point);
-        if let (Some(ts), Some((x, y))) = (ts, pos) {
-            self.samples.push((ts, Point::new(x, y)));
-        }
-        Ok(())
-    }
-
-    fn partial(&self) -> nebula::Result<Vec<Value>> {
-        if self.samples.is_empty() {
-            return Ok(vec![Value::Null]);
-        }
-        Ok(vec![tpoint_value(build_sequence(
-            self.samples.clone(),
-            Interp::Linear,
-        )?)])
-    }
-
-    fn merge_partial(&mut self, partial: &[Value]) -> nebula::Result<()> {
-        match partial.first() {
-            None | Some(Value::Null) => Ok(()),
-            Some(v) => {
-                collect_samples(as_tpoint(v)?, &mut self.samples);
-                Ok(())
-            }
-        }
-    }
-
-    /// Slice-to-window materialization pools the other accumulator's raw
-    /// samples directly — building (and immediately flattening) a
-    /// validated sequence per covering slice would erase the shared-slice
-    /// savings for sequence aggregates.
-    fn merge(&mut self, other: &dyn Aggregator) -> nebula::Result<()> {
-        match other
-            .as_any()
-            .and_then(|a| a.downcast_ref::<TrajectoryAccum>())
-        {
-            Some(o) => {
-                self.samples.extend(o.samples.iter().cloned());
-                Ok(())
-            }
-            None => self.merge_partial(&other.partial()?),
-        }
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn finish(&mut self) -> nebula::Result<Value> {
-        if self.samples.is_empty() {
-            return Ok(Value::Null);
-        }
-        let samples = std::mem::take(&mut self.samples);
-        Ok(tpoint_value(build_sequence(samples, Interp::Linear)?))
     }
 }
 
@@ -226,12 +160,7 @@ impl AggregatorFactory for TFloatSeqAgg {
         let ts_col = input
             .index_of(&self.ts_field)
             .ok_or_else(|| NebulaError::Plan(format!("unknown ts field '{}'", self.ts_field)))?;
-        Ok(Box::new(TFloatAccum {
-            expr: bound,
-            ts_col,
-            interp: self.interp,
-            samples: Vec::new(),
-        }))
+        Ok(Box::new(SeqAccum::<f64>::new(bound, ts_col, self.interp)))
     }
 
     fn splittable(&self) -> bool {
@@ -247,18 +176,71 @@ impl AggregatorFactory for TFloatSeqAgg {
     }
 }
 
-struct TFloatAccum {
+/// A value a sequence aggregate samples per row: a `Point` for a
+/// trajectory, an `f64` for a `tfloat`.
+trait Sample: TempValue {
+    /// The sample an evaluated row value holds, if any.
+    fn from_value(v: &Value) -> Option<Self>;
+    /// A built sequence as an engine value.
+    fn seq_value(t: Temporal<Self>) -> Value;
+    /// The sequence a partial snapshot holds.
+    fn as_seq(v: &Value) -> nebula::Result<&Temporal<Self>>;
+}
+
+impl Sample for Point {
+    fn from_value(v: &Value) -> Option<Self> {
+        v.as_point().map(|(x, y)| Point::new(x, y))
+    }
+
+    fn seq_value(t: Temporal<Self>) -> Value {
+        tpoint_value(t)
+    }
+
+    fn as_seq(v: &Value) -> nebula::Result<&Temporal<Self>> {
+        as_tpoint(v)
+    }
+}
+
+impl Sample for f64 {
+    fn from_value(v: &Value) -> Option<Self> {
+        v.as_float()
+    }
+
+    fn seq_value(t: Temporal<Self>) -> Value {
+        tfloat_value(t)
+    }
+
+    fn as_seq(v: &Value) -> nebula::Result<&Temporal<Self>> {
+        as_tfloat(v)
+    }
+}
+
+/// The accumulator of both sequence aggregates: pools the window's
+/// (event time, `expr`) samples and builds the sequence at finish. A
+/// row with no event time or no sample contributes nothing.
+struct SeqAccum<V> {
     expr: BoundExpr,
     ts_col: usize,
     interp: Interp,
-    samples: Vec<(i64, f64)>,
+    samples: Vec<(i64, V)>,
 }
 
-impl Aggregator for TFloatAccum {
-    fn update(&mut self, rec: &Record) -> nebula::Result<()> {
-        let ts = rec.get(self.ts_col).and_then(Value::as_timestamp);
-        let v = self.expr.eval(rec)?;
-        if let (Some(ts), Some(v)) = (ts, v.as_float()) {
+impl<V> SeqAccum<V> {
+    fn new(expr: BoundExpr, ts_col: usize, interp: Interp) -> Self {
+        SeqAccum {
+            expr,
+            ts_col,
+            interp,
+            samples: Vec::new(),
+        }
+    }
+}
+
+impl<V: Sample> Aggregator for SeqAccum<V> {
+    fn update(&mut self, row: Row<'_>) -> nebula::Result<()> {
+        let ts = row.get(self.ts_col).and_then(|v| v.as_timestamp());
+        let v = self.expr.eval(row)?;
+        if let (Some(ts), Some(v)) = (ts, V::from_value(&v)) {
             self.samples.push((ts, v));
         }
         Ok(())
@@ -268,7 +250,7 @@ impl Aggregator for TFloatAccum {
         if self.samples.is_empty() {
             return Ok(vec![Value::Null]);
         }
-        Ok(vec![tfloat_value(build_sequence(
+        Ok(vec![V::seq_value(build_sequence(
             self.samples.clone(),
             self.interp,
         )?)])
@@ -278,15 +260,18 @@ impl Aggregator for TFloatAccum {
         match partial.first() {
             None | Some(Value::Null) => Ok(()),
             Some(v) => {
-                collect_samples(as_tfloat(v)?, &mut self.samples);
+                collect_samples(V::as_seq(v)?, &mut self.samples);
                 Ok(())
             }
         }
     }
 
-    /// Same sample-pooling fast path as [`TrajectoryAccum`].
+    /// Slice-to-window materialization pools the other accumulator's raw
+    /// samples directly — building (and immediately flattening) a
+    /// validated sequence per covering slice would erase the shared-slice
+    /// savings for sequence aggregates.
     fn merge(&mut self, other: &dyn Aggregator) -> nebula::Result<()> {
-        match other.as_any().and_then(|a| a.downcast_ref::<TFloatAccum>()) {
+        match other.as_any().and_then(|a| a.downcast_ref::<SeqAccum<V>>()) {
             Some(o) => {
                 self.samples.extend(o.samples.iter().cloned());
                 Ok(())
@@ -304,7 +289,7 @@ impl Aggregator for TFloatAccum {
             return Ok(Value::Null);
         }
         let samples = std::mem::take(&mut self.samples);
-        Ok(tfloat_value(build_sequence(samples, self.interp)?))
+        Ok(V::seq_value(build_sequence(samples, self.interp)?))
     }
 }
 
@@ -339,7 +324,7 @@ mod tests {
         let factory = TrajectoryAgg::new("pos", "ts");
         let mut agg = factory.create(&schema(), &reg).unwrap();
         for (i, x) in [(0, 4.30), (2, 4.32), (1, 4.31)] {
-            agg.update(&rec(i, 1, x, 0.0)).unwrap();
+            agg.update((&rec(i, 1, x, 0.0)).into()).unwrap();
         }
         let v = agg.finish().unwrap();
         let tp = as_tpoint(&v).unwrap();
@@ -362,8 +347,8 @@ mod tests {
         let reg = meos_registry().unwrap();
         let factory = TFloatSeqAgg::linear(col("speed_kmh").div(lit(3.6)), "ts");
         let mut agg = factory.create(&schema(), &reg).unwrap();
-        agg.update(&rec(0, 1, 4.3, 36.0)).unwrap();
-        agg.update(&rec(10, 1, 4.31, 72.0)).unwrap();
+        agg.update((&rec(0, 1, 4.3, 36.0)).into()).unwrap();
+        agg.update((&rec(10, 1, 4.31, 72.0)).into()).unwrap();
         let v = agg.finish().unwrap();
         let tf = as_tfloat(&v).unwrap();
         assert_eq!(tf.start_value(), 10.0);
@@ -426,9 +411,9 @@ mod tests {
         let mut right = factory.create(&schema(), &reg).unwrap();
         for i in 0..10 {
             let r = rec(i, 1, 4.30 + i as f64 * 0.01, 0.0);
-            whole.update(&r).unwrap();
+            whole.update((&r).into()).unwrap();
             if i % 2 == 0 { &mut left } else { &mut right }
-                .update(&r)
+                .update((&r).into())
                 .unwrap();
         }
         let mut merged = factory.create(&schema(), &reg).unwrap();
@@ -458,8 +443,8 @@ mod tests {
         let empty = factory.create(&schema(), &reg).unwrap();
         merged.merge_partial(&empty.partial().unwrap()).unwrap();
         let mut half = factory.create(&schema(), &reg).unwrap();
-        half.update(&rec(0, 1, 4.3, 10.0)).unwrap();
-        half.update(&rec(5, 1, 4.3, 20.0)).unwrap();
+        half.update((&rec(0, 1, 4.3, 10.0)).into()).unwrap();
+        half.update((&rec(5, 1, 4.3, 20.0)).into()).unwrap();
         merged.merge_partial(&half.partial().unwrap()).unwrap();
         let v = merged.finish().unwrap();
         let tf = as_tfloat(&v).unwrap();

@@ -21,6 +21,7 @@ use meos::temporal::{Interp, TInstant, TSequence, TSequenceSet, TempValue, Tempo
 use meos::time::TimestampTz;
 use meos::{STBox, Span};
 use nebula::prelude::{NebulaError, OpaqueValue, OpaqueWireCodec, Result, WireRegistry};
+use nebula::wire::Cursor;
 use std::sync::Arc;
 
 /// Registers all MEOS codecs into a wire registry.
@@ -42,87 +43,6 @@ fn corrupt(msg: impl Into<String>) -> NebulaError {
     NebulaError::Wire(msg.into())
 }
 
-/// Bounds-checked little-endian reader.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(corrupt(format!(
-                "truncated MEOS payload: need {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(corrupt(format!("invalid bool byte {b}"))),
-        }
-    }
-
-    /// The next `N` bytes as an array.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| corrupt(format!("expected {N} bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    /// A count whose elements occupy at least `min_size` bytes each.
-    fn checked_count(&mut self, min_size: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_size) > self.remaining() {
-            return Err(corrupt(format!(
-                "declared count {n} impossible in {} bytes",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes in MEOS payload",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
@@ -132,7 +52,7 @@ fn put_point(out: &mut Vec<u8>, p: &Point) {
     put_f64(out, p.y);
 }
 
-fn get_point(c: &mut Cur<'_>) -> Result<Point> {
+fn get_point(c: &mut Cursor<'_>) -> Result<Point> {
     Ok(Point::new(c.f64()?, c.f64()?))
 }
 
@@ -144,7 +64,7 @@ fn put_interp(out: &mut Vec<u8>, i: Interp) {
     });
 }
 
-fn get_interp(c: &mut Cur<'_>) -> Result<Interp> {
+fn get_interp(c: &mut Cursor<'_>) -> Result<Interp> {
     match c.u8()? {
         0 => Ok(Interp::Discrete),
         1 => Ok(Interp::Step),
@@ -198,11 +118,11 @@ fn encode_temporal<V: TempValue>(
 }
 
 fn decode_temporal<V: TempValue>(
-    c: &mut Cur<'_>,
+    c: &mut Cursor<'_>,
     val_size: usize,
-    get: &impl Fn(&mut Cur<'_>) -> Result<V>,
+    get: &impl Fn(&mut Cursor<'_>) -> Result<V>,
 ) -> Result<Temporal<V>> {
-    let seq = |c: &mut Cur<'_>| -> Result<TSequence<V>> {
+    let seq = |c: &mut Cursor<'_>| -> Result<TSequence<V>> {
         let n = c.checked_count(0)?;
         let interp = get_interp(c)?;
         let lower_inc = c.bool()?;
@@ -264,7 +184,7 @@ impl OpaqueWireCodec for TPointCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Arc<dyn OpaqueValue>> {
-        let mut c = Cur::new(bytes);
+        let mut c = Cursor::new(bytes);
         let t = decode_temporal(&mut c, 16, &get_point)?;
         c.done()?;
         Ok(Arc::new(TPointValue(t)))
@@ -286,8 +206,8 @@ impl OpaqueWireCodec for TFloatCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Arc<dyn OpaqueValue>> {
-        let mut c = Cur::new(bytes);
-        let t = decode_temporal(&mut c, 8, &|c: &mut Cur<'_>| c.f64())?;
+        let mut c = Cursor::new(bytes);
+        let t = decode_temporal(&mut c, 8, &|c: &mut Cursor<'_>| c.f64())?;
         c.done()?;
         Ok(Arc::new(TFloatValue(t)))
     }
@@ -305,7 +225,7 @@ fn put_ring(out: &mut Vec<u8>, ring: &[Point]) {
     }
 }
 
-fn get_ring(c: &mut Cur<'_>) -> Result<Vec<Point>> {
+fn get_ring(c: &mut Cursor<'_>) -> Result<Vec<Point>> {
     let n = c.checked_count(16)?;
     let mut points = Vec::with_capacity(n);
     for _ in 0..n {
@@ -351,7 +271,7 @@ impl OpaqueWireCodec for GeometryCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Arc<dyn OpaqueValue>> {
-        let mut c = Cur::new(bytes);
+        let mut c = Cursor::new(bytes);
         let g = match c.u8()? {
             GEOM_POINT => Geometry::Point(get_point(&mut c)?),
             GEOM_CIRCLE => Geometry::Circle {
@@ -385,7 +305,7 @@ fn put_fspan(out: &mut Vec<u8>, s: &Span<f64>) {
     out.push(s.upper_inc() as u8);
 }
 
-fn get_fspan(c: &mut Cur<'_>) -> Result<Span<f64>> {
+fn get_fspan(c: &mut Cursor<'_>) -> Result<Span<f64>> {
     let (lower, upper) = (c.f64()?, c.f64()?);
     let (li, ui) = (c.bool()?, c.bool()?);
     Span::new(lower, upper, li, ui).map_err(|e| corrupt(format!("invalid span: {e}")))
@@ -414,7 +334,7 @@ impl OpaqueWireCodec for STBoxCodec {
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<Arc<dyn OpaqueValue>> {
-        let mut c = Cur::new(bytes);
+        let mut c = Cursor::new(bytes);
         let x = get_fspan(&mut c)?;
         let y = get_fspan(&mut c)?;
         let t = match c.u8()? {

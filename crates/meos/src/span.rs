@@ -298,11 +298,6 @@ impl<T: SpanBound> SpanSet<T> {
         SpanSet { spans: out }
     }
 
-    /// A set holding one span.
-    pub fn from_span(span: Span<T>) -> Self {
-        SpanSet { spans: vec![span] }
-    }
-
     /// The member spans in ascending order.
     pub fn spans(&self) -> &[Span<T>] {
         &self.spans

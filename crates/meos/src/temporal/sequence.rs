@@ -3,7 +3,7 @@
 use super::instant::TInstant;
 use super::value::{Interp, TempValue};
 use crate::error::{MeosError, Result};
-use crate::time::{Period, PeriodSet, TimeDelta, TimestampTz};
+use crate::time::{Period, TimeDelta, TimestampTz};
 use serde::{Deserialize, Serialize};
 
 /// A temporal sequence: at least one instant, strictly increasing
@@ -260,14 +260,6 @@ impl<V: TempValue> TSequence<V> {
             .collect()
     }
 
-    /// Restricts to a period set.
-    pub fn at_periodset(&self, ps: &PeriodSet) -> Vec<TSequence<V>> {
-        ps.spans()
-            .iter()
-            .filter_map(|p| self.at_period(p))
-            .collect()
-    }
-
     /// True iff the predicate holds at some instant.
     pub fn ever(&self, pred: impl Fn(&V) -> bool) -> bool {
         self.instants.iter().any(|i| pred(&i.value))
@@ -486,19 +478,6 @@ mod tests {
         assert!(!parts[0].period().upper_inc(), "cut bound flipped");
         assert_eq!(parts[1].start_timestamp(), t(6));
         assert!(parts[1].period().lower_inc());
-    }
-
-    #[test]
-    fn at_periodset_multiple_pieces() {
-        let s = lin(&[(0.0, 0), (10.0, 10)]);
-        let ps = PeriodSet::from_spans(vec![
-            Period::inclusive(t(1), t(2)).unwrap(),
-            Period::inclusive(t(8), t(9)).unwrap(),
-        ]);
-        let parts = s.at_periodset(&ps);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].start_value(), 1.0);
-        assert_eq!(parts[1].end_value(), 9.0);
     }
 
     #[test]

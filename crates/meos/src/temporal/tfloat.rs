@@ -48,13 +48,6 @@ impl TSequence<f64> {
         self.threshold_periods(threshold, false)
     }
 
-    /// Time at which the value equals `v` exactly: plateaus become
-    /// periods, linear crossings become degenerate instant-periods
-    /// (MEOS `tnumber_at_value`). Computed as `at_above(v) ∩ at_below(v)`.
-    pub fn at_value(&self, v: f64) -> PeriodSet {
-        self.at_above(v).intersection(&self.at_below(v))
-    }
-
     fn threshold_periods(&self, c: f64, above: bool) -> PeriodSet {
         let sat = |v: f64| if above { v >= c } else { v <= c };
         if self.interp() == Interp::Discrete || self.num_instants() == 1 {
@@ -318,55 +311,6 @@ mod tests {
         assert_eq!(a.value_at(t(5)), Some(0.0), "zero crossing inserted");
         assert_eq!(a.value_at(t(0)), Some(5.0));
         assert_eq!(a.num_instants(), 3);
-    }
-
-    #[test]
-    fn at_value_crossings_and_plateaus() {
-        // Rises through 5, plateaus at 10, falls through 5 again.
-        let s = TSequence::linear(vec![
-            TInstant::new(0.0, t(0)),
-            TInstant::new(10.0, t(10)),
-            TInstant::new(10.0, t(20)),
-            TInstant::new(0.0, t(30)),
-        ])
-        .unwrap();
-        let at5 = s.at_value(5.0);
-        assert_eq!(at5.num_spans(), 2);
-        assert!(at5.spans()[0].is_instant());
-        assert_eq!(at5.spans()[0].lower(), t(5));
-        assert_eq!(at5.spans()[1].lower(), t(25));
-        let at10 = s.at_value(10.0);
-        assert_eq!(at10.num_spans(), 1);
-        assert_eq!(at10.spans()[0].lower(), t(10));
-        assert_eq!(at10.spans()[0].upper(), t(20));
-        assert!(s.at_value(99.0).is_empty(), "never attained");
-    }
-
-    #[test]
-    fn at_value_seq_is_the_crossing_instant() {
-        let s = lin(&[(0.0, 0), (10.0, 10)]);
-        let at = s.at_periodset(&s.at_value(5.0));
-        assert_eq!(at.len(), 1);
-        assert_eq!(at[0].num_instants(), 1);
-        assert_eq!(at[0].start_value(), 5.0);
-        assert_eq!(at[0].start_timestamp(), t(5));
-        // Value never present -> nothing.
-        assert!(s.at_value(99.0).is_empty());
-    }
-
-    #[test]
-    fn at_value_step_sequence() {
-        let s = TSequence::step(vec![
-            TInstant::new(1.0, t(0)),
-            TInstant::new(2.0, t(10)),
-            TInstant::new(1.0, t(20)),
-        ])
-        .unwrap();
-        let at1 = s.at_value(1.0);
-        // Held over [0,10) and at the final instant [20,20].
-        assert!(at1.contains_value(t(5)));
-        assert!(!at1.contains_value(t(15)));
-        assert!(at1.contains_value(t(20)));
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl TimeDelta {
         TimeDelta(h * MICROS_PER_HOUR)
     }
 
-    /// Builds a delta from whole days.
-    pub const fn from_days(d: i64) -> Self {
-        TimeDelta(d * MICROS_PER_DAY)
-    }
-
     /// Builds a delta from fractional seconds (rounded to microseconds).
     pub fn from_secs_f64(s: f64) -> Self {
         TimeDelta((s * MICROS_PER_SEC as f64).round() as i64)
@@ -543,7 +538,7 @@ mod tests {
     fn arithmetic() {
         let t = ts(2025, 6, 22, 10, 0, 0);
         assert_eq!(t + TimeDelta::from_hours(2), ts(2025, 6, 22, 12, 0, 0));
-        assert_eq!(t - TimeDelta::from_days(1), ts(2025, 6, 21, 10, 0, 0));
+        assert_eq!(t - TimeDelta::from_hours(24), ts(2025, 6, 21, 10, 0, 0));
         assert_eq!(ts(2025, 6, 22, 12, 0, 0) - t, TimeDelta::from_hours(2));
     }
 
@@ -570,7 +565,7 @@ mod tests {
         assert!(set.contains(a));
         assert_eq!(set.start(), Some(a));
         assert_eq!(set.end(), Some(b));
-        assert_eq!(set.period().unwrap().duration(), TimeDelta::from_days(1));
+        assert_eq!(set.period().unwrap().duration(), TimeDelta::from_hours(24));
         assert!(TimestampSet::new(vec![]).period().is_none());
     }
 }

@@ -189,9 +189,6 @@ pub(crate) struct ChaosStats {
     pub duplicates_suppressed: AtomicU64,
     pub heartbeats: AtomicU64,
     pub ack_bytes: AtomicU64,
-    /// Threads spawned for stages past stage 0 across all phases
-    /// (survives a crashed phase, unlike the phase's own return value).
-    pub sites_spawned: AtomicU64,
 }
 
 /// The one-shot trigger for an abrupt crash, shared by every thread of

@@ -594,14 +594,9 @@ impl ClusterEnvironment {
                 &mut progress,
                 &mut out,
                 chaos,
+                &mut cluster.sites,
             );
-            let e = match phase {
-                Ok(spawned) => {
-                    cluster.sites += spawned;
-                    break;
-                }
-                Err(e) => e,
-            };
+            let Err(e) = phase else { break };
             // An error with the crash switch tripped IS the injected
             // abrupt node death: detect, re-plan, restore, resume.
             let Some((c, failed)) = chaos.and_then(|c| {
@@ -756,9 +751,6 @@ impl ClusterEnvironment {
                 + c.stats.injected_corruptions.load(o)
                 + c.stats.injected_reorders.load(o);
             cluster.checkpoints_taken = c.store.checkpoints_taken();
-            // A crashed phase's thread count never returned normally;
-            // the shared counter has the true total.
-            cluster.sites = c.stats.sites_spawned.load(o) as usize;
         }
         // Fold every registry, series, snapshot and event into the
         // run's telemetry report.
@@ -1870,12 +1862,13 @@ fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, Result<T>>) -> Result<T> 
 
 /// Spawns every pipeline's stages and the cloud — the last stage of
 /// every pipeline, fanning them in — and joins everything, restoring
-/// operator state into `pipelines` and `cloud_ops`. Returns how many
-/// threads past stage 0 the pipelines spawned (the cloud's is not
-/// counted). Pipelines whose stream already ended (`eos_sent`) spawn
-/// nothing. In chaos mode every hop gets a fault injector, a resilient
-/// link, and a reverse ack channel, which the cloud's end joins with
-/// the checkpoint store.
+/// operator state into `pipelines` and `cloud_ops`. Adds to `sites`
+/// each thread past stage 0 as it is spawned (the cloud's is not
+/// counted), so a phase that a crash ends still counts its threads.
+/// Pipelines whose stream already ended (`eos_sent`) spawn nothing.
+/// In chaos mode every hop gets a fault injector, a resilient link, and
+/// a reverse ack channel, which the cloud's end joins with the
+/// checkpoint store.
 fn run_phase(
     io: &PhaseIo<'_>,
     pipelines: &mut [PipelinePlan],
@@ -1883,10 +1876,10 @@ fn run_phase(
     progress: &mut ProgressTracker,
     out: &mut Outbox<'_>,
     chaos: Option<&ChaosRun>,
-) -> Result<usize> {
+    sites: &mut usize,
+) -> Result<()> {
     let cap = io.cfg.channel_capacity.max(1);
     let n_pipes = pipelines.len();
-    let mut sites_spawned = 0usize;
 
     // Stage nodes (none for a pipeline that already ended), to rebuild
     // `pipe.stages` after the scope ends (the scoped `&mut` borrows
@@ -2027,10 +2020,7 @@ fn run_phase(
                 let handle = spawn(ops, input, output, out_schema, stage_chaos, stage_tel);
                 handles.push((p, s, handle));
                 if s > 0 {
-                    sites_spawned += 1;
-                    if let Some(c) = chaos {
-                        c.stats.sites_spawned.fetch_add(1, Ordering::Relaxed);
-                    }
+                    *sites += 1;
                 }
             }
             // Chaos mode: the last hop's ack sender belongs to the cloud's
@@ -2115,7 +2105,7 @@ fn run_phase(
             .map(|(node, ops)| Stage { node, ops })
             .collect();
     }
-    Ok(sites_spawned)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use super::eval::eval_binary;
 use super::{BinOp, BoundExpr, ColumnArg, UnOp};
 use crate::buffer::{Column, ColumnBuilder, TupleBuffer};
 use crate::error::{NebulaError, Result};
+use crate::record::Row;
 use crate::value::Value;
 use std::borrow::Cow;
 
@@ -36,70 +37,6 @@ impl BoundExpr {
             BoundExpr::Unary { expr, .. } => expr.vectorizes(),
             BoundExpr::Call { .. } => false,
         }
-    }
-
-    /// Evaluates against row `row` of a buffer, reading columns
-    /// directly — no [`crate::record::Record`] materialization.
-    pub fn eval_row(&self, buf: &TupleBuffer, row: usize) -> Result<Value> {
-        match self {
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Column(idx) => buf.value_at(row, *idx).ok_or_else(|| {
-                NebulaError::Eval(format!(
-                    "record has {} fields, column #{idx} missing",
-                    buf.columns().len()
-                ))
-            }),
-            BoundExpr::Binary { op, lhs, rhs } => {
-                match op {
-                    BinOp::And => {
-                        let l = lhs.eval_row(buf, row)?.as_bool().unwrap_or(false);
-                        if !l {
-                            return Ok(Value::Bool(false));
-                        }
-                        return Ok(Value::Bool(
-                            rhs.eval_row(buf, row)?.as_bool().unwrap_or(false),
-                        ));
-                    }
-                    BinOp::Or => {
-                        let l = lhs.eval_row(buf, row)?.as_bool().unwrap_or(false);
-                        if l {
-                            return Ok(Value::Bool(true));
-                        }
-                        return Ok(Value::Bool(
-                            rhs.eval_row(buf, row)?.as_bool().unwrap_or(false),
-                        ));
-                    }
-                    _ => {}
-                }
-                let l = lhs.eval_row(buf, row)?;
-                let r = rhs.eval_row(buf, row)?;
-                eval_binary(*op, &l, &r)
-            }
-            BoundExpr::Unary { op, expr } => {
-                let v = expr.eval_row(buf, row)?;
-                match op {
-                    UnOp::Not => Ok(Value::Bool(!v.as_bool().unwrap_or(false))),
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        Value::Null => Ok(Value::Null),
-                        other => Err(NebulaError::Eval(format!("cannot negate {other}"))),
-                    },
-                }
-            }
-            BoundExpr::Call { func, args, .. } => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(a.eval_row(buf, row)?);
-                }
-                func.invoke(&values)
-            }
-        }
-    }
-
-    /// Evaluates as a predicate on one row: non-true (false/null) drops.
-    pub fn eval_predicate_row(&self, buf: &TupleBuffer, row: usize) -> Result<bool> {
-        Ok(self.eval_row(buf, row)?.as_bool().unwrap_or(false))
     }
 
     /// Evaluates over every row, producing one result [`Column`].
@@ -201,7 +138,7 @@ impl BoundExpr {
                         // reference would have short-circuited.
                         for (row, m) in mask.iter_mut().enumerate() {
                             if *m != decides {
-                                *m = rhs.eval_predicate_row(buf, row)?;
+                                *m = rhs.eval_predicate(Row::Buffer(buf, row))?;
                             }
                         }
                     }
@@ -538,7 +475,7 @@ mod tests {
             let rec = tb.row(i);
             let want = b.eval(&rec).unwrap();
             assert_eq!(colr.value_at(i), want, "row {i} of {e:?}");
-            assert_eq!(b.eval_row(&tb, i).unwrap(), want, "eval_row {i}");
+            assert_eq!(b.eval(Row::Buffer(&tb, i)).unwrap(), want, "buffer row {i}");
         }
         let mask = b.eval_mask(&tb).unwrap();
         for (i, &m) in mask.iter().enumerate() {
@@ -584,7 +521,7 @@ mod tests {
         }
     }
 
-    /// Column, mask and `eval_row` results of `b` against the scalar
+    /// Column, mask and buffer-row results of `b` against the scalar
     /// evaluator row by row. The scalar path fails per row and a kernel
     /// per buffer, so one failing row must fail the whole column.
     fn assert_bound_matches_scalar(b: &BoundExpr, tb: &TupleBuffer) {
@@ -598,10 +535,10 @@ mod tests {
                         .unwrap_or_else(|e| panic!("{b:?} row {i}: {e}"));
                     let got = c.value_at(i);
                     assert!(same_value(&got, want), "{b:?} row {i}: {got} vs {want}");
-                    let got = b.eval_row(tb, i).unwrap();
+                    let got = b.eval(Row::Buffer(tb, i)).unwrap();
                     assert!(
                         same_value(&got, want),
-                        "{b:?} eval_row {i}: {got} vs {want}"
+                        "{b:?} buffer row {i}: {got} vs {want}"
                     );
                 }
             }

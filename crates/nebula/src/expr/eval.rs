@@ -3,7 +3,7 @@
 use super::registry::ScalarFunction;
 use super::{BinOp, UnOp};
 use crate::error::{NebulaError, Result};
-use crate::record::Record;
+use crate::record::Row;
 use crate::schema::ReadSet;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -75,41 +75,46 @@ impl BoundExpr {
         }
     }
 
-    /// Evaluates against one record.
-    pub fn eval(&self, rec: &Record) -> Result<Value> {
+    /// Evaluates against one row: a [`crate::record::Record`] (a
+    /// `&Record` converts) or a row of a columnar buffer
+    /// ([`Row::Buffer`]). The per-row interpreter: the columnar kernels
+    /// are tested against it, and fall back to it where no kernel
+    /// applies.
+    pub fn eval<'a>(&self, row: impl Into<Row<'a>>) -> Result<Value> {
+        let row = row.into();
         match self {
             BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Column(idx) => rec.get(*idx).cloned().ok_or_else(|| {
+            BoundExpr::Column(idx) => row.get(*idx).ok_or_else(|| {
                 NebulaError::Eval(format!(
                     "record has {} fields, column #{idx} missing",
-                    rec.len()
+                    row.width()
                 ))
             }),
             BoundExpr::Binary { op, lhs, rhs } => {
                 // Short-circuit logic operators.
                 match op {
                     BinOp::And => {
-                        let l = lhs.eval(rec)?.as_bool().unwrap_or(false);
+                        let l = lhs.eval(row)?.as_bool().unwrap_or(false);
                         if !l {
                             return Ok(Value::Bool(false));
                         }
-                        return Ok(Value::Bool(rhs.eval(rec)?.as_bool().unwrap_or(false)));
+                        return Ok(Value::Bool(rhs.eval(row)?.as_bool().unwrap_or(false)));
                     }
                     BinOp::Or => {
-                        let l = lhs.eval(rec)?.as_bool().unwrap_or(false);
+                        let l = lhs.eval(row)?.as_bool().unwrap_or(false);
                         if l {
                             return Ok(Value::Bool(true));
                         }
-                        return Ok(Value::Bool(rhs.eval(rec)?.as_bool().unwrap_or(false)));
+                        return Ok(Value::Bool(rhs.eval(row)?.as_bool().unwrap_or(false)));
                     }
                     _ => {}
                 }
-                let l = lhs.eval(rec)?;
-                let r = rhs.eval(rec)?;
+                let l = lhs.eval(row)?;
+                let r = rhs.eval(row)?;
                 eval_binary(*op, &l, &r)
             }
             BoundExpr::Unary { op, expr } => {
-                let v = expr.eval(rec)?;
+                let v = expr.eval(row)?;
                 match op {
                     UnOp::Not => Ok(Value::Bool(!v.as_bool().unwrap_or(false))),
                     UnOp::Neg => match v {
@@ -123,7 +128,7 @@ impl BoundExpr {
             BoundExpr::Call { func, args, .. } => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
-                    values.push(a.eval(rec)?);
+                    values.push(a.eval(row)?);
                 }
                 func.invoke(&values)
             }
@@ -131,8 +136,8 @@ impl BoundExpr {
     }
 
     /// Evaluates as a predicate: non-true (false or null) drops.
-    pub fn eval_predicate(&self, rec: &Record) -> Result<bool> {
-        Ok(self.eval(rec)?.as_bool().unwrap_or(false))
+    pub fn eval_predicate<'a>(&self, row: impl Into<Row<'a>>) -> Result<bool> {
+        Ok(self.eval(row)?.as_bool().unwrap_or(false))
     }
 }
 
@@ -216,6 +221,7 @@ fn float_of(v: &Value) -> Result<f64> {
 mod tests {
     use super::*;
     use crate::expr::{col, lit, FunctionRegistry};
+    use crate::record::Record;
     use crate::schema::Schema;
     use crate::value::DataType;
 

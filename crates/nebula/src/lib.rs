@@ -145,16 +145,15 @@ pub mod prelude {
     };
     pub use crate::preagg::{split_window, SplitWindow};
     pub use crate::query::{compile, LogicalOp, PartitionScheme, Query};
-    pub use crate::record::{Record, RecordBuffer, StreamMessage};
+    pub use crate::record::{Record, RecordBuffer, Row, StreamMessage};
     pub use crate::runtime::{ColumnarMode, EnvConfig, ProgressTracker, StreamEnvironment};
     pub use crate::schema::{Field, ReadSet, Schema, SchemaRef};
     pub use crate::sink::{
-        normalize_records, CallbackSink, Collected, CollectingSink, CountingSink, CsvSink,
-        NullSink, Sink, SinkCounters,
+        normalize_records, Collected, CollectingSink, CountingSink, NullSink, Sink, SinkCounters,
     };
     pub use crate::source::{
-        CsvSource, GapSource, GeneratorSource, JitterSource, ReplaySource, Source, SourceBatch,
-        VecSource, WatermarkStrategy, XorShift,
+        CsvSource, GapSource, JitterSource, ReplaySource, Source, SourceBatch, VecSource,
+        WatermarkStrategy, XorShift,
     };
     pub use crate::telemetry::{
         NodeSnapshot, OperatorReport, QueryReport, TelemetryConfig, TelemetrySample, TraceEvent,

@@ -17,7 +17,7 @@ use crate::analysis::Code;
 use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{Binder, BoundExpr, Expr, FunctionRegistry};
-use crate::record::{Record, RecordBuffer, StreamMessage};
+use crate::record::{Record, RecordBuffer, Row, StreamMessage};
 use crate::schema::{Field, ReadSet, Schema, SchemaRef};
 use crate::value::{DataType, EventTime, Value};
 use std::borrow::Cow;
@@ -370,7 +370,7 @@ impl BufferKeys {
                 None => {
                     let values = exprs
                         .iter()
-                        .map(|e| e.eval_row(buf, row))
+                        .map(|e| e.eval(Row::Buffer(buf, row)))
                         .collect::<Result<Vec<_>>>()?;
                     for v in &values {
                         encode_value(v, row_bytes);

@@ -5,6 +5,7 @@
 //! [`RecordBuffer`] is the analogue: a schema plus a batch of records,
 //! recycled through the runtime's buffer pool.
 
+use crate::buffer::TupleBuffer;
 use crate::schema::SchemaRef;
 use crate::value::{EventTime, Value};
 use std::fmt;
@@ -72,6 +73,43 @@ impl fmt::Display for Record {
             write!(f, "{v}")?;
         }
         write!(f, "]")
+    }
+}
+
+/// One row as per-row code reads it — expressions, group keys and
+/// aggregates — whichever layout holds it: a [`Record`], or one row of
+/// a column-major [`TupleBuffer`], read in place without building a
+/// `Record`. A `&Record` converts into it, so a caller that holds one
+/// passes it as is.
+#[derive(Debug, Clone, Copy)]
+pub enum Row<'a> {
+    /// A boxed row.
+    Record(&'a Record),
+    /// Row `.1` of a columnar buffer.
+    Buffer(&'a TupleBuffer, usize),
+}
+
+impl Row<'_> {
+    /// Value of field `idx`, `None` when the row has no such field.
+    pub fn get(self, idx: usize) -> Option<Value> {
+        match self {
+            Row::Record(r) => r.get(idx).cloned(),
+            Row::Buffer(buf, row) => buf.value_at(row, idx),
+        }
+    }
+
+    /// Number of fields.
+    pub fn width(self) -> usize {
+        match self {
+            Row::Record(r) => r.len(),
+            Row::Buffer(buf, _) => buf.columns().len(),
+        }
+    }
+}
+
+impl<'a> From<&'a Record> for Row<'a> {
+    fn from(rec: &'a Record) -> Self {
+        Row::Record(rec)
     }
 }
 
@@ -154,8 +192,8 @@ impl RecordBuffer {
 pub enum StreamMessage {
     /// A batch of records in row layout.
     Data(RecordBuffer),
-    /// A batch in columnar layout (see [`crate::buffer::TupleBuffer`]).
-    Columnar(crate::buffer::TupleBuffer),
+    /// A batch in columnar layout (see [`TupleBuffer`]).
+    Columnar(TupleBuffer),
     /// No record with event time `< wm` will arrive anymore.
     Watermark(EventTime),
     /// The stream has ended.

@@ -41,7 +41,7 @@ use crate::expr::{BoundExpr, FunctionRegistry, Plugin};
 use crate::metrics::QueryMetrics;
 use crate::ops::{chain_late_drops, GroupKey, Operator};
 use crate::query::{compile, PartitionScheme, Query};
-use crate::record::{Record, RecordBuffer, StreamMessage};
+use crate::record::{Record, RecordBuffer, Row, StreamMessage};
 use crate::schema::ReadSet;
 use crate::sink::Sink;
 use crate::source::{Source, SourceDriver, Stamped, WatermarkStrategy};
@@ -1401,7 +1401,7 @@ fn columnar_partition_of(exprs: &[BoundExpr], tb: &TupleBuffer, n: usize) -> Vec
         } else {
             // Some row errored during vector evaluation; redo this row
             // scalar so only the failing rows fall back to partition 0.
-            exprs.iter().all(|e| match e.eval_row(tb, row) {
+            exprs.iter().all(|e| match e.eval(Row::Buffer(tb, row)) {
                 Ok(v) => {
                     crate::ops::encode_value(&v, &mut bytes);
                     true

@@ -1,10 +1,8 @@
-//! Stream sinks: result collection, counting, CSV export and callbacks.
+//! Stream sinks: result collection and counting.
 
 use crate::error::Result;
 use crate::record::{Record, RecordBuffer};
 use parking_lot::Mutex;
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -152,67 +150,6 @@ impl Sink for NullSink {
     }
 }
 
-/// Writes records as CSV (header from the first buffer's schema).
-pub struct CsvSink {
-    writer: std::io::BufWriter<std::fs::File>,
-    wrote_header: bool,
-}
-
-impl CsvSink {
-    /// Creates/truncates `path`.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self> {
-        let file = std::fs::File::create(path.as_ref())?;
-        Ok(CsvSink {
-            writer: std::io::BufWriter::new(file),
-            wrote_header: false,
-        })
-    }
-}
-
-impl Sink for CsvSink {
-    fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
-        if !self.wrote_header {
-            let header: Vec<&str> = buf
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.name.as_str())
-                .collect();
-            writeln!(self.writer, "{}", header.join(","))?;
-            self.wrote_header = true;
-        }
-        for rec in buf.records() {
-            let row: Vec<String> = rec.values().iter().map(|v| v.to_string()).collect();
-            writeln!(self.writer, "{}", row.join(","))?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        Ok(())
-    }
-}
-
-/// Invokes a callback per buffer (live dashboards, alert fan-out).
-pub struct CallbackSink {
-    f: Box<dyn FnMut(&RecordBuffer) + Send>,
-}
-
-impl CallbackSink {
-    /// Builds a callback sink.
-    pub fn new(f: impl FnMut(&RecordBuffer) + Send + 'static) -> Self {
-        CallbackSink { f: Box::new(f) }
-    }
-}
-
-impl Sink for CallbackSink {
-    fn consume(&mut self, buf: &RecordBuffer) -> Result<()> {
-        (self.f)(buf);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,30 +181,6 @@ mod tests {
         sink.consume(&buf(&[1, 2, 3])).unwrap();
         assert_eq!(counters.records(), 3);
         assert_eq!(counters.bytes(), 24);
-    }
-
-    #[test]
-    fn csv_sink_writes() {
-        let path = std::env::temp_dir().join("nebula_csv_sink_test.csv");
-        {
-            let mut sink = CsvSink::create(&path).unwrap();
-            sink.consume(&buf(&[7, 8])).unwrap();
-            sink.finish().unwrap();
-        }
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "v\n7\n8\n");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn callback_sink_invokes() {
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = seen.clone();
-        let mut sink = CallbackSink::new(move |b| {
-            seen2.fetch_add(b.len() as u64, Ordering::Relaxed);
-        });
-        sink.consume(&buf(&[1, 2, 3, 4])).unwrap();
-        assert_eq!(seen.load(Ordering::Relaxed), 4);
     }
 
     #[test]

@@ -136,45 +136,6 @@ impl Source for VecSource {
     }
 }
 
-/// A source producing records from a closure, up to a count.
-pub struct GeneratorSource<F: FnMut(u64) -> Record + Send> {
-    schema: SchemaRef,
-    next: u64,
-    count: u64,
-    gen: F,
-}
-
-impl<F: FnMut(u64) -> Record + Send> GeneratorSource<F> {
-    /// Builds a generator emitting `count` records via `gen(i)`.
-    pub fn new(schema: SchemaRef, count: u64, gen: F) -> Self {
-        GeneratorSource {
-            schema,
-            next: 0,
-            count,
-            gen,
-        }
-    }
-}
-
-impl<F: FnMut(u64) -> Record + Send> Source for GeneratorSource<F> {
-    fn schema(&self) -> SchemaRef {
-        self.schema.clone()
-    }
-
-    fn poll(&mut self, max: usize) -> Result<SourceBatch> {
-        if self.next >= self.count {
-            return Ok(SourceBatch::Exhausted);
-        }
-        let n = (max as u64).min(self.count - self.next);
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push((self.gen)(self.next));
-            self.next += 1;
-        }
-        Ok(SourceBatch::Data(out))
-    }
-}
-
 /// A CSV file source. Values are parsed per the schema's field types;
 /// timestamps accept integer epoch-µs. Points are encoded as two columns
 /// `<name>_x,<name>_y` is *not* assumed — a point field parses `"x;y"`.
@@ -863,20 +824,6 @@ mod tests {
             all.extend(d);
         }
         assert_eq!(all, recs);
-    }
-
-    #[test]
-    fn generator_source_counts() {
-        let mut s = GeneratorSource::new(schema(), 5, |i| rec(i as i64, i as f64));
-        let mut total = 0;
-        loop {
-            match s.poll(3).unwrap() {
-                SourceBatch::Data(d) => total += d.len(),
-                SourceBatch::Exhausted => break,
-                SourceBatch::Idle => {}
-            }
-        }
-        assert_eq!(total, 5);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::analysis::Code;
 use crate::buffer::{Column, TupleBuffer};
 use crate::error::{NebulaError, Result};
 use crate::expr::{col, numeric, Binder, BoundExpr, Expr, FunctionRegistry};
-use crate::record::Record;
+use crate::record::{Record, Row};
 use crate::schema::{ReadSet, Schema};
 use crate::value::{DataType, DurationUs, EventTime, Value};
 use std::sync::Arc;
@@ -193,24 +193,19 @@ impl SliceLayout {
 /// time in the partial (`first`/`last` keep the sample with the
 /// extremal timestamp).
 pub trait Aggregator: Send {
-    /// Folds one record in.
-    fn update(&mut self, rec: &Record) -> Result<()>;
-    /// Folds row `row` of a columnar buffer in. The default
-    /// materializes the row as a [`Record`] and delegates to
-    /// [`Aggregator::update`]; implementations (the built-ins do)
-    /// override to evaluate their expressions directly over the
-    /// columns without the materialization.
-    fn update_row(&mut self, buf: &TupleBuffer, row: usize) -> Result<()> {
-        self.update(&buf.row(row))
-    }
+    /// Folds one row in: a [`Record`] on the row path, a row of a
+    /// columnar buffer ([`Row::Buffer`]) when the window reads columns.
+    /// [`Row::get`] reads a field in either layout, and
+    /// [`BoundExpr::eval`] evaluates an expression over it.
+    fn update(&mut self, row: Row<'_>) -> Result<()>;
     /// Folds rows `rows` of a columnar buffer in, in the listed order —
     /// how the window kernels feed one (key, slice) group at a time. The
-    /// default loops over [`Aggregator::update_row`], so a plugin
-    /// aggregator works unchanged; the built-ins override it with typed
-    /// loops over the operand column.
+    /// default calls [`Aggregator::update`] on each row in place, with
+    /// no [`Record`] built; the built-ins override it with typed loops
+    /// over the operand column.
     fn update_rows(&mut self, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
         for &row in rows {
-            self.update_row(buf, row as usize)?;
+            self.update(Row::Buffer(buf, row as usize))?;
         }
         Ok(())
     }
@@ -511,8 +506,8 @@ impl AggTemplate {
     /// Folds one record in (the row path).
     pub(crate) fn update(&self, acc: &mut Acc, rec: &Record) -> Result<()> {
         match (self, acc) {
-            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.fold(st, |e| e.eval(rec)),
-            (_, Acc::Plugin(p)) => p.update(rec),
+            (AggTemplate::Builtin(b), Acc::Builtin(st)) => b.fold(st, rec.into()),
+            (_, Acc::Plugin(p)) => p.update(rec.into()),
             _ => Err(mismatched()),
         }
     }
@@ -676,16 +671,16 @@ impl BuiltinAgg {
         }
     }
 
-    /// The per-record fold behind the row path and the per-row fallback
+    /// The per-row fold behind the row path and the per-row fallback
     /// of [`BuiltinAgg::update_rows`]: evaluates the operand, and lazily
-    /// the event time (first/last only), through `eval`, so both
-    /// evaluation paths stay byte-identical. `count` has no operand.
-    fn fold(&self, st: &mut AggState, eval: impl Fn(&BoundExpr) -> Result<Value>) -> Result<()> {
+    /// the event time (first/last only), over `row`, so both layouts
+    /// fold byte-identically. `count` has no operand.
+    fn fold(&self, st: &mut AggState, row: Row<'_>) -> Result<()> {
         let Some(expr) = &self.expr else {
             st.count += 1;
             return Ok(());
         };
-        let v = eval(expr)?;
+        let v = expr.eval(row)?;
         if v.is_null() {
             return Ok(());
         }
@@ -702,7 +697,7 @@ impl BuiltinAgg {
             AggKind::Min | AggKind::Max => self.offer_extreme(st, &v),
             AggKind::First | AggKind::Last => {
                 let ts = match &self.ts {
-                    Some(ts) => eval(ts)?.as_timestamp(),
+                    Some(ts) => ts.eval(row)?.as_timestamp(),
                     None => None,
                 }
                 .ok_or_else(missing_event_time)?;
@@ -732,7 +727,7 @@ impl BuiltinAgg {
             }
         }
         for &row in rows {
-            self.fold(st, |e| e.eval_row(buf, row as usize))?;
+            self.fold(st, Row::Buffer(buf, row as usize))?;
         }
         Ok(())
     }
@@ -1008,12 +1003,8 @@ struct BuiltinAccumulator {
 }
 
 impl Aggregator for BuiltinAccumulator {
-    fn update(&mut self, rec: &Record) -> Result<()> {
-        self.agg.fold(&mut self.state, |e| e.eval(rec))
-    }
-
-    fn update_row(&mut self, buf: &TupleBuffer, row: usize) -> Result<()> {
-        self.agg.fold(&mut self.state, |e| e.eval_row(buf, row))
+    fn update(&mut self, row: Row<'_>) -> Result<()> {
+        self.agg.fold(&mut self.state, row)
     }
 
     fn update_rows(&mut self, buf: &TupleBuffer, rows: &[u32]) -> Result<()> {
@@ -1109,7 +1100,7 @@ mod tests {
         let reg = FunctionRegistry::with_builtins();
         let mut agg = spec.create(&agg_schema(), &reg, "ts").unwrap();
         for rec in agg_recs(vals) {
-            agg.update(&rec).unwrap();
+            agg.update((&rec).into()).unwrap();
         }
         agg.finish().unwrap()
     }
@@ -1143,8 +1134,8 @@ mod tests {
         let reg = FunctionRegistry::with_builtins();
         let mut agg = AggSpec::Sum(col("v")).create(&schema, &reg, "ts").unwrap();
         for i in 1..=3i64 {
-            agg.update(&Record::new(vec![Value::Timestamp(i), Value::Int(i)]))
-                .unwrap();
+            let rec = Record::new(vec![Value::Timestamp(i), Value::Int(i)]);
+            agg.update((&rec).into()).unwrap();
         }
         assert_eq!(agg.finish().unwrap(), Value::Int(6));
     }
@@ -1163,8 +1154,8 @@ mod tests {
             .create(&agg_schema(), &reg, "ts")
             .unwrap();
         for r in &feed {
-            first.update(r).unwrap();
-            last.update(r).unwrap();
+            first.update(r.into()).unwrap();
+            last.update(r.into()).unwrap();
         }
         assert_eq!(first.finish().unwrap(), Value::Float(20.0));
         assert_eq!(last.finish().unwrap(), Value::Float(90.0));
@@ -1180,9 +1171,9 @@ mod tests {
         let mut left = make();
         let mut right = make();
         for (i, rec) in agg_recs(vals).iter().enumerate() {
-            whole.update(rec).unwrap();
+            whole.update(rec.into()).unwrap();
             if i % 2 == 0 { &mut left } else { &mut right }
-                .update(rec)
+                .update(rec.into())
                 .unwrap();
         }
         let mut merged = make();
@@ -1216,7 +1207,7 @@ mod tests {
             .create(&agg_schema(), &reg, "ts")
             .unwrap();
         for rec in agg_recs(&[Value::Float(1.0), Value::Float(2.0)]) {
-            agg.update(&rec).unwrap();
+            agg.update((&rec).into()).unwrap();
         }
         assert_eq!(
             agg.partial().unwrap(),

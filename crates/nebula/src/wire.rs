@@ -485,18 +485,22 @@ fn put_opaque(o: &dyn OpaqueValue, registry: &WireRegistry, out: &mut Vec<u8>) -
     Ok(())
 }
 
-/// Bounds-checked reader over an encoded frame.
-struct Cursor<'a> {
+/// Bounds-checked little-endian reader over encoded bytes: frames here,
+/// and the payloads of [`OpaqueWireCodec`]s. Every read past the end,
+/// and every malformed field, is a [`NebulaError::Wire`].
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -519,8 +523,18 @@ impl<'a> Cursor<'a> {
         Ok(bytes)
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
+    }
+
+    /// A byte that must be 0 or 1.
+    pub fn bool(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(corrupt(format!("invalid bool byte {b}"))),
+        }
     }
 
     fn u16(&mut self) -> Result<u16> {
@@ -531,7 +545,8 @@ impl<'a> Cursor<'a> {
         self.array().map(u32::from_le_bytes)
     }
 
-    fn i64(&mut self) -> Result<i64> {
+    /// An `i64`.
+    pub fn i64(&mut self) -> Result<i64> {
         self.array().map(i64::from_le_bytes)
     }
 
@@ -539,17 +554,35 @@ impl<'a> Cursor<'a> {
         self.array().map(u64::from_le_bytes)
     }
 
-    /// A length field that must fit in the remaining buffer (rejects
-    /// absurd lengths before any allocation).
-    fn checked_len(&mut self) -> Result<usize> {
+    /// An `f64`.
+    pub fn f64(&mut self) -> Result<f64> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// A `u32` count of elements that occupy at least `min_size` bytes
+    /// each, so the count must fit in what is left: an absurd count is
+    /// rejected before anything is allocated for it. A byte length is
+    /// `checked_count(1)`.
+    pub fn checked_count(&mut self, min_size: usize) -> Result<usize> {
         let n = self.u32()? as usize;
-        if n > self.remaining() {
+        if n.saturating_mul(min_size) > self.remaining() {
             return Err(corrupt(format!(
-                "declared length {n} exceeds remaining {} bytes",
+                "declared count {n} impossible in {} bytes",
                 self.remaining()
             )));
         }
         Ok(n)
+    }
+
+    /// Fails unless every byte has been read.
+    pub fn done(&self) -> Result<()> {
+        if self.remaining() != 0 {
+            return Err(corrupt(format!(
+                "{} trailing bytes after the body",
+                self.remaining()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -583,7 +616,7 @@ pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> R
                 1 => Some(c.i64()?),
                 b => return Err(corrupt(format!("invalid frontier presence byte {b}"))),
             };
-            let node_len = c.checked_len()?;
+            let node_len = c.checked_count(1)?;
             let node = std::str::from_utf8(c.take(node_len)?)
                 .map_err(|_| corrupt("node name is not valid UTF-8"))?
                 .to_string();
@@ -601,12 +634,7 @@ pub fn decode_frame(bytes: &[u8], schema: &Schema, registry: &WireRegistry) -> R
         }
         t => return Err(corrupt(format!("unknown frame type {t}"))),
     };
-    if c.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{} trailing bytes after frame body",
-            c.remaining()
-        )));
-    }
+    c.done()?;
     Ok(frame)
 }
 
@@ -749,7 +777,7 @@ fn decode_column(
                     let tag_len = c.u16()? as usize;
                     let tag = std::str::from_utf8(c.take(tag_len)?)
                         .map_err(|_| corrupt("opaque tag is not valid UTF-8"))?;
-                    let payload_len = c.checked_len()?;
+                    let payload_len = c.checked_count(1)?;
                     let payload = c.take(payload_len)?;
                     Some(registry.get(tag)?.decode(payload)?)
                 } else {

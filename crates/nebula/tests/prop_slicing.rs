@@ -48,8 +48,8 @@ impl AggregatorFactory for SumSquares {
     fn create(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<Box<dyn Aggregator>> {
         struct Acc(f64);
         impl Aggregator for Acc {
-            fn update(&mut self, rec: &Record) -> Result<()> {
-                let v = rec.get(2).and_then(Value::as_float).unwrap_or(0.0);
+            fn update(&mut self, row: Row<'_>) -> Result<()> {
+                let v = row.get(2).and_then(|v| v.as_float()).unwrap_or(0.0);
                 self.0 += v * v;
                 Ok(())
             }
@@ -313,7 +313,7 @@ impl NaiveWindows {
                     (key.clone(), accs)
                 });
             for agg in accs {
-                agg.update(rec).expect("update");
+                agg.update(rec.into()).expect("update");
             }
         }
     }

@@ -1,11 +1,12 @@
 //! Allocation tripwire for the window state: a sliding and a tumbling
-//! keyed window run under `run` over a synthetic 24-key feed, and the
-//! heap allocations the run makes per 1 000 events must stay under a
-//! bound. The window state keeps built-in accumulators inline in each
-//! key's slice ring and reuses its per-buffer scratch, so its
-//! allocations are per emitted row and per buffer, not per slice or per
-//! record; boxing accumulators again, or building a key or sort key per
-//! row, trips the bound.
+//! keyed window, and a tumbling window with a plugin aggregate, run
+//! under `run` over a synthetic 24-key feed, and the heap allocations
+//! the run makes per 1 000 events must stay under a bound. The window
+//! state keeps built-in accumulators inline in each key's slice ring
+//! and reuses its per-buffer scratch, and a plugin accumulator reads
+//! buffer rows in place, so the allocations are per emitted row and per
+//! buffer, not per slice or per record; boxing accumulators again, or
+//! building a key, sort key or `Record` per row, trips the bound.
 //!
 //! The counting allocator is this test binary's own `#[global_allocator]`
 //! and counts per thread: `run` executes the whole pipeline on the
@@ -119,6 +120,47 @@ fn allocs_per_kevent(query: &Query) -> (f64, u64) {
     (allocs as f64 * 1_000.0 / events, rows.records())
 }
 
+/// A plugin aggregate: the sum of squares of `speed` in a boxed
+/// accumulator, folded through the default `Aggregator::update_rows`.
+struct SumSquares;
+
+impl AggregatorFactory for SumSquares {
+    fn output_type(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<DataType> {
+        Ok(DataType::Float)
+    }
+
+    fn create(&self, input: &Schema, _registry: &FunctionRegistry) -> Result<Box<dyn Aggregator>> {
+        struct Acc {
+            speed: usize,
+            sum: f64,
+        }
+        impl Aggregator for Acc {
+            fn update(&mut self, row: Row<'_>) -> Result<()> {
+                let v = row
+                    .get(self.speed)
+                    .and_then(|v| v.as_float())
+                    .unwrap_or(0.0);
+                self.sum += v * v;
+                Ok(())
+            }
+            fn partial(&self) -> Result<Vec<Value>> {
+                Ok(vec![Value::Float(self.sum)])
+            }
+            fn merge_partial(&mut self, partial: &[Value]) -> Result<()> {
+                self.sum += partial.first().and_then(Value::as_float).unwrap_or(0.0);
+                Ok(())
+            }
+            fn finish(&mut self) -> Result<Value> {
+                Ok(Value::Float(self.sum))
+            }
+        }
+        let speed = input
+            .index_of("speed")
+            .ok_or_else(|| NebulaError::Plan("no speed field".into()))?;
+        Ok(Box::new(Acc { speed, sum: 0.0 }))
+    }
+}
+
 #[test]
 fn sliding_window_allocations_stay_bounded() {
     // About 69 of the 91 are the emitted rows' own value vectors (3 960
@@ -144,6 +186,30 @@ fn tumbling_window_allocations_stay_bounded() {
         size: 60 * MICROS_PER_SEC,
     }));
     println!("tumbling 60 s: {per_kevent:.1} allocations per 1 000 events, {rows} rows");
+    assert_eq!(rows, 24 * 10, "every window of every key");
+    assert!(
+        per_kevent < BOUND,
+        "{per_kevent:.1} allocations per 1 000 events"
+    );
+}
+
+#[test]
+fn plugin_aggregate_allocations_stay_bounded() {
+    // 31 with buffer rows read in place; a `Record` built per folded row
+    // costs 1 031.
+    const BOUND: f64 = 50.0;
+    let query = Query::from("s").window(
+        vec![("train", col("train"))],
+        WindowSpec::Tumbling {
+            size: 60 * MICROS_PER_SEC,
+        },
+        vec![WindowAgg::new(
+            "speed_sq",
+            AggSpec::Custom(std::sync::Arc::new(SumSquares)),
+        )],
+    );
+    let (per_kevent, rows) = allocs_per_kevent(&query);
+    println!("tumbling 60 s, plugin aggregate: {per_kevent:.1} allocations per 1 000 events, {rows} rows");
     assert_eq!(rows, 24 * 10, "every window of every key");
     assert!(
         per_kevent < BOUND,

@@ -96,6 +96,12 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
     // Simulated transfer time tracks the byte difference.
     let sim = |m: &ClusterMetrics| -> f64 { m.links.iter().map(|l| l.simulated_transfer_ms).sum() };
     assert!(sim(&edge.cluster) < sim(&cloud.cluster));
+    // One stage past the sensor: the window's edge half on the edge box.
+    assert_eq!(
+        (edge.cluster.sites, cloud.cluster.sites),
+        (1, 0),
+        "stage threads"
+    );
 
     // Uplink classification happens at send time. The edge crashes at
     // frame 11, after sealing epoch 1 (see `CRASH_AFTER_FRAMES`):
@@ -115,6 +121,9 @@ fn edge_preaggregation_cuts_measured_uplink_bytes() {
         sealed_before_crash(&crashed),
         "the crash must restore epoch 1, not epoch 0"
     );
+    // The edge stage's thread before the crash, and the same stage's
+    // thread again after it migrates to the cloud node: one per phase.
+    assert_eq!(crashed.cluster.sites, 2, "stage threads over both phases");
     assert!(
         crashed.cluster.uplink_bytes < cloud.cluster.uplink_bytes,
         "crash-run uplink {} must stay below cloud-only {} (bus bytes \

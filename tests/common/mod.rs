@@ -402,7 +402,7 @@ impl AggregatorFactory for OpaqueCountAgg {
     fn create(&self, _input: &Schema, _registry: &FunctionRegistry) -> Result<Box<dyn Aggregator>> {
         struct Acc(i64);
         impl Aggregator for Acc {
-            fn update(&mut self, _rec: &Record) -> Result<()> {
+            fn update(&mut self, _row: Row<'_>) -> Result<()> {
                 self.0 += 1;
                 Ok(())
             }

@@ -20,6 +20,14 @@
 //! that opens a file's trailing test module) of every `.rs` file under
 //! the same trees, then of every directory and tree: the unit the
 //! simplicity targets in `ROADMAP.md` are stated in.
+//!
+//! `unused` — a report, not a gate: every `pub fn` of the four library
+//! crates whose name occurs nowhere in non-test code (library sources
+//! before their test module, the facade crate, the examples and the
+//! benchmark harness) apart from function definitions. Comments and
+//! string literals do not count, and names are matched as whole
+//! identifiers, so two functions sharing a name count each other's
+//! calls. Always exits 0.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,6 +37,17 @@ use std::process::ExitCode;
 /// Source trees whose non-test code must stay free of panicking
 /// shortcuts, and whose operators must carry stable names.
 const CHECKED_TREES: &[&str] = &["crates/nebula/src", "crates/core/src"];
+
+/// Library sources whose `pub fn`s the `unused` report lists.
+const LIBRARY_TREES: &[&str] = &[
+    "crates/nebula/src",
+    "crates/core/src",
+    "crates/meos/src",
+    "crates/sncb/src",
+];
+
+/// Non-test code outside [`LIBRARY_TREES`] whose calls count as uses.
+const USER_TREES: &[&str] = &["src", "examples", "fleetbench/src"];
 
 /// Operator types whose `name()` is legitimately non-literal:
 /// `FlatMapOp` carries its factory's name, `InstrumentedOp` forwards
@@ -40,12 +59,13 @@ fn main() -> ExitCode {
     match task.as_deref() {
         Some("lint") => lint(),
         Some("loc") => loc(),
+        Some("unused") => unused(),
         Some(other) => {
-            eprintln!("unknown task '{other}'; available: lint, loc");
+            eprintln!("unknown task '{other}'; available: lint, loc, unused");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint|loc");
+            eprintln!("usage: cargo run -p xtask -- lint|loc|unused");
             ExitCode::FAILURE
         }
     }
@@ -99,6 +119,157 @@ fn loc() -> ExitCode {
         println!("{lines:>7}  {}/", dir.display());
     }
     ExitCode::SUCCESS
+}
+
+/// Prints every `pub fn` under [`LIBRARY_TREES`] that no non-test code
+/// references, as `path:line  Type::name`, then their count.
+fn unused() -> ExitCode {
+    let root = repo_root();
+    let mut library = Vec::new();
+    for tree in LIBRARY_TREES {
+        rust_files(&root.join(tree), &mut library);
+    }
+    library.sort();
+    let mut users = Vec::new();
+    for tree in USER_TREES {
+        rust_files(&root.join(tree), &mut users);
+    }
+    let read = |path: &Path| std::fs::read_to_string(path).unwrap_or_default();
+    let sources: Vec<(PathBuf, String)> = library.iter().map(|p| (p.clone(), read(p))).collect();
+    let mut uses = Uses::default();
+    for (_, content) in &sources {
+        uses.scan(non_test_prefix(content));
+    }
+    for path in &users {
+        uses.scan(non_test_prefix(&read(path)));
+    }
+    let mut count = 0;
+    for (path, content) in &sources {
+        let rel = path.strip_prefix(&root).unwrap_or(path).display();
+        for (line, owner, name) in pub_fns(non_test_prefix(content)) {
+            if uses.references(&name) == 0 {
+                count += 1;
+                let owner = owner.map(|o| format!("{o}::")).unwrap_or_default();
+                println!("{rel}:{line}  {owner}{name}");
+            }
+        }
+    }
+    println!("{count} pub fn(s) with no non-test reference");
+    ExitCode::SUCCESS
+}
+
+/// Identifier occurrences in non-test code, and how many of them name a
+/// function being defined (`fn <name>`), which is not a use.
+#[derive(Default)]
+struct Uses {
+    seen: BTreeMap<String, usize>,
+    defined: BTreeMap<String, usize>,
+}
+
+impl Uses {
+    fn scan(&mut self, code: &str) {
+        for line in code.lines() {
+            let code = code_of(line);
+            let words = identifiers(&code);
+            for (i, word) in words.iter().enumerate() {
+                *self.seen.entry(word.to_string()).or_default() += 1;
+                if i > 0 && words[i - 1] == "fn" {
+                    *self.defined.entry(word.to_string()).or_default() += 1;
+                }
+            }
+        }
+    }
+
+    /// Occurrences of `name` that are not a function definition.
+    fn references(&self, name: &str) -> usize {
+        let seen = self.seen.get(name).copied().unwrap_or(0);
+        seen - self.defined.get(name).copied().unwrap_or(0)
+    }
+}
+
+/// The code of `line`: without its string literals' contents, up to a
+/// `//` comment.
+fn code_of(line: &str) -> String {
+    let mut code = String::with_capacity(line.len());
+    let (mut in_str, mut chars) = (false, line.chars().peekable());
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' if in_str => {
+                chars.next();
+            }
+            '"' => {
+                in_str = !in_str;
+                code.push(' ');
+            }
+            '/' if !in_str && chars.peek() == Some(&'/') => break,
+            _ if in_str => {}
+            _ => code.push(c),
+        }
+    }
+    code
+}
+
+/// The identifiers (and keywords) of a line, in order.
+fn identifiers(line: &str) -> Vec<&str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+        .collect()
+}
+
+/// Every `pub fn` of `code`: its 1-based line, the type of the
+/// unindented `impl` block it sits in (if any), and its name.
+fn pub_fns(code: &str) -> Vec<(usize, Option<String>, String)> {
+    let mut owner = None;
+    let mut out = Vec::new();
+    for (i, line) in code.lines().enumerate() {
+        if line.starts_with("impl") {
+            owner = impl_type(line);
+        } else if !line.starts_with(' ') && !line.trim().is_empty() && !line.starts_with('}') {
+            owner = None;
+        }
+        let item = line.trim_start();
+        if let Some(rest) = item
+            .strip_prefix("pub fn ")
+            .or(item.strip_prefix("pub const fn "))
+        {
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            // A macro's `pub fn $name` is no function of its own.
+            if !name.is_empty() {
+                out.push((i + 1, owner.clone(), name));
+            }
+        }
+    }
+    out
+}
+
+/// The implemented type of an `impl` header: `impl<T> Trait for Ty<T>
+/// {` gives `Ty`.
+fn impl_type(header: &str) -> Option<String> {
+    let header = header.split('{').next().unwrap_or(header);
+    let ty = header.rsplit(" for ").next().unwrap_or(header);
+    let ty = ty.strip_prefix("impl").unwrap_or(ty);
+    // Skip the impl's own generic parameters, then take the path's last
+    // segment before its generic arguments.
+    let ty = if ty.starts_with('<') {
+        let mut depth = 0usize;
+        let end = ty.char_indices().find_map(|(i, c)| {
+            match c {
+                '<' => depth += 1,
+                '>' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(i + 1)
+        });
+        &ty[end.unwrap_or(ty.len())..]
+    } else {
+        ty
+    };
+    let path = ty.trim().split('<').next().unwrap_or("");
+    let name = path.rsplit("::").next().unwrap_or(path).trim();
+    (!name.is_empty()).then(|| name.to_string())
 }
 
 /// The non-test prefix of a source file: everything before the
@@ -330,6 +501,30 @@ mod tests {
         let prefix = non_test_prefix(src);
         assert!(prefix.contains("fn b() { y.unwrap() }"), "{prefix}");
         assert!(!prefix.contains("mod tests"), "{prefix}");
+    }
+
+    #[test]
+    fn unused_counts_uses_not_definitions_or_comments() {
+        let mut uses = Uses::default();
+        uses.scan("pub fn a() {}\npub fn b() { a() } // c()\nfn c() { \"// b\" }\n");
+        assert_eq!(uses.references("a"), 1);
+        assert_eq!(uses.references("b"), 0);
+        assert_eq!(uses.references("c"), 0);
+    }
+
+    #[test]
+    fn pub_fns_name_their_impl_type() {
+        let src = "impl<T: X> Trait for Span<T> {\n    pub fn lower(&self) {}\n}\n\
+                   pub fn free() {}\nimpl Query {\n    pub const fn of() {}\n}\n";
+        let fns = pub_fns(src);
+        assert_eq!(
+            fns,
+            vec![
+                (2, Some("Span".to_string()), "lower".to_string()),
+                (4, None, "free".to_string()),
+                (6, Some("Query".to_string()), "of".to_string()),
+            ]
+        );
     }
 
     #[test]
